@@ -21,17 +21,27 @@ Design notes
   interned value domain (:mod:`repro.engine.domain`) makes those keys plain
   machine ints, which is what lets the generated join kernels run each probe
   as a single dict lookup.
+* A probe that binds *every* column is row-set membership, so no index is
+  materialized for it: such a signature is answered from ``_rows`` behind
+  the same ``.get`` an index dict offers (an all-columns index would be one
+  single-row bucket per tuple — a second copy of the relation).
 * :meth:`Relation.freeze` publishes an immutable copy-on-write snapshot in
-  O(1): the frozen handle shares the live relation's row set and index
-  buckets, mutating the frozen handle raises, and the live relation detaches
-  (copies its rows and buckets) on its first mutation after the freeze.
+  O(1): the frozen handle shares the live relation's row set, index dicts
+  and index buckets, and mutating the frozen handle raises.  The live side
+  pays for what it touches.  Its first mutation after the freeze copies the
+  row set and each index's ``key -> bucket`` dict (C-level ``set()`` /
+  ``dict()`` copies that allocate no bucket); after that a bucket is copied
+  the first time a write lands on its key, and never again until the next
+  freeze.  A commit that changes thirty rows of a 100k-row relation copies
+  thirty-odd small lists, not 100k.  Freezing an untouched relation again
+  returns the same handle, so indexes readers built on it survive.
   This is what lets the serving layer (:mod:`repro.service`) hand consistent
   epochs to concurrent readers while writers keep maintaining the live view.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .errors import SchemaError
 
@@ -39,13 +49,69 @@ Value = object
 Row = Tuple[Value, ...]
 
 
+def _extend_partly_shared(
+    columns: Tuple[int, ...],
+    index: Dict[object, List[Row]],
+    owned: Set[object],
+    fresh: Iterable[Row],
+) -> None:
+    """Index ``fresh`` rows where only the ``owned`` keys' buckets are writable.
+
+    Any other bucket may still be shared with a frozen snapshot, so the first
+    row landing on its key replaces it with a copy.
+    """
+    for row in fresh:
+        key = row[columns[0]] if len(columns) == 1 else tuple(row[c] for c in columns)
+        bucket = index.get(key)
+        if bucket is not None and key in owned:
+            bucket.append(row)
+        else:
+            index[key] = [row] if bucket is None else [*bucket, row]
+            owned.add(key)
+
+
+class _RowMembership:
+    """A full-arity probe signature, answered from the row set.
+
+    Offers the one method of an index dict the probe paths use —
+    ``get(key, default)`` — so compiled kernels hoist it exactly as they
+    hoist a real index's.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Set[Row]) -> None:
+        self._rows = rows
+
+    def get(self, key: Row, default: object = None) -> object:
+        return [key] if key in self._rows else default
+
+
+class _UnaryRowMembership(_RowMembership):
+    """Arity 1: single-column keys are bare values, rows are 1-tuples."""
+
+    __slots__ = ()
+
+    def get(self, key: Value, default: object = None) -> object:
+        row = (key,)
+        return [row] if row in self._rows else default
+
+
 class Relation:
     """A named, fixed-arity set of tuples with lazy per-column indexes."""
 
     #: class-level defaults so the hot constructors pay nothing for them;
-    #: ``freeze`` sets the instance attributes it needs
+    #: ``freeze`` and the post-freeze detach set the instance attributes
     _frozen = False
-    _cow_shared = False
+    #: the frozen handle currently sharing *all* of this relation's storage
+    #: (set by ``freeze``, dropped by the first mutation after it)
+    _snapshot: Optional["Relation"] = None
+    #: ``columns -> keys whose bucket this relation may mutate in place``,
+    #: kept from the post-freeze detach until the next ``freeze``; any other
+    #: bucket of those indexes may still be shared with a snapshot.  ``None``
+    #: when there is nothing to track: never frozen, cleared since, or frozen
+    #: and not yet written (``_snapshot`` is set and everything is shared)
+    _owned: Optional[Dict[Tuple[int, ...], Set[object]]] = None
 
     def __init__(self, name: str, arity: int, rows: Optional[Iterable[Sequence[Value]]] = None) -> None:
         if arity < 0:
@@ -73,48 +139,56 @@ class Relation:
     def freeze(self) -> "Relation":
         """Publish an immutable snapshot of the current contents, in O(1).
 
-        The snapshot shares this relation's row set and index buckets; the
-        sharing is copy-on-write on the *live* side — this relation detaches
-        (copies rows and buckets) on its first mutation after the freeze, so
-        the snapshot keeps observing exactly the rows it was born with.
-        Mutating the snapshot itself raises :class:`SchemaError`.  Freezing
-        an already-frozen relation returns it unchanged.
+        The snapshot shares this relation's row set, index dicts and index
+        buckets; the sharing is copy-on-write on the *live* side (see
+        :meth:`_detach_for_mutation`), so the snapshot keeps observing
+        exactly the rows it was born with.  Mutating the snapshot itself
+        raises :class:`SchemaError`.  Freezing an already-frozen relation
+        returns it unchanged, and freezing a live relation that has not been
+        written since its last freeze returns that freeze's handle — with
+        whatever indexes readers have lazily built on it.
         """
         if self._frozen:
             return self
+        if self._snapshot is not None:
+            return self._snapshot
         snapshot = Relation.__new__(Relation)
         snapshot.name = self.name
         snapshot.arity = self.arity
         snapshot.version = self.version
         snapshot._rows = self._rows
-        # own outer dict (lazy index builds on the snapshot must not race the
-        # live relation's); inner buckets are shared — neither side mutates a
-        # shared bucket, because the live side replaces all of them on detach
+        # own outer dict: lazy index builds on the snapshot must not race the
+        # live relation's.  The per-index dicts and their buckets are shared;
+        # the live side stops writing to them on detach
         snapshot._indexes = dict(self._indexes)
         snapshot._frozen = True
-        snapshot._cow_shared = False
-        self._cow_shared = True
+        self._snapshot = snapshot
+        self._owned = None
         return snapshot
 
     def _detach_for_mutation(self) -> None:
-        """Enforce frozen immutability / detach shared storage before a write."""
+        """Enforce frozen immutability / stop writing to storage a snapshot shares.
+
+        Copies the row set and each index's ``key -> bucket`` dict — flat
+        C-level copies that allocate no bucket.  The buckets themselves stay
+        shared until a write first lands on their key (``_owned`` records
+        which keys that has happened to).
+        """
         if self._frozen:
             raise SchemaError(
                 f"relation {self.name} is a frozen snapshot and cannot be mutated"
             )
         self._rows = set(self._rows)
-        self._indexes = {
-            columns: {key: list(bucket) for key, bucket in index.items()}
-            for columns, index in self._indexes.items()
-        }
-        self._cow_shared = False
+        self._owned = {columns: set() for columns in self._indexes}
+        self._indexes = {columns: dict(index) for columns, index in self._indexes.items()}
+        self._snapshot = None
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def add(self, row: Sequence[Value]) -> bool:
         """Insert a tuple; returns ``True`` when the tuple was new."""
-        if self._frozen or self._cow_shared:
+        if self._frozen or self._snapshot is not None:
             self._detach_for_mutation()
         tupled = tuple(row)
         if len(tupled) != self.arity:
@@ -125,6 +199,9 @@ class Relation:
             return False
         self._rows.add(tupled)
         self.version += 1
+        if self._owned is not None:
+            self._extend_indexes((tupled,))
+            return True
         for columns, index in self._indexes.items():
             if len(columns) == 1:
                 key: object = tupled[columns[0]]
@@ -142,7 +219,7 @@ class Relation:
         indexes) dict churn and one tight loop per index when loading an EDB
         or refilling a delta relation.
         """
-        if self._frozen or self._cow_shared:
+        if self._frozen or self._snapshot is not None:
             self._detach_for_mutation()
         arity = self.arity
         stored = self._rows
@@ -168,7 +245,13 @@ class Relation:
 
     def _extend_indexes(self, fresh: Iterable[Row]) -> None:
         """Append a batch of (new, validated) rows to every registered index."""
+        owned_by = self._owned
         for columns, index in self._indexes.items():
+            # (an index built after the detach has no ``_owned`` entry: every
+            # bucket in it is this relation's own)
+            if owned_by is not None and columns in owned_by:
+                _extend_partly_shared(columns, index, owned_by[columns], fresh)
+                continue
             setdefault = index.setdefault
             if len(columns) == 1:
                 column = columns[0]
@@ -201,7 +284,7 @@ class Relation:
         row set advances by one C-level set union; registered indexes are
         extended exactly as :meth:`add_all` does.
         """
-        if self._frozen or self._cow_shared:
+        if self._frozen or self._snapshot is not None:
             self._detach_for_mutation()
         if not self._indexes:
             # no indexes to maintain: skip materializing the fresh-row set
@@ -231,10 +314,11 @@ class Relation:
             if self._frozen:
                 self._detach_for_mutation()  # raises: frozen snapshots reject writes
             return False
-        if self._frozen or self._cow_shared:
+        if self._frozen or self._snapshot is not None:
             self._detach_for_mutation()
         self._rows.discard(tupled)
         self.version += 1
+        owned_by = self._owned
         for columns, index in self._indexes.items():
             if len(columns) == 1:
                 key: object = tupled[columns[0]]
@@ -243,6 +327,12 @@ class Relation:
             bucket = index.get(key)
             if bucket is None:
                 continue
+            if owned_by is not None:
+                owned = owned_by.get(columns)
+                if owned is not None and key not in owned:
+                    # first write to a bucket a snapshot still shares
+                    bucket = index[key] = list(bucket)
+                    owned.add(key)
             try:
                 bucket.remove(tupled)
             except ValueError:
@@ -267,22 +357,22 @@ class Relation:
         combinations the joins probe stay registered and :meth:`add` maintains
         them incrementally instead of each iteration rebuilding from scratch.
         """
-        if self._frozen or self._cow_shared:
-            if self._frozen:
-                self._detach_for_mutation()  # raises: frozen snapshots reject writes
-            # detach without copying contents that are about to be dropped;
-            # the registered column-sets survive with fresh empty buckets
-            if self._rows:
-                self.version += 1
-            self._rows = set()
-            self._indexes = {columns: {} for columns in self._indexes}
-            self._cow_shared = False
-            return
+        if self._frozen:
+            self._detach_for_mutation()  # raises: frozen snapshots reject writes
         if self._rows:
             self.version += 1
+        if self._snapshot is not None:
+            # detach without copying contents that are about to be dropped;
+            # the registered column-sets survive with fresh empty buckets
+            self._rows = set()
+            self._indexes = {columns: {} for columns in self._indexes}
+            self._snapshot = None
+            return
         self._rows.clear()
         for index in self._indexes.values():
             index.clear()
+        if self._owned is not None:
+            self._owned = None  # nothing left that a snapshot could share
 
     # ------------------------------------------------------------------
     # inspection
@@ -373,9 +463,14 @@ class Relation:
     # ------------------------------------------------------------------
     # indexed lookup
     # ------------------------------------------------------------------
-    def _index_for(self, columns: Tuple[int, ...]) -> Dict[object, List[Row]]:
+    def _index_for(self, columns: Tuple[int, ...]) -> Union[Dict[object, List[Row]], _RowMembership]:
         index = self._indexes.get(columns)
         if index is None:
+            if len(columns) == self.arity:
+                # every column bound: membership, not a second copy of the rows
+                if len(columns) == 1:
+                    return _UnaryRowMembership(self._rows)
+                return _RowMembership(self._rows)
             index = {}
             setdefault = index.setdefault
             if len(columns) == 1:

@@ -89,6 +89,8 @@ class MaterializedView:
         self.rewrites.append(Rewrite("maintenance-strategy", True, f"{self.strategy} — {detail}"))
         self.counting: Optional[counting.CountingState] = None
         self.derived: Dict[str, Relation] = {}
+        #: DRed's overestimate, handed from ``before_delete`` to ``after_delete``
+        self._doomed: Optional[Dict[str, Set[Row]]] = None
         self.fresh = False
         self.refresh(database)
 
@@ -232,7 +234,7 @@ class MaterializedView:
                 {name: set(rows)}, stats, self.plan_cache,
             )
         else:
-            doomed = getattr(self, "_doomed", None) or {}
+            doomed = self._doomed or {}
             self._doomed = None
             dred.apply_deletions(
                 self.plan_program, database, self.derived, doomed, stats, self.plan_cache

@@ -5,8 +5,13 @@ after every maintenance round: the registry epoch it corresponds to, frozen
 handles for every materialized IDB relation, and frozen handles for every
 stored EDB relation.  Freezing is O(1) copy-on-write
 (:meth:`repro.datalog.relation.Relation.freeze`), so publication costs one
-dict walk regardless of database size; the *writer* pays the copy, lazily,
-on its first post-publication mutation of each relation it actually touches.
+dict walk regardless of database size, and a relation untouched since the
+previous publication is republished as the same handle (readers' lazily
+built indexes included).  The *writer* pays the copy, lazily and in
+proportion to what it writes: its first post-publication mutation of a
+relation copies that relation's row set and each index's key dict (flat
+C-level copies), and after that only the index buckets whose keys the
+commit's rows actually land on.
 
 Readers holding a snapshot never block writers and never observe a torn
 state: every lookup and every fallback evaluation runs against relations

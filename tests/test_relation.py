@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+from itertools import combinations, product
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.datalog import SchemaError
 from repro.datalog.relation import Relation
@@ -253,7 +257,7 @@ class TestMixedMutationIndexConsistency:
         relation = Relation("r", 2)
         relation.add_all([(1, 2), (2, 3), (1, 3)])
         assert set(relation.probe((0,), 1)) == {(1, 2), (1, 3)}
-        assert relation.probe((0, 1), (2, 3)) == [(2, 3)]
+        assert list(relation.probe((0, 1), (2, 3))) == [(2, 3)]
         relation.discard((1, 2))
         assert set(relation.probe((0,), 1)) == {(1, 3)}
         relation.clear()
@@ -263,7 +267,7 @@ class TestMixedMutationIndexConsistency:
         relation.add_all([(1, 7), (5, 5)])
         relation.add((1, 9))
         assert set(relation.probe((0,), 1)) == {(1, 7), (1, 9)}
-        assert relation.probe((0, 1), (5, 5)) == [(5, 5)]
+        assert list(relation.probe((0, 1), (5, 5))) == [(5, 5)]
         relation.discard((1, 7))
         relation.discard((1, 9))
         assert list(relation.probe((0,), 1)) == []
@@ -345,3 +349,201 @@ class TestFreezeSnapshots:
         assert not clone.frozen
         clone.add((9, 9))
         assert (9, 9) in clone and (9, 9) not in snapshot
+
+    def test_refreezing_an_untouched_relation_returns_the_same_handle(self, edges):
+        first = edges.freeze()
+        assert set(first.probe((1,), 3)) == {(1, 3), (2, 3)}  # a reader's lazy index
+        assert edges.freeze() is first
+        assert (1,) in first._indexes  # ... survives the re-publication
+        edges.add((9, 9))  # the detach drops the cached handle
+        second = edges.freeze()
+        assert second is not first
+        assert edges.freeze() is second
+        assert first.rows() == {(1, 2), (1, 3), (2, 3)}
+        assert second.rows() == {(1, 2), (1, 3), (2, 3), (9, 9)}
+
+
+class TestFullArityProbes:
+    """Binding every column is row-set membership; no index is materialized."""
+
+    def test_full_arity_signature_registers_no_index(self, edges):
+        assert list(edges.probe((0, 1), (1, 3))) == [(1, 3)]
+        assert list(edges.probe((0, 1), (3, 3))) == []
+        assert edges.lookup({0: 1, 1: 3}) == [(1, 3)]
+        assert (0, 1) not in edges._indexes
+        edges.discard((1, 3))
+        edges.add((3, 3))
+        assert list(edges.probe((0, 1), (1, 3))) == []
+        assert list(edges.probe((0, 1), (3, 3))) == [(3, 3)]
+
+    def test_unary_relation_takes_the_bare_value(self):
+        unary = Relation("u", 1, [(1,), (2,)])
+        assert list(unary.probe((0,), 2)) == [(2,)]
+        assert list(unary.probe((0,), 7)) == []
+        assert unary.lookup({0: 1}) == [(1,)]
+        assert not unary._indexes
+
+    def test_hoisted_getter_matches_an_index_dicts_get(self, edges):
+        # the generated kernels hoist ``_index_for(columns).get`` once per call
+        get = edges._index_for((0, 1)).get
+        assert list(get((2, 3), ())) == [(2, 3)]
+        assert get((9, 9), ()) == ()
+        assert get((9, 9)) is None
+
+
+class TestDetachCopiesOnlyWhatIsTouched:
+    """Regression guard (counts, not timings) for the per-bucket copy-on-write."""
+
+    def test_adds_after_freeze_copy_only_the_buckets_they_touch(self):
+        size = 100_000
+        live = Relation("big", 2, ((i, i % 1000) for i in range(size)))
+        live.probe((0,), 0)  # 100k single-row buckets
+        live.probe((1,), 0)  # 1k hundred-row buckets
+        snapshot = live.freeze()
+
+        gc.collect()
+        gc.disable()
+        try:
+            lists_before = sum(1 for obj in gc.get_objects() if type(obj) is list)
+            live.add((5, size))       # new bucket under (1,), shared one under (0,)
+            live.add((size, 7))       # the reverse
+            lists_after = sum(1 for obj in gc.get_objects() if type(obj) is list)
+        finally:
+            gc.enable()
+        assert lists_after - lists_before < 64
+
+        touched = {(0,): {5, size}, (1,): {size, 7}}
+        for columns, keys in touched.items():
+            shared, ours = snapshot._indexes[columns], live._indexes[columns]
+            assert ours is not shared
+            assert all(ours[key] is bucket for key, bucket in shared.items() if key not in keys)
+            assert all(ours[key] is not shared.get(key) for key in keys)
+        assert set(snapshot.probe((0,), 5)) == {(5, 5)}
+        assert set(live.probe((0,), 5)) == {(5, 5), (5, size)}
+        assert len(snapshot.probe((1,), 7)) == 100 and len(live.probe((1,), 7)) == 101
+        assert len(snapshot) == size and len(live) == size + 2
+
+
+# ----------------------------------------------------------------------
+# model-based: every mutation / freeze / copy / lazy-index interleaving
+# ----------------------------------------------------------------------
+def _index_key(columns, row):
+    return row[columns[0]] if len(columns) == 1 else tuple(row[c] for c in columns)
+
+
+def _relation_machine(arity: int):
+    """A state machine checking relations of ``arity`` against plain sets."""
+    domain = list(product(range(3), repeat=arity))
+    signatures = [c for n in range(1, arity + 1) for c in combinations(range(arity), n)]
+    row = st.sampled_from(domain)
+    rows = st.lists(row, max_size=5)
+    pick = st.integers(0, 1 << 16)
+
+    def check(relation, model, signatures_to_probe):
+        assert relation.rows() == model and len(relation) == len(model)
+        for columns in signatures_to_probe:
+            expected = {}
+            for member in model:
+                expected.setdefault(_index_key(columns, member), []).append(member)
+            for key in {_index_key(columns, member) for member in domain}:
+                assert sorted(relation.probe(columns, key)) == sorted(expected.get(key, []))
+
+    class RelationMachine(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            #: ``(relation, model)`` pairs the rules may write to
+            self.mutable = [(Relation("r", arity), set())]
+            #: every snapshot ever published, with the rows it was born with
+            self.frozen = []
+            #: ``id(relation) -> (version, rows)`` as of the previous step
+            self.seen = {}
+
+        def _writable(self, which):
+            return self.mutable[which % len(self.mutable)]
+
+        @rule(which=pick, new=row)
+        def add(self, which, new):
+            relation, model = self._writable(which)
+            assert relation.add(new) == (new not in model)
+            model.add(new)
+
+        @rule(which=pick, batch=rows)
+        def add_all(self, which, batch):
+            relation, model = self._writable(which)
+            assert relation.add_all(batch) == len(set(batch) - model)
+            model.update(batch)
+
+        @rule(which=pick, batch=rows)
+        def union_update(self, which, batch):
+            relation, model = self._writable(which)
+            assert relation.union_update(set(batch)) == len(set(batch) - model)
+            model.update(batch)
+
+        @rule(which=pick, old=row)
+        def discard(self, which, old):
+            relation, model = self._writable(which)
+            assert relation.discard(old) == (old in model)
+            model.discard(old)
+
+        @rule(which=pick, batch=rows)
+        def discard_all(self, which, batch):
+            relation, model = self._writable(which)
+            assert relation.discard_all(batch) == len(set(batch) & model)
+            model.difference_update(batch)
+
+        @rule(which=pick)
+        def clear(self, which):
+            relation, model = self._writable(which)
+            relation.clear()
+            model.clear()
+
+        @rule(which=pick)
+        def freeze(self, which):
+            relation, model = self._writable(which)
+            snapshot = relation.freeze()
+            assert snapshot.frozen and snapshot.version == relation.version
+            self.frozen.append((snapshot, frozenset(model)))
+
+        @rule(which=pick, of_snapshot=st.booleans())
+        def copy(self, which, of_snapshot):
+            if len(self.mutable) == 3:
+                return  # enough writable relations to interleave
+            pool = self.frozen if of_snapshot and self.frozen else self.mutable
+            relation, model = pool[which % len(pool)]
+            self.mutable.append((relation.copy(), set(model)))
+
+        @rule(which=pick, on_snapshot=st.booleans(), columns=st.sampled_from(signatures))
+        def probe(self, which, on_snapshot, columns):
+            """Registers ``columns`` lazily, on one side of a freeze only."""
+            pool = self.frozen if on_snapshot and self.frozen else self.mutable
+            relation, model = pool[which % len(pool)]
+            check(relation, model, [columns])
+
+        @invariant()
+        def every_relation_equals_its_model(self):
+            for relation, model in self.mutable + self.frozen:
+                # only signatures already registered, so it stays the probe
+                # rule's decision which side of a freeze builds an index and
+                # when; the full-arity signature never registers one
+                check(relation, model, [*relation._indexes, signatures[-1]])
+            for relation, model in self.mutable:
+                # ``version`` moves exactly when the contents do
+                version, rows = self.seen.get(id(relation), (relation.version, model))
+                assert (relation.version != version) == (model != rows)
+                self.seen[id(relation)] = (relation.version, frozenset(model))
+
+        def teardown(self):
+            for relation, model in self.mutable + self.frozen:
+                check(relation, model, signatures)
+
+    RelationMachine.__name__ = f"RelationMachineArity{arity}"
+    return RelationMachine
+
+
+_STATEFUL = settings(max_examples=100, stateful_step_count=40, deadline=None)
+TestRelationModelArity1 = _relation_machine(1).TestCase
+TestRelationModelArity1.settings = _STATEFUL
+TestRelationModelArity2 = _relation_machine(2).TestCase
+TestRelationModelArity2.settings = _STATEFUL
+TestRelationModelArity3 = _relation_machine(3).TestCase
+TestRelationModelArity3.settings = _STATEFUL
