@@ -7,7 +7,7 @@ This package contains everything Sections 3 and 4 and the appendices describe:
 * :mod:`~repro.core.boundedness` — uniform boundedness for the decidable subclass,
 * :mod:`~repro.core.pipeline` — the complete detection procedure (Theorem 3.4),
 * :mod:`~repro.core.algorithms` — Figures 7 and 8, transcribed literally,
-* :mod:`~repro.core.schema` — the general Figure 9 schema, compiled per query,
+* :mod:`~repro.core.schema` — the general Figure 9 schema, compiled once per bound-column shape,
 * :mod:`~repro.core.proofs` — Lemmas 4.1/4.2 (proof widths, the lossy unary carry),
 * :mod:`~repro.core.crossproduct` — the Section 4 [JAN87] rewriting,
 * :mod:`~repro.core.reduction` — the Theorem 3.2 / Appendix A construction,
@@ -61,7 +61,7 @@ from .reduction import (
     project_first_two_columns,
     reduce_nonrecursive_program,
 )
-from .schema import BACKWARD, FORWARD, OneSidedSchema, SchemaPlan, one_sided_query
+from .schema import BACKWARD, FORWARD, OneSidedSchema, SchemaPlan, compile_schema, one_sided_query
 
 __all__ = [
     "BACKWARD",
@@ -79,6 +79,7 @@ __all__ = [
     "bounded_prefix_depth",
     "classify",
     "column_repetition_width",
+    "compile_schema",
     "cross_product_rewriting",
     "detect_one_sided",
     "extend_database_for_reduction",

@@ -12,9 +12,10 @@ Figure 9 of the paper is a schema::
 
 "The initialisation, the arities of carry, seen, and ans, and the operators
 f and g are determined by the given recursion and query."  This module is that
-determination: :class:`OneSidedSchema` compiles a single-linear-rule recursion
-plus a ``column = constant`` selection into a concrete instance of the schema
-and runs it.
+determination: :func:`compile_schema` turns a single-linear-rule recursion
+plus the *bound columns* of a ``column = constant`` selection into a
+:class:`SchemaPlan`, and :class:`OneSidedSchema` runs a plan for one query's
+constants.
 
 Compilation
 -----------
@@ -36,6 +37,21 @@ reaches the exit rule); every other position is **linking**.
   the nonrecursive body atoms, and ``g`` joins the reachable call tuples with
   the exit rules.
 
+Each of those joins — the exit rules under the pushed-down bindings, the
+backward step, the forward step — is a :class:`~repro.engine.compile.CompiledRule`
+over a synthetic head (``t.exit``, ``t.backward``, ``t.init``, ``t.forward``):
+the terms a join binds are compile-time ``bound`` variables and the tuple it
+emits is the synthetic head, so ``f`` and ``g`` are one kernel call per carry
+row (``REPRO_KERNELS=off``: one interpreted join) over the stored values, with
+relations resolved and kernels fetched once per :meth:`OneSidedSchema.run`.
+Every probe is still one recorded lookup (Property 3) on either executor.
+
+Nothing a plan decides depends on the selection *constants* or the database,
+so plans — or the error saying the schema is inapplicable — are memoized per
+``(program, predicate, arity, bound columns, require_one_sided)`` and the
+constants travel through the bound slots at run time.  Join orders are fixed
+at compile time (bound-first, ties in textual order).
+
 The ``carry − seen`` step is sound here for exactly the reason Section 4
 gives: the transition depends only on the carry tuple, so a state reached
 twice contributes nothing new (Lemma 4.1 is the special case of a unary
@@ -49,15 +65,15 @@ to reproduce the Section 4 cross-product discussion).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from ..datalog.atoms import Atom
+from ..datalog.atoms import Atom, atoms_variables
 from ..datalog.database import Database
-from ..datalog.errors import EvaluationError, NotOneSidedError, ProgramError
+from ..datalog.errors import EvaluationError, NotOneSidedError, ProgramError, ReproError
 from ..datalog.relation import Relation, Row, Value
 from ..datalog.rules import Program, Rule
-from ..datalog.terms import Constant, Variable, is_variable
-from ..engine.cq_eval import Bindings, evaluate_body
+from ..datalog.terms import Constant, Term, Variable
+from ..engine.compile import CompiledRule, compile_rule
 from ..engine.instrumentation import EvaluationStats
 from ..engine.query import QueryResult, SelectionQuery
 from .classify import classify
@@ -65,17 +81,66 @@ from .classify import classify
 BACKWARD = "backward"  # exit-to-head, Figure 7 direction
 FORWARD = "forward"  # head-to-exit, Figure 8 direction
 
+#: stands in a carry column whose value the forward step cannot determine
+#: (a recursive-call variable bound nowhere else); the column is left unbound
+_UNKNOWN = Constant(None)
+
+
+class _Join:
+    """One of the schema's joins, compiled: bind ``terms``, join ``body``, emit ``output``.
+
+    ``terms[i]`` is unified with the ``i``-th value handed to the bound join:
+    variables become the plan's compile-time ``bound`` slots, a constant term
+    must equal its value and a repeated variable must receive equal values —
+    otherwise the join yields nothing.
+    """
+
+    __slots__ = ("plan", "fixed", "equal", "picks")
+
+    def __init__(self, name: str, terms: Sequence[Term], body: Sequence[Atom], output: Sequence[Term]) -> None:
+        first: Dict[Variable, int] = {}
+        fixed: List[Tuple[int, Value]] = []
+        equal: List[Tuple[int, int]] = []
+        for index, term in enumerate(terms):
+            if isinstance(term, Constant):
+                fixed.append((index, term.value))
+            elif term in first:
+                equal.append((first[term], index))
+            else:
+                first[term] = index
+        self.fixed, self.equal = fixed, equal
+        #: value positions feeding the bound slots; ``None`` when every term
+        #: is a distinct variable and the values pass through unchanged
+        self.picks = tuple(first.values()) if fixed or equal else None
+        self.plan = compile_rule(Rule(Atom(name, tuple(output)), tuple(body)), bound=tuple(first))
+
+    def bind(self, relations: Dict[str, Relation], stats: EvaluationStats) -> Callable[[Row], Iterable[Row]]:
+        """``run(values) -> output tuples``, with the plan prepared once for ``relations``."""
+        evaluate = self.plan.prepare(relations)
+        picks = self.picks
+        if picks is None:
+            return lambda values: evaluate(values, stats)
+        fixed, equal = self.fixed, self.equal
+
+        def run(values: Row) -> Iterable[Row]:
+            for index, value in fixed:
+                if values[index] != value:
+                    return ()
+            for left, right in equal:
+                if values[left] != values[right]:
+                    return ()
+            return evaluate(tuple(values[index] for index in picks), stats)
+
+        return run
+
 
 @dataclass
 class SchemaPlan:
-    """The compiled form of Figure 9 for one recursion and one query."""
+    """The compiled form of Figure 9 for one recursion and one set of bound columns."""
 
     predicate: str
-    query: SelectionQuery
-    recursive_rule: Rule
-    exit_rules: List[Rule]
-    head_vars: List[Variable]
-    call_args: List
+    arity: int
+    bound_columns: Tuple[int, ...]
     invariant_positions: Tuple[int, ...]
     direction: str
     #: columns carried between iterations (everything except the statically
@@ -84,23 +149,254 @@ class SchemaPlan:
     #: free non-invariant head positions whose level-0 value must be remembered
     #: alongside the carry in the forward direction
     remembered_positions: Tuple[int, ...] = ()
+    #: rules for the IDB predicates the recursion reads, materialized before a run
+    subsidiary_program: Optional[Program] = None
+    #: exit rules under the selection constants — backward: the initial carry;
+    #: forward: the depth-0 answers
+    exits: Tuple[_Join, ...] = ()
+    #: backward ``f``: recursive call bound to (constants + carry row) → next carry rows
+    step: Optional[_Join] = None
+    #: forward initialisation: selection constants → first carry rows
+    init: Optional[_Join] = None
+    #: which carried columns ``init`` determines (the rest hold ``None``)
+    init_known: Tuple[bool, ...] = ()
+    #: forward ``f`` and ``g`` per known-column pattern of the carry rows they
+    #: read: ``(step join, pattern of its output, exit joins emitting answers)``
+    forward: Dict[Tuple[bool, ...], Tuple[_Join, Tuple[bool, ...], Tuple[_Join, ...]]] = field(default_factory=dict)
 
     @property
     def carry_arity(self) -> int:
         """Number of columns the carry/seen relations hold (Property 2)."""
         return len(self.carried_positions) + len(self.remembered_positions)
 
+    def compiled_plans(self) -> List[CompiledRule]:
+        """Every join plan a run of this schema can execute, in execution order."""
+        joins = [*self.exits, self.step, self.init]
+        for step, _known, finals in self.forward.values():
+            joins += [step, *finals]
+        return [join.plan for join in joins if join is not None]
+
     def describe(self) -> str:
         """A short human-readable account of the compiled plan."""
         invariant = ", ".join(str(i) for i in self.invariant_positions) or "none"
+        bound = ", ".join(str(i) for i in self.bound_columns) or "none"
         return (
-            f"{self.query}: direction={self.direction}, invariant columns=[{invariant}], "
-            f"carry arity={self.carry_arity} (original arity {self.query.arity})"
+            f"{self.predicate}/{self.arity} bound columns=[{bound}]: direction={self.direction}, "
+            f"invariant columns=[{invariant}], carry arity={self.carry_arity}"
         )
 
 
+def _subsidiary_program(program: Program, predicate: str) -> Optional[Program]:
+    """The rules for IDB predicates the recursion reads (e.g. an IDB exit layer).
+
+    The schema evaluates the recursion's strings against stored relations,
+    but an exit rule (or a nonrecursive body atom) may reference a
+    predicate defined by *other* rules of the program — the cross-product
+    exit layer of Section 4 is the canonical example.  Those subsidiary
+    predicates are materialized with one semi-naive pass before the schema
+    runs; without this the schema would silently read them as empty.
+
+    Raises :class:`ProgramError` when a subsidiary predicate depends back
+    on the schema's own predicate (mutual recursion), which the
+    single-linear-rule machinery cannot evaluate.
+    """
+    idb = program.idb_predicates()
+    needed: Set[str] = set()
+    frontier = {atom.predicate for rule in program.rules_for(predicate) for atom in rule.body}
+    while frontier:
+        name = frontier.pop()
+        if name == predicate or name in needed or name not in idb:
+            continue
+        needed.add(name)
+        for rule in program.rules_for(name):
+            frontier.update(atom.predicate for atom in rule.body)
+    if not needed:
+        return None
+    for name in sorted(needed):
+        for rule in program.rules_for(name):
+            if predicate in rule.body_predicates():
+                raise ProgramError(
+                    f"{predicate} is mutually recursive with {name}; the "
+                    "one-sided schema handles a single linear recursion only"
+                )
+    return Program(tuple(rule for rule in program.rules if rule.head.predicate in needed))
+
+
+def _build_plan(
+    program: Program, predicate: str, arity: int, bound: Tuple[int, ...], require_one_sided: bool
+) -> SchemaPlan:
+    """Analyse the recursion for one set of bound columns and compile its joins."""
+    if require_one_sided:
+        report = classify(program, predicate)
+        if not report.is_one_sided and not report.is_bounded_looking:
+            raise NotOneSidedError(
+                f"{predicate} is not one-sided ({report.reason()}); "
+                "pass require_one_sided=False to run the schema anyway"
+            )
+
+    rule = program.linear_recursive_rule(predicate)
+    exit_rules = program.exit_rules_for(predicate)
+    if not exit_rules:
+        raise ProgramError(f"{predicate} has no exit rule")
+    if arity != rule.head.arity:
+        raise EvaluationError(
+            f"query on {predicate} has arity {arity}, but {predicate} has arity {rule.head.arity}"
+        )
+    if rule.head_has_repeated_variables_or_constants():
+        raise ProgramError(
+            f"the head of {rule} must contain only distinct variables (paper assumption)"
+        )
+    head_vars = list(rule.head.args)
+    call_args = list(rule.recursive_atom().args)
+    body = rule.nonrecursive_atoms()
+    body_vars = atoms_variables(body)
+    positions = range(arity)
+
+    invariant = tuple(i for i in positions if call_args[i] == head_vars[i])
+    # no selection at all is plain reduced semi-naive on t, run backward
+    direction = BACKWARD if set(bound) <= set(invariant) else FORWARD
+
+    if direction == BACKWARD:
+        carried = tuple(i for i in positions if i not in bound)
+        remembered: Tuple[int, ...] = ()
+    else:
+        def carried_forward(position: int) -> bool:
+            if position not in invariant:
+                return True
+            # bound: statically equal to the selection constant.  Free: the value
+            # is only determined at the exit; carry it only when the nonrecursive
+            # body constrains it (e.g. the permission predicate of Example 4.1),
+            # otherwise drop the column — the arity reduction of the canonical case.
+            return position not in bound and head_vars[position] in body_vars
+
+        carried = tuple(i for i in positions if carried_forward(i))
+        remembered = tuple(i for i in positions if i not in bound and i not in invariant)
+        for position in remembered:
+            if head_vars[position] not in body_vars:
+                raise EvaluationError(
+                    f"output column {position} of {predicate} is not connected to the "
+                    "nonrecursive body of the recursive rule; the Figure 9 schema cannot "
+                    "carry its value from the selection end of the strings"
+                )
+
+    plan = SchemaPlan(
+        predicate, arity, bound, invariant, direction, carried, remembered,
+        subsidiary_program=_subsidiary_program(program, predicate),
+    )
+    exit_name = f"{predicate}.exit"
+
+    if direction == BACKWARD:
+        plan.exits = tuple(
+            _Join(exit_name, [e.head.args[i] for i in bound], e.body, [e.head.args[i] for i in carried])
+            for e in exit_rules
+        )
+        plan.step = _Join(
+            f"{predicate}.backward",
+            [call_args[i] for i in bound + carried],
+            body,
+            [head_vars[i] for i in carried],
+        )
+        if not plan.step.plan.producible:
+            raise EvaluationError(
+                "the recursive rule does not determine every head column "
+                "from the recursive call and the nonrecursive body; the "
+                "Figure 9 schema cannot evaluate this query"
+            )
+        return plan
+
+    plan.exits = tuple(
+        _Join(exit_name, [e.head.args[i] for i in bound], e.body, e.head.args) for e in exit_rules
+    )
+    memory = [Variable(f"$r{i}") for i in remembered]
+    #: invariant selection constants hold at every depth; linking ones only at depth 0
+    kept = [i for i in bound if i in invariant]
+
+    def call_state(bound_vars: Set[Variable]) -> Tuple[List[Term], Tuple[bool, ...]]:
+        """The recursive call's carried arguments, and which of them a step determines."""
+        available = body_vars | bound_vars
+        known = tuple(
+            isinstance(call_args[i], Constant) or call_args[i] in available for i in carried
+        )
+        for i, ok in zip(carried, known):
+            if not ok and call_args.count(call_args[i]) > 1:
+                raise EvaluationError(
+                    f"the recursive call repeats {call_args[i]}, which the forward step cannot "
+                    "determine; the Figure 9 schema would lose the equality it imposes"
+                )
+        return [call_args[i] if ok else _UNKNOWN for i, ok in zip(carried, known)], known
+
+    def entry(args: Sequence[Term], known: Tuple[bool, ...]) -> List[Term]:
+        """The carried columns of ``args`` that a carry row of pattern ``known`` binds."""
+        return [args[i] if ok else Variable(f"$u{i}") for i, ok in zip(carried, known)]
+
+    state, known = call_state({head_vars[i] for i in bound})
+    plan.init = _Join(
+        f"{predicate}.init",
+        [head_vars[i] for i in bound],
+        body,
+        [head_vars[i] for i in remembered] + state,
+    )
+    plan.init_known = known
+    while known not in plan.forward:
+        inputs = entry(head_vars, known)
+        state, after = call_state(
+            {head_vars[i] for i in kept} | {head_vars[i] for i, ok in zip(carried, known) if ok}
+        )
+        step = _Join(
+            f"{predicate}.forward", [head_vars[i] for i in kept] + memory + inputs, body, memory + state
+        )
+        finals = []
+        for e in exit_rules:
+            row = list(e.head.args)
+            for i in bound:
+                if i not in invariant:
+                    row[i] = Variable(f"$k{i}")
+            constants = [row[i] for i in bound]
+            for i, variable in zip(remembered, memory):
+                row[i] = variable
+            finals.append(_Join(exit_name, constants + memory + entry(e.head.args, known), e.body, row))
+        plan.forward[known] = (step, after, tuple(finals))
+        known = after
+    return plan
+
+
+#: (program, predicate, arity, bound columns, require_one_sided) → the compiled
+#: plan, or the (error class, message) that says the schema is inapplicable.
+#: Plans hold no relation contents and no selection constants.  The memo
+#: outlives any one program, so it is cleared wholesale at a constant cap.
+_plan_memo: Dict[tuple, Union[SchemaPlan, Tuple[type, str]]] = {}
+_PLAN_MEMO_LIMIT = 256
+
+
+def compile_schema(
+    program: Program,
+    predicate: str,
+    arity: int,
+    bound_columns: Tuple[int, ...],
+    require_one_sided: bool = True,
+) -> SchemaPlan:
+    """The memoized :class:`SchemaPlan` for selections binding ``bound_columns``.
+
+    Raises the :class:`~repro.datalog.errors.ReproError` subclass explaining
+    why the schema is inapplicable; that verdict is memoized like a plan.
+    """
+    key = (program, predicate, arity, bound_columns, require_one_sided)
+    entry = _plan_memo.get(key)
+    if entry is None:
+        try:
+            entry = _build_plan(program, predicate, arity, bound_columns, require_one_sided)
+        except ReproError as error:
+            entry = (type(error), str(error))
+        if len(_plan_memo) >= _PLAN_MEMO_LIMIT:
+            _plan_memo.clear()
+        _plan_memo[key] = entry
+    if isinstance(entry, tuple):
+        raise entry[0](entry[1])
+    return entry
+
+
 class OneSidedSchema:
-    """Compile and run the Figure 9 schema for one recursion and one selection."""
+    """Run the Figure 9 schema for one recursion and one selection."""
 
     def __init__(
         self,
@@ -116,133 +412,9 @@ class OneSidedSchema:
         self.program = program
         self.predicate = predicate
         self.query = query
-
-        if require_one_sided:
-            report = classify(program, predicate)
-            if not report.is_one_sided and not report.is_bounded_looking:
-                raise NotOneSidedError(
-                    f"{predicate} is not one-sided ({report.reason()}); "
-                    "pass require_one_sided=False to run the schema anyway"
-                )
-
-        rule = program.linear_recursive_rule(predicate)
-        exit_rules = program.exit_rules_for(predicate)
-        if not exit_rules:
-            raise ProgramError(f"{predicate} has no exit rule")
-        if query.arity != rule.head.arity:
-            raise EvaluationError(
-                f"query {query} has arity {query.arity}, but {predicate} has arity {rule.head.arity}"
-            )
-        head_vars = list(rule.head.args)
-        if not all(is_variable(arg) for arg in head_vars):
-            raise ProgramError(
-                f"the head of {rule} must contain only variables (paper assumption)"
-            )
-        call_args = list(rule.recursive_atom().args)
-
-        invariant_positions = tuple(
-            i for i in range(len(head_vars)) if call_args[i] == head_vars[i]
+        self.plan = compile_schema(
+            program, predicate, query.arity, query.bound_columns(), require_one_sided
         )
-        bound = set(query.bound_columns())
-        if bound and bound <= set(invariant_positions):
-            direction = BACKWARD
-        elif not bound:
-            direction = BACKWARD  # no selection: plain reduced semi-naive on t
-        else:
-            direction = FORWARD
-
-        if direction == BACKWARD:
-            carried = tuple(i for i in range(len(head_vars)) if i not in bound)
-            remembered: Tuple[int, ...] = ()
-        else:
-            nonrecursive_body_vars = set()
-            for atom in rule.nonrecursive_atoms():
-                nonrecursive_body_vars |= atom.variable_set()
-
-            def carried_forward(position: int) -> bool:
-                if position in bound and position in invariant_positions:
-                    return False  # statically equal to the selection constant
-                if position in invariant_positions and position not in bound:
-                    # the value is only determined at the exit; carry it only when the
-                    # nonrecursive body constrains it (e.g. the permission predicate of
-                    # Example 4.1), otherwise drop the column — this is the arity
-                    # reduction of the canonical case.
-                    return head_vars[position] in nonrecursive_body_vars
-                return True
-
-            carried = tuple(i for i in range(len(head_vars)) if carried_forward(i))
-            remembered = tuple(
-                i
-                for i in range(len(head_vars))
-                if i not in bound and i not in invariant_positions
-            )
-
-        if direction == FORWARD:
-            nonrecursive_vars = set()
-            for atom in rule.nonrecursive_atoms():
-                nonrecursive_vars |= atom.variable_set()
-            for position in remembered:
-                head_term = head_vars[position]
-                if is_variable(head_term) and head_term not in nonrecursive_vars:
-                    raise EvaluationError(
-                        f"output column {position} of {predicate} is not connected to the "
-                        "nonrecursive body of the recursive rule; the Figure 9 schema cannot "
-                        "carry its value from the selection end of the strings"
-                    )
-
-        self.plan = SchemaPlan(
-            predicate=predicate,
-            query=query,
-            recursive_rule=rule,
-            exit_rules=list(exit_rules),
-            head_vars=head_vars,
-            call_args=call_args,
-            invariant_positions=invariant_positions,
-            direction=direction,
-            carried_positions=carried,
-            remembered_positions=remembered,
-        )
-        self.subsidiary_program = self._collect_subsidiary_program()
-
-    def _collect_subsidiary_program(self) -> Optional[Program]:
-        """The rules for IDB predicates the recursion reads (e.g. an IDB exit layer).
-
-        The schema evaluates the recursion's strings against stored relations,
-        but an exit rule (or a nonrecursive body atom) may reference a
-        predicate defined by *other* rules of the program — the cross-product
-        exit layer of Section 4 is the canonical example.  Those subsidiary
-        predicates are materialized with one semi-naive pass before the schema
-        runs; without this the schema would silently read them as empty.
-
-        Raises :class:`ProgramError` when a subsidiary predicate depends back
-        on the schema's own predicate (mutual recursion), which the
-        single-linear-rule machinery cannot evaluate.
-        """
-        idb = self.program.idb_predicates()
-        needed: Set[str] = set()
-        frontier = {
-            atom.predicate
-            for rule in self.program.rules_for(self.predicate)
-            for atom in rule.body
-        }
-        while frontier:
-            name = frontier.pop()
-            if name == self.predicate or name in needed or name not in idb:
-                continue
-            needed.add(name)
-            for rule in self.program.rules_for(name):
-                frontier.update(atom.predicate for atom in rule.body)
-        if not needed:
-            return None
-        for name in sorted(needed):
-            for rule in self.program.rules_for(name):
-                if self.predicate in rule.body_predicates():
-                    raise ProgramError(
-                        f"{self.predicate} is mutually recursive with {name}; the "
-                        "one-sided schema handles a single linear recursion only"
-                    )
-        rules = [rule for rule in self.program.rules if rule.head.predicate in needed]
-        return Program(tuple(rules))
 
     # ------------------------------------------------------------------
     # public entry point
@@ -252,276 +424,102 @@ class OneSidedSchema:
         stats = stats if stats is not None else EvaluationStats()
         stats.start_timer()
         relations = {relation.name: relation for relation in database.relations()}
-        if self.subsidiary_program is not None:
+        if self.plan.subsidiary_program is not None:
             from ..engine.seminaive import seminaive_evaluate
 
             # seminaive_evaluate drives the shared timer itself; pause the
             # schema's window around it so no interval is counted twice.
             stats.stop_timer()
-            relations.update(seminaive_evaluate(self.subsidiary_program, database, stats))
+            relations.update(seminaive_evaluate(self.plan.subsidiary_program, database, stats))
             stats.start_timer()
-        if self.plan.direction == BACKWARD:
-            answers = self._run_backward(relations, stats)
-        else:
-            answers = self._run_forward(relations, stats)
+        constants = tuple(value for _column, value in self.query.bindings)
+        run = self._run_backward if self.plan.direction == BACKWARD else self._run_forward
+        answers = run(relations, constants, stats)
         stats.extra["carry_arity"] = self.plan.carry_arity
         stats.stop_timer()
         return QueryResult(self.query, answers, stats, strategy=f"one-sided-{self.plan.direction}")
 
-    # ------------------------------------------------------------------
-    # shared helpers
-    # ------------------------------------------------------------------
-    def _bind_consistently(self, pairs: Sequence[Tuple[object, Optional[Value]]]) -> Optional[Bindings]:
-        """Build a binding from (term, value) pairs, failing on conflicts.
-
-        ``None`` values leave variables unbound; constant terms must match
-        their value.
-        """
-        binding: Bindings = {}
-        for term, value in pairs:
-            if value is None:
-                continue
-            if isinstance(term, Constant):
-                if term.value != value:
-                    return None
-                continue
-            assert is_variable(term)
-            existing = binding.get(term)
-            if existing is None:
-                binding[term] = value
-            elif existing != value:
-                return None
-        return binding
-
-    def _head_row(self, binding: Bindings, defaults: Dict[int, Value]) -> Optional[Row]:
-        """Assemble a full answer row from a binding over the head variables."""
-        row: List[Value] = []
-        for position, term in enumerate(self.plan.head_vars):
-            if isinstance(term, Constant):
-                row.append(term.value)
-                continue
-            value = binding.get(term)
-            if value is None:
-                value = defaults.get(position)
-            if value is None:
-                return None
-            row.append(value)
-        return tuple(row)
-
-    def _nonrecursive_body(self) -> List[Atom]:
-        return self.plan.recursive_rule.nonrecursive_atoms()
+    def _exit_tuples(self, relations: Dict[str, Relation], constants: Row, stats: EvaluationStats) -> Set[Row]:
+        """What one application of each exit rule derives under the selection constants."""
+        return set().union(*(join.bind(relations, stats)(constants) for join in self.plan.exits))
 
     # ------------------------------------------------------------------
     # backward direction (Figure 7 generalization)
     # ------------------------------------------------------------------
-    def _exit_tuples(
-        self,
-        relations: Dict[str, Relation],
-        bindings: Bindings,
-        stats: EvaluationStats,
-    ) -> Set[Row]:
-        """Full t-tuples derivable by one application of an exit rule under ``bindings``."""
-        result: Set[Row] = set()
-        # Only *invariant* selection constants may be pushed into an exit-rule
-        # instance unconditionally: they hold at every recursion depth.  A
-        # constant on a linking column applies to the outermost instance only
-        # and reaches this method through ``bindings`` when appropriate.
-        constants = {
-            position: value
-            for position, value in self.query.bindings
-            if position in self.plan.invariant_positions
-        }
-        for exit_rule in self.plan.exit_rules:
-            exit_binding: Bindings = {}
-            consistent = True
-            for position, term in enumerate(exit_rule.head.args):
-                wanted = bindings.get(self.plan.head_vars[position]) if is_variable(self.plan.head_vars[position]) else None
-                if wanted is None:
-                    wanted = constants.get(position)
-                if wanted is None:
-                    continue
-                if isinstance(term, Constant):
-                    if term.value != wanted:
-                        consistent = False
-                        break
-                    continue
-                existing = exit_binding.get(term)
-                if existing is not None and existing != wanted:
-                    consistent = False
-                    break
-                exit_binding[term] = wanted
-            if not consistent:
-                continue
-            for assignment in evaluate_body(exit_rule.body, relations, exit_binding, stats):
-                row: List[Value] = []
-                grounded = True
-                for position, term in enumerate(exit_rule.head.args):
-                    if isinstance(term, Constant):
-                        row.append(term.value)
-                        continue
-                    value = assignment.get(term)
-                    if value is None:
-                        grounded = False
-                        break
-                    row.append(value)
-                if grounded:
-                    result.add(tuple(row))
-        return result
-
-    def _run_backward(self, relations: Dict[str, Relation], stats: EvaluationStats) -> Set[Row]:
+    def _run_backward(self, relations: Dict[str, Relation], constants: Row, stats: EvaluationStats) -> Set[Row]:
         plan = self.plan
-        constants = self.query.bindings_dict()
-
-        def carried(row: Row) -> Row:
-            return tuple(row[i] for i in plan.carried_positions)
-
-        def expand(carry_row: Row) -> Dict[int, Value]:
-            values = dict(constants)
-            for offset, position in enumerate(plan.carried_positions):
-                values[position] = carry_row[offset]
-            return values
+        width = max(1, plan.carry_arity)
 
         # 1-3) init carry, seen, ans: tuples derivable by the exit rules under
         # the selection, projected onto the carried columns.
-        initial = self._exit_tuples(relations, {}, stats)
-        carry: Set[Row] = {carried(row) for row in initial}
+        carry = self._exit_tuples(relations, constants, stats)
         seen: Set[Row] = set(carry)
         stats.record_produced(len(carry))
-        stats.record_state(len(seen), len(seen) * max(1, plan.carry_arity))
+        stats.record_state(len(seen), len(seen) * width)
 
-        body = self._nonrecursive_body()
         # 4-8) while carry not empty: apply the recursive rule backwards.
+        step = plan.step.bind(relations, stats)
         while carry:
             stats.record_iteration()
             new_carry: Set[Row] = set()
             for carry_row in carry:
-                call_values = expand(carry_row)
-                binding = self._bind_consistently(
-                    [
-                        (plan.call_args[position], call_values.get(position))
-                        for position in range(len(plan.call_args))
-                    ]
-                )
-                if binding is None:
-                    continue
-                for assignment in evaluate_body(body, relations, binding, stats):
-                    head_row = self._head_row(assignment, defaults=constants)
-                    if head_row is None:
-                        raise EvaluationError(
-                            "the recursive rule does not determine every head column "
-                            "from the recursive call and the nonrecursive body; the "
-                            "Figure 9 schema cannot evaluate this query"
-                        )
-                    if self.query.matches(head_row):
-                        new_carry.add(carried(head_row))
+                new_carry.update(step(constants + carry_row))
             carry = new_carry - seen
             seen |= carry
             stats.record_produced(len(carry))
-            stats.record_state(len(seen) + len(carry), (len(seen) + len(carry)) * max(1, plan.carry_arity))
+            stats.record_state(len(seen) + len(carry), (len(seen) + len(carry)) * width)
 
         # 9) ans := g(seen): re-attach the selection constants.
-        answers: Set[Row] = set()
-        for carry_row in seen:
-            values = expand(carry_row)
-            answers.add(tuple(values[position] for position in range(self.query.arity)))
-        return answers
+        order = plan.bound_columns + plan.carried_positions
+        layout = [order.index(column) for column in range(plan.arity)]
+        rows = (constants + carry_row for carry_row in seen)
+        return {tuple(row[index] for index in layout) for row in rows}
 
     # ------------------------------------------------------------------
     # forward direction (Figure 8 generalization)
     # ------------------------------------------------------------------
-    def _run_forward(self, relations: Dict[str, Relation], stats: EvaluationStats) -> Set[Row]:
+    def _run_forward(self, relations: Dict[str, Relation], constants: Row, stats: EvaluationStats) -> Set[Row]:
         plan = self.plan
-        constants = self.query.bindings_dict()
-        body = self._nonrecursive_body()
-
-        def call_state(binding: Bindings) -> Row:
-            values: List[Optional[Value]] = []
-            for position in plan.carried_positions:
-                term = plan.call_args[position]
-                if isinstance(term, Constant):
-                    values.append(term.value)
-                else:
-                    values.append(binding.get(term))
-            return tuple(values)
-
-        def remembered_state(binding: Bindings) -> Row:
-            return tuple(binding.get(plan.head_vars[position]) for position in plan.remembered_positions)
-
-        # 1-3) init: push the selection through the nonrecursive body once to
-        # obtain the recursive-call bindings reachable in one step, and answer
-        # the depth-0 case directly from the exit rules.
-        initial_binding = self._bind_consistently(
-            [(plan.head_vars[position], value) for position, value in constants.items()]
+        kept = tuple(
+            value for column, value in self.query.bindings if column in plan.invariant_positions
         )
-        if initial_binding is None:
-            return set()
+        width = max(1, plan.carry_arity)
 
-        answers: Set[Row] = set()
-        for row in self._exit_tuples(relations, initial_binding, stats):
-            if self.query.matches(row):
-                answers.add(row)
-
-        carry: Set[Tuple[Row, Row]] = set()
-        for assignment in evaluate_body(body, relations, initial_binding, stats):
-            carry.add((remembered_state(assignment), call_state(assignment)))
-        seen: Set[Tuple[Row, Row]] = set(carry)
-        stats.record_produced(len(carry))
-        stats.record_state(len(seen), len(seen) * max(1, plan.carry_arity))
+        # 1-3) init: answer the depth-0 case directly from the exit rules, and
+        # push the selection through the nonrecursive body once to obtain the
+        # (remembered columns + recursive-call arguments) reachable in one step.
+        answers = self._exit_tuples(relations, constants, stats)
+        carry = set(plan.init.bind(relations, stats)(constants))
+        known = plan.init_known
+        #: carry rows reached so far, by which of their columns are determined
+        seen: Dict[Tuple[bool, ...], Set[Row]] = {known: set(carry)}
+        total = len(carry)
+        stats.record_produced(total)
+        stats.record_state(total, total * width)
 
         # 4-8) while carry not empty: push the call bindings one level deeper.
+        prepared = {
+            pattern: (step.bind(relations, stats), after, [final.bind(relations, stats) for final in finals])
+            for pattern, (step, after, finals) in plan.forward.items()
+        }
         while carry:
             stats.record_iteration()
-            new_carry: Set[Tuple[Row, Row]] = set()
-            for remembered, call_values in carry:
-                binding = self._bind_consistently(
-                    [
-                        (plan.head_vars[position], call_values[offset])
-                        for offset, position in enumerate(plan.carried_positions)
-                    ]
-                    + [(plan.head_vars[position], value) for position, value in constants.items()
-                       if position in plan.invariant_positions]
-                )
-                if binding is None:
-                    continue
-                for assignment in evaluate_body(body, relations, binding, stats):
-                    new_carry.add((remembered, call_state(assignment)))
-            carry = new_carry - seen
-            seen |= carry
+            step, known, _finals = prepared[known]
+            new_carry: Set[Row] = set()
+            for carry_row in carry:
+                new_carry.update(step(kept + carry_row))
+            reached = seen.setdefault(known, set())
+            carry = new_carry - reached
+            reached |= carry
+            total += len(carry)
             stats.record_produced(len(carry))
-            stats.record_state(len(seen) + len(carry), (len(seen) + len(carry)) * max(1, plan.carry_arity))
+            stats.record_state(total + len(carry), (total + len(carry)) * width)
 
         # 9) ans := g(seen): join the reachable call tuples with the exit rules.
-        for remembered, call_values in seen:
-            call_binding = self._bind_consistently(
-                [
-                    (plan.head_vars[position], call_values[offset])
-                    for offset, position in enumerate(plan.carried_positions)
-                ]
-                + [(plan.head_vars[position], value) for position, value in constants.items()
-                   if position in plan.invariant_positions]
-            )
-            if call_binding is None:
-                continue
-            for row in self._exit_tuples(relations, call_binding, stats):
-                defaults: Dict[int, Value] = dict(constants)
-                for offset, position in enumerate(plan.remembered_positions):
-                    if remembered[offset] is not None:
-                        defaults[position] = remembered[offset]
-                final: List[Value] = []
-                valid = True
-                for position in range(self.query.arity):
-                    if position in constants:
-                        final.append(constants[position])
-                    elif position in plan.remembered_positions:
-                        value = defaults.get(position)
-                        if value is None:
-                            valid = False
-                            break
-                        final.append(value)
-                    else:
-                        final.append(row[position])
-                if valid:
-                    answers.add(tuple(final))
+        for known, rows in seen.items():
+            for carry_row in rows:
+                for final in prepared[known][2]:
+                    answers.update(final(constants + carry_row))
         return answers
 
 

@@ -1,10 +1,12 @@
 """Compiled rule plans — the engine-v2 hot path.
 
-The interpreted evaluator in :mod:`repro.engine.cq_eval` re-plans the join
+The reference interpreter in :mod:`repro.engine.cq_eval` re-plans the join
 order and re-discovers each atom's bound/free structure on *every* rule
-application; inside a fixpoint that work is identical across iterations.  This
-module performs that analysis exactly once per rule (per fixpoint) and
-compiles it into a flat plan:
+application; inside a fixpoint — or across a stream of queries on one program
+— that work is identical every time.  This module performs that analysis
+exactly once per rule and compiles it into a flat plan, the one executor
+under every strategy (semi-naive, magic, counting, unfolded, and the Figure 9
+schema's exit / step joins):
 
 * a **join order** (greedy bound-first, the same policy ``plan_order`` uses),
 * per atom, a **bound-column signature**: which positions carry constants,
@@ -29,15 +31,18 @@ is reused by every delta iteration of the fixpoint.
 
 On top of the plan, :mod:`repro.engine.kernels` generates a fused nested-loop
 closure per plan (probe keys, equality checks, slot stores and head
-projection inlined into straight-line Python); :meth:`CompiledRule.join` and
-:meth:`CompiledRule.evaluate` dispatch to it whenever kernels are enabled and
-every body relation resolves, and otherwise run the interpreted step machine
-below.  Both paths record identical instrumentation.
+projection inlined into straight-line Python); :meth:`CompiledRule.join`,
+:meth:`CompiledRule.evaluate` and :meth:`CompiledRule.prepare` (the same
+dispatch decided once, for callers that apply one plan to many bound-slot
+tuples) use it whenever kernels are enabled and every body relation resolves,
+and otherwise run the interpreted step machine below.  Both paths record
+identical instrumentation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..datalog.relation import Relation, Row, Value
 from ..datalog.rules import Rule
@@ -334,6 +339,46 @@ class CompiledRule:
         if stats is not None:
             stats.record_produced(len(result))
         return result
+
+    def prepare(
+        self, relations: RelationMap
+    ) -> Callable[[Tuple[Value, ...], Optional[EvaluationStats]], Set[Row]]:
+        """:meth:`evaluate` with the dispatch decided once, for many bound-slot tuples.
+
+        Resolves the body relations and fetches the kernel a single time and
+        returns ``run(initial, stats)``: the head tuples derived with the
+        compile-time ``bound`` variables set to ``initial`` (slot order) — one
+        kernel call, or one interpreted join when kernels are off or a body
+        relation is missing.  ``relations`` must not change while ``run`` is
+        in use.  Produced-tuple accounting is left to the caller, who knows
+        what it keeps.
+        """
+        if not self.producible:
+            return lambda initial, stats: set()
+        resolved = self._resolve(relations, None) if kernels_enabled() else None
+        if resolved is not None:
+            dispatch, detail = "kernel", ""
+            run = partial(self._kernel(True), resolved)
+        else:
+            dispatch = "interpreted"
+            detail = "unresolved body relation" if kernels_enabled() else ""
+            head_ops = self.head_ops
+
+            def run(initial, stats):
+                return {
+                    tuple(value if is_const else assignment[value] for is_const, value in head_ops)
+                    for assignment in self._join_interpreted(relations, stats, None, initial)
+                }
+
+        profile = active_profile()
+        if profile is None:
+            return run
+
+        def profiled(initial, stats):
+            profile.record_dispatch(self, dispatch, detail)
+            return run(initial, stats)
+
+        return profiled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledRule({self.rule!s} order={self.order})"

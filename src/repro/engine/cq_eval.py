@@ -1,16 +1,27 @@
-"""Bound-aware conjunctive-query (rule body) evaluation.
+"""Bound-aware conjunctive-query (rule body) evaluation — the reference interpreter.
 
-Every evaluation strategy in the library — naive and semi-naive bottom-up,
-magic sets, counting, and the one-sided schema of Figure 9 — ultimately has to
-evaluate a conjunction of atoms against stored relations with some variables
-already bound.  This module implements that single primitive well:
+This is the seed evaluator: a conjunction of atoms joined against stored
+relations under a dictionary of variable bindings, re-planned on every call.
+No evaluation strategy runs on it any more — naive and semi-naive bottom-up,
+magic sets, counting, the unfolded evaluator and the one-sided schema of
+Figure 9 all execute :mod:`repro.engine.compile` plans (generated kernels, or
+the plan's own step machine under ``REPRO_KERNELS=off``).  What remains here:
 
-* atoms are joined in a greedy *bound-first* order, so a bound variable or a
-  constant restricts the index probe on the stored relation (this is what
-  makes Property 3, "no unrestricted lookups", achievable and measurable);
-* every probe is recorded in an :class:`~repro.engine.instrumentation.EvaluationStats`;
-* atoms over predicates that have no relation are treated as empty, so partial
-  databases simply yield no derivations instead of crashing.
+* :func:`plan_order`, the greedy *bound-first* join order — a bound variable
+  or a constant restricts the index probe on the stored relation, which is
+  what makes Property 3 ("no unrestricted lookups") achievable and
+  measurable — shared with :func:`repro.engine.compile.compile_rule`;
+* :func:`evaluate_body` / :func:`evaluate_rule` and friends, kept as the
+  *reference* the compiled plans are tested against (``tests/test_compile.py``)
+  and still called by the three analysis helpers that evaluate a string once
+  rather than in a loop (:mod:`repro.core.proofs`, :mod:`repro.cq.strings`,
+  :mod:`repro.core.crossproduct`).
+
+Every probe is recorded in an
+:class:`~repro.engine.instrumentation.EvaluationStats`, and atoms over
+predicates that have no relation are treated as empty, so partial databases
+simply yield no derivations instead of crashing — the same contract the
+compiled plans keep.
 """
 
 from __future__ import annotations
@@ -30,8 +41,8 @@ RelationMap = Mapping[str, Relation]
 def as_relation(name: str, arity: int, rows: Iterable[Row]) -> Relation:
     """Wrap a transient tuple set into an indexable :class:`Relation`.
 
-    Semi-naive deltas and the carry/seen sets of the one-sided schema are
-    wrapped through this helper so that joins against them stay indexed.
+    Transient tuple sets (a delta, a derived layer) are wrapped through this
+    helper so that joins against them stay indexed.
     """
     return Relation(name, arity, rows)
 

@@ -273,22 +273,24 @@ def _answer_selection(
     if strategy not in ("auto", "unfolded"):
         raise EvaluationError(f"unknown evaluation strategy {strategy!r}")
 
-    from ..optimize.passes import Optimizer, UnfoldingPass, default_passes, detection_passes
+    from ..optimize.passes import Optimizer, UnfoldingPass, detection_passes, optimize_program
     from ..optimize.unfold import evaluate_unfolded
 
-    if optimizer is not None:
-        chosen = optimizer
-    elif strategy == "unfolded":
-        # a forced unfolding request searches the full requested depth even
-        # when structural boundedness is undecided (repeated predicates)
-        chosen = Optimizer(
-            detection_passes()
-            + (UnfoldingPass(max_depth=max_unfold_depth, fallback_depth=None),)
-        )
-    else:
-        chosen = Optimizer(default_passes(max_unfold_depth))
     try:
-        result = chosen.run(program, selection.predicate)
+        if optimizer is not None:
+            result = optimizer.run(program, selection.predicate)
+        elif strategy == "unfolded":
+            # a forced unfolding request searches the full requested depth even
+            # when structural boundedness is undecided (repeated predicates)
+            result = Optimizer(
+                detection_passes()
+                + (UnfoldingPass(max_depth=max_unfold_depth, fallback_depth=None),)
+            ).run(program, selection.predicate)
+        else:
+            # the default chain is analysed once per program, not once per query
+            result = optimize_program(
+                program, selection.predicate, max_unfold_depth=max_unfold_depth
+            )
     except ProgramError:
         result = None  # e.g. the predicate is not defined by the program
 

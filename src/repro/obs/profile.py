@@ -593,6 +593,12 @@ def explain(
     database makes the reported join orders exactly the ones evaluation
     would use.
 
+    The optimizer result and the one-sided schema are the memoized objects
+    ``answer`` itself fetches, so for a one-sided prediction the plans shown
+    (``t.exit`` / ``t.init`` / ``t.forward`` / ``t.backward`` with their join
+    orders, the direction in the strategy, ``carry_arity`` in the counters)
+    are the plans ``answer`` runs, not a re-derivation of them.
+
     The returned :class:`QueryProfile` has ``outcome="plan-only"``, empty
     stats/iterations, and a predicted ``strategy``.  The prediction matches
     what ``answer`` picks except where an evaluation-time failure (e.g. a
@@ -602,19 +608,20 @@ def explain(
     """
     from ..baselines.counting import counting_scope_reason
     from ..core.classify import selection_covers_unbounded_sides
+    from ..core.schema import compile_schema
     from ..datalog.errors import ProgramError, ReproError
     from ..engine.columnar import columnar_enabled, wcoj_eligible
     from ..engine.compile import compile_rule
     from ..engine.kernels import kernels_enabled
     from ..engine.query import as_selection_query
     from ..engine.strata import evaluation_strata
-    from ..optimize.passes import Optimizer, default_passes
+    from ..optimize.passes import optimize_program
 
     selection = as_selection_query(program, query)
     recorder = ProfileRecorder(str(selection))
     try:
-        result = Optimizer(default_passes(max_unfold_depth)).run(
-            program, selection.predicate
+        result = optimize_program(
+            program, selection.predicate, max_unfold_depth=max_unfold_depth
         )
     except ProgramError:
         result = None
@@ -625,6 +632,11 @@ def explain(
         else None
     )
 
+    def row_dispatch() -> Tuple[str, str]:
+        if kernels_enabled():
+            return "kernel", ""
+        return "interpreted", "REPRO_KERNELS=off"
+
     def predicted_dispatch(plan) -> Tuple[str, str]:
         if (
             relations is not None
@@ -632,18 +644,22 @@ def explain(
             and wcoj_eligible(plan, relations) is not None
         ):
             return "leapfrog", "cyclic body, worst-case-optimal"
-        if kernels_enabled():
-            return "kernel", ""
-        return "interpreted", "REPRO_KERNELS=off"
+        return row_dispatch()
 
     def describe_rules(rules, bound=()) -> None:
         for rule in rules:
             plan = compile_rule(rule, relations, bound=bound)
-            dispatch, detail = predicted_dispatch(plan)
-            recorder.record_dispatch(plan, dispatch, detail)
+            recorder.record_dispatch(plan, *predicted_dispatch(plan))
+
+    def describe_strata(to_plan) -> None:
+        for group in evaluation_strata(to_plan):
+            describe_rules(
+                rule for predicate in group for rule in to_plan.rules_for(predicate)
+            )
 
     # replay answer()'s auto decision ladder, minus the evaluation
     strategy = "seminaive (auto)"
+    counters: Dict[str, int] = {}
     if result is not None and result.unfolded is not None:
         strategy = "unfolded (auto)"
         from ..datalog.atoms import Atom
@@ -664,39 +680,52 @@ def explain(
             )
             describe_rules([rule], bound=bound)
     else:
-        one_sided = False
-        if result is not None:
-            if result.one_sided:
-                one_sided = True
-                strategy = "one-sided (auto)"
-            elif result.report is not None and selection.bound_columns():
-                try:
-                    if selection_covers_unbounded_sides(
-                        result.optimized,
-                        selection.predicate,
-                        set(selection.bound_columns()),
-                    ):
-                        one_sided = True
-                        strategy = "one-sided (bounded sides, auto)"
-                except ReproError:
-                    pass
-        if not one_sided:
+        # the memoized Figure-9 plan answer() itself would fetch — or the
+        # verdict (schema is None) that sends it on to the general strategies
+        schema = None
+        bound_columns = selection.bound_columns()
+        try:
+            route = None  # (require_one_sided, strategy suffix) of the rung that applies
+            if result is not None and result.one_sided:
+                route = (True, "(auto)")
+            elif (
+                result is not None
+                and result.report is not None
+                and bound_columns
+                and selection_covers_unbounded_sides(
+                    result.optimized, selection.predicate, set(bound_columns)
+                )
+            ):
+                route = (False, "(bounded sides, auto)")
+            if route is not None:
+                schema = compile_schema(
+                    result.optimized, selection.predicate, selection.arity, bound_columns, route[0]
+                )
+                strategy = f"one-sided-{schema.direction} {route[1]}"
+        except ReproError:
+            pass
+        if schema is not None:
+            counters["carry_arity"] = schema.carry_arity
+            if schema.subsidiary_program is not None:
+                describe_strata(schema.subsidiary_program)
+            for plan in schema.compiled_plans():
+                # bound-slot plans never take the leapfrog path
+                recorder.record_dispatch(plan, *row_dispatch())
+        else:
             # magic (and counting) need rules defining the predicate; with
             # none, the ladder's attempts fail and it lands on semi-naive —
             # statically knowable, so predict it instead of "magic"
             defined = bool(program.rules_for(selection.predicate))
             if not counting_scope_reason(program, selection):
                 strategy = "counting (auto)"
-            elif selection.bound_columns() and defined:
+            elif bound_columns and defined:
                 strategy = "magic (auto)"
-        to_plan = result.program if result is not None else program
-        for group in evaluation_strata(to_plan):
-            describe_rules(
-                rule for predicate in group for rule in to_plan.rules_for(predicate)
-            )
+            describe_strata(result.program if result is not None else program)
 
-    return recorder.build(
+    profile = recorder.build(
         strategy=strategy,
         outcome="plan-only",
         provenance=result,
     )
+    profile.counters.update(counters)
+    return profile

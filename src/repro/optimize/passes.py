@@ -32,7 +32,7 @@ for once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cq.cache import CQCache, shared_cache
 from ..datalog.errors import ProgramError
@@ -51,7 +51,7 @@ OUT_OF_SCOPE_NOTE = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Rewrite:
     """Provenance for one optimizer pass (did it fire, and what it did)."""
 
@@ -239,9 +239,13 @@ class UnfoldingPass(OptimizationPass):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizationResult:
-    """Everything one optimizer run decided, rewrote and recorded."""
+    """Everything one optimizer run decided, rewrote and recorded.
+
+    Immutable: :func:`optimize_program` hands the same result to every query
+    on one program, and each of them publishes it as its provenance.
+    """
 
     predicate: str
     #: the input program
@@ -258,8 +262,8 @@ class OptimizationResult:
     report: Optional[SidednessReport]
     one_sided: bool
     unfolded: Optional[UnfoldedDefinition]
-    notes: List[str]
-    rewrites: List[Rewrite]
+    notes: Tuple[str, ...]
+    rewrites: Tuple[Rewrite, ...]
 
     def fired(self) -> List[str]:
         """Names of the passes that actually rewrote or proved something."""
@@ -324,9 +328,17 @@ class Optimizer:
             report=ctx.report,
             one_sided=ctx.one_sided,
             unfolded=ctx.unfolded,
-            notes=ctx.notes,
-            rewrites=ctx.rewrites,
+            notes=tuple(ctx.notes),
+            rewrites=tuple(ctx.rewrites),
         )
+
+
+#: (program, predicate, max_unfold_depth) → the default chain's result.  A
+#: program is immutable and the chain reads nothing else, so every query on
+#: one program shares one analysis.  The memo outlives any one program, so it
+#: is cleared wholesale at a constant cap.
+_result_memo: Dict[Tuple[Program, str, int], OptimizationResult] = {}
+_RESULT_MEMO_LIMIT = 256
 
 
 def optimize_program(
@@ -335,5 +347,18 @@ def optimize_program(
     cache: Optional[CQCache] = None,
     max_unfold_depth: int = 8,
 ) -> OptimizationResult:
-    """Convenience: run the full default chain over ``predicate``."""
-    return Optimizer(default_passes(max_unfold_depth), cache).run(program, predicate)
+    """Run the full default chain over ``predicate``, once per program.
+
+    Results are memoized on ``(program, predicate, max_unfold_depth)``;
+    passing an explicit ``cache`` bypasses the memo and runs the chain afresh.
+    """
+    if cache is not None:
+        return Optimizer(default_passes(max_unfold_depth), cache).run(program, predicate)
+    key = (program, predicate, max_unfold_depth)
+    result = _result_memo.get(key)
+    if result is None:
+        result = Optimizer(default_passes(max_unfold_depth)).run(program, predicate)
+        if len(_result_memo) >= _RESULT_MEMO_LIMIT:
+            _result_memo.clear()
+        _result_memo[key] = result
+    return result

@@ -74,6 +74,26 @@ class TestAutoRouting:
         ]
         assert "sidedness-classification" in result.provenance.fired()
 
+    def test_shared_provenance_cannot_be_edited_by_one_caller(self, tc_db):
+        """The optimizer result is analysed once per program, so two answers
+        publish the same provenance: it must be equal and immutable."""
+        program = transitive_closure()
+        first = answer(program, tc_db, "t(0, Y)?")
+        second = answer(program, tc_db, "t(3, Y)?")
+        assert first.provenance.rewrites == second.provenance.rewrites
+        assert first.provenance.notes == second.provenance.notes
+        before = first.provenance.describe()
+        for attempt in (
+            lambda: first.provenance.rewrites.append("mine"),
+            lambda: first.provenance.notes.append("mine"),
+            lambda: setattr(first.provenance, "rewrites", ()),
+            lambda: setattr(first.provenance.rewrites[0], "detail", "mine"),
+        ):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert second.provenance.describe() == before
+        assert answer(program, tc_db, "t(5, Y)?").provenance.describe() == before
+
     def test_idb_exit_layer_gets_correct_answers(self):
         """The cross-product exit layer (Section 4): subsidiary IDB predicates
         must be materialized before the one-sided schema runs."""

@@ -15,6 +15,8 @@ import pytest
 
 import repro
 from repro import Database, QueryProfile, answer, explain, parse_program
+from repro.engine.kernels import kernel_mode
+from repro.optimize import optimize_program
 
 TC = """
 t(X, Y) :- a(X, Z), t(Z, Y).
@@ -88,6 +90,36 @@ class TestExplain:
         assert "PLANS" in rendered
         assert "STRATEGY" in rendered
         assert "TIMING" not in rendered  # nothing ran, so nothing to time
+
+    @pytest.mark.parametrize("kernels", [True, False])
+    @pytest.mark.parametrize("query", ["t(1, Y)?", "t(X, 4)?"])
+    def test_one_sided_explain_shows_the_plans_answer_executes(self, query, kernels):
+        """Forward and backward: EXPLAIN renders the memoized schema's own joins, and
+        EXPLAIN ANALYZE records those same plans with the same dispatch."""
+        program = parse_program(TC)
+        with kernel_mode(kernels):
+            predicted = explain(program, query, tc_database())
+            executed = answer(program, tc_database(), query, profile=True).profile
+
+        def plan_set(profile):
+            return {(plan.rule, plan.join_order, plan.dispatch) for plan in profile.plans}
+
+        assert predicted.strategy == executed.strategy
+        assert predicted.strategy.startswith("one-sided-")
+        assert plan_set(predicted) == plan_set(executed)
+        assert {plan.dispatch for plan in executed.plans} == {"kernel" if kernels else "interpreted"}
+        assert all(plan.rule.startswith("t.") for plan in predicted.plans)  # not the semi-naive strata
+        assert predicted.counters["carry_arity"] == executed.stats.extra["carry_arity"] == 1
+
+    def test_explain_follows_answer_past_an_inapplicable_schema(self):
+        # one-sided by Theorem 3.1, but the forward schema cannot carry Y: answer()
+        # falls through to magic, and so does the prediction
+        program = parse_program("t(X, Y) :- e(X, W), t(W, V), f(V).\nt(X, Y) :- t0(X, Y).")
+        database = Database.from_dict({"e": [(1, 2)], "f": [(3,)], "t0": [(2, 3)]})
+        assert optimize_program(program, "t").one_sided
+        predicted = explain(program, "t(1, Y)?", database).strategy
+        assert predicted == "magic (auto)"
+        assert answer(program, database, "t(1, Y)?").strategy == "magic-sets (auto)"
 
     def test_rewrite_provenance_is_reported(self):
         profile = explain(parse_program(TC), "t(1, Y)?", tc_database())

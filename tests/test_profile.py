@@ -28,6 +28,7 @@ from repro import (
     answer,
     parse_program,
 )
+from repro.engine.kernels import kernel_mode
 from repro.obs.profile import ProfileRecorder
 
 TC = """
@@ -104,6 +105,20 @@ class TestAnswerProfile:
         assert all(sample.delta_tuples >= 0 for sample in profile.iterations)
         assert profile.counters["strata_entered"] >= 1
         assert profile.counters["iterations_sampled"] == len(profile.iterations)
+
+    @pytest.mark.parametrize("kernels", [True, False])
+    def test_one_sided_profile_records_the_schema_joins(self, kernels):
+        with kernel_mode(kernels):
+            result = answer(tc_program(), chain_database(), "t(1, Y)?", profile=True)
+        assert result.strategy == "one-sided-forward (auto)"
+        plans = {plan.rule.split("(")[0]: plan for plan in result.profile.plans}
+        assert {plan.dispatch for plan in plans.values()} == {"kernel" if kernels else "interpreted"}
+        # depth-0 exits, the initial push, then one step per carry row (a chain
+        # carries one row per round) and one exit probe per reached node
+        assert set(plans) == {"t.exit", "t.init", "t.forward"}
+        assert plans["t.init"].applications == 1
+        assert plans["t.forward"].applications == result.stats.iterations == 59
+        assert result.profile.stats is result.stats
 
     def test_rewrites_come_from_the_optimizer_provenance(self):
         result = answer(tc_program(), chain_database(), "t(1, Y)?", profile=True)

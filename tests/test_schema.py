@@ -3,15 +3,34 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BACKWARD, FORWARD, OneSidedSchema, one_sided_query
+from repro import answer, parse_program
+from repro.core import BACKWARD, FORWARD, OneSidedSchema, compile_schema, one_sided_query
+from repro.core import schema as schema_module
 from repro.core.algorithms import aho_ullman_selection, henschen_naqvi_selection
-from repro.datalog import Database, EvaluationError, NotOneSidedError
-from repro.engine import SelectionQuery, seminaive_query
+from repro.cq.cache import CQCache
+from repro.datalog import (
+    Database,
+    EvaluationError,
+    NotOneSidedError,
+    Program,
+    ProgramError,
+    QueryTimeout,
+    ReproError,
+)
+from repro.engine import EvaluationStats, SelectionQuery, seminaive_query
+from repro.engine.instrumentation import evaluation_deadline
+from repro.engine.kernels import kernel_mode
+from repro.optimize import Optimizer, optimize_program
+from repro.optimize import passes as passes_module
+from repro.testing import generate_case
 from repro.workloads import (
     canonical_two_sided,
     edge_database,
@@ -225,3 +244,300 @@ class TestManySidedWithOverride:
         )
         reference, _ = seminaive_query(same_generation_distinct_parents(), database, "sg", {0: 1})
         assert result.answers == reference
+
+
+# ----------------------------------------------------------------------
+# the compiled form: one executor, two dispatches, identical accounting
+# ----------------------------------------------------------------------
+def _totals(stats):
+    totals = stats.as_dict()
+    totals.pop("elapsed_seconds", None)
+    return totals
+
+
+def _both_executors(program, database, query):
+    """``answer()`` under generated kernels and under ``REPRO_KERNELS=off``."""
+    with kernel_mode(True):
+        kernel = answer(program, database, query)
+    with kernel_mode(False):
+        interpreted = answer(program, database, query)
+    return kernel, interpreted
+
+
+class TestExecutorParity:
+    def test_differential_cases_routed_to_the_schema(self):
+        routed = 0
+        for seed in range(84):
+            case = generate_case(seed)
+            kernel, interpreted = _both_executors(case.program, case.database, case.query)
+            assert kernel.strategy == interpreted.strategy, case.name
+            if not kernel.strategy.startswith("one-sided"):
+                continue
+            routed += 1
+            assert kernel.answers == interpreted.answers, case.name
+            assert _totals(kernel.stats) == _totals(interpreted.stats), case.name
+        assert routed >= 40  # the family mix really exercises both directions
+
+    @pytest.mark.parametrize("program", [canonical_two_sided(), same_generation_distinct_parents()])
+    def test_bounded_sides_route(self, program):
+        predicate = program.rules[0].head.predicate
+        names = sorted(program.edb_predicates())
+        for seed in range(6):
+            database = relations_database(
+                **{name: random_pairs(14, 7, seed=seed + index) for index, name in enumerate(names)}
+            )
+            query = SelectionQuery.of(predicate, 2, {0: seed % 7, 1: (seed + 2) % 7})
+            kernel, interpreted = _both_executors(program, database, query)
+            assert kernel.strategy.endswith("(bounded sides, auto)")
+            reference, _ = seminaive_query(program, database, predicate, query.bindings_dict())
+            assert kernel.answers == interpreted.answers == reference
+            assert _totals(kernel.stats) == _totals(interpreted.stats)
+
+
+def _random_linear_recursion(rng: random.Random):
+    """A safe single-linear-rule recursion exercising every corner of the compiled schema.
+
+    Multi-atom nonrecursive bodies, constants / repeated variables / head
+    variables in the recursive call, linking columns left free by the query
+    (remembered), and exit rules that are an EDB atom, an IDB cross-product
+    layer, or a head with a repeated variable or a constant.
+    """
+    arity = rng.choice((2, 2, 3))
+    head = [f"H{i}" for i in range(arity)]
+    call = []
+    for i in range(arity):
+        roll = rng.random()
+        if roll < 0.35:
+            call.append(head[i])  # invariant
+        elif roll < 0.8:
+            call.append(f"L{i}")  # linking
+        elif roll < 0.87:
+            call.append(rng.randrange(4))  # constant
+        elif roll < 0.94 and call:
+            call.append(rng.choice(call))  # repeat
+        else:
+            call.append(rng.choice(head))  # another head variable
+    # every non-invariant head variable must be bound by the nonrecursive body
+    needed = [head[i] for i in range(arity) if call[i] != head[i]]
+    pool = needed + [term for term in call if isinstance(term, str)] + ["E"]
+    body = []
+    while needed or not body or (len(body) < 3 and rng.random() < 0.4):
+        first = needed.pop() if needed else rng.choice(pool)
+        if rng.random() < 0.2:
+            body.append(f"u({first})")
+        else:
+            body.append(f"{rng.choice(('e1', 'e2'))}({first}, {rng.choice(pool)})")
+    args = ", ".join(head)
+    rules = [f"t({args}) :- {', '.join(body)}, t({', '.join(map(str, call))})."]
+    exits = rng.sample(("edb", "edb", "idb", "repeat", "constant"), rng.choice((1, 2)))
+    for kind in exits:
+        if kind == "edb":
+            rules.append(f"t({args}) :- base{arity}({args}).")
+        elif kind == "idb":
+            rules.append(f"t({args}) :- layer({args}).")
+            rules.append(f"layer({args}) :- {', '.join(f'u({v})' for v in head[:-1])}, v({head[-1]}).")
+        elif kind == "repeat":
+            rules.append(f"t({', '.join(['X'] * arity)}) :- u(X).")
+        else:
+            rules.append(f"t({', '.join(['X'] * (arity - 1) + ['2'])}) :- v(X).")
+    program = parse_program("\n".join(rules))
+    domain = 5
+    database = relations_database(
+        e1=random_pairs(9, domain, seed=rng.randrange(10_000)),
+        e2=random_pairs(9, domain, seed=rng.randrange(10_000)),
+        u=[(value,) for value in range(domain) if value == 0 or rng.random() < 0.6],
+        v=[(value,) for value in range(domain) if value == 1 or rng.random() < 0.6],
+        base2=random_pairs(5, domain, seed=rng.randrange(10_000)),
+        base3=[tuple(rng.randrange(domain) for _ in range(3)) for _ in range(6)],
+    )
+    return program, database, arity
+
+
+class TestCompiledSchemaProperty:
+    def test_compiled_schema_equals_seminaive_selection(self):
+        rng = random.Random(1987)
+        ran = refused = forward = backward = 0
+        for _ in range(150):
+            program, database, arity = _random_linear_recursion(rng)
+            selections = [{}] + [{column: rng.randrange(5)} for column in range(arity)]
+            selections.append({0: rng.randrange(5), arity - 1: rng.randrange(5)})
+            for bindings in selections:
+                query = SelectionQuery.of("t", arity, bindings)
+                try:
+                    schema = OneSidedSchema(program, "t", query, require_one_sided=False)
+                except ReproError:
+                    refused += 1  # e.g. an output column the body never touches
+                    continue
+                with kernel_mode(True):
+                    kernel = schema.run(database)
+                with kernel_mode(False):
+                    interpreted = schema.run(database)
+                reference, _ = seminaive_query(program, database, "t", bindings)
+                assert kernel.answers == interpreted.answers == reference, f"{program}\n{query}"
+                assert _totals(kernel.stats) == _totals(interpreted.stats), f"{program}\n{query}"
+                ran += 1
+                forward += schema.plan.direction == FORWARD
+                backward += schema.plan.direction == BACKWARD
+        assert ran > 4 * refused
+        assert forward > 100 and backward > 100
+
+    def test_carry_pattern_may_change_between_rounds(self):
+        """``t(W, X)`` passes the selected column on once and then loses it: the carry's
+        second column is known after the first step and unknown from then on."""
+        program = parse_program("t(X, Y) :- a(Y, Z), t(W, X).\nt(X, Y) :- b(X, Y).")
+        plan = compile_schema(program, "t", 2, (0,), require_one_sided=False)
+        assert plan.init_known == (False, True)
+        assert set(plan.forward) == {(False, True), (False, False)}
+        for seed in range(5):
+            database = relations_database(
+                a=random_pairs(6, 6, seed=seed), b=random_pairs(3, 6, seed=seed + 50)
+            )
+            for constant in range(6):
+                query = SelectionQuery.of("t", 2, {0: constant})
+                result = one_sided_query(program, database, query, require_one_sided=False)
+                reference, _ = seminaive_query(program, database, "t", {0: constant})
+                assert result.answers == reference
+
+    def test_unknowable_repeated_call_variable_is_refused(self):
+        """``t(H2, L, H2)`` with H2 determined only at the exit imposes an equality the
+        forward carry cannot hold; the schema used to drop it and over-answer."""
+        program = parse_program(
+            "t(H0, H1, H2) :- u(H1), e(H0, L), t(H2, L, H2).\nt(H0, H1, H2) :- base(H0, H1, H2)."
+        )
+        with pytest.raises(EvaluationError, match="repeats H2"):
+            compile_schema(program, "t", 3, (0,), require_one_sided=False)
+        assert compile_schema(program, "t", 3, (2,), require_one_sided=False).direction == BACKWARD
+
+    def test_repeated_head_variable_is_refused_not_misanswered(self):
+        """``t(X, X) :- ...`` breaks the paper's distinct-head-variables assumption: the
+        schema used to run it and drop answers; now it declines and ``answer`` falls through."""
+        program = parse_program("t(X, X) :- a(X, Z), t(Z, W).\nt(X, Y) :- b(X, Y).")
+        database = relations_database(a=[(1, 2), (2, 3)], b=[(3, 4), (2, 5)])
+        query = SelectionQuery.of("t", 2, {0: 1})
+        with pytest.raises(ProgramError):
+            OneSidedSchema(program, "t", query, require_one_sided=False)
+        reference, _ = seminaive_query(program, database, "t", {0: 1})
+        assert answer(program, database, query).answers == reference == {(1, 1)}
+
+
+# ----------------------------------------------------------------------
+# analysis paid once per program: the plan memo and the optimizer memo
+# ----------------------------------------------------------------------
+def _tc_variant(index: int):
+    return parse_program(f"t(X, Y) :- a{index}(X, Z), t(Z, Y).\nt(X, Y) :- b(X, Y).")
+
+
+class TestPlanMemo:
+    def test_set_equal_programs_share_a_plan(self, tc_program):
+        reordered = Program(tuple(reversed(tc_program.rules)))
+        assert reordered == tc_program and reordered is not tc_program
+        first = OneSidedSchema(tc_program, "t", SelectionQuery.of("t", 2, {0: 1})).plan
+        assert OneSidedSchema(reordered, "t", SelectionQuery.of("t", 2, {0: 99})).plan is first
+        assert optimize_program(reordered, "t") is optimize_program(tc_program, "t")
+
+    def test_key_separates_predicate_bound_columns_and_sidedness_flag(self):
+        program = parse_program(
+            "t(X, Y) :- a(X, Z), t(Z, Y).\nt(X, Y) :- b(X, Y).\n"
+            "s(X, Y) :- a(X, Z), s(Z, Y).\ns(X, Y) :- b(X, Y)."
+        )
+        plans = [
+            compile_schema(program, "t", 2, (0,)),
+            compile_schema(program, "t", 2, (1,)),
+            compile_schema(program, "t", 2, (0, 1)),
+            compile_schema(program, "t", 2, (0,), require_one_sided=False),
+            compile_schema(program, "s", 2, (0,)),
+        ]
+        assert len({id(plan) for plan in plans}) == len(plans)
+        assert compile_schema(program, "t", 2, (0,)) is plans[0]
+
+    def test_a_plan_holds_no_relation_contents(self, tc_program):
+        database = Database.from_dict({"a": [(1, 2)], "b": [(2, 3)]})
+        query = SelectionQuery.of("t", 2, {0: 1})
+        assert answer(tc_program, database, query).answers == {(1, 3)}
+        database.add_fact("a", (2, 7))
+        database.add_fact("b", (7, 8))
+        assert answer(tc_program, database, query).answers == {(1, 3), (1, 8)}
+
+    def test_inapplicable_schema_is_analysed_once(self, monkeypatch):
+        program = canonical_two_sided()
+        schema_module._plan_memo.clear()
+        calls = []
+        build = schema_module._build_plan
+        monkeypatch.setattr(
+            schema_module, "_build_plan", lambda *args: calls.append(args) or build(*args)
+        )
+        for constant in (1, 2, 3):
+            with pytest.raises(NotOneSidedError, match="not one-sided"):
+                OneSidedSchema(program, "t", SelectionQuery.of("t", 2, {0: constant}))
+        assert len(calls) == 1
+
+    def test_explicit_optimizer_bypasses_the_memo(self, tc_program, chain_db):
+        runs = []
+
+        class CountingOptimizer(Optimizer):
+            def run(self, program, predicate):
+                runs.append(predicate)
+                return super().run(program, predicate)
+
+        optimizer = CountingOptimizer()
+        passes_module._result_memo.clear()
+        for _ in range(3):
+            result = answer(tc_program, chain_db, "t(0, Y)?", optimizer=optimizer)
+            assert result.strategy.startswith("one-sided")
+        assert runs == ["t", "t", "t"]
+        assert not passes_module._result_memo
+        assert optimize_program(tc_program, "t", cache=CQCache()) is not optimize_program(tc_program, "t")
+
+    def test_memos_stay_bounded(self):
+        limit = max(schema_module._PLAN_MEMO_LIMIT, passes_module._RESULT_MEMO_LIMIT)
+        for index in range(limit + 1):
+            program = _tc_variant(index)
+            compile_schema(program, "t", 2, (0,))
+            optimize_program(program, "t")
+        assert 0 < len(schema_module._plan_memo) <= schema_module._PLAN_MEMO_LIMIT
+        assert 0 < len(passes_module._result_memo) <= passes_module._RESULT_MEMO_LIMIT
+
+    def test_concurrent_answers_on_one_program_agree(self, tc_program):
+        """The service reader pool's access pattern: many threads, one program."""
+        database = edge_database(random_pairs(60, 25, seed=3))
+        queries = [SelectionQuery.of("t", 2, {i % 2: i % 25}) for i in range(40)]
+        expected = [answer(tc_program, database, query).answers for query in queries]
+        schema_module._plan_memo.clear()
+        passes_module._result_memo.clear()
+        failures = []
+
+        def worker():
+            try:
+                for _ in range(5):
+                    for query, wanted in zip(queries, expected):
+                        if answer(tc_program, database, query).answers != wanted:
+                            failures.append(query)
+            except Exception as error:  # surfaced below, with the traceback's message
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+
+    def test_deadline_interrupts_between_carry_rounds(self, tc_program):
+        length = 50_000
+        database = Database.from_dict(
+            {"a": [(i, i + 1) for i in range(length)], "b": [(length, length + 1)]}
+        )
+        for column, constant in ((0, 0), (1, length + 1)):
+            stats = EvaluationStats()
+            with evaluation_deadline(time.perf_counter() + 0.005):
+                with pytest.raises(QueryTimeout):
+                    one_sided_query(
+                        tc_program, database, SelectionQuery.of("t", 2, {column: constant}), stats=stats
+                    )
+            assert 0 < stats.iterations < length
