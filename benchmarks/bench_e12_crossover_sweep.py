@@ -19,15 +19,13 @@ Section 4 names.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.baselines import counting_query, counting_without_counts_query, magic_query
 from repro.core import one_sided_query
 from repro.engine import QueryResult, SelectionQuery, seminaive_evaluate, seminaive_query
 from repro.workloads import chain, edge_database, transitive_closure, uniform_tree
-from .helpers import attach, emit, run_once
+from .helpers import attach, best_of, emit, run_once
 
 PROGRAM = transitive_closure()
 
@@ -35,6 +33,9 @@ PROGRAM = transitive_closure()
 # so picking how many trees there are sets the selectivity.
 TREES = 16
 TREE_DEPTH = 5
+
+#: timed repetitions behind every "ms" column of the sweeps (the fastest is reported)
+SWEEP_ROUNDS = 5
 
 
 def forest_database():
@@ -57,9 +58,9 @@ def reach_sweep_rows():
             bridged.add_fact("a", (index * 10_000, (index + 1) * 10_000))
             bridged.add_fact("b", (index * 10_000, (index + 1) * 10_000))
         query = SelectionQuery.of("t", 2, {0: 0})
-        schema = one_sided_query(PROGRAM, bridged, query)
-        _ref, semi = seminaive_query(PROGRAM, bridged, "t", {0: 0})
-        magic = magic_query(PROGRAM, bridged, query)
+        schema_seconds, schema = best_of(lambda: one_sided_query(PROGRAM, bridged, query), SWEEP_ROUNDS)
+        semi_seconds, (_ref, semi) = best_of(lambda: seminaive_query(PROGRAM, bridged, "t", {0: 0}), SWEEP_ROUNDS)
+        magic_seconds, magic = best_of(lambda: magic_query(PROGRAM, bridged, query), SWEEP_ROUNDS)
         rows.append(
             [
                 f"{reachable_trees}/{TREES} trees reachable",
@@ -68,6 +69,10 @@ def reach_sweep_rows():
                 magic.stats.tuples_examined,
                 semi.tuples_examined,
                 round(semi.tuples_examined / max(1, schema.stats.tuples_examined), 1),
+                round(schema_seconds * 1e3, 3),
+                round(magic_seconds * 1e3, 3),
+                round(semi_seconds * 1e3, 3),
+                round(semi_seconds / schema_seconds, 1),
             ]
         )
     return rows, total_edges
@@ -76,15 +81,29 @@ def reach_sweep_rows():
 def test_e12_reach_sweep(benchmark):
     rows, total_edges = run_once(benchmark, reach_sweep_rows)
     emit(
-        f"E12a: one query, increasing reach (forest of {TREES} trees, {total_edges} edges)",
-        ["reach", "answers", "schema tuples", "magic tuples", "semi-naive tuples", "semi/schema ratio"],
+        f"E12a: one query, increasing reach (forest of {TREES} trees, {total_edges} edges; "
+        f"ms = best of {SWEEP_ROUNDS})",
+        ["reach", "answers", "schema tuples", "magic tuples", "semi-naive tuples", "semi/schema tuples",
+         "schema ms", "magic ms", "semi-naive ms", "semi/schema ms"],
         rows,
     )
     ratios = [row[5] for row in rows]
     assert ratios[0] > 5  # narrow queries win big
     assert ratios == sorted(ratios, reverse=True)  # the advantage shrinks as reach grows
     assert ratios[-1] >= 0.5  # even at full reach the schema is not catastrophically worse
-    attach(benchmark, best_ratio=ratios[0], worst_ratio=ratios[-1])
+    # the same claim on the clock: what the tuple counts promise, the seconds deliver
+    seconds_ratios = [row[9] for row in rows]
+    assert seconds_ratios[0] > 5 and seconds_ratios[0] > seconds_ratios[-1]
+    assert seconds_ratios[-1] >= 0.5
+    attach(
+        benchmark,
+        best_ratio=ratios[0],
+        worst_ratio=ratios[-1],
+        best_seconds_ratio=seconds_ratios[0],
+        worst_seconds_ratio=seconds_ratios[-1],
+        schema_ms_by_reach=[row[6] for row in rows],
+        seminaive_ms_by_reach=[row[8] for row in rows],
+    )
 
 
 def amortization_rows():
@@ -98,34 +117,46 @@ def amortization_rows():
     stats = EvaluationStats()
     seminaive_evaluate(PROGRAM, database, stats)
     materialize_cost = stats.tuples_examined
+    materialize_seconds, _derived = best_of(lambda: seminaive_evaluate(PROGRAM, database), SWEEP_ROUNDS)
 
-    per_query_costs = []
+    per_query_costs, per_query_seconds = [], []
     for root in roots:
-        result = one_sided_query(PROGRAM, database, SelectionQuery.of("t", 2, {0: root}))
+        query = SelectionQuery.of("t", 2, {0: root})
+        seconds, result = best_of(lambda: one_sided_query(PROGRAM, database, query), SWEEP_ROUNDS)
         per_query_costs.append(result.stats.tuples_examined)
+        per_query_seconds.append(seconds)
     average_query_cost = sum(per_query_costs) / len(per_query_costs)
+    average_query_seconds = sum(per_query_seconds) / len(per_query_seconds)
 
     rows = []
     for queries in (1, 2, 4, 8, 16):
         schema_total = average_query_cost * queries
+        schema_seconds = average_query_seconds * queries
         rows.append([queries, round(schema_total), materialize_cost,
-                     "schema" if schema_total < materialize_cost else "materialize"])
-    return rows, average_query_cost, materialize_cost
+                     "schema" if schema_total < materialize_cost else "materialize",
+                     round(schema_seconds * 1e3, 3), round(materialize_seconds * 1e3, 3),
+                     "schema" if schema_seconds < materialize_seconds else "materialize"])
+    return rows, materialize_cost / average_query_cost, materialize_seconds / average_query_seconds
 
 
 def test_e12_amortization_sweep(benchmark):
-    rows, average_query_cost, materialize_cost = run_once(benchmark, amortization_rows)
+    rows, crossover, seconds_crossover = run_once(benchmark, amortization_rows)
     emit(
         "E12b: N single-constant queries via the schema vs materializing t once",
-        ["queries", "schema total tuples", "materialize-once tuples", "winner"],
+        ["queries", "schema total tuples", "materialize-once tuples", "winner by tuples",
+         "schema total ms", "materialize-once ms", "winner by ms"],
         rows,
     )
-    assert rows[0][3] == "schema"  # a single selection never justifies materializing everything
-    crossover = materialize_cost / average_query_cost
-    print(f"  crossover at roughly {crossover:.1f} queries "
+    # a single selection never justifies materializing everything, counted either way
+    assert rows[0][3] == rows[0][6] == "schema"
+    print(f"  crossover at roughly {crossover:.1f} queries by tuples, {seconds_crossover:.1f} by seconds "
           f"(each query touches ~1/{TREES} of the data)")
-    attach(benchmark, crossover_queries=round(crossover, 1))
-    assert crossover > 4
+    attach(
+        benchmark,
+        crossover_queries=round(crossover, 1),
+        crossover_queries_by_seconds=round(seconds_crossover, 1),
+    )
+    assert crossover > 4 and seconds_crossover > 4
 
 
 @pytest.mark.parametrize("strategy", ["one-sided", "counting-without-counts", "magic", "seminaive"])
@@ -150,8 +181,7 @@ def test_e12_single_query_strategies(benchmark, strategy):
     attach(benchmark, answers=len(answers))
 
 
-#: timed repetitions per strategy on the single-query row; the row reports
-#: the fastest, which is the repeatable part of a sub-millisecond measurement
+#: timed repetitions per strategy on the single-query row (the fastest is reported)
 SINGLE_QUERY_ROUNDS = 25
 
 
@@ -171,13 +201,8 @@ def single_query_rows():
         ("magic", magic_query),
         ("seminaive", seminaive),
     ):
-        result = strategy(PROGRAM, database, query)  # also the warm-up: plans, kernels, indexes
-        seconds = []
-        for _ in range(SINGLE_QUERY_ROUNDS):
-            started = time.perf_counter()
-            strategy(PROGRAM, database, query)
-            seconds.append(time.perf_counter() - started)
-        rows.append([name, len(result.answers), result.stats.tuples_examined, min(seconds)])
+        seconds, result = best_of(lambda: strategy(PROGRAM, database, query), SINGLE_QUERY_ROUNDS)
+        rows.append([name, len(result.answers), result.stats.tuples_examined, seconds])
     return rows
 
 
@@ -199,28 +224,41 @@ def test_e12_single_query_seconds_beside_tuples(benchmark):
         **{f"{name}_tuples": examined for name, examined in tuples.items()},
         **{f"{name}_seconds": round(elapsed, 7) for name, elapsed in seconds.items()},
     )
-    # the target is schema <= counting; the 2x margin keeps a noisy smoke run from flaking
-    assert seconds["schema"] <= 2 * seconds["counting"]
+    assert seconds["schema"] <= seconds["counting"]
 
 
 def test_e12_long_chain_scaling(benchmark):
-    """Scaling in the depth of the recursion rather than the breadth of the data."""
+    """Scaling in the depth of the recursion rather than the breadth of the data.
+
+    A chain is the thinnest carry there is — one row per round, 1,600 rounds at
+    the deep end — so it is also where a join per *round* could lose to
+    counting's plain level loop; the seconds say it does not.
+    """
     def build():
         rows = []
         for length in (100, 400, 1600):
             database = edge_database(chain(length))
             query = SelectionQuery.of("t", 2, {0: 0})
-            schema = one_sided_query(PROGRAM, database, query)
+            schema_seconds, schema = best_of(lambda: one_sided_query(PROGRAM, database, query), SWEEP_ROUNDS)
+            counting_seconds, counting = best_of(lambda: counting_query(PROGRAM, database, query), SWEEP_ROUNDS)
+            assert schema.answers == counting.answers
             rows.append([length, schema.stats.tuples_examined, schema.stats.iterations,
-                         schema.stats.peak_state_tuples])
+                         schema.stats.peak_state_tuples, schema_seconds, counting_seconds])
         return rows
 
     rows = run_once(benchmark, build)
     emit(
-        "E12c: recursion depth scaling (single chain, query at the head)",
-        ["chain length", "tuples examined", "iterations", "peak state"],
-        rows,
+        f"E12c: recursion depth scaling (single chain, query at the head; ms = best of {SWEEP_ROUNDS})",
+        ["chain length", "tuples examined", "iterations", "peak state", "schema ms", "counting ms"],
+        [row[:4] + [round(row[4] * 1e3, 3), round(row[5] * 1e3, 3)] for row in rows],
     )
     # work grows linearly with the depth, never quadratically
     assert rows[-1][1] <= 2 * rows[-1][0] + 10
-    attach(benchmark, deepest=rows[-1][0])
+    deepest, *_counts, schema_seconds, counting_seconds = rows[-1]
+    attach(
+        benchmark,
+        deepest=deepest,
+        deepest_schema_seconds=round(schema_seconds, 7),
+        deepest_counting_seconds=round(counting_seconds, 7),
+    )
+    assert schema_seconds <= counting_seconds  # thin carry never loses

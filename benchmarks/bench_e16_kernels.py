@@ -28,8 +28,6 @@ Timings are best-of-3 per mode, interpreted mode measured via the
 
 from __future__ import annotations
 
-import time
-
 from repro import Session
 from repro.datalog import Database
 from repro.engine import (
@@ -47,7 +45,7 @@ from repro.workloads import (
     transitive_closure,
     uniform_tree,
 )
-from .helpers import attach, emit, run_once
+from .helpers import attach, best_of, emit, run_once
 
 TC = transitive_closure()
 CHAIN_LENGTHS = [100, 200, 400]
@@ -55,14 +53,6 @@ TREES = 16
 TREE_DEPTH = 5
 
 
-def best_of(function, rounds: int = 3):
-    """(smallest wall-clock seconds, last result) of ``rounds`` runs."""
-    times, result = [], None
-    for _ in range(rounds):
-        started = time.perf_counter()
-        result = function()
-        times.append(time.perf_counter() - started)
-    return min(times), result
 
 
 def timed_modes(function):

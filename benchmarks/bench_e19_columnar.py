@@ -32,8 +32,6 @@ for the table but never guarded.
 
 from __future__ import annotations
 
-import time
-
 from repro.datalog.atoms import Atom
 from repro.datalog.relation import Relation
 from repro.datalog.rules import Rule
@@ -48,7 +46,7 @@ from repro.engine import (
 )
 from repro.engine.columnar import leapfrog_join, wcoj_eligible
 from repro.workloads import chain, edge_database, layered_dag, transitive_closure
-from .helpers import attach, emit, run_once
+from .helpers import attach, best_of, emit, run_once
 
 TC = transitive_closure()
 
@@ -58,14 +56,6 @@ CHAIN_LENGTH = 300
 STAR_SIZES = [100, 200, 400]
 
 
-def best_of(function, rounds: int = 5):
-    """(smallest wall-clock seconds, last result) of ``rounds`` runs."""
-    times, result = [], None
-    for _ in range(rounds):
-        started = time.perf_counter()
-        result = function()
-        times.append(time.perf_counter() - started)
-    return min(times), result
 
 
 def counters(stats: EvaluationStats) -> dict:
@@ -83,9 +73,9 @@ def timed_columnar_modes(function):
     result)``.
     """
     with kernel_mode(True), interning_mode(True), columnar_mode(False):
-        kernel_time, kernel_result = best_of(function)
+        kernel_time, kernel_result = best_of(function, rounds=5)
     with kernel_mode(True), interning_mode(True), columnar_mode("force"):
-        columnar_time, columnar_result = best_of(function)
+        columnar_time, columnar_result = best_of(function, rounds=5)
     return kernel_time, columnar_time, kernel_result, columnar_result
 
 
@@ -153,7 +143,7 @@ def test_e19_chain_adaptive_fallback(benchmark):
     def compare():
         kernel_time, forced_time, kernel_out, forced_out = timed_columnar_modes(closure)
         with kernel_mode(True), interning_mode(True), columnar_mode(True):
-            adaptive_time, adaptive_out = best_of(closure)
+            adaptive_time, adaptive_out = best_of(closure, rounds=5)
         assert forced_out == kernel_out
         assert adaptive_out == kernel_out
         return kernel_time, forced_time, adaptive_time

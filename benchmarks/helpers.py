@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import time
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
@@ -145,6 +146,20 @@ def attach(benchmark, **info) -> None:
     if timing is not None:
         payload["timing"] = timing
     write_bench_json(experiment_tag(name), name, payload)
+
+
+def best_of(function, rounds: int = 3):
+    """(smallest wall-clock seconds, last result) of ``rounds`` runs.
+
+    The fastest round is the repeatable part of a sub-millisecond measurement
+    (and the first round doubles as the warm-up: plans, kernels, indexes).
+    """
+    times, result = [], None
+    for _ in range(rounds):
+        started = time.perf_counter()
+        result = function()
+        times.append(time.perf_counter() - started)
+    return min(times), result
 
 
 def run_once(benchmark, function, *args, **kwargs):

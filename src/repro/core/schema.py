@@ -37,20 +37,39 @@ reaches the exit rule); every other position is **linking**.
   the nonrecursive body atoms, and ``g`` joins the reachable call tuples with
   the exit rules.
 
-Each of those joins — the exit rules under the pushed-down bindings, the
-backward step, the forward step — is a :class:`~repro.engine.compile.CompiledRule`
-over a synthetic head (``t.exit``, ``t.backward``, ``t.init``, ``t.forward``):
-the terms a join binds are compile-time ``bound`` variables and the tuple it
-emits is the synthetic head, so ``f`` and ``g`` are one kernel call per carry
-row (``REPRO_KERNELS=off``: one interpreted join) over the stored values, with
-relations resolved and kernels fetched once per :meth:`OneSidedSchema.run`.
-Every probe is still one recorded lookup (Property 3) on either executor.
+Execution: one join per carry round
+-----------------------------------
+The paper states Figure 9 in relational algebra, and that is how it runs.
+Each operator — the exit rules under the selection, the first push, ``f``,
+``g`` — is a :class:`~repro.engine.compile.CompiledRule` over a synthetic head
+(``t.exit``, ``t.init``, ``t.backward`` / ``t.forward``, ``t.answer``) whose
+body *starts* with the operator's inputs as ordinary atoms::
+
+    t.forward(Z) :- t.selection($k0), t.carry(X), a(X, Z).
+
+``t.selection`` is the one-row relation of the query's constants and
+``t.carry`` the round's carry (``seen``, when ``g`` runs), so
+``carry := f(carry)`` is **one kernel call per carry round**
+(``REPRO_KERNELS=off``: one interpreted join), not one per carry row, and one
+driver loop serves both directions.  Constants and repeated variables in an
+exit head or the recursive call, and the ``None`` of a carry column a step
+could not determine, are the rule compiler's own atom checks.  A constant
+among the carry terms makes the join *probe* the carry, which is why that is a
+real :class:`~repro.datalog.relation.Relation` whose indexes are rebuilt with
+its rows each round, not a bare row set behind a stale index.
+
+The inputs are the driver's working state, not the database: they are the
+plan's ``inputs`` (:func:`~repro.engine.compile.compile_rule`), head the join
+order as written, and neither executor records a lookup for walking them — the
+one place that accounting is decided.  Every probe of a *stored* relation is
+still one recorded lookup (Property 3), so the counters are what they were when
+Python drove the carry loop row by row.
 
 Nothing a plan decides depends on the selection *constants* or the database,
 so plans — or the error saying the schema is inapplicable — are memoized per
-``(program, predicate, arity, bound columns, require_one_sided)`` and the
-constants travel through the bound slots at run time.  Join orders are fixed
-at compile time (bound-first, ties in textual order).
+``(program, predicate, arity, bound columns, require_one_sided)``.  Join
+orders are fixed at compile time (inputs, then bound-first, ties in textual
+order).
 
 The ``carry − seen`` step is sound here for exactly the reason Section 4
 gives: the transition depends only on the carry tuple, so a state reached
@@ -65,15 +84,15 @@ to reproduce the Section 4 cross-product discussion).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..datalog.atoms import Atom, atoms_variables
 from ..datalog.database import Database
 from ..datalog.errors import EvaluationError, NotOneSidedError, ProgramError, ReproError
-from ..datalog.relation import Relation, Row, Value
+from ..datalog.relation import Relation, Row
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant, Term, Variable
-from ..engine.compile import CompiledRule, compile_rule
+from ..engine.compile import CompiledRule, compile_rule, prepare
 from ..engine.instrumentation import EvaluationStats
 from ..engine.query import QueryResult, SelectionQuery
 from .classify import classify
@@ -86,57 +105,17 @@ FORWARD = "forward"  # head-to-exit, Figure 8 direction
 _UNKNOWN = Constant(None)
 
 
-class _Join:
-    """One of the schema's joins, compiled: bind ``terms``, join ``body``, emit ``output``.
-
-    ``terms[i]`` is unified with the ``i``-th value handed to the bound join:
-    variables become the plan's compile-time ``bound`` slots, a constant term
-    must equal its value and a repeated variable must receive equal values —
-    otherwise the join yields nothing.
-    """
-
-    __slots__ = ("plan", "fixed", "equal", "picks")
-
-    def __init__(self, name: str, terms: Sequence[Term], body: Sequence[Atom], output: Sequence[Term]) -> None:
-        first: Dict[Variable, int] = {}
-        fixed: List[Tuple[int, Value]] = []
-        equal: List[Tuple[int, int]] = []
-        for index, term in enumerate(terms):
-            if isinstance(term, Constant):
-                fixed.append((index, term.value))
-            elif term in first:
-                equal.append((first[term], index))
-            else:
-                first[term] = index
-        self.fixed, self.equal = fixed, equal
-        #: value positions feeding the bound slots; ``None`` when every term
-        #: is a distinct variable and the values pass through unchanged
-        self.picks = tuple(first.values()) if fixed or equal else None
-        self.plan = compile_rule(Rule(Atom(name, tuple(output)), tuple(body)), bound=tuple(first))
-
-    def bind(self, relations: Dict[str, Relation], stats: EvaluationStats) -> Callable[[Row], Iterable[Row]]:
-        """``run(values) -> output tuples``, with the plan prepared once for ``relations``."""
-        evaluate = self.plan.prepare(relations)
-        picks = self.picks
-        if picks is None:
-            return lambda values: evaluate(values, stats)
-        fixed, equal = self.fixed, self.equal
-
-        def run(values: Row) -> Iterable[Row]:
-            for index, value in fixed:
-                if values[index] != value:
-                    return ()
-            for left, right in equal:
-                if values[left] != values[right]:
-                    return ()
-            return evaluate(tuple(values[index] for index in picks), stats)
-
-        return run
+_Terms = Sequence[Term]
+_Pattern = Tuple[bool, ...]
+_Operators = Dict[_Pattern, Tuple[CompiledRule, _Pattern, Tuple[CompiledRule, ...]]]
 
 
 @dataclass
 class SchemaPlan:
-    """The compiled form of Figure 9 for one recursion and one set of bound columns."""
+    """The compiled form of Figure 9 for one recursion and one set of bound columns.
+
+    Every operator is a compiled rule led by its ``inputs``: the selection, then the carry.
+    """
 
     predicate: str
     arity: int
@@ -151,30 +130,40 @@ class SchemaPlan:
     remembered_positions: Tuple[int, ...] = ()
     #: rules for the IDB predicates the recursion reads, materialized before a run
     subsidiary_program: Optional[Program] = None
-    #: exit rules under the selection constants — backward: the initial carry;
-    #: forward: the depth-0 answers
-    exits: Tuple[_Join, ...] = ()
-    #: backward ``f``: recursive call bound to (constants + carry row) → next carry rows
-    step: Optional[_Join] = None
-    #: forward initialisation: selection constants → first carry rows
-    init: Optional[_Join] = None
+    #: forward only: the exit rules under the selection, i.e. the depth-0 answers
+    exits: Tuple[CompiledRule, ...] = ()
+    #: selection → first carry rows (backward: the exit rules projected onto the
+    #: carried columns; forward: the selection pushed through the body once)
+    init: Tuple[CompiledRule, ...] = ()
     #: which carried columns ``init`` determines (the rest hold ``None``)
-    init_known: Tuple[bool, ...] = ()
-    #: forward ``f`` and ``g`` per known-column pattern of the carry rows they
-    #: read: ``(step join, pattern of its output, exit joins emitting answers)``
-    forward: Dict[Tuple[bool, ...], Tuple[_Join, Tuple[bool, ...], Tuple[_Join, ...]]] = field(default_factory=dict)
+    init_known: _Pattern = ()
+    #: Figure 9's ``f`` and ``g`` per known-column pattern of the carry rows they
+    #: read — ``(f, pattern of the rows f emits, joins making up g)``.  Backward:
+    #: ``f`` is the recursive call over the carry, ``g`` re-attaches the constants.
+    backward: _Operators = field(default_factory=dict)
+    #: Forward: ``f`` pushes the call bindings a level deeper, ``g`` joins the exits.
+    forward: _Operators = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        #: the input relations a run hands its joins: constants (one row), carry
+        self.selection_name = f"{self.predicate}.selection"
+        self.carry_name = f"{self.predicate}.carry"
 
     @property
     def carry_arity(self) -> int:
         """Number of columns the carry/seen relations hold (Property 2)."""
         return len(self.carried_positions) + len(self.remembered_positions)
 
+    def operators(self) -> _Operators:
+        """The ``f`` / ``g`` table of the plan's direction."""
+        return self.backward if self.direction == BACKWARD else self.forward
+
     def compiled_plans(self) -> List[CompiledRule]:
         """Every join plan a run of this schema can execute, in execution order."""
-        joins = [*self.exits, self.step, self.init]
-        for step, _known, finals in self.forward.values():
-            joins += [step, *finals]
-        return [join.plan for join in joins if join is not None]
+        plans = [*self.exits, *self.init]
+        for step, _known, finals in self.operators().values():
+            plans += [step, *finals]
+        return plans
 
     def describe(self) -> str:
         """A short human-readable account of the compiled plan."""
@@ -285,33 +274,49 @@ def _build_plan(
     )
     exit_name = f"{predicate}.exit"
 
+    def join(
+        name: str, selection: _Terms, carry: Optional[_Terms], atoms: Sequence[Atom], output: _Terms
+    ) -> CompiledRule:
+        """``name(output) :- t.selection(selection)[, t.carry(carry)], atoms``, inputs leading."""
+        inputs = [Atom(plan.selection_name, tuple(selection))]
+        if carry is not None:
+            inputs.append(Atom(plan.carry_name, tuple(carry)))
+        rule = Rule(Atom(name, tuple(output)), (*inputs, *atoms))
+        return compile_rule(rule, inputs=len(inputs))
+
+    def selected(args: _Terms, columns: Sequence[int]) -> List[Term]:
+        """``args`` on the bound columns: those in ``columns`` as written, the rest unconstrained."""
+        return [args[i] if i in columns else Variable(f"$k{i}") for i in bound]
+
+    def on_carried(args: _Terms) -> List[Term]:
+        return [args[i] for i in carried]
+
     if direction == BACKWARD:
-        plan.exits = tuple(
-            _Join(exit_name, [e.head.args[i] for i in bound], e.body, [e.head.args[i] for i in carried])
-            for e in exit_rules
+        plan.init = tuple(
+            join(exit_name, selected(e.head.args, bound), None, e.body, on_carried(e.head.args)) for e in exit_rules
         )
-        plan.step = _Join(
-            f"{predicate}.backward",
-            [call_args[i] for i in bound + carried],
-            body,
-            [head_vars[i] for i in carried],
+        plan.init_known = (True,) * len(carried)
+        step = join(
+            f"{predicate}.backward", selected(call_args, bound), on_carried(call_args), body, on_carried(head_vars)
         )
-        if not plan.step.plan.producible:
+        if not step.producible:
             raise EvaluationError(
                 "the recursive rule does not determine every head column "
                 "from the recursive call and the nonrecursive body; the "
                 "Figure 9 schema cannot evaluate this query"
             )
+        answer = join(f"{predicate}.answer", selected(head_vars, bound), on_carried(head_vars), (), head_vars)
+        plan.backward[plan.init_known] = (step, plan.init_known, (answer,))
         return plan
 
     plan.exits = tuple(
-        _Join(exit_name, [e.head.args[i] for i in bound], e.body, e.head.args) for e in exit_rules
+        join(exit_name, selected(e.head.args, bound), None, e.body, e.head.args) for e in exit_rules
     )
     memory = [Variable(f"$r{i}") for i in remembered]
     #: invariant selection constants hold at every depth; linking ones only at depth 0
     kept = [i for i in bound if i in invariant]
 
-    def call_state(bound_vars: Set[Variable]) -> Tuple[List[Term], Tuple[bool, ...]]:
+    def call_state(bound_vars: Set[Variable]) -> Tuple[List[Term], _Pattern]:
         """The recursive call's carried arguments, and which of them a step determines."""
         available = body_vars | bound_vars
         known = tuple(
@@ -325,36 +330,29 @@ def _build_plan(
                 )
         return [call_args[i] if ok else _UNKNOWN for i, ok in zip(carried, known)], known
 
-    def entry(args: Sequence[Term], known: Tuple[bool, ...]) -> List[Term]:
+    def entry(args: _Terms, known: _Pattern) -> List[Term]:
         """The carried columns of ``args`` that a carry row of pattern ``known`` binds."""
         return [args[i] if ok else Variable(f"$u{i}") for i, ok in zip(carried, known)]
 
     state, known = call_state({head_vars[i] for i in bound})
-    plan.init = _Join(
-        f"{predicate}.init",
-        [head_vars[i] for i in bound],
-        body,
-        [head_vars[i] for i in remembered] + state,
+    plan.init = (
+        join(f"{predicate}.init", selected(head_vars, bound), None, body, [head_vars[i] for i in remembered] + state),
     )
     plan.init_known = known
     while known not in plan.forward:
-        inputs = entry(head_vars, known)
         state, after = call_state(
             {head_vars[i] for i in kept} | {head_vars[i] for i, ok in zip(carried, known) if ok}
         )
-        step = _Join(
-            f"{predicate}.forward", [head_vars[i] for i in kept] + memory + inputs, body, memory + state
+        step = join(
+            f"{predicate}.forward", selected(head_vars, kept), memory + entry(head_vars, known), body, memory + state
         )
         finals = []
         for e in exit_rules:
+            constants = selected(e.head.args, kept)
             row = list(e.head.args)
-            for i in bound:
-                if i not in invariant:
-                    row[i] = Variable(f"$k{i}")
-            constants = [row[i] for i in bound]
-            for i, variable in zip(remembered, memory):
-                row[i] = variable
-            finals.append(_Join(exit_name, constants + memory + entry(e.head.args, known), e.body, row))
+            for i, term in zip([*bound, *remembered], constants + memory):
+                row[i] = term
+            finals.append(join(exit_name, constants, memory + entry(e.head.args, known), e.body, row))
         plan.forward[known] = (step, after, tuple(finals))
         known = after
     return plan
@@ -416,111 +414,70 @@ class OneSidedSchema:
             program, predicate, query.arity, query.bound_columns(), require_one_sided
         )
 
-    # ------------------------------------------------------------------
-    # public entry point
-    # ------------------------------------------------------------------
     def run(self, database: Database, stats: Optional[EvaluationStats] = None) -> QueryResult:
-        """Evaluate the query over ``database`` and return the answers + stats."""
+        """Evaluate the query over ``database`` and return the answers + stats.
+
+        One loop serves both directions; they differ only in the operators the
+        plan compiled, which read the selection and the carry as uncounted
+        ``inputs`` (see the module docstring).
+        """
         stats = stats if stats is not None else EvaluationStats()
         stats.start_timer()
+        plan = self.plan
         relations = {relation.name: relation for relation in database.relations()}
-        if self.plan.subsidiary_program is not None:
+        if plan.subsidiary_program is not None:
             from ..engine.seminaive import seminaive_evaluate
 
             # seminaive_evaluate drives the shared timer itself; pause the
             # schema's window around it so no interval is counted twice.
             stats.stop_timer()
-            relations.update(seminaive_evaluate(self.plan.subsidiary_program, database, stats))
+            relations.update(seminaive_evaluate(plan.subsidiary_program, database, stats))
             stats.start_timer()
         constants = tuple(value for _column, value in self.query.bindings)
-        run = self._run_backward if self.plan.direction == BACKWARD else self._run_forward
-        answers = run(relations, constants, stats)
-        stats.extra["carry_arity"] = self.plan.carry_arity
-        stats.stop_timer()
-        return QueryResult(self.query, answers, stats, strategy=f"one-sided-{self.plan.direction}")
-
-    def _exit_tuples(self, relations: Dict[str, Relation], constants: Row, stats: EvaluationStats) -> Set[Row]:
-        """What one application of each exit rule derives under the selection constants."""
-        return set().union(*(join.bind(relations, stats)(constants) for join in self.plan.exits))
-
-    # ------------------------------------------------------------------
-    # backward direction (Figure 7 generalization)
-    # ------------------------------------------------------------------
-    def _run_backward(self, relations: Dict[str, Relation], constants: Row, stats: EvaluationStats) -> Set[Row]:
-        plan = self.plan
-        width = max(1, plan.carry_arity)
-
-        # 1-3) init carry, seen, ans: tuples derivable by the exit rules under
-        # the selection, projected onto the carried columns.
-        carry = self._exit_tuples(relations, constants, stats)
-        seen: Set[Row] = set(carry)
-        stats.record_produced(len(carry))
-        stats.record_state(len(seen), len(seen) * width)
-
-        # 4-8) while carry not empty: apply the recursive rule backwards.
-        step = plan.step.bind(relations, stats)
-        while carry:
-            stats.record_iteration()
-            new_carry: Set[Row] = set()
-            for carry_row in carry:
-                new_carry.update(step(constants + carry_row))
-            carry = new_carry - seen
-            seen |= carry
-            stats.record_produced(len(carry))
-            stats.record_state(len(seen) + len(carry), (len(seen) + len(carry)) * width)
-
-        # 9) ans := g(seen): re-attach the selection constants.
-        order = plan.bound_columns + plan.carried_positions
-        layout = [order.index(column) for column in range(plan.arity)]
-        rows = (constants + carry_row for carry_row in seen)
-        return {tuple(row[index] for index in layout) for row in rows}
-
-    # ------------------------------------------------------------------
-    # forward direction (Figure 8 generalization)
-    # ------------------------------------------------------------------
-    def _run_forward(self, relations: Dict[str, Relation], constants: Row, stats: EvaluationStats) -> Set[Row]:
-        plan = self.plan
-        kept = tuple(
-            value for column, value in self.query.bindings if column in plan.invariant_positions
+        relations[plan.selection_name] = Relation.from_valid_rows(
+            plan.selection_name, len(constants), {constants}
         )
+        #: one relation, new rows every round: indexes a probing join registered follow
+        carry_relation = relations[plan.carry_name] = Relation(plan.carry_name, plan.carry_arity)
         width = max(1, plan.carry_arity)
+        operators, runs = plan.operators(), prepare(plan.compiled_plans(), relations)
 
-        # 1-3) init: answer the depth-0 case directly from the exit rules, and
-        # push the selection through the nonrecursive body once to obtain the
-        # (remembered columns + recursive-call arguments) reachable in one step.
-        answers = self._exit_tuples(relations, constants, stats)
-        carry = set(plan.init.bind(relations, stats)(constants))
+        def apply(joins: Iterable[CompiledRule]) -> Set[Row]:
+            return set().union(*[runs[join]((), stats) for join in joins])
+
+        # 1-3) init carry, seen, ans from the selection.  Backward: the exit rules'
+        # tuples are the first carry.  Forward: they are the depth-0 answers, and one
+        # push through the body gives the (remembered + recursive-call arguments) carry.
+        answers = apply(plan.exits)
+        carry = apply(plan.init)
         known = plan.init_known
         #: carry rows reached so far, by which of their columns are determined
-        seen: Dict[Tuple[bool, ...], Set[Row]] = {known: set(carry)}
+        seen: Dict[_Pattern, Set[Row]] = {known: set(carry)}
         total = len(carry)
         stats.record_produced(total)
         stats.record_state(total, total * width)
 
-        # 4-8) while carry not empty: push the call bindings one level deeper.
-        prepared = {
-            pattern: (step.bind(relations, stats), after, [final.bind(relations, stats) for final in finals])
-            for pattern, (step, after, finals) in plan.forward.items()
-        }
+        # 4-8) while carry not empty: carry := f(carry) − seen, one join per round.
         while carry:
             stats.record_iteration()
-            step, known, _finals = prepared[known]
-            new_carry: Set[Row] = set()
-            for carry_row in carry:
-                new_carry.update(step(kept + carry_row))
+            step, known, _finals = operators[known]
+            carry_relation.replace_rows(carry)
             reached = seen.setdefault(known, set())
-            carry = new_carry - reached
+            carry = runs[step]((), stats) - reached
             reached |= carry
             total += len(carry)
             stats.record_produced(len(carry))
             stats.record_state(total + len(carry), (total + len(carry)) * width)
 
-        # 9) ans := g(seen): join the reachable call tuples with the exit rules.
+        # 9) ans := g(seen).  Backward: re-attach the selection constants.
+        # Forward: join the reachable call tuples with the exit rules.
         for known, rows in seen.items():
-            for carry_row in rows:
-                for final in prepared[known][2]:
-                    answers.update(final(constants + carry_row))
-        return answers
+            carry_relation.replace_rows(rows)
+            for final in operators[known][2]:
+                answers |= runs[final]((), stats)
+        stats.extra["carry_arity"] = plan.carry_arity
+        stats.stop_timer()
+        return QueryResult(self.query, answers, stats, strategy=f"one-sided-{plan.direction}")
 
 
 def one_sided_query(

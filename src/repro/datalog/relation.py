@@ -374,6 +374,22 @@ class Relation:
         if self._owned is not None:
             self._owned = None  # nothing left that a snapshot could share
 
+    def replace_rows(self, rows: Set[Row]) -> None:
+        """:meth:`clear` then :meth:`union_update`, adopting ``rows`` instead of copying.
+
+        For a scratch relation refilled every round (the Figure 9 schema's
+        carry): validated tuples only, and registered indexes are rebuilt.
+        """
+        if self._frozen:
+            self._detach_for_mutation()  # raises: frozen snapshots reject writes
+        self._rows = rows
+        self.version += 1
+        if self._snapshot is not None or self._owned is not None:
+            self._snapshot = self._owned = None  # nothing below is shared any more
+        if self._indexes:
+            self._indexes = {columns: {} for columns in self._indexes}
+            self._extend_indexes(rows)
+
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------

@@ -160,23 +160,26 @@ class Program:
                         f"predicate {atom.predicate} used with arities {known} and {atom.arity}"
                     )
         object.__setattr__(self, "_arities", arities)
+        # programs key the per-program memos, several lookups per answer(): hash once
+        object.__setattr__(self, "_hash", hash(frozenset(self.rules)))
 
     # ------------------------------------------------------------------
     # predicate classification
     # ------------------------------------------------------------------
     def arity_of(self, predicate: str) -> int:
         """Arity of ``predicate`` as used by the program."""
-        arities: Dict[str, int] = getattr(self, "_arities")
-        if predicate not in arities:
+        arity = self.declared_arity(predicate)
+        if arity is None:
             raise ProgramError(f"predicate {predicate} does not appear in the program")
-        return arities[predicate]
+        return arity
+
+    def declared_arity(self, predicate: str) -> Optional[int]:
+        """Arity of ``predicate``, or ``None`` when the program never mentions it."""
+        return getattr(self, "_arities").get(predicate)
 
     def predicates(self) -> Set[str]:
         """All predicate names mentioned anywhere in the program."""
-        result: Set[str] = set()
-        for rule in self.rules:
-            result |= rule.predicates()
-        return result
+        return set(getattr(self, "_arities"))
 
     def idb_predicates(self) -> Set[str]:
         """Predicates defined by at least one rule head."""
@@ -326,7 +329,11 @@ class Program:
         return set(self.rules) == set(other.rules)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.rules))
+        return getattr(self, "_hash")
+
+    def __reduce__(self):
+        # rebuild from the rules: a pickled ``_hash`` is wrong in another process
+        return (Program, (self.rules,))
 
 
 def single_linear_recursion(recursive_rule: Rule, *exit_rules: Rule) -> Program:

@@ -32,17 +32,16 @@ is reused by every delta iteration of the fixpoint.
 On top of the plan, :mod:`repro.engine.kernels` generates a fused nested-loop
 closure per plan (probe keys, equality checks, slot stores and head
 projection inlined into straight-line Python); :meth:`CompiledRule.join`,
-:meth:`CompiledRule.evaluate` and :meth:`CompiledRule.prepare` (the same
-dispatch decided once, for callers that apply one plan to many bound-slot
-tuples) use it whenever kernels are enabled and every body relation resolves,
-and otherwise run the interpreted step machine below.  Both paths record
-identical instrumentation.
+:meth:`CompiledRule.evaluate` and :func:`prepare` (the same dispatch decided
+once, for a driver that applies its plans round after round) use it whenever
+kernels are enabled and every body relation resolves, and otherwise run the
+interpreted step machine below.  Both paths record identical instrumentation.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..datalog.relation import Relation, Row, Value
 from ..datalog.rules import Rule
@@ -132,6 +131,7 @@ class CompiledRule:
         "producible",
         "initial_slots",
         "slot_count",
+        "inputs",
         "_kernels",
     )
 
@@ -144,6 +144,7 @@ class CompiledRule:
         producible: bool,
         initial_slots: Tuple[Variable, ...],
         slot_count: int,
+        inputs: int = 0,
     ) -> None:
         self.rule = rule
         self.order = order
@@ -156,6 +157,9 @@ class CompiledRule:
         #: variables pre-bound at compile time, in slot order (slots 0..k-1)
         self.initial_slots = initial_slots
         self.slot_count = slot_count
+        #: leading steps that read the caller's own relations, not stored ones:
+        #: joined like any atom, but no lookup is recorded for them
+        self.inputs = inputs
         #: lazily generated ``[join_kernel, eval_kernel]`` (each built on
         #: first use — a plan evaluated only through one entry point never
         #: pays codegen for the other)
@@ -241,7 +245,8 @@ class CompiledRule:
     ) -> List[Tuple[Value, ...]]:
         """The step-machine evaluator (the ``REPRO_KERNELS=off`` path)."""
         frontier: List[Tuple[Value, ...]] = [initial]
-        for step in self.steps:
+        for index, step in enumerate(self.steps):
+            counted = stats is not None and index >= self.inputs
             relation = None
             if overrides is not None:
                 relation = overrides.get(step.atom_index)
@@ -269,7 +274,7 @@ class CompiledRule:
                     rows = probe(probe_columns, key)
                 else:
                     rows = relation.rows()
-                if stats is not None:
+                if counted:
                     stats.record_lookup(len(rows), restricted=restricted)
                 for row in rows:
                     if check_cols:
@@ -300,77 +305,58 @@ class CompiledRule:
         if not self.producible:
             return set()
         profile = active_profile()
+        resolved = None
         if overrides is None and bindings is None and columnar_enabled():
             # worst-case-optimal dispatch: cyclic nonrecursive bodies (e.g.
             # the triangle query) run the leapfrog join, whose tuple visits
             # are bounded by the AGM bound instead of the best binary plan's
             # intermediate size (see repro.engine.columnar)
             resolved = wcoj_eligible(self, relations)
-            if resolved is not None:
-                if profile is not None:
-                    profile.record_dispatch(
-                        self, "leapfrog", "cyclic body, worst-case-optimal"
-                    )
-                result = leapfrog_join(self, resolved, stats)
-                if stats is not None:
-                    stats.record_produced(len(result))
-                return result
-        if kernels_enabled():
+        if resolved is not None:
+            if profile is not None:
+                profile.record_dispatch(self, "leapfrog", "cyclic body, worst-case-optimal")
+            result = leapfrog_join(self, resolved, stats)
+        else:
             initial = self._initial(bindings)
-            resolved = self._resolve(relations, overrides)
+            use_kernels = kernels_enabled()
+            resolved = self._resolve(relations, overrides) if use_kernels else None
             if resolved is not None:
                 if profile is not None:
                     profile.record_dispatch(self, "kernel")
                 result = self._kernel(True)(resolved, initial, stats)
-                if stats is not None:
-                    stats.record_produced(len(result))
-                return result
-            if profile is not None:
-                profile.record_dispatch(self, "interpreted", "unresolved body relation")
-            assignments = self._join_interpreted(relations, stats, overrides, initial)
-        else:
-            if profile is not None:
-                profile.record_dispatch(self, "interpreted")
-            assignments = self._join_interpreted(relations, stats, overrides, self._initial(bindings))
-        head_ops = self.head_ops
-        result = set()
-        for assignment in assignments:
-            result.add(tuple(value if is_const else assignment[value] for is_const, value in head_ops))
+            else:
+                if profile is not None:
+                    profile.record_dispatch(self, "interpreted", "unresolved body relation" if use_kernels else "")
+                result = self._project(self._join_interpreted(relations, stats, overrides, initial))
         if stats is not None:
             stats.record_produced(len(result))
         return result
 
-    def prepare(
-        self, relations: RelationMap
-    ) -> Callable[[Tuple[Value, ...], Optional[EvaluationStats]], Set[Row]]:
-        """:meth:`evaluate` with the dispatch decided once, for many bound-slot tuples.
+    def _project(self, assignments: List[Tuple[Value, ...]]) -> Set[Row]:
+        """Slot tuples → the distinct head tuples they stand for."""
+        head_ops = self.head_ops
+        return {
+            tuple(value if is_const else assignment[value] for is_const, value in head_ops)
+            for assignment in assignments
+        }
 
-        Resolves the body relations and fetches the kernel a single time and
-        returns ``run(initial, stats)``: the head tuples derived with the
-        compile-time ``bound`` variables set to ``initial`` (slot order) — one
-        kernel call, or one interpreted join when kernels are off or a body
-        relation is missing.  ``relations`` must not change while ``run`` is
-        in use.  Produced-tuple accounting is left to the caller, who knows
-        what it keeps.
-        """
+    def _prepared(
+        self, relations: RelationMap, use_kernels: bool, profile
+    ) -> Callable[[Tuple[Value, ...], Optional[EvaluationStats]], Set[Row]]:
+        """One plan's share of :func:`prepare`."""
         if not self.producible:
             return lambda initial, stats: set()
-        resolved = self._resolve(relations, None) if kernels_enabled() else None
+        resolved = self._resolve(relations, None) if use_kernels else None
         if resolved is not None:
             dispatch, detail = "kernel", ""
             run = partial(self._kernel(True), resolved)
         else:
             dispatch = "interpreted"
-            detail = "unresolved body relation" if kernels_enabled() else ""
-            head_ops = self.head_ops
+            detail = "unresolved body relation" if use_kernels else ""
 
             def run(initial, stats):
-                return {
-                    tuple(value if is_const else assignment[value] for is_const, value in head_ops)
-                    for assignment in self._join_interpreted(relations, stats, None, initial)
-                }
+                return self._project(self._join_interpreted(relations, stats, None, initial))
 
-        profile = active_profile()
         if profile is None:
             return run
 
@@ -389,6 +375,7 @@ def compile_rule(
     relations: Optional[RelationMap] = None,
     bound: Sequence[Variable] = (),
     first: Optional[int] = None,
+    inputs: int = 0,
 ) -> CompiledRule:
     """Compile ``rule`` into a reusable join plan.
 
@@ -406,6 +393,11 @@ def compile_rule(
         Index of a body atom forced to the front of the join order (the
         semi-naive delta occurrence); the remaining atoms are planned greedily
         with that atom's variables counted as bound.
+    inputs:
+        How many leading body atoms are the caller's own relations (the Figure
+        9 schema's selection and carry).  They head the join order as written,
+        the rest is planned with their variables bound, and reading them is
+        the driver at work, not a database lookup: neither executor records one.
     """
     slots: Dict[Variable, int] = {}
     for variable in bound:
@@ -413,7 +405,11 @@ def compile_rule(
             slots[variable] = len(slots)
     initial_slots = tuple(sorted(slots, key=slots.__getitem__))
 
-    order = plan_order(rule.body, set(slots), relations, first=first)
+    given = set(slots).union(*(atom.variable_set() for atom in rule.body[:inputs]))
+    planned = plan_order(
+        rule.body[inputs:], given, relations, first=None if first is None else first - inputs
+    )
+    order = [*range(inputs), *(inputs + index for index in planned)]
 
     steps: List[AtomStep] = []
     for atom_index in order:
@@ -469,7 +465,25 @@ def compile_rule(
         producible,
         initial_slots,
         len(slots),
+        inputs,
     )
+
+
+def prepare(
+    plans: Iterable[CompiledRule], relations: RelationMap
+) -> Dict[CompiledRule, Callable[[Tuple[Value, ...], Optional[EvaluationStats]], Set[Row]]]:
+    """:meth:`CompiledRule.evaluate` with the dispatch decided once, for plans applied many times.
+
+    Reads the kernel switch and the profile channel once and resolves each
+    plan's body relations once; ``runs[plan](initial, stats)`` is then the head
+    tuples under the ``bound`` slots ``initial`` — one kernel call, or one
+    interpreted join when kernels are off or a body relation is missing.  The
+    relation *objects* must not change while the runs are in use (their rows
+    may); produced-tuple accounting is left to the caller.
+    """
+    use_kernels = kernels_enabled()
+    profile = active_profile()
+    return {plan: plan._prepared(relations, use_kernels, profile) for plan in plans}
 
 
 class PlanCache:

@@ -263,6 +263,7 @@ def intern_plan(plan: CompiledRule, domain: Domain) -> CompiledRule:
         plan.producible,
         plan.initial_slots,
         plan.slot_count,
+        plan.inputs,
     )
 
 

@@ -35,6 +35,11 @@ same values with kernels on or off.  A plan whose body references a missing
 relation falls back to the interpreted path, which records the
 missing-relation lookup at the step where evaluation actually stops.
 
+The exception is a plan's leading ``inputs`` steps
+(:func:`~repro.engine.compile.compile_rule`): they read the caller's own
+relations — the Figure 9 schema's selection and carry — so the generated loop,
+like the interpreted one, walks them without touching the counters.
+
 The ``REPRO_KERNELS`` environment variable (``off``/``0``/``false``/``no``)
 is the escape hatch: it forces every plan back onto the interpreted
 evaluator, which is what the differential harness uses to assert
@@ -50,7 +55,6 @@ from .instrumentation import active_profile
 
 __all__ = [
     "build_kernel",
-    "build_kernels",
     "kernel_mode",
     "kernel_source",
     "kernels_enabled",
@@ -115,10 +119,12 @@ def _emit(plan, project: bool) -> Tuple[str, Dict[str, object]]:
                     env[f"K{i}_{j}"] = value
         else:
             w(body + f"scan{i} = rels[{i}].rows()")
-            w(body + f"nscan{i} = len(scan{i})")
+            if i >= plan.inputs:
+                w(body + f"nscan{i} = len(scan{i})")
 
     depth = body
     for i, step in enumerate(plan.steps):
+        counted = i >= plan.inputs
         if step.probe_columns:
             parts = [
                 (f"K{i}_{j}" if is_const else f"s{value}")
@@ -126,10 +132,12 @@ def _emit(plan, project: bool) -> Tuple[str, Dict[str, object]]:
             ]
             key = parts[0] if len(parts) == 1 else "(" + ", ".join(parts) + ")"
             w(depth + f"rows{i} = get{i}({key}, _E)")
-            w(depth + f"_lk += 1; _ex += len(rows{i})")
+            if counted:
+                w(depth + f"_lk += 1; _ex += len(rows{i})")
         else:
             w(depth + f"rows{i} = scan{i}")
-            w(depth + f"_lk += 1; _ur += 1; _ex += nscan{i}")
+            if counted:
+                w(depth + f"_lk += 1; _ur += 1; _ex += nscan{i}")
         w(depth + f"for row{i} in rows{i}:")
         depth += "    "
         for position, earlier in step.check_cols:
@@ -203,21 +211,6 @@ def build_kernel(plan, project: bool) -> Callable:
             _function_cache.clear()
         _function_cache[key] = kernel
     return kernel
-
-
-def build_kernels(plan) -> Tuple[Callable, Optional[Callable]]:
-    """``(join_kernel, eval_kernel)`` for ``plan``.
-
-    ``eval_kernel`` is ``None`` for unproducible plans (a head variable bound
-    nowhere), whose :meth:`evaluate` short-circuits to the empty set anyway.
-    Plan objects build each kernel lazily on first use and memoize it, so —
-    plans themselves being memoized in
-    :class:`~repro.engine.compile.PlanCache` — each rule shape is
-    code-generated at most once per fixpoint or maintenance stream.
-    """
-    join_kernel = build_kernel(plan, project=False)
-    eval_kernel = build_kernel(plan, project=True) if plan.producible else None
-    return join_kernel, eval_kernel
 
 
 def kernel_source(plan, project: bool = True) -> str:

@@ -159,10 +159,11 @@ def as_selection_query(program: Program, query: Union[SelectionQuery, Atom, str]
         query = SelectionQuery.from_atom(query)
     if not isinstance(query, SelectionQuery):
         raise EvaluationError(f"cannot interpret {query!r} as a selection query")
-    if query.predicate in program.predicates() and program.arity_of(query.predicate) != query.arity:
+    declared = program.declared_arity(query.predicate)
+    if declared is not None and declared != query.arity:
         raise EvaluationError(
             f"query {query} has arity {query.arity}, but {query.predicate} has arity "
-            f"{program.arity_of(query.predicate)} in the program"
+            f"{declared} in the program"
         )
     return query
 

@@ -70,7 +70,8 @@ class PlanProfile:
     #: the rule, as parsed (head :- body)
     rule: str
     #: body predicates in join order, annotated with their probe signature:
-    #: ``p[probe 0,1]`` (index probe on those columns) or ``p[scan]``
+    #: ``p[probe 0,1]`` (index probe on those columns) or ``p[scan]``; the
+    #: evaluator's own input relations read ``input p/arity[...]``
     join_order: Tuple[str, ...]
     #: ``interpreted`` | ``kernel`` | ``leapfrog`` (worst-case-optimal)
     dispatch: str
@@ -257,6 +258,16 @@ class QueryProfile:
         )
 
 
+def _describe_step(plan, index: int) -> str:
+    """``p[probe 0,1]`` / ``p[scan]``; what the evaluator itself hands the join — a
+    schema's selection and the round's carry, not stored relations — reads ``input p/arity[...]``."""
+    step = plan.steps[index]
+    access = f"probe {','.join(map(str, step.probe_columns))}" if step.probe_columns else "scan"
+    if index < getattr(plan, "inputs", 0):
+        return f"input {step.predicate}/{plan.rule.body[step.atom_index].arity}[{access}]"
+    return f"{step.predicate}[{access}]"
+
+
 # ----------------------------------------------------------------------
 # the recorder the engine hooks feed
 # ----------------------------------------------------------------------
@@ -339,12 +350,7 @@ class ProfileRecorder:
             return
         entry = PlanProfile(
             rule=str(plan.rule),
-            join_order=tuple(
-                f"{step.predicate}[probe {','.join(map(str, step.probe_columns))}]"
-                if step.probe_columns
-                else f"{step.predicate}[scan]"
-                for step in plan.steps
-            ),
+            join_order=tuple(_describe_step(plan, index) for index in range(len(plan.steps))),
             dispatch=dispatch,
             detail=detail,
         )
@@ -595,9 +601,10 @@ def explain(
 
     The optimizer result and the one-sided schema are the memoized objects
     ``answer`` itself fetches, so for a one-sided prediction the plans shown
-    (``t.exit`` / ``t.init`` / ``t.forward`` / ``t.backward`` with their join
-    orders, the direction in the strategy, ``carry_arity`` in the counters)
-    are the plans ``answer`` runs, not a re-derivation of them.
+    (``t.exit`` / ``t.init`` / ``t.forward`` / ``t.backward`` / ``t.answer``
+    with their join orders, each led by its ``input t.selection`` / ``t.carry``;
+    the direction in the strategy, ``carry_arity`` in the counters) are the
+    plans ``answer`` runs once per carry round, not a re-derivation of them.
 
     The returned :class:`QueryProfile` has ``outcome="plan-only"``, empty
     stats/iterations, and a predicted ``strategy``.  The prediction matches
@@ -709,7 +716,7 @@ def explain(
             if schema.subsidiary_program is not None:
                 describe_strata(schema.subsidiary_program)
             for plan in schema.compiled_plans():
-                # bound-slot plans never take the leapfrog path
+                # prepared plans never take the leapfrog path
                 recorder.record_dispatch(plan, *row_dispatch())
         else:
             # magic (and counting) need rules defining the predicate; with

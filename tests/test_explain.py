@@ -110,6 +110,13 @@ class TestExplain:
         assert {plan.dispatch for plan in executed.plans} == {"kernel" if kernels else "interpreted"}
         assert all(plan.rule.startswith("t.") for plan in predicted.plans)  # not the semi-naive strata
         assert predicted.counters["carry_arity"] == executed.stats.extra["carry_arity"] == 1
+        # every join is led by the run's selection, and f / g by the round's carry —
+        # rendered as the evaluator's inputs with their arity, not as stored relations
+        for plan in predicted.plans:
+            assert plan.join_order[0] == "input t.selection/1[scan]"
+        carried = [plan for plan in predicted.plans if "t.carry" in plan.rule]
+        assert carried and all(plan.join_order[1] == "input t.carry/1[scan]" for plan in carried)
+        assert "input t.carry/1[scan]" in predicted.render()
 
     def test_explain_follows_answer_past_an_inapplicable_schema(self):
         # one-sided by Theorem 3.1, but the forward schema cannot carry Y: answer()

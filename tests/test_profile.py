@@ -113,12 +113,42 @@ class TestAnswerProfile:
         assert result.strategy == "one-sided-forward (auto)"
         plans = {plan.rule.split("(")[0]: plan for plan in result.profile.plans}
         assert {plan.dispatch for plan in plans.values()} == {"kernel" if kernels else "interpreted"}
-        # depth-0 exits, the initial push, then one step per carry row (a chain
-        # carries one row per round) and one exit probe per reached node
+        # depth-0 exits, the initial push, then one step per carry round and one
+        # exit join over everything reached
         assert set(plans) == {"t.exit", "t.init", "t.forward"}
         assert plans["t.init"].applications == 1
         assert plans["t.forward"].applications == result.stats.iterations == 59
         assert result.profile.stats is result.stats
+
+    @pytest.mark.parametrize("kernels", [True, False])
+    def test_one_sided_dispatches_once_per_carry_round_not_per_carry_row(self, kernels):
+        """A complete binary tree of depth 7 from the root: 254 nodes reached in 7
+        carry rounds.  Figure 9's ``f`` and ``g`` are one join per round, so the
+        dispatch count follows the rounds, not the reach (it was ~2 x reach)."""
+        from repro.core import compile_schema
+        from repro.workloads import uniform_tree
+
+        edges = list(uniform_tree(2, 7))
+        database = Database.from_dict({"a": edges, "b": edges})
+        with kernel_mode(kernels):
+            result = answer(tc_program(), database, "t(0, Y)?", profile=True)
+        assert len(result.answers) == 254
+        rounds = result.stats.iterations
+        assert rounds == 7
+        schema = compile_schema(result.provenance.optimized, "t", 2, (0,))
+        joins = schema.compiled_plans()
+        dispatches = sum(plan.applications for plan in result.profile.plans)
+        assert rounds <= dispatches <= rounds * len(joins) + 3
+        assert dispatches < 20  # nowhere near the 254 rows the carry passed through
+        # the profile shows the memoized plans themselves, inputs labelled with their arity
+        assert [plan.rule for plan in result.profile.plans] == [str(join.rule) for join in joins]
+        forward = result.profile.plans[2]
+        assert forward.applications == rounds
+        assert forward.join_order == (
+            "input t.selection/1[scan]",
+            f"input t.carry/{schema.carry_arity}[scan]",
+            "a[probe 0]",
+        )
 
     def test_rewrites_come_from_the_optimizer_provenance(self):
         result = answer(tc_program(), chain_database(), "t(1, Y)?", profile=True)

@@ -185,6 +185,19 @@ class TestClearAndProbe:
         edges.add((1, 7))  # must be visible through the surviving index
         assert edges.lookup({0: 1}) == [(1, 7)]
 
+    def test_replace_rows_rebuilds_the_registered_indexes(self, edges):
+        edges.lookup({0: 1})
+        snapshot = edges.freeze()
+        before = set(snapshot.rows())
+        version = edges.version
+        edges.replace_rows({(1, 7), (4, 4)})
+        assert edges.rows() == {(1, 7), (4, 4)} and edges.version > version
+        assert edges.lookup({0: 1}) == [(1, 7)]  # not the old contents' bucket
+        assert edges.lookup({1: 4}) == [(4, 4)]  # an index first asked for afterwards
+        edges.add((1, 8))
+        assert sorted(edges.lookup({0: 1})) == [(1, 7), (1, 8)]
+        assert snapshot.rows() == before and set(snapshot.lookup({0: 1})) <= before
+
     def test_probe_matches_lookup(self, edges):
         # single-column probes take the bare value (keys are stored unwrapped)
         assert set(edges.probe((0,), 1)) == set(edges.lookup({0: 1}))
@@ -296,6 +309,7 @@ class TestFreezeSnapshots:
             lambda r: r.discard((77, 77)),  # even a no-op discard must raise
             lambda r: r.discard_all([(1, 2)]),
             lambda r: r.clear(),
+            lambda r: r.replace_rows({(9, 9)}),
         ],
     )
     def test_mutating_a_frozen_snapshot_raises(self, edges, mutate):

@@ -398,6 +398,37 @@ class TestCompiledSchemaProperty:
                 reference, _ = seminaive_query(program, database, "t", {0: constant})
                 assert result.answers == reference
 
+    @pytest.mark.parametrize(
+        ("call", "bound", "probe"),
+        [
+            ("t(Z, 1)", {}, (1,)),  # a constant in the recursive call
+            ("t(Z, W, W)", {2: 1}, (1,)),  # a call variable repeated into the selected column
+        ],
+    )
+    def test_probed_carry_follows_its_contents_between_rounds(self, call, bound, probe):
+        """These recursive calls make the join *probe* the carry relation instead of scanning
+        it, so the index it registers in the first round must hold each later round's rows:
+        five rounds of two rows each, the second row of every round failing the probe."""
+        arity = call.count(",") + 1
+        head = "t(X, Y, W)" if arity == 3 else "t(X, Y)"
+        program = parse_program(f"{head} :- e(X, Z), f(Y), {call}.\n{head} :- base({head[2:-1]}).")
+        database = relations_database(
+            e=[(i, i + 1) for i in range(5)], f=[(1,), (2,)], base=[(5, 1, 1)[:arity]]
+        )
+        query = SelectionQuery.of("t", arity, bound)
+        schema = OneSidedSchema(program, "t", query, require_one_sided=False)
+        assert schema.plan.direction == BACKWARD
+        ((step, _after, _finals),) = schema.plan.operators().values()
+        assert step.steps[1].predicate == "t.carry" and step.steps[1].probe_columns == probe
+        reference, _ = seminaive_query(program, database, "t", bound)
+        assert len(reference) == 11
+        for kernels in (True, False):
+            with kernel_mode(kernels):
+                result = schema.run(database)
+            assert result.answers == reference
+            assert result.stats.iterations == 6  # five productive rounds and the empty one
+            assert result.stats.tuples_produced == 11  # two new rows a round after the exit's one
+
     def test_unknowable_repeated_call_variable_is_refused(self):
         """``t(H2, L, H2)`` with H2 determined only at the exit imposes an equality the
         forward carry cannot hold; the schema used to drop it and over-answer."""
