@@ -1,10 +1,9 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark module reproduces one figure or quantitative claim of the
-paper (see DESIGN.md's per-experiment index and EXPERIMENTS.md for the
-paper-vs-measured record).  The helpers here keep the modules small: a
-standard way to print a report table (so ``pytest benchmarks/ -s`` shows the
-same rows EXPERIMENTS.md records), to attach the headline numbers to
+paper (each module's docstring says which).  The helpers here keep the
+modules small: a standard way to print a report table (visible under
+``pytest -s``), to attach the headline numbers to
 ``benchmark.extra_info`` (so they survive into pytest-benchmark's output even
 without ``-s``), and to persist every run's headline numbers and timings as
 machine-readable ``BENCH_<experiment>.json`` files so runs are comparable

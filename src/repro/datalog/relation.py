@@ -28,20 +28,33 @@ Design notes
 * :meth:`Relation.freeze` publishes an immutable copy-on-write snapshot in
   O(1): the frozen handle shares the live relation's row set, index dicts
   and index buckets, and mutating the frozen handle raises.  The live side
-  pays for what it touches.  Its first mutation after the freeze copies the
-  row set and each index's ``key -> bucket`` dict (C-level ``set()`` /
-  ``dict()`` copies that allocate no bucket); after that a bucket is copied
-  the first time a write lands on its key, and never again until the next
+  pays for what it touches.  Its first *effective* mutation after the freeze
+  (a no-op write leaves the publication alone) retires that storage and
+  takes back an earlier one whose frozen handle is gone — nobody can read it
+  any more — replaying the few writes it missed; a bucket is copied the
+  first time a write lands on its key, and never again until the next
   freeze.  A commit that changes thirty rows of a 100k-row relation copies
-  thirty-odd small lists, not 100k.  Freezing an untouched relation again
-  returns the same handle, so indexes readers built on it survive.
+  thirty-odd small lists, not 100k.  Only a cold start, or readers pinning
+  the two previous epochs as well, falls back to copying the row set and
+  each index's ``key -> bucket`` dict (C-level ``set()`` / ``dict()`` copies
+  that allocate no bucket); ``storage_reclaims`` / ``storage_copies`` count
+  which happened.  Memory: up to three key layers per relation (live and two
+  standbys — the published epoch and the one before it), buckets shared.
+  Freezing an untouched relation again returns the same handle, so indexes
+  readers built on it survive.
+* The contract that buys: a storage is reclaimed once its frozen handle is
+  unreachable, so the set ``rows()`` returns and an iterator over a frozen
+  handle are valid only while that handle (or the snapshot / result holding
+  it) is referenced.  Probe buckets stay valid regardless: a taken-back
+  storage owns none of them, so they are never written in place.
   This is what lets the serving layer (:mod:`repro.service`) hand consistent
   epochs to concurrent readers while writers keep maintaining the live view.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+import weakref
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .errors import SchemaError
 
@@ -97,6 +110,15 @@ class _UnaryRowMembership(_RowMembership):
         return [row] if row in self._rows else default
 
 
+class _Standby(NamedTuple):
+    """A storage published earlier: free to take back once ``handle`` is dead."""
+
+    handle: "weakref.ref[Relation]"  #: the frozen handle that reads it
+    rows: Set[Row]
+    indexes: Dict[Tuple[int, ...], Dict[object, List[Row]]]
+    backlog: List[Tuple[bool, Iterable[Row]]]  #: effective writes since: ``(added, rows)``
+
+
 class Relation:
     """A named, fixed-arity set of tuples with lazy per-column indexes."""
 
@@ -112,6 +134,12 @@ class Relation:
     #: when there is nothing to track: never frozen, cleared since, or frozen
     #: and not yet written (``_snapshot`` is set and everything is shared)
     _owned: Optional[Dict[Tuple[int, ...], Set[object]]] = None
+    #: storages published earlier (oldest first), each kept current by a
+    #: backlog of the writes since; see :meth:`_detach_for_mutation`
+    _standbys: Sequence[_Standby] = ()
+    #: post-freeze detaches that took a standby back / that had to copy
+    storage_reclaims = 0
+    storage_copies = 0
 
     def __init__(self, name: str, arity: int, rows: Optional[Iterable[Sequence[Value]]] = None) -> None:
         if arity < 0:
@@ -169,36 +197,73 @@ class Relation:
     def _detach_for_mutation(self) -> None:
         """Enforce frozen immutability / stop writing to storage a snapshot shares.
 
-        Copies the row set and each index's ``key -> bucket`` dict — flat
-        C-level copies that allocate no bucket.  The buckets themselves stay
-        shared until a write first lands on their key (``_owned`` records
-        which keys that has happened to).
+        The shared storage retires as a standby.  If an earlier standby's
+        handle is dead, its row set and key dicts are taken back and brought
+        up to date from its backlog: the detach costs what was written since.
+        Otherwise (cold start, clients pinning old epochs) the row set and
+        each index's ``key -> bucket`` dict are copied — flat C-level copies
+        that allocate no bucket.  Either way every bucket stays shared until
+        a write first lands on its key (``_owned`` records which keys have).
         """
         if self._frozen:
             raise SchemaError(
                 f"relation {self.name} is a frozen snapshot and cannot be mutated"
             )
-        self._rows = set(self._rows)
-        self._owned = {columns: set() for columns in self._indexes}
-        self._indexes = {columns: dict(index) for columns, index in self._indexes.items()}
+        standbys = [*self._standbys, _Standby(weakref.ref(self._snapshot), self._rows, self._indexes, [])]
         self._snapshot = None
+        spare = next((s for s in standbys if s.handle() is None), None)
+        if spare is None:
+            # two: the published epoch, and the one before it a reader may still hold
+            self._standbys = standbys[-2:]
+            self._rows = set(self._rows)
+            self._owned = {columns: set() for columns in self._indexes}
+            self._indexes = {columns: dict(index) for columns, index in self._indexes.items()}
+            self.storage_copies += 1
+            return
+        standbys.remove(spare)
+        self._standbys = standbys
+        self._rows, self._indexes = spare.rows, spare.indexes
+        self._owned = {columns: set() for columns in self._indexes}
+        self.storage_reclaims += 1
+        # the ordinary copy-on-write path, un-logged: the other standbys'
+        # backlogs already hold these writes
+        for added, rows in spare.backlog:
+            if added:
+                self._rows.update(rows)
+                self._extend_indexes(rows)
+            else:
+                for row in rows:
+                    self._remove(row)
+
+    def _log(self, added: bool, rows: Iterable[Row]) -> None:
+        """Append an effective write to every standby's backlog."""
+        for standby in self._standbys:
+            standby.backlog.append((added, rows))
+        if len(self._standbys[0].backlog) > len(self._rows):
+            # catching the oldest up would cost more than the copy it saves
+            # (and a relation frozen once, then written forever, stays bounded)
+            del self._standbys[0]
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def add(self, row: Sequence[Value]) -> bool:
         """Insert a tuple; returns ``True`` when the tuple was new."""
-        if self._frozen or self._snapshot is not None:
-            self._detach_for_mutation()
         tupled = tuple(row)
         if len(tupled) != self.arity:
             raise SchemaError(
                 f"relation {self.name} has arity {self.arity}, got tuple of length {len(tupled)}"
             )
         if tupled in self._rows:
+            if self._frozen:
+                self._detach_for_mutation()  # raises: frozen snapshots reject writes
             return False
+        if self._frozen or self._snapshot is not None:
+            self._detach_for_mutation()
         self._rows.add(tupled)
         self.version += 1
+        if self._standbys:
+            self._log(True, (tupled,))
         if self._owned is not None:
             self._extend_indexes((tupled,))
             return True
@@ -219,10 +284,11 @@ class Relation:
         indexes) dict churn and one tight loop per index when loading an EDB
         or refilling a delta relation.
         """
-        if self._frozen or self._snapshot is not None:
-            self._detach_for_mutation()
+        if self._frozen:
+            self._detach_for_mutation()  # raises: frozen snapshots reject writes
         arity = self.arity
         stored = self._rows
+        shared = self._snapshot is not None
         fresh: List[Row] = []
         append = fresh.append
         try:
@@ -233,6 +299,9 @@ class Relation:
                         f"relation {self.name} has arity {arity}, got tuple of length {len(tupled)}"
                     )
                 if tupled not in stored:
+                    if shared:  # only a batch with a new row stops sharing
+                        self._detach_for_mutation()
+                        stored, shared = self._rows, False
                     stored.add(tupled)
                     append(tupled)
         finally:
@@ -241,6 +310,8 @@ class Relation:
             if fresh:
                 self._extend_indexes(fresh)
                 self.version += 1
+                if self._standbys:
+                    self._log(True, fresh)
         return len(fresh)
 
     def _extend_indexes(self, fresh: Iterable[Row]) -> None:
@@ -284,9 +355,9 @@ class Relation:
         row set advances by one C-level set union; registered indexes are
         extended exactly as :meth:`add_all` does.
         """
-        if self._frozen or self._snapshot is not None:
-            self._detach_for_mutation()
-        if not self._indexes:
+        if self._frozen:
+            self._detach_for_mutation()  # raises: frozen snapshots reject writes
+        if not (self._indexes or self._standbys or self._snapshot is not None):
             # no indexes to maintain: skip materializing the fresh-row set
             # and let the C-level union count for us (the columnar executor
             # lands its whole fixpoint's derivations through here)
@@ -296,12 +367,17 @@ class Relation:
             if added:
                 self.version += 1
             return added
+        # (a backlog needs its own set: callers clear the one they passed)
         fresh = rows - self._rows
         if not fresh:
             return 0
+        if self._snapshot is not None:
+            self._detach_for_mutation()
         self._rows |= fresh
         self.version += 1
         self._extend_indexes(fresh)
+        if self._standbys:
+            self._log(True, fresh)
         return len(fresh)
 
     def discard(self, row: Sequence[Value]) -> bool:
@@ -316,8 +392,15 @@ class Relation:
             return False
         if self._frozen or self._snapshot is not None:
             self._detach_for_mutation()
-        self._rows.discard(tupled)
         self.version += 1
+        self._remove(tupled)
+        if self._standbys:
+            self._log(False, (tupled,))
+        return True
+
+    def _remove(self, tupled: Row) -> None:
+        """Take a present row out of the row set and every registered index."""
+        self._rows.discard(tupled)
         owned_by = self._owned
         for columns, index in self._indexes.items():
             if len(columns) == 1:
@@ -339,7 +422,6 @@ class Relation:
                 continue
             if not bucket:
                 del index[key]
-        return True
 
     def discard_all(self, rows: Iterable[Sequence[Value]]) -> int:
         """Remove many tuples; returns how many were present (mirrors ``add_all``)."""
@@ -361,6 +443,8 @@ class Relation:
             self._detach_for_mutation()  # raises: frozen snapshots reject writes
         if self._rows:
             self.version += 1
+        if self._standbys:
+            self._standbys = ()  # emptying one costs more than starting empty
         if self._snapshot is not None:
             # detach without copying contents that are about to be dropped;
             # the registered column-sets survive with fresh empty buckets
@@ -386,6 +470,7 @@ class Relation:
         self.version += 1
         if self._snapshot is not None or self._owned is not None:
             self._snapshot = self._owned = None  # nothing below is shared any more
+            self._standbys = ()
         if self._indexes:
             self._indexes = {columns: {} for columns in self._indexes}
             self._extend_indexes(rows)

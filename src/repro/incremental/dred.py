@@ -28,12 +28,12 @@ rederivation run *after* (they must not resurrect anything through them).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Set
+from typing import Dict, List, Mapping, Set, Tuple
 
 from ..datalog.atoms import atoms_variables
 from ..datalog.database import Database
 from ..datalog.relation import Relation, Row
-from ..datalog.rules import Program
+from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant, Variable, is_variable
 from ..engine.compile import PlanCache, RelationMap
 from ..engine.instrumentation import EvaluationStats
@@ -120,26 +120,35 @@ def overestimate_deletions(
     return {p: rows for p, rows in doomed.items() if rows}
 
 
+def _head_probes(program: Program, predicate: str) -> List[Tuple[Rule, Tuple[Variable, ...]]]:
+    """The rules that can derive ``predicate``, each with its head variables.
+
+    Static per rule, so :func:`apply_deletions` asks once per predicate, not
+    once per doomed row.
+    """
+    probes = []
+    for rule in program.rules_for(predicate):
+        head_vars = tuple(dict.fromkeys(arg for arg in rule.head.args if is_variable(arg)))
+        # a head variable unreachable from the body never derives
+        if set(head_vars) <= atoms_variables(rule.body):
+            probes.append((rule, head_vars))
+    return probes
+
+
 def _derivable(
-    program: Program,
-    predicate: str,
+    probes: List[Tuple[Rule, Tuple[Variable, ...]]],
     row: Row,
     relations: RelationMap,
     stats: EvaluationStats,
     cache: PlanCache,
 ) -> bool:
-    """``True`` when some rule for ``predicate`` still derives ``row``.
+    """``True`` when one of the ``probes`` rules still derives ``row``.
 
     Compiles each rule with its head variables bound, so the probe starts
     from the candidate's constants instead of enumerating the rule's full
     join (the same selection pushdown the unfolded evaluator uses).
     """
-    for rule in program.rules_for(predicate):
-        head_vars: List[Variable] = list(dict.fromkeys(
-            arg for arg in rule.head.args if is_variable(arg)
-        ))
-        if not set(head_vars) <= atoms_variables(rule.body):
-            continue  # a head variable unreachable from the body never derives
+    for rule, head_vars in probes:
         bindings: Dict[Variable, object] = {}
         consistent = True
         for position, arg in enumerate(rule.head.args):
@@ -154,7 +163,7 @@ def _derivable(
                 bindings[arg] = row[position]
         if not consistent:
             continue
-        plan = cache.get(rule, relations, bound=tuple(head_vars), stats=stats)
+        plan = cache.get(rule, relations, bound=head_vars, stats=stats)
         if plan.join(relations, stats, bindings=bindings):
             return True
     return False
@@ -188,11 +197,12 @@ def apply_deletions(
         seeds: Dict[str, Set[Row]] = {p: set() for p in group}
         for predicate in group:
             base_relation = base.get(predicate)
+            probes = _head_probes(program, predicate)
             for row in doomed.get(predicate, ()):
                 if row in derived[predicate]:
                     continue
                 if (base_relation is not None and row in base_relation) or _derivable(
-                    program, predicate, row, relations, stats, cache
+                    probes, row, relations, stats, cache
                 ):
                     derived[predicate].add(row)
                     seeds[predicate].add(row)

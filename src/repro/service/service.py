@@ -107,6 +107,12 @@ class ServiceStats:
     queue_depth: int = 0
     #: entries currently held by the epoch cache (gauge; ditto)
     cache_entries: int = 0
+    #: post-publication detaches of the session's live relations that took
+    #: back a storage no reader could see any more (summed when copied out)
+    storage_reclaims: int = 0
+    #: ... that had to copy the row set and key dicts instead: cold start, or
+    #: clients pinning more old epochs than a relation keeps standbys for
+    storage_copies: int = 0
 
     def coalescing_factor(self) -> float:
         """Average writes amortized per flush (> 1.0 means coalescing paid off)."""
@@ -132,6 +138,8 @@ class ServiceStats:
             "epochs_published": self.epochs_published,
             "queue_depth": self.queue_depth,
             "cache_entries": self.cache_entries,
+            "storage_reclaims": self.storage_reclaims,
+            "storage_copies": self.storage_copies,
             "coalescing_factor": round(self.coalescing_factor(), 3),
             "cache_hit_rate": round(self.cache_hit_rate(), 3),
         }
@@ -414,6 +422,8 @@ class DatalogService:
                 "maintenance_rounds",
                 "barriers",
                 "epochs_published",
+                "storage_reclaims",
+                "storage_copies",
             )
         }
         self._service_gauges = {
@@ -755,12 +765,17 @@ class DatalogService:
 
         The copy also carries the two operational gauges — current queue
         depth and epoch-cache entry count — which live in the queue/cache
-        objects, not the counter block, and are sampled here.
+        objects, not the counter block, and are sampled here, as are the two
+        storage counters the live relations keep.
         """
         with self._stats_lock:
             copied = replace(self._stats)
         copied.queue_depth = self.queue.pending()
         copied.cache_entries = len(self.cache)
+        session = self.session
+        for relation in (*session.database.relations(), *session.view.derived.values()):
+            copied.storage_reclaims += relation.storage_reclaims
+            copied.storage_copies += relation.storage_copies
         return copied
 
     @property

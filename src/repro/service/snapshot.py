@@ -7,11 +7,22 @@ stored EDB relation.  Freezing is O(1) copy-on-write
 (:meth:`repro.datalog.relation.Relation.freeze`), so publication costs one
 dict walk regardless of database size, and a relation untouched since the
 previous publication is republished as the same handle (readers' lazily
-built indexes included).  The *writer* pays the copy, lazily and in
-proportion to what it writes: its first post-publication mutation of a
-relation copies that relation's row set and each index's key dict (flat
-C-level copies), and after that only the index buckets whose keys the
-commit's rows actually land on.
+built indexes included).  The *writer* pays, lazily and in proportion to
+what it writes: its first effective post-publication mutation of a relation
+takes back a storage that relation published earlier and that no reader can
+reach any more (the frozen handle sharing it is gone), replays the writes
+that storage missed — one catch-up the size of the commits in between — and
+from then on copies only the index buckets whose keys the commit's rows
+actually land on.  Copying the relation's row set and each index's key dict
+(flat C-level copies) is the fallback: the first commits after open, or
+clients holding the two previous epochs as well as the published one.  A
+written relation therefore holds up to three key layers, buckets shared.
+
+That gives holding a snapshot a meaning: a relation's storage is reclaimed
+once its frozen handle is unreachable, so whatever a reader takes out of a
+snapshot relation by reference (``rows()``, an iterator) is valid only while
+the :class:`ServiceSnapshot` — or the ``ServiceResult`` carrying it — is
+referenced.  Answers, ``lookup()`` lists and probe buckets are unaffected.
 
 Readers holding a snapshot never block writers and never observe a torn
 state: every lookup and every fallback evaluation runs against relations

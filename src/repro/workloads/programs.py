@@ -10,7 +10,7 @@ transitive_closure    Examples 2.1 / 2.2, the canonical one-sided recursion
 same_generation       Example 3.3, the canonical two-sided recursion (the
                       "same generation" problem)
 example_3_4           Example 3.4 / Figure 5, one-sided with a disconnected
-                      ``d(Z)`` instance (rule reconstructed, see DESIGN.md)
+                      ``d(Z)`` instance (rule reconstructed)
 example_3_5           Example 3.5 / Figure 6, superficially regular but
                       two-sided (cycle of weight 2)
 canonical_two_sided   Section 4's canonical two-sided recursion
@@ -19,7 +19,7 @@ buys_unoptimized      Section 3's buys/knows/cheap recursion (two-sided
                       before redundancy removal)
 buys_optimized        the same recursion after removing ``cheap(Y)``
 tc_with_permissions   Example 4.1, "transitive closure with permissions"
-                      (rule reconstructed, see DESIGN.md)
+                      (rule reconstructed)
 appendix_a_p          Example A.1's bounded program P
 bounded_guard_tc      a uniformly bounded guard recursion (witness depth 1);
                       exercises the Theorem 3.3 → unfolding rewrite

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.datalog import Database
 from repro.workloads import (
@@ -16,6 +17,10 @@ from repro.workloads import (
     same_generation_database,
     transitive_closure,
 )
+
+#: ``--hypothesis-profile=ci``: five times the default example budget (the
+#: stateful machines take theirs from the active profile), no deadline
+settings.register_profile("ci", max_examples=500, deadline=None)
 
 
 @pytest.fixture

@@ -98,9 +98,12 @@ class TestRegistryWiring:
             "flushes",
             "epochs_published",
             "barriers",
+            "storage_reclaims",
+            "storage_copies",
         ):
             exposed = metric_value(rendered, f"repro_service_{key}_total")
             assert exposed == stats[key], f"{key}: exposed {exposed} != stats {stats[key]}"
+        assert stats["storage_copies"] == 2  # b and t, detached cold by the one commit
         assert metric_value(rendered, "repro_service_epoch") == service.epoch
         assert metric_value(rendered, "repro_service_queue_depth") == 0
         assert metric_value(rendered, "repro_service_cache_entries") == stats["cache_entries"]

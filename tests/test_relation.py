@@ -6,11 +6,18 @@ import gc
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.datalog import SchemaError
+from repro.datalog import relation as relation_module
 from repro.datalog.relation import Relation
 
 
@@ -307,6 +314,9 @@ class TestFreezeSnapshots:
             lambda r: r.union_update({(9, 9)}),
             lambda r: r.discard((1, 2)),
             lambda r: r.discard((77, 77)),  # even a no-op discard must raise
+            lambda r: r.add((1, 2)),  # ... and so must re-inserting what is there
+            lambda r: r.add_all([(1, 2)]),
+            lambda r: r.union_update({(1, 2)}),
             lambda r: r.discard_all([(1, 2)]),
             lambda r: r.clear(),
             lambda r: r.replace_rows({(9, 9)}),
@@ -438,6 +448,181 @@ class TestDetachCopiesOnlyWhatIsTouched:
         assert len(snapshot) == size and len(live) == size + 2
 
 
+class TestNoOpWritesDoNotDetach:
+    """A write that changes nothing leaves the published storage and handle alone."""
+
+    @pytest.mark.parametrize(
+        "write, returned",
+        [
+            (lambda r: r.add((1, 2)), False),
+            (lambda r: r.add_all([(1, 2), (2, 3), (1, 2)]), 0),
+            (lambda r: r.union_update({(1, 2), (1, 3)}), 0),
+            (lambda r: r.discard((7, 7)), False),
+        ],
+    )
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_reinserting_present_rows_keeps_the_handle(self, write, returned, indexed):
+        live = Relation("a", 2, [(1, 2), (1, 3), (2, 3)])
+        if indexed:
+            live.probe((0,), 1)
+        snapshot = live.freeze()
+        snapshot.probe((1,), 3)  # a reader's lazily built index
+        version = live.version
+        assert write(live) == returned
+        assert live.freeze() is snapshot and (1,) in snapshot._indexes
+        assert live._rows is snapshot._rows
+        assert live.version == version
+        assert live.storage_copies == live.storage_reclaims == 0
+
+    def test_a_batch_detaches_at_its_first_new_row(self):
+        live = Relation("a", 2, [(1, 2), (1, 3)])
+        snapshot = live.freeze()
+        assert live.add_all([(1, 2), (9, 9), (1, 3), (9, 9)]) == 1
+        assert live._rows is not snapshot._rows
+        assert snapshot.rows() == {(1, 2), (1, 3)}
+        assert live.rows() == {(1, 2), (1, 3), (9, 9)}
+
+
+class TestDetachReclaimsUnreadableStorage:
+    """Counts, not timings: the steady-state detach takes a standby back."""
+
+    SIZE = 100_000
+
+    @pytest.fixture
+    def live(self):
+        live = Relation("big", 2, ((i, i % 1000) for i in range(self.SIZE)))
+        live.probe((0,), 0)  # 100k single-row buckets
+        live.probe((1,), 0)  # 1k hundred-row buckets
+        return live
+
+    def cycle(self, live, number):
+        """``freeze -> add 2 rows``; returns the handle and what it must keep reading."""
+        handle = live.freeze()
+        live.add((5, self.SIZE + number))  # new bucket under (1,), shared under (0,)
+        live.add((self.SIZE + number, 7))  # the reverse
+        return handle, number
+
+    def rows_before(self, number):
+        """The relation's rows when cycle ``number`` began."""
+        rows = {(i, i % 1000) for i in range(self.SIZE)}
+        for earlier in range(number):
+            rows |= {(5, self.SIZE + earlier), (self.SIZE + earlier, 7)}
+        return rows
+
+    @staticmethod
+    def big_containers():
+        return {
+            id(obj)
+            for obj in gc.get_objects()
+            if type(obj) in (set, dict) and len(obj) > 1000
+        }
+
+    def measured_cycles(self, live, keep):
+        """Ten cycles beside a client that holds on to the ``keep`` newest
+        handles (so each detach finds them, and the one just published, alive)."""
+        held = []
+        for number in range(3):  # warm-up: the cold detaches copy
+            held.append(self.cycle(live, number))
+            del held[: len(held) - keep]
+        gc.collect()
+        gc.disable()
+        try:
+            known = self.big_containers()
+            row_sets, new_lists = set(), []
+            for number in range(3, 13):
+                lists_before = sum(1 for obj in gc.get_objects() if type(obj) is list)
+                held.append(self.cycle(live, number))
+                del held[: len(held) - keep]
+                new_lists.append(
+                    sum(1 for obj in gc.get_objects() if type(obj) is list) - lists_before
+                )
+                row_sets.add(id(live._rows))
+            fresh_big = self.big_containers() - known
+        finally:
+            gc.enable()
+        return held, row_sets, new_lists, fresh_big
+
+    @pytest.mark.parametrize("keep", [0, 1])
+    def test_steady_state_allocates_nothing_the_size_of_the_relation(self, live, keep):
+        # keep=1: a client still reading the epoch before the published one —
+        # the second standby is there for exactly that
+        held, row_sets, new_lists, fresh_big = self.measured_cycles(live, keep)
+        assert not fresh_big
+        assert max(new_lists) < 64
+        assert len(row_sets) <= 3
+        assert live.storage_copies <= 2 and live.storage_reclaims >= 10
+        for handle, number in held:
+            assert handle.rows() == self.rows_before(number)
+        assert live.rows() == self.rows_before(13)
+        assert len(live.probe((1,), 7)) == 113 and len(live.probe((0,), 5)) == 14
+
+    def test_pinning_more_epochs_than_standbys_falls_back_to_the_copy(self, live):
+        # the published epoch plus two older ones: nothing is ever free
+        held, _row_sets, _new_lists, fresh_big = self.measured_cycles(live, 2)
+        assert live.storage_reclaims == 0 and live.storage_copies == 13
+        assert fresh_big
+        for handle, number in held:
+            expected = self.rows_before(number)
+            assert handle.rows() == expected
+            # ... and its own buckets, not a later epoch's
+            assert len(handle.probe((1,), 7)) == 100 + number
+            assert set(handle.probe((0,), 5)) == {row for row in expected if row[0] == 5}
+
+    def test_a_released_pin_lets_the_detach_reclaim_again(self, live):
+        pinned = [self.cycle(live, number) for number in range(2)]
+        assert live.storage_copies == 2
+        handle, _ = self.cycle(live, 2)  # both standbys pinned: copy once more
+        assert (live.storage_copies, live.storage_reclaims) == (3, 0)
+        del handle
+        self.cycle(live, 3)
+        assert (live.storage_copies, live.storage_reclaims) == (3, 1)
+        for handle, number in pinned:
+            assert handle.rows() == self.rows_before(number)
+
+    def test_a_standby_whose_backlog_outgrows_the_relation_is_dropped(self):
+        live = Relation("r", 1, [(i,) for i in range(10)])
+        snapshot = live.freeze()
+        for i in range(10, 20):
+            live.add((i,))
+        assert len(live._standbys) == 1 and len(live._standbys[0].backlog) == 10
+        live.discard_all([(i,) for i in range(12)])  # 22 writes against 8 rows
+        assert not live._standbys
+        assert snapshot.rows() == {(i,) for i in range(10)}
+        for i in range(100):  # written forever, never frozen again: nothing piles up
+            live.add((100 + i,))
+        assert not live._standbys
+
+    def test_clear_and_replace_rows_drop_the_standbys(self):
+        for refill in (lambda r: r.clear(), lambda r: r.replace_rows({(9, 9)})):
+            live = Relation("a", 2, [(1, 2), (1, 3)])
+            live.probe((0,), 1)
+            first = live.freeze()
+            live.add((2, 2))
+            assert live._standbys
+            refill(live)
+            assert not live._standbys
+            live.add((3, 3))
+            del first
+            second = live.freeze()
+            live.add((4, 4))
+            assert second.rows() == live.rows() - {(4, 4)}
+            assert set(live.probe((0,), 4)) == {(4, 4)}
+
+    def test_union_update_without_indexes_owns_what_it_logs(self):
+        # semi-naive hands its spare delta's row set over and then clears it
+        live = Relation("t", 2, [(1, 2)])
+        first = live.freeze()
+        passed = {(1, 2), (3, 4)}
+        assert live.union_update(passed) == 1
+        passed.clear()
+        del first
+        second = live.freeze()
+        live.add((5, 6))  # reclaims the first storage and replays (3, 4) onto it
+        assert live.storage_reclaims == 1
+        assert live.rows() == {(1, 2), (3, 4), (5, 6)}
+        assert second.rows() == {(1, 2), (3, 4)}
+
+
 # ----------------------------------------------------------------------
 # model-based: every mutation / freeze / copy / lazy-index interleaving
 # ----------------------------------------------------------------------
@@ -467,7 +652,8 @@ def _relation_machine(arity: int):
             super().__init__()
             #: ``(relation, model)`` pairs the rules may write to
             self.mutable = [(Relation("r", arity), set())]
-            #: every snapshot ever published, with the rows it was born with
+            #: every snapshot published and not yet released, with the rows it
+            #: was born with
             self.frozen = []
             #: ``id(relation) -> (version, rows)`` as of the previous step
             self.seen = {}
@@ -518,6 +704,30 @@ def _relation_machine(arity: int):
             assert snapshot.frozen and snapshot.version == relation.version
             self.frozen.append((snapshot, frozenset(model)))
 
+        @precondition(lambda self: self.frozen)
+        @rule(which=pick, and_older=st.booleans())
+        def release(self, which, and_older):
+            """Readers let go of a snapshot (or of it and everything published
+            before it, as readers moving on do).  Nothing else refers to a
+            handle, so its storage becomes reclaimable right here, no ``gc``."""
+            index = which % len(self.frozen)
+            del self.frozen[0 if and_older else index : index + 1]
+
+        @rule(which=pick, batch=rows, old=row, keep=st.integers(0, 2))
+        def commit(self, which, batch, old, keep):
+            """One round of the serving loop in one step — a batch lands, the
+            result is published, readers move on to it (all but the ``keep``
+            newest of the earlier snapshots are let go) — so that runs of
+            them reach the steady state the single rules seldom line up for."""
+            relation, model = self._writable(which)
+            relation.add_all(batch)
+            model.update(batch)
+            if old not in batch:  # (so ``version`` moves only if the contents do)
+                relation.discard(old)
+                model.discard(old)
+            self.frozen.append((relation.freeze(), frozenset(model)))
+            del self.frozen[: max(0, len(self.frozen) - 1 - keep)]
+
         @rule(which=pick, of_snapshot=st.booleans())
         def copy(self, which, of_snapshot):
             if len(self.mutable) == 3:
@@ -554,10 +764,75 @@ def _relation_machine(arity: int):
     return RelationMachine
 
 
-_STATEFUL = settings(max_examples=100, stateful_step_count=40, deadline=None)
+#: the example budget is the active Hypothesis profile's (``tests/conftest.py``)
+_STATEFUL = settings(stateful_step_count=40, deadline=None)
 TestRelationModelArity1 = _relation_machine(1).TestCase
 TestRelationModelArity1.settings = _STATEFUL
 TestRelationModelArity2 = _relation_machine(2).TestCase
 TestRelationModelArity2.settings = _STATEFUL
 TestRelationModelArity3 = _relation_machine(3).TestCase
 TestRelationModelArity3.settings = _STATEFUL
+
+
+class TestPlantedStorageDefectsTurnTheMachineRed:
+    """The ``release`` rule makes the machine reach the reclaim path: each way
+    of getting the catch-up wrong must fail it."""
+
+    @staticmethod
+    def skip_discards(monkeypatch):
+        honest = Relation._log
+        monkeypatch.setattr(
+            Relation, "_log", lambda self, added, rows: added and honest(self, added, rows)
+        )
+
+    @staticmethod
+    def write_buckets_in_place(monkeypatch):
+        honest = Relation._detach_for_mutation
+
+        def detach(self):
+            reclaims = self.storage_reclaims
+            honest(self)
+            if self.storage_reclaims != reclaims:
+                # "these buckets are mine": they are not, other storages share them
+                self._owned = {columns: set(index) for columns, index in self._indexes.items()}
+
+        monkeypatch.setattr(Relation, "_detach_for_mutation", detach)
+
+    @staticmethod
+    def log_the_replay(monkeypatch):
+        detach, extend, replaying = Relation._detach_for_mutation, Relation._extend_indexes, []
+
+        def detach_noting_it(self):
+            replaying.append(self)
+            try:
+                detach(self)
+            finally:
+                replaying.pop()
+
+        def extend_and_log(self, fresh):
+            extend(self, fresh)
+            if replaying and self._standbys:
+                self._log(True, fresh)  # the other standby already holds these
+
+        monkeypatch.setattr(Relation, "_detach_for_mutation", detach_noting_it)
+        monkeypatch.setattr(Relation, "_extend_indexes", extend_and_log)
+
+    @staticmethod
+    def ignore_live_handles(monkeypatch):
+        class EveryHandleLooksDead:
+            @staticmethod
+            def ref(handle):
+                return lambda: None
+
+        monkeypatch.setattr(relation_module, "weakref", EveryHandleLooksDead)
+
+    @pytest.mark.parametrize(
+        "plant", ["skip_discards", "write_buckets_in_place", "log_the_replay", "ignore_live_handles"]
+    )
+    def test_planted_defect_is_caught(self, monkeypatch, plant):
+        getattr(self, plant)(monkeypatch)
+        # stops at the first failing example (typically within the first
+        # hundred); no shrinking, no example database
+        budget = settings(_STATEFUL, max_examples=2000, database=None, phases=(Phase.generate,))
+        with pytest.raises(AssertionError):
+            run_state_machine_as_test(_relation_machine(2), settings=budget)

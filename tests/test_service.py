@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -287,6 +289,8 @@ class TestDatalogService:
             "epochs_published": 1,
             "queue_depth": 0,  # everything flushed by the barrier
             "cache_entries": 1,  # the post-flush t(1, Y) miss re-primed it
+            "storage_reclaims": 0,
+            "storage_copies": 2,  # the first commit's detaches of b and t are cold
             "coalescing_factor": 3.0,
             "cache_hit_rate": 0.25,
         }
@@ -301,6 +305,86 @@ class TestDatalogService:
         assert "queue=2" in str(stats) and "cache=1" in str(stats)
         service.barrier()
         assert service.stats.queue_depth == 0
+
+
+# ----------------------------------------------------------------------
+# a held result pins its epoch; everything else is reclaimed
+# ----------------------------------------------------------------------
+class TestHeldResultsSurviveStorageReclaim:
+    def test_a_result_kept_across_durable_commits_reads_its_own_epoch(self, tmp_path):
+        with DatalogService(
+            TC, tc_database(), storage=tmp_path / "store", flush_policy=manual_flush_policy()
+        ) as svc:
+            held = svc.query("t(1, Y)?")
+            view = held.snapshot.views["t"]
+            assert view.rows() == {(1, 4), (2, 4), (3, 4)}
+            warm = None
+            for commit in range(8):
+                svc.insert("b", (2, 100 + commit))
+                if commit:
+                    svc.delete("b", (2, 99 + commit))  # t(1, ..) and t(2, ..) go through DRed
+                svc.barrier()
+                assert svc.query("t(1, Y)?").answers == {(1, 4), (1, 100 + commit)}
+                assert svc.query("b(2, Y)?").answers == {(2, 100 + commit)}
+                if commit == 3:
+                    warm = svc.stats
+            # the client's epoch: same rows, same buckets, eight publications later
+            assert held.answers == {(1, 4)} and held.epoch < svc.epoch
+            assert view.rows() == {(1, 4), (2, 4), (3, 4)}
+            assert list(view.probe((0,), 1)) == [(1, 4)]
+            assert list(view.probe((0,), 2)) == [(2, 4)]
+            assert held.snapshot.edb["b"].rows() == {(3, 4)}
+            # b and t were written by every commit: once warm, beside one
+            # pinned epoch, their detaches take a standby back instead of copying
+            stats = svc.stats
+            assert stats.storage_copies == warm.storage_copies
+            assert stats.storage_reclaims == warm.storage_reclaims + 2 * 4
+            assert svc._status_report()["service"]["storage_reclaims"] == stats.storage_reclaims
+
+    def test_readers_racing_the_writer_never_see_a_reclaimed_storage_move(self):
+        """More reader threads than cores, a short switch interval: whatever
+        snapshot a reader holds must stay the epoch it was, however many
+        storages the writer takes back meanwhile."""
+        failures, stop = [], threading.Event()
+
+        def reader(svc):
+            while not stop.is_set():
+                snapshot = svc.snapshot()
+                edges = set(snapshot.edb["b"].rows())
+                # a is the chain 1 -> 2 -> 3, so x reaches every b-edge starting at or after it
+                expected = {(x, y) for x in (1, 2, 3) for (start, y) in edges if start >= x}
+                for _attempt in range(3):  # same answer while the writer moves on
+                    got = set(snapshot.views["t"].rows())
+                    if got != expected or set(snapshot.edb["b"].rows()) != edges:
+                        failures.append((snapshot.epoch, got, expected))
+                        return
+                    time.sleep(0.0005)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with DatalogService(TC, tc_database(), flush_policy=manual_flush_policy()) as svc:
+                threads = [threading.Thread(target=reader, args=(svc,)) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 1.5
+                commit = 0
+                while time.monotonic() < deadline and not failures:
+                    svc.insert("b", (2, 100 + commit))
+                    if commit:
+                        svc.delete("b", (2, 99 + commit))
+                    svc.barrier(timeout=30)
+                    commit += 1
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = svc.stats
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not failures, failures[:1]
+        assert commit > 10 and stats.storage_reclaims > 0
 
 
 # ----------------------------------------------------------------------
