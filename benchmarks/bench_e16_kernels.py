@@ -1,11 +1,12 @@
-"""E16 — generated join kernels + interned domain vs. the interpreted engine.
+"""E16 — generated join kernels vs. the interpreted engine, over stored values.
 
 PR 4's claim: the per-tuple constant factor of the evaluation loop, not the
 algorithmic structure, was the remaining bottleneck — so ``exec``-compiling
-each plan into a fused nested loop (``repro.engine.kernels``) and running
-fixpoints over the interned value domain (``repro.engine.domain``) should
-speed up *every* strategy without changing a single derived tuple or
-instrumentation counter.
+each plan into a fused nested loop (``repro.engine.kernels``) should speed up
+*every* strategy without changing a single derived tuple or instrumentation
+counter.  The engines join over the stored values as they are, so the same
+closure under string ids must cost what it costs under int ids (the in-repo
+mirror of the end-to-end benchmark's ``engine.domain.intern_overhead_share``).
 
 Three workloads, riding the earlier experiments so the numbers are
 comparable across PRs:
@@ -13,8 +14,9 @@ comparable across PRs:
 * **e12 long-chain sweep** — full semi-naive transitive closure over single
   chains of growing depth (the deepest recursions in the suite; quadratic
   output) plus the E12 forest database (broad, shallow).  This is the
-  headline number: kernel+interned semi-naive must beat the interpreted path
-  ≥ 3× wall-clock with tuple-identical results.
+  headline number: kernel semi-naive must beat the interpreted path ≥ 3×
+  wall-clock with tuple-identical results, and the string-id twin of the
+  deepest chain and of the forest may cost at most 1.25× the int-id run.
 * **e14 unfolding** — the bounded-swap union evaluated recursion-free; the
   kernels accelerate the compiled conjunctive plans themselves.
 * **e15 update stream** — the E15 forest graft/prune stream through a
@@ -23,7 +25,7 @@ comparable across PRs:
 Every entry records ``speedup_*`` ratios in ``extra_info`` (merged into
 ``BENCH_e16.json``); CI fails the build when any ratio drops below 1.0.
 Timings are best-of-3 per mode, interpreted mode measured via the
-``REPRO_KERNELS``/``REPRO_INTERN`` escape hatches.
+``REPRO_KERNELS`` escape hatch.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from repro.datalog import Database
 from repro.engine import (
     SelectionQuery,
     columnar_mode,
-    interning_mode,
     kernel_mode,
     seminaive_evaluate,
 )
@@ -45,7 +46,7 @@ from repro.workloads import (
     transitive_closure,
     uniform_tree,
 )
-from .helpers import attach, best_of, emit, run_once
+from .helpers import attach, best_of, emit, run_once, string_ids
 
 TC = transitive_closure()
 CHAIN_LENGTHS = [100, 200, 400]
@@ -62,27 +63,53 @@ def timed_modes(function):
     result)`` with both results produced by the same callable, so callers can
     assert tuple-identical output.  The columnar batch executor (E19's
     subject) is pinned off in both modes — this experiment isolates the
-    kernels + interning against the interpreter.
+    kernels against the interpreter.
     """
-    with kernel_mode(True), interning_mode(True), columnar_mode(False):
+    with kernel_mode(True), columnar_mode(False):
         fast_time, fast_result = best_of(function)
-    with kernel_mode(False), interning_mode(False), columnar_mode(False):
+    with kernel_mode(False), columnar_mode(False):
         interpreted_time, interpreted_result = best_of(function)
     return fast_time, interpreted_time, fast_result, interpreted_result
 
 
-def forest_database():
+def forest_edges():
     edges = []
     for index in range(TREES):
         offset = index * 10_000
         edges.extend(
             (offset + parent, offset + child) for parent, child in uniform_tree(2, TREE_DEPTH)
         )
-    return edge_database(edges)
+    return edges
+
+
+def forest_database():
+    return edge_database(forest_edges())
+
+
+#: what the same closure may cost under string ids, relative to int ids
+STRING_ID_BOUND = 1.25
+
+
+def string_id_cost(edges):
+    """``(int seconds, str seconds)`` of the kernel closure over ``edges``.
+
+    Best of 7 each, the two databases taking turns so a drifting box slows both.
+    """
+    databases = (edge_database(edges), edge_database(string_ids(edges)))
+    seconds, tuples = [[], []], [None, None]
+    with kernel_mode(True), columnar_mode(False):
+        for _ in range(7):
+            for which, database in enumerate(databases):
+                elapsed, tuples[which] = best_of(
+                    lambda: len(seminaive_evaluate(TC, database)["t"]), rounds=1
+                )
+                seconds[which].append(elapsed)
+    assert tuples[0] == tuples[1]
+    return min(seconds[0]), min(seconds[1])
 
 
 def test_e16_long_chain_seminaive_speedup(benchmark):
-    """The headline: kernel+interned semi-naive ≥ 3× on the deepest chains."""
+    """The headline: kernel semi-naive ≥ 3× on the deepest chains, string ids at int-id cost."""
 
     def sweep():
         rows = []
@@ -106,17 +133,22 @@ def test_e16_long_chain_seminaive_speedup(benchmark):
 
     rows, ratios = run_once(benchmark, sweep)
     emit(
-        "E16a: semi-naive closure, kernels+interning vs interpreted (e12 long-chain sweep)",
+        "E16a: semi-naive closure, kernels vs interpreted (e12 long-chain sweep)",
         ["workload", "t tuples", "interpreted ms", "kernel ms", "speedup"],
         rows,
     )
     deepest = ratios[CHAIN_LENGTHS[-1]]
     assert deepest >= 3.0, f"kernel speedup regressed to {deepest:.2f}x on the deepest chain"
+    int_seconds, str_seconds = string_id_cost(chain(CHAIN_LENGTHS[-1]))
+    assert str_seconds <= STRING_ID_BOUND * int_seconds, (
+        f"string ids cost {str_seconds / int_seconds:.2f}x int ids on the deepest chain"
+    )
     attach(
         benchmark,
         speedup_chain_deepest=round(deepest, 2),
         speedup_chain_min=round(min(ratios.values()), 2),
         deepest_chain=CHAIN_LENGTHS[-1],
+        ratio_chain_str_over_int=round(str_seconds / int_seconds, 2),
     )
 
 
@@ -141,7 +173,15 @@ def test_e16_forest_seminaive_speedup(benchmark):
           round(interpreted_time * 1000, 1), round(fast_time * 1000, 1), round(ratio, 2)]],
     )
     assert ratio >= 1.0
-    attach(benchmark, speedup_forest=round(ratio, 2))
+    int_seconds, str_seconds = string_id_cost(forest_edges())
+    assert str_seconds <= STRING_ID_BOUND * int_seconds, (
+        f"string ids cost {str_seconds / int_seconds:.2f}x int ids on the forest"
+    )
+    attach(
+        benchmark,
+        speedup_forest=round(ratio, 2),
+        ratio_forest_str_over_int=round(str_seconds / int_seconds, 2),
+    )
 
 
 def test_e16_unfolded_evaluation_speedup(benchmark):
@@ -181,9 +221,9 @@ def test_e16_unfolded_evaluation_speedup(benchmark):
     def compare():
         # extra rounds: this workload has the thinnest margin of the suite,
         # so buy noise-resistance with a deeper best-of
-        with kernel_mode(True), interning_mode(True), columnar_mode(False):
+        with kernel_mode(True), columnar_mode(False):
             fast_time, fast_answers = best_of(run_queries, rounds=5)
-        with kernel_mode(False), interning_mode(False), columnar_mode(False):
+        with kernel_mode(False), columnar_mode(False):
             interpreted_time, interpreted_answers = best_of(run_queries, rounds=5)
         assert fast_answers == interpreted_answers
         return interpreted_time, fast_time

@@ -7,7 +7,7 @@ same semi-naive rounds over hash-partitioned column vectors, moving whole
 delta partitions per dispatch, and on cyclic bodies the leapfrog join
 replaces binary plans whose intermediates are asymptotically avoidable.
 
-Three experiments:
+Four experiments:
 
 * **layered fat sweep** — the headline: full semi-naive transitive closure
   over wide, high-fanout layered DAGs (the shape whose dense delta
@@ -19,6 +19,15 @@ Three experiments:
   *unguarded* (``ratio_chain_*``, expected < 1), and the adaptive planner —
   the shipping configuration — is asserted to hand the workload back to the
   kernels at no measurable cost.
+* **fan-out sweep** — what the adaptive decision is calibrated against:
+  forests and layered DAGs of out-degree 2, 3, 4 and 8 under string ids (the
+  binary forest is the input the service materializes on start), kernel loop
+  vs forced vs adaptive, with the ``profit_score`` each shape gets.  Recorded
+  unguarded: trees lose under batching at *every* out-degree (every tuple is
+  derived once, so there is nothing to batch) while DAGs win from the lowest
+  score up, so no value of ``PROFIT_THRESHOLD`` separates the two and the
+  constant stays where it was; ``ratio_forest_adaptive`` is the number a
+  better score has to move to ≥ 0.95.
 * **AGM star family** — the triangle query over star-shaped relations where
   every binary plan materializes the Θ(N²) spoke-pair intermediate but the
   AGM bound (and the leapfrog join) is O(N).  Tuples-examined growth is
@@ -40,13 +49,14 @@ from repro.engine import (
     EvaluationStats,
     columnar_mode,
     compile_rule,
-    interning_mode,
     kernel_mode,
     seminaive_evaluate,
 )
 from repro.engine.columnar import leapfrog_join, wcoj_eligible
-from repro.workloads import chain, edge_database, layered_dag, transitive_closure
-from .helpers import attach, best_of, emit, run_once
+from repro.engine.instrumentation import query_trace
+from repro.obs.profile import ProfileRecorder
+from repro.workloads import chain, edge_database, layered_dag, transitive_closure, uniform_tree
+from .helpers import attach, best_of, emit, run_once, string_ids
 
 TC = transitive_closure()
 
@@ -54,6 +64,10 @@ TC = transitive_closure()
 LAYERED_SHAPES = [(12, 60, 8), (12, 80, 8), (10, 80, 10)]
 CHAIN_LENGTH = 300
 STAR_SIZES = [100, 200, 400]
+#: out-degree → (depth, trees); the binary forest is the end-to-end ``serve_*`` input
+FOREST_SHAPES = {2: (7, 64), 3: (5, 32), 4: (4, 32), 8: (3, 24)}
+#: fan-outs of the 12-layer, 60-wide DAG; 8 is the end-to-end ``materialize_fat`` shape
+DAG_FANOUTS = (2, 3, 4, 8)
 
 
 
@@ -67,14 +81,14 @@ def counters(stats: EvaluationStats) -> dict:
 def timed_columnar_modes(function):
     """Best-of timings of ``function`` under kernel / forced-columnar modes.
 
-    Both runs keep kernels + interning on — this experiment isolates the
-    batch executor against the PR 4 runtime, not against the interpreter.
+    Both runs keep kernels on — this experiment isolates the batch executor
+    against the PR 4 runtime, not against the interpreter.
     Returns ``(kernel seconds, columnar seconds, kernel result, columnar
     result)``.
     """
-    with kernel_mode(True), interning_mode(True), columnar_mode(False):
+    with kernel_mode(True), columnar_mode(False):
         kernel_time, kernel_result = best_of(function, rounds=5)
-    with kernel_mode(True), interning_mode(True), columnar_mode("force"):
+    with kernel_mode(True), columnar_mode("force"):
         columnar_time, columnar_result = best_of(function, rounds=5)
     return kernel_time, columnar_time, kernel_result, columnar_result
 
@@ -142,7 +156,7 @@ def test_e19_chain_adaptive_fallback(benchmark):
 
     def compare():
         kernel_time, forced_time, kernel_out, forced_out = timed_columnar_modes(closure)
-        with kernel_mode(True), interning_mode(True), columnar_mode(True):
+        with kernel_mode(True), columnar_mode(True):
             adaptive_time, adaptive_out = best_of(closure, rounds=5)
         assert forced_out == kernel_out
         assert adaptive_out == kernel_out
@@ -166,6 +180,71 @@ def test_e19_chain_adaptive_fallback(benchmark):
         ratio_chain_adaptive=round(adaptive_ratio, 2),
         ratio_chain_forced=round(forced_ratio, 2),
     )
+
+
+def forest(out_degree: int) -> list:
+    depth, trees = FOREST_SHAPES[out_degree]
+    return [
+        (tree * 1_000_000 + parent, tree * 1_000_000 + child)
+        for tree in range(trees)
+        for parent, child in uniform_tree(out_degree, depth)
+    ]
+
+
+def adaptive_decision(database):
+    """``(dispatch, profit score)`` the default configuration gives the closure's stratum."""
+    recorder = ProfileRecorder("t(X, Y)?", trace_id="e19-decision")
+    with kernel_mode(True), columnar_mode(True), query_trace(recorder.trace_id, recorder):
+        seminaive_evaluate(TC, database)
+    decision = recorder.strata[-1]
+    return decision.dispatch, decision.score
+
+
+def test_e19_fanout_sweep(benchmark):
+    """Trees vs layered DAGs by out-degree: where batching pays, and what the score says."""
+    shapes = [(f"forest(out-degree {d})", f"forest_d{d}", forest(d)) for d in FOREST_SHAPES]
+    shapes += [
+        (f"layered(12x60, fanout {f})", f"dag_f{f}", layered_dag(12, 60, f, seed=7))
+        for f in DAG_FANOUTS
+    ]
+
+    def sweep():
+        rows, measured = [], {}
+        for label, key, edges in shapes:
+            database = edge_database(string_ids(edges))
+
+            def closure(db=database):
+                return closure_with_counters(db)
+
+            kernel_time, forced_time, kernel_out, forced_out = timed_columnar_modes(closure)
+            with kernel_mode(True), columnar_mode(True):
+                adaptive_time, adaptive_out = best_of(closure, rounds=5)
+            assert forced_out == kernel_out  # tuples and counters, on every shape
+            assert adaptive_out == kernel_out
+            dispatch, score = adaptive_decision(database)
+            measured[key] = (score, dispatch, kernel_time / forced_time, kernel_time / adaptive_time)
+            rows.append(
+                [label, len(kernel_out[0]["t"]), round(score, 2), dispatch,
+                 round(kernel_time * 1000, 1), round(forced_time * 1000, 1),
+                 round(adaptive_time * 1000, 1), round(kernel_time / forced_time, 2),
+                 round(kernel_time / adaptive_time, 2)]
+            )
+        return rows, measured
+
+    rows, measured = run_once(benchmark, sweep)
+    emit(
+        "E19d: fan-out sweep under string ids — kernel loop vs forced vs adaptive",
+        ["workload", "t tuples", "score", "adaptive runs", "kernel ms", "forced ms",
+         "adaptive ms", "forced ratio", "adaptive ratio"],
+        rows,
+    )
+    # the end-to-end fat workload's shape must keep the batch executor
+    assert measured["dag_f8"][1] == "columnar"
+    info = {"ratio_forest_adaptive": round(measured["forest_d2"][3], 2)}
+    for key, (score, _dispatch, forced_ratio, _adaptive_ratio) in measured.items():
+        info[f"score_{key}"] = round(score, 2)
+        info[f"ratio_{key}_forced"] = round(forced_ratio, 2)
+    attach(benchmark, **info)
 
 
 def star_relations(size: int) -> dict:

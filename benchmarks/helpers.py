@@ -161,6 +161,11 @@ def best_of(function, rounds: int = 3):
     return min(times), result
 
 
+def string_ids(edges):
+    """``edges`` with every int node renamed to a zero-padded (order-preserving) string id."""
+    return [(f"n{source:07d}", f"n{target:07d}") for source, target in edges]
+
+
 def run_once(benchmark, function, *args, **kwargs):
     """Run ``function`` through pytest-benchmark with a small, fixed effort.
 

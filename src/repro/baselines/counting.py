@@ -37,13 +37,12 @@ from ..datalog.rules import Program, Rule
 from ..datalog.terms import Variable, is_variable
 from ..engine import algebra
 from ..engine.compile import CompiledRule, compile_rule
-from ..engine.domain import Domain, engine_relations, intern_plan
 from ..engine.instrumentation import EvaluationStats
 from ..engine.query import QueryResult, SelectionQuery
 
 
 def _compile_exit_rules(
-    shape: ChainShape, relations, domain: Optional[Domain] = None
+    shape: ChainShape, relations
 ) -> List[Tuple[object, Optional[Value], CompiledRule]]:
     """Compile each exit rule's body once per query instead of once per value.
 
@@ -51,19 +50,14 @@ def _compile_exit_rules(
     the first head argument is a variable it is declared bound so the
     per-value evaluation below probes the body with it, and the match key is
     ``None``.  For a constant first head argument the match key is the value
-    the rule fires at — interned into code space when a ``domain`` is active,
-    like the plan's embedded constants.
+    the rule fires at.
     """
     plans: List[Tuple[object, Optional[Value], CompiledRule]] = []
     for exit_rule in shape.exit_rules:
         head_first = exit_rule.head.args[0]
         bound = (head_first,) if is_variable(head_first) else ()
         plan = compile_rule(exit_rule, relations, bound=bound)
-        match: Optional[Value] = None
-        if not is_variable(head_first):
-            match = domain.intern(head_first.value) if domain is not None else head_first.value
-        if domain is not None:
-            plan = intern_plan(plan, domain)
+        match = None if is_variable(head_first) else head_first.value
         plans.append((head_first, match, plan))
     return plans
 
@@ -181,12 +175,7 @@ def counting_query(
     constant = bindings[0]
     shape = detect_chain_shape(program, query.predicate)
 
-    # The descent/ascent runs over the interned value domain like the
-    # fixpoint engines: relations and the query constant are encoded once,
-    # every semijoin hashes codes, and the answers are decoded at the end.
-    domain, relations = engine_relations(program, database)
-    if domain is not None:
-        constant = domain.intern(constant)
+    relations = {relation.name: relation for relation in database.relations()}
     up = relations.get(shape.up_predicate) or Relation(shape.up_predicate, 2)
     down = None
     if shape.down_predicate is not None:
@@ -209,7 +198,7 @@ def counting_query(
 
     # ascend: apply the exit rules at every depth, then walk the down chain back up
     answers: Set[Tuple[Value, ...]] = set()
-    exit_plans = _compile_exit_rules(shape, relations, domain)
+    exit_plans = _compile_exit_rules(shape, relations)
     stats.record_plans_compiled(len(exit_plans))
     for level, values in counting.items():
         if not values:
@@ -224,8 +213,6 @@ def counting_query(
         for value in frontier:
             answers.add((constant, value))
 
-    if domain is not None:
-        answers = {domain.decode_row(row) for row in answers}
     answers = query.select(answers)
     stats.record_produced(len(answers))
     stats.extra["counting_levels"] = len(counting)
@@ -260,9 +247,7 @@ def counting_without_counts_query(
     constant = bindings[0]
 
     stats.start_timer()
-    domain, relations = engine_relations(program, database)
-    if domain is not None:
-        constant = domain.intern(constant)
+    relations = {relation.name: relation for relation in database.relations()}
     up = relations.get(shape.up_predicate) or Relation(shape.up_predicate, 2)
 
     seen: Set[Value] = {constant}
@@ -274,13 +259,11 @@ def counting_without_counts_query(
         stats.record_state(len(seen), len(seen))
 
     answers: Set[Tuple[Value, ...]] = set()
-    exit_plans = _compile_exit_rules(shape, relations, domain)
+    exit_plans = _compile_exit_rules(shape, relations)
     stats.record_plans_compiled(len(exit_plans))
     for value in seen:
         for second in _exit_seconds(exit_plans, relations, value, stats):
             answers.add((constant, second))
-    if domain is not None:
-        answers = {domain.decode_row(row) for row in answers}
     answers = query.select(answers)
     stats.record_produced(len(answers))
     stats.extra["carry_arity"] = 1

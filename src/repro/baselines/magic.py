@@ -23,11 +23,10 @@ rewriting; the benchmarks compare the two on both one-sided and many-sided
 inputs.
 
 The transformed program is handed to :func:`repro.engine.seminaive.seminaive_evaluate`
-unchanged, so the whole magic fixpoint automatically rides the interned
-value domain and the generated join kernels: the seeded database (original
-relations plus the magic seed) is encoded once, every magic/modified rule
-runs as a generated kernel over int rows, and the adorned answer relation
-comes back decoded.
+unchanged, so the whole magic fixpoint rides the generated join kernels: the
+seeded database shares the original relations (only the magic seed is new),
+and every magic/modified rule runs as a generated kernel over the stored
+values, so a query touches only the facts relevant to it.
 """
 
 from __future__ import annotations

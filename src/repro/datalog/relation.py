@@ -17,10 +17,9 @@ Design notes
   instrumentation counters rather than hidden inside a full scan.
 * Single-column indexes store their keys *unwrapped* — the bare column value
   instead of a one-element tuple — so the overwhelmingly common one-bound-
-  column probe of a compiled join allocates no key tuple at all.  The
-  interned value domain (:mod:`repro.engine.domain`) makes those keys plain
-  machine ints, which is what lets the generated join kernels run each probe
-  as a single dict lookup.
+  column probe of a compiled join allocates no key tuple at all, which is
+  what lets the generated join kernels run each probe as a single dict
+  lookup.
 * A probe that binds *every* column is row-set membership, so no index is
   materialized for it: such a signature is answered from ``_rows`` behind
   the same ``.get`` an index dict offers (an all-columns index would be one
@@ -336,8 +335,8 @@ class Relation:
     def from_valid_rows(cls, name: str, arity: int, rows: Set[Row]) -> "Relation":
         """Adopt a set of already-validated tuples without per-row checks.
 
-        Engine fast path (the interned-domain codec and the fixpoint drivers
-        use it): ``rows`` must be a set of fresh tuples of the right arity,
+        Engine fast path (the storage row codec and the query drivers use
+        it): ``rows`` must be a set of fresh tuples of the right arity,
         and the caller must hand over ownership — the set is adopted, not
         copied.
         """

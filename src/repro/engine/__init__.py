@@ -15,7 +15,7 @@ from .cq_eval import (
     evaluate_rule,
     plan_order,
 )
-from .domain import Domain, interning_enabled, interning_mode, set_interning_enabled
+from .domain import Domain
 from .instrumentation import (
     EvaluationStats,
     active_deadline,
@@ -66,8 +66,6 @@ __all__ = [
     "evaluation_deadline",
     "evaluation_strata",
     "group_insert_closure",
-    "interning_enabled",
-    "interning_mode",
     "join",
     "kernel_mode",
     "kernels_enabled",
@@ -84,7 +82,6 @@ __all__ = [
     "seminaive_evaluate",
     "seminaive_query",
     "set_columnar_enabled",
-    "set_interning_enabled",
     "set_kernels_enabled",
     "strongly_connected_components",
     "union",

@@ -8,7 +8,7 @@ the same join key.  This module removes that waste by executing whole delta
 rounds *set-at-a-time*:
 
 * a :class:`ColumnStore` holds a relation as one ``array('q')`` per column
-  (over interned int codes; plain lists when values are not ints), with
+  when its values are machine ints (plain lists otherwise), with
   hash-partition views and sorted runs built lazily per join key — the
   columnar analogue of :class:`~repro.datalog.relation.Relation`'s lazily
   registered indexes;
@@ -52,6 +52,7 @@ workloads far too small to profit from it.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from bisect import bisect_left
 from itertools import repeat
@@ -107,9 +108,9 @@ def columnar_mode(enabled):
 class ColumnStore:
     """A relation decomposed into per-column value vectors.
 
-    Columns are ``array('q')`` when every value is a machine int (the engine's
-    interned representation) and plain lists otherwise, so the store works on
-    raw user values too.  Like :class:`Relation`'s row indexes, the join-key
+    Columns are ``array('q')`` when every value is a machine int and plain
+    lists otherwise, so the store works on any stored values.  Like
+    :class:`Relation`'s row indexes, the join-key
     access paths are built lazily and cached per column:
 
     * :meth:`hash_view` — ``key → [row indices]`` hash partitions;
@@ -350,8 +351,9 @@ def wcoj_eligible(plan, relations) -> Optional[Tuple[Relation, ...]]:
       repeated within an atom, no compile-time bindings, producible head;
     * the body hypergraph is cyclic (:func:`is_cyclic`) — acyclic bodies are
       handled optimally by the existing bound-first binary plans;
-    * every body relation resolves and stores only machine ints (codes), so
-      sorted runs are well ordered.
+    * every body relation resolves and they all store values of one type,
+      ``int`` or ``str`` (:func:`relation_value_type`), so sorted runs are
+      totally ordered.
     """
     if not plan.producible or plan.initial_slots or len(plan.steps) < 3:
         return None
@@ -371,11 +373,38 @@ def wcoj_eligible(plan, relations) -> Optional[Tuple[Relation, ...]]:
         if relation is None:
             return None
         resolved.append(relation)
-    from .domain import _relation_int_only
-
-    if not all(_relation_int_only(relation) for relation in resolved):
+    value_type = relation_value_type(resolved[0])
+    if value_type is None or any(
+        relation_value_type(relation) is not value_type for relation in resolved[1:]
+    ):
         return None
     return tuple(resolved)
+
+
+#: relation → (mutation version at scan time, verdict).  Memoizes the
+#: :func:`relation_value_type` scan so repeated evaluations over the same
+#: relations pay it once.  Keyed on the relation's ``version`` counter, so
+#: *every* effective mutation invalidates — including len-preserving ones;
+#: weak keys let dropped relations leave the cache.
+_value_type_cache: "weakref.WeakKeyDictionary[Relation, tuple]" = weakref.WeakKeyDictionary()
+
+
+def relation_value_type(relation: Relation) -> Optional[type]:
+    """``int`` or ``str`` when every stored value is exactly that type, else ``None``.
+
+    The two types whose values are totally ordered among themselves, which is
+    all a sorted run needs.  An empty relation counts as ``int``.
+    """
+    cached = _value_type_cache.get(relation)
+    version = relation.version
+    if cached is not None and cached[0] == version:
+        return cached[1]
+    values = (value for row in relation.rows() for value in row)
+    verdict: Optional[type] = type(next(values, 0))
+    if verdict not in (int, str) or not all(type(value) is verdict for value in values):
+        verdict = None
+    _value_type_cache[relation] = (version, verdict)
+    return verdict
 
 
 def _build_trie(relation: Relation, positions: Sequence[int]):
@@ -901,11 +930,13 @@ class _GroupExecutor:
                 )
         for predicate in group:
             if touched[predicate]:
+                # the partitions were seeded from ``derived`` and only grew:
+                # the relation adopts their rows, built once on the way out
                 rows: Set[Row] = set()
                 update = rows.update
                 for key, values in self.derived_parts[predicate].items():
                     update(zip(repeat(key), values))
-                self.derived[predicate].union_update(rows)
+                self.derived[predicate].replace_rows(rows)
 
     def _run_plan(self, bp: _BatchPlan, stats, count: bool = True) -> Tuple[Dict, int]:
         """One plan application over its current delta: ``(out, produced)``.

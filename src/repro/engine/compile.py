@@ -341,12 +341,16 @@ class CompiledRule:
         }
 
     def _prepared(
-        self, relations: RelationMap, use_kernels: bool, profile
+        self,
+        relations: RelationMap,
+        use_kernels: bool,
+        profile,
+        overrides: Optional[Mapping[int, Relation]] = None,
     ) -> Callable[[Tuple[Value, ...], Optional[EvaluationStats]], Set[Row]]:
         """One plan's share of :func:`prepare`."""
         if not self.producible:
             return lambda initial, stats: set()
-        resolved = self._resolve(relations, None) if use_kernels else None
+        resolved = self._resolve(relations, overrides) if use_kernels else None
         if resolved is not None:
             dispatch, detail = "kernel", ""
             run = partial(self._kernel(True), resolved)
@@ -355,7 +359,7 @@ class CompiledRule:
             detail = "unresolved body relation" if use_kernels else ""
 
             def run(initial, stats):
-                return self._project(self._join_interpreted(relations, stats, None, initial))
+                return self._project(self._join_interpreted(relations, stats, overrides, initial))
 
         if profile is None:
             return run
@@ -470,20 +474,29 @@ def compile_rule(
 
 
 def prepare(
-    plans: Iterable[CompiledRule], relations: RelationMap
+    plans: Iterable[CompiledRule],
+    relations: RelationMap,
+    overrides: Optional[Mapping[CompiledRule, Mapping[int, Relation]]] = None,
 ) -> Dict[CompiledRule, Callable[[Tuple[Value, ...], Optional[EvaluationStats]], Set[Row]]]:
     """:meth:`CompiledRule.evaluate` with the dispatch decided once, for plans applied many times.
 
     Reads the kernel switch and the profile channel once and resolves each
     plan's body relations once; ``runs[plan](initial, stats)`` is then the head
     tuples under the ``bound`` slots ``initial`` — one kernel call, or one
-    interpreted join when kernels are off or a body relation is missing.  The
+    interpreted join when kernels are off or a body relation is missing.
+    ``overrides`` gives a plan its body-atom replacements (the semi-naive delta
+    of a delta variant), as :meth:`CompiledRule.evaluate` takes them.  The
     relation *objects* must not change while the runs are in use (their rows
-    may); produced-tuple accounting is left to the caller.
+    may); produced-tuple accounting is left to the caller, and each run
+    returns a set of its own that the caller may keep or change.
     """
     use_kernels = kernels_enabled()
     profile = active_profile()
-    return {plan: plan._prepared(relations, use_kernels, profile) for plan in plans}
+    overrides = overrides or {}
+    return {
+        plan: plan._prepared(relations, use_kernels, profile, overrides.get(plan))
+        for plan in plans
+    }
 
 
 class PlanCache:

@@ -1,9 +1,9 @@
 """Engine feature flags — the shared env-var/override machinery.
 
-Every engine fast path ships behind the same three-part switch:
+Both engine fast paths ship behind the same three-part switch:
 
-* an environment variable (``REPRO_KERNELS``, ``REPRO_INTERN``,
-  ``REPRO_COLUMNAR``) that turns the path off for a whole process
+* an environment variable (``REPRO_KERNELS``, ``REPRO_COLUMNAR``) that turns
+  the path off for a whole process
   (``off``/``0``/``false``/``no``/``disabled``);
 * a tri-state programmatic override (``set_*_enabled``) where ``None``
   restores the environment variable's verdict; and
@@ -11,9 +11,9 @@ Every engine fast path ships behind the same three-part switch:
   restores the previous override on exit — the differential harness's hook
   for pinning each execution mode.
 
-:class:`EngineFlag` implements that contract once; :mod:`repro.engine.kernels`,
-:mod:`repro.engine.domain` and :mod:`repro.engine.columnar` each instantiate
-it and re-export their historical function names on top.
+:class:`EngineFlag` implements that contract once; :mod:`repro.engine.kernels`
+and :mod:`repro.engine.columnar` each instantiate it and re-export their
+historical function names on top.
 
 Beyond on/off, a flag can carry a *forcing* state (``force``/``always``).
 The columnar engine uses it: ``on`` means "batch execution where the adaptive

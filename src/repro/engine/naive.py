@@ -15,8 +15,8 @@ from ..datalog.database import Database
 from ..datalog.relation import Relation
 from ..datalog.rules import Program
 from .compile import compile_program_rules
-from .domain import engine_relations, intern_plans
 from .instrumentation import EvaluationStats
+from .seminaive import seed_derived
 from .strata import evaluation_strata, group_is_recursive
 
 
@@ -28,28 +28,19 @@ def naive_evaluate(
     """Compute the minimal model's IDB relations by naive iteration.
 
     Returns a map from IDB predicate name to its derived relation.  The input
-    database is not modified.  Like semi-naive evaluation, the iteration runs
-    over the interned value domain (decoded at return) unless
-    ``REPRO_INTERN=off``.
+    database is not modified.
     """
     stats = stats if stats is not None else EvaluationStats()
     stats.start_timer()
 
-    domain, relations = engine_relations(program, database)
-    derived: Dict[str, Relation] = {}
-    for predicate in program.idb_predicates():
-        arity = program.arity_of(predicate)
-        derived[predicate] = Relation(predicate, arity)
-        # IDB relations shadow same-named EDB relations during evaluation,
-        # but pre-existing tuples (if any) are kept as seed facts.
-        if predicate in relations:
-            derived[predicate].union_update(relations[predicate].rows())
-        relations[predicate] = derived[predicate]
+    # IDB relations shadow same-named EDB relations during evaluation, but
+    # pre-existing tuples (if any) are kept as seed facts.
+    relations, derived = seed_derived(program, database)
 
     for group in evaluation_strata(program):
         rules = [rule for predicate in group for rule in program.rules_for(predicate)]
         # Plans are compiled once per stratum and reused by every iteration.
-        plans = intern_plans(compile_program_rules(rules, relations), domain)
+        plans = compile_program_rules(rules, relations)
         stats.record_plans_compiled(len(plans))
         recursive_group = group_is_recursive(program, group)
         while True:
@@ -69,8 +60,6 @@ def naive_evaluate(
             if not changed or not recursive_group:
                 break
 
-    if domain is not None:
-        derived = {p: domain.decode_relation(r) for p, r in derived.items()}
     stats.stop_timer()
     return derived
 

@@ -14,11 +14,9 @@ optimizer's rewrite provenance on the returned :class:`QueryResult`.
 
 Whatever strategy is picked, the joins underneath run on the engine's fast
 runtime: compiled plans evaluate through generated kernels
-(:mod:`repro.engine.kernels`, ``REPRO_KERNELS=off`` to disable) and the
-fixpoint strategies evaluate over the interned value domain
-(:mod:`repro.engine.domain`, ``REPRO_INTERN=off``), with every answer set
-decoded back to the caller's original values before it reaches a
-:class:`QueryResult`.
+(:mod:`repro.engine.kernels`, ``REPRO_KERNELS=off`` to disable), and every
+strategy joins over the database's stored values as they are, so the answers
+in a :class:`QueryResult` are the caller's own values.
 """
 
 from __future__ import annotations

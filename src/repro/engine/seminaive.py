@@ -6,13 +6,11 @@ consequences of the *delta* (tuples new in the previous iteration), so no
 derivation is repeated.  It is complete for arbitrary positive Datalog and is
 the evaluator used underneath the magic-sets and counting baselines.
 
-The fixpoint itself runs on the interned value domain
-(:mod:`repro.engine.domain`): the stored relations are encoded to int rows
-on entry, rule constants are interned into the compiled plans, every delta
-round hashes machine ints, and the derived relations are decoded back to
-user values on exit — so callers (and the magic/counting baselines and the
-incremental registry riding this module) never see a code.  ``REPRO_INTERN=off``
-evaluates directly over the user values instead.
+The fixpoint reads the database's own relations and joins over the stored
+values as they are: nothing is re-encoded on the way in or decoded on the way
+out, the relations handed back are the ones the fixpoint built, and the probe
+indexes the joins register stay on the caller's relations for the next
+evaluation (rows and ``version`` untouched).
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ from ..datalog.database import Database
 from ..datalog.relation import Relation, Row
 from ..datalog.rules import Program
 from .columnar import build_group_executor, columnar_enabled, columnar_forced
-from .compile import PlanCache, compile_delta_variants, compile_program_rules
-from .domain import Domain, engine_relations, intern_plan, intern_plans
+from .compile import PlanCache, compile_delta_variants, compile_program_rules, prepare
 from .instrumentation import EvaluationStats, active_profile
 from .strata import cached_evaluation_strata, evaluation_strata, group_is_recursive
 
@@ -36,6 +33,24 @@ DECISION_NO_TEMPLATE = "no-batch-template"
 DECISION_FORCED = "forced"
 DECISION_PROFITABLE = "score>=threshold"
 DECISION_UNPROFITABLE = "score<threshold"
+
+
+def seed_derived(
+    program: Program, database: Database
+) -> Tuple[Dict[str, Relation], Dict[str, Relation]]:
+    """``(relations, derived)`` at the start of a from-scratch fixpoint.
+
+    ``derived`` holds one fresh relation per IDB predicate, seeded with a copy
+    of any base facts stored under the predicate's own name; ``relations``
+    reads those for the IDB predicates and the database's own relations for
+    everything else.
+    """
+    derived: Dict[str, Relation] = {}
+    for predicate in program.idb_predicates():
+        derived[predicate] = Relation(predicate, program.arity_of(predicate))
+        if database.has_relation(predicate):
+            derived[predicate].union_update(database.relation(predicate).rows())
+    return overlay_relations(database, derived), derived
 
 
 def seminaive_evaluate(
@@ -50,21 +65,9 @@ def seminaive_evaluate(
     """
     stats = stats if stats is not None else EvaluationStats()
     stats.start_timer()
-
-    domain, relations = engine_relations(program, database)
-    derived: Dict[str, Relation] = {}
-    for predicate in program.idb_predicates():
-        arity = program.arity_of(predicate)
-        derived[predicate] = Relation(predicate, arity)
-        if predicate in relations:
-            derived[predicate].union_update(relations[predicate].rows())
-        relations[predicate] = derived[predicate]
-
+    relations, derived = seed_derived(program, database)
     for stratum, group in enumerate(evaluation_strata(program)):
-        _evaluate_group(program, group, relations, derived, stats, domain, stratum)
-
-    if domain is not None:
-        derived = {p: domain.decode_relation(r) for p, r in derived.items()}
+        _evaluate_group(program, group, relations, derived, stats, stratum)
     stats.stop_timer()
     return derived
 
@@ -75,7 +78,6 @@ def _evaluate_group(
     relations: Dict[str, Relation],
     derived: Dict[str, Relation],
     stats: EvaluationStats,
-    domain: Optional[Domain] = None,
     stratum: int = 0,
 ) -> None:
     """Evaluate one stratum (a set of mutually recursive predicates) to fixpoint."""
@@ -86,17 +88,14 @@ def _evaluate_group(
     rules = [rule for predicate in group for rule in program.rules_for(predicate)]
     recursive_rules = [rule for rule in rules if any(p in group_set for p in rule.body_predicates())]
     base_rules = [rule for rule in rules if rule not in recursive_rules]
-    base_plans = intern_plans(compile_program_rules(base_rules, relations), domain)
+    base_plans = compile_program_rules(base_rules, relations)
     stats.record_plans_compiled(len(base_plans))
 
-    # The deltas are persistent, double-buffered relations: ``current`` holds
-    # the tuples new in the previous iteration, ``spare`` collects this
-    # iteration's discoveries.  At the end of an iteration the buffers swap
-    # and the stale one is cleared — its lazily-built indexes keep their
-    # registered column-sets, so delta joins in later iterations are
-    # maintained incrementally instead of being rebuilt from row sets.
+    # One delta relation per group predicate for the whole stratum: it holds
+    # the tuples new in the previous iteration and takes over each round's
+    # discoveries at the round boundary, so the delta variants resolve it once
+    # and a join that probes it keeps its registered index.
     current: Dict[str, Relation] = {p: Relation(f"delta_{p}", derived[p].arity) for p in group}
-    spare: Dict[str, Relation] = {p: Relation(f"delta_{p}", derived[p].arity) for p in group}
 
     # Initialisation: pre-existing facts for the group's predicates (e.g. a
     # magic seed placed in the database) count as freshly derived, then the
@@ -120,13 +119,7 @@ def _evaluate_group(
     # rule body, reused verbatim by every delta iteration below.
     delta_plans = []
     for rule in recursive_rules:
-        variants = compile_delta_variants(rule, group_set, relations)
-        if domain is not None:
-            variants = [
-                (predicate, occurrence, intern_plan(plan, domain))
-                for predicate, occurrence, plan in variants
-            ]
-        delta_plans.extend(variants)
+        delta_plans.extend(compile_delta_variants(rule, group_set, relations))
     stats.record_plans_compiled(len(delta_plans))
 
     # Columnar batch execution: when every delta variant fits a vectorizable
@@ -159,7 +152,16 @@ def _evaluate_group(
     elif profile is not None:
         profile.record_group(stratum, group, "kernel-loop", detail=DECISION_COLUMNAR_OFF)
 
-    # Iterate: apply recursive rules to the deltas only.
+    # Iterate: apply recursive rules to the deltas only.  The dispatch (kernel
+    # or interpreted join, which relations) is decided here, once.
+    runs = prepare(
+        (plan for _predicate, _occurrence, plan in delta_plans),
+        relations,
+        overrides={plan: {occurrence: current[p]} for p, occurrence, plan in delta_plans},
+    )
+    steps = [
+        (current[p], plan.rule.head.predicate, runs[plan]) for p, _occurrence, plan in delta_plans
+    ]
     iteration = 0
     while any(not current[p].is_empty() for p in group):
         stats.record_iteration()
@@ -171,23 +173,22 @@ def _evaluate_group(
         if profile is not None:
             iteration += 1
             iteration_started = _perf()
-        for delta_predicate, occurrence, plan in delta_plans:
-            delta_relation = current[delta_predicate]
+        fresh: Dict[str, Set[Row]] = {}
+        for delta_relation, head, run in steps:
             if delta_relation.is_empty():
                 continue
-            head = plan.rule.head.predicate
-            produced = plan.evaluate(relations, stats=stats, overrides={occurrence: delta_relation})
-            new_rows = produced - derived[head].rows()
-            if new_rows:
-                spare[head].union_update(new_rows)
+            produced = run((), stats)
+            stats.record_produced(len(produced))
+            produced -= derived[head].rows()
+            if head in fresh:
+                fresh[head] |= produced
+            else:
+                fresh[head] = produced
         for predicate in group:
-            added = derived[predicate].union_update(spare[predicate].rows())
-            if added:
-                stats.record_produced(added)
-            stale = current[predicate]
-            stale.clear()
-            current[predicate] = spare[predicate]
-            spare[predicate] = stale
+            rows = fresh.get(predicate) or set()
+            if rows:
+                stats.record_produced(derived[predicate].union_update(rows))
+            current[predicate].replace_rows(rows)
         if profile is not None:
             profile.record_iteration(
                 stratum, iteration, delta_total, _perf() - iteration_started
@@ -323,10 +324,8 @@ def propagate_insertions(
     the fixpoint uses across iterations, reused across *time*.
 
     Maintenance joins run through the generated kernels like every other
-    compiled-plan evaluation, but over the *user-value* materialized
-    relations rather than an interned encoding: the view's rows live across
-    updates and are served to queries directly, so there is no single
-    evaluation boundary at which codes could be decoded.
+    compiled-plan evaluation, over the materialized relations the view
+    serves to queries directly.
     """
     stats = stats if stats is not None else EvaluationStats()
     cache = cache if cache is not None else PlanCache()

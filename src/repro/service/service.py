@@ -553,7 +553,6 @@ class DatalogService:
     def _status_report(self) -> Dict[str, object]:
         """The ``/statusz`` payload: the three stats dicts + epoch + flags."""
         from ..engine.columnar import COLUMNAR_FLAG
-        from ..engine.domain import INTERN_FLAG
         from ..engine.kernels import KERNELS_FLAG
 
         storage_stats = self.storage_stats
@@ -572,10 +571,7 @@ class DatalogService:
             "service": self.stats.as_dict(),
             "storage": storage_stats.as_dict() if storage_stats is not None else None,
             "engine": self._engine_bridge.totals.as_dict(),
-            "flags": {
-                flag.env_var: flag.state()
-                for flag in (KERNELS_FLAG, INTERN_FLAG, COLUMNAR_FLAG)
-            },
+            "flags": {flag.env_var: flag.state() for flag in (KERNELS_FLAG, COLUMNAR_FLAG)},
             "tracing": {
                 "spans_recorded": self.tracer.spans_recorded,
                 "slow_spans_recorded": self.tracer.slow_spans_recorded,

@@ -18,15 +18,14 @@ tuple:
   case; whatever strategy it picks must reproduce the reference answers;
 * **interpreted / kernel / columnar** — semi-naive evaluation re-run with
   the engine runtime pinned to each of its execution modes: the interpreted
-  step machine (``REPRO_KERNELS=off`` + ``REPRO_INTERN=off``), generated
-  kernels over raw values, generated kernels over the interned value domain
-  (the default), and the columnar batch executor forced on
-  (``REPRO_COLUMNAR=force``) so it runs even on workloads the adaptive
-  planner would hand back to the kernels.  All modes must produce identical
-  IDB relations tuple for tuple, *and* the :class:`EvaluationStats` totals
-  of the pinned modes must match exactly — the batch executor reproduces
-  the interpreted engine's instrumentation contract, not just its model —
-  which is what licenses shipping the fast paths as the default runtime.
+  step machine (``REPRO_KERNELS=off``), generated kernels (the default), and
+  the columnar batch executor forced on (``REPRO_COLUMNAR=force``) so it
+  runs even on workloads the adaptive planner would hand back to the
+  kernels.  All modes must produce identical IDB relations tuple for tuple,
+  *and* the :class:`EvaluationStats` totals of the pinned modes must match
+  exactly — the batch executor reproduces the interpreted engine's
+  instrumentation contract, not just its model — which is what licenses
+  shipping the fast paths as the default runtime.
   Each pinned run also rides with an armed EXPLAIN ANALYZE recorder
   (:class:`repro.obs.profile.ProfileRecorder`): the resulting profile must
   report the same stats totals, and its dispatch provenance (kernel vs.
@@ -47,7 +46,6 @@ from ..baselines.magic import magic_query
 from ..datalog.errors import EvaluationError
 from ..datalog.relation import Row
 from ..engine.columnar import columnar_mode
-from ..engine.domain import interning_mode
 from ..engine.instrumentation import EvaluationStats, query_trace
 from ..engine.kernels import kernel_mode
 from ..engine.naive import naive_evaluate
@@ -181,21 +179,20 @@ def run_differential(case: DifferentialCase) -> DifferentialReport:
 
     # The engine runtime's execution modes must agree with the default run
     # above (whatever mode the process runs under): interpreted step machine,
-    # kernels over raw values, kernels over the interned domain, and the
-    # columnar batch executor forced past the adaptive planner.  Beyond the
-    # tuple-for-tuple model check, the pinned modes' instrumentation totals
+    # generated kernels, and the columnar batch executor forced past the
+    # adaptive planner.  Beyond the tuple-for-tuple model check, the pinned
+    # modes' instrumentation totals
     # must be identical — the fast paths reproduce the interpreted engine's
     # accounting, so a drifting counter is a bug even when the model agrees.
     mode_stats: Dict[str, Dict[str, float]] = {}
-    for engine, kernels, interning, columnar in (
-        ("interpreted", False, False, False),
-        ("kernel", True, False, False),
-        ("interned", True, True, False),
-        ("columnar", True, True, "force"),
+    for engine, kernels, columnar in (
+        ("interpreted", False, False),
+        ("kernel", True, False),
+        ("columnar", True, "force"),
     ):
         stats = EvaluationStats()
         recorder = ProfileRecorder(str(query), trace_id=f"diff-{engine}-{case.name}")
-        with kernel_mode(kernels), interning_mode(interning), columnar_mode(columnar):
+        with kernel_mode(kernels), columnar_mode(columnar):
             # arm the EXPLAIN ANALYZE recorder around the same evaluation the
             # tuple/stats checks use: the profile must be a faithful account
             # of the run it rode along with, not a separate re-execution

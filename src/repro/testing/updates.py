@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..datalog.relation import Row
-from ..engine.domain import interning_mode
 from ..engine.kernels import kernel_mode
 from ..engine.seminaive import seminaive_evaluate
 from ..incremental.session import Session
@@ -159,7 +158,7 @@ def run_update_sequence(case: UpdateSequenceCase) -> UpdateSequenceReport:
     After the whole stream, the final view state (maintained through
     generated kernels) is additionally checked against a recomputation with
     the engine runtime pinned to the interpreted step machine — the update
-    families' leg of the interpreted == kernel == interned assertion.
+    families' leg of the interpreted == kernel assertion.
     """
     report = UpdateSequenceReport(case)
     session = Session(case.base.program, case.base.database.copy())
@@ -174,7 +173,7 @@ def run_update_sequence(case: UpdateSequenceCase) -> UpdateSequenceReport:
             session.delete(step.relation, list(step.rows))
         _check_state(session, case, f"step {index} ({step})", report)
     if not report.mismatches:
-        with kernel_mode(False), interning_mode(False):
+        with kernel_mode(False):
             interpreted = seminaive_evaluate(case.base.program, session.database)
         view = session.view.derived
         for predicate in sorted(set(interpreted) | set(view)):

@@ -21,8 +21,9 @@ from array import array
 import pytest
 
 from repro.datalog.atoms import Atom
+from repro.datalog.database import Database
 from repro.datalog.relation import Relation
-from repro.datalog.rules import Rule
+from repro.datalog.rules import Program, Rule
 from repro.datalog.terms import Variable
 from repro.engine import (
     ColumnStore,
@@ -30,10 +31,10 @@ from repro.engine import (
     columnar_enabled,
     columnar_mode,
     compile_rule,
-    interning_mode,
     kernel_mode,
     seminaive_evaluate,
 )
+from repro.engine.instrumentation import query_trace
 from repro.engine.columnar import (
     batch_hash_join,
     columnar_forced,
@@ -44,6 +45,7 @@ from repro.engine.columnar import (
     set_columnar_enabled,
     wcoj_eligible,
 )
+from repro.obs.profile import ProfileRecorder
 from repro.testing import generate_case
 from repro.workloads import (
     ALL_CANONICAL,
@@ -264,13 +266,79 @@ class TestLeapfrogJoin:
         plan = compile_rule(rule, relations)
         assert wcoj_eligible(plan, relations) is None
 
-    def test_non_int_relations_are_not_eligible(self):
+    def test_string_relations_take_the_leapfrog_join(self):
         relations = {"e": Relation("e", 2, [("a", "b"), ("b", "c"), ("c", "a")])}
         plan = compile_rule(triangle_rule(), relations)
-        assert wcoj_eligible(plan, relations) is None
-        # but evaluation still works (falls back to the binary plans)
+        assert wcoj_eligible(plan, relations) is not None
         with columnar_mode(True):
             assert plan.evaluate(relations) == {("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b")}
+
+
+def star_rule() -> Rule:
+    return Rule(
+        Atom("tri", (X, Y, Z)),
+        (Atom("e", (X, Y)), Atom("f", (Y, Z)), Atom("g", (Z, X))),
+    )
+
+
+def star_relations(n: int, rename=lambda node: node) -> dict:
+    """``e``, ``f``, ``g`` each holding a star around hub 0 — ``n`` spokes each
+    way — and one cycle over three spokes, so some triangles close."""
+    edges = {(0, i) for i in range(1, n)} | {(i, 0) for i in range(1, n)}
+    edges |= {(1, 2), (2, 3), (3, 1)}
+    rows = [(rename(source), rename(target)) for source, target in edges]
+    return {name: Relation(name, 2, rows) for name in "efg"}
+
+
+def evaluate_profiled(relations, columnar=True):
+    """``(tri rows, stats, plan dispatches)`` of the star program's fixpoint."""
+    stats = EvaluationStats()
+    recorder = ProfileRecorder("tri(X, Y, Z)?", trace_id="leapfrog-test")
+    database = Database(relations.values())
+    with columnar_mode(columnar), query_trace(recorder.trace_id, recorder):
+        derived = seminaive_evaluate(Program.of(star_rule()), database, stats)
+    return derived["tri"].rows(), stats, {entry.dispatch for entry in recorder.plans}
+
+
+class TestLeapfrogOnStoredValues:
+    """Sorted runs need a total order, not ints: one type per body, ``int`` or ``str``."""
+
+    @staticmethod
+    def as_string(node: int) -> str:
+        return f"n{node:05d}"  # order-preserving: zero-padded
+
+    def test_string_star_dispatches_leapfrog_with_the_int_renaming_counts(self):
+        examined = []
+        for n in (100, 200):
+            by_type = {}
+            for label, rename in (("int", lambda node: node), ("str", self.as_string)):
+                relations = star_relations(n, rename)
+                result, stats, dispatches = evaluate_profiled(relations)
+                assert dispatches == {"leapfrog"}, label
+                binary, binary_stats, _ = evaluate_profiled(relations, columnar=False)
+                assert binary == result and len(result) == 12, label
+                assert binary_stats.tuples_examined > n * n
+                by_type[label] = (stats.tuples_examined, stats.lookups)
+            assert by_type["str"] == by_type["int"]
+            examined.append(by_type["str"][0])
+        # linear in n where the binary plan's spoke-pair intermediate is quadratic
+        assert examined[1] <= examined[0] * 2.5
+        assert examined[1] < 200 * 10
+
+    def test_mixed_types_fall_back_to_the_binary_plan(self):
+        ints = star_relations(20)
+        strings = star_relations(20, self.as_string)
+        two_typed_body = {"e": ints["e"], "f": ints["f"], "g": strings["g"]}
+        two_typed_relation = dict(ints)
+        two_typed_relation["g"] = Relation("g", 2, [*ints["g"].rows(), ("x", 0), (0, "x")])
+        for relations in (two_typed_body, two_typed_relation):
+            result, _stats, dispatches = evaluate_profiled(relations)
+            assert dispatches == {"kernel"}
+            # the 12 int triangles survive a few stray string rows; no value
+            # of ``g`` joins when it holds strings only
+            assert len(result) == (0 if relations is two_typed_body else 12)
+            with kernel_mode(False):
+                assert evaluate_profiled(relations, columnar=False)[0] == result
 
 
 class TestColumnarFlag:
@@ -306,7 +374,7 @@ def evaluate_modes(program, database):
     outcomes = {}
     for label, columnar in (("kernel", False), ("forced", "force"), ("adaptive", True)):
         stats = EvaluationStats()
-        with kernel_mode(True), interning_mode(True), columnar_mode(columnar):
+        with kernel_mode(True), columnar_mode(columnar):
             derived = seminaive_evaluate(program, database, stats)
         outcomes[label] = (
             {name: relation.rows() for name, relation in derived.items()},
@@ -351,9 +419,9 @@ class TestWholeEvaluationParity:
         database = edge_database(layered_dag(4, 5, 2, seed=9))
         interpreted_stats = EvaluationStats()
         columnar_stats = EvaluationStats()
-        with kernel_mode(False), interning_mode(False), columnar_mode(False):
+        with kernel_mode(False), columnar_mode(False):
             interpreted = seminaive_evaluate(program, database, interpreted_stats)
-        with kernel_mode(True), interning_mode(True), columnar_mode("force"):
+        with kernel_mode(True), columnar_mode("force"):
             columnar = seminaive_evaluate(program, database, columnar_stats)
         assert {n: r.rows() for n, r in interpreted.items()} == {
             n: r.rows() for n, r in columnar.items()

@@ -84,7 +84,7 @@ def test_batch_covers_every_family_and_engine():
     # the engine runtime's execution modes run (and must agree) on every case
     assert coverage["interpreted"] == SEED_COUNT
     assert coverage["kernel"] == SEED_COUNT
-    assert coverage["interned"] == SEED_COUNT
+    assert coverage["columnar"] == SEED_COUNT
 
 
 def test_unfolding_actually_fires_on_bounded_cases():

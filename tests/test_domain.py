@@ -1,20 +1,32 @@
-"""The interned value domain: round-trips, boundaries, and engine wiring."""
+"""The storage dictionary, and the engines' stored-value boundary.
+
+The fixpoint engines evaluate over the database's own relations: nothing is
+re-encoded on the way in or decoded on the way out.  What the deleted codec
+guaranteed is pinned here by counts instead: string ids cost exactly what int
+ids cost, the relations handed back are the ones the fixpoint built, a round
+reads no flag, and the caller's database is left as it was.
+"""
 
 from __future__ import annotations
 
-from repro import Database, Session, parse_program
+import pytest
+
+from repro import Database, Session, magic_query, parse_program
 from repro.datalog.relation import Relation
 from repro.engine import (
     EvaluationStats,
-    interning_enabled,
-    interning_mode,
+    SelectionQuery,
+    columnar_mode,
+    kernel_mode,
     naive_evaluate,
+    seminaive,
     seminaive_evaluate,
 )
-from repro.engine.domain import Domain, domain_for, intern_plan
-from repro.engine.compile import compile_rule
-from repro.datalog.atoms import Atom
-from repro.datalog.rules import Rule
+from repro.engine.columnar import relation_value_type
+from repro.engine.domain import Domain
+from repro.engine.flags import EngineFlag
+from repro.testing import generate_case
+from repro.workloads import chain, edge_database, layered_dag, uniform_tree
 
 PROGRAM = parse_program(
     """
@@ -22,6 +34,26 @@ PROGRAM = parse_program(
     t(X, Y) :- b(X, Y).
     """
 )
+
+#: the three execution modes: (kernels, columnar)
+MODES = {"kernel": (True, False), "columnar": (True, "force"), "interpreted": (False, False)}
+
+
+def counters(stats: EvaluationStats) -> dict:
+    values = stats.as_dict()
+    values.pop("elapsed_seconds", None)
+    return values
+
+
+def renamed(database: Database, rename) -> Database:
+    return Database(
+        Relation(r.name, r.arity, [tuple(rename(value) for value in row) for row in r.rows()])
+        for r in database.relations()
+    )
+
+
+def state_of(database: Database) -> dict:
+    return {r.name: (set(r.rows()), r.version) for r in database.relations()}
 
 
 class TestDomainRoundTrip:
@@ -36,22 +68,6 @@ class TestDomainRoundTrip:
         for value, code in zip(values, codes):
             assert domain.decode(code) == value
             assert type(domain.decode(code)) is type(value)
-
-    def test_row_round_trip(self):
-        domain = Domain()
-        row = ("x", 1, 3.5)
-        assert domain.decode_row(domain.intern_row(row)) == row
-
-    def test_relation_round_trip(self):
-        domain = Domain()
-        relation = Relation("r", 2, [("a", 1), ("b", 2), ("a", 2)])
-        encoded = domain.encode_relation(relation)
-        assert encoded.name == "r" and encoded.arity == 2
-        assert all(
-            type(value) is int for row in encoded.rows() for value in row
-        )
-        decoded = domain.decode_relation(encoded)
-        assert decoded.rows() == relation.rows()
 
     def test_python_equality_is_preserved(self):
         # 1 and 1.0 are equal in Python set semantics, so they must share a
@@ -68,41 +84,6 @@ class TestDomainRoundTrip:
         assert len(domain) == 1
 
 
-class TestDomainSelection:
-    def test_all_int_database_skips_interning(self):
-        database = Database.from_dict({"a": [(1, 2)], "b": [(2, 3)]})
-        with interning_mode(True):
-            assert domain_for(PROGRAM, database) is None
-
-    def test_non_int_values_trigger_interning(self):
-        database = Database.from_dict({"a": [(1, 2)], "b": [(2, "goal")]})
-        with interning_mode(True):
-            domain = domain_for(PROGRAM, database)
-        assert isinstance(domain, Domain)
-
-    def test_disabled_interning_returns_none(self):
-        database = Database.from_dict({"a": [("x", "y")], "b": [("y", "z")]})
-        with interning_mode(False):
-            assert not interning_enabled()
-            assert domain_for(PROGRAM, database) is None
-
-
-class TestInternPlan:
-    def test_constants_move_into_code_space(self):
-        domain = Domain()
-        rule = Rule(Atom.of("t", "X", "lit"), (Atom.of("e", "start", "X"),))
-        plan = compile_rule(rule)
-        interned = intern_plan(plan, domain)
-        (position, code), = interned.steps[0].const_cols
-        assert position == 0 and domain.decode(code) == "start"
-        is_const, head_code = interned.head_ops[1]
-        assert is_const and domain.decode(head_code) == "lit"
-        # structure is untouched, so instrumentation counts stay identical
-        assert interned.order == plan.order
-        assert interned.slot_count == plan.slot_count
-        assert interned.steps[0].probe_columns == plan.steps[0].probe_columns
-
-
 class TestEngineBoundary:
     def test_seminaive_returns_original_values(self):
         database = Database.from_dict(
@@ -116,31 +97,15 @@ class TestEngineBoundary:
             type(value) is str for row in derived["t"].rows() for value in row
         )
 
-    def test_interned_matches_uninterned(self):
+    def test_mixed_value_types_evaluate_alike_in_every_engine(self):
         database = Database.from_dict(
             {"a": [("a", "b"), ("b", "c"), ("c", "d")], "b": [("d", 0), ("b", 1.5)]}
         )
-        with interning_mode(True):
-            interned = seminaive_evaluate(PROGRAM, database)
-            interned_naive = naive_evaluate(PROGRAM, database)
-        with interning_mode(False):
-            raw = seminaive_evaluate(PROGRAM, database)
-        assert interned["t"].rows() == raw["t"].rows() == interned_naive["t"].rows()
-
-    def test_counters_identical_with_and_without_interning(self):
-        database = Database.from_dict(
-            {"a": [("a", "b"), ("b", "c")], "b": [("c", "z")]}
-        )
-        with_stats, without_stats = EvaluationStats(), EvaluationStats()
-        with interning_mode(True):
-            seminaive_evaluate(PROGRAM, database, with_stats)
-        with interning_mode(False):
-            seminaive_evaluate(PROGRAM, database, without_stats)
-        with_counts = with_stats.as_dict()
-        without_counts = without_stats.as_dict()
-        with_counts.pop("elapsed_seconds")
-        without_counts.pop("elapsed_seconds")
-        assert with_counts == without_counts
+        expected = naive_evaluate(PROGRAM, database)["t"].rows()
+        assert ("a", 0) in expected and ("a", 1.5) in expected
+        for kernels, columnar in MODES.values():
+            with kernel_mode(kernels), columnar_mode(columnar):
+                assert seminaive_evaluate(PROGRAM, database)["t"].rows() == expected
 
     def test_session_query_returns_original_values(self):
         session = Session(
@@ -154,29 +119,145 @@ class TestEngineBoundary:
         assert ("s", "tail") in session.query("t(s, Y)?").answers
 
 
-class TestIntOnlyVerdictCache:
-    """The memoized all-int scan is keyed on Relation.version, not row count."""
+class TestStringIdsCostWhatIntIdsCost:
+    """Renaming every value changes no answer and no counter."""
+
+    @staticmethod
+    def check(program, database):
+        ids = {value: index for index, value in enumerate(sorted(database.active_domain(), key=repr))}
+        as_int = renamed(database, ids.__getitem__)
+        as_str = renamed(database, lambda value: f"v{ids[value]:06d}")
+        for mode, (kernels, columnar) in MODES.items():
+            int_stats, str_stats = EvaluationStats(), EvaluationStats()
+            before = state_of(as_str)
+            with kernel_mode(kernels), columnar_mode(columnar):
+                int_derived = seminaive_evaluate(program, as_int, int_stats)
+                str_derived = seminaive_evaluate(program, as_str, str_stats)
+            assert counters(str_stats) == counters(int_stats), mode
+            for predicate, relation in int_derived.items():
+                expected = {tuple(f"v{value:06d}" for value in row) for row in relation.rows()}
+                assert str_derived[predicate].rows() == expected, (mode, predicate)
+            assert state_of(as_str) == before, mode  # rows and versions untouched
+
+    @pytest.mark.parametrize("seed", range(84))
+    def test_differential_seeds(self, seed):
+        case = generate_case(seed)
+        self.check(case.program, case.database)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [uniform_tree(2, 6), chain(60), layered_dag(5, 8, 3, seed=1)],
+        ids=["forest", "chain", "layered-dag"],
+    )
+    def test_transitive_closure_shapes(self, edges):
+        self.check(PROGRAM, edge_database(edges))
+
+
+class TestTouchedOnce:
+    """Counts, not timings: what an evaluation builds, reads and leaves behind."""
+
+    STRING_CHAIN = {"a": [(f"n{i}", f"n{i + 1}") for i in range(30)], "b": [("n30", "end")]}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_the_relations_returned_are_the_ones_the_fixpoint_built(self, mode, monkeypatch):
+        adopted_since_last_round = []
+        built = {}
+        record_iteration = EvaluationStats.record_iteration
+        from_valid_rows = Relation.from_valid_rows.__func__
+        evaluate_group = seminaive._evaluate_group
+
+        def counting_record_iteration(stats):
+            adopted_since_last_round.clear()
+            record_iteration(stats)
+
+        def counting_from_valid_rows(cls, name, arity, rows):
+            adopted_since_last_round.append(name)
+            return from_valid_rows(cls, name, arity, rows)
+
+        def watching_evaluate_group(program, group, relations, derived, *rest):
+            evaluate_group(program, group, relations, derived, *rest)
+            built.update({p: (derived[p], derived[p].rows()) for p in group})
+
+        monkeypatch.setattr(EvaluationStats, "record_iteration", counting_record_iteration)
+        monkeypatch.setattr(Relation, "from_valid_rows", classmethod(counting_from_valid_rows))
+        monkeypatch.setattr(seminaive, "_evaluate_group", watching_evaluate_group)
+        kernels, columnar = MODES[mode]
+        with kernel_mode(kernels), columnar_mode(columnar):
+            derived = seminaive_evaluate(PROGRAM, Database.from_dict(self.STRING_CHAIN))
+        assert len(derived["t"]) == 31
+        assert adopted_since_last_round == []
+        for predicate, (relation, rows) in built.items():
+            assert derived[predicate] is relation
+            assert derived[predicate].rows() is rows
+
+    def test_flags_are_read_per_stratum_not_per_round(self, monkeypatch):
+        reads = []
+        state = EngineFlag.state
+
+        def counting_state(flag):
+            reads.append(flag.env_var)
+            return state(flag)
+
+        monkeypatch.setattr(EngineFlag, "state", counting_state)
+        calls = []
+        for length in (50, 400):
+            reads.clear()
+            stats = EvaluationStats()
+            seminaive_evaluate(PROGRAM, edge_database(chain(length)), stats)
+            assert stats.iterations == length + 1
+            calls.append(len(reads))
+        assert calls[0] == calls[1] <= 8
+
+    def test_stored_idb_facts_and_a_magic_seed_leave_the_database_alone(self):
+        database = Database.from_dict(
+            {"a": [("u", "v"), ("v", "w")], "b": [("w", "end")], "t": [("seed", "fact")]}
+        )
+        before = state_of(database)
+        derived = seminaive_evaluate(PROGRAM, database)
+        assert derived["t"].rows() == {
+            ("seed", "fact"), ("w", "end"), ("v", "end"), ("u", "end"),
+        }
+        assert derived["t"] is not database.relation("t")
+        answers = magic_query(PROGRAM, database, SelectionQuery.of("t", 2, {0: "u"})).answers
+        assert answers == {("u", "end")}
+        assert state_of(database) == before
+        assert set(database.names()) == {"a", "b", "t"}  # the magic seed went to an overlay
+
+    def test_a_second_evaluation_finds_the_probe_indexes_of_the_first(self):
+        database = Database.from_dict(self.STRING_CHAIN)
+        with columnar_mode(False):
+            seminaive_evaluate(PROGRAM, database)
+        index = database.relation("a")._indexes[(1,)]
+        with columnar_mode(False):
+            seminaive_evaluate(PROGRAM, database)
+        assert database.relation("a")._indexes[(1,)] is index
+
+
+class TestValueTypeVerdictCache:
+    """The memoized one-type scan is keyed on Relation.version, not row count."""
 
     def test_len_preserving_mutation_flips_the_verdict(self):
-        database = Database.from_dict({"a": [(1, 2)], "b": [(2, 3)]})
-        assert domain_for(PROGRAM, database) is None  # all ints: evaluate raw
-        relation = database.relation("b")
+        relation = Relation("b", 2, [(2, 3)])
+        assert relation_value_type(relation) is int
         relation.discard((2, 3))
-        relation.add((2, "three"))  # same row count, no longer int-only
-        assert domain_for(PROGRAM, database) is not None
+        relation.add((2, "three"))  # same row count, no longer one type
+        assert relation_value_type(relation) is None
 
-    def test_reverting_to_int_only_is_seen_too(self):
-        database = Database.from_dict({"a": [(1, 2)], "b": [(2, "x")]})
-        assert domain_for(PROGRAM, database) is not None
-        relation = database.relation("b")
+    def test_reverting_to_one_type_is_seen_too(self):
+        relation = Relation("b", 2, [(2, "x")])
+        assert relation_value_type(relation) is None
         relation.discard((2, "x"))
-        relation.add((2, 3))
-        assert domain_for(PROGRAM, database) is None
+        relation.add(("two", "x"))
+        assert relation_value_type(relation) is str
 
     def test_unmutated_relations_reuse_the_cached_verdict(self):
-        database = Database.from_dict({"a": [(1, 2)], "b": [(2, 3)]})
-        relation = database.relation("a")
+        relation = Relation("a", 2, [(1, 2)])
         before = relation.version
-        assert domain_for(PROGRAM, database) is None
-        assert domain_for(PROGRAM, database) is None
+        assert relation_value_type(relation) is int
+        assert relation_value_type(relation) is int
         assert relation.version == before  # scans never mutate
+
+    def test_only_int_and_str_are_ordered_enough(self):
+        assert relation_value_type(Relation("r", 1, [(1.5,)])) is None
+        assert relation_value_type(Relation("r", 1, [(True,)])) is None
+        assert relation_value_type(Relation("r", 1)) is int  # nothing to order

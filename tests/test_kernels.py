@@ -18,7 +18,6 @@ from repro.engine import (
     EvaluationStats,
     compile_delta_variants,
     compile_rule,
-    interning_mode,
     kernel_mode,
     kernels_enabled,
     seminaive_evaluate,
@@ -155,22 +154,14 @@ class TestFullEvaluationParity:
         case = generate_case(seed)
         results = {}
         stats_by_mode = {}
-        for mode, kernels, interning in (
-            ("interpreted", False, False),
-            ("kernel", True, False),
-            ("interned", True, True),
-        ):
+        for mode, kernels in (("interpreted", False), ("kernel", True)):
             stats = EvaluationStats()
-            with kernel_mode(kernels), interning_mode(interning):
+            with kernel_mode(kernels):
                 derived = seminaive_evaluate(case.program, case.database, stats)
             results[mode] = {p: r.rows() for p, r in derived.items()}
             stats_by_mode[mode] = counters(stats)
-        assert results["interpreted"] == results["kernel"] == results["interned"]
-        assert (
-            stats_by_mode["interpreted"]
-            == stats_by_mode["kernel"]
-            == stats_by_mode["interned"]
-        )
+        assert results["interpreted"] == results["kernel"]
+        assert stats_by_mode["interpreted"] == stats_by_mode["kernel"]
 
 
 class TestSwitches:

@@ -9,7 +9,6 @@ import time
 import pytest
 
 from repro import Database, DatalogService, FlushPolicy, Session
-from repro.engine.domain import interning_mode
 from repro.engine.query import SelectionQuery
 from repro.service import EpochCache, WriteTicket, coalesce
 
@@ -407,7 +406,7 @@ class TestSnapshotSafety:
         with DatalogService(program, database, flush_policy=manual_flush_policy()) as svc:
             snapshot = svc.snapshot()
             frozen_before = {name: set(rel.rows()) for name, rel in snapshot.edb.items()}
-            # magic-sets over the snapshot database (strings force interning)
+            # magic-sets over the snapshot database, reading its frozen relations
             from repro import answer
 
             result = answer(svc.session.program, snapshot.as_database(), "t(n1, Y)?")
@@ -415,14 +414,13 @@ class TestSnapshotSafety:
             for name, rel in snapshot.edb.items():
                 assert set(rel.rows()) == frozen_before[name], name
 
-    def test_fallback_is_snapshot_safe_with_interning_off(self):
+    def test_fallback_is_snapshot_safe_on_int_values(self):
         database = Database.from_dict({"a": [(1, 2), (2, 3)], "b": [(3, 4)]})
         with DatalogService(TC, database, flush_policy=manual_flush_policy()) as svc:
             snapshot = svc.snapshot()
             from repro import answer
 
-            with interning_mode(False):
-                result = answer(svc.session.program, snapshot.as_database(), "t(1, Y)?")
+            result = answer(svc.session.program, snapshot.as_database(), "t(1, Y)?")
             assert result.answers == {(1, 4)}
             assert snapshot.edb["a"].rows() == {(1, 2), (2, 3)}
 
