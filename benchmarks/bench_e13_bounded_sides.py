@@ -19,7 +19,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import magic_query
-from repro.core import answer_query, selection_covers_unbounded_sides
+from repro import answer
+from repro.core import selection_covers_unbounded_sides
 from repro.engine import SelectionQuery, seminaive_query
 from repro.workloads import same_generation, same_generation_database
 from .helpers import attach, emit, run_once
@@ -37,7 +38,7 @@ def make_workload(depth: int):
 
 def comparison_rows(depth: int):
     database, query = make_workload(depth)
-    routed = answer_query(PROGRAM, database, query)
+    routed = answer(PROGRAM, database, query)
     magic = magic_query(PROGRAM, database, query)
     reference, semi_stats = seminaive_query(PROGRAM, database, "sg", query.bindings_dict())
     assert routed.answers == reference == magic.answers
@@ -84,7 +85,7 @@ def test_e13_report(benchmark):
 @pytest.mark.parametrize("depth", DEPTHS)
 def test_e13_schema_route(benchmark, depth):
     database, query = make_workload(depth)
-    result = run_once(benchmark, answer_query, PROGRAM, database, query)
+    result = run_once(benchmark, answer, PROGRAM, database, query)
     assert "bounded sides" in result.strategy
     attach(benchmark, tuples_examined=result.stats.tuples_examined, answers=len(result.answers))
 

@@ -19,7 +19,7 @@ Run with:  python examples/genealogy_same_generation.py
 
 from __future__ import annotations
 
-from repro import answer_query, detect_one_sided, parse_program, seminaive_query
+from repro import answer, detect_one_sided, parse_program, seminaive_query
 from repro.baselines import magic_query
 from repro.engine import SelectionQuery
 from repro.workloads import same_generation_database
@@ -43,7 +43,7 @@ def main() -> None:
 
     # Who is in the same generation as person 17?
     query = SelectionQuery.of("sg", 2, {0: 17})
-    chosen = answer_query(program, database, query)
+    chosen = answer(program, database, query)
     reference, full_stats = seminaive_query(program, database, "sg", {0: 17})
     assert chosen.answers == reference
     print(f"sg(17, Y)? -> {len(chosen.answers)} answers via {chosen.strategy}")

@@ -17,7 +17,7 @@ Run with:  python examples/product_recommendations.py
 
 from __future__ import annotations
 
-from repro import answer_query, classify, detect_one_sided, parse_program, seminaive_query
+from repro import answer, classify, detect_one_sided, parse_program, seminaive_query
 from repro.core import recursively_redundant_predicates
 from repro.workloads import buys_database
 
@@ -44,7 +44,7 @@ def main() -> None:
 
     print()
     print("=== queries ===")
-    person_query = answer_query(program, database, "buys(person7, Item)?")
+    person_query = answer(program, database, "buys(person7, Item)?")
     items = sorted(row[1] for row in person_query.answers)
     print(f"person7 ends up buying {len(items)} items via {person_query.strategy}")
     print(f"  first few: {', '.join(items[:6])}")
@@ -54,7 +54,7 @@ def main() -> None:
     print(f"  (evaluating all of buys first would examine {full_stats.tuples_examined} tuples, "
           f"the chosen strategy examined {person_query.stats.tuples_examined})")
 
-    item_query = answer_query(program, database, "buys(Person, item3)?")
+    item_query = answer(program, database, "buys(Person, item3)?")
     print(f"item3 is bought by {len(item_query.answers)} people via {item_query.strategy}")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro import (
     Database,
-    answer_query,
+    answer,
     build_full_av_graph,
     classify,
     describe,
@@ -45,7 +45,7 @@ def main() -> None:
     database = Database.from_dict({"a": edges, "b": edges})
 
     # 4. Query with the one-sided schema (picked automatically) ...
-    result = answer_query(program, database, "t(0, Y)?")
+    result = answer(program, database, "t(0, Y)?")
     print("=== evaluation ===")
     print(f"t(0, Y)? has {len(result.answers)} answers via {result.strategy}")
     print(f"  work: {result.stats}")
@@ -56,7 +56,7 @@ def main() -> None:
           f"(vs {result.stats.tuples_examined} for the one-sided schema)")
 
     # Selections on the other column use the other direction of the schema.
-    backward = answer_query(program, database, "t(X, 200)?")
+    backward = answer(program, database, "t(X, 200)?")
     print(f"t(X, 200)? has {len(backward.answers)} answers via {backward.strategy}")
 
 

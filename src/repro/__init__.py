@@ -11,7 +11,7 @@ reduction behind Theorem 3.2.
 
 Quick start
 -----------
->>> from repro import parse_program, Database, classify, answer_query
+>>> from repro import parse_program, Database, classify, answer
 >>> program = parse_program('''
 ...     t(X, Y) :- a(X, Z), t(Z, Y).
 ...     t(X, Y) :- b(X, Y).
@@ -19,7 +19,7 @@ Quick start
 >>> classify(program, "t").is_one_sided
 True
 >>> db = Database.from_dict({"a": [(1, 2), (2, 3)], "b": [(3, 4)]})
->>> sorted(answer_query(program, db, "t(1, Y)?").answers)
+>>> sorted(answer(program, db, "t(1, Y)?").answers)
 [(1, 4)]
 """
 
@@ -46,11 +46,13 @@ from .datalog import (
 from .faults import FaultAction, FaultPlan, inject as inject_faults
 from .engine import (
     EvaluationStats,
+    QueryPlan,
     QueryResult,
     SelectionQuery,
     answer,
     naive_evaluate,
     naive_query,
+    plan_query,
     seminaive_evaluate,
     seminaive_query,
 )
@@ -59,7 +61,6 @@ from .expansion import expand, expand_general, estimate_sidedness
 from .core import (
     OneSidedSchema,
     aho_ullman_selection,
-    answer_query,
     classify,
     detect_one_sided,
     henschen_naqvi_selection,
@@ -134,6 +135,7 @@ __all__ = [
     "Program",
     "ProgramError",
     "QueryProfile",
+    "QueryPlan",
     "QueryResult",
     "QueryTimeout",
     "Relation",
@@ -163,7 +165,6 @@ __all__ = [
     "__version__",
     "aho_ullman_selection",
     "answer",
-    "answer_query",
     "build_av_graph",
     "build_full_av_graph",
     "classify",
@@ -189,6 +190,7 @@ __all__ = [
     "parse_program",
     "parse_query",
     "parse_rule",
+    "plan_query",
     "remove_recursively_redundant",
     "seminaive_evaluate",
     "seminaive_query",

@@ -159,6 +159,12 @@ def counting_scope_reason(program: Program, query: SelectionQuery) -> str:
     return ""
 
 
+def counting_plans(program: Program, predicate: str, relations) -> List[CompiledRule]:
+    """The join plans :func:`counting_query` runs: the exit rules, probed per reached value."""
+    shape = detect_chain_shape(program, predicate)
+    return [plan for _head_first, _match, plan in _compile_exit_rules(shape, relations)]
+
+
 def counting_query(
     program: Program,
     database: Database,

@@ -10,8 +10,9 @@ This package contains everything Sections 3 and 4 and the appendices describe:
 * :mod:`~repro.core.schema` — the general Figure 9 schema, compiled once per bound-column shape,
 * :mod:`~repro.core.proofs` — Lemmas 4.1/4.2 (proof widths, the lossy unary carry),
 * :mod:`~repro.core.crossproduct` — the Section 4 [JAN87] rewriting,
-* :mod:`~repro.core.reduction` — the Theorem 3.2 / Appendix A construction,
-* :mod:`~repro.core.planner` — a query processor that applies the paper's advice.
+* :mod:`~repro.core.reduction` — the Theorem 3.2 / Appendix A construction.
+
+The query processor applying the paper's advice is :func:`repro.engine.query.plan_query`.
 """
 
 from .algorithms import (
@@ -39,7 +40,6 @@ from .crossproduct import (
     materialize_combined_relation,
 )
 from .pipeline import DetectionOutcome, detect_one_sided
-from .planner import answer_query
 from .proofs import (
     Proof,
     column_repetition_width,
@@ -75,7 +75,6 @@ __all__ = [
     "SchemaPlan",
     "SidednessReport",
     "aho_ullman_selection",
-    "answer_query",
     "bounded_prefix_depth",
     "classify",
     "column_repetition_width",

@@ -155,7 +155,7 @@ def selection_covers_unbounded_sides(
     Structurally: every nonzero-cycle component of the full A/V graph must
     contain the variable node of at least one bound head column.  A many-sided
     recursion qualifies exactly when the bound columns "cover" all the sides,
-    which is what lets :func:`repro.core.planner.answer_query` fall back to the
+    which is what lets :func:`repro.engine.query.plan_query` fall back to the
     Figure 9 schema instead of magic sets for such queries.
     """
     report = classify(program, predicate)

@@ -31,7 +31,7 @@ from .columnar import (
 )
 from .kernels import kernel_mode, kernels_enabled, set_kernels_enabled
 from .naive import naive_evaluate, naive_query
-from .query import QueryResult, SelectionQuery, answer, as_selection_query
+from .query import QueryPlan, QueryResult, SelectionQuery, answer, as_selection_query, plan_query
 from .seminaive import (
     group_insert_closure,
     overlay_relations,
@@ -47,6 +47,7 @@ __all__ = [
     "Domain",
     "EvaluationStats",
     "PlanCache",
+    "QueryPlan",
     "QueryResult",
     "SelectionQuery",
     "active_deadline",
@@ -74,6 +75,7 @@ __all__ = [
     "naive_query",
     "overlay_relations",
     "plan_order",
+    "plan_query",
     "project",
     "propagate_insertions",
     "scan",

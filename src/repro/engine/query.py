@@ -1,4 +1,4 @@
-"""Selection queries on IDB predicates, and the library's one query front door.
+"""Selection queries on IDB predicates, and the library's query front door.
 
 The paper studies queries of the form "column = constant" on a recursively
 defined relation — e.g. ``t(X, n0)?`` or ``t(n0, Y)?``.  :class:`SelectionQuery`
@@ -7,10 +7,14 @@ mapping from (0-based) column numbers to constants.  Free columns are the
 output columns.
 
 :func:`answer` is the front door over every evaluation strategy the library
-implements: it runs the :mod:`repro.optimize` pass chain first
-(rewrite-then-evaluate), then picks unfolded / one-sided / counting / magic /
-semi-naive per query, and reports both the chosen strategy and the
-optimizer's rewrite provenance on the returned :class:`QueryResult`.
+implements.  The paper's conclusion — "check for one-sided recursions, and use
+one-sided evaluation algorithms when a one-sided definition is detected" — is
+decided in one place: :func:`plan_query` runs the :mod:`repro.optimize` pass
+chain (rewrite-then-evaluate) and returns the strategy ladder as a value, a
+:class:`QueryPlan` of ordered rungs (unfolded / one-sided / counting / magic /
+semi-naive).  ``answer`` executes that plan and
+:func:`repro.obs.profile.explain` renders it; the :class:`QueryResult` reports
+the rung that answered, the rungs that refused and the optimizer's provenance.
 
 Whatever strategy is picked, the joins underneath run on the engine's fast
 runtime: compiled plans evaluate through generated kernels
@@ -22,15 +26,19 @@ in a :class:`QueryResult` are the caller's own values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple, Union
+from time import perf_counter
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
-from ..datalog.errors import EvaluationError, ProgramError, ReproError
-from ..datalog.relation import Row, Value
+from ..datalog.errors import EvaluationError, ProgramError, QueryTimeout, ReproError
+from ..datalog.relation import Relation, Row, Value
 from ..datalog.rules import Program
 from ..datalog.terms import Constant, Variable, is_variable
-from .instrumentation import EvaluationStats
+from .compile import CompiledRule, compile_program_rules
+from .instrumentation import EvaluationStats, query_trace
+from .naive import naive_query
+from .seminaive import seminaive_query
 
 
 @dataclass(frozen=True)
@@ -130,6 +138,10 @@ class QueryResult:
     #: the EXPLAIN ANALYZE record (a :class:`repro.obs.profile.QueryProfile`)
     #: when the query ran with ``profile=True``; ``None`` otherwise
     profile: Optional[object] = field(default=None, repr=False, compare=False)
+    #: the name of the ladder :class:`Rung` that answered; empty outside :func:`answer`
+    rung: str = field(default="", compare=False)
+    #: ``(rung, error class, message)`` per rung that refused before this one answered
+    fell_through: Tuple[Tuple[str, str, str], ...] = field(default=(), repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.answers)
@@ -166,8 +178,230 @@ def as_selection_query(program: Program, query: Union[SelectionQuery, Atom, str]
     return query
 
 
-#: strategies :func:`answer` resolves itself; the rest delegate to the planner
-_FORCED_PLANNER_STRATEGIES = ("naive", "seminaive", "magic", "one-sided")
+
+
+def lookup_result(
+    selection: SelectionQuery,
+    relation: Relation,
+    strategy: str,
+    provenance: Optional[object] = None,
+) -> QueryResult:
+    """Answer ``selection`` by one indexed lookup against a stored relation."""
+    if relation.arity != selection.arity:
+        raise EvaluationError(
+            f"query {selection} has arity {selection.arity}, but {selection.predicate}/"
+            f"{relation.arity} is what is stored"
+        )
+    stats = EvaluationStats()
+    stats.start_timer()
+    rows = relation.lookup(selection.bindings_dict())
+    stats.record_lookup(len(rows), restricted=bool(selection.bindings))
+    stats.stop_timer()
+    return QueryResult(selection, set(rows), stats, strategy=strategy, provenance=provenance)
+
+
+# ----------------------------------------------------------------------
+# the strategy ladder, as a value
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Rung:
+    """One rung of a :class:`QueryPlan`: a strategy, why it applies, what it runs."""
+
+    #: the strategy family (``one-sided-forward``, ``magic-sets``, …) and engine metrics label
+    name: str
+    #: the exact :attr:`QueryResult.strategy` of an answer this rung produces
+    strategy: str
+    reason: str
+    #: ``run(database, selection, counting_depth) -> (answers, stats)``
+    run: Callable[[Database, SelectionQuery, int], Tuple[Set[Row], EvaluationStats]] = field(repr=False)
+    #: ``plans(selection, relations)``: the joins ``run`` would execute, in execution order
+    plans: Callable[[SelectionQuery, Optional[Dict[str, Relation]]], List[CompiledRule]] = field(repr=False)
+    #: a one-sided rung's memoized :class:`repro.core.schema.SchemaPlan`
+    schema: Optional[object] = field(default=None, repr=False)
+
+
+@dataclass(frozen=True)
+class QueryPlan:
+    """What :func:`plan_query` decided for every selection binding the same columns
+    of one predicate: the rungs to try, in order, and why (no constants, no contents)."""
+
+    #: the optimizer's ``OptimizationResult`` (``None``: the program does not define the predicate)
+    provenance: Optional[object]
+    #: the applicable strategies, cheapest first; the last one cannot refuse
+    rungs: Tuple[Rung, ...]
+    #: ``(rung, error class, message)`` per rung the analysis already refused
+    fell_through: Tuple[Tuple[str, str, str], ...] = ()
+
+
+def _unpack(result: QueryResult) -> Tuple[Set[Row], EvaluationStats]:
+    return result.answers, result.stats
+
+
+#: (program, predicate, arity, bound columns, strategy, max_unfold_depth) → the plan:
+#: deciding the ladder costs a third of answering a narrow selection.  Cleared
+#: wholesale at a constant cap, like the optimizer's and the schema's memos.
+_plan_memo: Dict[tuple, QueryPlan] = {}
+_PLAN_MEMO_LIMIT = 256
+
+
+def plan_query(
+    program: Program,
+    selection: SelectionQuery,
+    strategy: str = "auto",
+    max_unfold_depth: int = 8,
+) -> QueryPlan:
+    """Decide how to evaluate ``selection``: the paper's advice, written once.
+
+    Runs the :mod:`repro.optimize` pass chain on the query's predicate
+    (redundancy removal, boundedness, sidedness, bounded-recursion unfolding;
+    memoized per program) and returns the strategies that apply, cheapest
+    first.  With ``strategy="auto"`` the ladder is: **unfolded** (the
+    recursion was rewritten into a nonrecursive union — evaluated
+    recursion-free with the selection pushed into each compiled join),
+    **one-sided** (the Figure 9 schema, also used for many-sided selections
+    that bind every unbounded side), **counting** (chain shapes with a
+    column-0 selection), **magic** (any bound query), and finally plain
+    **semi-naive** evaluation plus selection.  A forced strategy (``"naive"``,
+    ``"seminaive"``, ``"magic"``, ``"one-sided"``, ``"counting"``,
+    ``"unfolded"``) is a one-rung plan and raises where it does not apply:
+    :class:`~repro.datalog.errors.NotOneSidedError` for ``"one-sided"`` on a
+    recursion Theorem 3.1 rejects, :class:`~repro.datalog.errors.EvaluationError`
+    for an out-of-scope ``"counting"`` or an ``"unfolded"`` with no boundedness
+    witness within ``max_unfold_depth``.
+    """
+    if strategy not in ("auto", "unfolded", "one-sided", "counting", "magic", "seminaive", "naive"):
+        raise EvaluationError(f"unknown evaluation strategy {strategy!r}")
+    auto = strategy == "auto"
+    predicate, bound = selection.predicate, selection.bound_columns()
+    key = (program, predicate, selection.arity, bound, strategy, max_unfold_depth)
+    plan = _plan_memo.get(key)
+    if plan is not None:
+        return plan
+
+    from ..baselines.counting import counting_plans, counting_query, counting_scope_reason
+    from ..baselines.magic import magic_query, magic_rewrite
+    from ..core.classify import selection_covers_unbounded_sides
+    from ..core.schema import compile_schema, one_sided_query
+    from ..optimize.passes import Optimizer, UnfoldingPass, detection_passes, optimize_program
+    from ..optimize.unfold import evaluate_unfolded, unfolded_plans
+
+    try:
+        if strategy == "unfolded":
+            # a forced unfolding request searches the full requested depth even
+            # when structural boundedness is undecided (repeated predicates)
+            provenance = Optimizer(
+                detection_passes()
+                + (UnfoldingPass(max_depth=max_unfold_depth, fallback_depth=None),)
+            ).run(program, predicate)
+        else:
+            # the default chain is analysed once per program, not once per query
+            provenance = optimize_program(program, predicate, max_unfold_depth=max_unfold_depth)
+    except ProgramError:
+        provenance = None  # e.g. the predicate is not defined by the program
+    #: the program the detection verdicts are about (redundancy removed, not unfolded)
+    optimized = provenance.optimized if provenance is not None else program
+
+    rungs: List[Rung] = []
+    refused: List[Tuple[str, str, str]] = []
+    unavailable = ""  # why a forced strategy has no rung
+
+    def rung(name: str, reason: str, run, plans, label: str = "", schema=None) -> None:
+        label = label or (f"{name} (auto)" if auto else name)
+        rungs.append(Rung(name, label, reason, run, plans, schema))
+
+    def schema_rung(require_one_sided: bool, reason: str) -> None:
+        try:
+            schema = compile_schema(optimized, predicate, selection.arity, bound, require_one_sided)
+        except ReproError as error:
+            if not auto:
+                raise
+            refused.append(("one-sided", type(error).__name__, str(error)))
+            return
+        name = f"one-sided-{schema.direction}"
+        subsidiary = schema.subsidiary_program.rules if schema.subsidiary_program is not None else ()
+        rung(
+            name,
+            reason,
+            lambda database, selection, _depth: _unpack(
+                one_sided_query(optimized, database, selection, require_one_sided)
+            ),
+            lambda _selection, relations: compile_program_rules(subsidiary, relations)
+            + schema.compiled_plans(),
+            "" if require_one_sided else f"{name} (bounded sides, auto)",
+            schema,
+        )
+
+    def fixpoint(evaluate):
+        return lambda database, selection, _depth: evaluate(
+            program, database, predicate, selection.bindings_dict()
+        )
+
+    def program_rules(_selection, relations):  # a fixpoint's joins: one per rule
+        return compile_program_rules(program.rules, relations)
+
+    if auto or strategy == "unfolded":
+        definition = provenance.unfolded if provenance is not None else None
+        if definition is not None:
+            rung(
+                "unfolded",
+                f"bounded recursion: a union of {len(definition.strings)} nonrecursive "
+                f"string(s) (witness depth {definition.witness_depth})",
+                lambda database, selection, _depth: evaluate_unfolded(definition, database, selection),
+                lambda selection, relations: [
+                    plan for plan, _bindings in unfolded_plans(definition, selection, relations)
+                ],
+            )
+        else:
+            unavailable = f"{predicate} is not provably bounded within depth {max_unfold_depth}"
+    if strategy == "one-sided" or (auto and provenance is not None and provenance.one_sided):
+        schema_rung(True, "one-sided by Theorem 3.1: the Figure 9 schema carries the selection")
+    elif (
+        # Section 5's observation: a many-sided recursion whose unbounded sides
+        # each receive a selection constant can still ride the Figure 9 schema.
+        auto
+        and provenance is not None
+        and provenance.report is not None
+        and bound
+        and selection_covers_unbounded_sides(optimized, predicate, set(bound))
+    ):
+        schema_rung(False, "the selection binds every unbounded side: the Figure 9 schema applies")
+    if auto or strategy == "counting":
+        unavailable = counting_scope_reason(program, selection)
+        if not unavailable:
+            rung(
+                "counting", "chain recursion with a column-0 selection",
+                lambda database, selection, depth: _unpack(
+                    counting_query(program, database, selection, max_depth=depth)
+                ),
+                lambda _selection, relations: counting_plans(program, predicate, relations),
+            )
+    if strategy == "magic" and not bound:
+        rung(
+            "seminaive", "magic sets need a constant to seed",
+            fixpoint(seminaive_query), program_rules, "seminaive (no bound columns)",
+        )
+    # on the ladder, magic also needs rules defining the predicate
+    elif strategy == "magic" or (auto and bound and program.rules_for(predicate)):
+        rung(
+            "magic-sets", "the selection constants restrict the fixpoint through magic predicates",
+            lambda database, selection, _depth: _unpack(magic_query(program, database, selection)),
+            lambda selection, relations: compile_program_rules(
+                magic_rewrite(program, selection).rewritten.rules, relations
+            ),
+        )
+    if auto or strategy == "seminaive":
+        rung(
+            "seminaive", "full semi-naive fixpoint, then the selection",
+            fixpoint(seminaive_query), program_rules,
+        )
+    if strategy == "naive":
+        rung("naive", "full naive fixpoint, then the selection", fixpoint(naive_query), program_rules)
+    if not rungs:
+        raise EvaluationError(f"{strategy} strategy unavailable: {unavailable}")
+    if len(_plan_memo) >= _PLAN_MEMO_LIMIT:
+        _plan_memo.clear()
+    plan = _plan_memo[key] = QueryPlan(provenance, tuple(rungs), tuple(refused))
+    return plan
 
 
 def answer(
@@ -175,7 +409,6 @@ def answer(
     database: Database,
     query: Union[SelectionQuery, Atom, str],
     strategy: str = "auto",
-    optimizer: Optional[object] = None,
     max_unfold_depth: int = 8,
     counting_depth: int = 2_000,
     profile: bool = False,
@@ -183,194 +416,65 @@ def answer(
 ) -> QueryResult:
     """Answer a selection query through the optimizer: rewrite, then evaluate.
 
-    The front door over every strategy in the library.  With
-    ``strategy="auto"`` it:
-
-    1. runs the :mod:`repro.optimize` pass chain on the query's predicate
-       (redundancy removal, boundedness, sidedness, bounded-recursion
-       unfolding), sharing the library-wide containment cache;
-    2. picks the cheapest applicable strategy, in order: **unfolded** (the
-       recursion was rewritten into a nonrecursive union — evaluated
-       recursion-free with the selection pushed into each compiled join),
-       **one-sided** (the Figure 9 schema, also used for fully covered
-       many-sided selections), **counting** (chain shapes with a column-0
-       selection), **magic** (any bound query), and finally plain
-       **semi-naive** evaluation plus selection;
-    3. attaches the optimizer's :class:`~repro.optimize.passes.OptimizationResult`
-       as ``result.provenance``, so callers can see exactly which rewrites
-       fired (``result.provenance.describe()``).
+    The front door over every strategy in the library: :func:`plan_query`
+    decides (the ``strategy="auto"`` ladder and the forced strategies are
+    described there) and this function executes the plan — each rung in
+    order, the first that answers wins.  A rung that refuses with a
+    :class:`~repro.datalog.errors.ReproError` (e.g. cyclic reachable data
+    tripping the counting bound ``counting_depth``) is recorded on
+    ``result.fell_through`` and the next rung runs; a
+    :class:`~repro.datalog.errors.QueryTimeout` is never a fall-through, and
+    the last rung's error is the caller's.  ``result.rung`` and
+    ``result.strategy`` name the rung that answered; ``result.provenance`` is
+    the optimizer's :class:`~repro.optimize.passes.OptimizationResult`
+    (``result.provenance.describe()`` lists the rewrites that fired).
 
     ``profile=True`` is EXPLAIN ANALYZE: the evaluation runs with a
     :class:`repro.obs.profile.ProfileRecorder` armed on the thread-local
     channel, and the finished :class:`~repro.obs.profile.QueryProfile` —
-    dispatch decisions, iteration timings, rewrites, the result's own stats —
-    is attached as ``result.profile``.  ``trace_id`` stamps the profile and
-    every span the evaluation emits (one is generated when profiling without
-    an explicit ID).
-
-    Forcing ``strategy="unfolded"`` raises
-    :class:`~repro.datalog.errors.EvaluationError` when no boundedness
-    witness exists within ``max_unfold_depth``; the other named strategies
-    (``"naive"``, ``"seminaive"``, ``"magic"``, ``"counting"``,
-    ``"one-sided"``) behave as in :func:`repro.core.planner.answer_query`.
+    dispatch decisions, iteration timings, rewrites, fall-throughs, the
+    result's own stats — is attached as ``result.profile``.  ``trace_id``
+    stamps the profile and every span the evaluation emits (one is generated
+    when profiling without an explicit ID).
     """
     selection = as_selection_query(program, query)
+    if not profile and trace_id is None:
+        plan = plan_query(program, selection, strategy, max_unfold_depth)
+        return _execute(plan, database, selection, counting_depth)
 
-    if profile or trace_id is not None:
-        from time import perf_counter
+    from ..obs.profile import ProfileRecorder
 
-        from ..obs.profile import ProfileRecorder
-        from .instrumentation import query_trace
-
-        recorder = ProfileRecorder(str(selection), trace_id=trace_id) if profile else None
-        armed_trace = recorder.trace_id if recorder is not None else trace_id
-        started = perf_counter()
-        with query_trace(armed_trace, recorder):
-            result = _answer_selection(
-                program, database, selection, strategy, optimizer,
-                max_unfold_depth, counting_depth,
-            )
-        if recorder is not None:
-            result.profile = recorder.build(
-                strategy=result.strategy,
-                stats=result.stats,
-                outcome="ok",
-                execution_seconds=perf_counter() - started,
-                provenance=result.provenance,
-            )
-        return result
-
-    return _answer_selection(
-        program, database, selection, strategy, optimizer,
-        max_unfold_depth, counting_depth,
-    )
+    recorder = ProfileRecorder(str(selection), trace_id=trace_id) if profile else None
+    started = perf_counter()
+    with query_trace(recorder.trace_id if recorder is not None else trace_id, recorder):
+        plan = plan_query(program, selection, strategy, max_unfold_depth)
+        result = _execute(plan, database, selection, counting_depth)
+    if recorder is not None:
+        result.profile = recorder.build(
+            strategy=result.strategy,
+            stats=result.stats,
+            outcome="ok",
+            execution_seconds=perf_counter() - started,
+            provenance=result.provenance,
+            fell_through=result.fell_through,
+        )
+    return result
 
 
-def _answer_selection(
-    program: Program,
-    database: Database,
-    selection: SelectionQuery,
-    strategy: str,
-    optimizer: Optional[object],
-    max_unfold_depth: int,
-    counting_depth: int,
+def _execute(
+    plan: QueryPlan, database: Database, selection: SelectionQuery, counting_depth: int
 ) -> QueryResult:
-    """The strategy ladder behind :func:`answer` (selection already coerced)."""
-    if strategy in _FORCED_PLANNER_STRATEGIES:
-        from ..core.planner import answer_query
-
-        return answer_query(program, database, selection, strategy=strategy)
-
-    if strategy == "counting":
-        from ..baselines.counting import counting_query, counting_scope_reason
-
-        reason = counting_scope_reason(program, selection)
-        if reason:
-            raise EvaluationError(f"counting strategy unavailable: {reason}")
-        return counting_query(program, database, selection, max_depth=counting_depth)
-
-    if strategy not in ("auto", "unfolded"):
-        raise EvaluationError(f"unknown evaluation strategy {strategy!r}")
-
-    from ..optimize.passes import Optimizer, UnfoldingPass, detection_passes, optimize_program
-    from ..optimize.unfold import evaluate_unfolded
-
-    try:
-        if optimizer is not None:
-            result = optimizer.run(program, selection.predicate)
-        elif strategy == "unfolded":
-            # a forced unfolding request searches the full requested depth even
-            # when structural boundedness is undecided (repeated predicates)
-            result = Optimizer(
-                detection_passes()
-                + (UnfoldingPass(max_depth=max_unfold_depth, fallback_depth=None),)
-            ).run(program, selection.predicate)
-        else:
-            # the default chain is analysed once per program, not once per query
-            result = optimize_program(
-                program, selection.predicate, max_unfold_depth=max_unfold_depth
-            )
-    except ProgramError:
-        result = None  # e.g. the predicate is not defined by the program
-
-    if strategy == "unfolded":
-        if result is None or result.unfolded is None:
-            raise EvaluationError(
-                f"{selection.predicate} is not provably bounded within depth "
-                f"{max_unfold_depth}; cannot evaluate by unfolding"
-            )
-        answers, stats = evaluate_unfolded(result.unfolded, database, selection)
-        return QueryResult(selection, answers, stats, strategy="unfolded", provenance=result)
-
-    # ------------------------------------------------------------------
-    # auto: the rewrites decide the strategy
-    # ------------------------------------------------------------------
-    if result is not None and result.unfolded is not None:
-        answers, stats = evaluate_unfolded(result.unfolded, database, selection)
-        return QueryResult(selection, answers, stats, strategy="unfolded (auto)", provenance=result)
-
-    if result is not None and result.one_sided:
-        from ..core.schema import OneSidedSchema
-
+    """Run ``plan``: the first rung that answers wins; refusals are recorded, not hidden."""
+    fell_through = list(plan.fell_through)
+    for rung in plan.rungs:
         try:
-            schema = OneSidedSchema(result.optimized, selection.predicate, selection)
-            routed = schema.run(database)
-            routed.strategy = f"{routed.strategy} (auto)"
-            routed.provenance = result
-            return routed
-        except ReproError:
-            pass  # fall through to the general strategies
-
-    # Section 5's observation: a many-sided recursion whose unbounded sides
-    # each receive a selection constant can still ride the Figure 9 schema.
-    if (
-        result is not None
-        and not result.one_sided
-        and result.report is not None
-        and selection.bound_columns()
-    ):
-        from ..core.classify import selection_covers_unbounded_sides
-        from ..core.schema import OneSidedSchema
-
-        try:
-            if selection_covers_unbounded_sides(
-                result.optimized, selection.predicate, set(selection.bound_columns())
-            ):
-                schema = OneSidedSchema(
-                    result.optimized, selection.predicate, selection, require_one_sided=False
-                )
-                routed = schema.run(database)
-                routed.strategy = f"{routed.strategy} (bounded sides, auto)"
-                routed.provenance = result
-                return routed
-        except ReproError:
-            pass
-
-    from ..baselines.counting import counting_query, counting_scope_reason
-
-    if not counting_scope_reason(program, selection):
-        try:
-            routed = counting_query(program, database, selection, max_depth=counting_depth)
-            routed.strategy = f"{routed.strategy} (auto)"
-            routed.provenance = result
-            return routed
-        except EvaluationError:
-            pass  # e.g. cyclic reachable data tripping the depth bound
-
-    if selection.bound_columns():
-        from ..baselines.magic import magic_query
-
-        try:
-            routed = magic_query(program, database, selection)
-            routed.strategy = f"{routed.strategy} (auto)"
-            routed.provenance = result
-            return routed
-        except ReproError:
-            pass
-
-    from .seminaive import seminaive_query
-
-    answers, stats = seminaive_query(
-        program, database, selection.predicate, selection.bindings_dict()
+            answers, stats = rung.run(database, selection, counting_depth)
+            break
+        except ReproError as error:
+            if isinstance(error, QueryTimeout) or rung is plan.rungs[-1]:
+                raise
+            fell_through.append((rung.name, type(error).__name__, str(error)))
+    return QueryResult(
+        selection, answers, stats, rung.strategy, plan.provenance,
+        rung=rung.name, fell_through=tuple(fell_through),
     )
-    return QueryResult(selection, answers, stats, strategy="seminaive (auto)", provenance=result)

@@ -31,12 +31,11 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Set, Union
 
 from ..datalog.database import Database
-from ..datalog.errors import EvaluationError
 from ..datalog.parser import parse_program
 from ..datalog.relation import Row, Value
 from ..datalog.rules import Program
 from ..engine.instrumentation import EvaluationStats
-from ..engine.query import QueryResult, answer, as_selection_query
+from ..engine.query import QueryResult, answer, as_selection_query, lookup_result
 from .registry import ViewRegistry
 from .view import MaterializedView
 
@@ -156,32 +155,16 @@ class Session:
             if view is not None:
                 if not view.fresh:
                     view.refresh(self.database)
-                stats = EvaluationStats()
-                stats.start_timer()
-                relation = view.relation(selection.predicate)
-                if relation.arity != selection.arity:
-                    raise EvaluationError(
-                        f"query {selection} has arity {selection.arity}, but the view "
-                        f"materializes {selection.predicate}/{relation.arity}"
-                    )
-                rows = relation.lookup(selection.bindings_dict())
-                stats.record_lookup(len(rows), restricted=bool(selection.bindings))
-                stats.stop_timer()
-                return QueryResult(
+                return lookup_result(
                     selection,
-                    set(rows),
-                    stats,
-                    strategy=f"materialized-view ({view.strategy})",
-                    provenance=view.provenance,
+                    view.relation(selection.predicate),
+                    f"materialized-view ({view.strategy})",
+                    view.provenance,
                 )
             if self.database.has_relation(selection.predicate):
-                stats = EvaluationStats()
-                stats.start_timer()
-                relation = self.database.relation(selection.predicate)
-                rows = relation.lookup(selection.bindings_dict())
-                stats.record_lookup(len(rows), restricted=bool(selection.bindings))
-                stats.stop_timer()
-                return QueryResult(selection, set(rows), stats, strategy="edb-lookup")
+                return lookup_result(
+                    selection, self.database.relation(selection.predicate), "edb-lookup"
+                )
             return answer(self.program, self.database, query)
 
     # ------------------------------------------------------------------

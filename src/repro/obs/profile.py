@@ -21,9 +21,10 @@ module explains *one query*:
 * :class:`FlightRecorder` — a bounded ring of recent profiles plus a live
   table of in-flight queries (start, elapsed, deadline), served as JSON at
   ``/debug/queries`` by the :class:`~repro.obs.exporter.ObservabilityServer`;
-* :func:`explain` — the plan-only half: run the optimizer passes, predict
-  the strategy :func:`repro.engine.query.answer` would pick, and describe
-  the compiled join plans **without executing anything**.
+* :func:`explain` — the plan-only half: render the
+  :class:`~repro.engine.query.QueryPlan` that
+  :func:`repro.engine.query.answer` executes — strategy, compiled join
+  plans, fallbacks — **without executing anything**.
 
 ``answer(..., profile=True)`` and ``DatalogService.query(..., profile=True)``
 are the EXPLAIN ANALYZE half: the same profile, filled in by an actual run.
@@ -187,6 +188,11 @@ class QueryProfile:
     #: auxiliary counters: plan_cache_hits/misses, kernels_built,
     #: strata_entered, iterations_sampled (+ dropped when capped)
     counters: Dict[str, int] = field(default_factory=dict)
+    #: ``(rung, error class, message)`` per ladder rung that refused before ``strategy``
+    fell_through: List[Tuple[str, str, str]] = field(default_factory=list)
+    #: ``explain`` only: why the first rung applies, and the rungs to try after it
+    reason: str = ""
+    fallbacks: List[str] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, object]:
         """A JSON-serializable view (what ``/debug/queries`` serves)."""
@@ -208,6 +214,9 @@ class QueryProfile:
             "iterations": [sample.as_dict() for sample in self.iterations],
             "stats": self.stats.as_dict(),
             "counters": dict(self.counters),
+            "fell_through": [list(step) for step in self.fell_through],
+            "reason": self.reason,
+            "fallbacks": list(self.fallbacks),
         }
 
     def render(self) -> str:
@@ -215,7 +224,7 @@ class QueryProfile:
         lines = [
             f"QUERY    {self.query}",
             f"TRACE    {self.trace_id}",
-            f"STRATEGY {self.strategy}",
+            f"STRATEGY {self.strategy}" + (f" — {self.reason}" if self.reason else ""),
             f"OUTCOME  {self.outcome}"
             + (f"  cache={self.cache}" if self.cache != "none" else "")
             + (f"  epoch={self.epoch}" if self.epoch is not None else ""),
@@ -225,6 +234,11 @@ class QueryProfile:
                 f"TIMING   queued={self.queued_seconds * 1000:.3f}ms "
                 f"execution={self.execution_seconds * 1000:.3f}ms"
             )
+        for rung, error, message in self.fell_through:
+            lines.append(f"FELL THROUGH {rung}: {error}: {message}")
+        if self.fallbacks:
+            lines.append("FALLBACKS")
+            lines.extend(f"  {fallback}" for fallback in self.fallbacks)
         if self.rewrites:
             lines.append("REWRITES")
             lines.extend(f"  {rewrite}" for rewrite in self.rewrites)
@@ -334,8 +348,9 @@ class ProfileRecorder:
         self.strata_entered = 0
         self.iterations_dropped = 0
         self.plans_dropped = 0
-        #: (id(plan), dispatch) -> PlanProfile, for O(1) dedupe + counting
-        self._dispatches: Dict[Tuple[int, str], PlanProfile] = {}
+        #: (id(plan), dispatch) -> (PlanProfile, plan), for O(1) dedupe + counting;
+        #: the plan is held so that a freed plan's id cannot be taken for a new plan's
+        self._dispatches: Dict[Tuple[int, str], Tuple[PlanProfile, object]] = {}
 
     # -- engine hooks (duck typed; keep them cheap) ---------------------
     def record_dispatch(self, plan, dispatch: str, detail: str = "") -> None:
@@ -343,7 +358,7 @@ class ProfileRecorder:
         key = (id(plan), dispatch)
         existing = self._dispatches.get(key)
         if existing is not None:
-            existing.applications += 1
+            existing[0].applications += 1
             return
         if len(self.plans) >= self.max_plans:
             self.plans_dropped += 1
@@ -354,7 +369,7 @@ class ProfileRecorder:
             dispatch=dispatch,
             detail=detail,
         )
-        self._dispatches[key] = entry
+        self._dispatches[key] = (entry, plan)
         self.plans.append(entry)
 
     def record_stratum(self, stratum: int, predicates) -> None:
@@ -421,21 +436,14 @@ class ProfileRecorder:
         epoch: Optional[int] = None,
         queued_seconds: float = 0.0,
         execution_seconds: float = 0.0,
-        rewrites: Optional[List[str]] = None,
         provenance=None,
+        fell_through=(),
     ) -> QueryProfile:
         """Assemble the finished :class:`QueryProfile`.
 
-        ``provenance`` is an
-        :class:`~repro.optimize.passes.OptimizationResult`; its ``rewrites``
-        become the profile's rewrite summary when ``rewrites`` is not given
-        explicitly.
+        ``provenance`` is an :class:`~repro.optimize.passes.OptimizationResult`
+        (or ``None``); its ``rewrites`` become the profile's rewrite summary.
         """
-        if rewrites is None:
-            rewrites = []
-            if provenance is not None:
-                for rewrite in getattr(provenance, "rewrites", ()):
-                    rewrites.append(str(rewrite))
         return QueryProfile(
             query=self.query_text,
             trace_id=self.trace_id,
@@ -448,12 +456,13 @@ class ProfileRecorder:
             started_at=self.started_at,
             sampled=self.sampled,
             forced=self.forced,
-            rewrites=rewrites,
+            rewrites=[str(rewrite) for rewrite in getattr(provenance, "rewrites", ())],
             plans=list(self.plans),
             strata=list(self.strata),
             iterations=list(self.iterations),
             stats=stats if stats is not None else EvaluationStats(),
             counters=self.counters_dict(),
+            fell_through=list(fell_through),
         )
 
 
@@ -590,149 +599,54 @@ def explain(
 ) -> QueryProfile:
     """Explain how :func:`repro.engine.query.answer` would evaluate ``query``.
 
-    Runs the full optimizer pass chain (the rewrites are analysis, not
-    evaluation), predicts the strategy the ``auto`` front door would pick by
-    replaying its decision ladder, and compiles the join plans the strategy
-    would run — **without touching a single stored tuple**.  ``database`` is
-    optional and used only for the planner's size-based join-order
-    tie-breaking and for the leapfrog-eligibility check; passing the real
-    database makes the reported join orders exactly the ones evaluation
-    would use.
-
-    The optimizer result and the one-sided schema are the memoized objects
-    ``answer`` itself fetches, so for a one-sided prediction the plans shown
-    (``t.exit`` / ``t.init`` / ``t.forward`` / ``t.backward`` / ``t.answer``
-    with their join orders, each led by its ``input t.selection`` / ``t.carry``;
-    the direction in the strategy, ``carry_arity`` in the counters) are the
-    plans ``answer`` runs once per carry round, not a re-derivation of them.
+    Renders the :class:`~repro.engine.query.QueryPlan` that ``answer`` executes
+    (:func:`~repro.engine.query.plan_query`: the optimizer passes are analysis,
+    not evaluation) **without touching a single stored tuple**: the strategy is
+    the first rung's, the plans are the joins that rung would run with their
+    predicted dispatch, the remaining rungs are the ``fallbacks`` and the rungs
+    the analysis already refused are ``fell_through``.  The plans are the
+    rung's own — the memoized Figure-9 schema (``t.exit`` / ``t.init`` /
+    ``t.forward`` / ``t.backward`` / ``t.answer``, each led by its ``input
+    t.selection`` / ``t.carry``; ``carry_arity`` in the counters), the cached
+    joins of the unfolded strings — and for a fixpoint rung (magic, semi-naive)
+    one join per rule of the program it evaluates.
+    ``database`` is optional and used only for size-based join ordering and the
+    leapfrog-eligibility check.
 
     The returned :class:`QueryProfile` has ``outcome="plan-only"``, empty
-    stats/iterations, and a predicted ``strategy``.  The prediction matches
-    what ``answer`` picks except where an evaluation-time failure (e.g. a
-    counting depth bound tripping on cyclic data) makes ``answer`` fall
-    through to the next strategy mid-flight — something no plan-only
+    stats/iterations, and the strategy ``answer`` reports — unless an
+    evaluation-time failure (e.g. a counting depth bound tripping on cyclic
+    data) makes ``answer`` fall through mid-flight, which no plan-only
     analysis can see.
     """
-    from ..baselines.counting import counting_scope_reason
-    from ..core.classify import selection_covers_unbounded_sides
-    from ..core.schema import compile_schema
-    from ..datalog.errors import ProgramError, ReproError
     from ..engine.columnar import columnar_enabled, wcoj_eligible
-    from ..engine.compile import compile_rule
     from ..engine.kernels import kernels_enabled
-    from ..engine.query import as_selection_query
-    from ..engine.strata import evaluation_strata
-    from ..optimize.passes import optimize_program
+    from ..engine.query import as_selection_query, plan_query
 
     selection = as_selection_query(program, query)
+    plan = plan_query(program, selection, max_unfold_depth=max_unfold_depth)
+    chosen, *fallbacks = plan.rungs
+    relations = {r.name: r for r in database.relations()} if database is not None else None
     recorder = ProfileRecorder(str(selection))
-    try:
-        result = optimize_program(
-            program, selection.predicate, max_unfold_depth=max_unfold_depth
-        )
-    except ProgramError:
-        result = None
-
-    relations = (
-        {relation.name: relation for relation in database.relations()}
-        if database is not None
-        else None
-    )
-
-    def row_dispatch() -> Tuple[str, str]:
-        if kernels_enabled():
-            return "kernel", ""
-        return "interpreted", "REPRO_KERNELS=off"
-
-    def predicted_dispatch(plan) -> Tuple[str, str]:
+    for compiled in chosen.plans(selection, relations):
         if (
             relations is not None
             and columnar_enabled()
-            and wcoj_eligible(plan, relations) is not None
+            and wcoj_eligible(compiled, relations) is not None
         ):
-            return "leapfrog", "cyclic body, worst-case-optimal"
-        return row_dispatch()
-
-    def describe_rules(rules, bound=()) -> None:
-        for rule in rules:
-            plan = compile_rule(rule, relations, bound=bound)
-            recorder.record_dispatch(plan, *predicted_dispatch(plan))
-
-    def describe_strata(to_plan) -> None:
-        for group in evaluation_strata(to_plan):
-            describe_rules(
-                rule for predicate in group for rule in to_plan.rules_for(predicate)
-            )
-
-    # replay answer()'s auto decision ladder, minus the evaluation
-    strategy = "seminaive (auto)"
-    counters: Dict[str, int] = {}
-    if result is not None and result.unfolded is not None:
-        strategy = "unfolded (auto)"
-        from ..datalog.atoms import Atom
-        from ..datalog.rules import Rule
-
-        bindings = selection.bindings_dict()
-        for string in result.unfolded.strings:
-            bound = tuple(
-                dict.fromkeys(
-                    string.distinguished[column]
-                    for column in bindings
-                    if column < len(string.distinguished)
-                )
-            )
-            rule = Rule(
-                Atom(result.unfolded.predicate, tuple(string.distinguished)),
-                tuple(string.atoms),
-            )
-            describe_rules([rule], bound=bound)
-    else:
-        # the memoized Figure-9 plan answer() itself would fetch — or the
-        # verdict (schema is None) that sends it on to the general strategies
-        schema = None
-        bound_columns = selection.bound_columns()
-        try:
-            route = None  # (require_one_sided, strategy suffix) of the rung that applies
-            if result is not None and result.one_sided:
-                route = (True, "(auto)")
-            elif (
-                result is not None
-                and result.report is not None
-                and bound_columns
-                and selection_covers_unbounded_sides(
-                    result.optimized, selection.predicate, set(bound_columns)
-                )
-            ):
-                route = (False, "(bounded sides, auto)")
-            if route is not None:
-                schema = compile_schema(
-                    result.optimized, selection.predicate, selection.arity, bound_columns, route[0]
-                )
-                strategy = f"one-sided-{schema.direction} {route[1]}"
-        except ReproError:
-            pass
-        if schema is not None:
-            counters["carry_arity"] = schema.carry_arity
-            if schema.subsidiary_program is not None:
-                describe_strata(schema.subsidiary_program)
-            for plan in schema.compiled_plans():
-                # prepared plans never take the leapfrog path
-                recorder.record_dispatch(plan, *row_dispatch())
+            recorder.record_dispatch(compiled, "leapfrog", "cyclic body, worst-case-optimal")
+        elif kernels_enabled():
+            recorder.record_dispatch(compiled, "kernel")
         else:
-            # magic (and counting) need rules defining the predicate; with
-            # none, the ladder's attempts fail and it lands on semi-naive —
-            # statically knowable, so predict it instead of "magic"
-            defined = bool(program.rules_for(selection.predicate))
-            if not counting_scope_reason(program, selection):
-                strategy = "counting (auto)"
-            elif bound_columns and defined:
-                strategy = "magic (auto)"
-            describe_strata(result.program if result is not None else program)
-
+            recorder.record_dispatch(compiled, "interpreted", "REPRO_KERNELS=off")
     profile = recorder.build(
-        strategy=strategy,
+        strategy=chosen.strategy,
         outcome="plan-only",
-        provenance=result,
+        provenance=plan.provenance,
+        fell_through=plan.fell_through,
     )
-    profile.counters.update(counters)
+    profile.reason = chosen.reason
+    profile.fallbacks = [f"{rung.strategy}: {rung.reason}" for rung in fallbacks]
+    if chosen.schema is not None:
+        profile.counters["carry_arity"] = chosen.schema.carry_arity
     return profile

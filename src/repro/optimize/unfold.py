@@ -24,7 +24,7 @@ semi-naive iteration come from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from ..cq.cache import CQCache, shared_cache
 from ..cq.strings import ExpansionString
@@ -34,7 +34,7 @@ from ..datalog.errors import ProgramError
 from ..datalog.relation import Relation, Row, Value
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Variable
-from ..engine.compile import PlanCache
+from ..engine.compile import CompiledRule, PlanCache
 from ..engine.instrumentation import EvaluationStats
 from ..engine.query import SelectionQuery
 from ..expansion.generator import expand
@@ -125,6 +125,28 @@ def apply_unfolding(program: Program, definition: UnfoldedDefinition) -> Program
 _plan_cache = PlanCache(max_plans=1024)
 
 
+def unfolded_plans(
+    definition: UnfoldedDefinition,
+    query: Optional[SelectionQuery],
+    relations: Optional[Dict[str, Relation]],
+) -> Iterator[Tuple[CompiledRule, Dict[Variable, Value]]]:
+    """``(join plan, selection bindings)`` per minimized string ``query`` can match.
+
+    Each string compiles to one recursion-free join plan with the query's
+    ``column = constant`` bindings as compile-time bound variables, memoized
+    per (string, bound-variable signature) across calls: a stream of selections
+    compiles — and code-generates — each string once, and EXPLAIN shows the
+    very plans evaluation runs.
+    """
+    for string, rule in zip(definition.strings, definition.rules):
+        bindings: Dict[Variable, Value] = {}
+        for column, value in query.bindings if query is not None else ():
+            if bindings.setdefault(string.distinguished[column], value) != value:
+                break  # repeated head variable bound to two constants: no match
+        else:
+            yield _plan_cache.get(rule, relations, bound=tuple(bindings)), bindings
+
+
 def evaluate_unfolded(
     definition: UnfoldedDefinition,
     database: Database,
@@ -133,33 +155,15 @@ def evaluate_unfolded(
 ) -> Tuple[Set[Row], EvaluationStats]:
     """Evaluate an unfolded definition with the selection pushed into each join.
 
-    Each minimized string compiles to one recursion-free join plan
-    (:func:`repro.engine.compile.compile_rule`); a query's ``column =
-    constant`` bindings become compile-time bound variables, so every plan
-    probes the stored relations with the selection constants instead of
-    scanning — no fixpoint, no iteration, no irrelevant tuples.  Plans are
-    memoized per (string, bound-column signature) across calls, so a stream
-    of selections over one definition compiles — and code-generates — each
-    string once.
+    Every plan of :func:`unfolded_plans` probes the stored relations with the
+    selection constants instead of scanning — no fixpoint, no iteration, no
+    irrelevant tuples.
     """
     stats = stats if stats is not None else EvaluationStats()
     stats.start_timer()
     relations: Dict[str, Relation] = {r.name: r for r in database.relations()}
     answers: Set[Row] = set()
-    for string in definition.strings:
-        bindings: Dict[Variable, Value] = {}
-        conflict = False
-        if query is not None:
-            for column, value in query.bindings:
-                variable = string.distinguished[column]
-                if variable in bindings and bindings[variable] != value:
-                    conflict = True  # repeated head variable bound to two constants
-                    break
-                bindings[variable] = value
-        if conflict:
-            continue
-        rule = Rule(Atom(definition.predicate, tuple(string.distinguished)), tuple(string.atoms))
-        plan = _plan_cache.get(rule, relations, bound=tuple(bindings))
+    for plan, bindings in unfolded_plans(definition, query, relations):
         stats.record_plans_compiled()
         answers |= plan.evaluate(relations, stats=stats, bindings=bindings or None)
     if query is not None:

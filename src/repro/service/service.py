@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..datalog.database import Database
-from ..datalog.errors import EvaluationError, QueryTimeout, ReproError
+from ..datalog.errors import QueryTimeout, ReproError
 from ..datalog.relation import Row
 from ..datalog.rules import Program
 from ..engine.instrumentation import (
@@ -45,7 +45,7 @@ from ..engine.instrumentation import (
     query_trace,
     stats_bridge,
 )
-from ..engine.query import QueryResult, SelectionQuery, answer, as_selection_query
+from ..engine.query import QueryResult, SelectionQuery, answer, as_selection_query, lookup_result
 from ..faults import fire as fire_fault
 from ..incremental.session import RowsLike, Session, as_rows
 from ..obs import (
@@ -991,17 +991,7 @@ class DatalogService:
             provenance = snapshot.provenance
 
         if relation is not None:
-            if relation.arity != selection.arity:
-                raise EvaluationError(
-                    f"query {selection} has arity {selection.arity}, but the snapshot "
-                    f"serves {selection.predicate}/{relation.arity}"
-                )
-            stats = EvaluationStats()
-            stats.start_timer()
-            rows = relation.lookup(selection.bindings_dict())
-            stats.record_lookup(len(rows), restricted=bool(selection.bindings))
-            stats.stop_timer()
-            result = QueryResult(selection, set(rows), stats, strategy=strategy, provenance=provenance)
+            result = lookup_result(selection, relation, strategy, provenance)
             kind = "snapshot_lookups"
             engine_strategy = "snapshot-lookup"
         else:
@@ -1032,7 +1022,7 @@ class DatalogService:
                 raise
             finally:
                 self.flight.end(token)
-            engine_strategy = result.strategy.split(" ", 1)[0]
+            engine_strategy = result.rung
             result.strategy = f"{result.strategy} @snapshot {snapshot.epoch}"
             kind = "fallback_evaluations"
 
@@ -1091,6 +1081,7 @@ class DatalogService:
             queued_seconds=queued,
             execution_seconds=execution,
             provenance=provenance,
+            fell_through=attach_to.fell_through if attach_to is not None else (),
         )
         self.flight.record(profile)
         if attach_to is not None:

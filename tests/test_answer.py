@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import time
+from collections import Counter
+
 import pytest
 
-from repro import answer, answer_query, parse_program
-from repro.datalog import Database, EvaluationError
-from repro.engine import SelectionQuery, seminaive_query
+from repro import DatalogService, answer, explain, parse_program, plan_query
+from repro.datalog import Database, EvaluationError, QueryTimeout
+from repro.engine import SelectionQuery, evaluation_deadline, seminaive_query
+from repro.testing import FAMILIES, generate_case, generate_cases
 from repro.workloads import (
     bounded_guard_tc,
     canonical_two_sided,
+    chain,
+    edge_database,
+    random_pairs,
+    relations_database,
     same_generation,
+    same_generation_database,
     transitive_closure,
 )
 
@@ -115,10 +124,12 @@ class TestForcedStrategies:
     def test_forced_strategies_match_planner(self, tc_db):
         program = transitive_closure()
         query = SelectionQuery.of("t", 2, {0: 0})
+        reference, _ = seminaive_query(program, tc_db, "t", {0: 0})
         for strategy in ("naive", "seminaive", "magic", "one-sided"):
             front = answer(program, tc_db, query, strategy=strategy)
-            planner = answer_query(program, tc_db, query, strategy=strategy)
-            assert front.answers == planner.answers, strategy
+            assert front.answers == reference, strategy
+            assert front.fell_through == ()
+            assert len(plan_query(program, query, strategy).rungs) == 1, strategy
 
     def test_forced_counting_runs_in_scope(self, tc_db):
         result = answer(transitive_closure(), tc_db, "t(0, Y)?", strategy="counting")
@@ -136,3 +147,170 @@ class TestForcedStrategies:
     def test_undefined_predicate_returns_empty(self, tc_db):
         result = answer(transitive_closure(), tc_db, "missing(0, Y)?")
         assert result.answers == set()
+
+
+# ----------------------------------------------------------------------
+# the ladder is a value: plan_query decides, answer executes, explain renders
+# ----------------------------------------------------------------------
+SEED_COUNT = 84
+_BOUNDED = FAMILIES.index("bounded")
+BOUNDED_EXTRA_SEEDS = [
+    seed for seed in range(SEED_COUNT, SEED_COUNT + 20 * len(FAMILIES)) if seed % len(FAMILIES) == _BOUNDED
+][:16]
+
+#: one-sided by Theorem 3.1, but the forward schema cannot carry Y
+REFUSED_PROGRAM = "t(X, Y) :- e(X, W), t(W, V), f(V).\nt(X, Y) :- t0(X, Y)."
+
+
+def ladder_cases():
+    """``(name, program, database, query)``: the differential seeds, the bounded
+    extras, and the two fully bound selections that reach the bounded-sides rung."""
+    for case in generate_cases(SEED_COUNT) + [generate_case(seed) for seed in BOUNDED_EXTRA_SEEDS]:
+        yield case.name, case.program, case.database, case.query
+    yield (
+        "sg(13, 17)",
+        same_generation(),
+        same_generation_database(branching=3, depth=4),
+        SelectionQuery.of("sg", 2, {0: 13, 1: 17}),
+    )
+    yield (
+        "two-sided t(1, 4)",
+        canonical_two_sided(),
+        relations_database(
+            a=random_pairs(25, 10, seed=51), b=random_pairs(10, 10, seed=52), c=random_pairs(25, 10, seed=53)
+        ),
+        SelectionQuery.of("t", 2, {0: 1, 1: 4}),
+    )
+
+
+class TestLadder:
+    def test_rung_census_of_the_differential_seeds(self):
+        """Which rung answers each seed — a planner change that moves a seed shows here."""
+        census = Counter(
+            answer(case.program, case.database, case.query).rung for case in generate_cases(SEED_COUNT)
+        )
+        assert census == {
+            "one-sided-forward": 50,
+            "one-sided-backward": 10,
+            "unfolded": 12,
+            "magic-sets": 7,
+            "counting": 5,
+        }  # and no seed lands on plain semi-naive
+
+    def test_explain_renders_the_plan_answer_executes(self):
+        """Same strategy string, and every join the run dispatched is one EXPLAIN showed.
+
+        EXPLAIN lists every join the rung can run; which of them a run reaches
+        depends on the data (a schema operator whose carry stays empty is never
+        applied).  A fixpoint rung compiles its delta variants against relations
+        it derives as it goes, so there the rules agree and the join orders need not.
+        """
+        problems = []
+        rungs = Counter()
+        for name, program, database, query in ladder_cases():
+            executed = answer(program, database, query, profile=True)
+            predicted = explain(program, query, database)
+            rungs[executed.strategy] += 1
+            if predicted.strategy != executed.strategy:
+                problems.append(f"{name}: explain says {predicted.strategy}, answer ran {executed.strategy}")
+            if executed.rung in ("magic-sets", "seminaive"):
+                shown = {plan.rule for plan in predicted.plans}
+                ran = {plan.rule for plan in executed.profile.plans}
+            else:
+                shown = {(plan.rule, plan.join_order, plan.dispatch) for plan in predicted.plans}
+                ran = {(plan.rule, plan.join_order, plan.dispatch) for plan in executed.profile.plans}
+            if not ran or not ran <= shown:
+                problems.append(f"{name} ({executed.strategy}): ran {sorted(ran - shown)} unexplained")
+        assert not problems, "\n".join(problems)
+        assert rungs["one-sided-forward (bounded sides, auto)"] + rungs["one-sided-backward (bounded sides, auto)"] == 2
+
+    def test_a_refusing_rung_is_recorded_not_hidden(self):
+        program = parse_program(REFUSED_PROGRAM)
+        database = Database.from_dict({"e": [(1, 2)], "f": [(3,)], "t0": [(2, 3)]})
+        result = answer(program, database, "t(1, Y)?", profile=True)
+        assert result.rung == "magic-sets"
+        ((rung, error, message),) = result.fell_through
+        assert (rung, error) == ("one-sided", "EvaluationError") and "cannot carry" in message
+        assert result.profile.fell_through == [(rung, error, message)]
+        assert "FELL THROUGH one-sided" in result.profile.render()
+        # the refusal is the memoized analysis's, so EXPLAIN reports it without running
+        predicted = explain(program, "t(1, Y)?", database)
+        assert predicted.fell_through == result.profile.fell_through
+        assert predicted.fallbacks and predicted.fallbacks[-1].startswith("seminaive (auto)")
+
+    def test_a_rung_failing_on_the_data_falls_through_at_run_time(self):
+        # counting is in scope for the program, but the reachable data is cyclic
+        program = canonical_two_sided()
+        database = Database.from_dict({"a": [(0, 1), (1, 0)], "b": [(1, 2)], "c": [(2, 3), (3, 2)]})
+        result = answer(program, database, "t(0, Y)?", counting_depth=50)
+        assert result.strategy == "magic-sets (auto)"
+        assert [(rung, error) for rung, error, _ in result.fell_through] == [("counting", "EvaluationError")]
+        reference, _ = seminaive_query(program, database, "t", {0: 0})
+        assert result.answers == reference
+
+
+    def test_the_plan_is_decided_once_per_query_shape(self, tc_db):
+        """One plan serves every constant (it holds none), and racing cold readers agree."""
+        import threading
+
+        import repro.core.schema as schema_module
+        import repro.engine.query as query_module
+        import repro.optimize.passes as passes_module
+
+        program = transitive_closure()
+        forward = [SelectionQuery.of("t", 2, {0: constant}) for constant in range(6)]
+        assert len({id(plan_query(program, query)) for query in forward}) == 1
+        assert plan_query(program, SelectionQuery.of("t", 2, {1: 100})) is not plan_query(program, forward[0])
+        expected = [answer(program, tc_db, query).answers for query in forward]
+        for memo in (query_module._plan_memo, schema_module._plan_memo, passes_module._result_memo):
+            memo.clear()
+        seen = []
+
+        def reader():
+            seen.append([answer(program, tc_db, query).answers for query in forward])
+
+        threads = [threading.Thread(target=reader) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert seen == [expected] * 8
+        assert len(query_module._plan_memo) == 1
+
+
+class TestTimeoutIsNotAFallThrough:
+    @pytest.fixture
+    def entered(self, monkeypatch):
+        """Names of the later rungs' entry points, as they are called."""
+        import repro.baselines.counting
+        import repro.baselines.magic
+        import repro.engine.query
+
+        calls = []
+        for module, name in (
+            (repro.baselines.counting, "counting_query"),
+            (repro.baselines.magic, "magic_query"),
+            (repro.engine.query, "seminaive_query"),
+        ):
+            def spy(*args, _name=name, _real=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("query", ["t(0, Y)?", "t(X, 300)?"])
+    def test_expired_deadline_raises_from_the_first_rung(self, query, entered):
+        database = edge_database(chain(300))
+        with evaluation_deadline(time.perf_counter() - 1.0):
+            with pytest.raises(QueryTimeout):
+                answer(transitive_closure(), database, query)
+        assert entered == []
+
+    def test_service_timeout_on_an_unmaterialized_predicate(self, entered):
+        database = edge_database(chain(3000))
+        with DatalogService(transitive_closure(), database) as service:
+            service._snapshot.views.pop("t")
+            with pytest.raises(QueryTimeout):
+                service.query("t(X, 3000)?", timeout=1e-4)
+        assert entered == []

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import answer_query, selection_covers_unbounded_sides
+from repro import answer
+from repro.core import selection_covers_unbounded_sides
 from repro.datalog import ProgramError
 from repro.engine import SelectionQuery, seminaive_query
 from repro.workloads import (
@@ -66,7 +67,7 @@ class TestPlannerRoute:
         program = same_generation()
         database = same_generation_database(branching=3, depth=4)
         query = SelectionQuery.of("sg", 2, {0: 13, 1: 17})
-        result = answer_query(program, database, query)
+        result = answer(program, database, query)
         reference, reference_stats = seminaive_query(program, database, "sg", {0: 13, 1: 17})
         assert result.answers == reference
         assert "bounded sides" in result.strategy
@@ -75,7 +76,7 @@ class TestPlannerRoute:
     def test_partially_bound_same_generation_still_uses_magic(self):
         program = same_generation()
         database = same_generation_database(branching=2, depth=3)
-        result = answer_query(program, database, SelectionQuery.of("sg", 2, {0: 3}))
+        result = answer(program, database, SelectionQuery.of("sg", 2, {0: 3}))
         assert "magic" in result.strategy
 
     def test_fully_bound_two_sided_matches_seminaive(self):
@@ -86,7 +87,7 @@ class TestPlannerRoute:
             c=random_pairs(25, 10, seed=53),
         )
         query = SelectionQuery.of("t", 2, {0: 1, 1: 4})
-        result = answer_query(program, database, query)
+        result = answer(program, database, query)
         reference, _ = seminaive_query(program, database, "t", {0: 1, 1: 4})
         assert result.answers == reference
         assert "bounded sides" in result.strategy
@@ -101,6 +102,6 @@ class TestPlannerRoute:
             c=random_pairs(18, 10, seed=seed + 2),
         )
         query = SelectionQuery.of("t", 2, {0: left, 1: right})
-        result = answer_query(program, database, query)
+        result = answer(program, database, query)
         reference, _ = seminaive_query(program, database, "t", {0: left, 1: right})
         assert result.answers == reference

@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import counting_query, magic_query
-from repro.core import answer_query, detect_one_sided, one_sided_query
+from repro import answer
+from repro.core import detect_one_sided, one_sided_query
 from repro.datalog import Database, ReproError, parse_program
 from repro.engine import SelectionQuery, naive_query, seminaive_query
 from repro.workloads import (
@@ -99,7 +100,7 @@ def test_strategies_agree(name, program_factory, predicate, db_factory, queries)
         query = SelectionQuery.of(predicate, arity, bindings)
         reference, _ = seminaive_query(program, database, predicate, bindings)
 
-        auto = answer_query(program, database, query)
+        auto = answer(program, database, query)
         assert auto.answers == reference, f"{name}: auto strategy diverged on {query}"
 
         naive, _ = naive_query(program, database, predicate, bindings)
@@ -158,9 +159,9 @@ def test_user_written_program_end_to_end():
     )
     outcome = detect_one_sided(program, "reachable")
     assert outcome.one_sided
-    result = answer_query(program, database, "reachable(msn, Dest)?")
+    result = answer(program, database, "reachable(msn, Dest)?")
     assert {row[1] for row in result.answers} == {"ord", "jfk", "cdg", "nrt"}
-    backwards = answer_query(program, database, "reachable(City, nrt)?")
+    backwards = answer(program, database, "reachable(City, nrt)?")
     assert {row[0] for row in backwards.answers} == {"msn", "ord", "jfk", "cdg", "sfo"}
 
 
@@ -169,6 +170,6 @@ def test_error_handling_is_uniform():
     program = transitive_closure()
     database = edge_database([(1, 2)])
     with pytest.raises(ReproError):
-        answer_query(program, database, "t(1, 2, 3)?")
+        answer(program, database, "t(1, 2, 3)?")
     with pytest.raises(ReproError):
-        answer_query(program, database, "t(1, Y)?", strategy="bogus")
+        answer(program, database, "t(1, Y)?", strategy="bogus")
