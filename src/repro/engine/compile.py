@@ -132,6 +132,7 @@ class CompiledRule:
         "initial_slots",
         "slot_count",
         "inputs",
+        "first",
         "_kernels",
     )
 
@@ -145,6 +146,7 @@ class CompiledRule:
         initial_slots: Tuple[Variable, ...],
         slot_count: int,
         inputs: int = 0,
+        first: Optional[int] = None,
     ) -> None:
         self.rule = rule
         self.order = order
@@ -160,6 +162,8 @@ class CompiledRule:
         #: leading steps that read the caller's own relations, not stored ones:
         #: joined like any atom, but no lookup is recorded for them
         self.inputs = inputs
+        #: the body atom forced to the front (a delta variant's occurrence), if any
+        self.first = first
         #: lazily generated ``[join_kernel, eval_kernel]`` (each built on
         #: first use — a plan evaluated only through one entry point never
         #: pays codegen for the other)
@@ -470,6 +474,7 @@ def compile_rule(
         initial_slots,
         len(slots),
         inputs,
+        first,
     )
 
 
@@ -544,21 +549,27 @@ class PlanCache:
 
 
 def compile_delta_variants(
-    rule: Rule,
-    delta_predicates: Set[str],
+    get: Callable[..., CompiledRule],
+    rules: Iterable[Rule],
+    delta_predicates: Iterable[str],
     relations: Optional[RelationMap] = None,
 ) -> List[Tuple[str, int, CompiledRule]]:
-    """One compiled plan per occurrence of each delta predicate in ``rule``.
+    """One compiled plan per occurrence of a delta predicate in a body of ``rules``.
 
     Returns ``(delta predicate, occurrence index, compiled variant)`` triples;
     each variant forces its occurrence to the front of the join order and
-    reads it through ``overrides={occurrence index: delta relation}``.
+    reads it through ``overrides={occurrence index: delta relation}``.  ``get``
+    compiles one — :func:`compile_rule`, or a :meth:`PlanCache.get` to reuse
+    variants across calls.  Every delta driver collects its plans here: the
+    fixpoint, the maintenance closures (recursive and externally changed
+    predicates), and EXPLAIN.
     """
-    variants: List[Tuple[str, int, CompiledRule]] = []
-    for index, atom in enumerate(rule.body):
-        if atom.predicate in delta_predicates:
-            variants.append((atom.predicate, index, compile_rule(rule, relations, first=index)))
-    return variants
+    return [
+        (atom.predicate, index, get(rule, relations, first=index))
+        for rule in rules
+        for index, atom in enumerate(rule.body)
+        if atom.predicate in delta_predicates
+    ]
 
 
 def compile_program_rules(

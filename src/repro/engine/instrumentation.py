@@ -136,7 +136,8 @@ class EvaluationStats:
     iterations: int = 0
     #: join plans compiled (engine v2 compiles once per fixpoint, not per iteration)
     plans_compiled: int = 0
-    #: peak number of tuples kept as inter-iteration state (Property 2)
+    #: peak number of tuples kept as inter-iteration state (Property 2); a delta
+    #: loop's state is its deltas, in maintenance too (inserted / doomed rows)
     peak_state_tuples: int = 0
     #: sum over state relations of (arity of the relation), at the peak
     peak_state_columns: int = 0

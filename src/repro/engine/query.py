@@ -38,7 +38,7 @@ from ..datalog.terms import Constant, Variable, is_variable
 from .compile import CompiledRule, compile_program_rules
 from .instrumentation import EvaluationStats, query_trace
 from .naive import naive_query
-from .seminaive import seminaive_query
+from .seminaive import fixpoint_plans, seminaive_query
 
 
 @dataclass(frozen=True)
@@ -336,8 +336,8 @@ def plan_query(
             program, database, predicate, selection.bindings_dict()
         )
 
-    def program_rules(_selection, relations):  # a fixpoint's joins: one per rule
-        return compile_program_rules(program.rules, relations)
+    def program_joins(_selection, relations):  # what the semi-naive fixpoint compiles
+        return fixpoint_plans(program, relations)
 
     if auto or strategy == "unfolded":
         definition = provenance.unfolded if provenance is not None else None
@@ -378,24 +378,27 @@ def plan_query(
     if strategy == "magic" and not bound:
         rung(
             "seminaive", "magic sets need a constant to seed",
-            fixpoint(seminaive_query), program_rules, "seminaive (no bound columns)",
+            fixpoint(seminaive_query), program_joins, "seminaive (no bound columns)",
         )
     # on the ladder, magic also needs rules defining the predicate
     elif strategy == "magic" or (auto and bound and program.rules_for(predicate)):
         rung(
             "magic-sets", "the selection constants restrict the fixpoint through magic predicates",
             lambda database, selection, _depth: _unpack(magic_query(program, database, selection)),
-            lambda selection, relations: compile_program_rules(
-                magic_rewrite(program, selection).rewritten.rules, relations
+            lambda selection, relations: fixpoint_plans(
+                magic_rewrite(program, selection).rewritten, relations
             ),
         )
     if auto or strategy == "seminaive":
         rung(
             "seminaive", "full semi-naive fixpoint, then the selection",
-            fixpoint(seminaive_query), program_rules,
+            fixpoint(seminaive_query), program_joins,
         )
     if strategy == "naive":
-        rung("naive", "full naive fixpoint, then the selection", fixpoint(naive_query), program_rules)
+        rung(
+            "naive", "full naive fixpoint, then the selection", fixpoint(naive_query),
+            lambda _selection, relations: compile_program_rules(program.rules, relations),
+        )
     if not rungs:
         raise EvaluationError(f"{strategy} strategy unavailable: {unavailable}")
     if len(_plan_memo) >= _PLAN_MEMO_LIMIT:

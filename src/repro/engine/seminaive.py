@@ -11,20 +11,27 @@ values as they are: nothing is re-encoded on the way in or decoded on the way
 out, the relations handed back are the ones the fixpoint built, and the probe
 indexes the joins register stay on the caller's relations for the next
 evaluation (rows and ``version`` untouched).
+
+The delta loop over ``Relation`` deltas is written once (:func:`delta_rounds`;
+:func:`close_group` wraps it for a stratum whose inputs changed).  The fixpoint,
+insertion maintenance and DRed's over-delete (:mod:`repro.incremental.dred`)
+run it over the same :func:`compile_delta_variants` and differ only in a
+two-function policy: which produced rows are new, and where they go.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter as _perf
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..datalog.database import Database
 from ..datalog.relation import Relation, Row
-from ..datalog.rules import Program
+from ..datalog.rules import Program, Rule
 from .columnar import build_group_executor, columnar_enabled, columnar_forced
-from .compile import PlanCache, compile_delta_variants, compile_program_rules, prepare
+from .compile import CompiledRule, PlanCache, compile_delta_variants, compile_program_rules, compile_rule, prepare
 from .instrumentation import EvaluationStats, active_profile
-from .strata import cached_evaluation_strata, evaluation_strata, group_is_recursive
+from .strata import cached_evaluation_strata, evaluation_strata
 
 #: stable detail strings for profile `StratumDecision` records (asserted by
 #: the differential harness's profile-consistency checks, so keep them fixed)
@@ -72,6 +79,33 @@ def seminaive_evaluate(
     return derived
 
 
+def stratum_rules(program: Program, group: Sequence[str]) -> Tuple[List[Rule], List[Rule], List[Rule]]:
+    """``(rules, base rules, recursive rules)`` of one stratum, each in program
+    order; a recursive rule's body reads a predicate of the group."""
+    rules = [rule for predicate in group for rule in program.rules_for(predicate)]
+    group_set = set(group)
+    recursive_rules = [rule for rule in rules if not group_set.isdisjoint(rule.body_predicates())]
+    return rules, [rule for rule in rules if rule not in recursive_rules], recursive_rules
+
+
+def fixpoint_plans(program: Program, relations: Optional[Dict[str, Relation]] = None) -> List[CompiledRule]:
+    """The joins :func:`seminaive_evaluate` compiles for ``program``, stratum by stratum.
+
+    Per stratum the base rules as written, then one delta variant per
+    occurrence of a group predicate in a recursive rule: what
+    :func:`_evaluate_group` collects, so EXPLAIN shows the run's rules and
+    delta occurrences.  The rest of a join order may still differ — the run
+    compiles against what it has derived so far, and sizes break planner ties.
+    """
+    plans: List[CompiledRule] = []
+    for group in evaluation_strata(program):
+        _rules, base_rules, recursive_rules = stratum_rules(program, group)
+        plans += compile_program_rules(base_rules, relations)
+        variants = compile_delta_variants(compile_rule, recursive_rules, group, relations)
+        plans += [plan for _predicate, _occurrence, plan in variants]
+    return plans
+
+
 def _evaluate_group(
     program: Program,
     group: List[str],
@@ -84,42 +118,28 @@ def _evaluate_group(
     profile = active_profile()
     if profile is not None:
         profile.record_stratum(stratum, group)
-    group_set = set(group)
-    rules = [rule for predicate in group for rule in program.rules_for(predicate)]
-    recursive_rules = [rule for rule in rules if any(p in group_set for p in rule.body_predicates())]
-    base_rules = [rule for rule in rules if rule not in recursive_rules]
+    _rules, base_rules, recursive_rules = stratum_rules(program, group)
     base_plans = compile_program_rules(base_rules, relations)
     stats.record_plans_compiled(len(base_plans))
-
-    # One delta relation per group predicate for the whole stratum: it holds
-    # the tuples new in the previous iteration and takes over each round's
-    # discoveries at the round boundary, so the delta variants resolve it once
-    # and a join that probes it keeps its registered index.
-    current: Dict[str, Relation] = {p: Relation(f"delta_{p}", derived[p].arity) for p in group}
 
     # Initialisation: pre-existing facts for the group's predicates (e.g. a
     # magic seed placed in the database) count as freshly derived, then the
     # nonrecursive rules are applied once.
+    current: Dict[str, Relation] = {p: Relation(f"delta_{p}", derived[p].arity) for p in group}
     for predicate in group:
         current[predicate].union_update(derived[predicate].rows())
     stats.record_iteration()
+    policy = fresh, absorb = _growing(derived, stats)
     for plan in base_plans:
-        target = derived[plan.rule.head.predicate]
-        delta = current[plan.rule.head.predicate]
-        fresh_rows = plan.evaluate(relations, stats=stats) - target.rows()
-        if fresh_rows:
-            target.union_update(fresh_rows)
-            delta.union_update(fresh_rows)
-            stats.record_produced(len(fresh_rows))
+        head = plan.rule.head.predicate
+        rows = fresh(head, plan.evaluate(relations, stats=stats))
+        if rows:
+            absorb(head, rows)
+            current[head].union_update(rows)
 
-    if not group_is_recursive(program, group):
+    if not recursive_rules:
         return
-
-    # One compiled plan per occurrence of a group predicate in a recursive
-    # rule body, reused verbatim by every delta iteration below.
-    delta_plans = []
-    for rule in recursive_rules:
-        delta_plans.extend(compile_delta_variants(rule, group_set, relations))
+    delta_plans = compile_delta_variants(compile_rule, recursive_rules, group, relations)
     stats.record_plans_compiled(len(delta_plans))
 
     # Columnar batch execution: when every delta variant fits a vectorizable
@@ -152,8 +172,54 @@ def _evaluate_group(
     elif profile is not None:
         profile.record_group(stratum, group, "kernel-loop", detail=DECISION_COLUMNAR_OFF)
 
-    # Iterate: apply recursive rules to the deltas only.  The dispatch (kernel
-    # or interpreted join, which relations) is decided here, once.
+    delta_rounds(group, delta_plans, relations, current, policy, stats, stratum)
+
+
+#: what a closure does with a delta join's output: ``fresh(head, produced)``
+#: keeps the rows that are new (``produced`` is its to change in place), and
+#: ``absorb(predicate, rows)`` puts a round's new rows where they go
+Policy = Tuple[Callable[[str, Set[Row]], Set[Row]], Callable[[str, Set[Row]], None]]
+
+
+def _growing(
+    derived: Dict[str, Relation],
+    stats: EvaluationStats,
+    inserted: Optional[Dict[str, Set[Row]]] = None,
+) -> Policy:
+    """The policy that grows ``derived``: a row it lacks is new and joins it (and ``inserted``)."""
+
+    def fresh(head: str, produced: Set[Row]) -> Set[Row]:
+        produced -= derived[head].rows()
+        return produced
+
+    def absorb(predicate: str, rows: Set[Row]) -> None:
+        stats.record_produced(derived[predicate].union_update(rows))
+        if inserted is not None:
+            inserted[predicate] |= rows
+
+    return fresh, absorb
+
+
+def delta_rounds(
+    group: Sequence[str],
+    delta_plans: List[Tuple[str, int, CompiledRule]],
+    relations: Dict[str, Relation],
+    current: Dict[str, Relation],
+    policy: Policy,
+    stats: EvaluationStats,
+    stratum: int = 0,
+) -> None:
+    """The semi-naive delta loop: apply the delta variants until no delta holds a row.
+
+    ``current`` maps each group predicate to its delta relation, seeded by the
+    caller.  A round joins every variant whose delta is non-empty, keeps what
+    the policy calls new, and at the round boundary absorbs it and hands it on
+    as the next delta.  The dispatch (kernel or interpreted join, which
+    relations) is decided here, once, and a delta relation is one object for
+    the whole loop, so a join that probes it keeps its registered index.
+    """
+    fresh, absorb = policy
+    profile = active_profile()
     runs = prepare(
         (plan for _predicate, _occurrence, plan in delta_plans),
         relations,
@@ -166,33 +232,82 @@ def _evaluate_group(
     while any(not current[p].is_empty() for p in group):
         stats.record_iteration()
         delta_total = sum(len(current[p]) for p in group)
-        stats.record_state(
-            delta_total,
-            sum(len(current[p]) * derived[p].arity for p in group),
-        )
+        stats.record_state(delta_total, sum(len(current[p]) * current[p].arity for p in group))
         if profile is not None:
             iteration += 1
             iteration_started = _perf()
-        fresh: Dict[str, Set[Row]] = {}
+        found: Dict[str, Set[Row]] = {}
         for delta_relation, head, run in steps:
             if delta_relation.is_empty():
                 continue
             produced = run((), stats)
             stats.record_produced(len(produced))
-            produced -= derived[head].rows()
-            if head in fresh:
-                fresh[head] |= produced
+            produced = fresh(head, produced)
+            if head in found:
+                found[head] |= produced
             else:
-                fresh[head] = produced
+                found[head] = produced
         for predicate in group:
-            rows = fresh.get(predicate) or set()
+            rows = found.get(predicate) or set()
             if rows:
-                stats.record_produced(derived[predicate].union_update(rows))
+                absorb(predicate, rows)
             current[predicate].replace_rows(rows)
         if profile is not None:
-            profile.record_iteration(
-                stratum, iteration, delta_total, _perf() - iteration_started
-            )
+            profile.record_iteration(stratum, iteration, delta_total, _perf() - iteration_started)
+
+
+def close_group(
+    program: Program,
+    group: Sequence[str],
+    relations: Dict[str, Relation],
+    seeds: Mapping[str, Set[Row]],
+    external: Mapping[str, Set[Row]],
+    policy: Policy,
+    stats: EvaluationStats,
+    cache: PlanCache,
+) -> None:
+    """Close one stratum over a change, under the caller's ``policy``.
+
+    ``seeds`` are changed rows of the group's own predicates, already where
+    they go; ``external`` maps changed *non-group* predicate names to their
+    changed rows.  Two phases, both riding the delta variants ``cache``
+    compiles once per rule shape for a whole update stream:
+
+    1. every occurrence of an externally changed predicate in a group rule is
+       evaluated once, overridden by its delta (a derivation the change touches
+       uses a changed tuple, so this finds them all — one possibly twice, which
+       set semantics absorbs);
+    2. the seeds and what phase 1 found new start :func:`delta_rounds` over
+       the group's recursive rules.
+    """
+    fresh, absorb = policy
+    get = partial(cache.get, stats=stats)
+    rules, _base_rules, recursive_rules = stratum_rules(program, group)
+    names = {name for name, rows in external.items() if rows and name not in group}
+    variants = compile_delta_variants(get, rules, names, relations)
+    if not variants and not any(seeds.values()):
+        return
+    current = {p: Relation(f"delta_{p}", program.arity_of(p), seeds.get(p)) for p in group}
+    deltas = {
+        name: Relation(f"delta_{name}", program.arity_of(name), external[name])
+        for name in {name for name, _occurrence, _plan in variants}
+    }
+    runs = prepare(
+        (plan for _name, _occurrence, plan in variants),
+        relations,
+        overrides={plan: {occurrence: deltas[name]} for name, occurrence, plan in variants},
+    )
+    for _name, _occurrence, plan in variants:
+        head = plan.rule.head.predicate
+        produced = runs[plan]((), stats)
+        stats.record_produced(len(produced))
+        rows = fresh(head, produced)
+        if rows:
+            absorb(head, rows)
+            current[head].union_update(rows)
+    if recursive_rules and any(not delta.is_empty() for delta in current.values()):
+        delta_plans = compile_delta_variants(get, recursive_rules, group, relations)
+        delta_rounds(group, delta_plans, relations, current, policy, stats)
 
 
 def overlay_relations(database: Database, derived: Dict[str, Relation]) -> Dict[str, Relation]:
@@ -216,90 +331,18 @@ def group_insert_closure(
     stats: EvaluationStats,
     cache: Optional[PlanCache] = None,
 ) -> Dict[str, Set[Row]]:
-    """Close one stratum over freshly inserted tuples (one delta round).
+    """Close one stratum over freshly inserted tuples: :func:`close_group`, growing ``derived``.
 
     ``derived`` holds the group's materialized relations, already containing
     the direct ``seeds``; ``external`` maps changed *non-group* predicate
     names to their inserted rows, with ``relations`` reading the post-change
-    state everywhere.  Two phases, both riding the compiled delta variants of
-    :mod:`repro.engine.compile`:
-
-    1. every occurrence of an externally changed predicate in a group rule is
-       evaluated once with that occurrence overridden by the delta (any new
-       derivation must use at least one inserted tuple, so this finds them
-       all — possibly enumerating a derivation twice, which set semantics
-       absorbs);
-    2. the newly derived group tuples seed the ordinary semi-naive delta
-       iteration of the group's recursive rules until no tuple is new.
-
-    ``cache`` memoizes the compiled plans across calls (an update stream pays
-    compilation once per rule shape); without one, plans compile per call,
-    exactly as the fixpoint engine compiles per fixpoint.
-
-    Returns the rows this call added to each group relation (seeds included).
+    state everywhere.  Without a ``cache`` plans compile per call, as the
+    fixpoint's do.  Returns the rows added per group relation (seeds included).
     """
-    cache = cache if cache is not None else PlanCache()
-    group_set = set(group)
     inserted: Dict[str, Set[Row]] = {p: set(seeds.get(p, ())) for p in group}
-    rules = [rule for predicate in group for rule in program.rules_for(predicate)]
-
-    changed = {name for name, rows in external.items() if rows and name not in group_set}
-    if changed:
-        overlays = {
-            name: Relation(f"delta_{name}", program.arity_of(name), external[name])
-            for name in changed
-            if name in program.predicates()
-        }
-        for rule in rules:
-            for index, atom in enumerate(rule.body):
-                if atom.predicate not in overlays:
-                    continue
-                plan = cache.get(rule, relations, first=index, stats=stats)
-                target = derived[rule.head.predicate]
-                produced = plan.evaluate(relations, stats=stats, overrides={index: overlays[atom.predicate]})
-                new_rows = produced - target.rows()
-                if new_rows:
-                    target.union_update(new_rows)
-                    inserted[rule.head.predicate] |= new_rows
-                    stats.record_produced(len(new_rows))
-
-    if group_is_recursive(program, group) and any(inserted.values()):
-        group_rules = [rule for rule in rules if any(p in group_set for p in rule.body_predicates())]
-        delta_plans = []
-        for rule in group_rules:
-            for index, atom in enumerate(rule.body):
-                if atom.predicate in group_set:
-                    plan = cache.get(rule, relations, first=index, stats=stats)
-                    delta_plans.append((atom.predicate, index, plan))
-
-        current = {p: Relation(f"delta_{p}", derived[p].arity, inserted[p]) for p in group}
-        spare = {p: Relation(f"delta_{p}", derived[p].arity) for p in group}
-        while any(not current[p].is_empty() for p in group):
-            stats.record_iteration()
-            stats.record_state(
-                sum(len(current[p]) for p in group),
-                sum(len(current[p]) * derived[p].arity for p in group),
-            )
-            for delta_predicate, occurrence, plan in delta_plans:
-                delta_relation = current[delta_predicate]
-                if delta_relation.is_empty():
-                    continue
-                head = plan.rule.head.predicate
-                produced = plan.evaluate(relations, stats=stats, overrides={occurrence: delta_relation})
-                new_rows = produced - derived[head].rows()
-                if new_rows:
-                    spare[head].union_update(new_rows)
-            for predicate in group:
-                added_rows = spare[predicate].rows() - derived[predicate].rows()
-                if added_rows:
-                    derived[predicate].union_update(added_rows)
-                    inserted[predicate] |= added_rows
-                    stats.record_produced(len(added_rows))
-                stale = current[predicate]
-                stale.clear()
-                current[predicate] = spare[predicate]
-                spare[predicate] = stale
-
+    cache = cache if cache is not None else PlanCache()
+    policy = _growing(derived, stats, inserted)
+    close_group(program, group, relations, seeds, external, policy, stats, cache)
     return inserted
 
 
@@ -316,16 +359,12 @@ def propagate_insertions(
     ``derived`` is the materialized minimal model of ``program`` over the
     database *before* the insertion; ``database`` is the database *after* it;
     ``deltas`` maps relation names to the rows just inserted (EDB relations,
-    or base facts of IDB predicates).  One delta round per stratum — seeded
-    by the inserted tuples instead of the whole relations — brings ``derived``
-    to the new minimal model in place, and the per-IDB sets of rows actually
-    added are returned.  This is the insertion half of incremental view
-    maintenance (:mod:`repro.incremental`): the same compiled delta variants
-    the fixpoint uses across iterations, reused across *time*.
-
-    Maintenance joins run through the generated kernels like every other
-    compiled-plan evaluation, over the materialized relations the view
-    serves to queries directly.
+    or base facts of IDB predicates).  One closure per stratum — seeded by the
+    inserted tuples instead of the whole relations — brings ``derived`` to the
+    new minimal model in place, and the per-IDB sets of rows actually added
+    are returned.  This is the insertion half of incremental view maintenance
+    (:mod:`repro.incremental`): the delta variants the fixpoint uses across
+    iterations, reused across *time*, over the relations the view serves.
     """
     stats = stats if stats is not None else EvaluationStats()
     cache = cache if cache is not None else PlanCache()

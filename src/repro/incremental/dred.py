@@ -5,21 +5,22 @@ through a cycle keep positive counts after their last external derivation is
 deleted.  DRed (Gupta–Mumick–Subrahmanian) stays exact by splitting deletion
 into three phases:
 
-1. **overestimate** — propagate the deleted base facts through every rule
-   (one delta-first compiled join per affected occurrence, iterated through
-   recursive strata), marking every derived tuple that has *some* derivation
-   using a deleted tuple;
+1. **overestimate** — propagate the deleted base facts through every rule,
+   marking every derived tuple that has *some* derivation using a deleted
+   tuple.  This is the stratum closure the fixpoint and insertions run
+   (:func:`repro.engine.seminaive.close_group`: same delta variants, same
+   delta loop) under its own policy: a produced row is new when it is derived
+   and not yet doomed, and it goes to the doomed set;
 2. **remove** — discard the whole overestimate from the view;
-3. **rederive** — for each removed tuple, check whether an alternative
-   derivation survives in the pruned state (a bound-head compiled probe per
+3. **rederive** — probe every removed tuple of a stratum against the *same*
+   pruned state for a surviving derivation (a bound-head compiled probe per
    candidate, plus the base relation when the predicate stores facts under
-   its own name), and put the survivors back through the ordinary insertion
-   delta round (:func:`repro.engine.seminaive.group_insert_closure`), which
-   reinstates anything downstream of them.
+   its own name), then put the survivors back and let the insertion closure
+   (:func:`repro.engine.seminaive.group_insert_closure`) reinstate what hangs
+   off them — so the work does not depend on the order the rows are met in.
 
 Insertions don't need any of this: the fixpoint is monotone, so a single
-seeded semi-naive delta round
-(:func:`repro.engine.seminaive.propagate_insertions`) is exact.
+seeded closure (:func:`repro.engine.seminaive.propagate_insertions`) is exact.
 
 The overestimate runs *before* the database mutates (it must see the old
 state to find derivations through the dying tuples); removal and
@@ -37,9 +38,8 @@ from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant, Variable, is_variable
 from ..engine.compile import PlanCache, RelationMap
 from ..engine.instrumentation import EvaluationStats
-from ..engine.seminaive import group_insert_closure, overlay_relations
+from ..engine.seminaive import close_group, group_insert_closure, overlay_relations
 from ..engine.strata import cached_evaluation_strata as _cached_strata
-from ..engine.strata import group_is_recursive
 
 
 def overestimate_deletions(
@@ -65,54 +65,21 @@ def overestimate_deletions(
     external: Dict[str, Set[Row]] = {
         name: set(rows) for name, rows in deltas.items() if rows and name in known
     }
+
+    def fresh(head: str, produced: Set[Row]) -> Set[Row]:
+        produced &= derived[head].rows()
+        produced -= doomed[head]
+        return produced
+
+    def absorb(predicate: str, rows: Set[Row]) -> None:
+        doomed[predicate] |= rows
+
     for group in _cached_strata(program):
-        group_set = set(group)
-        frontier: Dict[str, Set[Row]] = {p: set() for p in group}
-        for predicate in group:
-            # base facts stored under the predicate's own name
-            for row in external.get(predicate, ()):
-                if row in derived[predicate] and row not in doomed[predicate]:
-                    doomed[predicate].add(row)
-                    frontier[predicate].add(row)
-        rules = [rule for predicate in group for rule in program.rules_for(predicate)]
-        changed = {name for name, rows in external.items() if rows and name not in group_set}
-        for rule in rules:
-            for index, atom in enumerate(rule.body):
-                if atom.predicate not in changed:
-                    continue
-                plan = cache.get(rule, relations, first=index, stats=stats)
-                overlay = Relation(
-                    f"delta_{atom.predicate}", atom.arity, external[atom.predicate]
-                )
-                head = rule.head.predicate
-                for row in plan.evaluate(relations, stats=stats, overrides={index: overlay}):
-                    if row in derived[head] and row not in doomed[head]:
-                        doomed[head].add(row)
-                        frontier[head].add(row)
-        if group_is_recursive(program, group):
-            group_rules = [r for r in rules if any(p in group_set for p in r.body_predicates())]
-            delta_plans = []
-            for rule in group_rules:
-                for index, atom in enumerate(rule.body):
-                    if atom.predicate in group_set:
-                        plan = cache.get(rule, relations, first=index, stats=stats)
-                        delta_plans.append((atom.predicate, index, plan))
-            while any(frontier[p] for p in group):
-                stats.record_iteration()
-                next_frontier: Dict[str, Set[Row]] = {p: set() for p in group}
-                for delta_predicate, occurrence, plan in delta_plans:
-                    rows = frontier[delta_predicate]
-                    if not rows:
-                        continue
-                    overlay = Relation(
-                        f"delta_{delta_predicate}", derived[delta_predicate].arity, rows
-                    )
-                    head = plan.rule.head.predicate
-                    for row in plan.evaluate(relations, stats=stats, overrides={occurrence: overlay}):
-                        if row in derived[head] and row not in doomed[head]:
-                            doomed[head].add(row)
-                            next_frontier[head].add(row)
-                frontier = next_frontier
+        # base facts stored under a group predicate's own name
+        seeds = {p: fresh(p, set(external[p])) for p in group if p in external}
+        for predicate, rows in seeds.items():
+            absorb(predicate, rows)
+        close_group(program, group, relations, seeds, external, (fresh, absorb), stats, cache)
         for predicate in group:
             if doomed[predicate]:
                 external[predicate] = doomed[predicate]
@@ -194,18 +161,19 @@ def apply_deletions(
     external: Dict[str, Set[Row]] = {}
     rederived_total = 0
     for group in _cached_strata(program):
+        # probe first, re-add after: a survivor that hangs off another survivor
+        # is the closure's to reinstate, whichever of the two is met first
         seeds: Dict[str, Set[Row]] = {p: set() for p in group}
         for predicate in group:
             base_relation = base.get(predicate)
             probes = _head_probes(program, predicate)
             for row in doomed.get(predicate, ()):
-                if row in derived[predicate]:
-                    continue
                 if (base_relation is not None and row in base_relation) or _derivable(
                     probes, row, relations, stats, cache
                 ):
-                    derived[predicate].add(row)
                     seeds[predicate].add(row)
+        for predicate in group:
+            derived[predicate].union_update(seeds[predicate])
         inserted = group_insert_closure(
             program, group, relations, derived, seeds, external, stats, cache
         )

@@ -274,11 +274,14 @@ class QueryProfile:
 
 def _describe_step(plan, index: int) -> str:
     """``p[probe 0,1]`` / ``p[scan]``; what the evaluator itself hands the join — a
-    schema's selection and the round's carry, not stored relations — reads ``input p/arity[...]``."""
+    schema's selection and the round's carry, not stored relations — reads ``input p/arity[...]``,
+    and the occurrence a delta variant forces to the front reads ``delta p[...]``."""
     step = plan.steps[index]
     access = f"probe {','.join(map(str, step.probe_columns))}" if step.probe_columns else "scan"
     if index < getattr(plan, "inputs", 0):
         return f"input {step.predicate}/{plan.rule.body[step.atom_index].arity}[{access}]"
+    if getattr(plan, "first", None) is not None and step.atom_index == plan.first:
+        return f"delta {step.predicate}[{access}]"
     return f"{step.predicate}[{access}]"
 
 
@@ -609,7 +612,9 @@ def explain(
     ``t.forward`` / ``t.backward`` / ``t.answer``, each led by its ``input
     t.selection`` / ``t.carry``; ``carry_arity`` in the counters), the cached
     joins of the unfolded strings — and for a fixpoint rung (magic, semi-naive)
-    one join per rule of the program it evaluates.
+    :func:`~repro.engine.seminaive.fixpoint_plans` of the program it evaluates:
+    per stratum the base rules, then one ``delta p[...]``-led variant per
+    occurrence of a recursive predicate.
     ``database`` is optional and used only for size-based join ordering and the
     leapfrog-eligibility check.
 

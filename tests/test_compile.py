@@ -95,7 +95,7 @@ class TestDeltaVariants:
         )
         delta = Relation("t", 2, [(1, 5), (5, 7)])
         interpreted = evaluate_rule_with_delta(rule, relations, "t", delta)
-        variants = compile_delta_variants(rule, {"t"})
+        variants = compile_delta_variants(compile_rule, [rule], {"t"})
         assert len(variants) == 1
         predicate, occurrence, plan = variants[0]
         assert predicate == "t"
@@ -110,7 +110,7 @@ class TestDeltaVariants:
             Atom.of("t", "X", "Y"),
             (Atom.of("t", "X", "Z"), Atom.of("t", "Z", "Y")),
         )
-        variants = compile_delta_variants(rule, {"t"})
+        variants = compile_delta_variants(compile_rule, [rule], {"t"})
         assert [(p, o) for p, o, _plan in variants] == [("t", 0), ("t", 1)]
 
     def test_nonlinear_union_over_occurrences_matches_interpreter(self):
@@ -122,7 +122,7 @@ class TestDeltaVariants:
         delta = Relation("t", 2, [(1, 2)])
         interpreted = evaluate_rule_with_delta(rule, relations, "t", delta)
         compiled = set()
-        for _predicate, occurrence, plan in compile_delta_variants(rule, {"t"}):
+        for _predicate, occurrence, plan in compile_delta_variants(compile_rule, [rule], {"t"}):
             compiled |= plan.evaluate(relations, overrides={occurrence: delta})
         assert compiled == interpreted
 

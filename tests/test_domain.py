@@ -190,7 +190,9 @@ class TestTouchedOnce:
             assert derived[predicate] is relation
             assert derived[predicate].rows() is rows
 
-    def test_flags_are_read_per_stratum_not_per_round(self, monkeypatch):
+    @pytest.fixture
+    def flag_reads(self, monkeypatch):
+        """The env var of every ``EngineFlag.state()`` call, in order."""
         reads = []
         state = EngineFlag.state
 
@@ -199,6 +201,10 @@ class TestTouchedOnce:
             return state(flag)
 
         monkeypatch.setattr(EngineFlag, "state", counting_state)
+        return reads
+
+    def test_flags_are_read_per_stratum_not_per_round(self, flag_reads):
+        reads = flag_reads
         calls = []
         for length in (50, 400):
             reads.clear()
@@ -207,6 +213,26 @@ class TestTouchedOnce:
             assert stats.iterations == length + 1
             calls.append(len(reads))
         assert calls[0] == calls[1] <= 8
+
+    def test_maintenance_reads_flags_per_closure_not_per_round(self, flag_reads):
+        """An insert's flag reads do not grow with its rounds; a delete's grow
+        with its rederive probes (one per doomed row and rule) and nothing else."""
+        reads = flag_reads
+        calls = []
+        for length in (50, 400):
+            session = Session(PROGRAM, edge_database(chain(length)))
+            reads.clear()
+            session.insert("b", [(length, "end")])
+            assert session.last_stats.iterations == length + 1
+            insert_reads = len(reads)
+            reads.clear()
+            session.delete("b", [(length, "end")])
+            assert session.last_stats.iterations == length + 1
+            doomed = session.last_stats.tuples_deleted
+            assert doomed == length + 1
+            calls.append((insert_reads, len(reads) - len(PROGRAM.rules) * doomed))
+        assert calls[0] == calls[1]
+        assert max(calls[0]) <= 4
 
     def test_stored_idb_facts_and_a_magic_seed_leave_the_database_alone(self):
         database = Database.from_dict(

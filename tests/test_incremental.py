@@ -179,6 +179,85 @@ class TestDeletions:
         assert_view_matches_recompute(session)
 
 
+class TestDeltaLoopPolicies:
+    """DRed's two closures: what the over-delete may doom, and that no count depends on set order."""
+
+    MUTUAL = parse_program(
+        """
+        p(X, Y) :- e(X, Y).
+        p(X, Y) :- e(X, Z), q(Z, Y).
+        q(X, Y) :- f(X, Z), p(Z, Y).
+        """
+    )
+
+    def test_overestimate_covers_the_deleted_rows_and_stays_inside_derived(self):
+        from repro.engine import EvaluationStats, PlanCache
+        from repro.incremental.dred import overestimate_deletions
+
+        # 1 -e-> 2 -f-> 3 -e-> 4 -f-> 5 -e-> 6, plus a second way from 2 to 4: 2 -f-> 7 -e-> 4
+        rows = {"e": [(1, 2), (3, 4), (5, 6), (7, 4)], "f": [(2, 3), (4, 5), (2, 7)]}
+        database = Database.from_dict(rows)
+        derived = seminaive_evaluate(self.MUTUAL, database)
+        before = {predicate: set(relation.rows()) for predicate, relation in derived.items()}
+        assert (2, 4) in before["q"] and (1, 6) in before["p"]
+
+        stats = EvaluationStats()
+        doomed = overestimate_deletions(
+            self.MUTUAL, database, derived, {"e": {(3, 4)}}, stats, PlanCache()
+        )
+        assert {p: set(r.rows()) for p, r in derived.items()} == before  # nothing is removed yet
+        assert stats.iterations == 3  # the doom travelled through both predicates' deltas
+        # over-delete rounds record their state like any other round of the delta
+        # loop: the widest delta of newly doomed rows (two binary tuples here)
+        assert (stats.peak_state_tuples, stats.peak_state_columns) == (2, 4)
+
+        rows["e"].remove((3, 4))
+        after = seminaive_evaluate(self.MUTUAL, Database.from_dict(rows))
+        for predicate in ("p", "q"):
+            deleted = before[predicate] - after[predicate].rows()
+            assert deleted <= doomed[predicate] <= before[predicate], predicate
+        assert (3, 4) in doomed["p"] and (3, 6) in doomed["p"]
+        # an overestimate: q(2, 4) and p(1, 4) are doomed through 3 and survive through 7
+        assert (2, 4) in doomed["q"] and (2, 4) in after["q"]
+        assert (1, 4) in doomed["p"] and (1, 4) in after["p"]
+
+    def test_maintenance_counters_do_not_depend_on_the_hash_seed(self):
+        """The same update scripts in two interpreters with different string hashing."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = (
+            "import json\n"
+            "from repro import Session\n"
+            "from repro.testing import generate_update_sequences\n"
+            "out = {}\n"
+            "for number, case in enumerate(generate_update_sequences(8)):\n"
+            "    session = Session(case.base.program, case.base.database.copy())\n"
+            "    if session.view.strategy != 'dred':\n"
+            "        continue\n"
+            "    for step in case.steps:\n"
+            "        getattr(session, step.op)(step.relation, list(step.rows))\n"
+            "    out[number] = session.view.stats.as_dict()\n"
+            "    del out[number]['elapsed_seconds']\n"
+            "print(json.dumps(out, sort_keys=True))\n"
+        )
+        source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source_root)
+            completed = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert completed.returncode == 0, completed.stderr
+            outputs.append(json.loads(completed.stdout))
+        assert len(outputs[0]) >= 4  # a handful of DRed seeds really ran
+        assert outputs[0] == outputs[1]
+
+
 class TestQueryRouting:
     def test_fresh_view_answers_by_indexed_lookup(self):
         session = Session(TC, tc_database())

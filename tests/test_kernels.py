@@ -109,7 +109,7 @@ class TestKernelEquivalence:
             (Atom.of("a", "X", "W"), Atom.of("t", "W", "Y")),
         )
         delta = Relation("t", 2, [(1, 5), (5, 7)])
-        for _predicate, occurrence, plan in compile_delta_variants(rule, {"t"}):
+        for _predicate, occurrence, plan in compile_delta_variants(compile_rule, [rule], {"t"}):
             kernel, interpreted, ks, bs = evaluate_both_ways(
                 plan, relations, overrides={occurrence: delta}
             )
