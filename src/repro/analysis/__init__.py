@@ -1,5 +1,5 @@
 """Reporting helpers for the benchmark harness."""
 
-from .report import format_cell, format_comparison, format_table, print_report, stats_row
+from .report import format_cell, format_comparison, format_table, stats_row
 
-__all__ = ["format_cell", "format_comparison", "format_table", "print_report", "stats_row"]
+__all__ = ["format_cell", "format_comparison", "format_table", "stats_row"]

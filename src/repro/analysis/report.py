@@ -82,10 +82,3 @@ def format_comparison(
 def stats_row(label: str, stats: Mapping[str, float], keys: Sequence[str]) -> List[Cell]:
     """Build a table row from an ``EvaluationStats.as_dict()`` mapping."""
     return [label] + [stats.get(key) for key in keys]
-
-
-def print_report(text: str) -> None:
-    """Print a report block surrounded by blank lines (keeps pytest -s output readable)."""
-    print()
-    print(text)
-    print()

@@ -15,7 +15,6 @@ from .build import (
 from .cycles import (
     ComponentAnalysis,
     analyze_components,
-    component_containing,
     component_containing_predicate,
     components_with_nonzero_cycles,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "analyze_components",
     "build_av_graph",
     "build_full_av_graph",
-    "component_containing",
     "component_containing_predicate",
     "components_with_nonzero_cycles",
     "describe",

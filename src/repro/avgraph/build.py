@@ -111,14 +111,8 @@ class AVGraph:
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
-    def variable_nodes(self) -> List[VarNode]:
-        return sorted(node for node in self.nodes if isinstance(node, VarNode))
-
     def argument_nodes(self) -> List[ArgNode]:
         return sorted(node for node in self.nodes if isinstance(node, ArgNode))
-
-    def nonrecursive_argument_nodes(self) -> List[ArgNode]:
-        return [node for node in self.argument_nodes() if not node.recursive]
 
     def adjacency(self) -> Dict[Node, List[Tuple[Node, int, Edge]]]:
         """Traversal adjacency: both directions, with the ±1 convention for unification edges."""
@@ -127,13 +121,6 @@ class AVGraph:
             adjacency[edge.source].append((edge.target, edge.weight, edge))
             adjacency[edge.target].append((edge.source, -edge.weight, edge))
         return adjacency
-
-    def edges_between(self, first: Node, second: Node) -> List[Edge]:
-        return [
-            edge
-            for edge in self.edges
-            if {edge.source, edge.target} == {first, second}
-        ]
 
     def node_by_label(self, label: str) -> Node:
         """Find a node by its display label (``"X"``, ``"a1"``, ``"t2"`` ...)."""

@@ -185,14 +185,6 @@ def nonzero_cycle_nodes(graph: AVGraph) -> Set[Node]:
     return result
 
 
-def component_containing(graph: AVGraph, node: Node) -> Optional[ComponentAnalysis]:
-    """The component analysis containing ``node``, or ``None`` if the node was pruned."""
-    for component in analyze_components(graph):
-        if node in component.nodes:
-            return component
-    return None
-
-
 def component_containing_predicate(
     graph: AVGraph, predicate: str, occurrence: int = 0
 ) -> Optional[ComponentAnalysis]:

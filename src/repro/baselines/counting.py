@@ -136,20 +136,22 @@ def detect_chain_shape(program: Program, predicate: str) -> ChainShape:
     )
 
 
-def counting_scope_reason(program: Program, query: SelectionQuery) -> str:
-    """Why :func:`counting_query` cannot run ``query`` — ``""`` when it can.
+def counting_scope_reason(program: Program, predicate: str, bound_columns: Tuple[int, ...]) -> str:
+    """Why :func:`counting_query` cannot run a selection on ``predicate`` binding
+    ``bound_columns`` — ``""`` when it can.
 
     One shared scope check for every router over the counting method (the
     query front door and the differential harness): the query must bind
     exactly column 0, the recursion must have the chain shape, and the exit
-    rules must read only EDB predicates.  Data-dependent failures (cyclic
-    reachable data tripping the depth bound) are not predictable from the
-    program and still surface as :class:`EvaluationError` at run time.
+    rules must read only EDB predicates.  Only the selection's shape is read,
+    never its constants.  Data-dependent failures (cyclic reachable data
+    tripping the depth bound) are not predictable from the program and still
+    surface as :class:`EvaluationError` at run time.
     """
-    if set(query.bound_columns()) != {0}:
+    if set(bound_columns) != {0}:
         return "query does not bind exactly column 0"
     try:
-        shape = detect_chain_shape(program, query.predicate)
+        shape = detect_chain_shape(program, predicate)
     except ProgramError as error:
         return f"no chain shape: {error}"
     edb = program.edb_predicates()

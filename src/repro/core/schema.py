@@ -84,6 +84,7 @@ to reproduce the Section 4 cross-product discussion).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..datalog.atoms import Atom, atoms_variables
@@ -358,12 +359,21 @@ def _build_plan(
     return plan
 
 
-#: (program, predicate, arity, bound columns, require_one_sided) → the compiled
-#: plan, or the (error class, message) that says the schema is inapplicable.
-#: Plans hold no relation contents and no selection constants.  The memo
-#: outlives any one program, so it is cleared wholesale at a constant cap.
-_plan_memo: Dict[tuple, Union[SchemaPlan, Tuple[type, str]]] = {}
-_PLAN_MEMO_LIMIT = 256
+@lru_cache(maxsize=256)
+def _plan_or_refusal(
+    program: Program,
+    predicate: str,
+    arity: int,
+    bound_columns: Tuple[int, ...],
+    require_one_sided: bool,
+) -> Union[SchemaPlan, Tuple[type, str]]:
+    """The compiled plan, or the (error class, message) that says the schema is
+    inapplicable.  Plans hold no relation contents and no selection constants,
+    so one entry serves every selection binding ``bound_columns``."""
+    try:
+        return _build_plan(program, predicate, arity, bound_columns, require_one_sided)
+    except ReproError as error:
+        return type(error), str(error)
 
 
 def compile_schema(
@@ -378,16 +388,7 @@ def compile_schema(
     Raises the :class:`~repro.datalog.errors.ReproError` subclass explaining
     why the schema is inapplicable; that verdict is memoized like a plan.
     """
-    key = (program, predicate, arity, bound_columns, require_one_sided)
-    entry = _plan_memo.get(key)
-    if entry is None:
-        try:
-            entry = _build_plan(program, predicate, arity, bound_columns, require_one_sided)
-        except ReproError as error:
-            entry = (type(error), str(error))
-        if len(_plan_memo) >= _PLAN_MEMO_LIMIT:
-            _plan_memo.clear()
-        _plan_memo[key] = entry
+    entry = _plan_or_refusal(program, predicate, arity, bound_columns, require_one_sided)
     if isinstance(entry, tuple):
         raise entry[0](entry[1])
     return entry

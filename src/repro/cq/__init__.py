@@ -2,11 +2,6 @@
 
 from .cache import (
     CQCache,
-    cached_has_containment_mapping,
-    cached_is_contained_in,
-    cached_minimize,
-    cached_minimize_union,
-    cached_union_contains,
     canonical_key,
     shared_cache,
 )
@@ -20,18 +15,13 @@ from .containment import (
     verify_containment_mapping,
 )
 from .minimize import is_minimal, minimize, minimize_union
-from .strings import AtomProvenance, ExpansionString, string_union_evaluate
+from .strings import AtomProvenance, ExpansionString
 
 __all__ = [
     "AtomProvenance",
     "CQCache",
     "ExpansionString",
     "are_equivalent",
-    "cached_has_containment_mapping",
-    "cached_is_contained_in",
-    "cached_minimize",
-    "cached_minimize_union",
-    "cached_union_contains",
     "canonical_key",
     "find_containment_mapping",
     "has_containment_mapping",
@@ -40,7 +30,6 @@ __all__ = [
     "minimize",
     "minimize_union",
     "shared_cache",
-    "string_union_evaluate",
     "union_contained_in",
     "union_contains",
     "verify_containment_mapping",

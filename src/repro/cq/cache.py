@@ -218,44 +218,3 @@ class CQCache:
 #: the unfolding pass all share it unless handed a private instance)
 shared_cache = CQCache()
 
-
-def cached_has_containment_mapping(
-    source: ExpansionString,
-    target: ExpansionString,
-    frozen: Optional[Set[Variable]] = None,
-    cache: Optional[CQCache] = None,
-) -> bool:
-    """Module-level convenience over :data:`shared_cache`."""
-    return (cache or shared_cache).has_containment_mapping(source, target, frozen)
-
-
-def cached_is_contained_in(
-    smaller: ExpansionString, larger: ExpansionString, cache: Optional[CQCache] = None
-) -> bool:
-    """Module-level convenience over :data:`shared_cache`."""
-    return (cache or shared_cache).is_contained_in(smaller, larger)
-
-
-def cached_union_contains(
-    covering: Sequence[ExpansionString],
-    string: ExpansionString,
-    cache: Optional[CQCache] = None,
-) -> bool:
-    """Module-level convenience over :data:`shared_cache`."""
-    return (cache or shared_cache).union_contains(covering, string)
-
-
-def cached_minimize(
-    string: ExpansionString,
-    frozen: Optional[Set[Variable]] = None,
-    cache: Optional[CQCache] = None,
-) -> ExpansionString:
-    """Module-level convenience over :data:`shared_cache`."""
-    return (cache or shared_cache).minimize(string, frozen)
-
-
-def cached_minimize_union(
-    strings: Iterable[ExpansionString], cache: Optional[CQCache] = None
-) -> List[ExpansionString]:
-    """Module-level convenience over :data:`shared_cache`."""
-    return (cache or shared_cache).minimize_union(strings)

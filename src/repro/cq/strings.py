@@ -14,7 +14,7 @@ nonrecursive (exit) rule — the two pieces of provenance that Definitions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..datalog.atoms import Atom, atoms_variables
 from ..datalog.relation import Relation, Row
@@ -83,30 +83,11 @@ class ExpansionString:
         """Predicate names used by the string."""
         return {atom.predicate for atom in self.atoms}
 
-    def provenance_for(self, index: int) -> AtomProvenance:
-        """Provenance of atom ``index`` (defaults to iteration 0, non-exit)."""
-        if self.provenance:
-            return self.provenance[index]
-        return AtomProvenance(0, False)
-
     def atom_indexes(self, include_exit: bool = True) -> List[int]:
         """Indexes of the atoms, optionally dropping exit-rule instances."""
         if include_exit or not self.provenance:
             return list(range(len(self.atoms)))
         return [i for i in range(len(self.atoms)) if not self.provenance[i].from_exit]
-
-    def without_exit_atoms(self) -> "ExpansionString":
-        """The string with the exit-rule predicate instances removed.
-
-        This is the "after removing the predicate instances produced by
-        applying the nonrecursive rule" operation of Definition 3.3.
-        """
-        keep = self.atom_indexes(include_exit=False)
-        return ExpansionString(
-            self.distinguished,
-            tuple(self.atoms[i] for i in keep),
-            tuple(self.provenance[i] for i in keep) if self.provenance else (),
-        )
 
     def recursion_depth(self) -> int:
         """Number of recursive-rule applications that produced this string.
@@ -140,34 +121,9 @@ class ExpansionString:
         """
         return evaluate_body_project(self.atoms, relations, self.distinguished, bindings, stats)
 
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    def with_atoms(self, atoms: Iterable[Atom], provenance: Iterable[AtomProvenance] = ()) -> "ExpansionString":
-        """A copy of the string with different atoms (same distinguished variables)."""
-        atoms = tuple(atoms)
-        provenance = tuple(provenance)
-        return ExpansionString(self.distinguished, atoms, provenance)
-
     def __str__(self) -> str:
         return ", ".join(str(atom) for atom in self.atoms) if self.atoms else "<empty string>"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ExpansionString({self!s})"
 
-
-def string_union_evaluate(
-    strings: Sequence[ExpansionString],
-    relations: Mapping[str, Relation],
-    stats: Optional[EvaluationStats] = None,
-) -> Set[Row]:
-    """Union of the relations of several strings.
-
-    The recursively defined relation is the union over all strings of the
-    expansion; evaluating a finite prefix gives the tuples derivable within
-    that many rule applications.
-    """
-    result: Set[Row] = set()
-    for string in strings:
-        result |= string.evaluate(relations, stats)
-    return result

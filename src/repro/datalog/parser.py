@@ -39,9 +39,6 @@ class _Token:
     column: int
 
 
-_PUNCTUATION = {"(", ")", ",", ".", "?", ":-"}
-
-
 def _tokenize(text: str) -> Iterator[_Token]:
     line = 1
     column = 1

@@ -18,12 +18,10 @@ from .cq_eval import (
 from .domain import Domain
 from .instrumentation import (
     EvaluationStats,
-    active_deadline,
     check_deadline,
     evaluation_deadline,
 )
 from .columnar import (
-    ColumnStore,
     columnar_enabled,
     columnar_mode,
     leapfrog_join,
@@ -42,7 +40,6 @@ from .seminaive import (
 from .strata import evaluation_strata, strongly_connected_components
 
 __all__ = [
-    "ColumnStore",
     "CompiledRule",
     "Domain",
     "EvaluationStats",
@@ -50,7 +47,6 @@ __all__ = [
     "QueryPlan",
     "QueryResult",
     "SelectionQuery",
-    "active_deadline",
     "answer",
     "as_relation",
     "as_selection_query",

@@ -7,14 +7,6 @@ row is re-dispatched through the whole loop even when thousands of rows share
 the same join key.  This module removes that waste by executing whole delta
 rounds *set-at-a-time*:
 
-* a :class:`ColumnStore` holds a relation as one ``array('q')`` per column
-  when its values are machine ints (plain lists otherwise), with
-  hash-partition views and sorted runs built lazily per join key — the
-  columnar analogue of :class:`~repro.datalog.relation.Relation`'s lazily
-  registered indexes;
-* :func:`batch_hash_join` and :func:`merge_join` are vectorized two-relation
-  join primitives over those views (:func:`join` picks merge when both sides
-  already have sorted runs cached, hash otherwise);
 * :func:`leapfrog_join` is a worst-case-optimal join (leapfrog-triejoin
   style): when a nonrecursive rule body is *cyclic* (GYO ear removal leaves a
   residue — e.g. the triangle query), any binary join plan materializes an
@@ -53,7 +45,6 @@ workloads far too small to profit from it.
 from __future__ import annotations
 
 import weakref
-from array import array
 from bisect import bisect_left
 from itertools import repeat
 from time import perf_counter
@@ -62,18 +53,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..datalog.relation import Relation, Row
 from .flags import EngineFlag
 from .instrumentation import active_profile
-from .packing import pack_columns
 
 __all__ = [
-    "ColumnStore",
-    "batch_hash_join",
     "columnar_enabled",
     "columnar_forced",
     "columnar_mode",
     "is_cyclic",
-    "join",
     "leapfrog_join",
-    "merge_join",
     "set_columnar_enabled",
     "wcoj_eligible",
 ]
@@ -100,219 +86,6 @@ def set_columnar_enabled(enabled) -> None:
 def columnar_mode(enabled):
     """Temporarily force columnar execution (differential-testing hook)."""
     return COLUMNAR_FLAG.mode(enabled)
-
-
-# ----------------------------------------------------------------------
-# the column store
-# ----------------------------------------------------------------------
-class ColumnStore:
-    """A relation decomposed into per-column value vectors.
-
-    Columns are ``array('q')`` when every value is a machine int and plain
-    lists otherwise, so the store works on any stored values.  Like
-    :class:`Relation`'s row indexes, the join-key
-    access paths are built lazily and cached per column:
-
-    * :meth:`hash_view` — ``key → [row indices]`` hash partitions;
-    * :meth:`value_view` — ``key → {other-column values}`` (binary relations),
-      the shape the batch executor probes;
-    * :meth:`sorted_runs` — ``(sorted distinct keys, key → [row indices])``,
-      the access path of :func:`merge_join` and the leapfrog join.
-    """
-
-    __slots__ = ("name", "arity", "count", "columns", "_hash_views", "_value_views", "_runs")
-
-    def __init__(self, name: str, arity: int, columns: Sequence[Sequence], count: int) -> None:
-        self.name = name
-        self.arity = arity
-        self.count = count
-        self.columns = list(columns)
-        self._hash_views: Dict[int, Dict] = {}
-        self._value_views: Dict[Tuple[int, int], Dict] = {}
-        self._runs: Dict[int, Tuple[list, Dict]] = {}
-
-    # -- construction ---------------------------------------------------
-    @classmethod
-    def from_relation(cls, relation: Relation) -> "ColumnStore":
-        """Decompose ``relation`` into columns (int columns when possible)."""
-        rows = relation.rows()
-        return cls.from_rows(relation.name, relation.arity, rows)
-
-    @classmethod
-    def from_rows(cls, name: str, arity: int, rows) -> "ColumnStore":
-        count = len(rows)
-        if arity == 0 or count == 0:
-            return cls(name, arity, [[] for _ in range(arity)], count)
-        columns: List[Sequence] = list(zip(*rows))
-        int_only = all(
-            all(type(value) is int for value in column) for column in columns
-        )
-        if int_only:
-            columns = [array("q", column) for column in columns]
-        else:
-            columns = [list(column) for column in columns]
-        return cls(name, arity, columns, count)
-
-    @classmethod
-    def from_packed_rows(cls, name: str, arity: int, count: int, packed: bytes) -> "ColumnStore":
-        """Hydrate int columns straight from a snapshot/WAL code matrix.
-
-        Rides :func:`repro.engine.packing.columns_from_packed`, so no
-        per-tuple Python loop runs between the storage bytes and the column
-        vectors.
-        """
-        from .packing import columns_from_packed
-
-        if arity == 0:
-            return cls(name, 0, [], count)
-        return cls(name, arity, columns_from_packed(packed, arity, count), count)
-
-    # -- conversion -----------------------------------------------------
-    def to_relation(self) -> Relation:
-        """The row-set view of the store (the round-trip identity)."""
-        if self.arity == 0:
-            rows: Set[Row] = {()} if self.count else set()
-        else:
-            rows = set(zip(*self.columns))
-        return Relation.from_valid_rows(self.name, self.arity, rows)
-
-    def rows(self) -> Set[Row]:
-        if self.arity == 0:
-            return {()} if self.count else set()
-        return set(zip(*self.columns))
-
-    def packed_rows(self) -> Tuple[int, bytes]:
-        """``(count, bytes)`` in the shared storage codec (int columns only)."""
-        return pack_columns(self.columns, self.count)
-
-    # -- lazy access paths ----------------------------------------------
-    def hash_view(self, column: int) -> Dict:
-        """``key → [row indices]`` hash partitions of ``column`` (cached)."""
-        view = self._hash_views.get(column)
-        if view is None:
-            view = {}
-            setdefault = view.setdefault
-            for index, key in enumerate(self.columns[column]):
-                setdefault(key, []).append(index)
-            self._hash_views[column] = view
-        return view
-
-    def value_view(self, key_column: int, value_column: int) -> Dict:
-        """``key → {values}`` over a column pair (cached) — the probe shape."""
-        view = self._value_views.get((key_column, value_column))
-        if view is None:
-            view = {}
-            setdefault = view.setdefault
-            for key, value in zip(self.columns[key_column], self.columns[value_column]):
-                bucket = setdefault(key, None)
-                if bucket is None:
-                    view[key] = {value}
-                else:
-                    bucket.add(value)
-            self._value_views[(key_column, value_column)] = view
-        return view
-
-    def sorted_runs(self, column: int) -> Tuple[list, Dict]:
-        """``(sorted distinct keys, key → [row indices])`` for ``column``."""
-        runs = self._runs.get(column)
-        if runs is None:
-            view = self.hash_view(column)
-            runs = (sorted(view), view)
-            self._runs[column] = runs
-        return runs
-
-    def has_sorted_runs(self, column: int) -> bool:
-        return column in self._runs
-
-    def row(self, index: int) -> Row:
-        return tuple(column[index] for column in self.columns)
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ColumnStore({self.name}/{self.arity}, {self.count} rows)"
-
-
-# ----------------------------------------------------------------------
-# two-relation join primitives
-# ----------------------------------------------------------------------
-def batch_hash_join(
-    left: ColumnStore,
-    left_column: int,
-    right: ColumnStore,
-    right_column: int,
-) -> List[Tuple[object, List[int], List[int]]]:
-    """``(key, left row indices, right row indices)`` per matching key.
-
-    The smaller side is hash-partitioned (or its cached view reused) and the
-    larger side's partitions probe it — whole partitions meet at once, the
-    batch analogue of a row-at-a-time hash probe.
-    """
-    left_view = left.hash_view(left_column)
-    right_view = right.hash_view(right_column)
-    if len(left_view) > len(right_view):
-        probe, build = left_view, right_view
-        flip = False
-    else:
-        probe, build = right_view, left_view
-        flip = True
-    matches = []
-    build_get = build.get
-    for key, probe_rows in probe.items():
-        build_rows = build_get(key)
-        if build_rows is None:
-            continue
-        if flip:
-            matches.append((key, probe_rows, build_rows))
-        else:
-            matches.append((key, build_rows, probe_rows))
-    if flip:
-        # probe held the *right* view: swap back to (key, left, right)
-        matches = [(key, rights, lefts) for key, lefts, rights in matches]
-    return matches
-
-
-def merge_join(
-    left: ColumnStore,
-    left_column: int,
-    right: ColumnStore,
-    right_column: int,
-) -> List[Tuple[object, List[int], List[int]]]:
-    """Sort-merge counterpart of :func:`batch_hash_join` (same output shape).
-
-    Walks both sides' sorted runs in lockstep; preferable when the runs are
-    already cached (an earlier join on the same key) or when key order of the
-    output matters.
-    """
-    left_keys, left_groups = left.sorted_runs(left_column)
-    right_keys, right_groups = right.sorted_runs(right_column)
-    matches = []
-    i = j = 0
-    n_left, n_right = len(left_keys), len(right_keys)
-    while i < n_left and j < n_right:
-        lk, rk = left_keys[i], right_keys[j]
-        if lk == rk:
-            matches.append((lk, left_groups[lk], right_groups[rk]))
-            i += 1
-            j += 1
-        elif lk < rk:
-            i = bisect_left(left_keys, rk, i + 1)
-        else:
-            j = bisect_left(right_keys, lk, j + 1)
-    return matches
-
-
-def join(
-    left: ColumnStore,
-    left_column: int,
-    right: ColumnStore,
-    right_column: int,
-) -> List[Tuple[object, List[int], List[int]]]:
-    """Auto-selected join: merge when both sides' runs are cached, else hash."""
-    if left.has_sorted_runs(left_column) and right.has_sorted_runs(right_column):
-        return merge_join(left, left_column, right, right_column)
-    return batch_hash_join(left, left_column, right, right_column)
 
 
 # ----------------------------------------------------------------------
@@ -775,10 +548,10 @@ class _GroupExecutor:
     def _view(self, predicate, key_pos, value_pos) -> Dict:
         """``key → {values}`` probe view of a non-group relation (cached).
 
-        The same shape :meth:`ColumnStore.value_view` serves, built in one
-        pass straight from the row set — the executor's relations are probed
-        through exactly one (key, value) column pair each, so decomposing
-        into full column vectors first would be pure setup cost.
+        Built in one pass straight from the row set — the executor's
+        relations are probed through exactly one (key, value) column pair
+        each, so decomposing into full column vectors first would be pure
+        setup cost.
         """
         cache_key = (predicate, key_pos, value_pos)
         view = self._views.get(cache_key)

@@ -36,11 +36,6 @@ from ..datalog.errors import QueryTimeout
 _deadline_local = threading.local()
 
 
-def active_deadline() -> Optional[float]:
-    """The calling thread's armed deadline (``time.perf_counter`` basis)."""
-    return getattr(_deadline_local, "value", None)
-
-
 def check_deadline() -> None:
     """Raise :class:`QueryTimeout` when the thread's armed deadline passed."""
     deadline = getattr(_deadline_local, "value", None)

@@ -1,28 +1,24 @@
-"""Interned-row packing — the one codec behind snapshots, WAL and columns.
+"""Row packing — the one codec behind snapshots and the WAL.
 
-Three consumers share the "rows as little-endian ``int64`` codes" layout:
+Two consumers share the "rows as little-endian ``int64`` codes" layout:
 
 * the durable storage layer (:mod:`repro.storage.format` /
   :mod:`repro.storage.snapshot`) persists every relation as a packed code
-  matrix;
+  matrix; and
 * :meth:`repro.datalog.relation.Relation.packed_rows` /
   :meth:`~repro.datalog.relation.Relation.from_packed_rows` are the
-  storage-facing row codec of the relation class; and
-* the columnar engine (:mod:`repro.engine.columnar`) stores relations as one
-  ``array('q')`` per column.
+  storage-facing row codec of the relation class.
 
 This module is the single implementation.  The row layout is unchanged from
 the earlier per-module copies: ``arity`` codes per row, rows in sorted code
 order, so the bytes for a given (relation, dictionary) pair stay
 deterministic and snapshot files remain diffable and backward compatible.
 
-The column view is the new part: :func:`columns_from_packed` turns a packed
+Decoding goes through columns: :func:`columns_from_packed` turns a packed
 matrix into per-column ``array('q')`` vectors with ``frombytes`` + extended
-slicing — no per-tuple Python loop — which is what lets a snapshot hydrate a
-column store (or a column store adopt a snapshot) at C speed.
-:func:`unpack_rows` uses the same trick for row sets: the columns are sliced
-out and re-zipped, so tuple construction happens inside ``zip`` rather than
-in bytecode.
+slicing — no per-tuple Python loop — and :func:`unpack_rows` re-zips those
+columns into a row set, so tuple construction happens inside ``zip`` rather
+than in bytecode.
 
 The module deliberately imports nothing from the rest of the package, so the
 storage layer and the relation class can both delegate to it without import
@@ -38,7 +34,6 @@ Row = Tuple[object, ...]
 
 __all__ = [
     "columns_from_packed",
-    "pack_columns",
     "pack_rows",
     "unpack_rows",
 ]
@@ -67,7 +62,7 @@ def pack_rows(
 def columns_from_packed(packed: bytes, arity: int, count: int) -> List[array]:
     """Per-column ``array('q')`` vectors of a packed code matrix.
 
-    The bulk hydration path: one ``frombytes`` plus ``arity`` extended
+    The bulk decode path of :func:`unpack_rows`: one ``frombytes`` plus ``arity`` extended
     slices, all at C speed — no per-tuple Python loop.  Row order is
     preserved (column ``j``'s ``i``-th entry belongs to row ``i``).
     """
@@ -79,17 +74,6 @@ def columns_from_packed(packed: bytes, arity: int, count: int) -> List[array]:
     if _BIG_ENDIAN:
         flat.byteswap()
     return [flat[j::arity] for j in range(arity)]
-
-
-def pack_columns(columns: Sequence[array], count: int) -> Tuple[int, bytes]:
-    """``(row_count, packed)`` from per-column vectors (sorted row order).
-
-    The inverse of :func:`columns_from_packed` modulo row order: rows are
-    sorted (and deduplicated) to keep the packed form canonical.
-    """
-    if not columns:
-        return (1, b"") if count else (0, b"")
-    return pack_rows(zip(*columns))
 
 
 def unpack_rows(

@@ -26,6 +26,7 @@ in a :class:`QueryResult` are the caller's own values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
@@ -237,13 +238,6 @@ def _unpack(result: QueryResult) -> Tuple[Set[Row], EvaluationStats]:
     return result.answers, result.stats
 
 
-#: (program, predicate, arity, bound columns, strategy, max_unfold_depth) → the plan:
-#: deciding the ladder costs a third of answering a narrow selection.  Cleared
-#: wholesale at a constant cap, like the optimizer's and the schema's memos.
-_plan_memo: Dict[tuple, QueryPlan] = {}
-_PLAN_MEMO_LIMIT = 256
-
-
 def plan_query(
     program: Program,
     selection: SelectionQuery,
@@ -269,14 +263,25 @@ def plan_query(
     for an out-of-scope ``"counting"`` or an ``"unfolded"`` with no boundedness
     witness within ``max_unfold_depth``.
     """
+    return _plan(
+        program, selection.predicate, selection.arity, selection.bound_columns(), strategy, max_unfold_depth
+    )
+
+
+@lru_cache(maxsize=256)
+def _plan(
+    program: Program,
+    predicate: str,
+    arity: int,
+    bound: Tuple[int, ...],
+    strategy: str,
+    max_unfold_depth: int,
+) -> QueryPlan:
+    """:func:`plan_query` for one selection shape: deciding the ladder costs a
+    third of answering a narrow selection, and the plan holds no constants."""
     if strategy not in ("auto", "unfolded", "one-sided", "counting", "magic", "seminaive", "naive"):
         raise EvaluationError(f"unknown evaluation strategy {strategy!r}")
     auto = strategy == "auto"
-    predicate, bound = selection.predicate, selection.bound_columns()
-    key = (program, predicate, selection.arity, bound, strategy, max_unfold_depth)
-    plan = _plan_memo.get(key)
-    if plan is not None:
-        return plan
 
     from ..baselines.counting import counting_plans, counting_query, counting_scope_reason
     from ..baselines.magic import magic_query, magic_rewrite
@@ -311,7 +316,7 @@ def plan_query(
 
     def schema_rung(require_one_sided: bool, reason: str) -> None:
         try:
-            schema = compile_schema(optimized, predicate, selection.arity, bound, require_one_sided)
+            schema = compile_schema(optimized, predicate, arity, bound, require_one_sided)
         except ReproError as error:
             if not auto:
                 raise
@@ -366,7 +371,7 @@ def plan_query(
     ):
         schema_rung(False, "the selection binds every unbounded side: the Figure 9 schema applies")
     if auto or strategy == "counting":
-        unavailable = counting_scope_reason(program, selection)
+        unavailable = counting_scope_reason(program, predicate, bound)
         if not unavailable:
             rung(
                 "counting", "chain recursion with a column-0 selection",
@@ -401,10 +406,7 @@ def plan_query(
         )
     if not rungs:
         raise EvaluationError(f"{strategy} strategy unavailable: {unavailable}")
-    if len(_plan_memo) >= _PLAN_MEMO_LIMIT:
-        _plan_memo.clear()
-    plan = _plan_memo[key] = QueryPlan(provenance, tuple(rungs), tuple(refused))
-    return plan
+    return QueryPlan(provenance, tuple(rungs), tuple(refused))
 
 
 def answer(

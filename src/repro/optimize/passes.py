@@ -32,7 +32,8 @@ for once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from ..cq.cache import CQCache, shared_cache
 from ..datalog.errors import ProgramError
@@ -333,12 +334,11 @@ class Optimizer:
         )
 
 
-#: (program, predicate, max_unfold_depth) → the default chain's result.  A
-#: program is immutable and the chain reads nothing else, so every query on
-#: one program shares one analysis.  The memo outlives any one program, so it
-#: is cleared wholesale at a constant cap.
-_result_memo: Dict[Tuple[Program, str, int], OptimizationResult] = {}
-_RESULT_MEMO_LIMIT = 256
+@lru_cache(maxsize=256)
+def _default_chain_result(program: Program, predicate: str, max_unfold_depth: int) -> OptimizationResult:
+    """The default chain's result.  A program is immutable and the chain reads
+    nothing else, so every query on one program shares one analysis."""
+    return Optimizer(default_passes(max_unfold_depth)).run(program, predicate)
 
 
 def optimize_program(
@@ -354,11 +354,4 @@ def optimize_program(
     """
     if cache is not None:
         return Optimizer(default_passes(max_unfold_depth), cache).run(program, predicate)
-    key = (program, predicate, max_unfold_depth)
-    result = _result_memo.get(key)
-    if result is None:
-        result = Optimizer(default_passes(max_unfold_depth)).run(program, predicate)
-        if len(_result_memo) >= _RESULT_MEMO_LIMIT:
-            _result_memo.clear()
-        _result_memo[key] = result
-    return result
+    return _default_chain_result(program, predicate, max_unfold_depth)

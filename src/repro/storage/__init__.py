@@ -10,7 +10,7 @@ text, struct-packed EDB relations — then resets the log.  Recovery is
 """
 
 from .errors import CorruptSnapshotError, SimulatedCrash, StorageError, is_transient
-from .format import FORMAT_VERSION, MAGIC, frame, iter_frames, split_frames
+from .format import FORMAT_VERSION, MAGIC, frame, split_frames
 from .snapshot import (
     SnapshotData,
     load_latest_snapshot,
@@ -38,7 +38,6 @@ __all__ = [
     "StorageStats",
     "WriteAheadLog",
     "frame",
-    "iter_frames",
     "load_latest_snapshot",
     "segment_files",
     "is_transient",

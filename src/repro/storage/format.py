@@ -27,7 +27,7 @@ from __future__ import annotations
 import pickle
 import struct
 import zlib
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..datalog.relation import Row, Value
 from .errors import StorageError
@@ -238,9 +238,3 @@ def split_frames(data: bytes) -> Tuple[List[bytes], bool]:
         payloads.append(payload)
         offset = end
     return payloads, offset == total
-
-
-def iter_frames(data: bytes) -> Iterator[bytes]:
-    """Yield every intact framed payload in ``data`` (see :func:`split_frames`)."""
-    payloads, _clean = split_frames(data)
-    return iter(payloads)

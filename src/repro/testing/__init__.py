@@ -5,7 +5,6 @@ from .chaos import (
     ChaosReport,
     generate_chaos_case,
     generate_chaos_cases,
-    run_chaos_batch,
     run_chaos_case,
 )
 from .concurrent import (
@@ -57,7 +56,6 @@ __all__ = [
     "generate_update_sequence",
     "generate_update_sequences",
     "run_batch",
-    "run_chaos_batch",
     "run_chaos_case",
     "run_concurrent_batch",
     "run_concurrent_case",

@@ -484,13 +484,3 @@ def _query_pool_for(case: ChaosCase, service: DatalogService) -> List[SelectionQ
         policy=service.queue.policy,
     )
     return _query_pool(proxy, service)
-
-
-def run_chaos_batch(cases, directory: Path) -> List[ChaosReport]:
-    """Run many schedules, each in its own scratch subdirectory."""
-    reports = []
-    for case in cases:
-        scratch = Path(directory) / f"seed-{case.seed}"
-        scratch.mkdir(parents=True, exist_ok=True)
-        reports.append(run_chaos_case(case, scratch))
-    return reports

@@ -245,7 +245,7 @@ def run_differential(case: DifferentialCase) -> DifferentialReport:
     else:
         report.engines["magic"] = "skipped: no bound column"
 
-    scope_reason = counting_scope_reason(program, query)
+    scope_reason = counting_scope_reason(program, query.predicate, query.bound_columns())
     if scope_reason:
         report.engines["counting"] = f"skipped: {scope_reason}"
     else:

@@ -270,8 +270,8 @@ class TestLadder:
         assert len({id(plan_query(program, query)) for query in forward}) == 1
         assert plan_query(program, SelectionQuery.of("t", 2, {1: 100})) is not plan_query(program, forward[0])
         expected = [answer(program, tc_db, query).answers for query in forward]
-        for memo in (query_module._plan_memo, schema_module._plan_memo, passes_module._result_memo):
-            memo.clear()
+        for memo in (query_module._plan, schema_module._plan_or_refusal, passes_module._default_chain_result):
+            memo.cache_clear()
         seen = []
 
         def reader():
@@ -283,7 +283,7 @@ class TestLadder:
         for thread in threads:
             thread.join(timeout=60)
         assert seen == [expected] * 8
-        assert len(query_module._plan_memo) == 1
+        assert query_module._plan.cache_info().currsize == 1
 
 
 class TestTimeoutIsNotAFallThrough:

@@ -1,22 +1,12 @@
 """The columnar batch engine must match the row engines exactly.
 
-Three layers of contract are pinned here:
-
-* :class:`ColumnStore` is a lossless change of representation — round trips
-  through columns (and through the shared packed codec) are identities, and
-  stores never alias a relation's copy-on-write internals;
-* the two-relation join primitives (hash, merge, auto) agree with each other
-  and with a brute-force join on every input;
-* whole evaluations under ``REPRO_COLUMNAR=force`` reproduce the kernel
-  engine's derived relations *and* its instrumentation totals, tuple for
-  tuple and counter for counter, while the leapfrog join on cyclic bodies
-  examines asymptotically fewer tuples than the binary plans it replaces.
+Whole evaluations under ``REPRO_COLUMNAR=force`` reproduce the kernel
+engine's derived relations *and* its instrumentation totals, tuple for tuple
+and counter for counter, while the leapfrog join on cyclic bodies examines
+asymptotically fewer tuples than the binary plans it replaces.
 """
 
 from __future__ import annotations
-
-import random
-from array import array
 
 import pytest
 
@@ -26,7 +16,6 @@ from repro.datalog.relation import Relation
 from repro.datalog.rules import Program, Rule
 from repro.datalog.terms import Variable
 from repro.engine import (
-    ColumnStore,
     EvaluationStats,
     columnar_enabled,
     columnar_mode,
@@ -36,12 +25,9 @@ from repro.engine import (
 )
 from repro.engine.instrumentation import query_trace
 from repro.engine.columnar import (
-    batch_hash_join,
     columnar_forced,
     is_cyclic,
-    join,
     leapfrog_join,
-    merge_join,
     set_columnar_enabled,
     wcoj_eligible,
 )
@@ -59,125 +45,6 @@ from repro.workloads import (
 )
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
-
-
-def random_relation(rng: random.Random, name: str, arity: int, size: int, ints: bool) -> Relation:
-    def value():
-        return rng.randrange(50) if ints else rng.choice(["a", "b", 3, ("n", 1), None])
-
-    rows = {tuple(value() for _ in range(arity)) for _ in range(size)}
-    return Relation(name, arity, rows)
-
-
-class TestColumnStoreRoundTrip:
-    def test_identity_over_random_arities_and_sizes(self):
-        rng = random.Random(7)
-        for arity in (1, 2, 3, 4):
-            for size in (0, 1, 2, 17, 100):
-                for ints in (True, False):
-                    relation = random_relation(rng, "r", arity, size, ints)
-                    store = ColumnStore.from_relation(relation)
-                    back = store.to_relation()
-                    assert back.name == relation.name
-                    assert back.arity == relation.arity
-                    assert back.rows() == relation.rows()
-                    assert len(store) == len(relation.rows())
-
-    def test_arity_zero_relations(self):
-        empty = Relation("e", 0)
-        assert ColumnStore.from_relation(empty).to_relation().rows() == set()
-        nonempty = Relation("e", 0, [()])
-        assert ColumnStore.from_relation(nonempty).to_relation().rows() == {()}
-
-    def test_int_columns_use_machine_arrays(self):
-        store = ColumnStore.from_relation(Relation("r", 2, [(1, 2), (3, 4)]))
-        assert all(isinstance(column, array) for column in store.columns)
-        mixed = ColumnStore.from_relation(Relation("r", 2, [(1, "x")]))
-        assert all(isinstance(column, list) for column in mixed.columns)
-
-    def test_packed_codec_round_trip(self):
-        rng = random.Random(11)
-        for arity in (1, 2, 3):
-            relation = random_relation(rng, "p", arity, 40, ints=True)
-            store = ColumnStore.from_relation(relation)
-            count, packed = store.packed_rows()
-            again = ColumnStore.from_packed_rows("p", arity, count, packed)
-            assert again.rows() == relation.rows()
-            assert (count, packed) == relation.packed_rows(None)
-
-
-class TestColumnStoreNoAliasing:
-    def test_store_survives_cow_detach_of_live_relation(self):
-        live = Relation("r", 2, [(1, 2), (3, 4)])
-        store = ColumnStore.from_relation(live)
-        snapshot = live.freeze()
-        # first mutation after the freeze detaches the live relation's storage
-        live.add((5, 6))
-        assert store.rows() == {(1, 2), (3, 4)}
-        assert snapshot.rows() == {(1, 2), (3, 4)}
-        assert live.rows() == {(1, 2), (3, 4), (5, 6)}
-
-    def test_store_built_from_snapshot_never_sees_live_mutations(self):
-        live = Relation("r", 2, [(1, 2)])
-        snapshot = live.freeze()
-        store = ColumnStore.from_relation(snapshot)
-        live.add((7, 8))
-        live.discard((1, 2))
-        assert store.rows() == {(1, 2)}
-
-    def test_two_stores_never_share_column_arrays(self):
-        relation = Relation("r", 2, [(1, 2), (3, 4)])
-        first = ColumnStore.from_relation(relation)
-        second = ColumnStore.from_relation(relation)
-        first.columns[0][0] = 99
-        assert second.rows() == {(1, 2), (3, 4)}
-        assert relation.rows() == {(1, 2), (3, 4)}
-
-
-def normalized(matches):
-    return sorted((key, sorted(lefts), sorted(rights)) for key, lefts, rights in matches)
-
-
-class TestJoinPrimitives:
-    def brute_force(self, left, lcol, right, rcol):
-        expected = {}
-        for i in range(left.count):
-            for j in range(right.count):
-                if left.columns[lcol][i] == right.columns[rcol][j]:
-                    entry = expected.setdefault(left.columns[lcol][i], (set(), set()))
-                    entry[0].add(i)
-                    entry[1].add(j)
-        return sorted(
-            (key, sorted(lefts), sorted(rights)) for key, (lefts, rights) in expected.items()
-        )
-
-    def test_hash_merge_and_auto_agree_with_brute_force(self):
-        rng = random.Random(23)
-        for trial in range(10):
-            left = ColumnStore.from_relation(random_relation(rng, "l", 2, 30, ints=True))
-            right = ColumnStore.from_relation(random_relation(rng, "r", 2, 40, ints=True))
-            for lcol, rcol in ((0, 0), (0, 1), (1, 0)):
-                expected = self.brute_force(left, lcol, right, rcol)
-                assert normalized(batch_hash_join(left, lcol, right, rcol)) == expected
-                assert normalized(merge_join(left, lcol, right, rcol)) == expected
-                assert normalized(join(left, lcol, right, rcol)) == expected
-
-    def test_auto_join_prefers_merge_once_runs_are_cached(self):
-        left = ColumnStore.from_relation(Relation("l", 2, [(1, 2), (2, 3)]))
-        right = ColumnStore.from_relation(Relation("r", 2, [(2, 9), (3, 9)]))
-        assert not left.has_sorted_runs(0)
-        left.sorted_runs(0)
-        right.sorted_runs(0)
-        assert left.has_sorted_runs(0) and right.has_sorted_runs(0)
-        assert normalized(join(left, 0, right, 0)) == normalized(
-            merge_join(left, 0, right, 0)
-        )
-
-    def test_empty_inputs(self):
-        empty = ColumnStore.from_relation(Relation("e", 2))
-        full = ColumnStore.from_relation(Relation("f", 2, [(1, 2)]))
-        assert batch_hash_join(empty, 0, full, 0) == []
-        assert merge_join(full, 0, empty, 0) == []
 
 
 class TestCyclicity:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cq import (
+    CQCache,
     ExpansionString,
     are_equivalent,
     find_containment_mapping,
@@ -22,7 +23,7 @@ from repro.cq import (
 )
 from repro.datalog import parse_atom
 from repro.datalog.relation import Relation
-from repro.datalog.terms import Variable
+from repro.datalog.terms import Constant, Variable
 from repro.expansion import expand
 from repro.workloads import random_pairs, transitive_closure
 
@@ -102,6 +103,18 @@ class TestSemanticAgreement:
         assert are_equivalent(s, s)
         assert are_equivalent(s, duplicated)
         assert are_equivalent(duplicated, s)
+
+    def test_one_way_containment_is_not_equivalence(self):
+        general = expand(transitive_closure(), "t", 2)[1]  # a(X, Z_0), b(Z_0, Y)
+        pinned = {variable: Constant(7) for variable in general.nondistinguished_variables()}
+        specialised = ExpansionString(
+            general.distinguished, tuple(atom.substitute(pinned) for atom in general.atoms)
+        )
+        assert is_contained_in(specialised, general)
+        assert not is_contained_in(general, specialised)
+        for equivalent in (are_equivalent, CQCache().are_equivalent):
+            assert not equivalent(general, specialised)
+            assert not equivalent(specialised, general)
 
 
 class TestUnionContainment:

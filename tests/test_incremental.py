@@ -221,8 +221,9 @@ class TestDeltaLoopPolicies:
         assert (2, 4) in doomed["q"] and (2, 4) in after["q"]
         assert (1, 4) in doomed["p"] and (1, 4) in after["p"]
 
-    def test_maintenance_counters_do_not_depend_on_the_hash_seed(self):
-        """The same update scripts in two interpreters with different string hashing."""
+    @staticmethod
+    def _outputs_under_two_hash_seeds(script):
+        """The JSON ``script`` prints, from two interpreters with different string hashing."""
         import json
         import os
         import subprocess
@@ -230,6 +231,19 @@ class TestDeltaLoopPolicies:
 
         import repro
 
+        source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source_root)
+            completed = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert completed.returncode == 0, completed.stderr
+            outputs.append(json.loads(completed.stdout))
+        return outputs
+
+    def test_maintenance_counters_do_not_depend_on_the_hash_seed(self):
+        """The same update scripts in two interpreters with different string hashing."""
         script = (
             "import json\n"
             "from repro import Session\n"
@@ -245,16 +259,37 @@ class TestDeltaLoopPolicies:
             "    del out[number]['elapsed_seconds']\n"
             "print(json.dumps(out, sort_keys=True))\n"
         )
-        source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        outputs = []
-        for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source_root)
-            completed = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-            )
-            assert completed.returncode == 0, completed.stderr
-            outputs.append(json.loads(completed.stdout))
+        outputs = self._outputs_under_two_hash_seeds(script)
         assert len(outputs[0]) >= 4  # a handful of DRed seeds really ran
+        assert outputs[0] == outputs[1]
+
+    def test_differential_counters_do_not_depend_on_the_hash_seed(self):
+        """Per differential seed: the fixpoint's totals in each mode, and ``answer()``'s rung and stats."""
+        script = (
+            "import json\n"
+            "from repro import answer\n"
+            "from repro.engine import EvaluationStats, columnar_mode, kernel_mode, seminaive_evaluate\n"
+            "from repro.testing import generate_case\n"
+            "def totals(stats):\n"
+            "    counts = stats.as_dict()\n"
+            "    del counts['elapsed_seconds']\n"
+            "    return counts\n"
+            "out = {}\n"
+            "for seed in range(84):\n"
+            "    case = generate_case(seed)\n"
+            "    row = out[seed] = {}\n"
+            "    for mode, kernels, columnar in (('interpreted', False, False), ('kernel', True, False),\n"
+            "                                    ('columnar', True, 'force')):\n"
+            "        stats = EvaluationStats()\n"
+            "        with kernel_mode(kernels), columnar_mode(columnar):\n"
+            "            seminaive_evaluate(case.program, case.database, stats)\n"
+            "        row[mode] = totals(stats)\n"
+            "    result = answer(case.program, case.database, case.query)\n"
+            "    row['answer'] = [result.strategy, totals(result.stats)]\n"
+            "print(json.dumps(out, sort_keys=True))\n"
+        )
+        outputs = self._outputs_under_two_hash_seeds(script)
+        assert len(outputs[0]) == 84  # every seed of the differential family
         assert outputs[0] == outputs[1]
 
 

@@ -1,10 +1,10 @@
-"""The shared packed-row codec: one layout under storage, relations, columns.
+"""The shared packed-row codec: one layout under storage and relations.
 
 :mod:`repro.engine.packing` is the single implementation behind snapshot
-files, :meth:`Relation.packed_rows` and the columnar engine's hydration
-path, so its invariants are pinned directly: determinism (sorted, deduped),
-lossless round trips through both the row view and the column view, the
-zero-arity ``count`` convention, and size validation of foreign bytes.
+files and :meth:`Relation.packed_rows`, so its invariants are pinned
+directly: determinism (sorted, deduped), lossless round trips through both
+the row view and the column view, the zero-arity ``count`` convention, and
+size validation of foreign bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.datalog.errors import SchemaError
 from repro.datalog.relation import Relation
 from repro.engine.packing import (
     columns_from_packed,
-    pack_columns,
     pack_rows,
     unpack_rows,
 )
@@ -66,7 +65,6 @@ class TestColumnCodec:
         columns = columns_from_packed(packed, 3, count)
         assert all(isinstance(column, array) for column in columns)
         assert set(zip(*columns)) == rows
-        assert pack_columns(columns, count) == (count, packed)
 
     def test_columns_preserve_row_order(self):
         count, packed = pack_rows([(2, 20), (1, 10), (3, 30)])
@@ -75,8 +73,6 @@ class TestColumnCodec:
         assert list(second) == [10, 20, 30]
 
     def test_empty_columns(self):
-        assert pack_columns([], 0) == (0, b"")
-        assert pack_columns([], 1) == (1, b"")
         assert columns_from_packed(b"", 2, 0) == [array("q"), array("q")]
 
     def test_size_mismatch_rejected(self):

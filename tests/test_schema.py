@@ -491,7 +491,7 @@ class TestPlanMemo:
 
     def test_inapplicable_schema_is_analysed_once(self, monkeypatch):
         program = canonical_two_sided()
-        schema_module._plan_memo.clear()
+        schema_module._plan_or_refusal.cache_clear()
         calls = []
         build = schema_module._build_plan
         monkeypatch.setattr(
@@ -506,21 +506,22 @@ class TestPlanMemo:
         assert optimize_program(tc_program, "t", cache=CQCache()) is not optimize_program(tc_program, "t")
 
     def test_memos_stay_bounded(self):
-        limit = max(schema_module._PLAN_MEMO_LIMIT, passes_module._RESULT_MEMO_LIMIT)
+        memos = (schema_module._plan_or_refusal, passes_module._default_chain_result)
+        limit = max(memo.cache_info().maxsize for memo in memos)
         for index in range(limit + 1):
             program = _tc_variant(index)
             compile_schema(program, "t", 2, (0,))
             optimize_program(program, "t")
-        assert 0 < len(schema_module._plan_memo) <= schema_module._PLAN_MEMO_LIMIT
-        assert 0 < len(passes_module._result_memo) <= passes_module._RESULT_MEMO_LIMIT
+        for memo in memos:
+            assert 0 < memo.cache_info().currsize <= memo.cache_info().maxsize
 
     def test_concurrent_answers_on_one_program_agree(self, tc_program):
         """The service reader pool's access pattern: many threads, one program."""
         database = edge_database(random_pairs(60, 25, seed=3))
         queries = [SelectionQuery.of("t", 2, {i % 2: i % 25}) for i in range(40)]
         expected = [answer(tc_program, database, query).answers for query in queries]
-        schema_module._plan_memo.clear()
-        passes_module._result_memo.clear()
+        schema_module._plan_or_refusal.cache_clear()
+        passes_module._default_chain_result.cache_clear()
         failures = []
 
         def worker():
