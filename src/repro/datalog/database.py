@@ -12,12 +12,14 @@ Downstream layers (the incremental view registry in
 :mod:`repro.incremental`) need to observe fact-level updates to keep derived
 state consistent.  A :class:`DatabaseListener` registered through
 :meth:`Database.add_listener` is called around every *effective* change made
-through the fact APIs (``add_fact``/``insert_facts``/``remove_fact``/
-``remove_facts``): the ``before_*`` hook sees the database in its old state,
-the ``after_*`` hook in its new state, and both receive only the rows that
-actually change (already-present insertions and absent deletions are
-filtered out).  Mutating a :class:`Relation` directly bypasses the hooks;
-code that wants observers notified must go through the database.
+through the fact APIs.  They all go through :meth:`Database.mutate`, which
+takes per-relation deletes and inserts and fires each phase once, with
+``{name: rows}`` maps: the delete phases, then the insert phases.  A
+``before_*`` hook sees the database before that side is applied, an
+``after_*`` hook after it, and both receive only the rows that actually
+change (already-present insertions and absent deletions are filtered out).
+Mutating a :class:`Relation` directly bypasses the hooks; code that wants
+observers notified must go through the database.
 """
 
 from __future__ import annotations
@@ -30,29 +32,43 @@ from .relation import Relation, Row, Value
 from .terms import Constant
 
 
+#: ``{relation name: effective rows}`` — one phase's share of a mutation
+Changes = Mapping[str, Tuple[Row, ...]]
+
+
 class DatabaseListener:
     """Observer interface for fact-level database mutations (all no-ops).
 
-    ``rows`` is always the effective delta: for insertions, the tuples that
-    were absent and are being added; for deletions, the tuples that were
-    present and are being removed.  ``before_*`` runs with the database still
-    in its pre-mutation state, ``after_*`` with the mutation applied.
+    One effective :meth:`Database.mutate` call fires the four phases once
+    each, in this order: ``before_delete``, ``after_delete``,
+    ``before_insert``, ``after_insert``.  Each gets the effective rows of its
+    side per relation — deletions are tuples that were present, insertions
+    tuples that were absent — and a side with nothing to do gets an empty
+    map.  ``before_delete`` sees the database as it was, ``after_delete`` and
+    ``before_insert`` with the deletions applied, ``after_insert`` with both.
     """
 
-    def before_insert(self, database: "Database", name: str, rows: Tuple[Row, ...]) -> None:
-        """Called before ``rows`` are added to relation ``name``."""
+    def before_delete(self, database: "Database", deletes: Changes) -> None:
+        """Called before ``deletes`` are removed."""
 
-    def after_insert(self, database: "Database", name: str, rows: Tuple[Row, ...]) -> None:
-        """Called after ``rows`` were added to relation ``name``."""
+    def after_delete(self, database: "Database", deletes: Changes) -> None:
+        """Called after ``deletes`` were removed."""
 
-    def before_delete(self, database: "Database", name: str, rows: Tuple[Row, ...]) -> None:
-        """Called before ``rows`` are removed from relation ``name``."""
+    def before_insert(self, database: "Database", inserts: Changes) -> None:
+        """Called before ``inserts`` are added."""
 
-    def after_delete(self, database: "Database", name: str, rows: Tuple[Row, ...]) -> None:
-        """Called after ``rows`` were removed from relation ``name``."""
+    def after_insert(self, database: "Database", inserts: Changes) -> None:
+        """Called after ``inserts`` were added; the mutation is complete."""
 
     def on_relation_replaced(self, database: "Database", name: str) -> None:
         """Called when a whole relation is registered or replaced wholesale."""
+
+
+def check_arity(name: str, arity: int, rows: Iterable[Row]) -> None:
+    """Raise :class:`SchemaError` at the first of ``rows`` whose length is not ``arity``."""
+    for row in rows:
+        if len(row) != arity:
+            raise SchemaError(f"relation {name} has arity {arity}, got tuple of length {len(row)}")
 
 
 class Database:
@@ -123,61 +139,82 @@ class Database:
         return relation.add(row)
 
     def insert_facts(self, name: str, rows: Iterable[Sequence[Value]]) -> int:
-        """Insert many tuples into one relation, firing the mutation hooks once.
+        """Insert many tuples into one relation: :meth:`mutate` with one insert.
 
         Creates the relation on first use (arity inferred from the first
-        tuple).  Returns how many tuples were actually new; listeners see
-        exactly that effective delta, duplicates removed, order preserved.
+        tuple).  Returns how many tuples were actually new.
         """
-        tupled = [tuple(row) for row in rows]
-        if not tupled:
-            return 0
-        relation = self._relations.get(name)
-        arity = relation.arity if relation is not None else len(tupled[0])
-        for row in tupled:
-            if len(row) != arity:
-                raise SchemaError(
-                    f"relation {name} has arity {arity}, got tuple of length {len(row)}"
-                )
-        if relation is None:
-            # register only after the whole batch validates, so a rejected
-            # batch cannot leave a wrong-arity relation behind
-            relation = Relation(name, arity)
-            self._relations[name] = relation
-        fresh = tuple(dict.fromkeys(row for row in tupled if row not in relation))
-        if not fresh:
-            return 0
-        for listener in self._listeners:
-            listener.before_insert(self, name, fresh)
-        relation.add_all(fresh)
-        for listener in self._listeners:
-            listener.after_insert(self, name, fresh)
-        return len(fresh)
+        return len(self.mutate(inserts={name: rows})[1].get(name, ()))
 
     def remove_fact(self, name: str, row: Sequence[Value]) -> bool:
         """Remove one tuple if present, mirroring :meth:`add_fact`."""
         return self.remove_facts(name, (row,)) == 1
 
     def remove_facts(self, name: str, rows: Iterable[Sequence[Value]]) -> int:
-        """Remove many tuples from one relation, firing the mutation hooks once.
+        """Remove many tuples from one relation: :meth:`mutate` with one delete.
 
         Unknown relations and absent tuples are no-ops.  Returns how many
-        tuples were actually removed; listeners see exactly that effective
-        delta, with ``before_delete`` running while the tuples are still
-        present and ``after_delete`` once they are gone.
+        tuples were actually removed.
         """
-        relation = self._relations.get(name)
-        if relation is None:
-            return 0
-        present = tuple(dict.fromkeys(row for row in (tuple(r) for r in rows) if row in relation))
-        if not present:
-            return 0
+        return len(self.mutate(deletes={name: rows})[0].get(name, ()))
+
+    def mutate(
+        self,
+        deletes: Optional[Mapping[str, Iterable[Sequence[Value]]]] = None,
+        inserts: Optional[Mapping[str, Iterable[Sequence[Value]]]] = None,
+    ) -> Tuple[Dict[str, Tuple[Row, ...]], Dict[str, Tuple[Row, ...]]]:
+        """Apply per-relation deletes, then inserts, as one mutation.
+
+        Every insert is validated before anything changes: a tuple whose
+        length is not its relation's arity (the stored one, or for a new
+        relation the first tuple's) raises :class:`SchemaError` and leaves
+        the database and its listeners untouched.  A new relation is created
+        on first use.  Deleting from an unknown relation or an absent tuple
+        is a no-op.  Listeners see each phase once (see
+        :class:`DatabaseListener`), and none when nothing changes.  Returns
+        the effective ``(deleted, inserted)`` rows per relation, duplicates
+        removed, order preserved.
+        """
+        batches: Dict[str, List[Row]] = {}
+        for name, rows in (inserts or {}).items():
+            tupled = [tuple(row) for row in rows]
+            if tupled:
+                relation = self._relations.get(name)
+                check_arity(name, relation.arity if relation is not None else len(tupled[0]), tupled)
+                batches[name] = tupled
+        deleted: Dict[str, Tuple[Row, ...]] = {}
+        for name, rows in (deletes or {}).items():
+            relation = self._relations.get(name)
+            if relation is not None:
+                present = tuple(dict.fromkeys(row for row in map(tuple, rows) if row in relation))
+                if present:
+                    deleted[name] = present
+        inserted: Dict[str, Tuple[Row, ...]] = {}
+        for name, rows in batches.items():
+            relation = self._relations.get(name)
+            if relation is None:
+                # registered only after every batch validated, so a rejected
+                # mutation cannot leave a wrong-arity relation behind
+                relation = self._relations[name] = Relation(name, len(rows[0]))
+            gone = set(deleted.get(name, ()))
+            fresh = tuple(dict.fromkeys(row for row in rows if row not in relation or row in gone))
+            if fresh:
+                inserted[name] = fresh
+        if not deleted and not inserted:
+            return deleted, inserted
         for listener in self._listeners:
-            listener.before_delete(self, name, present)
-        relation.discard_all(present)
+            listener.before_delete(self, deleted)
+        for name, rows in deleted.items():
+            self._relations[name].discard_all(rows)
         for listener in self._listeners:
-            listener.after_delete(self, name, present)
-        return len(present)
+            listener.after_delete(self, deleted)
+        for listener in self._listeners:
+            listener.before_insert(self, inserted)
+        for name, rows in inserted.items():
+            self._relations[name].add_all(rows)
+        for listener in self._listeners:
+            listener.after_insert(self, inserted)
+        return deleted, inserted
 
     # ------------------------------------------------------------------
     # mutation listeners

@@ -505,16 +505,17 @@ def prepare(
 
 
 class PlanCache:
-    """Memoized :func:`compile_rule` keyed on ``(rule, first, bound)``.
+    """Memoized :func:`compile_rule` keyed on ``(rule, first, bound, inputs)``.
 
-    A compiled plan depends only on the rule, the forced-first atom and the
-    compile-time bound variables — never on relation contents — so callers
-    that evaluate the same rule shapes repeatedly (a fixpoint, an incremental
-    maintenance stream) pay the compilation cost once per shape.
+    A compiled plan depends only on the rule, the forced-first atom, the
+    compile-time bound variables and the leading inputs — never on relation
+    contents — so callers that evaluate the same rule shapes repeatedly (a
+    fixpoint, an incremental maintenance stream) pay the compilation cost
+    once per shape.
     """
 
     def __init__(self, max_plans: Optional[int] = None) -> None:
-        self._plans: Dict[Tuple[Rule, Optional[int], Tuple[Variable, ...]], CompiledRule] = {}
+        self._plans: Dict[Tuple[Rule, Optional[int], Tuple[Variable, ...], int], CompiledRule] = {}
         #: optional size cap for module-lifetime caches: the cache is cleared
         #: wholesale when full, bounding memory without per-entry bookkeeping
         self._max_plans = max_plans
@@ -526,13 +527,14 @@ class PlanCache:
         first: Optional[int] = None,
         bound: Tuple[Variable, ...] = (),
         stats: Optional[EvaluationStats] = None,
+        inputs: int = 0,
     ) -> CompiledRule:
         """The memoized compiled plan; compiles (and counts it) on first use."""
-        key = (rule, first, bound)
+        key = (rule, first, bound, inputs)
         plan = self._plans.get(key)
         profile = active_profile()
         if plan is None:
-            plan = compile_rule(rule, relations, bound=bound, first=first)
+            plan = compile_rule(rule, relations, bound=bound, first=first, inputs=inputs)
             if self._max_plans is not None and len(self._plans) >= self._max_plans:
                 self._plans.clear()
             self._plans[key] = plan

@@ -12,12 +12,15 @@ into three phases:
    delta loop) under its own policy: a produced row is new when it is derived
    and not yet doomed, and it goes to the doomed set;
 2. **remove** — discard the whole overestimate from the view;
-3. **rederive** — probe every removed tuple of a stratum against the *same*
-   pruned state for a surviving derivation (a bound-head compiled probe per
-   candidate, plus the base relation when the predicate stores facts under
-   its own name), then put the survivors back and let the insertion closure
-   (:func:`repro.engine.seminaive.group_insert_closure`) reinstate what hangs
-   off them — so the work does not depend on the order the rows are met in.
+3. **rederive** — find which removed tuples of a stratum still have a
+   derivation in the *same* pruned state: one compiled join per rule,
+   ``head :- <predicate>.rederive(head args), body``, whose input is the
+   removed rows no base fact and no earlier rule has already rederived (the
+   set-at-a-time form of a bound-head probe per row, as the Figure 9 schema
+   runs ``carry := f(carry)``); then put the survivors back and let the
+   insertion closure (:func:`repro.engine.seminaive.group_insert_closure`)
+   reinstate what hangs off them — so the work does not depend on the order
+   the rows are met in.
 
 Insertions don't need any of this: the fixpoint is monotone, so a single
 seeded closure (:func:`repro.engine.seminaive.propagate_insertions`) is exact.
@@ -29,14 +32,15 @@ rederivation run *after* (they must not resurrect anything through them).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Set, Tuple
+from functools import lru_cache
+from typing import Dict, Mapping, Optional, Set, Tuple
 
-from ..datalog.atoms import atoms_variables
+from ..datalog.atoms import Atom, atoms_variables
 from ..datalog.database import Database
 from ..datalog.relation import Relation, Row
 from ..datalog.rules import Program, Rule
-from ..datalog.terms import Constant, Variable, is_variable
-from ..engine.compile import PlanCache, RelationMap
+from ..datalog.terms import Constant
+from ..engine.compile import PlanCache, prepare
 from ..engine.instrumentation import EvaluationStats
 from ..engine.seminaive import close_group, group_insert_closure, overlay_relations
 from ..engine.strata import cached_evaluation_strata as _cached_strata
@@ -87,53 +91,73 @@ def overestimate_deletions(
     return {p: rows for p, rows in doomed.items() if rows}
 
 
-def _head_probes(program: Program, predicate: str) -> List[Tuple[Rule, Tuple[Variable, ...]]]:
-    """The rules that can derive ``predicate``, each with its head variables.
+@lru_cache(maxsize=256)
+def _rederive_rules(program: Program, predicate: str) -> Tuple[Tuple[Rule, Tuple[tuple, ...]], ...]:
+    """``head :- <predicate>.rederive(head args), body`` for each rule that can derive ``predicate``.
 
-    Static per rule, so :func:`apply_deletions` asks once per predicate, not
-    once per doomed row.
+    The candidate atom is the join's one input: it binds the head variables
+    from the doomed rows, as a bound-head probe would, and its name is one no
+    program can spell.  Each rule comes with the checks a row must pass to
+    match its head (``(position, True, constant)`` or ``(position, False,
+    earlier position)`` for a repeated variable).  A rule with a head variable
+    its body never binds derives nothing, so it gets no join: the candidate
+    atom would bind that variable and "derive" every candidate.
     """
-    probes = []
+    candidate = f"{predicate}.rederive"
+    rules = []
     for rule in program.rules_for(predicate):
-        head_vars = tuple(dict.fromkeys(arg for arg in rule.head.args if is_variable(arg)))
-        # a head variable unreachable from the body never derives
-        if set(head_vars) <= atoms_variables(rule.body):
-            probes.append((rule, head_vars))
-    return probes
+        head = rule.head
+        if not head.variable_set() <= atoms_variables(rule.body):
+            continue
+        checks, first = [], {}
+        for position, arg in enumerate(head.args):
+            if isinstance(arg, Constant):
+                checks.append((position, True, arg.value))
+            elif arg in first:
+                checks.append((position, False, first[arg]))
+            else:
+                first[arg] = position
+        rules.append((Rule(head, (Atom(candidate, head.args), *rule.body)), tuple(checks)))
+    return tuple(rules)
 
 
-def _derivable(
-    probes: List[Tuple[Rule, Tuple[Variable, ...]]],
-    row: Row,
-    relations: RelationMap,
+def _rederive(
+    program: Program,
+    predicate: str,
+    doomed: Set[Row],
+    base: Optional[Relation],
+    relations: Dict[str, Relation],
     stats: EvaluationStats,
     cache: PlanCache,
-) -> bool:
-    """``True`` when one of the ``probes`` rules still derives ``row``.
+) -> Set[Row]:
+    """The ``doomed`` rows of ``predicate`` that still have a derivation.
 
-    Compiles each rule with its head variables bound, so the probe starts
-    from the candidate's constants instead of enumerating the rule's full
-    join (the same selection pushdown the unfolded evaluator uses).
+    A row stored as a base fact survives without a probe.  Then each rule runs
+    one join over the rows no earlier rule has rederived, so a row meets the
+    same stored probes it would meet probed alone, and every counter is the
+    same whatever order the rows are in.  A rule whose head no pending row
+    matches is skipped before its plan is looked up, so each plan compiles at
+    the moment, and against the relation sizes, a probe per row would compile it.
     """
-    for rule, head_vars in probes:
-        bindings: Dict[Variable, object] = {}
-        consistent = True
-        for position, arg in enumerate(rule.head.args):
-            if isinstance(arg, Constant):
-                if arg.value != row[position]:
-                    consistent = False
-                    break
-            else:
-                if arg in bindings and bindings[arg] != row[position]:
-                    consistent = False
-                    break
-                bindings[arg] = row[position]
-        if not consistent:
+    survivors = {row for row in doomed if row in base} if base is not None else set()
+    pending = Relation.from_valid_rows(
+        f"{predicate}.rederive", relations[predicate].arity, doomed - survivors
+    )
+    relations[pending.name] = pending  # the joins' input
+    for rule, checks in _rederive_rules(program, predicate):
+        if pending.is_empty():
+            break
+        if checks and not any(
+            all(row[at] == (value if constant else row[value]) for at, constant, value in checks)
+            for row in pending
+        ):
             continue
-        plan = cache.get(rule, relations, bound=head_vars, stats=stats)
-        if plan.join(relations, stats, bindings=bindings):
-            return True
-    return False
+        plan = cache.get(rule, relations, inputs=1, stats=stats)
+        found = prepare((plan,), relations)[plan]((), stats)
+        if found:
+            survivors |= found
+            pending.replace_rows(pending.rows() - found)
+    return survivors
 
 
 def apply_deletions(
@@ -163,15 +187,12 @@ def apply_deletions(
     for group in _cached_strata(program):
         # probe first, re-add after: a survivor that hangs off another survivor
         # is the closure's to reinstate, whichever of the two is met first
-        seeds: Dict[str, Set[Row]] = {p: set() for p in group}
-        for predicate in group:
-            base_relation = base.get(predicate)
-            probes = _head_probes(program, predicate)
-            for row in doomed.get(predicate, ()):
-                if (base_relation is not None and row in base_relation) or _derivable(
-                    probes, row, relations, stats, cache
-                ):
-                    seeds[predicate].add(row)
+        seeds: Dict[str, Set[Row]] = {
+            p: _rederive(program, p, doomed[p], base.get(p), relations, stats, cache)
+            if doomed.get(p)
+            else set()
+            for p in group
+        }
         for predicate in group:
             derived[predicate].union_update(seeds[predicate])
         inserted = group_insert_closure(

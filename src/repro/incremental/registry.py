@@ -3,10 +3,11 @@
 A :class:`ViewRegistry` attaches to one :class:`~repro.datalog.database.Database`
 as a :class:`~repro.datalog.database.DatabaseListener` and owns any number of
 :class:`~repro.incremental.view.MaterializedView` instances.  Every effective
-fact-level mutation made through the database's fact APIs is routed to the
-views whose *maintenance* program mentions the mutated relation; the two-phase
-hook protocol lets each strategy read the state it needs (counting insertions
-and the DRed overestimate run pre-mutation, everything else post-mutation).
+fact-level mutation made through the database's fact APIs is routed to every
+view, which keeps the relations its *maintenance* program mentions; the
+delete-then-insert phases let each strategy read the state it needs (counting
+insertions and the DRed overestimate run before their side is applied,
+everything else after).
 
 Wholesale relation replacement (``Database.add_relation``) carries no delta,
 so affected views are invalidated instead and rebuilt on their next use.
@@ -14,9 +15,10 @@ so affected views are invalidated instead and rebuilt on their next use.
 Epochs and locking
 ------------------
 The registry carries a monotone **epoch** counter: every effective
-maintenance round (one database mutation batch, or a wholesale relation
+maintenance round (one :meth:`~repro.datalog.database.Database.mutate` call,
+whatever relations its deletes and inserts touch, or a wholesale relation
 replacement) advances it by one, and the set of predicates the round touched
-— the mutated EDB relation plus every view predicate whose materialized
+— the mutated EDB relations plus every view predicate whose materialized
 relation actually changed (detected by the relations' mutation
 ``version`` counters, so a write that maintenance proves irrelevant to one
 derived relation does not invalidate cached answers on it) — is
@@ -36,11 +38,10 @@ never need it.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from ..datalog.database import Database, DatabaseListener
+from ..datalog.database import Changes, Database, DatabaseListener
 from ..datalog.errors import SchemaError
-from ..datalog.relation import Row
 from ..datalog.rules import Program
 from ..engine.instrumentation import EvaluationStats
 from .view import MaterializedView
@@ -60,8 +61,8 @@ class ViewRegistry(DatabaseListener):
         #: so the database hooks may fire while a Session already holds it)
         self.lock = threading.RLock()
         self._touched_since_collect: Set[str] = set()
-        #: per-round baseline of derived-relation versions (captured by the
-        #: ``before_*`` hook, diffed by the matching ``after_*`` hook)
+        #: per-round baseline of derived-relation versions (captured by
+        #: ``before_delete``, the round's first phase, diffed by ``after_insert``)
         self._round_versions: Dict[str, Dict[str, int]] = {}
         database.add_listener(self)
 
@@ -132,73 +133,55 @@ class ViewRegistry(DatabaseListener):
             self._touched_since_collect = set()
             return self.epoch, touched
 
-    def _capture_versions(self, affected: List[MaterializedView]) -> None:
-        self._round_versions = {
-            view.name: {
-                predicate: relation.version
-                for predicate, relation in view.derived.items()
+    # ------------------------------------------------------------------
+    # DatabaseListener protocol: one round is the four phases of one mutation
+    # ------------------------------------------------------------------
+    def before_delete(self, database: Database, deletes: Changes) -> None:
+        with self.lock:
+            self.last_stats = EvaluationStats()
+            self._round_versions = {
+                view.name: {predicate: relation.version for predicate, relation in view.derived.items()}
+                for view in self.views.values()
             }
-            for view in affected
-        }
+            for view in self.views.values():
+                self.last_stats.merge(view.before_delete(database, deletes))
 
-    def _advance_epoch(self, name: str, affected: List[MaterializedView]) -> None:
-        """Bump the epoch; a touched predicate is one whose relation changed.
+    def after_delete(self, database: Database, deletes: Changes) -> None:
+        with self.lock:
+            for view in self.views.values():
+                self.last_stats.merge(view.after_delete(database, deletes))
+            self._touched_since_collect.update(deletes)
 
-        The mutated EDB relation always counts (the database filtered the
-        batch down to an effective delta before the hooks fired); a view
-        predicate counts only when its relation's ``version`` moved since the
-        ``before_*`` capture — maintenance that proved a write irrelevant to
-        a derived relation leaves its cached answers valid.
+    def before_insert(self, database: Database, inserts: Changes) -> None:
+        with self.lock:
+            for view in self.views.values():
+                self.last_stats.merge(view.before_insert(database, inserts))
+
+    def after_insert(self, database: Database, inserts: Changes) -> None:
+        """The round's last phase: maintain, then advance the epoch once.
+
+        The mutated EDB relations always count as touched (the database
+        filtered the round down to an effective delta before the hooks
+        fired); a view predicate counts only when its relation's ``version``
+        moved since ``before_delete`` — maintenance that proved the round
+        irrelevant to a derived relation leaves its cached answers valid.
         """
-        baseline = self._round_versions
-        self._round_versions = {}
-        self.epoch += 1
-        self._touched_since_collect.add(name)
-        for view in affected:
-            seen = baseline.get(view.name)
-            for predicate, relation in view.derived.items():
-                if seen is None or seen.get(predicate) != relation.version:
-                    self._touched_since_collect.add(predicate)
-
-    # ------------------------------------------------------------------
-    # DatabaseListener protocol
-    # ------------------------------------------------------------------
-    def _affected(self, name: str) -> List[MaterializedView]:
-        return [view for view in self.views.values() if view.relevant_to(name)]
-
-    def before_insert(self, database: Database, name: str, rows: Tuple[Row, ...]) -> None:
         with self.lock:
-            self.last_stats = EvaluationStats()
-            affected = self._affected(name)
-            self._capture_versions(affected)
-            for view in affected:
-                self.last_stats.merge(view.before_insert(database, name, rows))
-
-    def after_insert(self, database: Database, name: str, rows: Tuple[Row, ...]) -> None:
-        with self.lock:
-            affected = self._affected(name)
-            for view in affected:
-                self.last_stats.merge(view.after_insert(database, name, rows))
-            self._advance_epoch(name, affected)
-
-    def before_delete(self, database: Database, name: str, rows: Tuple[Row, ...]) -> None:
-        with self.lock:
-            self.last_stats = EvaluationStats()
-            affected = self._affected(name)
-            self._capture_versions(affected)
-            for view in affected:
-                self.last_stats.merge(view.before_delete(database, name, rows))
-
-    def after_delete(self, database: Database, name: str, rows: Tuple[Row, ...]) -> None:
-        with self.lock:
-            affected = self._affected(name)
-            for view in affected:
-                self.last_stats.merge(view.after_delete(database, name, rows))
-            self._advance_epoch(name, affected)
+            for view in self.views.values():
+                self.last_stats.merge(view.after_insert(database, inserts))
+            baseline = self._round_versions
+            self._round_versions = {}
+            self.epoch += 1
+            self._touched_since_collect.update(inserts)
+            for view in self.views.values():
+                seen = baseline.get(view.name)
+                for predicate, relation in view.derived.items():
+                    if seen is None or seen.get(predicate) != relation.version:
+                        self._touched_since_collect.add(predicate)
 
     def on_relation_replaced(self, database: Database, name: str) -> None:
         with self.lock:
-            affected = self._affected(name)
+            affected = [view for view in self.views.values() if view.relevant_to(name)]
             for view in affected:
                 view.invalidate()
             # no before-hook ran, so no baseline exists: every predicate of

@@ -28,9 +28,9 @@ no fixpoint, no rewrite chain, no per-query evaluation at all.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Set, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from ..datalog.database import Database
+from ..datalog.database import Database, check_arity
 from ..datalog.parser import parse_program
 from ..datalog.relation import Row, Value
 from ..datalog.rules import Program
@@ -118,17 +118,43 @@ class Session:
     # ------------------------------------------------------------------
     def insert(self, name: str, rows: RowsLike) -> int:
         """Insert one row or many into relation ``name``; returns how many were new."""
-        with self.registry.lock:
-            # a no-op mutation fires no hooks, so clear last_stats up front lest
-            # it keep reporting the previous operation's work
-            self.registry.last_stats = EvaluationStats()
-            return self.database.insert_facts(name, as_rows(rows))
+        return len(self.mutate(inserts={name: as_rows(rows)})[1].get(name, ()))
 
     def delete(self, name: str, rows: RowsLike) -> int:
         """Delete one row or many from relation ``name``; returns how many were present."""
+        return len(self.mutate(deletes={name: as_rows(rows)})[0].get(name, ()))
+
+    def mutate(
+        self,
+        deletes: Optional[Mapping[str, Iterable[Row]]] = None,
+        inserts: Optional[Mapping[str, Iterable[Row]]] = None,
+    ) -> Tuple[Dict[str, Tuple[Row, ...]], Dict[str, Tuple[Row, ...]]]:
+        """Delete, then insert, over any relations as one maintenance round.
+
+        :meth:`Database.mutate` under the registry lock: the views see each
+        maintenance phase once for the whole batch and the epoch advances
+        once.  Every insert must fit its relation's arity (:meth:`arity_of`),
+        checked before anything changes.  Returns the effective
+        ``(deleted, inserted)`` rows per relation.
+        """
+        inserts = {name: list(rows) for name, rows in (inserts or {}).items()}
         with self.registry.lock:
+            for name, rows in inserts.items():
+                arity = self.arity_of(name)
+                if arity is not None:
+                    check_arity(name, arity, rows)
+            # a no-op mutation fires no hooks, so clear last_stats up front lest
+            # it keep reporting the previous operation's work
             self.registry.last_stats = EvaluationStats()
-            return self.database.remove_facts(name, as_rows(rows))
+            return self.database.mutate(deletes, inserts)
+
+    def arity_of(self, name: str) -> Optional[int]:
+        """The arity rows of relation ``name`` must have: stored, else the program's, else ``None``."""
+        if self.database.has_relation(name):
+            return self.database.relation(name).arity
+        if name in self.program.predicates():
+            return self.program.arity_of(name)
+        return None
 
     # ------------------------------------------------------------------
     # queries

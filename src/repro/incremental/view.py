@@ -23,9 +23,9 @@ provenance, surfaced on query results through :class:`ViewProvenance`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from ..datalog.database import Database
+from ..datalog.database import Changes, Database
 from ..datalog.relation import Relation, Row
 from ..datalog.rules import Program
 from ..engine.compile import PlanCache
@@ -78,7 +78,7 @@ class MaterializedView:
         self.refresh_stats = EvaluationStats()
         self.plan_program = self._unfold(program, database, max_unfold_depth)
         #: predicate names whose updates can change this view (immutable for
-        #: the view's lifetime; checked twice per mutation, so precomputed)
+        #: the view's lifetime; checked per mutated relation and phase, so precomputed)
         self._relevant = frozenset(self.plan_program.predicates())
         self.strategy = DRED if self._has_recursion(self.plan_program) else COUNTING
         detail = (
@@ -169,6 +169,12 @@ class MaterializedView:
         """
         return name in self._relevant
 
+    def _deltas(self, changes: Changes, strategy: str) -> Dict[str, Set[Row]]:
+        """The rows of ``changes`` this view's ``strategy`` phase maintains (empty: nothing to do)."""
+        if not self.fresh or self.strategy != strategy:
+            return {}
+        return {name: set(rows) for name, rows in changes.items() if name in self._relevant}
+
     def refresh(self, database: Database) -> None:
         """Recompute the view from scratch (used at registration and on staleness)."""
         stats = EvaluationStats()
@@ -188,58 +194,52 @@ class MaterializedView:
     # ------------------------------------------------------------------
     # maintenance phases (driven by the registry's database hooks)
     # ------------------------------------------------------------------
-    def before_insert(self, database: Database, name: str, rows: Tuple[Row, ...]) -> EvaluationStats:
-        """Pre-mutation insertion phase (all counting work happens here)."""
-        stats = EvaluationStats()
-        if self.fresh and self.strategy == COUNTING:
-            counting.apply_insertions(
-                self.plan_program, database, self.derived, self.counting,
-                {name: set(rows)}, stats, self.plan_cache,
-            )
-            self.stats.merge(stats)
-        return stats
-
-    def after_insert(self, database: Database, name: str, rows: Tuple[Row, ...]) -> EvaluationStats:
-        """Post-mutation insertion phase (the DRed/semi-naive delta round)."""
-        stats = EvaluationStats()
-        if self.fresh and self.strategy == DRED:
-            stats.start_timer()
-            propagate_insertions(
-                self.plan_program, database, self.derived, {name: set(rows)},
-                stats, self.plan_cache,
-            )
-            stats.stop_timer()
-            self.stats.merge(stats)
-        return stats
-
-    def before_delete(self, database: Database, name: str, rows: Tuple[Row, ...]) -> EvaluationStats:
+    def before_delete(self, database: Database, deletes: Changes) -> EvaluationStats:
         """Pre-mutation deletion phase (the DRed overestimate needs old state)."""
         stats = EvaluationStats()
-        if self.fresh and self.strategy == DRED:
+        deltas = self._deltas(deletes, DRED)
+        if deltas:
             self._doomed = dred.overestimate_deletions(
-                self.plan_program, database, self.derived, {name: set(rows)},
-                stats, self.plan_cache,
+                self.plan_program, database, self.derived, deltas, stats, self.plan_cache
             )
             self.stats.merge(stats)
         return stats
 
-    def after_delete(self, database: Database, name: str, rows: Tuple[Row, ...]) -> EvaluationStats:
+    def after_delete(self, database: Database, deletes: Changes) -> EvaluationStats:
         """Post-mutation deletion phase (counting decrements / DRed remove+rederive)."""
         stats = EvaluationStats()
-        if not self.fresh:
-            return stats
-        if self.strategy == COUNTING:
+        deltas = self._deltas(deletes, COUNTING)
+        if deltas:
             counting.apply_deletions(
-                self.plan_program, database, self.derived, self.counting,
-                {name: set(rows)}, stats, self.plan_cache,
+                self.plan_program, database, self.derived, self.counting, deltas, stats, self.plan_cache
             )
-        else:
-            doomed = self._doomed or {}
-            self._doomed = None
-            dred.apply_deletions(
-                self.plan_program, database, self.derived, doomed, stats, self.plan_cache
+            self.stats.merge(stats)
+        elif self._doomed is not None:
+            doomed, self._doomed = self._doomed, None
+            dred.apply_deletions(self.plan_program, database, self.derived, doomed, stats, self.plan_cache)
+            self.stats.merge(stats)
+        return stats
+
+    def before_insert(self, database: Database, inserts: Changes) -> EvaluationStats:
+        """Pre-mutation insertion phase (all counting work happens here)."""
+        stats = EvaluationStats()
+        deltas = self._deltas(inserts, COUNTING)
+        if deltas:
+            counting.apply_insertions(
+                self.plan_program, database, self.derived, self.counting, deltas, stats, self.plan_cache
             )
-        self.stats.merge(stats)
+            self.stats.merge(stats)
+        return stats
+
+    def after_insert(self, database: Database, inserts: Changes) -> EvaluationStats:
+        """Post-mutation insertion phase (the DRed/semi-naive delta round)."""
+        stats = EvaluationStats()
+        deltas = self._deltas(inserts, DRED)
+        if deltas:
+            stats.start_timer()
+            propagate_insertions(self.plan_program, database, self.derived, deltas, stats, self.plan_cache)
+            stats.stop_timer()
+            self.stats.merge(stats)
         return stats
 
     def __str__(self) -> str:

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from ..datalog.database import Database
-from ..datalog.errors import QueryTimeout, ReproError
+from ..datalog.database import Database, check_arity
+from ..datalog.errors import QueryTimeout, ReproError, SchemaError
 from ..datalog.relation import Row
 from ..datalog.rules import Program
 from ..engine.instrumentation import (
@@ -96,7 +96,9 @@ class ServiceStats:
     writes_applied: int = 0
     #: drained batches that contained at least one write
     flushes: int = 0
-    #: effective database maintenance rounds those flushes cost
+    #: maintenance rounds those flushes cost: one per flush whose batch
+    #: changed something (its deletes and inserts on every relation are one
+    #: ``Session.mutate`` call), none when its net effect was empty
     maintenance_rounds: int = 0
     #: barrier requests served
     barriers: int = 0
@@ -1184,19 +1186,19 @@ class DatalogService:
             self._degrade(exc, storage=False)
 
     def _apply(self, batch) -> None:
-        """Apply one drained batch as a single coalesced maintenance round.
+        """Apply one drained batch as one maintenance round.
 
-        Durability order: the batch is applied in memory, **logged to the WAL
-        (and fsynced)**, and only then published and acknowledged — a resolved
-        ticket implies the write is on disk.  A group that fails mid-batch
-        (e.g. an arity error) fails every ticket, but the ops applied before
-        it stay applied *and get logged* — they are consistent, unpublished
-        until the next successful flush, and the log must cover them or a
-        crash would silently lose state a later flush will publish.  A
-        storage failure poisons the service's write path (`_storage_failed`):
-        further flushes are refused outright, because publishing epochs the
-        disk never saw would break the recovery contract; reads keep serving
-        the last published epoch.
+        Each write ticket is checked first (:meth:`_admit`): one that cannot
+        apply fails alone and leaves no trace.  The rest, coalesced to its net
+        effect per (relation, row), is one :meth:`Session.mutate` call — one
+        round over every relation it touches, one epoch.  Durability order:
+        the round is applied in memory, **logged to the WAL (and fsynced)**,
+        and only then published and acknowledged — a resolved ticket implies
+        the write is on disk.  A failure inside the round itself fails every
+        ticket of the batch.  A storage failure poisons the service's write
+        path (`_storage_failed`): further flushes are refused outright,
+        because publishing epochs the disk never saw would break the recovery
+        contract; reads keep serving the last published epoch.
         """
         writes = [ticket for ticket in batch if not ticket.is_barrier]
         registry = self.session.registry
@@ -1223,42 +1225,30 @@ class DatalogService:
                     + (f" (cause: {cause})" if cause is not None else "")
                 )
             fire_fault("service.flush")
-            applied: List[Tuple[str, str, Tuple[Row, ...]]] = []
-            failure: Optional[BaseException] = None
             with registry.lock:
+                writes = self._admit(writes)
+                groups = coalesce(writes)
                 epoch_before = registry.epoch
-                try:
-                    for group in coalesce(writes):
-                        if group.deletes:
-                            at = registry.epoch
-                            self.session.delete(group.relation, group.deletes)
-                            if registry.epoch != at:
-                                applied.append(
-                                    ("delete", group.relation, tuple(group.deletes))
-                                )
-                        if group.inserts:
-                            at = registry.epoch
-                            self.session.insert(group.relation, group.inserts)
-                            if registry.epoch != at:
-                                applied.append(
-                                    ("insert", group.relation, tuple(group.inserts))
-                                )
-                except BaseException as exc:  # noqa: BLE001 - failure still logs the applied prefix
-                    failure = exc
+                deleted, inserted = self.session.mutate(
+                    {group.relation: group.deletes for group in groups if group.deletes},
+                    {group.relation: group.inserts for group in groups if group.inserts},
+                )
                 epoch = registry.epoch
                 rounds = epoch - epoch_before
                 if rounds:
                     self._engine_bridge.record("maintenance", registry.last_stats)
                 if rounds and self.storage is not None:
-                    self._log_applied(epoch, applied)
+                    self._log_applied(
+                        epoch,
+                        [("delete", name, rows) for name, rows in deleted.items()]
+                        + [("insert", name, rows) for name, rows in inserted.items()],
+                    )
                 published = None
                 touched: Set[str] = set()
                 publish_started = _now()
-                if failure is None and epoch != self._snapshot.epoch:
+                if epoch != self._snapshot.epoch:
                     _collected, touched = registry.collect_touched()
                     published = take_snapshot(self.session)
-            if failure is not None:
-                raise failure
             if published is not None:
                 # cache first, snapshot second: a reader racing the publication
                 # either misses (old entries were dropped) or still reads the
@@ -1287,6 +1277,30 @@ class DatalogService:
                 self._flush_seconds.observe(_now() - flush_started)
             if publish_elapsed is not None:
                 self._publish_seconds.observe(publish_elapsed)
+
+    def _admit(self, writes: List[WriteTicket]) -> List[WriteTicket]:
+        """The write tickets that can apply; each other one fails alone.
+
+        An insert whose rows do not fit its relation's arity — the stored
+        one, the program's, or the one an earlier ticket of the batch gave a
+        new relation — resolves with its :class:`SchemaError` (its waiter
+        sees a ``FlushError`` caused by it) and stays out of the round.
+        """
+        arities: Dict[str, int] = {}
+        admitted = []
+        for ticket in writes:
+            if ticket.op == WriteTicket.INSERT and ticket.rows:
+                name = ticket.relation
+                arity = arities.get(name, self.session.arity_of(name))
+                arity = len(ticket.rows[0]) if arity is None else arity
+                try:
+                    check_arity(name, arity, ticket.rows)
+                except SchemaError as exc:
+                    ticket.resolve(error=exc)
+                    continue
+                arities[name] = arity
+            admitted.append(ticket)
+        return admitted
 
     def _log_applied(
         self, epoch: int, applied: List[Tuple[str, str, Tuple[Row, ...]]]

@@ -101,17 +101,21 @@ class _RecordingListener:
     def __init__(self):
         self.events = []
 
-    def before_insert(self, database, name, rows):
-        self.events.append(("before_insert", name, rows, len(database.relation(name))))
+    def _record(self, phase, database, changes):
+        sizes = {name: len(database.relation(name)) for name in changes}
+        self.events.append((phase, dict(changes), sizes))
 
-    def after_insert(self, database, name, rows):
-        self.events.append(("after_insert", name, rows, len(database.relation(name))))
+    def before_delete(self, database, deletes):
+        self._record("before_delete", database, deletes)
 
-    def before_delete(self, database, name, rows):
-        self.events.append(("before_delete", name, rows, len(database.relation(name))))
+    def after_delete(self, database, deletes):
+        self._record("after_delete", database, deletes)
 
-    def after_delete(self, database, name, rows):
-        self.events.append(("after_delete", name, rows, len(database.relation(name))))
+    def before_insert(self, database, inserts):
+        self._record("before_insert", database, inserts)
+
+    def after_insert(self, database, inserts):
+        self._record("after_insert", database, inserts)
 
     def on_relation_replaced(self, database, name):
         self.events.append(("replaced", name))
@@ -154,12 +158,46 @@ class TestMutationHooksAndBulkOps:
         database.add_listener(listener)
         database.insert_facts("a", [(1, 2), (3, 4)])
         database.remove_facts("a", [(3, 4), (9, 9)])
+        # every effective mutation fires all four phases once; an idle side gets {}
         assert listener.events == [
-            ("before_insert", "a", ((3, 4),), 1),  # old state, already-present row filtered
-            ("after_insert", "a", ((3, 4),), 2),  # new state
-            ("before_delete", "a", ((3, 4),), 2),  # rows still present
-            ("after_delete", "a", ((3, 4),), 1),  # rows gone
+            ("before_delete", {}, {}),
+            ("after_delete", {}, {}),
+            ("before_insert", {"a": ((3, 4),)}, {"a": 1}),  # old state, present row filtered
+            ("after_insert", {"a": ((3, 4),)}, {"a": 2}),  # new state
+            ("before_delete", {"a": ((3, 4),)}, {"a": 2}),  # rows still present
+            ("after_delete", {"a": ((3, 4),)}, {"a": 1}),  # rows gone
+            ("before_insert", {}, {}),
+            ("after_insert", {}, {}),
         ]
+
+    def test_one_mutation_fires_each_phase_once_for_every_relation(self):
+        database = Database.from_dict({"a": [(1, 2), (3, 4)], "b": [(5,)]})
+        listener = _RecordingListener()
+        database.add_listener(listener)
+        deleted, inserted = database.mutate(
+            deletes={"a": [(1, 2), (9, 9)], "b": [(5,)], "ghost": [(1,)]},
+            inserts={"a": [(1, 2), (3, 4), (7, 8)], "c": [(1, 1, 1)]},
+        )
+        assert deleted == {"a": ((1, 2),), "b": ((5,),)}
+        # (1, 2) is deleted and re-inserted: deletes apply first
+        assert inserted == {"a": ((1, 2), (7, 8)), "c": ((1, 1, 1),)}
+        assert [event[0] for event in listener.events] == [
+            "before_delete", "after_delete", "before_insert", "after_insert",
+        ]
+        assert listener.events[0][2] == {"a": 2, "b": 1}  # old state
+        assert listener.events[1][2] == {"a": 1, "b": 0}  # deletes applied
+        assert listener.events[3][2] == {"a": 3, "c": 1}  # both applied
+        assert database.relation("a").rows() == {(1, 2), (3, 4), (7, 8)}
+
+    def test_mutate_validates_every_insert_before_anything_changes(self):
+        database = Database.from_dict({"a": [(1, 2)], "b": [(5,)]})
+        listener = _RecordingListener()
+        database.add_listener(listener)
+        with pytest.raises(SchemaError, match="arity"):
+            database.mutate(deletes={"b": [(5,)]}, inserts={"fresh": [(1,)], "a": [(1, 2, 3)]})
+        assert listener.events == []
+        assert database.relation("b").rows() == {(5,)}
+        assert not database.has_relation("fresh")
 
     def test_noop_mutations_fire_no_hooks(self):
         database = Database.from_dict({"a": [(1, 2)]})
@@ -174,7 +212,10 @@ class TestMutationHooksAndBulkOps:
         listener = _RecordingListener()
         database.add_listener(listener)
         assert database.add_fact("a", (5, 6)) is True
-        assert [event[0] for event in listener.events] == ["before_insert", "after_insert"]
+        assert [event[0] for event in listener.events] == [
+            "before_delete", "after_delete", "before_insert", "after_insert",
+        ]
+        assert listener.events[2][1] == {"a": ((5, 6),)}
 
     def test_add_relation_fires_replacement_hook(self):
         database = Database.from_dict({"a": [(1, 2)]})

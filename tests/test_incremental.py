@@ -178,6 +178,35 @@ class TestDeletions:
         assert (1, 4) in session.view.derived["t"]
         assert_view_matches_recompute(session)
 
+    def test_a_rule_whose_body_misses_a_head_variable_rederives_nothing(self):
+        # t(X, W) :- c(X) never derives (W is unbound); the rederive join's
+        # candidate atom must not bind W for it and keep t(2, 3) alive
+        program = parse_program(f"{TC}\nt(X, W) :- c(X).\n")
+        session = Session(program, Database.from_dict({"a": [(1, 2)], "b": [(2, 3)], "c": [(2,)]}))
+        session.delete("b", (2, 3))
+        assert session.view.derived["t"].rows() == set()
+        assert_view_matches_recompute(session)
+
+    def test_a_rule_whose_head_no_doomed_row_matches_is_not_joined(self):
+        # no doomed t row ends in 1, so t(X, 1) :- c(X) gets no rederive plan,
+        # exactly as a bound-head probe per doomed row would not
+        database = Database.from_dict({"a": [(1, 2)], "b": [(2, 3)], "c": [(2,)]})
+        compiled = []
+        for extra in ("", "t(X, 1) :- c(X).\n"):
+            session = Session(parse_program(f"{TC}\n{extra}"), database.copy())
+            session.delete("b", (2, 3))
+            assert_view_matches_recompute(session)
+            compiled.append(session.last_stats.plans_compiled)
+        assert compiled[0] == compiled[1]
+
+    def test_one_mutation_over_several_relations_is_one_round(self):
+        session = Session(TC, tc_database())
+        deleted, inserted = session.mutate(deletes={"b": [(2, 3)]}, inserts={"a": [(0, 1)], "b": [(3, 4)]})
+        assert deleted == {"b": ((2, 3),)} and inserted == {"a": ((0, 1),), "b": ((3, 4),)}
+        assert session.registry.epoch == 1
+        assert session.registry.collect_touched() == (1, {"a", "b", "t"})
+        assert_view_matches_recompute(session)
+
 
 class TestDeltaLoopPolicies:
     """DRed's two closures: what the over-delete may doom, and that no count depends on set order."""

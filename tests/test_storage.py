@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro import Database, DatalogService, Relation
+from repro.datalog import SchemaError
 from repro.engine.domain import Domain
 from repro.faults import FaultAction, FaultPlan, inject
 from repro.incremental.session import as_rows
@@ -647,6 +648,32 @@ class TestFlushFailurePropagation:
                 assert exc.ticket is ticket
         finally:
             service.close()
+
+
+    def test_a_bad_ticket_fails_alone_and_the_rest_of_its_batch_is_durable(self, tmp_path):
+        manual = FlushPolicy(max_batch=1_000_000, max_delay_seconds=3600.0)
+        service = DatalogService.open(tmp_path, TC, storage_config=fast_config(), flush_policy=manual)
+        good = service.insert("edge", (1, 2))
+        bad = service.insert("edge", (7, 8, 9))  # the program says edge has arity 2
+        fresh = service.insert("note", ("x",))  # a new relation: its first ticket sets the arity
+        clash = service.insert("note", ("y", "z"))
+        assert service.barrier(timeout=10) == 1
+        assert good.wait(timeout=10) == fresh.wait(timeout=10) == 1
+        for ticket in (bad, clash):
+            with pytest.raises(FlushError, match="arity") as info:
+                ticket.wait(timeout=10)
+            assert isinstance(info.value.__cause__, SchemaError)
+        assert service.stats.writes_applied == 2
+        assert service.stats.maintenance_rounds == 1
+        assert service.query("path(X, Y)?").answers == {(1, 2)}
+        assert service.session.facts("edge") == {(1, 2)}
+        assert service.session.facts("note") == {("x",)}
+        service.close()
+        reopened = DatalogService.open(tmp_path, storage_config=fast_config(), flush_policy=FAST)
+        assert reopened.epoch == 1
+        assert reopened.session.facts("edge") == {(1, 2)}
+        assert reopened.session.facts("note") == {("x",)}
+        reopened.close()
 
 
 class TestCloseBehavior:
