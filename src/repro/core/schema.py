@@ -37,9 +37,8 @@ reaches the exit rule); every other position is **linking**.
   the nonrecursive body atoms, and ``g`` joins the reachable call tuples with
   the exit rules.
 
-Execution: one join per carry round
------------------------------------
-The paper states Figure 9 in relational algebra, and that is how it runs.
+Execution: one generated function per plan
+------------------------------------------
 Each operator — the exit rules under the selection, the first push, ``f``,
 ``g`` — is a :class:`~repro.engine.compile.CompiledRule` over a synthetic head
 (``t.exit``, ``t.init``, ``t.backward`` / ``t.forward``, ``t.answer``) whose
@@ -47,23 +46,32 @@ body *starts* with the operator's inputs as ordinary atoms::
 
     t.forward(Z) :- t.selection($k0), t.carry(X), a(X, Z).
 
-``t.selection`` is the one-row relation of the query's constants and
-``t.carry`` the round's carry (``seen``, when ``g`` runs), so
-``carry := f(carry)`` is **one kernel call per carry round**
-(``REPRO_KERNELS=off``: one interpreted join), not one per carry row, and one
-driver loop serves both directions.  Constants and repeated variables in an
-exit head or the recursive call, and the ``None`` of a carry column a step
-could not determine, are the rule compiler's own atom checks.  A constant
-among the carry terms makes the join *probe* the carry, which is why that is a
-real :class:`~repro.datalog.relation.Relation` whose indexes are rebuilt with
-its rows each round, not a bare row set behind a stale index.
+``t.selection`` is the query's constants and ``t.carry`` the round's carry
+(``seen``, when ``g`` runs).  Constants and repeated variables in an exit head
+or the recursive call, and the ``None`` of a carry column a step could not
+determine, are the rule compiler's own atom checks.
+
+:func:`~repro.engine.kernels.build_schema_kernel` turns a plan's operators into
+**one generated function** that runs all nine lines of Figure 9: the stored
+relations' probes are hoisted once per run, the selection and the carry are
+walked as plain values with their atom checks inline, ``− seen`` is fused into
+``f`` (a row joins the next carry only if it is not in ``seen``), a ``state``
+switch follows the known-column patterns, and the counters live in locals until
+the end of the run — or a deadline's :class:`~repro.datalog.errors.QueryTimeout`
+at the top of a round, which flushes them first.  It is memoized on the plan.
+
+``REPRO_KERNELS=off``, or a stored relation the database lacks, runs the same
+plans one join per operator application instead: ``carry := f(carry)`` is one
+join per round over a real :class:`~repro.datalog.relation.Relation` handed the
+round's rows, then a set difference and a union.  That loop is the reference
+the generated function is tested against: same answers, same counters, same
+applications in an EXPLAIN ANALYZE profile.
 
 The inputs are the driver's working state, not the database: they are the
 plan's ``inputs`` (:func:`~repro.engine.compile.compile_rule`), head the join
-order as written, and neither executor records a lookup for walking them — the
-one place that accounting is decided.  Every probe of a *stored* relation is
-still one recorded lookup (Property 3), so the counters are what they were when
-Python drove the carry loop row by row.
+order as written, and no executor records a lookup for walking them.  Every
+probe of a *stored* relation is one recorded lookup (Property 3), so the
+counters are what they were when Python drove the carry loop row by row.
 
 Nothing a plan decides depends on the selection *constants* or the database,
 so plans — or the error saying the schema is inapplicable — are memoized per
@@ -85,7 +93,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..datalog.atoms import Atom, atoms_variables
 from ..datalog.database import Database
@@ -94,7 +102,8 @@ from ..datalog.relation import Relation, Row
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant, Term, Variable
 from ..engine.compile import CompiledRule, compile_rule, prepare
-from ..engine.instrumentation import EvaluationStats
+from ..engine.instrumentation import EvaluationStats, active_profile
+from ..engine.kernels import build_schema_kernel, kernels_enabled
 from ..engine.query import QueryResult, SelectionQuery
 from .classify import classify
 
@@ -144,6 +153,11 @@ class SchemaPlan:
     backward: _Operators = field(default_factory=dict)
     #: Forward: ``f`` pushes the call bindings a level deeper, ``g`` joins the exits.
     forward: _Operators = field(default_factory=dict)
+    #: the generated run and the stored predicates it reads
+    #: (:func:`~repro.engine.kernels.build_schema_kernel`), built on first use
+    _generated: Optional[Tuple[Callable, Tuple[str, ...]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         #: the input relations a run hands its joins: constants (one row), carry
@@ -418,9 +432,11 @@ class OneSidedSchema:
     def run(self, database: Database, stats: Optional[EvaluationStats] = None) -> QueryResult:
         """Evaluate the query over ``database`` and return the answers + stats.
 
-        One loop serves both directions; they differ only in the operators the
-        plan compiled, which read the selection and the carry as uncounted
-        ``inputs`` (see the module docstring).
+        One plan serves both directions; they differ only in the operators it
+        compiled, which read the selection and the carry as uncounted
+        ``inputs`` (see the module docstring).  With kernels enabled and every
+        stored relation present, the plan's generated function runs all of
+        Figure 9; otherwise the join-per-round loop does.
         """
         stats = stats if stats is not None else EvaluationStats()
         stats.start_timer()
@@ -435,6 +451,38 @@ class OneSidedSchema:
             relations.update(seminaive_evaluate(plan.subsidiary_program, database, stats))
             stats.start_timer()
         constants = tuple(value for _column, value in self.query.bindings)
+        resolved = None
+        if kernels_enabled():
+            if plan._generated is None:
+                plan._generated = build_schema_kernel(plan)
+            generated, predicates = plan._generated
+            resolved = [relations.get(name) for name in predicates]
+            if any(relation is None for relation in resolved):
+                resolved = None
+        if resolved is None:
+            answers = self._join_per_round(relations, constants, stats)
+        else:
+            profile = active_profile()
+            rounds, finished = stats.iterations, False
+            try:
+                answers = generated(resolved, constants, stats)
+                finished = True
+            finally:
+                if profile is not None:
+                    _record_applications(plan, profile, stats.iterations - rounds, finished)
+        stats.extra["carry_arity"] = plan.carry_arity
+        stats.stop_timer()
+        return QueryResult(self.query, answers, stats, strategy=f"one-sided-{plan.direction}")
+
+    def _join_per_round(
+        self, relations: Dict[str, Relation], constants: Row, stats: EvaluationStats
+    ) -> Set[Row]:
+        """Figure 9 driven from Python: one join per operator application.
+
+        The reference for the generated run (``REPRO_KERNELS=off``), and the
+        path for a plan whose stored relations do not all resolve.
+        """
+        plan = self.plan
         relations[plan.selection_name] = Relation.from_valid_rows(
             plan.selection_name, len(constants), {constants}
         )
@@ -476,9 +524,30 @@ class OneSidedSchema:
             carry_relation.replace_rows(rows)
             for final in operators[known][2]:
                 answers |= runs[final]((), stats)
-        stats.extra["carry_arity"] = plan.carry_arity
-        stats.stop_timer()
-        return QueryResult(self.query, answers, stats, strategy=f"one-sided-{plan.direction}")
+        return answers
+
+
+def _record_applications(plan: SchemaPlan, profile, rounds: int, finished: bool) -> None:
+    """Report a generated run's operator applications to an armed profile.
+
+    The join-per-round loop reports each application as it makes it; the
+    generated run makes the same ones, which follow from how many carry rounds
+    it completed and whether it got to ``g``.
+    """
+    operators = plan.operators()
+    known = plan.init_known
+    applied = [*plan.exits, *plan.init]
+    reached = [known]
+    for _ in range(rounds):
+        step, known, _finals = operators[known]
+        applied.append(step)
+        if known not in reached:
+            reached.append(known)
+    if finished:
+        applied += [final for known in reached for final in operators[known][2]]
+    for op in applied:
+        if op.producible:
+            profile.record_dispatch(op, "kernel")
 
 
 def one_sided_query(

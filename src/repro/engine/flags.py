@@ -4,7 +4,7 @@ Both engine fast paths ship behind the same three-part switch:
 
 * an environment variable (``REPRO_KERNELS``, ``REPRO_COLUMNAR``) that turns
   the path off for a whole process
-  (``off``/``0``/``false``/``no``/``disabled``);
+  (``off``/``0``/``false``/``no``/``disabled``), read once per process;
 * a tri-state programmatic override (``set_*_enabled``) where ``None``
   restores the environment variable's verdict; and
 * a context manager (``*_mode``) that forces the flag for a scope and
@@ -36,9 +36,14 @@ FORCING_VALUES = frozenset(("force", "always"))
 
 
 class EngineFlag:
-    """One engine feature switch: environment variable + tri-state override."""
+    """One engine feature switch: environment variable + tri-state override.
 
-    __slots__ = ("env_var", "default", "_forced")
+    The environment variable is read once per process, on first use: a flag
+    is consulted on every query, and ``os.environ`` costs about a microsecond
+    a read.  :meth:`refresh` reads it again (for tests that change it).
+    """
+
+    __slots__ = ("env_var", "default", "_forced", "_environment")
 
     def __init__(self, env_var: str, default: str = "on") -> None:
         self.env_var = env_var
@@ -46,12 +51,21 @@ class EngineFlag:
         #: override installed by :meth:`set`; ``None`` defers to the
         #: environment variable
         self._forced: Optional[str] = None
+        #: the environment variable's setting, once read
+        self._environment: Optional[str] = None
 
     def state(self) -> str:
         """The effective setting string (override first, then environment)."""
         if self._forced is not None:
             return self._forced
-        return os.environ.get(self.env_var, self.default).strip().lower()
+        if self._environment is None:
+            return self.refresh()
+        return self._environment
+
+    def refresh(self) -> str:
+        """Read the environment variable again; returns its setting."""
+        self._environment = os.environ.get(self.env_var, self.default).strip().lower()
+        return self._environment
 
     def enabled(self) -> bool:
         """``True`` unless the effective setting is a disabling value."""

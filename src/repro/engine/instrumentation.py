@@ -170,15 +170,16 @@ class EvaluationStats:
 
         Doubles as the cooperative cancellation point: when the calling
         thread has an :func:`evaluation_deadline` armed and it has passed,
-        this raises :class:`~repro.datalog.errors.QueryTimeout` — one
-        ``getattr`` per fixpoint iteration when disarmed.
+        this raises :class:`~repro.datalog.errors.QueryTimeout` instead of
+        counting the pass, so ``iterations`` at the raise is the number of
+        passes completed — one ``getattr`` per fixpoint iteration when disarmed.
         """
-        self.iterations += 1
         deadline = getattr(_deadline_local, "value", None)
         if deadline is not None and time.perf_counter() >= deadline:
             raise QueryTimeout(
-                f"evaluation exceeded its deadline at iteration {self.iterations}"
+                f"evaluation exceeded its deadline at iteration {self.iterations + 1}"
             )
+        self.iterations += 1
 
     def record_plans_compiled(self, count: int = 1) -> None:
         """Record join plans compiled for a fixpoint (engine-v2 bookkeeping)."""

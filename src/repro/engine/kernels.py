@@ -40,16 +40,32 @@ The exception is a plan's leading ``inputs`` steps
 relations — the Figure 9 schema's selection and carry — so the generated loop,
 like the interpreted one, walks them without touching the counters.
 
-The ``REPRO_KERNELS`` environment variable (``off``/``0``/``false``/``no``)
-is the escape hatch: it forces every plan back onto the interpreted
-evaluator, which is what the differential harness uses to assert
-interpreted == kernel results tuple for tuple.
+The Figure 9 schema
+-------------------
+:func:`build_schema_kernel` emits one function per
+:class:`~repro.core.schema.SchemaPlan` from the same step loops: the exit and
+init operators, then ``while carry:`` with each known-column pattern's ``f``
+under a ``state`` switch, then ``g`` over each pattern's ``seen``.  Operator
+locals carry an ``o<k>_`` prefix, one ``.get`` / row set is hoisted per
+(stored relation, probe columns), the selection and the carry are walked as
+plain tuples with their probe columns compared inline, and ``f`` emits a row
+only ``if row not in seen``, adding it to ``seen`` and to the next carry.  The
+run flushes its counters — lookups, tuples examined and produced, the peak
+state — once, at the end or before re-raising the ``QueryTimeout`` that
+:meth:`EvaluationStats.record_iteration` raises at the top of a round.
+
+The ``REPRO_KERNELS`` environment variable (``off``/``0``/``false``/``no``,
+read once per process) is the escape hatch: it forces every plan back onto
+the interpreted evaluator, and the schema onto its join-per-round loop, which
+is what the differential harness uses to assert interpreted == kernel results
+tuple for tuple.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..datalog.errors import QueryTimeout
 from .flags import EngineFlag
 from .instrumentation import active_profile
 
@@ -83,6 +99,70 @@ def kernel_mode(enabled: Optional[bool]):
 # ----------------------------------------------------------------------
 # code generation
 # ----------------------------------------------------------------------
+def _tuple(parts: List[str]) -> str:
+    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+
+
+def _emit_step(
+    w: Callable[[str], None],
+    depth: str,
+    step,
+    i: int,
+    prefix: str,
+    env: Dict[str, object],
+    access: str,
+    source: str,
+    counted: bool,
+) -> str:
+    """Emit the row loop of join step ``i`` at ``depth``; returns the loop body's depth.
+
+    ``access`` says how the step reaches its rows: ``"probe"`` calls the hoisted
+    index ``.get`` named ``source`` with the probe key, ``"scan"`` walks the
+    hoisted row set ``source``, and ``"walk"`` iterates the caller's own rows
+    ``source`` with the probe signature checked inline.  A ``counted`` step records
+    its lookup (a scan's row count is hoisted as ``n<source>``).  Locals carry
+    ``prefix``, so several plans' loops can share one function.
+    """
+    row = f"{prefix}row{i}"
+    key = []
+    for j, (is_const, value) in enumerate(step.key_ops):
+        if is_const:
+            env[f"{prefix}K{i}_{j}"] = value
+            key.append(f"{prefix}K{i}_{j}")
+        else:
+            key.append(f"{prefix}s{value}")
+    if access == "probe":
+        rows = f"{prefix}rows{i}"
+        w(depth + f"{rows} = {source}({key[0] if len(key) == 1 else _tuple(key)}, _E)")
+        if counted:
+            w(depth + f"_lk += 1; _ex += len({rows})")
+        source = rows
+    elif counted:
+        w(depth + f"_lk += 1; _ur += 1; _ex += n{source}")
+    w(depth + f"for {row} in {source}:")
+    depth += "    "
+    checks = list(zip(step.probe_columns, key)) if access == "walk" else []
+    checks += [(position, f"{row}[{earlier}]") for position, earlier in step.check_cols]
+    for position, expected in checks:
+        w(depth + f"if {row}[{position}] != {expected}:")
+        w(depth + "    continue")
+    for position, slot in step.store_cols:
+        w(depth + f"{prefix}s{slot} = {row}[{position}]")
+    return depth
+
+
+def _head(plan, prefix: str, env: Dict[str, object]) -> str:
+    """The expression building ``plan``'s head tuple from its slots."""
+    parts = []
+    for j, (is_const, value) in enumerate(plan.head_ops):
+        if is_const:
+            env[f"{prefix}H{j}"] = value
+            parts.append(f"{prefix}H{j}")
+        else:
+            parts.append(f"{prefix}s{value}")
+    return _tuple(parts)
+
+
 def _emit(plan, project: bool) -> Tuple[str, Dict[str, object]]:
     """Source + exec environment for one kernel of ``plan``.
 
@@ -114,9 +194,6 @@ def _emit(plan, project: bool) -> Tuple[str, Dict[str, object]]:
         if step.probe_columns:
             env[f"COLS{i}"] = step.probe_columns
             w(body + f"get{i} = rels[{i}]._index_for(COLS{i}).get")
-            for j, (is_const, value) in enumerate(step.key_ops):
-                if is_const:
-                    env[f"K{i}_{j}"] = value
         else:
             w(body + f"scan{i} = rels[{i}].rows()")
             if i >= plan.inputs:
@@ -126,37 +203,14 @@ def _emit(plan, project: bool) -> Tuple[str, Dict[str, object]]:
     for i, step in enumerate(plan.steps):
         counted = i >= plan.inputs
         if step.probe_columns:
-            parts = [
-                (f"K{i}_{j}" if is_const else f"s{value}")
-                for j, (is_const, value) in enumerate(step.key_ops)
-            ]
-            key = parts[0] if len(parts) == 1 else "(" + ", ".join(parts) + ")"
-            w(depth + f"rows{i} = get{i}({key}, _E)")
-            if counted:
-                w(depth + f"_lk += 1; _ex += len(rows{i})")
+            depth = _emit_step(w, depth, step, i, "", env, "probe", f"get{i}", counted)
         else:
-            w(depth + f"rows{i} = scan{i}")
-            if counted:
-                w(depth + f"_lk += 1; _ur += 1; _ex += nscan{i}")
-        w(depth + f"for row{i} in rows{i}:")
-        depth += "    "
-        for position, earlier in step.check_cols:
-            w(depth + f"if row{i}[{position}] != row{i}[{earlier}]:")
-            w(depth + "    continue")
-        for position, slot in step.store_cols:
-            w(depth + f"s{slot} = row{i}[{position}]")
+            depth = _emit_step(w, depth, step, i, "", env, "scan", f"scan{i}", counted)
 
     if project:
-        parts = []
-        for j, (is_const, value) in enumerate(plan.head_ops):
-            if is_const:
-                env[f"H{j}"] = value
-                parts.append(f"H{j}")
-            else:
-                parts.append(f"s{value}")
+        emitted = _head(plan, "", env)
     else:
-        parts = [f"s{i}" for i in range(plan.slot_count)]
-    emitted = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+        emitted = _tuple([f"s{i}" for i in range(plan.slot_count)])
     w(depth + f"out_add({emitted})")
 
     w(body + "if stats is not None:")
@@ -165,6 +219,121 @@ def _emit(plan, project: bool) -> Tuple[str, Dict[str, object]]:
     w(body + "    stats.tuples_examined += _ex")
     w(body + "return out")
     return "\n".join(lines) + "\n", env
+
+
+def _emit_schema(plan) -> Tuple[str, Dict[str, object], Tuple[str, ...]]:
+    """Source, exec environment and stored predicates of one Figure 9 run of ``plan``.
+
+    ``plan`` is a :class:`~repro.core.schema.SchemaPlan`.  Its operators'
+    loops are emitted into one function, each operator's locals under its own
+    prefix; the known-pattern chain of the carry is a ``state`` switch.  The
+    selection and the carry are walked as plain values, and an operator that
+    can produce nothing is left out, as the join-per-round loop skips it too.
+    """
+    env: Dict[str, object] = {"_E": (), "QueryTimeout": QueryTimeout, "WIDTH": max(1, plan.carry_arity)}
+    predicates: List[str] = []
+    hoisted: Dict[Tuple[str, Tuple[int, ...]], Tuple[str, str]] = {}
+    hoists: List[str] = []
+    lines: List[str] = []
+    w = lines.append
+    operators = list(plan.operators().items())
+    states = {known: state for state, (known, _operator) in enumerate(operators)}
+    numbered = {id(op): k for k, op in enumerate(plan.compiled_plans())}
+
+    def access(step) -> Tuple[str, str]:
+        """One hoisted ``.get`` / row set per (stored relation, probe columns)."""
+        found = hoisted.get((step.predicate, step.probe_columns))
+        if found is None:
+            if step.predicate not in predicates:
+                predicates.append(step.predicate)
+            relation, n = f"rels[{predicates.index(step.predicate)}]", len(hoisted)
+            if step.probe_columns:
+                env[f"COLS{n}"] = step.probe_columns
+                hoists.append(f"get{n} = {relation}._index_for(COLS{n}).get")
+                found = ("probe", f"get{n}")
+            else:
+                hoists.append(f"scan{n} = {relation}.rows(); nscan{n} = len(scan{n})")
+                found = ("scan", f"scan{n}")
+            hoisted[step.predicate, step.probe_columns] = found
+        return found
+
+    def apply(depth: str, op, carry: str, emit: Callable[[str, str], None]) -> None:
+        """``op``'s loops over the selection, ``carry`` and the stored relations."""
+        if not op.producible:
+            return
+        prefix = f"o{numbered[id(op)]}_"
+        for i, step in enumerate(op.steps):
+            if i < op.inputs:
+                depth = _emit_step(w, depth, step, i, prefix, env, "walk", carry if i else "SELECTION", False)
+            else:
+                depth = _emit_step(w, depth, step, i, prefix, env, *access(step), True)
+        emit(depth, _head(op, prefix, env))
+
+    def into_answers(depth: str, head: str) -> None:
+        w(depth + f"answers_add({head})")
+
+    def into_carry(state: int, carry: str) -> Callable[[str, str], None]:
+        """``carry := f(carry) − seen; seen ∪= carry`` with the difference fused in."""
+        def emit(depth: str, head: str) -> None:
+            w(depth + f"row = {head}")
+            w(depth + f"if row not in seen{state}:")
+            w(depth + f"    seen{state}_add(row); {carry}_append(row)")
+        return emit
+
+    flush = [
+        "stats.lookups += _lk",
+        "stats.unrestricted_lookups += _ur",
+        "stats.tuples_examined += _ex",
+        "stats.tuples_produced += total",
+        "if peak > stats.peak_state_tuples:",
+        "    stats.peak_state_tuples = peak",
+        "if peak * WIDTH > stats.peak_state_columns:",
+        "    stats.peak_state_columns = peak * WIDTH",
+    ]
+    body, loop = "    ", "        "
+    w(body + "SELECTION = (selection,)")
+    w(body + "_lk = 0; _ur = 0; _ex = 0")
+    w(body + "answers = set(); answers_add = answers.add")
+    for state in range(len(operators)):
+        w(body + f"seen{state} = set(); seen{state}_add = seen{state}.add")
+    # 1-3) init carry, seen, ans
+    w(body + "carry = []; carry_append = carry.append")
+    for op in plan.exits:
+        apply(body, op, "", into_answers)
+    for op in plan.init:
+        apply(body, op, "", into_carry(states[plan.init_known], "carry"))
+    w(body + "total = peak = len(carry)")
+    if len(operators) > 1:
+        w(body + f"state = {states[plan.init_known]}")
+    # 4-8) while carry not empty: carry := f(carry) − seen; seen ∪= carry
+    w(body + "while carry:")
+    w(loop + "try:")
+    w(loop + "    stats.record_iteration()")
+    w(loop + "except QueryTimeout:")
+    for line in flush:
+        w(loop + "    " + line)
+    w(loop + "    raise")
+    w(loop + "after = []; after_append = after.append")
+    for state, (_known, (step, known, _finals)) in enumerate(operators):
+        depth = loop
+        if len(operators) > 1:
+            w(loop + f"{'if' if state == 0 else 'elif'} state == {state}:")
+            w(loop + f"    state = {states[known]}")
+            depth += "    "
+        apply(depth, step, "carry", into_carry(states[known], "after"))
+    w(loop + "carry = after")
+    w(loop + "total += len(carry)")
+    w(loop + "if total + len(carry) > peak:")
+    w(loop + "    peak = total + len(carry)")
+    # 9) ans := g(seen)
+    for state, (_known, (_step, _after, finals)) in enumerate(operators):
+        for op in finals:
+            apply(body, op, f"seen{state}", into_answers)
+    for line in flush:
+        w(body + line)
+    w(body + "return answers")
+    header = ["def _schema(rels, selection, stats):", *(body + line for line in hoists)]
+    return "\n".join(header + lines) + "\n", env, tuple(predicates)
 
 
 #: source → compiled code object.  The generated source encodes only the
@@ -198,19 +367,40 @@ def build_kernel(plan, project: bool) -> Callable:
         kernel = None
     if kernel is not None:
         return kernel
-    code = _code_cache.get(source)
-    if code is None:
-        code = compile(source, f"<kernel {'eval' if project else 'join'}>", "exec")
-        _code_cache[source] = code
-    namespace = dict(env)
-    exec(code, namespace)  # noqa: S102 - the source is generated above, not user input
-    kernel = namespace["_kernel"]
-    kernel.__kernel_source__ = source
+    kernel = _define(source, env, "_kernel", f"<kernel {'eval' if project else 'join'}>")
     if key is not None:
         if len(_function_cache) >= _FUNCTION_CACHE_LIMIT:
             _function_cache.clear()
         _function_cache[key] = kernel
     return kernel
+
+
+def build_schema_kernel(plan) -> Tuple[Callable, Tuple[str, ...]]:
+    """The generated Figure 9 run of a :class:`~repro.core.schema.SchemaPlan`.
+
+    Returns ``(run, predicates)``: ``run(rels, selection, stats)`` answers the
+    query whose constants are the tuple ``selection``, where ``rels`` holds the
+    stored relation of each name in ``predicates``, in that order.  ``stats``
+    is required; the run records on it what the join-per-round loop would.
+    """
+    profile = active_profile()
+    if profile is not None:
+        profile.record_kernel_built(plan)
+    source, env, predicates = _emit_schema(plan)
+    return _define(source, env, "_schema", "<kernel schema>"), predicates
+
+
+def _define(source: str, env: Dict[str, object], name: str, filename: str) -> Callable:
+    """The function ``name`` that ``source`` defines, closed over ``env``."""
+    code = _code_cache.get(source)
+    if code is None:
+        code = compile(source, filename, "exec")
+        _code_cache[source] = code
+    namespace = dict(env)
+    exec(code, namespace)  # noqa: S102 - the source is generated here, not user input
+    function = namespace[name]
+    function.__kernel_source__ = source
+    return function
 
 
 def kernel_source(plan, project: bool = True) -> str:

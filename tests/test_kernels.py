@@ -23,7 +23,7 @@ from repro.engine import (
     seminaive_evaluate,
     set_kernels_enabled,
 )
-from repro.engine.kernels import kernel_source
+from repro.engine.kernels import KERNELS_FLAG, kernel_source
 from repro.testing import generate_case
 from repro.workloads import ALL_CANONICAL, edge_database, layered_dag
 
@@ -165,17 +165,30 @@ class TestFullEvaluationParity:
 
 
 class TestSwitches:
-    def test_environment_switch(self, monkeypatch):
+    @pytest.fixture
+    def environment(self, monkeypatch):
+        """``monkeypatch`` for ``REPRO_KERNELS``, with the flag re-reading it after each
+        change and after the test puts the variable back."""
+        yield monkeypatch
+        monkeypatch.undo()
+        KERNELS_FLAG.refresh()
+
+    def test_environment_switch(self, environment):
         set_kernels_enabled(None)
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+        environment.delenv("REPRO_KERNELS", raising=False)
+        KERNELS_FLAG.refresh()
         assert kernels_enabled()
-        monkeypatch.setenv("REPRO_KERNELS", "off")
+        environment.setenv("REPRO_KERNELS", "off")
+        assert kernels_enabled()  # read once per process, not per call
+        KERNELS_FLAG.refresh()
         assert not kernels_enabled()
-        monkeypatch.setenv("REPRO_KERNELS", "on")
+        environment.setenv("REPRO_KERNELS", "on")
+        KERNELS_FLAG.refresh()
         assert kernels_enabled()
 
-    def test_forced_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "off")
+    def test_forced_override_beats_environment(self, environment):
+        environment.setenv("REPRO_KERNELS", "off")
+        KERNELS_FLAG.refresh()
         with kernel_mode(True):
             assert kernels_enabled()
         assert not kernels_enabled()

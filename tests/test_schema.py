@@ -26,8 +26,9 @@ from repro.datalog import (
     ReproError,
 )
 from repro.engine import EvaluationStats, SelectionQuery, seminaive_query
-from repro.engine.instrumentation import evaluation_deadline
+from repro.engine.instrumentation import evaluation_deadline, query_trace
 from repro.engine.kernels import kernel_mode
+from repro.obs.profile import ProfileRecorder
 from repro.optimize import optimize_program
 from repro.optimize import passes as passes_module
 from repro.testing import generate_case
@@ -255,13 +256,46 @@ def _totals(stats):
     return totals
 
 
+def _applications(profile):
+    """Each plan an EXPLAIN ANALYZE profile lists, with how often it ran."""
+    return [(plan.rule, plan.applications) for plan in profile.plans]
+
+
 def _both_executors(program, database, query):
-    """``answer()`` under generated kernels and under ``REPRO_KERNELS=off``."""
-    with kernel_mode(True):
-        kernel = answer(program, database, query)
-    with kernel_mode(False):
-        interpreted = answer(program, database, query)
-    return kernel, interpreted
+    """``answer(profile=True)`` under the generated run and under ``REPRO_KERNELS=off``
+    (each under a deadline, as in :func:`_both_runs`)."""
+    results = []
+    for kernels in (True, False):
+        with kernel_mode(kernels), evaluation_deadline(time.perf_counter() + 1.0):
+            results.append(answer(program, database, query, profile=True))
+    return results
+
+
+def _both_runs(schema, database):
+    """``schema.run`` with a profile armed, generated and join-per-round:
+    ``[(result, applications)]`` in that order.  A carry that lost its ``− seen``
+    never empties on cyclic data; the deadline turns that into a failure."""
+    runs = []
+    for kernels in (True, False):
+        recorder = ProfileRecorder(str(schema.query))
+        with kernel_mode(kernels), query_trace(None, recorder):
+            with evaluation_deadline(time.perf_counter() + 1.0):
+                result = schema.run(database)
+        runs.append((result, _applications(recorder)))
+    return runs
+
+
+def _assert_same_runs(schema, database, reference=None):
+    """The generated run and the join-per-round loop agree on the answers, every
+    counter and every operator's applications; returns the generated result."""
+    (kernel, kernel_applied), (interpreted, interpreted_applied) = _both_runs(schema, database)
+    where = f"{schema.program}\n{schema.query}"
+    assert kernel.answers == interpreted.answers, where
+    if reference is not None:
+        assert kernel.answers == reference, where
+    assert _totals(kernel.stats) == _totals(interpreted.stats), where
+    assert kernel_applied == interpreted_applied, where
+    return kernel
 
 
 class TestExecutorParity:
@@ -276,7 +310,42 @@ class TestExecutorParity:
             routed += 1
             assert kernel.answers == interpreted.answers, case.name
             assert _totals(kernel.stats) == _totals(interpreted.stats), case.name
+            assert _applications(kernel.profile) == _applications(interpreted.profile), case.name
         assert routed >= 40  # the family mix really exercises both directions
+
+    @pytest.mark.parametrize("recursion", ["example 3.4", "tc with permissions"])
+    def test_e4_recursions(self, recursion):
+        """E4's two recursions, every column selected: Example 3.4's disconnected
+        ``d(Z)`` is a counted unrestricted scan, the permissions carry is binary."""
+        if recursion == "example 3.4":
+            program, arity = example_3_4(), 3
+            database = relations_database(
+                e=random_pairs(120, 40, seed=3),
+                d=[(value,) for value in range(10)],
+                t0=[(i % 40, (i * 7) % 40, (i * 3) % 40) for i in range(30)],
+            )
+        else:
+            program, arity = tc_with_permissions(), 2
+            database = permissions_database(random_graph(20, 50, seed=9), permission_fraction=0.6, seed=9)
+        unrestricted = 0
+        for column in range(arity):
+            for constant in (1, 7):
+                query = SelectionQuery.of("t", arity, {column: constant})
+                schema = OneSidedSchema(program, "t", query)
+                reference, _ = seminaive_query(program, database, "t", {column: constant})
+                result = _assert_same_runs(schema, database, reference)
+                unrestricted += result.stats.unrestricted_lookups
+        assert (unrestricted > 0) == (recursion == "example 3.4")
+
+    def test_missing_relation_falls_back_to_the_join_per_round_loop(self, tc_program):
+        database = Database.from_dict({"a": [(1, 2), (2, 3)]})  # no exit relation b
+        for column in (0, 1):
+            schema = OneSidedSchema(tc_program, "t", SelectionQuery.of("t", 2, {column: 1}))
+            (kernel, applied), (interpreted, _applied) = _both_runs(schema, database)
+            assert kernel.answers == interpreted.answers == set()
+            assert _totals(kernel.stats) == _totals(interpreted.stats)
+            # the operators still ran one by one: b's missing-relation lookups are recorded
+            assert kernel.stats.lookups > 0 and applied
 
     @pytest.mark.parametrize("program", [canonical_two_sided(), same_generation_distinct_parents()])
     def test_bounded_sides_route(self, program):
@@ -292,6 +361,79 @@ class TestExecutorParity:
             reference, _ = seminaive_query(program, database, predicate, query.bindings_dict())
             assert kernel.answers == interpreted.answers == reference
             assert _totals(kernel.stats) == _totals(interpreted.stats)
+            assert _applications(kernel.profile) == _applications(interpreted.profile)
+
+
+def _successors(edges):
+    successors = {}
+    for source, target in edges:
+        successors.setdefault(source, set()).add(target)
+    return successors
+
+
+def _bfs_levels(successors, start):
+    """Breadth-first levels of the nodes reachable from ``start`` by paths of length
+    >= 1 — ``start`` itself only when a cycle leads back to it.  No engine code."""
+    levels, reached = [], set()
+    frontier = successors.get(start, set())
+    while frontier:
+        levels.append(frontier)
+        reached |= frontier
+        frontier = {node for here in frontier for node in successors.get(here, ())} - reached
+    return levels
+
+
+def _graph_families(rng: random.Random):
+    """Random forests, chains and graphs with cycles, as edge lists."""
+    for _ in range(3):
+        nodes = rng.randrange(8, 40)
+        yield [(rng.randrange(child), child) for child in range(1, nodes) if rng.random() < 0.9]
+        order = rng.sample(range(100), nodes)
+        yield list(zip(order, order[1:]))
+        yield [(rng.randrange(nodes), rng.randrange(nodes)) for _ in range(nodes + nodes // 2)]
+
+
+class TestCountsAgainstBreadthFirstSearch:
+    """Figure 9 on transitive closure costs its reach (Properties 1-3, Lemma 4.1):
+    ``t(c, Y)?`` carries the nodes reachable from ``c``, ``t(X, c)?`` those reaching it,
+    each produced once, one round per BFS level, one restricted probe per node.
+
+    With ``a = b``, the stored probes are: forward, ``b`` and ``a`` at ``c`` and then
+    ``a`` (``f``) and ``b`` (``g``) at every reached node; backward, ``b`` at ``c``
+    and ``a`` at every reached node (``g`` only re-attaches ``c``).  Every relation
+    below held on 248,848 queries (seeds 0-299 of these families, both modes)."""
+
+    PROGRAM = "t(X, Y) :- a(X, Z), t(Z, Y).\nt(X, Y) :- b(X, Y)."
+
+    @pytest.mark.parametrize("kernels", [True, False])
+    def test_schema_counts_are_the_reach(self, kernels):
+        program = parse_program(self.PROGRAM)
+        rng = random.Random(411)
+        queries = 0
+        for edges in _graph_families(rng):
+            database = Database.from_dict({"a": edges, "b": edges})
+            forward = _successors(edges)
+            backward = _successors((target, source) for source, target in edges)
+            for constant in {node for edge in edges for node in edge}:
+                for column, successors, probes in ((0, forward, 2), (1, backward, 1)):
+                    levels = _bfs_levels(successors, constant)
+                    reached = set().union(*levels)
+                    reach = len(reached)
+                    buckets = sum(len(successors.get(node, ())) for node in [constant, *reached])
+                    with kernel_mode(kernels), evaluation_deadline(time.perf_counter() + 1.0):
+                        result = one_sided_query(
+                            program, database, SelectionQuery.of("t", 2, {column: constant})
+                        )
+                    stats = result.stats
+                    assert {row[1 - column] for row in result.answers} == reached
+                    assert stats.tuples_produced == reach
+                    assert stats.iterations == len(levels)
+                    assert stats.unrestricted_lookups == 0
+                    assert stats.peak_state_tuples <= 2 * reach
+                    assert stats.lookups == probes * (1 + reach)
+                    assert stats.tuples_examined == probes * buckets
+                    queries += 1
+        assert queries > 300
 
 
 def _random_linear_recursion(rng: random.Random):
@@ -368,13 +510,8 @@ class TestCompiledSchemaProperty:
                 except ReproError:
                     refused += 1  # e.g. an output column the body never touches
                     continue
-                with kernel_mode(True):
-                    kernel = schema.run(database)
-                with kernel_mode(False):
-                    interpreted = schema.run(database)
                 reference, _ = seminaive_query(program, database, "t", bindings)
-                assert kernel.answers == interpreted.answers == reference, f"{program}\n{query}"
-                assert _totals(kernel.stats) == _totals(interpreted.stats), f"{program}\n{query}"
+                _assert_same_runs(schema, database, reference)
                 ran += 1
                 forward += schema.plan.direction == FORWARD
                 backward += schema.plan.direction == BACKWARD
@@ -546,16 +683,25 @@ class TestPlanMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
 
-    def test_deadline_interrupts_between_carry_rounds(self, tc_program):
+    @pytest.mark.parametrize("kernels", [True, False])
+    def test_deadline_interrupts_between_carry_rounds(self, tc_program, kernels):
+        """Every round of a chain adds one carry row and probes once, so the counters
+        at the raise say how many rounds completed — they must all have been recorded."""
         length = 50_000
         database = Database.from_dict(
             {"a": [(i, i + 1) for i in range(length)], "b": [(length, length + 1)]}
         )
-        for column, constant in ((0, 0), (1, length + 1)):
-            stats = EvaluationStats()
-            with evaluation_deadline(time.perf_counter() + 0.005):
-                with pytest.raises(QueryTimeout):
-                    one_sided_query(
-                        tc_program, database, SelectionQuery.of("t", 2, {column: constant}), stats=stats
-                    )
+        # (column, constant, a constant reaching nothing that warms plan and indexes,
+        # lookups before the first round)
+        for column, constant, warm, initial in ((0, 0, length, 2), (1, length + 1, 0, 1)):
+            with kernel_mode(kernels):
+                one_sided_query(tc_program, database, SelectionQuery.of("t", 2, {column: warm}))
+                stats = EvaluationStats()
+                with evaluation_deadline(time.perf_counter() + 0.005):
+                    with pytest.raises(QueryTimeout):
+                        one_sided_query(
+                            tc_program, database, SelectionQuery.of("t", 2, {column: constant}), stats=stats
+                        )
             assert 0 < stats.iterations < length
+            assert stats.tuples_produced == stats.iterations + 1
+            assert stats.lookups == stats.iterations + initial
