@@ -241,22 +241,28 @@ class Program:
         idb = self.idb_predicates()
         order: List[str] = []
         visited: Set[str] = set()
-        in_stack: Set[str] = set()
-
-        def visit(node: str) -> None:
-            if node in visited or node not in idb:
-                return
-            if node in in_stack:
-                return  # recursive cycle; evaluated jointly
-            in_stack.add(node)
-            for dependency in sorted(graph.get(node, set())):
-                visit(dependency)
-            in_stack.discard(node)
-            visited.add(node)
-            order.append(node)
-
-        for predicate in sorted(idb):
-            visit(predicate)
+        # a depth-first post-order kept on an explicit stack: a nested
+        # function calling itself would be a function <-> closure-cell cycle
+        # per call, holding these sets until the collector runs
+        for root in sorted(idb):
+            if root in visited:
+                continue
+            in_stack = {root}
+            stack = [(root, iter(sorted(graph.get(root, set()))))]
+            while stack:
+                node, dependencies = stack[-1]
+                for dependency in dependencies:
+                    if dependency in idb and dependency not in visited and dependency not in in_stack:
+                        # a dependency already on the stack is a recursive
+                        # cycle, evaluated jointly
+                        in_stack.add(dependency)
+                        stack.append((dependency, iter(sorted(graph.get(dependency, set())))))
+                        break
+                else:
+                    stack.pop()
+                    in_stack.discard(node)
+                    visited.add(node)
+                    order.append(node)
         return order
 
     # ------------------------------------------------------------------

@@ -159,14 +159,13 @@ class QueryResult:
 def as_selection_query(program: Program, query: Union[SelectionQuery, Atom, str]) -> SelectionQuery:
     """Coerce a string, query atom or :class:`SelectionQuery` into a checked query.
 
-    Strings parse with :func:`repro.datalog.parser.parse_query`; the query's
-    arity is validated against the program when the predicate appears in it.
+    Strings parse with :func:`repro.datalog.parser.parse_query`, once per
+    distinct text; the query's arity is validated against the program, on
+    every call, when the predicate appears in it.
     """
     if isinstance(query, str):
-        from ..datalog.parser import parse_query
-
-        query = parse_query(query)
-    if isinstance(query, Atom):
+        query = _parse_selection(query)
+    elif isinstance(query, Atom):
         query = SelectionQuery.from_atom(query)
     if not isinstance(query, SelectionQuery):
         raise EvaluationError(f"cannot interpret {query!r} as a selection query")
@@ -179,6 +178,18 @@ def as_selection_query(program: Program, query: Union[SelectionQuery, Atom, str]
     return query
 
 
+@lru_cache(maxsize=1024)
+def _parse_selection(text: str) -> SelectionQuery:
+    """The :class:`SelectionQuery` a query text spells: parsing is most of a
+    served cache hit, and the answer is frozen, so every caller shares it.
+
+    Keyed on the text alone, so the per-program arity check stays with
+    :func:`as_selection_query`; a text that fails to parse or repeats a
+    variable raises on every call and is never stored.
+    """
+    from ..datalog.parser import parse_query
+
+    return SelectionQuery.from_atom(parse_query(text))
 
 
 def lookup_result(

@@ -79,7 +79,15 @@ class EpochCache:
     # lookups
     # ------------------------------------------------------------------
     def get(self, epoch: int, query: SelectionQuery) -> Optional[Set[Row]]:
-        """The cached answers for ``query`` at ``epoch``, or ``None`` on a miss."""
+        """The cached answers for ``query`` at ``epoch``, or ``None`` on a miss.
+
+        A hit still copies the frozen entry.  ``answers`` is a caller-owned
+        ``set`` (``QueryResult.answers``), and handing out the shared
+        frozenset would change that contract.  The copy is also not worth
+        removing yet: every microsecond taken off a hit is more reads logged
+        by the e2e benchmark's ``serve_read_mostly``, whose ``peak_rss_mb``
+        margin is better spent elsewhere.
+        """
         with self._lock:
             entry = self._entries.get(query)
             if entry is None or entry[0] != epoch:

@@ -33,11 +33,11 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from ..datalog.database import Database, check_arity
 from ..datalog.errors import QueryTimeout, ReproError, SchemaError
-from ..datalog.relation import Row
+from ..datalog.relation import Relation, Row
 from ..datalog.rules import Program
 from ..engine.instrumentation import (
     EvaluationStats,
@@ -74,6 +74,17 @@ from .retry import (
 from .snapshot import ServiceSnapshot, take_snapshot
 
 _now = time.perf_counter
+
+
+class _ClosedSession(NamedTuple):
+    """What a closed service keeps of its :class:`Session`: the program."""
+
+    program: Program
+
+
+def _live_relations(session: Session) -> List[Relation]:
+    """The session's stored EDB relations and its view's derived relations."""
+    return [*session.database.relations(), *session.view.derived.values()]
 
 
 @dataclass
@@ -614,6 +625,10 @@ class DatalogService:
         flusher will acknowledge; their ``wait`` re-raises it as
         :class:`ServiceClosed`), the reader pool and the durable store are
         shut down regardless, and this method raises :class:`ServiceClosed`.
+
+        Once the flusher, the probe and the readers have stopped, a closed
+        service hands back its heap (:meth:`_release`); the stuck-flusher path
+        releases nothing, because its flusher may still be applying.
         """
         with self._close_lock:
             if self._closed:
@@ -643,6 +658,30 @@ class DatalogService:
                 f"flusher did not exit within {timeout}s; "
                 f"{abandoned} unresolved ticket(s) were failed"
             )
+        if probe is None or not probe.is_alive():
+            self._release()
+
+    def _release(self) -> None:
+        """Drop everything a closed service holds that is as big as its data.
+
+        Detaching the registry breaks the ``Database`` listener <-> registry
+        cycle, and then dropping the session's database and views, the
+        published snapshot and the cached answers lets reference counting
+        free them here, not at the collector's next full pass.  The program,
+        the counters (the relations' storage counters folded in) and the
+        last epoch stay, so the read-only surface keeps answering.  A
+        snapshot a caller took earlier stays valid through their reference.
+        """
+        session = self.session
+        session.registry.detach()
+        published = self._snapshot
+        with self._stats_lock:
+            for relation in _live_relations(session):
+                self._stats.storage_reclaims += relation.storage_reclaims
+                self._stats.storage_copies += relation.storage_copies
+            self.session = _ClosedSession(session.program)
+            self._snapshot = ServiceSnapshot(published.epoch, {}, {}, published.strategy)
+        self.cache.clear()
 
     def __enter__(self) -> "DatalogService":
         return self
@@ -716,12 +755,11 @@ class DatalogService:
         and the answer's own :class:`EvaluationStats`; the profile is also
         recorded in the service's flight recorder (``/debug/queries``).
         """
-        if self._closed:
-            raise ServiceClosed("service is closed")
+        snapshot = self.snapshot()
         selection = as_selection_query(self.session.program, query)
         submitted = _now()
         deadline = None if timeout is None else submitted + timeout
-        return self._answer(self._snapshot, selection, deadline, profile, submitted)
+        return self._answer(snapshot, selection, deadline, profile, submitted)
 
     def submit(
         self,
@@ -738,10 +776,8 @@ class DatalogService:
         ``profile=True`` the profile's queueing-vs-execution split shows
         exactly how long the query waited for a reader.
         """
-        if self._closed:
-            raise ServiceClosed("service is closed")
+        snapshot = self.snapshot()
         selection = as_selection_query(self.session.program, query)
-        snapshot = self._snapshot
         submitted = _now()
         deadline = None if timeout is None else submitted + timeout
         return self._readers.submit(
@@ -749,12 +785,18 @@ class DatalogService:
         )
 
     def snapshot(self) -> ServiceSnapshot:
-        """The currently published snapshot (immutable; safe to hold)."""
-        return self._snapshot
+        """The currently published snapshot (immutable; safe to hold, also
+        past :meth:`close`)."""
+        # read before the check: close() marks the service closed before it
+        # swaps in the empty snapshot, so a reader never answers from that
+        snapshot = self._snapshot
+        if self._closed:
+            raise ServiceClosed("service is closed")
+        return snapshot
 
     @property
     def epoch(self) -> int:
-        """The epoch readers are currently served from."""
+        """The epoch readers are currently served from (the last one, once closed)."""
         return self._snapshot.epoch
 
     @property
@@ -764,16 +806,18 @@ class DatalogService:
         The copy also carries the two operational gauges — current queue
         depth and epoch-cache entry count — which live in the queue/cache
         objects, not the counter block, and are sampled here, as are the two
-        storage counters the live relations keep.
+        storage counters the live relations keep (folded into the counter
+        block when :meth:`close` lets the relations go).
         """
         with self._stats_lock:
             copied = replace(self._stats)
+            session = self.session
+            if isinstance(session, Session):
+                for relation in _live_relations(session):
+                    copied.storage_reclaims += relation.storage_reclaims
+                    copied.storage_copies += relation.storage_copies
         copied.queue_depth = self.queue.pending()
         copied.cache_entries = len(self.cache)
-        session = self.session
-        for relation in (*session.database.relations(), *session.view.derived.values()):
-            copied.storage_reclaims += relation.storage_reclaims
-            copied.storage_copies += relation.storage_copies
         return copied
 
     @property
@@ -1376,4 +1420,6 @@ class DatalogService:
             self._degrade(exc, storage=True)
 
     def __str__(self) -> str:
-        return f"DatalogService(epoch={self.epoch}, {self.session.view!s})"
+        session = self.session
+        state = session.view if isinstance(session, Session) else "closed"
+        return f"DatalogService(epoch={self.epoch}, {state!s})"

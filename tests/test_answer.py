@@ -8,8 +8,8 @@ from collections import Counter
 import pytest
 
 from repro import DatalogService, answer, explain, parse_program, plan_query
-from repro.datalog import Database, EvaluationError, QueryTimeout
-from repro.engine import SelectionQuery, evaluation_deadline, seminaive_query
+from repro.datalog import Database, EvaluationError, ParseError, QueryTimeout
+from repro.engine import SelectionQuery, as_selection_query, evaluation_deadline, seminaive_query
 from repro.testing import FAMILIES, generate_case, generate_cases
 from repro.workloads import (
     bounded_guard_tc,
@@ -322,3 +322,80 @@ class TestTimeoutIsNotAFallThrough:
             with pytest.raises(QueryTimeout):
                 service.query("t(X, 3000)?", timeout=1e-4)
         assert entered == []
+
+
+class TestQueryTextMemo:
+    """A query text parses once; the arity check still runs per program and call."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Texts handed to ``parse_query``, with the text memo emptied first."""
+        import repro.datalog.parser as parser_module
+        import repro.engine.query as query_module
+
+        query_module._parse_selection.cache_clear()
+        calls = []
+        real = parser_module.parse_query
+
+        def spy(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(parser_module, "parse_query", spy)
+        return calls
+
+    def test_one_text_is_one_shared_selection(self, parses):
+        program = transitive_closure()
+        first = as_selection_query(program, "t(1, Y)?")
+        assert as_selection_query(program, "t(1, Y)?") is first
+        assert first == SelectionQuery.of("t", 2, {0: 1})
+        assert parses == ["t(1, Y)?"]
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("t(1, Y", ParseError), ("t(X, X)?", EvaluationError)],
+    )
+    def test_a_refused_text_raises_every_time_and_is_not_stored(self, parses, text, error):
+        import repro.engine.query as query_module
+
+        for _ in range(3):
+            with pytest.raises(error):
+                as_selection_query(transitive_closure(), text)
+        assert parses == [text] * 3
+        assert query_module._parse_selection.cache_info().currsize == 0
+
+    def test_the_arity_check_is_per_program(self, parses):
+        binary = transitive_closure()
+        ternary = parse_program("t(X, Y, Z) :- a(X, Y, Z).")
+        for _ in range(2):
+            assert as_selection_query(binary, "t(1, Y)?").arity == 2
+            with pytest.raises(EvaluationError, match="arity"):
+                as_selection_query(ternary, "t(1, Y)?")
+        assert parses == ["t(1, Y)?"]
+
+    def test_a_warm_service_hit_does_not_parse(self, parses, tc_db):
+        with DatalogService(transitive_closure(), tc_db) as service:
+            cold = service.query("t(0, Y)?")
+            assert parses == ["t(0, Y)?"] and not cold.cached
+            warm = service.query("t(0, Y)?")
+            assert warm.cached and warm.answers == cold.answers
+            assert service.submit("t(0, Y)?").result(timeout=10).cached
+            assert parses == ["t(0, Y)?"]
+
+    def test_profiles_and_selection_arguments_are_unchanged(self, parses, tc_db):
+        import repro.engine.query as query_module
+
+        program = transitive_closure()
+        selection = SelectionQuery.of("t", 2, {0: 0})
+        expected = answer(program, tc_db, selection).answers
+        with DatalogService(program, tc_db) as service:
+            assert service.query(selection).answers == expected
+            profiled = service.query("t(0, Y)?", profile=True)
+            assert profiled.answers == expected
+            assert profiled.profile.query == str(selection) == "t(0, C1)?"
+            assert profiled.profile.cache == "hit"
+        profiled = answer(program, tc_db, "t(0, Y)?", profile=True)
+        assert profiled.answers == expected and profiled.profile.query == "t(0, C1)?"
+        assert as_selection_query(program, selection) is selection
+        assert parses == ["t(0, Y)?"]
+        assert query_module._parse_selection.cache_info().currsize == 1

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro import Database, DatalogService, FlushPolicy, Session
+from repro import Database, DatalogService, FlushPolicy, MetricsRegistry, ServiceClosed, Session, parse_program
 from repro.engine.query import SelectionQuery
 from repro.service import EpochCache, WriteTicket, coalesce
 
@@ -424,6 +424,126 @@ class TestSnapshotSafety:
             result = answer(svc.session.program, snapshot.as_database(), "t(1, Y)?")
             assert result.answers == {(1, 4)}
             assert snapshot.edb["a"].rows() == {(1, 2), (2, 3)}
+
+
+# ----------------------------------------------------------------------
+# a closed service: what it keeps, what it refuses, what it hands back
+# ----------------------------------------------------------------------
+class TestClosedService:
+    def _open(self, path, **kwargs):
+        """A durable service that has served hits and published two writes."""
+        svc = DatalogService.open(path, TC, flush_policy=manual_flush_policy(), **kwargs)
+        svc.insert("a", [(1, 2), (2, 3)])
+        svc.insert("b", (3, 4))
+        svc.barrier()
+        for value in (9, 10):
+            svc.query("t(1, Y)?")
+            svc.query("t(1, Y)?")
+            svc.insert("b", (2, value))
+            svc.barrier()
+        return svc
+
+    def test_the_read_only_surface_keeps_answering(self, tmp_path):
+        svc = self._open(tmp_path, metrics=MetricsRegistry())
+        server = svc.serve_metrics()
+        epoch, stats = svc.epoch, svc.stats
+        storage, robust = svc.storage_stats.as_dict(), svc.robustness.as_dict()
+        assert stats.cache_hits == 2 and stats.storage_reclaims + stats.storage_copies > 0
+        svc.close()
+        assert svc.epoch == epoch == 3
+        # the relations' storage counters were folded in; the cache is empty
+        assert svc.stats.as_dict() == {**stats.as_dict(), "cache_entries": 0}
+        assert svc.storage_stats.as_dict() == storage
+        assert svc.robustness.as_dict() == robust
+        assert svc.health == "healthy"
+        assert str(svc) == "DatalogService(epoch=3, closed)"
+        assert str(svc.session.program) == str(parse_program(TC))
+        rendered = svc.metrics.render()
+        assert "repro_service_epoch 3" in rendered
+        assert f"repro_service_storage_copies_total {stats.storage_copies}" in rendered
+        report = server.health_report()
+        assert report.checks["flusher_alive"][0] is False
+        assert report.checks["storage"][0] and report.checks["epoch_advancing"][0]
+
+    def test_reads_are_refused_but_a_held_snapshot_stays_valid(self, tmp_path):
+        svc = self._open(tmp_path)
+        held = svc.snapshot()
+        result = svc.query("t(1, Y)?")
+        svc.close()
+        for read in (svc.snapshot, lambda: svc.query("t(1, Y)?"), lambda: svc.submit("t(1, Y)?")):
+            with pytest.raises(ServiceClosed):
+                read()
+        assert held.views["t"].lookup({0: 1}) == sorted(result.answers)
+        assert held.relation("b").rows() == {(3, 4), (2, 9), (2, 10)}
+        assert result.snapshot.views["t"].rows() == held.views["t"].rows()
+
+    def test_close_is_idempotent(self, tmp_path):
+        svc = self._open(tmp_path)
+        svc.close()
+        stats = svc.stats
+        svc.close()
+        assert svc.epoch == 3 and svc.stats == stats
+
+    def test_a_stuck_flusher_releases_nothing(self):
+        svc = DatalogService(TC, tc_database(), flush_policy=FlushPolicy(max_batch=1, max_delay_seconds=0.001))
+        lock = svc.session.registry.lock
+        lock.acquire()  # wedge the flusher mid-apply
+        try:
+            svc.insert("b", (2, 9))
+            for _ in range(500):  # until the flusher has drained it
+                if not svc.queue.pending():
+                    break
+                time.sleep(0.01)
+            with pytest.raises(ServiceClosed, match="did not exit"):
+                svc.close(timeout=0.2)
+            assert isinstance(svc.session, Session)  # the flusher may still be applying
+        finally:
+            lock.release()
+        svc._flusher.join(timeout=10)
+        # unwedged, it finished its batch against the session it still had
+        assert svc.session.facts("b") == {(3, 4), (2, 9)}
+        assert str(svc) == "DatalogService(epoch=1, MaterializedView(default, dred, t=5))"
+
+    def test_a_dropped_service_leaves_no_cyclic_garbage(self, tmp_path):
+        """A fresh durable service and a recovered one, each queried, written and
+        closed, are freed by reference counting alone: the collector finds none
+        of their relations, databases, registries or views, and no function
+        object of ours (a nested function calling itself is a cycle per call)."""
+        import gc
+        import types
+        import weakref
+
+        from repro.datalog.relation import Relation
+        from repro.incremental.registry import ViewRegistry
+        from repro.incremental.view import MaterializedView
+
+        def serve(path):
+            svc = self._open(path)
+            svc.delete("b", (2, 9))  # a DRed round, fresh or recovered
+            svc.barrier()
+            view = weakref.ref(svc.session.view.derived["t"])
+            svc.close()
+            return view
+
+        serve(tmp_path / "warm")  # one-time analysis garbage is not a service's
+        gc.collect()
+        gc.disable()
+        try:
+            views = [serve(tmp_path / "store"), serve(tmp_path / "store")]  # fresh, recovered
+            assert [view() for view in views] == [None, None]
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [
+                obj
+                for obj in gc.garbage
+                if isinstance(obj, (Relation, Database, ViewRegistry, MaterializedView))
+                or (isinstance(obj, types.FunctionType) and obj.__module__.startswith("repro"))
+            ]
+            assert leaked == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
 
 
 # ----------------------------------------------------------------------
