@@ -1,13 +1,12 @@
-"""E19 — columnar batch execution + worst-case-optimal join vs. the kernels.
+"""E19 — columnar batch execution vs. the kernels.
 
 PR 7's claim: once the kernels have fused the per-tuple interpreter away,
 the next constant factor is *per-row dispatch* — one Python iteration per
 delta tuple.  The columnar executor (``repro.engine.columnar``) re-runs the
 same semi-naive rounds over hash-partitioned column vectors, moving whole
-delta partitions per dispatch, and on cyclic bodies the leapfrog join
-replaces binary plans whose intermediates are asymptotically avoidable.
+delta partitions per dispatch.
 
-Four experiments:
+Three experiments:
 
 * **layered fat sweep** — the headline: full semi-naive transitive closure
   over wide, high-fanout layered DAGs (the shape whose dense delta
@@ -28,31 +27,15 @@ Four experiments:
   score up, so no value of ``PROFIT_THRESHOLD`` separates the two and the
   constant stays where it was; ``ratio_forest_adaptive`` is the number a
   better score has to move to ≥ 0.95.
-* **AGM star family** — the triangle query over star-shaped relations where
-  every binary plan materializes the Θ(N²) spoke-pair intermediate but the
-  AGM bound (and the leapfrog join) is O(N).  Tuples-examined growth is
-  asserted: doubling N doubles leapfrog work but quadruples the binary
-  plan's.
 
-``speedup_*`` keys in ``extra_info`` are CI-guarded ≥ 1.0 and ``wcoj_gain_*``
-keys > 1.0 (see ``.github/workflows/ci.yml``); ``ratio_*`` keys are recorded
-for the table but never guarded.
+``speedup_*`` keys in ``extra_info`` are CI-guarded ≥ 1.0 (see
+``.github/workflows/ci.yml``); ``ratio_*`` keys are recorded for the table
+but never guarded.
 """
 
 from __future__ import annotations
 
-from repro.datalog.atoms import Atom
-from repro.datalog.relation import Relation
-from repro.datalog.rules import Rule
-from repro.datalog.terms import Variable
-from repro.engine import (
-    EvaluationStats,
-    columnar_mode,
-    compile_rule,
-    kernel_mode,
-    seminaive_evaluate,
-)
-from repro.engine.columnar import leapfrog_join, wcoj_eligible
+from repro.engine import EvaluationStats, columnar_mode, kernel_mode, seminaive_evaluate
 from repro.engine.instrumentation import query_trace
 from repro.obs.profile import ProfileRecorder
 from repro.workloads import chain, edge_database, layered_dag, transitive_closure, uniform_tree
@@ -63,13 +46,10 @@ TC = transitive_closure()
 #: (layers, width, fanout) — wide/fat shapes whose delta partitions are dense
 LAYERED_SHAPES = [(12, 60, 8), (12, 80, 8), (10, 80, 10)]
 CHAIN_LENGTH = 300
-STAR_SIZES = [100, 200, 400]
 #: out-degree → (depth, trees); the binary forest is the end-to-end ``serve_*`` input
 FOREST_SHAPES = {2: (7, 64), 3: (5, 32), 4: (4, 32), 8: (3, 24)}
 #: fan-outs of the 12-layer, 60-wide DAG; 8 is the end-to-end ``materialize_fat`` shape
 DAG_FANOUTS = (2, 3, 4, 8)
-
-
 
 
 def counters(stats: EvaluationStats) -> dict:
@@ -245,74 +225,3 @@ def test_e19_fanout_sweep(benchmark):
         info[f"score_{key}"] = round(score, 2)
         info[f"ratio_{key}_forced"] = round(forced_ratio, 2)
     attach(benchmark, **info)
-
-
-def star_relations(size: int) -> dict:
-    """R, S, T as the AGM star: every spoke pair meets, almost none close.
-
-    ``{(i, 0)} ∪ {(0, j)}`` makes every binary join of two atoms produce the
-    full Θ(N²) spoke-pair intermediate while the triangle count stays tiny
-    (three planted witness tuples keep the output non-empty).
-    """
-    rows = {(i, 0) for i in range(1, size)} | {(0, j) for j in range(1, size)}
-    base = 10 * size
-    rows |= {(base + 1, base + 2), (base + 2, base + 3), (base + 3, base + 1)}
-    return {name: Relation(name, 2, rows) for name in ("r", "s", "t")}
-
-
-def triangle_rule() -> Rule:
-    A, B, C = Variable("A"), Variable("B"), Variable("C")
-    return Rule(
-        Atom("tri", (A, B, C)),
-        (Atom("r", (A, B)), Atom("s", (B, C)), Atom("t", (C, A))),
-    )
-
-
-def test_e19_wcoj_examined_growth(benchmark):
-    """Leapfrog examined tuples grow linearly where binary plans grow Θ(N²)."""
-
-    def sweep():
-        rows = []
-        measured = []
-        for size in STAR_SIZES:
-            relations = star_relations(size)
-            plan = compile_rule(triangle_rule(), relations)
-            resolved = wcoj_eligible(plan, relations)
-            assert resolved is not None, "star family must stay leapfrog-eligible"
-            wcoj_stats = EvaluationStats()
-            binary_stats = EvaluationStats()
-            result = leapfrog_join(plan, resolved, wcoj_stats)
-            with columnar_mode(False):
-                reference = plan.evaluate(relations, stats=binary_stats)
-            assert result == reference  # tuple-identical triangles
-            measured.append((size, wcoj_stats.tuples_examined, binary_stats.tuples_examined))
-            rows.append(
-                [f"star({size})", len(result), wcoj_stats.tuples_examined,
-                 binary_stats.tuples_examined,
-                 round(binary_stats.tuples_examined / max(wcoj_stats.tuples_examined, 1), 1)]
-            )
-        return rows, measured
-
-    rows, measured = run_once(benchmark, sweep)
-    emit(
-        "E19c: triangle query over the AGM star family — tuples examined",
-        ["workload", "triangles", "leapfrog examined", "binary-plan examined", "gain"],
-        rows,
-    )
-    # absolute win at every size...
-    for size, wcoj_examined, binary_examined in measured:
-        assert wcoj_examined < binary_examined, f"leapfrog lost at star({size})"
-    # ...and asymptotically: doubling N about doubles leapfrog work (linear,
-    # allow 3x for constants) but the binary plan's examined count must keep
-    # its quadratic ~4x jumps (demand > 3x)
-    for (_, small_wcoj, small_binary), (_, large_wcoj, large_binary) in zip(measured, measured[1:]):
-        assert large_wcoj <= small_wcoj * 3
-        assert large_binary >= small_binary * 3
-    final_size, final_wcoj, final_binary = measured[-1]
-    attach(
-        benchmark,
-        wcoj_gain_examined=round(final_binary / max(final_wcoj, 1), 1),
-        wcoj_examined_largest=final_wcoj,
-        binary_examined_largest=final_binary,
-        star_size_largest=final_size,
-    )

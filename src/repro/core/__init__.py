@@ -18,7 +18,6 @@ The query processor applying the paper's advice is :func:`repro.engine.query.pla
 from .algorithms import (
     aho_ullman_selection,
     henschen_naqvi_selection,
-    transitive_closure_pairs,
 )
 from .boundedness import (
     bounded_prefix_depth,
@@ -102,5 +101,4 @@ __all__ = [
     "remove_recursively_redundant",
     "selection_covers_unbounded_sides",
     "structural_sidedness",
-    "transitive_closure_pairs",
 ]

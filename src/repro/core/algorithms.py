@@ -116,40 +116,3 @@ def henschen_naqvi_selection(
     stats.extra["carry_arity"] = 1
     stats.stop_timer()
     return ans, stats
-
-
-def transitive_closure_pairs(
-    database: Database,
-    edge_predicate: str = "a",
-    exit_predicate: str = "b",
-    stats: Optional[EvaluationStats] = None,
-) -> Tuple[Set[Tuple[Value, Value]], EvaluationStats]:
-    """Full evaluation of the canonical one-sided recursion (no selection).
-
-    Provided for completeness and for tests that compare the selection
-    algorithms against the full relation; implemented as a straightforward
-    semi-naive closure over the two binary relations.
-    """
-    stats = stats if stats is not None else EvaluationStats()
-    stats.start_timer()
-    a = database.relation_or_empty(edge_predicate, 2)
-    b = database.relation_or_empty(exit_predicate, 2)
-
-    result: Set[Tuple[Value, Value]] = set(algebra.scan(b, stats))
-    delta = set(result)
-    while delta:
-        stats.record_iteration()
-        joined = algebra.semijoin({row[0] for row in delta}, a, 1, stats)
-        new_pairs = set()
-        by_source: dict = {}
-        for row in delta:
-            by_source.setdefault(row[0], set()).add(row[1])
-        for a_row in joined:
-            for target in by_source.get(a_row[1], ()):  # a(x, w), t(w, y) -> t(x, y)
-                new_pairs.add((a_row[0], target))
-        delta = new_pairs - result
-        result |= delta
-        stats.record_state(len(result), 2 * len(result))
-    stats.record_produced(len(result))
-    stats.stop_timer()
-    return result, stats

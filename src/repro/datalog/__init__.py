@@ -17,9 +17,8 @@ from .errors import (
 )
 from .parser import parse_atom, parse_program, parse_query, parse_rule, split_facts
 from .relation import Relation
-from .rules import Program, Rule, single_linear_recursion
+from .rules import Program, Rule
 from .terms import Constant, Term, Variable, is_constant, is_variable, make_term
-from .unify import Substitution, match_atom, unify_atoms
 
 __all__ = [
     "Atom",
@@ -36,20 +35,16 @@ __all__ = [
     "ReproError",
     "Rule",
     "SchemaError",
-    "Substitution",
     "Term",
     "Variable",
     "fact",
     "is_constant",
     "is_variable",
     "make_term",
-    "match_atom",
     "parse_atom",
     "parse_program",
     "parse_query",
     "parse_rule",
     "share_variable",
-    "single_linear_recursion",
     "split_facts",
-    "unify_atoms",
 ]

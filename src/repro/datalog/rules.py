@@ -18,8 +18,8 @@ Appendix A, the magic-sets baseline and the reduction of Theorem 3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .atoms import Atom, atoms_variables
 from .errors import ProgramError, SchemaError
@@ -340,31 +340,3 @@ class Program:
     def __reduce__(self):
         # rebuild from the rules: a pickled ``_hash`` is wrong in another process
         return (Program, (self.rules,))
-
-
-def single_linear_recursion(recursive_rule: Rule, *exit_rules: Rule) -> Program:
-    """Build the canonical program shape the paper studies.
-
-    Validates that ``recursive_rule`` is linear recursive, that every exit rule
-    defines the same predicate nonrecursively, and that no head violates the
-    paper's "no repeated variables, no constants" assumption.
-    """
-    if not recursive_rule.is_recursive():
-        raise ProgramError(f"{recursive_rule} is not recursive")
-    if not recursive_rule.is_linear_recursive():
-        raise ProgramError(f"{recursive_rule} is not linear recursive")
-    predicate = recursive_rule.head.predicate
-    for rule in (recursive_rule, *exit_rules):
-        if rule.head.predicate != predicate:
-            raise ProgramError(
-                f"exit rule {rule} defines {rule.head.predicate}, expected {predicate}"
-            )
-        if rule.head_has_repeated_variables_or_constants():
-            raise ProgramError(
-                f"rule {rule} has repeated variables or constants in its head, "
-                "which the paper's standing assumptions forbid"
-            )
-    for rule in exit_rules:
-        if rule.is_recursive():
-            raise ProgramError(f"exit rule {rule} is recursive")
-    return Program((recursive_rule, *exit_rules))

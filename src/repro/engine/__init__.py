@@ -1,6 +1,6 @@
 """Evaluation engine: instrumented relational algebra, rule evaluation, fixpoints."""
 
-from .algebra import difference, join, project, scan, select, semijoin, union
+from .algebra import select, semijoin
 from .compile import (
     CompiledRule,
     PlanCache,
@@ -24,7 +24,6 @@ from .instrumentation import (
 from .columnar import (
     columnar_enabled,
     columnar_mode,
-    leapfrog_join,
     set_columnar_enabled,
 )
 from .kernels import kernel_mode, kernels_enabled, set_kernels_enabled
@@ -56,25 +55,20 @@ __all__ = [
     "compile_delta_variants",
     "compile_program_rules",
     "compile_rule",
-    "difference",
     "evaluate_body",
     "evaluate_body_project",
     "evaluate_rule",
     "evaluation_deadline",
     "evaluation_strata",
     "group_insert_closure",
-    "join",
     "kernel_mode",
     "kernels_enabled",
-    "leapfrog_join",
     "naive_evaluate",
     "naive_query",
     "overlay_relations",
     "plan_order",
     "plan_query",
-    "project",
     "propagate_insertions",
-    "scan",
     "select",
     "semijoin",
     "seminaive_evaluate",
@@ -82,5 +76,4 @@ __all__ = [
     "set_columnar_enabled",
     "set_kernels_enabled",
     "strongly_connected_components",
-    "union",
 ]

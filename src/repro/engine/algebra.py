@@ -2,28 +2,25 @@
 
 Figures 7 and 8 of the paper are written directly in relational algebra
 (``carry := π1(σ$2=n0(b))``, ``carry := π2(carry ⋈ a)`` ...).  This module
-provides exactly those operators over either :class:`~repro.datalog.relation.Relation`
-objects or plain Python sets of tuples, recording every probe in an
+provides the two operators those lines probe stored relations with — the
+selection ``σ`` and the restricted semijoin against a ``carry`` — over either
+:class:`~repro.datalog.relation.Relation` objects or plain Python sets of
+tuples, recording every probe in an
 :class:`~repro.engine.instrumentation.EvaluationStats` so the literal
 algorithm transcriptions in :mod:`repro.core.algorithms` stay one line per
-paper line.
+paper line.  Projection, union and difference are plain set expressions at
+the call sites.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Mapping, Optional, Set, Union
 
 from ..datalog.relation import Relation, Row, Value
 from .instrumentation import EvaluationStats
 
 TupleSet = Set[Row]
 RelationLike = Union[Relation, TupleSet]
-
-
-def _rows(source: RelationLike) -> Iterable[Row]:
-    if isinstance(source, Relation):
-        return source.rows()
-    return source
 
 
 def select(
@@ -45,51 +42,6 @@ def select(
     result = {row for row in source if all(row[c] == v for c, v in bindings.items())}
     if stats is not None:
         stats.record_lookup(len(source), restricted=bool(bindings))
-    return result
-
-
-def project(source: RelationLike, columns: Sequence[int], stats: Optional[EvaluationStats] = None) -> TupleSet:
-    """``π`` — projection onto the listed columns (duplicates removed)."""
-    result = {tuple(row[c] for c in columns) for row in _rows(source)}
-    if stats is not None:
-        stats.record_produced(len(result))
-    return result
-
-
-def join(
-    left: TupleSet,
-    right: RelationLike,
-    left_column: int,
-    right_column: int,
-    stats: Optional[EvaluationStats] = None,
-) -> TupleSet:
-    """Equi-join ``left ⋈ left.$i = right.$j right``.
-
-    The result tuples are the concatenation of the left tuple and the right
-    tuple.  When ``right`` is a stored relation, each left tuple issues one
-    restricted index probe (this is the "use values from the previous string"
-    step of the paper's algorithms); when it is a transient set, a hash join
-    is used.
-    """
-    result: TupleSet = set()
-    if isinstance(right, Relation):
-        for left_row in left:
-            matches = right.lookup({right_column: left_row[left_column]})
-            if stats is not None:
-                stats.record_lookup(len(matches), restricted=True)
-            for right_row in matches:
-                result.add(left_row + right_row)
-    else:
-        index: dict = {}
-        for right_row in right:
-            index.setdefault(right_row[right_column], []).append(right_row)
-        for left_row in left:
-            for right_row in index.get(left_row[left_column], ()):  # type: ignore[arg-type]
-                result.add(left_row + right_row)
-        if stats is not None:
-            stats.record_lookup(len(right), restricted=True)
-    if stats is not None:
-        stats.record_produced(len(result))
     return result
 
 
@@ -120,38 +72,3 @@ def semijoin(
     if stats is not None:
         stats.record_produced(len(result))
     return result
-
-
-def union(left: TupleSet, right: TupleSet, stats: Optional[EvaluationStats] = None) -> TupleSet:
-    """``∪`` — set union."""
-    result = left | right
-    if stats is not None:
-        stats.record_produced(max(0, len(result) - len(left)))
-    return result
-
-
-def difference(left: TupleSet, right: TupleSet) -> TupleSet:
-    """``−`` — set difference (the ``carry := carry − seen`` step)."""
-    return left - right
-
-
-def scan(source: RelationLike, stats: Optional[EvaluationStats] = None) -> TupleSet:
-    """A full, *unrestricted* scan of ``source``.
-
-    Kept separate from :func:`select` so that algorithms which genuinely need
-    a full scan (e.g. the cross-product rewriting of Section 4) show up with a
-    nonzero ``unrestricted_lookups`` counter.
-    """
-    rows = set(_rows(source))
-    if stats is not None:
-        stats.record_lookup(len(rows), restricted=False)
-    return rows
-
-
-def columns_of(source: RelationLike) -> int:
-    """Arity of a relation or of the tuples in a set (0 for an empty set)."""
-    if isinstance(source, Relation):
-        return source.arity
-    for row in source:
-        return len(row)
-    return 0

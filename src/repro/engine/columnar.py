@@ -5,19 +5,11 @@ of a delta round as small as Python allows: one dict probe, one tuple build,
 one set add per derivation.  The remaining waste is structural — a frontier
 row is re-dispatched through the whole loop even when thousands of rows share
 the same join key.  This module removes that waste by executing whole delta
-rounds *set-at-a-time*:
-
-* :func:`leapfrog_join` is a worst-case-optimal join (leapfrog-triejoin
-  style): when a nonrecursive rule body is *cyclic* (GYO ear removal leaves a
-  residue — e.g. the triangle query), any binary join plan materializes an
-  intermediate that can be asymptotically larger than the output, while the
-  leapfrog enumeration is bounded by the AGM fractional-cover bound.
-  :meth:`CompiledRule.evaluate` dispatches eligible base plans here;
-* ``_GroupExecutor`` runs a recursive stratum's delta iteration over
-  *partitioned* deltas: the delta is grouped by join key once per round, each
-  partition meets its probe bucket once, and derivations accumulate into
-  per-key sets — turning ``len(partition) × len(bucket)`` row visits into a
-  handful of C-level set operations.
+rounds *set-at-a-time*: ``_GroupExecutor`` runs a recursive stratum's delta
+iteration over *partitioned* deltas.  The delta is grouped by join key once
+per round, each partition meets its probe bucket once, and derivations
+accumulate into per-key sets — turning ``len(partition) × len(bucket)`` row
+visits into a handful of C-level set operations.
 
 Instrumentation contract
 ------------------------
@@ -27,11 +19,7 @@ a partition of ``m`` frontier rows probing a bucket of ``b`` rows contributes
 row-at-a-time probes, just summed in one step — and produced counts are the
 per-plan deduplicated head sets, exactly as the kernels record them.  The
 differential harness pins interpreted == kernel == columnar stats totals on
-every program family.  The leapfrog join is the one deliberate exception: it
-*visits fewer tuples by design*, so its accounting is documented as its own
-model (one lookup per seek, one examined tuple per candidate visited) and it
-only ever replaces nonrecursive base plans, which no generated family
-compiles into an eligible shape.
+every program family.
 
 ``REPRO_COLUMNAR`` (``off``/``0``/``false``/``no``) disables everything in
 this module.  The default ``on`` is *adaptive*: the executor measures the
@@ -44,13 +32,11 @@ workloads far too small to profit from it.
 
 from __future__ import annotations
 
-import weakref
-from bisect import bisect_left
 from itertools import repeat
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from ..datalog.relation import Relation, Row
+from ..datalog.relation import Row
 from .flags import EngineFlag
 from .instrumentation import active_profile
 
@@ -58,10 +44,7 @@ __all__ = [
     "columnar_enabled",
     "columnar_forced",
     "columnar_mode",
-    "is_cyclic",
-    "leapfrog_join",
     "set_columnar_enabled",
-    "wcoj_eligible",
 ]
 
 #: the ``REPRO_COLUMNAR`` switch (see :mod:`repro.engine.flags`)
@@ -86,222 +69,6 @@ def set_columnar_enabled(enabled) -> None:
 def columnar_mode(enabled):
     """Temporarily force columnar execution (differential-testing hook)."""
     return COLUMNAR_FLAG.mode(enabled)
-
-
-# ----------------------------------------------------------------------
-# cyclicity (GYO ear removal) and the worst-case-optimal join
-# ----------------------------------------------------------------------
-def is_cyclic(edges: Sequence[frozenset]) -> bool:
-    """``True`` when the hypergraph is *not* acyclic under GYO ear removal.
-
-    An edge is an ear when the variables it shares with the rest of the query
-    all appear together in some single other edge; repeatedly removing ears
-    reduces an acyclic hypergraph to nothing.  A triangle has no ear, so a
-    residue remains and the query is cyclic — the shape where every binary
-    join plan can materialize a super-linear intermediate.
-    """
-    remaining = [set(edge) for edge in edges if edge]
-    changed = True
-    while changed and len(remaining) > 1:
-        changed = False
-        for index, edge in enumerate(remaining):
-            others = remaining[:index] + remaining[index + 1:]
-            shared = {v for v in edge if any(v in other for other in others)}
-            if not shared or any(shared <= other for other in others):
-                remaining.pop(index)
-                changed = True
-                break
-    return len(remaining) > 1
-
-
-def wcoj_eligible(plan, relations) -> Optional[Tuple[Relation, ...]]:
-    """The resolved body relations when ``plan`` should run the leapfrog join.
-
-    Eligibility is deliberately narrow — the leapfrog join replaces binary
-    plans only where they are asymptotically beatable:
-
-    * at least three body atoms, every argument a variable, no variable
-      repeated within an atom, no compile-time bindings, producible head;
-    * the body hypergraph is cyclic (:func:`is_cyclic`) — acyclic bodies are
-      handled optimally by the existing bound-first binary plans;
-    * every body relation resolves and they all store values of one type,
-      ``int`` or ``str`` (:func:`relation_value_type`), so sorted runs are
-      totally ordered.
-    """
-    if not plan.producible or plan.initial_slots or len(plan.steps) < 3:
-        return None
-    edges = []
-    for step in plan.steps:
-        atom = plan.rule.body[step.atom_index]
-        if step.const_cols or step.check_cols:
-            return None
-        edges.append(frozenset(atom.args))
-        if len(edges[-1]) != len(atom.args):
-            return None
-    if not is_cyclic(edges):
-        return None
-    resolved = []
-    for step in plan.steps:
-        relation = relations.get(step.predicate)
-        if relation is None:
-            return None
-        resolved.append(relation)
-    value_type = relation_value_type(resolved[0])
-    if value_type is None or any(
-        relation_value_type(relation) is not value_type for relation in resolved[1:]
-    ):
-        return None
-    return tuple(resolved)
-
-
-#: relation → (mutation version at scan time, verdict).  Memoizes the
-#: :func:`relation_value_type` scan so repeated evaluations over the same
-#: relations pay it once.  Keyed on the relation's ``version`` counter, so
-#: *every* effective mutation invalidates — including len-preserving ones;
-#: weak keys let dropped relations leave the cache.
-_value_type_cache: "weakref.WeakKeyDictionary[Relation, tuple]" = weakref.WeakKeyDictionary()
-
-
-def relation_value_type(relation: Relation) -> Optional[type]:
-    """``int`` or ``str`` when every stored value is exactly that type, else ``None``.
-
-    The two types whose values are totally ordered among themselves, which is
-    all a sorted run needs.  An empty relation counts as ``int``.
-    """
-    cached = _value_type_cache.get(relation)
-    version = relation.version
-    if cached is not None and cached[0] == version:
-        return cached[1]
-    values = (value for row in relation.rows() for value in row)
-    verdict: Optional[type] = type(next(values, 0))
-    if verdict not in (int, str) or not all(type(value) is verdict for value in values):
-        verdict = None
-    _value_type_cache[relation] = (version, verdict)
-    return verdict
-
-
-def _build_trie(relation: Relation, positions: Sequence[int]):
-    """A sorted nested trie of ``relation`` keyed by ``positions`` in order.
-
-    Every node is ``(sorted keys, key → child)``; leaf children are ``None``.
-    """
-    root: Dict = {}
-    for row in relation.rows():
-        node = root
-        for position in positions[:-1]:
-            node = node.setdefault(row[position], {})
-        node[row[positions[-1]]] = None
-    return _sort_trie(root)
-
-
-def _sort_trie(node):
-    if node is None:
-        return None
-    children = {key: _sort_trie(child) for key, child in node.items()}
-    return (sorted(children), children)
-
-
-def _leapfrog_intersect(key_lists: List[list], stats) -> List:
-    """Sorted intersection of sorted key lists by leapfrogging seeks.
-
-    Accounting: one lookup per seek (``bisect``), one examined tuple per
-    candidate key visited — the leapfrog join's own model, distinct from the
-    bucket-based accounting of the binary plans.
-    """
-    if any(not keys for keys in key_lists):
-        return []
-    if len(key_lists) == 1:
-        if stats is not None:
-            stats.record_lookup(len(key_lists[0]), restricted=True)
-        return key_lists[0]
-    lists = sorted(key_lists, key=len)
-    smallest = lists[0]
-    others = lists[1:]
-    positions = [0] * len(others)
-    out = []
-    seeks = 0
-    examined = 0
-    for candidate in smallest:
-        examined += 1
-        member = True
-        for which, keys in enumerate(others):
-            index = bisect_left(keys, candidate, positions[which])
-            seeks += 1
-            positions[which] = index
-            if index >= len(keys) or keys[index] != candidate:
-                member = False
-                break
-        if member:
-            out.append(candidate)
-    if stats is not None:
-        stats.lookups += seeks
-        stats.tuples_examined += examined
-    return out
-
-
-def leapfrog_join(plan, resolved: Sequence[Relation], stats=None) -> Set[Row]:
-    """Worst-case-optimal evaluation of an eligible (cyclic) body.
-
-    Generic join with a global variable order: each variable's candidates are
-    the leapfrog intersection of the sorted runs of every atom containing it
-    (conditioned on the variables already bound, which — because atoms' tries
-    are keyed in the global order — is always a trie prefix).  Total work is
-    bounded by the AGM fractional edge cover of the body, so on e.g. the
-    triangle query it examines ``O(N^{3/2})`` tuples where any binary plan
-    examines ``Θ(N²)``.
-    """
-    order: List = []
-    for step in plan.steps:
-        for arg in plan.rule.body[step.atom_index].args:
-            if arg not in order:
-                order.append(arg)
-    rank = {variable: index for index, variable in enumerate(order)}
-
-    atoms = []
-    for step, relation in zip(plan.steps, resolved):
-        args = plan.rule.body[step.atom_index].args
-        ordered = sorted(range(len(args)), key=lambda position: rank[args[position]])
-        positions = [args[position] for position in ordered]
-        atoms.append((positions, _build_trie(relation, ordered)))
-
-    head_ops = plan.rule.head.args
-    results: Set[Row] = set()
-    binding: Dict = {}
-
-    # per-atom stack of the trie node currently conditioned on the binding
-    nodes = [[trie] for _variables, trie in atoms]
-
-    def descend(level: int) -> None:
-        if level == len(order):
-            results.add(tuple(binding[arg] for arg in head_ops))
-            return
-        variable = order[level]
-        key_lists = []
-        involved = []
-        for which, (variables, _trie) in enumerate(atoms):
-            depth = len(nodes[which]) - 1
-            if depth < len(variables) and variables[depth] == variable:
-                node = nodes[which][-1]
-                if node is None:
-                    return
-                key_lists.append(node[0])
-                involved.append(which)
-        if not involved:
-            # variable introduced by no atom at this point: cannot happen for
-            # connected eligible bodies, but guard against empty enumeration
-            return
-        for value in _leapfrog_intersect(key_lists, stats):
-            binding[variable] = value
-            for which in involved:
-                node = nodes[which][-1]
-                nodes[which].append(node[1][value])
-            descend(level + 1)
-            for which in involved:
-                nodes[which].pop()
-        binding.pop(variable, None)
-
-    descend(0)
-    return results
 
 
 # ----------------------------------------------------------------------

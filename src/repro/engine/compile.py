@@ -46,7 +46,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from ..datalog.relation import Relation, Row, Value
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant, Variable
-from .columnar import columnar_enabled, leapfrog_join, wcoj_eligible
 from .cq_eval import plan_order
 from .instrumentation import EvaluationStats, active_profile
 from .kernels import build_kernel, kernels_enabled
@@ -309,29 +308,17 @@ class CompiledRule:
         if not self.producible:
             return set()
         profile = active_profile()
-        resolved = None
-        if overrides is None and bindings is None and columnar_enabled():
-            # worst-case-optimal dispatch: cyclic nonrecursive bodies (e.g.
-            # the triangle query) run the leapfrog join, whose tuple visits
-            # are bounded by the AGM bound instead of the best binary plan's
-            # intermediate size (see repro.engine.columnar)
-            resolved = wcoj_eligible(self, relations)
+        initial = self._initial(bindings)
+        use_kernels = kernels_enabled()
+        resolved = self._resolve(relations, overrides) if use_kernels else None
         if resolved is not None:
             if profile is not None:
-                profile.record_dispatch(self, "leapfrog", "cyclic body, worst-case-optimal")
-            result = leapfrog_join(self, resolved, stats)
+                profile.record_dispatch(self, "kernel")
+            result = self._kernel(True)(resolved, initial, stats)
         else:
-            initial = self._initial(bindings)
-            use_kernels = kernels_enabled()
-            resolved = self._resolve(relations, overrides) if use_kernels else None
-            if resolved is not None:
-                if profile is not None:
-                    profile.record_dispatch(self, "kernel")
-                result = self._kernel(True)(resolved, initial, stats)
-            else:
-                if profile is not None:
-                    profile.record_dispatch(self, "interpreted", "unresolved body relation" if use_kernels else "")
-                result = self._project(self._join_interpreted(relations, stats, overrides, initial))
+            if profile is not None:
+                profile.record_dispatch(self, "interpreted", "unresolved body relation" if use_kernels else "")
+            result = self._project(self._join_interpreted(relations, stats, overrides, initial))
         if stats is not None:
             stats.record_produced(len(result))
         return result

@@ -6,7 +6,7 @@ module explains *one query*:
 * :class:`QueryProfile` — everything one query did: its text and trace ID,
   the strategy the front door picked and the optimizer rewrites that drove
   it, the compiled-plan shape per rule (join order plus the dispatch choice
-  among interpreted / kernel / columnar / leapfrog, with the adaptive
+  among interpreted / kernel / columnar, with the adaptive
   profitability score where one was computed), per-stratum and
   per-fixpoint-iteration timings with delta sizes, the full
   :class:`~repro.engine.instrumentation.EvaluationStats`, the cache outcome
@@ -74,7 +74,7 @@ class PlanProfile:
     #: ``p[probe 0,1]`` (index probe on those columns) or ``p[scan]``; the
     #: evaluator's own input relations read ``input p/arity[...]``
     join_order: Tuple[str, ...]
-    #: ``interpreted`` | ``kernel`` | ``leapfrog`` (worst-case-optimal)
+    #: ``interpreted`` | ``kernel``
     dispatch: str
     #: free-form extra (e.g. why a fallback happened)
     detail: str = ""
@@ -615,8 +615,7 @@ def explain(
     :func:`~repro.engine.seminaive.fixpoint_plans` of the program it evaluates:
     per stratum the base rules, then one ``delta p[...]``-led variant per
     occurrence of a recursive predicate.
-    ``database`` is optional and used only for size-based join ordering and the
-    leapfrog-eligibility check.
+    ``database`` is optional and used only for size-based join ordering.
 
     The returned :class:`QueryProfile` has ``outcome="plan-only"``, empty
     stats/iterations, and the strategy ``answer`` reports — unless an
@@ -624,7 +623,6 @@ def explain(
     data) makes ``answer`` fall through mid-flight, which no plan-only
     analysis can see.
     """
-    from ..engine.columnar import columnar_enabled, wcoj_eligible
     from ..engine.kernels import kernels_enabled
     from ..engine.query import as_selection_query, plan_query
 
@@ -634,13 +632,7 @@ def explain(
     relations = {r.name: r for r in database.relations()} if database is not None else None
     recorder = ProfileRecorder(str(selection))
     for compiled in chosen.plans(selection, relations):
-        if (
-            relations is not None
-            and columnar_enabled()
-            and wcoj_eligible(compiled, relations) is not None
-        ):
-            recorder.record_dispatch(compiled, "leapfrog", "cyclic body, worst-case-optimal")
-        elif kernels_enabled():
+        if kernels_enabled():
             recorder.record_dispatch(compiled, "kernel")
         else:
             recorder.record_dispatch(compiled, "interpreted", "REPRO_KERNELS=off")

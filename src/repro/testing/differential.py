@@ -29,8 +29,8 @@ tuple:
   Each pinned run also rides with an armed EXPLAIN ANALYZE recorder
   (:class:`repro.obs.profile.ProfileRecorder`): the resulting profile must
   report the same stats totals, and its dispatch provenance (kernel vs.
-  interpreted vs. leapfrog, columnar vs. kernel-loop group decisions) must
-  stay inside the set of paths the pinned mode can actually take.
+  interpreted, columnar vs. kernel-loop group decisions) must stay inside
+  the set of paths the pinned mode can actually take.
 
 A mismatch produces a report carrying the offending seed, so any failure is
 reproducible with ``generate_case(seed)``.
@@ -114,12 +114,7 @@ def _profile_mismatches(
     # the non-columnar modes must report the batch executor as switched off;
     # the forced-columnar mode must either run the batch executor (detail
     # "forced") or explain why the group had no batch template.
-    if engine == "interpreted":
-        allowed = {"interpreted"}
-    elif columnar:
-        allowed = {"kernel", "interpreted", "leapfrog"}
-    else:
-        allowed = {"kernel", "interpreted"}
+    allowed = {"interpreted"} if engine == "interpreted" else {"kernel", "interpreted"}
     dispatches = {plan.dispatch for plan in profile.plans}
     if not dispatches <= allowed:
         problems.append(

@@ -2,7 +2,7 @@
 
 The paper has no accompanying datasets (PODS 1987), so the benchmark harness
 evaluates the algorithms on standard synthetic relational instances: chains,
-cycles, trees, grids, layered DAGs and sparse random graphs.  Every generator
+cycles, trees, layered DAGs and sparse random graphs.  Every generator
 is deterministic given its parameters (random generators take an explicit
 seed), returns plain edge lists, and has a companion helper that packages the
 edges into a :class:`~repro.datalog.database.Database` with the relation names
@@ -12,7 +12,7 @@ the canonical programs expect.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..datalog.database import Database
 
@@ -31,15 +31,6 @@ def cycle(length: int, start: int = 0) -> List[Edge]:
     return edges
 
 
-def complete_binary_tree(depth: int) -> List[Edge]:
-    """Edges parent → child of a complete binary tree with ``2**depth`` leaves."""
-    edges: List[Edge] = []
-    for node in range(1, 2 ** depth):
-        edges.append((node, 2 * node))
-        edges.append((node, 2 * node + 1))
-    return edges
-
-
 def uniform_tree(branching: int, depth: int) -> List[Edge]:
     """Edges parent → child of a uniform ``branching``-ary tree of the given depth."""
     edges: List[Edge] = []
@@ -54,19 +45,6 @@ def uniform_tree(branching: int, depth: int) -> List[Edge]:
                 edges.append((parent, child))
                 new_frontier.append(child)
         frontier = new_frontier
-    return edges
-
-
-def grid(width: int, height: int) -> List[Edge]:
-    """Right/down edges of a ``width × height`` grid (node id = row * width + column)."""
-    edges: List[Edge] = []
-    for row in range(height):
-        for column in range(width):
-            node = row * width + column
-            if column + 1 < width:
-                edges.append((node, node + 1))
-            if row + 1 < height:
-                edges.append((node, node + width))
     return edges
 
 
@@ -108,15 +86,6 @@ def random_pairs(count: int, domain: int, seed: int = 0) -> List[Edge]:
         attempts += 1
         result.add((rng.randrange(domain), rng.randrange(domain)))
     return sorted(result)
-
-
-def nodes_of(edges: Iterable[Edge]) -> List[int]:
-    """The sorted set of endpoints of an edge list."""
-    seen: Set[int] = set()
-    for source, target in edges:
-        seen.add(source)
-        seen.add(target)
-    return sorted(seen)
 
 
 # ----------------------------------------------------------------------

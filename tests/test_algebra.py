@@ -34,42 +34,12 @@ class TestSelect:
         assert result == {(1, 2), (2, 2)}
 
 
-class TestProjectJoinUnion:
-    def test_project(self, edges):
-        assert algebra.project(edges, [1]) == {(2,), (3,), (4,)}
-        assert algebra.project({(1, 2)}, [1, 0]) == {(2, 1)}
-
-    def test_join_against_relation_counts_probes(self, edges):
-        stats = EvaluationStats()
-        left = {(10, 1), (11, 3)}
-        result = algebra.join(left, edges, 1, 0, stats)
-        assert result == {(10, 1, 1, 2), (10, 1, 1, 4), (11, 3, 3, 4)}
-        assert stats.lookups == 2
-        assert stats.unrestricted_lookups == 0
-
-    def test_join_against_tuple_set(self):
-        result = algebra.join({(1,)}, {(1, 5), (2, 6)}, 0, 0)
-        assert result == {(1, 1, 5)}
-
+class TestSemijoin:
     def test_semijoin(self, edges):
         stats = EvaluationStats()
         result = algebra.semijoin({1, 3}, edges, 0, stats)
         assert result == {(1, 2), (1, 4), (3, 4)}
         assert stats.tuples_examined == 3
-
-    def test_union_and_difference(self):
-        assert algebra.union({(1,)}, {(2,)}) == {(1,), (2,)}
-        assert algebra.difference({(1,), (2,)}, {(2,)}) == {(1,)}
-
-    def test_scan_is_unrestricted(self, edges):
-        stats = EvaluationStats()
-        assert algebra.scan(edges, stats) == set(edges)
-        assert stats.unrestricted_lookups == 1
-
-    def test_columns_of(self, edges):
-        assert algebra.columns_of(edges) == 2
-        assert algebra.columns_of({(1, 2, 3)}) == 3
-        assert algebra.columns_of(set()) == 0
 
 
 class TestStats:

@@ -2,36 +2,24 @@
 
 Whole evaluations under ``REPRO_COLUMNAR=force`` reproduce the kernel
 engine's derived relations *and* its instrumentation totals, tuple for tuple
-and counter for counter, while the leapfrog join on cyclic bodies examines
-asymptotically fewer tuples than the binary plans it replaces.
+and counter for counter — on every body, cyclic ones included.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.datalog.atoms import Atom
-from repro.datalog.database import Database
-from repro.datalog.relation import Relation
-from repro.datalog.rules import Program, Rule
-from repro.datalog.terms import Variable
+from repro.datalog import Database, parse_program
 from repro.engine import (
     EvaluationStats,
+    answer,
     columnar_enabled,
     columnar_mode,
-    compile_rule,
     kernel_mode,
     seminaive_evaluate,
 )
-from repro.engine.instrumentation import query_trace
-from repro.engine.columnar import (
-    columnar_forced,
-    is_cyclic,
-    leapfrog_join,
-    set_columnar_enabled,
-    wcoj_eligible,
-)
-from repro.obs.profile import ProfileRecorder
+from repro.engine.columnar import columnar_forced, set_columnar_enabled
+from repro.obs.profile import explain
 from repro.testing import generate_case
 from repro.workloads import (
     ALL_CANONICAL,
@@ -43,170 +31,6 @@ from repro.workloads import (
     same_generation_database,
     uniform_tree,
 )
-
-X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
-
-
-class TestCyclicity:
-    def test_triangle_is_cyclic(self):
-        assert is_cyclic([frozenset({X, Y}), frozenset({Y, Z}), frozenset({Z, X})])
-
-    def test_path_and_star_are_acyclic(self):
-        W = Variable("W")
-        assert not is_cyclic([frozenset({X, Y}), frozenset({Y, Z}), frozenset({Z, W})])
-        assert not is_cyclic([frozenset({X, Y}), frozenset({X, Z}), frozenset({X, W})])
-
-    def test_four_cycle_is_cyclic(self):
-        W = Variable("W")
-        assert is_cyclic(
-            [
-                frozenset({X, Y}),
-                frozenset({Y, Z}),
-                frozenset({Z, W}),
-                frozenset({W, X}),
-            ]
-        )
-
-    def test_single_edge_and_empty_are_acyclic(self):
-        assert not is_cyclic([frozenset({X, Y})])
-        assert not is_cyclic([])
-
-
-def triangle_rule() -> Rule:
-    return Rule(
-        Atom("tri", (X, Y, Z)),
-        (Atom("e", (X, Y)), Atom("e", (Y, Z)), Atom("e", (Z, X))),
-    )
-
-
-def triangle_relations(edges) -> dict:
-    return {"e": Relation("e", 2, edges)}
-
-
-class TestLeapfrogJoin:
-    def test_triangle_matches_binary_plans(self):
-        edges = set(random_graph(40, 220, seed=5))
-        edges |= {(b, a) for a, b in random_graph(40, 60, seed=6)}
-        relations = triangle_relations(edges)
-        plan = compile_rule(triangle_rule(), relations)
-        resolved = wcoj_eligible(plan, relations)
-        assert resolved is not None
-        direct = leapfrog_join(plan, resolved)
-        with columnar_mode(False):
-            reference = plan.evaluate(relations)
-        assert direct == reference
-        # the engine dispatches to the leapfrog join on its own when enabled
-        with columnar_mode(True):
-            assert plan.evaluate(relations) == reference
-
-    def test_triangle_examines_asymptotically_fewer_tuples(self):
-        # a star around hub 0: N spokes each way plus the closing edges; any
-        # binary plan materializes the Theta(N^2) spoke-pair intermediate,
-        # the leapfrog join touches O(N) candidates
-        growth = []
-        for n in (40, 80):
-            edges = {(0, i) for i in range(1, n)} | {(i, 0) for i in range(1, n)}
-            relations = triangle_relations(edges)
-            plan = compile_rule(triangle_rule(), relations)
-            resolved = wcoj_eligible(plan, relations)
-            assert resolved is not None
-            wcoj_stats = EvaluationStats()
-            binary_stats = EvaluationStats()
-            result = leapfrog_join(plan, resolved, wcoj_stats)
-            with columnar_mode(False):
-                assert plan.evaluate(relations, stats=binary_stats) == result
-            growth.append((wcoj_stats.tuples_examined, binary_stats.tuples_examined))
-        for wcoj_examined, binary_examined in growth:
-            assert wcoj_examined < binary_examined
-        # doubling N roughly quadruples the binary plan's work but only
-        # doubles the leapfrog join's
-        assert growth[1][0] <= growth[0][0] * 3
-        assert growth[1][1] >= growth[0][1] * 3
-
-    def test_acyclic_bodies_are_not_eligible(self):
-        W = Variable("W")
-        rule = Rule(
-            Atom("p", (X, W)),
-            (Atom("e", (X, Y)), Atom("e", (Y, Z)), Atom("e", (Z, W))),
-        )
-        relations = triangle_relations({(1, 2), (2, 3), (3, 4)})
-        plan = compile_rule(rule, relations)
-        assert wcoj_eligible(plan, relations) is None
-
-    def test_string_relations_take_the_leapfrog_join(self):
-        relations = {"e": Relation("e", 2, [("a", "b"), ("b", "c"), ("c", "a")])}
-        plan = compile_rule(triangle_rule(), relations)
-        assert wcoj_eligible(plan, relations) is not None
-        with columnar_mode(True):
-            assert plan.evaluate(relations) == {("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b")}
-
-
-def star_rule() -> Rule:
-    return Rule(
-        Atom("tri", (X, Y, Z)),
-        (Atom("e", (X, Y)), Atom("f", (Y, Z)), Atom("g", (Z, X))),
-    )
-
-
-def star_relations(n: int, rename=lambda node: node) -> dict:
-    """``e``, ``f``, ``g`` each holding a star around hub 0 — ``n`` spokes each
-    way — and one cycle over three spokes, so some triangles close."""
-    edges = {(0, i) for i in range(1, n)} | {(i, 0) for i in range(1, n)}
-    edges |= {(1, 2), (2, 3), (3, 1)}
-    rows = [(rename(source), rename(target)) for source, target in edges]
-    return {name: Relation(name, 2, rows) for name in "efg"}
-
-
-def evaluate_profiled(relations, columnar=True):
-    """``(tri rows, stats, plan dispatches)`` of the star program's fixpoint."""
-    stats = EvaluationStats()
-    recorder = ProfileRecorder("tri(X, Y, Z)?", trace_id="leapfrog-test")
-    database = Database(relations.values())
-    with columnar_mode(columnar), query_trace(recorder.trace_id, recorder):
-        derived = seminaive_evaluate(Program.of(star_rule()), database, stats)
-    return derived["tri"].rows(), stats, {entry.dispatch for entry in recorder.plans}
-
-
-class TestLeapfrogOnStoredValues:
-    """Sorted runs need a total order, not ints: one type per body, ``int`` or ``str``."""
-
-    @staticmethod
-    def as_string(node: int) -> str:
-        return f"n{node:05d}"  # order-preserving: zero-padded
-
-    def test_string_star_dispatches_leapfrog_with_the_int_renaming_counts(self):
-        examined = []
-        for n in (100, 200):
-            by_type = {}
-            for label, rename in (("int", lambda node: node), ("str", self.as_string)):
-                relations = star_relations(n, rename)
-                result, stats, dispatches = evaluate_profiled(relations)
-                assert dispatches == {"leapfrog"}, label
-                binary, binary_stats, _ = evaluate_profiled(relations, columnar=False)
-                assert binary == result and len(result) == 12, label
-                assert binary_stats.tuples_examined > n * n
-                by_type[label] = (stats.tuples_examined, stats.lookups)
-            assert by_type["str"] == by_type["int"]
-            examined.append(by_type["str"][0])
-        # linear in n where the binary plan's spoke-pair intermediate is quadratic
-        assert examined[1] <= examined[0] * 2.5
-        assert examined[1] < 200 * 10
-
-    def test_mixed_types_fall_back_to_the_binary_plan(self):
-        ints = star_relations(20)
-        strings = star_relations(20, self.as_string)
-        two_typed_body = {"e": ints["e"], "f": ints["f"], "g": strings["g"]}
-        two_typed_relation = dict(ints)
-        two_typed_relation["g"] = Relation("g", 2, [*ints["g"].rows(), ("x", 0), (0, "x")])
-        for relations in (two_typed_body, two_typed_relation):
-            result, _stats, dispatches = evaluate_profiled(relations)
-            assert dispatches == {"kernel"}
-            # the 12 int triangles survive a few stray string rows; no value
-            # of ``g`` joins when it holds strings only
-            assert len(result) == (0 if relations is two_typed_body else 12)
-            with kernel_mode(False):
-                assert evaluate_profiled(relations, columnar=False)[0] == result
-
 
 class TestColumnarFlag:
     def test_mode_states(self):
@@ -250,6 +74,16 @@ def evaluate_modes(program, database):
     return outcomes
 
 
+def triangle_program():
+    return parse_program("tri(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).")
+
+
+def triangle_database(rename) -> Database:
+    """A random graph with some edges reversed, so triangles close."""
+    edges = set(random_graph(40, 220, seed=5)) | {(b, a) for a, b in random_graph(40, 60, seed=6)}
+    return Database.from_dict({"e": [(rename(source), rename(target)) for source, target in edges]})
+
+
 class TestWholeEvaluationParity:
     workloads = [
         ("transitive_closure", lambda: edge_database(layered_dag(4, 6, 3, seed=2))),
@@ -281,16 +115,39 @@ class TestWholeEvaluationParity:
                 assert rows == kernel_rows, f"seed {seed}: {label} relations drifted"
                 assert totals == kernel_counters, f"seed {seed}: {label} counters drifted"
 
-    def test_interpreted_engine_agrees_with_forced_columnar(self):
-        program = ALL_CANONICAL["transitive_closure"]()
-        database = edge_database(layered_dag(4, 5, 2, seed=9))
-        interpreted_stats = EvaluationStats()
-        columnar_stats = EvaluationStats()
-        with kernel_mode(False), columnar_mode(False):
-            interpreted = seminaive_evaluate(program, database, interpreted_stats)
-        with kernel_mode(True), columnar_mode("force"):
-            columnar = seminaive_evaluate(program, database, columnar_stats)
-        assert {n: r.rows() for n, r in interpreted.items()} == {
-            n: r.rows() for n, r in columnar.items()
+    @pytest.mark.parametrize(
+        "program_factory, database_factory, query",
+        [
+            (
+                ALL_CANONICAL["transitive_closure"],
+                lambda: edge_database(layered_dag(4, 5, 2, seed=9)),
+                "t(X, Y)?",
+            ),
+            (triangle_program, lambda: triangle_database(lambda node: node), "tri(X, Y, Z)?"),
+            (triangle_program, lambda: triangle_database(lambda node: f"n{node}"), "tri(X, Y, Z)?"),
+        ],
+        ids=["transitive_closure", "triangle-int", "triangle-str"],
+    )
+    def test_interpreted_engine_agrees_with_forced_columnar(
+        self, program_factory, database_factory, query
+    ):
+        """Interpreted, kernel and forced-columnar derive the same rows with the
+        same counters on every body — a cyclic one has no dispatch of its own."""
+        program = program_factory()
+        database = database_factory()
+        outcomes = {}
+        for label, kernels, columnar in (
+            ("interpreted", False, False),
+            ("kernel", True, False),
+            ("forced", True, "force"),
+        ):
+            stats = EvaluationStats()
+            with kernel_mode(kernels), columnar_mode(columnar):
+                derived = seminaive_evaluate(program, database, stats)
+            outcomes[label] = ({n: r.rows() for n, r in derived.items()}, counters(stats))
+        assert outcomes["interpreted"] == outcomes["kernel"] == outcomes["forced"]
+        predicted = explain(program, query, database)
+        executed = answer(program, database, query, profile=True).profile
+        assert {plan.dispatch for plan in predicted.plans} == {
+            plan.dispatch for plan in executed.plans
         }
-        assert counters(interpreted_stats) == counters(columnar_stats)

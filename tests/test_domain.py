@@ -22,7 +22,6 @@ from repro.engine import (
     seminaive,
     seminaive_evaluate,
 )
-from repro.engine.columnar import relation_value_type
 from repro.engine.domain import Domain
 from repro.engine.flags import EngineFlag
 from repro.testing import generate_case
@@ -257,33 +256,3 @@ class TestTouchedOnce:
         with columnar_mode(False):
             seminaive_evaluate(PROGRAM, database)
         assert database.relation("a")._indexes[(1,)] is index
-
-
-class TestValueTypeVerdictCache:
-    """The memoized one-type scan is keyed on Relation.version, not row count."""
-
-    def test_len_preserving_mutation_flips_the_verdict(self):
-        relation = Relation("b", 2, [(2, 3)])
-        assert relation_value_type(relation) is int
-        relation.discard((2, 3))
-        relation.add((2, "three"))  # same row count, no longer one type
-        assert relation_value_type(relation) is None
-
-    def test_reverting_to_one_type_is_seen_too(self):
-        relation = Relation("b", 2, [(2, "x")])
-        assert relation_value_type(relation) is None
-        relation.discard((2, "x"))
-        relation.add(("two", "x"))
-        assert relation_value_type(relation) is str
-
-    def test_unmutated_relations_reuse_the_cached_verdict(self):
-        relation = Relation("a", 2, [(1, 2)])
-        before = relation.version
-        assert relation_value_type(relation) is int
-        assert relation_value_type(relation) is int
-        assert relation.version == before  # scans never mutate
-
-    def test_only_int_and_str_are_ordered_enough(self):
-        assert relation_value_type(Relation("r", 1, [(1.5,)])) is None
-        assert relation_value_type(Relation("r", 1, [(True,)])) is None
-        assert relation_value_type(Relation("r", 1)) is int  # nothing to order

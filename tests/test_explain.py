@@ -81,7 +81,7 @@ class TestExplain:
         profile = explain(parse_program(TC), "t(1, Y)?", tc_database())
         assert profile.plans
         for plan in profile.plans:
-            assert plan.dispatch in {"interpreted", "kernel", "leapfrog"}
+            assert plan.dispatch in {"interpreted", "kernel"}
             assert all("[scan]" in s or "[probe" in s for s in plan.join_order)
         rendered = profile.render()
         assert "PLANS" in rendered

@@ -95,9 +95,7 @@ class TestAnswerProfile:
         )
         profile = result.profile
         assert profile.plans, "semi-naive evaluation must record compiled plans"
-        assert {plan.dispatch for plan in profile.plans} <= {
-            "interpreted", "kernel", "leapfrog"
-        }
+        assert {plan.dispatch for plan in profile.plans} <= {"interpreted", "kernel"}
         for plan in profile.plans:
             assert plan.join_order  # every body atom annotated scan/probe
             assert all("[scan]" in s or "[probe" in s for s in plan.join_order)

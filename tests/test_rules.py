@@ -6,7 +6,7 @@ import pytest
 
 from repro.datalog import ProgramError, SchemaError, parse_program, parse_rule
 from repro.datalog.atoms import Atom
-from repro.datalog.rules import Program, Rule, single_linear_recursion
+from repro.datalog.rules import Program, Rule
 from repro.datalog.terms import Variable
 from repro.workloads import nonlinear_tc, transitive_closure
 
@@ -132,36 +132,3 @@ class TestProgram:
         removed = tc_program.without_rule(rule)
         assert rule not in removed.rules
         assert len(removed.rules) == len(tc_program.rules) - 1
-
-
-class TestSingleLinearRecursionFactory:
-    def test_builds_valid_program(self):
-        recursive = parse_rule("t(X, Y) :- a(X, Z), t(Z, Y).")
-        exit_rule = parse_rule("t(X, Y) :- b(X, Y).")
-        program = single_linear_recursion(recursive, exit_rule)
-        assert program.is_single_linear_recursion("t")
-
-    def test_rejects_nonrecursive_first_rule(self):
-        with pytest.raises(ProgramError):
-            single_linear_recursion(parse_rule("t(X, Y) :- b(X, Y)."))
-
-    def test_rejects_mismatched_exit_predicate(self):
-        with pytest.raises(ProgramError):
-            single_linear_recursion(
-                parse_rule("t(X, Y) :- a(X, Z), t(Z, Y)."),
-                parse_rule("s(X, Y) :- b(X, Y)."),
-            )
-
-    def test_rejects_repeated_head_variables(self):
-        with pytest.raises(ProgramError):
-            single_linear_recursion(
-                parse_rule("t(X, X) :- a(X, Z), t(Z, X)."),
-                parse_rule("t(X, Y) :- b(X, Y)."),
-            )
-
-    def test_rejects_recursive_exit_rule(self):
-        with pytest.raises(ProgramError):
-            single_linear_recursion(
-                parse_rule("t(X, Y) :- a(X, Z), t(Z, Y)."),
-                parse_rule("t(X, Y) :- t(Y, X)."),
-            )

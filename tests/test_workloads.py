@@ -10,13 +10,10 @@ from repro.workloads import (
     appendix_a_database,
     buys_database,
     chain,
-    complete_binary_tree,
     cycle,
     edge_database,
-    grid,
     layered_dag,
     lemma_4_2_database,
-    nodes_of,
     permissions_database,
     random_graph,
     random_pairs,
@@ -37,18 +34,10 @@ class TestGraphGenerators:
         assert (3, 0) in edges
         assert len(edges) == 4
 
-    def test_complete_binary_tree_edge_count(self):
-        edges = complete_binary_tree(3)
-        assert len(edges) == 2 * (2 ** 3 - 1)
-
     def test_uniform_tree_size(self):
         edges = uniform_tree(3, 2)
         assert len(edges) == 3 + 9
-        assert len(nodes_of(edges)) == 1 + 3 + 9
-
-    def test_grid_edge_count(self):
-        edges = grid(3, 3)
-        assert len(edges) == 2 * 3 * 2  # 6 right + 6 down
+        assert len({node for edge in edges for node in edge}) == 1 + 3 + 9
 
     def test_layered_dag_is_deterministic_and_acyclic(self):
         first = layered_dag(4, 3, 2, seed=5)
