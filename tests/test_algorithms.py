@@ -15,8 +15,10 @@ from repro.workloads import (
     chain,
     cycle,
     edge_database,
+    layered_dag,
     random_pairs,
     transitive_closure,
+    uniform_tree,
 )
 
 
@@ -124,6 +126,22 @@ class TestFullClosure:
     def test_terminates_on_cycles(self, cyclic_db):
         pairs = full_closure(cyclic_db)
         assert (0, 0) in pairs
+
+    @pytest.mark.parametrize(
+        "edges",
+        [chain(6), cycle(5), uniform_tree(2, 3), layered_dag(4, 3, 2, seed=1)],
+        ids=["chain", "cycle", "tree", "layered_dag"],
+    )
+    def test_both_figures_cover_the_closure(self, edges):
+        """Figure 7 per target and Figure 8 per source each rebuild the whole closure."""
+        database = edge_database(edges)
+        reference = full_closure(database)
+        nodes = {node for edge in edges for node in edge}
+        by_target, by_source = set(), set()
+        for node in nodes:
+            by_target |= {(x, node) for x in aho_ullman_selection(database, node)[0]}
+            by_source |= {(node, y) for y in henschen_naqvi_selection(database, node)[0]}
+        assert by_target == by_source == reference
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))

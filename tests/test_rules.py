@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import FORWARD, compile_schema
 from repro.datalog import ProgramError, SchemaError, parse_program, parse_rule
 from repro.datalog.atoms import Atom
 from repro.datalog.rules import Program, Rule
@@ -132,3 +133,49 @@ class TestProgram:
         removed = tc_program.without_rule(rule)
         assert rule not in removed.rules
         assert len(removed.rules) == len(tc_program.rules) - 1
+
+
+class TestPaperShape:
+    """The shape Sections 2–4 assume — one linear recursive rule plus
+    nonrecursive exit rules for the same predicate, distinct head variables —
+    as the program and the one-sided schema check it."""
+
+    recursive = "t(X, Y) :- a(X, Z), t(Z, Y)."
+    exit = "t(X, Y) :- b(X, Y)."
+
+    def test_recursive_rule_with_exit_has_the_shape(self):
+        recursive, exit_rule = parse_rule(self.recursive), parse_rule(self.exit)
+        program = Program.of(recursive, exit_rule)
+        assert program.is_single_linear_recursion("t")
+        assert program.linear_recursive_rule("t") == recursive
+        assert program.exit_rules_for("t") == [exit_rule]
+        assert compile_schema(program, "t", 2, (0,)).direction == FORWARD
+
+    def test_exit_rule_alone_is_not_a_recursion(self):
+        program = Program.of(parse_rule(self.exit))
+        assert not program.is_single_linear_recursion("t")
+        with pytest.raises(ProgramError):
+            program.linear_recursive_rule("t")
+        with pytest.raises(ProgramError):
+            compile_schema(program, "t", 2, (0,), require_one_sided=False)
+
+    def test_exit_rule_for_another_predicate_leaves_no_exit(self):
+        program = Program.of(parse_rule(self.recursive), parse_rule("s(X, Y) :- b(X, Y)."))
+        assert program.exit_rules_for("t") == []
+        assert not program.is_single_linear_recursion("s")
+        with pytest.raises(ProgramError, match="no exit rule"):
+            compile_schema(program, "t", 2, (0,), require_one_sided=False)
+
+    def test_repeated_head_variables_are_refused(self):
+        recursive = parse_rule("t(X, X) :- a(X, Z), t(Z, X).")
+        assert recursive.head_has_repeated_variables_or_constants()
+        program = Program.of(recursive, parse_rule(self.exit))
+        with pytest.raises(ProgramError, match="distinct variables"):
+            compile_schema(program, "t", 2, (0,), require_one_sided=False)
+
+    def test_recursive_exit_rule_breaks_the_shape(self):
+        program = Program.of(parse_rule(self.recursive), parse_rule("t(X, Y) :- t(Y, X)."))
+        assert len(program.recursive_rules_for("t")) == 2
+        assert not program.is_single_linear_recursion("t")
+        with pytest.raises(ProgramError):
+            program.linear_recursive_rule("t")

@@ -34,6 +34,13 @@ class TestGraphGenerators:
         assert (3, 0) in edges
         assert len(edges) == 4
 
+    def test_cycle_with_offset(self):
+        assert cycle(3, start=5) == [(5, 6), (6, 7), (7, 5)]
+
+    def test_empty_generators(self):
+        assert chain(0) == []
+        assert uniform_tree(3, 0) == []
+
     def test_uniform_tree_size(self):
         edges = uniform_tree(3, 2)
         assert len(edges) == 3 + 9
@@ -44,6 +51,20 @@ class TestGraphGenerators:
         second = layered_dag(4, 3, 2, seed=5)
         assert first == second
         assert all(source < target for source, target in first)
+
+    def test_layered_dag_edges_join_consecutive_layers(self):
+        layers, width, fanout = 5, 4, 2
+        edges = layered_dag(layers, width, fanout, seed=7)
+        assert all(target // width == source // width + 1 for source, target in edges)
+        for source in range((layers - 1) * width):
+            successors = [target for origin, target in edges if origin == source]
+            assert 1 <= len(successors) <= fanout
+
+    def test_random_graph_allows_self_loops_on_request(self):
+        assert len(random_graph(3, 20, seed=1)) == 6  # every pair but the loops
+        looped = random_graph(3, 20, seed=1, allow_self_loops=True)
+        assert len(looped) == 9
+        assert {(node, node) for node in range(3)} <= set(looped)
 
     def test_random_graph_determinism_and_size(self):
         edges = random_graph(10, 20, seed=3)
