@@ -40,7 +40,7 @@ from ..datalog.errors import EvaluationError
 from ..datalog.relation import Relation
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant, Variable, is_variable
-from ..engine.cq_eval import plan_order
+from ..engine.compile import plan_order
 from ..engine.instrumentation import EvaluationStats
 from ..engine.query import QueryResult, SelectionQuery
 from ..engine.seminaive import seminaive_evaluate, seminaive_query

@@ -27,7 +27,7 @@ from ..datalog.errors import ProgramError
 from ..datalog.relation import Relation
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Variable, is_variable
-from ..engine.cq_eval import evaluate_rule
+from ..engine.compile import compile_rule
 from ..engine.instrumentation import EvaluationStats
 
 
@@ -138,7 +138,14 @@ def materialize_combined_relation(
     """
     stats = stats if stats is not None else EvaluationStats()
     relations = {relation.name: relation for relation in database.relations()}
-    rows = evaluate_rule(rewriting.combined_rule, relations, stats=stats)
+    plan = compile_rule(rewriting.combined_rule, relations)
+    if plan.producible:
+        rows = plan.evaluate(relations, stats)
+    else:
+        # a head variable that no nonrecursive atom binds: the join still runs
+        # (and is counted), but it grounds no tuple
+        plan.join(relations, stats)
+        rows = set()
     relation = Relation(rewriting.combined_predicate, rewriting.combined_rule.head.arity, rows)
     stats.record_produced(len(rows))
     return relation

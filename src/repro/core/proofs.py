@@ -38,7 +38,6 @@ from ..datalog.relation import Row, Value
 from ..datalog.rules import Program
 from ..datalog.terms import Constant, Variable, is_variable
 from ..engine import algebra
-from ..engine.cq_eval import evaluate_body
 from ..engine.instrumentation import EvaluationStats
 from ..expansion.generator import expand
 from ..cq.strings import ExpansionString
@@ -93,14 +92,13 @@ def find_proof(
     relations = {relation.name: relation for relation in database.relations()}
     strings = expand(program, predicate, max_depth)
     for string in strings:
-        bindings = {
-            variable: value for variable, value in zip(string.distinguished, target)
-        }
-        assignments = evaluate_body(string.atoms, relations, bindings)
-        if not assignments:
+        bindings = dict(zip(string.distinguished, target))
+        variables = tuple(sorted(string.variables()))
+        grounded = ExpansionString(variables, string.atoms).evaluate(relations, bindings=bindings)
+        if not grounded:
             continue
-        assignment = assignments[0]
-        assignment.update(bindings)
+        # any satisfying assignment proves the target; take a fixed one
+        assignment = dict(zip(variables, min(grounded, key=repr)))
         facts = [
             atom.substitute({v: Constant(val) for v, val in assignment.items()})
             for atom in string.atoms

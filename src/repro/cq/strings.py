@@ -18,8 +18,9 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..datalog.atoms import Atom, atoms_variables
 from ..datalog.relation import Relation, Row
+from ..datalog.rules import Rule
 from ..datalog.terms import Variable
-from ..engine.cq_eval import evaluate_body_project
+from ..engine.compile import compile_rule
 from ..engine.instrumentation import EvaluationStats
 
 
@@ -118,8 +119,13 @@ class ExpansionString:
 
         Section 2: the relation for a string is the projection onto the
         distinguished variables of the satisfying assignments of its atoms.
+        ``bindings`` fixes variables before the join; a distinguished variable
+        bound neither there nor by any atom comes out as ``None``.
         """
-        return evaluate_body_project(self.atoms, relations, self.distinguished, bindings, stats)
+        given = dict.fromkeys(set(self.distinguished) - atoms_variables(self.atoms))
+        given.update(bindings or {})
+        plan = compile_rule(Rule(Atom("string", self.distinguished), self.atoms), relations, bound=tuple(given))
+        return plan.evaluate(relations, stats, bindings=given)
 
     def __str__(self) -> str:
         return ", ".join(str(atom) for atom in self.atoms) if self.atoms else "<empty string>"

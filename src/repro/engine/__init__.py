@@ -7,12 +7,6 @@ from .compile import (
     compile_delta_variants,
     compile_program_rules,
     compile_rule,
-)
-from .cq_eval import (
-    as_relation,
-    evaluate_body,
-    evaluate_body_project,
-    evaluate_rule,
     plan_order,
 )
 from .domain import Domain
@@ -47,7 +41,6 @@ __all__ = [
     "QueryResult",
     "SelectionQuery",
     "answer",
-    "as_relation",
     "as_selection_query",
     "check_deadline",
     "columnar_enabled",
@@ -55,9 +48,6 @@ __all__ = [
     "compile_delta_variants",
     "compile_program_rules",
     "compile_rule",
-    "evaluate_body",
-    "evaluate_body_project",
-    "evaluate_rule",
     "evaluation_deadline",
     "evaluation_strata",
     "group_insert_closure",

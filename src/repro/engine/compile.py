@@ -1,14 +1,14 @@
 """Compiled rule plans — the engine-v2 hot path.
 
-The reference interpreter in :mod:`repro.engine.cq_eval` re-plans the join
-order and re-discovers each atom's bound/free structure on *every* rule
-application; inside a fixpoint — or across a stream of queries on one program
-— that work is identical every time.  This module performs that analysis
-exactly once per rule and compiles it into a flat plan, the one executor
-under every strategy (semi-naive, magic, counting, unfolded, and the Figure 9
-schema's exit / step joins):
+Planning a join is identical on every application of a rule, so this module
+does it once per rule and compiles a flat plan: the one executor under every
+strategy (semi-naive, magic, counting, unfolded, the Figure 9 schema's exit /
+step joins) and every one-shot evaluation (an expansion string, a proof, the
+Section 4 cross product).  A plan fixes:
 
-* a **join order** (greedy bound-first, the same policy ``plan_order`` uses),
+* a **join order** (:func:`plan_order`, greedy bound-first: a bound variable
+  or a constant restricts the index probe, which is what makes Property 3,
+  "no unrestricted lookups", achievable and measurable),
 * per atom, a **bound-column signature**: which positions carry constants,
   which are filled from variables bound by earlier atoms, which positions
   repeat a variable first seen in the same atom, and which introduce new
@@ -35,7 +35,8 @@ projection inlined into straight-line Python); :meth:`CompiledRule.join`,
 :meth:`CompiledRule.evaluate` and :func:`prepare` (the same dispatch decided
 once, for a driver that applies its plans round after round) use it whenever
 kernels are enabled and every body relation resolves, and otherwise run the
-interpreted step machine below.  Both paths record identical instrumentation.
+interpreted step machine below.  Both paths record identical instrumentation
+and are tested against :mod:`repro.testing.oracle`, which shares no code here.
 """
 
 from __future__ import annotations
@@ -43,14 +44,61 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..datalog.atoms import Atom
 from ..datalog.relation import Relation, Row, Value
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant, Variable
-from .cq_eval import plan_order
 from .instrumentation import EvaluationStats, active_profile
 from .kernels import build_kernel, kernels_enabled
 
 RelationMap = Mapping[str, Relation]
+
+
+def _atom_bound_columns(atom: Atom, bound: Set[Variable]) -> int:
+    """How many argument positions of ``atom`` are bound under ``bound``."""
+    return sum(1 for arg in atom.args if isinstance(arg, Constant) or arg in bound)
+
+
+def plan_order(
+    atoms: Sequence[Atom],
+    initially_bound: Set[Variable],
+    relations: Optional[RelationMap] = None,
+    first: Optional[int] = None,
+) -> List[int]:
+    """Greedy join order: repeatedly pick the atom with the most bound columns.
+
+    Ties are broken by preferring smaller stored relations (when sizes are
+    available) and then by textual order, which keeps plans deterministic.
+    Returns the atom indexes in evaluation order.  When ``first`` is given,
+    that atom is forced to the front (semi-naive plans put the delta
+    occurrence first — it is the most selective input by construction) and
+    the rest are planned greedily with its variables counted as bound.
+    """
+    remaining = list(range(len(atoms)))
+    bound = set(initially_bound)
+    order: List[int] = []
+    if first is not None:
+        remaining.remove(first)
+        order.append(first)
+        bound |= atoms[first].variable_set()
+    while remaining:
+        def sort_key(index: int) -> Tuple[int, int, int]:
+            atom = atoms[index]
+            size = 0
+            if relations is not None and atom.predicate in relations:
+                size = len(relations[atom.predicate])
+            return (-_atom_bound_columns(atom, bound), size, index)
+
+        best = min(remaining, key=sort_key)
+        remaining.remove(best)
+        order.append(best)
+        bound |= atoms[best].variable_set()
+    return order
+
+
+#: CPython nests at most 20 blocks in one function and a generated kernel
+#: opens one ``for`` per step, so a longer body runs on the step machine
+_KERNEL_MAX_STEPS = 20
 
 
 class AtomStep:
@@ -182,13 +230,18 @@ class CompiledRule:
         self,
         relations: RelationMap,
         overrides: Optional[Mapping[int, Relation]],
-    ) -> Optional[Tuple[Relation, ...]]:
-        """Per-step relations, or ``None`` when some body relation is missing.
+        use_kernels: bool,
+    ) -> Tuple[Optional[Tuple[Relation, ...]], str]:
+        """Per-step relations for a kernel, or ``None`` and why the step machine runs.
 
-        The missing case falls back to the interpreted path so the lookup
-        that discovers the absence is recorded at the step where evaluation
-        actually stops, exactly as before.
+        A missing body relation falls back to the interpreted path so the
+        lookup that discovers the absence is recorded at the step where
+        evaluation actually stops, exactly as before.
         """
+        if not use_kernels:
+            return None, ""
+        if len(self.steps) > _KERNEL_MAX_STEPS:
+            return None, "body too long for a generated kernel"
         resolved: List[Relation] = []
         for step in self.steps:
             relation = None
@@ -197,9 +250,9 @@ class CompiledRule:
             if relation is None:
                 relation = relations.get(step.predicate)
             if relation is None:
-                return None
+                return None, "unresolved body relation"
             resolved.append(relation)
-        return tuple(resolved)
+        return tuple(resolved), ""
 
     def kernels(self):
         """The plan's generated ``(join_kernel, eval_kernel)`` pair (memoized)."""
@@ -229,12 +282,11 @@ class CompiledRule:
         """
         initial = self._initial(bindings)
         profile = active_profile()
-        if kernels_enabled():
-            resolved = self._resolve(relations, overrides)
-            if resolved is not None:
-                if profile is not None:
-                    profile.record_dispatch(self, "kernel")
-                return self._kernel(False)(resolved, initial, stats)
+        resolved, _why = self._resolve(relations, overrides, kernels_enabled())
+        if resolved is not None:
+            if profile is not None:
+                profile.record_dispatch(self, "kernel")
+            return self._kernel(False)(resolved, initial, stats)
         if profile is not None:
             profile.record_dispatch(self, "interpreted")
         return self._join_interpreted(relations, stats, overrides, initial)
@@ -309,15 +361,14 @@ class CompiledRule:
             return set()
         profile = active_profile()
         initial = self._initial(bindings)
-        use_kernels = kernels_enabled()
-        resolved = self._resolve(relations, overrides) if use_kernels else None
+        resolved, why = self._resolve(relations, overrides, kernels_enabled())
         if resolved is not None:
             if profile is not None:
                 profile.record_dispatch(self, "kernel")
             result = self._kernel(True)(resolved, initial, stats)
         else:
             if profile is not None:
-                profile.record_dispatch(self, "interpreted", "unresolved body relation" if use_kernels else "")
+                profile.record_dispatch(self, "interpreted", why)
             result = self._project(self._join_interpreted(relations, stats, overrides, initial))
         if stats is not None:
             stats.record_produced(len(result))
@@ -341,13 +392,12 @@ class CompiledRule:
         """One plan's share of :func:`prepare`."""
         if not self.producible:
             return lambda initial, stats: set()
-        resolved = self._resolve(relations, overrides) if use_kernels else None
+        resolved, detail = self._resolve(relations, overrides, use_kernels)
         if resolved is not None:
-            dispatch, detail = "kernel", ""
+            dispatch = "kernel"
             run = partial(self._kernel(True), resolved)
         else:
             dispatch = "interpreted"
-            detail = "unresolved body relation" if use_kernels else ""
 
             def run(initial, stats):
                 return self._project(self._join_interpreted(relations, stats, overrides, initial))

@@ -56,9 +56,12 @@ state — once, at the end or before re-raising the ``QueryTimeout`` that
 
 The ``REPRO_KERNELS`` environment variable (``off``/``0``/``false``/``no``,
 read once per process) is the escape hatch: it forces every plan back onto
-the interpreted evaluator, and the schema onto its join-per-round loop, which
-is what the differential harness uses to assert interpreted == kernel results
-tuple for tuple.
+its step machine (:meth:`CompiledRule.join`'s interpreted path), and the
+schema onto its join-per-round loop, which is what the differential harness
+uses to assert interpreted == kernel results tuple for tuple.  Neither
+executor is its own reference: ``tests/test_compile.py`` holds both, one join
+per rule and per delta variant, to :mod:`repro.testing.oracle`, which shares
+no planner or index code with them.
 """
 
 from __future__ import annotations

@@ -245,7 +245,11 @@ class WriteQueue:
                 )
             ticket.enqueued_at = time.monotonic()
             self._pending.append(ticket)
-            self._cond.notify_all()
+            # the first ticket arms the flusher's max_delay wait; a barrier or
+            # a full batch ends it early.  Any other ticket rides that wait:
+            # ``drain`` re-checks the queue before every wait, so none strands.
+            if len(self._pending) == 1 or ticket.is_barrier or len(self._pending) >= self.policy.max_batch:
+                self._cond.notify_all()
         return ticket
 
     def close(self) -> None:

@@ -78,6 +78,15 @@ class TestSemantics:
         assert len(combined) == len(two_sided_db.relation("a")) * len(two_sided_db.relation("c"))
         assert stats.unrestricted_lookups >= 1
 
+    def test_a_head_variable_no_atom_binds_still_counts_the_join(self, tc_program, two_sided_db):
+        # t(X, Y) :- a(X, Z), t(Z, Y) combines to a_combined(X, Y, Z) :- a(X, Z): Y is never bound
+        rewriting = cross_product_rewriting(tc_program, "t")
+        stats = EvaluationStats()
+        combined = materialize_combined_relation(rewriting, two_sided_db, stats)
+        assert len(combined) == 0
+        assert (stats.lookups, stats.unrestricted_lookups) == (1, 1)
+        assert stats.tuples_examined == len(two_sided_db.relation("a"))
+
     def test_property_3_violation_is_measurable(self, two_sided_program, two_sided_db):
         """Evaluating a selection through the rewriting examines all of c."""
         rewriting = cross_product_rewriting(two_sided_program, "t")

@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.datalog import ProgramError, parse_atom, parse_program
+from repro.datalog.relation import Relation
 from repro.datalog.terms import Constant, Variable
 from repro.expansion import expand, expand_general, expansion_prefix_program
-from repro.engine import seminaive_evaluate
+from repro.engine import EvaluationStats, seminaive_evaluate
 from repro.datalog import Database
-from repro.cq import is_contained_in
+from repro.cq import ExpansionString, is_contained_in
 from repro.core import one_sidedness_reduction
 from repro.workloads import (
     appendix_a_p,
@@ -123,6 +124,39 @@ class TestExpansionSemantics:
         full = seminaive_evaluate(tc_program, chain_db)["t"].rows()
         for string in expand(tc_program, "t", 5):
             assert string.evaluate(relations) <= full
+
+
+class TestStringEvaluate:
+    """``ExpansionString.evaluate``: a string's relation, projected onto its distinguished variables."""
+
+    @pytest.fixture
+    def relations(self):
+        return {
+            "a": Relation("a", 2, [(1, 2), (2, 3), (3, 4)]),
+            "b": Relation("b", 2, [(4, 5), (2, 9)]),
+            "p": Relation("p", 1, [(2,), (3,)]),
+        }
+
+    def test_projection_follows_the_distinguished_order(self, relations):
+        string = ExpansionString((Variable("Y"), Variable("X")), (parse_atom("a(X, Z)"), parse_atom("b(Z, Y)")))
+        assert string.evaluate(relations) == {(5, 3), (9, 1)}
+
+    def test_unbound_output_variable_becomes_none(self, relations):
+        string = ExpansionString((Variable("X"), Variable("Missing")), (parse_atom("p(X)"),))
+        assert string.evaluate(relations) == {(2, None), (3, None)}
+
+    def test_bindings_restrict_and_fill_distinguished_variables(self, relations):
+        string = ExpansionString((Variable("X"), Variable("Y")), (parse_atom("a(X, Z)"), parse_atom("b(Z, Y)")))
+        stats = EvaluationStats()
+        assert string.evaluate(relations, stats, bindings={Variable("X"): 3}) == {(3, 5)}
+        assert stats.unrestricted_lookups == 0
+        assert stats.tuples_produced == 1
+        unary = ExpansionString((Variable("X"), Variable("Q")), (parse_atom("p(X)"),))
+        assert unary.evaluate(relations, bindings={Variable("Q"): 7}) == {(2, 7), (3, 7)}
+
+    def test_missing_relation_gives_no_answers(self, relations):
+        string = ExpansionString((Variable("X"),), (parse_atom("ghost(X)"),))
+        assert string.evaluate(relations) == set()
 
 
 class TestExpandGeneral:

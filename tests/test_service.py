@@ -10,7 +10,7 @@ import pytest
 
 from repro import Database, DatalogService, FlushPolicy, MetricsRegistry, ServiceClosed, Session, parse_program
 from repro.engine.query import SelectionQuery
-from repro.service import EpochCache, WriteTicket, coalesce
+from repro.service import EpochCache, WriteQueue, WriteTicket, coalesce
 
 TC = """
 t(X, Y) :- a(X, Z), t(Z, Y).
@@ -167,6 +167,56 @@ class TestCoalesce:
 # ----------------------------------------------------------------------
 # the service front door
 # ----------------------------------------------------------------------
+class CountingCondition(threading.Condition):
+    """A condition variable that counts its ``notify_all`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.notifies = 0
+
+    def notify_all(self):
+        self.notifies += 1
+        super().notify_all()
+
+
+def write(row):
+    return WriteTicket(WriteTicket.INSERT, "b", (row,))
+
+
+class TestWriteQueueWakeups:
+    """``WriteQueue.put`` wakes the flusher only when a trigger is reached."""
+
+    def test_four_writes_and_a_barrier_notify_twice(self):
+        queue = WriteQueue(manual_flush_policy())
+        queue._cond = spy = CountingCondition()
+        for value in range(4):
+            queue.put(write((value, value)))
+        assert spy.notifies == 1  # the first write arms the max_delay wait
+        queue.put(WriteTicket(WriteTicket.BARRIER))
+        assert spy.notifies == 2
+        assert len(queue.drain()) == 5
+
+    def test_a_full_batch_notifies(self):
+        queue = WriteQueue(FlushPolicy(max_batch=3, max_delay_seconds=3600.0))
+        queue._cond = spy = CountingCondition()
+        for value in range(3):
+            queue.put(write((value, value)))
+        assert spy.notifies == 2  # the first write, then the third (max_batch)
+
+    def test_a_lone_write_flushes_after_max_delay(self):
+        delay = 0.2
+        queue = WriteQueue(FlushPolicy(max_batch=1_000_000, max_delay_seconds=delay))
+        drained = []
+        flusher = threading.Thread(target=lambda: drained.append(queue.drain()))
+        flusher.start()
+        started = time.monotonic()
+        first = queue.put(write((1, 1)))
+        second = queue.put(write((2, 2)))  # no wakeup: it rides the armed wait
+        flusher.join(timeout=10)
+        assert drained == [[first, second]]
+        assert delay * 0.5 <= time.monotonic() - started < 10
+
+
 class TestDatalogService:
     def test_coalesced_flush_is_one_maintenance_round(self, service):
         for value in range(5):
