@@ -21,7 +21,8 @@ import pytest
 
 from repro.baselines import magic_query
 from repro.core import OneSidedSchema, one_sided_query
-from repro.engine import SelectionQuery, kernel_mode, seminaive_query
+from repro.engine import SelectionQuery, seminaive_query
+from repro.testing.reference import step_machine
 from repro.workloads import (
     example_3_4,
     permissions_database,
@@ -152,10 +153,10 @@ def test_e04_pinned_counts_and_seconds(benchmark, name):
     def measure():
         counts = []
         for kernels in (True, False):
-            with kernel_mode(kernels):
+            with step_machine(not kernels):
                 stats = one_sided_query(program, database, query).stats
             counts.append((stats.tuples_examined, stats.unrestricted_lookups, int(stats.extra["carry_arity"])))
-        with kernel_mode(True):
+        with step_machine(False):
             schema = _best_seconds(lambda: one_sided_query(program, database, query))
             seminaive = _best_seconds(
                 lambda: seminaive_query(program, database, query.predicate, query.bindings_dict())

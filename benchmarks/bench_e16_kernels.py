@@ -24,8 +24,8 @@ comparable across PRs:
 
 Every entry records ``speedup_*`` ratios in ``extra_info`` (merged into
 ``BENCH_e16.json``); CI fails the build when any ratio drops below 1.0.
-Timings are best-of-3 per mode, interpreted mode measured via the
-``REPRO_KERNELS`` escape hatch.
+Timings are best-of-3 per mode, interpreted mode measured on the reference
+step machine (:func:`repro.testing.reference.step_machine`).
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from repro.datalog import Database
 from repro.engine import (
     SelectionQuery,
     columnar_mode,
-    kernel_mode,
     seminaive_evaluate,
 )
+from repro.testing.reference import step_machine
 from repro.workloads import (
     bounded_swap,
     chain,
@@ -65,9 +65,9 @@ def timed_modes(function):
     subject) is pinned off in both modes — this experiment isolates the
     kernels against the interpreter.
     """
-    with kernel_mode(True), columnar_mode(False):
+    with step_machine(False), columnar_mode(False):
         fast_time, fast_result = best_of(function)
-    with kernel_mode(False), columnar_mode(False):
+    with step_machine(), columnar_mode(False):
         interpreted_time, interpreted_result = best_of(function)
     return fast_time, interpreted_time, fast_result, interpreted_result
 
@@ -97,7 +97,7 @@ def string_id_cost(edges):
     """
     databases = (edge_database(edges), edge_database(string_ids(edges)))
     seconds, tuples = [[], []], [None, None]
-    with kernel_mode(True), columnar_mode(False):
+    with step_machine(False), columnar_mode(False):
         for _ in range(7):
             for which, database in enumerate(databases):
                 elapsed, tuples[which] = best_of(
@@ -221,9 +221,9 @@ def test_e16_unfolded_evaluation_speedup(benchmark):
     def compare():
         # extra rounds: this workload has the thinnest margin of the suite,
         # so buy noise-resistance with a deeper best-of
-        with kernel_mode(True), columnar_mode(False):
+        with step_machine(False), columnar_mode(False):
             fast_time, fast_answers = best_of(run_queries, rounds=5)
-        with kernel_mode(False), columnar_mode(False):
+        with step_machine(), columnar_mode(False):
             interpreted_time, interpreted_answers = best_of(run_queries, rounds=5)
         assert fast_answers == interpreted_answers
         return interpreted_time, fast_time

@@ -35,9 +35,10 @@ but never guarded.
 
 from __future__ import annotations
 
-from repro.engine import EvaluationStats, columnar_mode, kernel_mode, seminaive_evaluate
+from repro.engine import EvaluationStats, columnar_mode, seminaive_evaluate
 from repro.engine.instrumentation import query_trace
 from repro.obs.profile import ProfileRecorder
+from repro.testing.reference import step_machine
 from repro.workloads import chain, edge_database, layered_dag, transitive_closure, uniform_tree
 from .helpers import attach, best_of, emit, run_once, string_ids
 
@@ -66,9 +67,9 @@ def timed_columnar_modes(function):
     Returns ``(kernel seconds, columnar seconds, kernel result, columnar
     result)``.
     """
-    with kernel_mode(True), columnar_mode(False):
+    with step_machine(False), columnar_mode(False):
         kernel_time, kernel_result = best_of(function, rounds=5)
-    with kernel_mode(True), columnar_mode("force"):
+    with step_machine(False), columnar_mode("force"):
         columnar_time, columnar_result = best_of(function, rounds=5)
     return kernel_time, columnar_time, kernel_result, columnar_result
 
@@ -136,7 +137,7 @@ def test_e19_chain_adaptive_fallback(benchmark):
 
     def compare():
         kernel_time, forced_time, kernel_out, forced_out = timed_columnar_modes(closure)
-        with kernel_mode(True), columnar_mode(True):
+        with step_machine(False), columnar_mode(True):
             adaptive_time, adaptive_out = best_of(closure, rounds=5)
         assert forced_out == kernel_out
         assert adaptive_out == kernel_out
@@ -174,7 +175,7 @@ def forest(out_degree: int) -> list:
 def adaptive_decision(database):
     """``(dispatch, profit score)`` the default configuration gives the closure's stratum."""
     recorder = ProfileRecorder("t(X, Y)?", trace_id="e19-decision")
-    with kernel_mode(True), columnar_mode(True), query_trace(recorder.trace_id, recorder):
+    with step_machine(False), columnar_mode(True), query_trace(recorder.trace_id, recorder):
         seminaive_evaluate(TC, database)
     decision = recorder.strata[-1]
     return decision.dispatch, decision.score
@@ -197,7 +198,7 @@ def test_e19_fanout_sweep(benchmark):
                 return closure_with_counters(db)
 
             kernel_time, forced_time, kernel_out, forced_out = timed_columnar_modes(closure)
-            with kernel_mode(True), columnar_mode(True):
+            with step_machine(False), columnar_mode(True):
                 adaptive_time, adaptive_out = best_of(closure, rounds=5)
             assert forced_out == kernel_out  # tuples and counters, on every shape
             assert adaptive_out == kernel_out

@@ -90,6 +90,10 @@ class MagicRewriting:
         """Number of rules in the rewritten program (rewriting overhead indicator)."""
         return len(self.rewritten.rules)
 
+    def seed_relation(self) -> Relation:
+        """The query's magic relation, holding its one seed tuple."""
+        return Relation(self.seed_predicate, len(self.seed_tuple), [self.seed_tuple])
+
 
 def magic_rewrite(program: Program, query: SelectionQuery) -> MagicRewriting:
     """Produce the adorned magic program for ``query``."""
@@ -197,9 +201,7 @@ def magic_query(
     # never mutates its inputs), only the magic seed relation is fresh, so a
     # query does not pay for copying the whole database.
     seeded = Database(database.relations())
-    seeded.add_relation(
-        Relation(rewriting.seed_predicate, len(rewriting.seed_tuple), [rewriting.seed_tuple])
-    )
+    seeded.add_relation(rewriting.seed_relation())
     derived = seminaive_evaluate(rewriting.rewritten, seeded, stats)
 
     answer_relation = derived.get(rewriting.answer_predicate)

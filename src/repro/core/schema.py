@@ -51,20 +51,22 @@ body *starts* with the operator's inputs as ordinary atoms::
 or the recursive call, and the ``None`` of a carry column a step could not
 determine, are the rule compiler's own atom checks.
 
-:func:`~repro.engine.kernels.build_schema_kernel` turns a plan's operators into
+The executor (:class:`repro.engine.kernels.Generated`) turns a plan's operators into
 **one generated function** that runs all nine lines of Figure 9: the stored
 relations' probes are hoisted once per run, the selection and the carry are
 walked as plain values with their atom checks inline, ``− seen`` is fused into
 ``f`` (a row joins the next carry only if it is not in ``seen``), a ``state``
 switch follows the known-column patterns, and the counters live in locals until
 the end of the run — or a deadline's :class:`~repro.datalog.errors.QueryTimeout`
-at the top of a round, which flushes them first.  It is memoized on the plan.
+at the top of a round, which flushes them first.  It is memoized on the plan,
+one per set of stored relations the database lacks: an operator reading one
+stops there and records one lookup per application that reaches it.
 
-``REPRO_KERNELS=off``, or a stored relation the database lacks, runs the same
-plans one join per operator application instead: ``carry := f(carry)`` is one
-join per round over a real :class:`~repro.datalog.relation.Relation` handed the
-round's rows, then a set difference and a union.  That loop is the reference
-the generated function is tested against: same answers, same counters, same
+The step machine in :mod:`repro.testing.reference` runs the same plans one
+join per operator application instead: ``carry := f(carry)`` is one join per
+round over a real :class:`~repro.datalog.relation.Relation` handed the round's
+rows, then a set difference and a union.  That loop is the reference the
+generated function is tested against: same answers, same counters, same
 applications in an EXPLAIN ANALYZE profile.
 
 The inputs are the driver's working state, not the database: they are the
@@ -93,17 +95,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..datalog.atoms import Atom, atoms_variables
 from ..datalog.database import Database
 from ..datalog.errors import EvaluationError, NotOneSidedError, ProgramError, ReproError
-from ..datalog.relation import Relation, Row
+from ..datalog.relation import Relation
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant, Term, Variable
-from ..engine.compile import CompiledRule, compile_rule, prepare
+from ..engine import kernels
+from ..engine.compile import CompiledRule, compile_rule
 from ..engine.instrumentation import EvaluationStats, active_profile
-from ..engine.kernels import build_schema_kernel, kernels_enabled
 from ..engine.query import QueryResult, SelectionQuery
 from .classify import classify
 
@@ -153,11 +155,12 @@ class SchemaPlan:
     backward: _Operators = field(default_factory=dict)
     #: Forward: ``f`` pushes the call bindings a level deeper, ``g`` joins the exits.
     forward: _Operators = field(default_factory=dict)
-    #: the generated run and the stored predicates it reads
-    #: (:func:`~repro.engine.kernels.build_schema_kernel`), built on first use
-    _generated: Optional[Tuple[Callable, Tuple[str, ...]]] = field(
-        default=None, init=False, repr=False, compare=False
+    #: generated runs by the stored relations they find missing, built on
+    #: first use by :class:`repro.engine.kernels.Generated`
+    _runs: Dict[Tuple[str, ...], Callable] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
+    _stored: Optional[Tuple[str, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         #: the input relations a run hands its joins: constants (one row), carry
@@ -179,6 +182,16 @@ class SchemaPlan:
         for step, _known, finals in self.operators().values():
             plans += [step, *finals]
         return plans
+
+    def stored(self) -> Tuple[str, ...]:
+        """The stored relations a run reads, in the order its executor takes them."""
+        if self._stored is None:
+            self._stored = tuple(dict.fromkeys(
+                step.predicate
+                for op in self.compiled_plans() if op.producible
+                for step in op.steps[op.inputs:]
+            ))
+        return self._stored
 
     def describe(self) -> str:
         """A short human-readable account of the compiled plan."""
@@ -434,9 +447,8 @@ class OneSidedSchema:
 
         One plan serves both directions; they differ only in the operators it
         compiled, which read the selection and the carry as uncounted
-        ``inputs`` (see the module docstring).  With kernels enabled and every
-        stored relation present, the plan's generated function runs all of
-        Figure 9; otherwise the join-per-round loop does.
+        ``inputs`` (see the module docstring).  The executor's run for the
+        plan does all of Figure 9.
         """
         stats = stats if stats is not None else EvaluationStats()
         stats.start_timer()
@@ -451,88 +463,35 @@ class OneSidedSchema:
             relations.update(seminaive_evaluate(plan.subsidiary_program, database, stats))
             stats.start_timer()
         constants = tuple(value for _column, value in self.query.bindings)
-        resolved = None
-        if kernels_enabled():
-            if plan._generated is None:
-                plan._generated = build_schema_kernel(plan)
-            generated, predicates = plan._generated
-            resolved = [relations.get(name) for name in predicates]
-            if any(relation is None for relation in resolved):
-                resolved = None
-        if resolved is None:
-            answers = self._join_per_round(relations, constants, stats)
-        else:
-            profile = active_profile()
-            rounds, finished = stats.iterations, False
-            try:
-                answers = generated(resolved, constants, stats)
-                finished = True
-            finally:
-                if profile is not None:
-                    _record_applications(plan, profile, stats.iterations - rounds, finished)
+        stored = plan.stored()
+        resolved = [relations.get(name) for name in stored]
+        missing: Tuple[str, ...] = ()
+        if None in resolved:
+            missing = tuple(name for name, relation in zip(stored, resolved) if relation is None)
+        executor = kernels.EXECUTOR
+        profile = active_profile()
+        rounds, finished = stats.iterations, False
+        try:
+            answers = executor.schema(plan, missing)(resolved, constants, stats)
+            finished = True
+        finally:
+            if profile is not None:
+                _record_applications(
+                    plan, profile, stats.iterations - rounds, finished, executor.dispatch, relations
+                )
         stats.extra["carry_arity"] = plan.carry_arity
         stats.stop_timer()
         return QueryResult(self.query, answers, stats, strategy=f"one-sided-{plan.direction}")
 
-    def _join_per_round(
-        self, relations: Dict[str, Relation], constants: Row, stats: EvaluationStats
-    ) -> Set[Row]:
-        """Figure 9 driven from Python: one join per operator application.
 
-        The reference for the generated run (``REPRO_KERNELS=off``), and the
-        path for a plan whose stored relations do not all resolve.
-        """
-        plan = self.plan
-        relations[plan.selection_name] = Relation.from_valid_rows(
-            plan.selection_name, len(constants), {constants}
-        )
-        #: one relation, new rows every round: indexes a probing join registered follow
-        carry_relation = relations[plan.carry_name] = Relation(plan.carry_name, plan.carry_arity)
-        width = max(1, plan.carry_arity)
-        operators, runs = plan.operators(), prepare(plan.compiled_plans(), relations)
+def _record_applications(
+    plan: SchemaPlan, profile, rounds: int, finished: bool, dispatch: str, relations: Dict[str, Relation]
+) -> None:
+    """Report a run's operator applications to an armed profile.
 
-        def apply(joins: Iterable[CompiledRule]) -> Set[Row]:
-            return set().union(*[runs[join]((), stats) for join in joins])
-
-        # 1-3) init carry, seen, ans from the selection.  Backward: the exit rules'
-        # tuples are the first carry.  Forward: they are the depth-0 answers, and one
-        # push through the body gives the (remembered + recursive-call arguments) carry.
-        answers = apply(plan.exits)
-        carry = apply(plan.init)
-        known = plan.init_known
-        #: carry rows reached so far, by which of their columns are determined
-        seen: Dict[_Pattern, Set[Row]] = {known: set(carry)}
-        total = len(carry)
-        stats.record_produced(total)
-        stats.record_state(total, total * width)
-
-        # 4-8) while carry not empty: carry := f(carry) − seen, one join per round.
-        while carry:
-            stats.record_iteration()
-            step, known, _finals = operators[known]
-            carry_relation.replace_rows(carry)
-            reached = seen.setdefault(known, set())
-            carry = runs[step]((), stats) - reached
-            reached |= carry
-            total += len(carry)
-            stats.record_produced(len(carry))
-            stats.record_state(total + len(carry), (total + len(carry)) * width)
-
-        # 9) ans := g(seen).  Backward: re-attach the selection constants.
-        # Forward: join the reachable call tuples with the exit rules.
-        for known, rows in seen.items():
-            carry_relation.replace_rows(rows)
-            for final in operators[known][2]:
-                answers |= runs[final]((), stats)
-        return answers
-
-
-def _record_applications(plan: SchemaPlan, profile, rounds: int, finished: bool) -> None:
-    """Report a generated run's operator applications to an armed profile.
-
-    The join-per-round loop reports each application as it makes it; the
-    generated run makes the same ones, which follow from how many carry rounds
-    it completed and whether it got to ``g``.
+    They follow from how many carry rounds the run completed and whether it
+    got to ``g``; each carries the detail of the stored relation it found
+    missing in ``relations``, if any.
     """
     operators = plan.operators()
     known = plan.init_known
@@ -547,7 +506,7 @@ def _record_applications(plan: SchemaPlan, profile, rounds: int, finished: bool)
         applied += [final for known in reached for final in operators[known][2]]
     for op in applied:
         if op.producible:
-            profile.record_dispatch(op, "kernel")
+            profile.record_dispatch(op, dispatch, op.dispatch_detail(op.resolve(relations)[1]))
 
 
 def one_sided_query(

@@ -20,7 +20,6 @@ from .columnar import (
     columnar_mode,
     set_columnar_enabled,
 )
-from .kernels import kernel_mode, kernels_enabled, set_kernels_enabled
 from .naive import naive_evaluate, naive_query
 from .query import QueryPlan, QueryResult, SelectionQuery, answer, as_selection_query, plan_query
 from .seminaive import (
@@ -51,8 +50,6 @@ __all__ = [
     "evaluation_deadline",
     "evaluation_strata",
     "group_insert_closure",
-    "kernel_mode",
-    "kernels_enabled",
     "naive_evaluate",
     "naive_query",
     "overlay_relations",
@@ -64,6 +61,5 @@ __all__ = [
     "seminaive_evaluate",
     "seminaive_query",
     "set_columnar_enabled",
-    "set_kernels_enabled",
     "strongly_connected_components",
 ]

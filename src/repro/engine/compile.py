@@ -29,14 +29,17 @@ join order (the delta is the most selective input by construction) and reads
 it from an *override* relation at evaluation time, so the same compiled plan
 is reused by every delta iteration of the fixpoint.
 
-On top of the plan, :mod:`repro.engine.kernels` generates a fused nested-loop
-closure per plan (probe keys, equality checks, slot stores and head
-projection inlined into straight-line Python); :meth:`CompiledRule.join`,
-:meth:`CompiledRule.evaluate` and :func:`prepare` (the same dispatch decided
-once, for a driver that applies its plans round after round) use it whenever
-kernels are enabled and every body relation resolves, and otherwise run the
-interpreted step machine below.  Both paths record identical instrumentation
-and are tested against :mod:`repro.testing.oracle`, which shares no code here.
+Every plan runs on the executor :mod:`repro.engine.kernels` builds for it:
+a fused nested-loop closure per plan (probe keys, equality checks, slot
+stores and head projection inlined into straight-line Python), whatever the
+body's length.  :meth:`CompiledRule.join`, :meth:`CompiledRule.evaluate` and
+:func:`prepare` (the same resolution done once, for a driver that applies its
+plans round after round) first :meth:`~CompiledRule.resolve` the body
+relations: one the caller lacks reads as empty, and the run stops there,
+recording one restricted lookup.  EXPLAIN makes the same call, so it shows
+the dispatch a run records.  The kernels are tested against
+:mod:`repro.testing.oracle`, which shares no code here, and against the step
+machine in :mod:`repro.testing.reference`.
 """
 
 from __future__ import annotations
@@ -48,10 +51,13 @@ from ..datalog.atoms import Atom
 from ..datalog.relation import Relation, Row, Value
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant, Variable
+from . import kernels
 from .instrumentation import EvaluationStats, active_profile
-from .kernels import build_kernel, kernels_enabled
 
 RelationMap = Mapping[str, Relation]
+
+#: what a body relation the caller lacks resolves to: one shared empty relation
+ABSENT = Relation("(absent)", 0)
 
 
 def _atom_bound_columns(atom: Atom, bound: Set[Variable]) -> int:
@@ -94,11 +100,6 @@ def plan_order(
         order.append(best)
         bound |= atoms[best].variable_set()
     return order
-
-
-#: CPython nests at most 20 blocks in one function and a generated kernel
-#: opens one ``for`` per step, so a longer body runs on the step machine
-_KERNEL_MAX_STEPS = 20
 
 
 class AtomStep:
@@ -211,10 +212,9 @@ class CompiledRule:
         self.inputs = inputs
         #: the body atom forced to the front (a delta variant's occurrence), if any
         self.first = first
-        #: lazily generated ``[join_kernel, eval_kernel]`` (each built on
-        #: first use — a plan evaluated only through one entry point never
-        #: pays codegen for the other)
-        self._kernels = [None, None]
+        #: generated kernels by ``project`` (and the missing step, if any),
+        #: each built on first use by :class:`repro.engine.kernels.Generated`
+        self._kernels: Dict[object, Callable] = {}
 
     # ------------------------------------------------------------------
     # evaluation
@@ -226,45 +226,36 @@ class CompiledRule:
             raise ValueError("compiled rule expects bindings for its bound variables")
         return tuple(bindings[variable] for variable in self.initial_slots)
 
-    def _resolve(
+    def resolve(
         self,
         relations: RelationMap,
-        overrides: Optional[Mapping[int, Relation]],
-        use_kernels: bool,
-    ) -> Tuple[Optional[Tuple[Relation, ...]], str]:
-        """Per-step relations for a kernel, or ``None`` and why the step machine runs.
+        overrides: Optional[Mapping[int, Relation]] = None,
+    ) -> Tuple[Tuple[Relation, ...], Optional[int]]:
+        """The relation each step reads, and the first step whose relation is missing.
 
-        A missing body relation falls back to the interpreted path so the
-        lookup that discovers the absence is recorded at the step where
-        evaluation actually stops, exactly as before.
+        ``overrides`` (original body-atom index → relation) comes first, then
+        ``relations``.  A missing relation reads as :data:`ABSENT`; the first
+        missing one past the ``inputs`` is where every executor stops, recording
+        one restricted lookup with nothing examined.
         """
-        if not use_kernels:
-            return None, ""
-        if len(self.steps) > _KERNEL_MAX_STEPS:
-            return None, "body too long for a generated kernel"
         resolved: List[Relation] = []
-        for step in self.steps:
+        missing = None
+        for index, step in enumerate(self.steps):
             relation = None
             if overrides is not None:
                 relation = overrides.get(step.atom_index)
             if relation is None:
                 relation = relations.get(step.predicate)
-            if relation is None:
-                return None, "unresolved body relation"
+                if relation is None:
+                    relation = ABSENT
+                    if missing is None and index >= self.inputs:
+                        missing = index
             resolved.append(relation)
-        return tuple(resolved), ""
+        return tuple(resolved), missing
 
-    def kernels(self):
-        """The plan's generated ``(join_kernel, eval_kernel)`` pair (memoized)."""
-        return (self._kernel(False), self._kernel(True) if self.producible else None)
-
-    def _kernel(self, project: bool):
-        index = 1 if project else 0
-        kernel = self._kernels[index]
-        if kernel is None:
-            kernel = build_kernel(self, project)
-            self._kernels[index] = kernel
-        return kernel
+    def dispatch_detail(self, missing: Optional[int]) -> str:
+        """What a profile notes beside this plan's dispatch, given ``resolve``'s ``missing``."""
+        return "" if missing is None else f"missing body relation {self.steps[missing].predicate}"
 
     def join(
         self,
@@ -280,74 +271,8 @@ class CompiledRule:
         variables declared ``bound`` at compile time; all of them must be
         given.
         """
-        initial = self._initial(bindings)
-        profile = active_profile()
-        resolved, _why = self._resolve(relations, overrides, kernels_enabled())
-        if resolved is not None:
-            if profile is not None:
-                profile.record_dispatch(self, "kernel")
-            return self._kernel(False)(resolved, initial, stats)
-        if profile is not None:
-            profile.record_dispatch(self, "interpreted")
-        return self._join_interpreted(relations, stats, overrides, initial)
-
-    def _join_interpreted(
-        self,
-        relations: RelationMap,
-        stats: Optional[EvaluationStats],
-        overrides: Optional[Mapping[int, Relation]],
-        initial: Tuple[Value, ...],
-    ) -> List[Tuple[Value, ...]]:
-        """The step-machine evaluator (the ``REPRO_KERNELS=off`` path)."""
-        frontier: List[Tuple[Value, ...]] = [initial]
-        for index, step in enumerate(self.steps):
-            counted = stats is not None and index >= self.inputs
-            relation = None
-            if overrides is not None:
-                relation = overrides.get(step.atom_index)
-            if relation is None:
-                relation = relations.get(step.predicate)
-            if relation is None:
-                if stats is not None:
-                    stats.record_lookup(0, restricted=True)
-                return []
-            next_frontier: List[Tuple[Value, ...]] = []
-            probe_columns = step.probe_columns
-            key_ops = step.key_ops
-            check_cols = step.check_cols
-            store_cols = step.store_cols
-            restricted = bool(probe_columns)
-            single_key = key_ops[0] if len(key_ops) == 1 else None
-            probe = relation.probe
-            for current in frontier:
-                if restricted:
-                    if single_key is not None:
-                        is_const, value = single_key
-                        key: object = value if is_const else current[value]
-                    else:
-                        key = tuple(value if is_const else current[value] for is_const, value in key_ops)
-                    rows = probe(probe_columns, key)
-                else:
-                    rows = relation.rows()
-                if counted:
-                    stats.record_lookup(len(rows), restricted=restricted)
-                for row in rows:
-                    if check_cols:
-                        ok = True
-                        for position, earlier in check_cols:
-                            if row[position] != row[earlier]:
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                    if store_cols:
-                        next_frontier.append(current + tuple(row[position] for position, _slot in store_cols))
-                    else:
-                        next_frontier.append(current)
-            frontier = next_frontier
-            if not frontier:
-                return []
-        return frontier
+        run = self._prepared(relations, kernels.EXECUTOR, active_profile(), overrides, project=False)
+        return run(self._initial(bindings), stats)
 
     def evaluate(
         self,
@@ -359,51 +284,28 @@ class CompiledRule:
         """Head tuples derived by one application of the compiled rule."""
         if not self.producible:
             return set()
-        profile = active_profile()
-        initial = self._initial(bindings)
-        resolved, why = self._resolve(relations, overrides, kernels_enabled())
-        if resolved is not None:
-            if profile is not None:
-                profile.record_dispatch(self, "kernel")
-            result = self._kernel(True)(resolved, initial, stats)
-        else:
-            if profile is not None:
-                profile.record_dispatch(self, "interpreted", why)
-            result = self._project(self._join_interpreted(relations, stats, overrides, initial))
+        run = self._prepared(relations, kernels.EXECUTOR, active_profile(), overrides)
+        result = run(self._initial(bindings), stats)
         if stats is not None:
             stats.record_produced(len(result))
         return result
 
-    def _project(self, assignments: List[Tuple[Value, ...]]) -> Set[Row]:
-        """Slot tuples → the distinct head tuples they stand for."""
-        head_ops = self.head_ops
-        return {
-            tuple(value if is_const else assignment[value] for is_const, value in head_ops)
-            for assignment in assignments
-        }
-
     def _prepared(
         self,
         relations: RelationMap,
-        use_kernels: bool,
+        executor,
         profile,
         overrides: Optional[Mapping[int, Relation]] = None,
+        project: bool = True,
     ) -> Callable[[Tuple[Value, ...], Optional[EvaluationStats]], Set[Row]]:
-        """One plan's share of :func:`prepare`."""
-        if not self.producible:
+        """``run(initial, stats)`` over the resolved relations, its dispatch recorded on ``profile``."""
+        if project and not self.producible:
             return lambda initial, stats: set()
-        resolved, detail = self._resolve(relations, overrides, use_kernels)
-        if resolved is not None:
-            dispatch = "kernel"
-            run = partial(self._kernel(True), resolved)
-        else:
-            dispatch = "interpreted"
-
-            def run(initial, stats):
-                return self._project(self._join_interpreted(relations, stats, overrides, initial))
-
+        resolved, missing = self.resolve(relations, overrides)
+        run = partial(executor.kernel(self, project, missing), resolved)
         if profile is None:
             return run
+        dispatch, detail = executor.dispatch, self.dispatch_detail(missing)
 
         def profiled(initial, stats):
             profile.record_dispatch(self, dispatch, detail)
@@ -520,23 +422,22 @@ def prepare(
     relations: RelationMap,
     overrides: Optional[Mapping[CompiledRule, Mapping[int, Relation]]] = None,
 ) -> Dict[CompiledRule, Callable[[Tuple[Value, ...], Optional[EvaluationStats]], Set[Row]]]:
-    """:meth:`CompiledRule.evaluate` with the dispatch decided once, for plans applied many times.
+    """:meth:`CompiledRule.evaluate` with the resolution done once, for plans applied many times.
 
-    Reads the kernel switch and the profile channel once and resolves each
-    plan's body relations once; ``runs[plan](initial, stats)`` is then the head
-    tuples under the ``bound`` slots ``initial`` — one kernel call, or one
-    interpreted join when kernels are off or a body relation is missing.
-    ``overrides`` gives a plan its body-atom replacements (the semi-naive delta
-    of a delta variant), as :meth:`CompiledRule.evaluate` takes them.  The
-    relation *objects* must not change while the runs are in use (their rows
-    may); produced-tuple accounting is left to the caller, and each run
-    returns a set of its own that the caller may keep or change.
+    Reads the executor and the profile channel once and resolves each plan's
+    body relations once; ``runs[plan](initial, stats)`` is then the head tuples
+    under the ``bound`` slots ``initial`` — one kernel call.  ``overrides``
+    gives a plan its body-atom replacements (the semi-naive delta of a delta
+    variant), as :meth:`CompiledRule.evaluate` takes them.  The relation
+    *objects* must not change while the runs are in use (their rows may);
+    produced-tuple accounting is left to the caller, and each run returns a
+    set of its own that the caller may keep or change.
     """
-    use_kernels = kernels_enabled()
+    executor = kernels.EXECUTOR
     profile = active_profile()
     overrides = overrides or {}
     return {
-        plan: plan._prepared(relations, use_kernels, profile, overrides.get(plan))
+        plan: plan._prepared(relations, executor, profile, overrides.get(plan))
         for plan in plans
     }
 

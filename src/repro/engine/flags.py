@@ -1,19 +1,22 @@
-"""Engine feature flags — the shared env-var/override machinery.
+"""Engine feature flags — the env-var/override machinery.
 
-Both engine fast paths ship behind the same three-part switch:
+The columnar batch executor (:mod:`repro.engine.columnar`) ships behind a
+three-part switch:
 
-* an environment variable (``REPRO_KERNELS``, ``REPRO_COLUMNAR``) that turns
-  the path off for a whole process
-  (``off``/``0``/``false``/``no``/``disabled``), read once per process;
-* a tri-state programmatic override (``set_*_enabled``) where ``None``
-  restores the environment variable's verdict; and
-* a context manager (``*_mode``) that forces the flag for a scope and
+* an environment variable (``REPRO_COLUMNAR``) that turns the path off for a
+  whole process (``off``/``0``/``false``/``no``/``disabled``), read once per
+  process;
+* a tri-state programmatic override (``set_columnar_enabled``) where
+  ``None`` restores the environment variable's verdict; and
+* a context manager (``columnar_mode``) that forces the flag for a scope and
   restores the previous override on exit — the differential harness's hook
   for pinning each execution mode.
 
-:class:`EngineFlag` implements that contract once; :mod:`repro.engine.kernels`
-and :mod:`repro.engine.columnar` each instantiate it and re-export their
-historical function names on top.
+:class:`EngineFlag` implements that contract; :mod:`repro.engine.columnar`
+instantiates it and re-exports its historical function names on top.  The
+row executor has no flag: every compiled plan runs on generated kernels
+(:mod:`repro.engine.kernels`), and tests reach the reference step machine
+through :func:`repro.testing.reference.step_machine`.
 
 Beyond on/off, a flag can carry a *forcing* state (``force``/``always``).
 The columnar engine uses it: ``on`` means "batch execution where the adaptive

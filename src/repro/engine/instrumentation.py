@@ -29,16 +29,27 @@ from ..datalog.errors import QueryTimeout
 # ----------------------------------------------------------------------
 # Every fixpoint driver in the library calls ``stats.record_iteration()``
 # once per outer loop pass, which makes that hook the one place a deadline
-# can be enforced across all engines (interpreted, kernel, columnar, magic,
-# counting) without threading a parameter through every driver.  The
+# can be enforced across all engines (kernel, columnar, magic, counting, the
+# Figure 9 schema) without threading a parameter through every driver.  The
 # deadline is thread-local: the serving layer arms it around one query's
 # evaluation in one reader thread; concurrent queries are unaffected.
-_deadline_local = threading.local()
+class _Deadline(threading.local):
+    #: a class-level default, so a thread that never armed one reads ``None``
+    #: without raising and swallowing an ``AttributeError`` first
+    value: Optional[float] = None
+
+
+_deadline_local = _Deadline()
+
+
+def armed_deadline() -> Optional[float]:
+    """The calling thread's armed :func:`evaluation_deadline`, if any."""
+    return _deadline_local.value
 
 
 def check_deadline() -> None:
     """Raise :class:`QueryTimeout` when the thread's armed deadline passed."""
-    deadline = getattr(_deadline_local, "value", None)
+    deadline = _deadline_local.value
     if deadline is not None and time.perf_counter() >= deadline:
         raise QueryTimeout(
             f"evaluation exceeded its deadline by "
@@ -58,7 +69,7 @@ def evaluation_deadline(deadline: Optional[float]):
     if deadline is None:
         yield
         return
-    previous = getattr(_deadline_local, "value", None)
+    previous = _deadline_local.value
     _deadline_local.value = deadline if previous is None else min(previous, deadline)
     try:
         yield
@@ -72,24 +83,30 @@ def evaluation_deadline(deadline: Optional[float]):
 # The same thread-local channel idiom as the deadline above, reused for
 # query-level observability: the serving layer (or ``answer(profile=True)``)
 # arms a trace ID and optionally a profile recorder around one query's
-# evaluation in one thread.  Engine hot paths then ask two one-``getattr``
+# evaluation in one thread.  Engine hot paths then ask two one-attribute-read
 # questions — "is a trace armed?" for span/slow-log stamping, and "is a
 # profile armed?" before recording a dispatch decision or an iteration
 # sample — so a query that is neither traced nor profiled pays a ``None``
 # check and nothing else.  The recorder is deliberately opaque here (it is a
 # :class:`repro.obs.profile.ProfileRecorder`); the engine talks to it duck
 # typed, keeping ``repro.engine`` free of any import of ``repro.obs``.
-_trace_local = threading.local()
+class _Trace(threading.local):
+    #: class-level defaults, as for the deadline: an unarmed read raises nothing
+    trace_id: Optional[str] = None
+    profile = None
+
+
+_trace_local = _Trace()
 
 
 def active_trace_id() -> Optional[str]:
     """The calling thread's armed per-query trace ID, if any."""
-    return getattr(_trace_local, "trace_id", None)
+    return _trace_local.trace_id
 
 
 def active_profile():
     """The calling thread's armed profile recorder, if any."""
-    return getattr(_trace_local, "profile", None)
+    return _trace_local.profile
 
 
 @contextmanager
@@ -103,10 +120,7 @@ def query_trace(trace_id: Optional[str], profile=None):
     if trace_id is None and profile is None:
         yield
         return
-    previous = (
-        getattr(_trace_local, "trace_id", None),
-        getattr(_trace_local, "profile", None),
-    )
+    previous = (_trace_local.trace_id, _trace_local.profile)
     _trace_local.trace_id = trace_id if trace_id is not None else previous[0]
     _trace_local.profile = profile if profile is not None else previous[1]
     try:
@@ -172,9 +186,9 @@ class EvaluationStats:
         thread has an :func:`evaluation_deadline` armed and it has passed,
         this raises :class:`~repro.datalog.errors.QueryTimeout` instead of
         counting the pass, so ``iterations`` at the raise is the number of
-        passes completed — one ``getattr`` per fixpoint iteration when disarmed.
+        passes completed — one attribute read per fixpoint iteration when disarmed.
         """
-        deadline = getattr(_deadline_local, "value", None)
+        deadline = _deadline_local.value
         if deadline is not None and time.perf_counter() >= deadline:
             raise QueryTimeout(
                 f"evaluation exceeded its deadline at iteration {self.iterations + 1}"

@@ -1,14 +1,11 @@
-"""Generated join kernels — ``exec``-compiled fused loops for compiled plans.
+"""Generated join kernels — the executor every compiled plan runs on.
 
-:class:`~repro.engine.compile.CompiledRule` already hoists all planning out
-of the fixpoint, but its interpreted :meth:`join` still pays a per-row
-machine: a frontier list per step, a ``key_ops`` dispatch per probe, a tuple
-concatenation per stored slot and a ``record_lookup`` method call per probe.
-This module erases that machinery with code generation: each plan is turned
-into Python *source* for one flat nested loop — probe-key construction,
-within-atom equality checks, slot stores and head projection fused inline —
-and ``exec``-compiled into a closure that runs at the speed of the bytecode
-interpreter's tightest loops.
+:class:`~repro.engine.compile.CompiledRule` hoists all planning out of the
+fixpoint; this module erases the per-row machinery left over with code
+generation: each plan is turned into Python *source* for one flat nested
+loop — probe-key construction, within-atom equality checks, slot stores and
+head projection fused inline — and ``exec``-compiled into a closure that runs
+at the speed of the bytecode interpreter's tightest loops.
 
 For the delta variant of a transitive-closure rule the generated kernel is
 literally::
@@ -25,78 +22,83 @@ literally::
 
 Instrumentation contract
 ------------------------
-The kernels preserve :meth:`EvaluationStats.record_lookup` accounting
-exactly: every probe against a stored relation contributes one lookup (one
+Every probe against a stored relation contributes one lookup (one
 *unrestricted* lookup for a scan) and its retrieved rows to
-``tuples_examined``, identically to the interpreted path — the counters are
-accumulated in locals and flushed once per kernel call, so the Fig. 7/8
-restricted/unrestricted accounting and the maintenance counters pin to the
-same values with kernels on or off.  A plan whose body references a missing
-relation falls back to the interpreted path, which records the
-missing-relation lookup at the step where evaluation actually stops.
-
-The exception is a plan's leading ``inputs`` steps
-(:func:`~repro.engine.compile.compile_rule`): they read the caller's own
-relations — the Figure 9 schema's selection and carry — so the generated loop,
-like the interpreted one, walks them without touching the counters.
+``tuples_examined``, exactly as :meth:`EvaluationStats.record_lookup` would;
+the counters are accumulated in locals and flushed once per kernel call.  A
+body relation the caller lacks (:meth:`~repro.engine.compile.CompiledRule.resolve`)
+gets a kernel that stops at that step and records there one restricted
+lookup with nothing examined, once per call reaching it.  A plan's leading
+``inputs`` steps read the caller's own relations (the Figure 9 schema's
+selection and carry), so they are walked without touching the counters.
+CPython nests at most 20 blocks in one function: past :data:`_MAX_LOOPS`
+loops, the rest of a body continues in a nested function that shares the
+counters through ``nonlocal``.
 
 The Figure 9 schema
 -------------------
-:func:`build_schema_kernel` emits one function per
+:meth:`Generated.schema` emits one function per
 :class:`~repro.core.schema.SchemaPlan` from the same step loops: the exit and
 init operators, then ``while carry:`` with each known-column pattern's ``f``
 under a ``state`` switch, then ``g`` over each pattern's ``seen``.  Operator
 locals carry an ``o<k>_`` prefix, one ``.get`` / row set is hoisted per
 (stored relation, probe columns), the selection and the carry are walked as
-plain tuples with their probe columns compared inline, and ``f`` emits a row
-only ``if row not in seen``, adding it to ``seen`` and to the next carry.  The
-run flushes its counters — lookups, tuples examined and produced, the peak
-state — once, at the end or before re-raising the ``QueryTimeout`` that
-:meth:`EvaluationStats.record_iteration` raises at the top of a round.
+plain values with their probe columns compared inline (a one-column carry
+holds bare values), and ``f`` emits a row only ``if row not in seen``, adding
+it to ``seen`` and to the next carry.  Rounds and counters are flushed once,
+at the end; the armed deadline is read once per run and compared at the top
+of each round only when there is one, and the flush precedes the
+:class:`~repro.datalog.errors.QueryTimeout` that
+:meth:`EvaluationStats.record_iteration` then raises.
 
-The ``REPRO_KERNELS`` environment variable (``off``/``0``/``false``/``no``,
-read once per process) is the escape hatch: it forces every plan back onto
-its step machine (:meth:`CompiledRule.join`'s interpreted path), and the
-schema onto its join-per-round loop, which is what the differential harness
-uses to assert interpreted == kernel results tuple for tuple.  Neither
-executor is its own reference: ``tests/test_compile.py`` holds both, one join
-per rule and per delta variant, to :mod:`repro.testing.oracle`, which shares
-no planner or index code with them.
+:data:`EXECUTOR` builds every run, so it is the seam where a test runs a
+scope's plans on the reference step machine instead
+(:func:`repro.testing.reference.step_machine`).  Both are held to
+:mod:`repro.testing.oracle`, which shares no planner or index code with them.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..datalog.errors import QueryTimeout
-from .flags import EngineFlag
-from .instrumentation import active_profile
+from .instrumentation import active_profile, armed_deadline
 
-__all__ = [
-    "build_kernel",
-    "kernel_mode",
-    "kernel_source",
-    "kernels_enabled",
-    "set_kernels_enabled",
-]
+__all__ = ["EXECUTOR", "Generated"]
 
-#: the ``REPRO_KERNELS`` switch (see :mod:`repro.engine.flags`)
-KERNELS_FLAG = EngineFlag("REPRO_KERNELS")
+#: loops one generated function nests at most: CPython allows 20 blocks, and
+#: the Figure 9 run's carry loop is one of them
+_MAX_LOOPS = 19
 
 
-def kernels_enabled() -> bool:
-    """``True`` when compiled plans should run their generated kernels."""
-    return KERNELS_FLAG.enabled()
+class Generated:
+    """The executor: one generated function per plan and missing step, memoized on the plan."""
+
+    #: the dispatch a profile records for a plan this executor ran
+    dispatch = "kernel"
+
+    def kernel(self, plan, project: bool, missing: Optional[int] = None) -> Callable:
+        """``run(rels, initial, stats)``: head tuples (``project``) or slot tuples."""
+        key = project if missing is None else (project, missing)
+        kernel = plan._kernels.get(key)
+        if kernel is None:
+            source, env = _emit(plan, project, missing)
+            kernel = plan._kernels[key] = _define(plan, source, env, "_kernel")
+        return kernel
+
+    def schema(self, plan, missing: Tuple[str, ...] = ()) -> Callable:
+        """``run(rels, selection, stats)`` over ``plan.stored()``, those in ``missing``
+        absent; ``stats`` is required."""
+        run = plan._runs.get(missing)
+        if run is None:
+            source, env = _emit_schema(plan, missing)
+            run = plan._runs[missing] = _define(plan, source, env, "_schema")
+        return run
 
 
-def set_kernels_enabled(enabled: Optional[bool]) -> None:
-    """Force kernels on/off; ``None`` restores the ``REPRO_KERNELS`` switch."""
-    KERNELS_FLAG.set(enabled)
-
-
-def kernel_mode(enabled: Optional[bool]):
-    """Temporarily force kernels on or off (differential-testing hook)."""
-    return KERNELS_FLAG.mode(enabled)
+#: what builds every plan's and schema's run; only a test swaps it
+EXECUTOR = Generated()
 
 
 # ----------------------------------------------------------------------
@@ -116,17 +118,23 @@ def _emit_step(
     access: str,
     source: str,
     counted: bool,
+    bare: bool = False,
 ) -> str:
     """Emit the row loop of join step ``i`` at ``depth``; returns the loop body's depth.
 
     ``access`` says how the step reaches its rows: ``"probe"`` calls the hoisted
     index ``.get`` named ``source`` with the probe key, ``"scan"`` walks the
     hoisted row set ``source``, and ``"walk"`` iterates the caller's own rows
-    ``source`` with the probe signature checked inline.  A ``counted`` step records
-    its lookup (a scan's row count is hoisted as ``n<source>``).  Locals carry
-    ``prefix``, so several plans' loops can share one function.
+    ``source`` with the probe signature checked inline (``bare``: one-column
+    rows held as their value).  A ``counted`` step records its lookup (a scan's
+    row count is hoisted as ``n<source>``).  Locals carry ``prefix``, so several
+    plans' loops can share one function.
     """
     row = f"{prefix}row{i}"
+
+    def column(position: int) -> str:
+        return row if bare else f"{row}[{position}]"
+
     key = []
     for j, (is_const, value) in enumerate(step.key_ops):
         if is_const:
@@ -145,17 +153,43 @@ def _emit_step(
     w(depth + f"for {row} in {source}:")
     depth += "    "
     checks = list(zip(step.probe_columns, key)) if access == "walk" else []
-    checks += [(position, f"{row}[{earlier}]") for position, earlier in step.check_cols]
+    checks += [(position, column(earlier)) for position, earlier in step.check_cols]
     for position, expected in checks:
-        w(depth + f"if {row}[{position}] != {expected}:")
+        w(depth + f"if {column(position)} != {expected}:")
         w(depth + "    continue")
     for position, slot in step.store_cols:
-        w(depth + f"{prefix}s{slot} = {row}[{position}]")
+        w(depth + f"{prefix}s{slot} = {column(position)}")
     return depth
 
 
-def _head(plan, prefix: str, env: Dict[str, object]) -> str:
-    """The expression building ``plan``'s head tuple from its slots."""
+def _nest(
+    w: Callable[[str], None],
+    depth: str,
+    loops: List[Tuple[Tuple[str, ...], Callable[..., str]]],
+    innermost: List[str],
+    parts: List[List[str]],
+    counters: str,
+) -> None:
+    """Write ``loops`` nested from ``depth``, then the ``innermost`` lines.
+
+    A loop is ``(slots bound before it, write(w, depth) -> its body's depth)``.
+    Every :data:`_MAX_LOOPS` loops the rest continue in a new function, called
+    with the slots bound so far; its lines go to ``parts``, for the kernel to
+    define first, and it shares ``counters`` through ``nonlocal``.
+    """
+    for k, (bound, write) in enumerate(loops):
+        if k and k % _MAX_LOOPS == 0:
+            call = f"_part{len(parts)}({', '.join(bound)})"
+            w(depth + call)
+            parts.append([f"    def {call}:", f"        nonlocal {counters}"])
+            w, depth = parts[-1].append, "        "
+        depth = write(w, depth)
+    for line in innermost:
+        w(depth + line)
+
+
+def _head(plan, prefix: str, env: Dict[str, object], bare: bool = False) -> str:
+    """The expression building ``plan``'s head tuple from its slots (``bare``: its one value)."""
     parts = []
     for j, (is_const, value) in enumerate(plan.head_ops):
         if is_const:
@@ -163,22 +197,24 @@ def _head(plan, prefix: str, env: Dict[str, object]) -> str:
             parts.append(f"{prefix}H{j}")
         else:
             parts.append(f"{prefix}s{value}")
-    return _tuple(parts)
+    return parts[0] if bare else _tuple(parts)
 
 
-def _emit(plan, project: bool) -> Tuple[str, Dict[str, object]]:
+def _emit(plan, project: bool, missing: Optional[int] = None) -> Tuple[str, Dict[str, object]]:
     """Source + exec environment for one kernel of ``plan``.
 
     ``project=True`` emits the *evaluate* kernel (head tuples, deduplicated
     into a set); ``project=False`` the *join* kernel (one slot tuple per
     satisfying assignment, duplicates preserved — the counting maintenance
-    layer consumes assignment multiplicities).
+    layer consumes assignment multiplicities).  With ``missing``, the loops
+    stop at that step, which records one lookup if any row reaches it.
     """
     env: Dict[str, object] = {"_E": ()}
-    lines: List[str] = ["def _kernel(rels, initial, stats):"]
+    lines: List[str] = []
     w = lines.append
     body = "    "
-    w(body + "_lk = 0; _ur = 0; _ex = 0")
+    counters = "_lk, _ur, _ex" if missing is None else "_lk, _ur, _ex, _mk"
+    w(body + counters.replace(",", " =") + " = 0")
     if project:
         w(body + "out = set()")
         w(body + "out_add = out.add")
@@ -186,70 +222,80 @@ def _emit(plan, project: bool) -> Tuple[str, Dict[str, object]]:
         w(body + "out = []")
         w(body + "out_add = out.append")
 
-    initial_count = len(plan.initial_slots)
-    if initial_count:
-        w(body + ", ".join(f"s{i}" for i in range(initial_count))
-          + ("," if initial_count == 1 else "") + " = initial")
+    bound = [f"s{i}" for i in range(len(plan.initial_slots))]
+    if bound:
+        w(body + ", ".join(bound) + ("," if len(bound) == 1 else "") + " = initial")
 
     # hoists: one index resolution / scan per step, done once per call (the
     # relations are static for the duration of one rule application)
-    for i, step in enumerate(plan.steps):
+    loops = []
+    for i, step in enumerate(plan.steps[:missing]):
+        counted = i >= plan.inputs
         if step.probe_columns:
             env[f"COLS{i}"] = step.probe_columns
             w(body + f"get{i} = rels[{i}]._index_for(COLS{i}).get")
+            access = ("probe", f"get{i}")
         else:
-            w(body + f"scan{i} = rels[{i}].rows()")
-            if i >= plan.inputs:
-                w(body + f"nscan{i} = len(scan{i})")
+            w(body + f"scan{i} = rels[{i}].rows()" + (f"; nscan{i} = len(scan{i})" if counted else ""))
+            access = ("scan", f"scan{i}")
+        write = partial(_emit_step, step=step, i=i, prefix="", env=env, access=access[0], source=access[1],
+                        counted=counted)
+        loops.append((tuple(bound), write))
+        bound += [f"s{slot}" for _position, slot in step.store_cols]
 
-    depth = body
-    for i, step in enumerate(plan.steps):
-        counted = i >= plan.inputs
-        if step.probe_columns:
-            depth = _emit_step(w, depth, step, i, "", env, "probe", f"get{i}", counted)
-        else:
-            depth = _emit_step(w, depth, step, i, "", env, "scan", f"scan{i}", counted)
-
-    if project:
-        emitted = _head(plan, "", env)
+    if missing is not None:
+        innermost = ["_mk = 1"]
+    elif project:
+        innermost = [f"out_add({_head(plan, '', env)})"]
     else:
-        emitted = _tuple([f"s{i}" for i in range(plan.slot_count)])
-    w(depth + f"out_add({emitted})")
+        innermost = [f"out_add({_tuple([f's{i}' for i in range(plan.slot_count)])})"]
+    parts: List[List[str]] = []
+    _nest(w, body, loops, innermost, parts, counters)
 
     w(body + "if stats is not None:")
-    w(body + "    stats.lookups += _lk")
+    w(body + "    stats.lookups += _lk" + (" + _mk" if missing is not None else ""))
     w(body + "    stats.unrestricted_lookups += _ur")
     w(body + "    stats.tuples_examined += _ex")
     w(body + "return out")
-    return "\n".join(lines) + "\n", env
+    header = ["def _kernel(rels, initial, stats):", *(line for part in parts for line in part)]
+    return "\n".join(header + lines) + "\n", env
 
 
-def _emit_schema(plan) -> Tuple[str, Dict[str, object], Tuple[str, ...]]:
-    """Source, exec environment and stored predicates of one Figure 9 run of ``plan``.
+def _emit_schema(plan, missing: Tuple[str, ...] = ()) -> Tuple[str, Dict[str, object]]:
+    """Source and exec environment of one Figure 9 run of ``plan``.
 
-    ``plan`` is a :class:`~repro.core.schema.SchemaPlan`.  Its operators'
-    loops are emitted into one function, each operator's locals under its own
-    prefix; the known-pattern chain of the carry is a ``state`` switch.  The
-    selection and the carry are walked as plain values, and an operator that
-    can produce nothing is left out, as the join-per-round loop skips it too.
+    ``plan`` is a :class:`~repro.core.schema.SchemaPlan`; the run reads the
+    relations of ``plan.stored()`` in that order, of which those named in
+    ``missing`` are absent.  Its operators' loops are emitted into one
+    function, each operator's locals under its own prefix; the known-pattern
+    chain of the carry is a ``state`` switch.  An operator that can produce
+    nothing is left out, as the step machine skips it too; one that reads an
+    absent relation stops there and records one lookup per application
+    reaching it.
     """
-    env: Dict[str, object] = {"_E": (), "QueryTimeout": QueryTimeout, "WIDTH": max(1, plan.carry_arity)}
-    predicates: List[str] = []
+    env: Dict[str, object] = {
+        "_E": (),
+        "DEADLINE": armed_deadline,
+        "perf_counter": perf_counter,
+        "WIDTH": max(1, plan.carry_arity),
+    }
+    stored = plan.stored()
+    bare = plan.carry_arity == 1
     hoisted: Dict[Tuple[str, Tuple[int, ...]], Tuple[str, str]] = {}
     hoists: List[str] = []
+    parts: List[List[str]] = []
     lines: List[str] = []
     w = lines.append
     operators = list(plan.operators().items())
     states = {known: state for state, (known, _operator) in enumerate(operators)}
     numbered = {id(op): k for k, op in enumerate(plan.compiled_plans())}
+    counters = "_lk, _ur, _ex" if not missing else "_lk, _ur, _ex, _mk"
 
-    def access(step) -> Tuple[str, str]:
+    def access_for(step) -> Tuple[str, str]:
         """One hoisted ``.get`` / row set per (stored relation, probe columns)."""
         found = hoisted.get((step.predicate, step.probe_columns))
         if found is None:
-            if step.predicate not in predicates:
-                predicates.append(step.predicate)
-            relation, n = f"rels[{predicates.index(step.predicate)}]", len(hoisted)
+            relation, n = f"rels[{stored.index(step.predicate)}]", len(hoisted)
             if step.probe_columns:
                 env[f"COLS{n}"] = step.probe_columns
                 hoists.append(f"get{n} = {relation}._index_for(COLS{n}).get")
@@ -260,30 +306,39 @@ def _emit_schema(plan) -> Tuple[str, Dict[str, object], Tuple[str, ...]]:
             hoisted[step.predicate, step.probe_columns] = found
         return found
 
-    def apply(depth: str, op, carry: str, emit: Callable[[str, str], None]) -> None:
+    def apply(depth: str, op, carry: str, emit: Callable[..., List[str]]) -> None:
         """``op``'s loops over the selection, ``carry`` and the stored relations."""
         if not op.producible:
             return
         prefix = f"o{numbered[id(op)]}_"
-        for i, step in enumerate(op.steps):
-            if i < op.inputs:
-                depth = _emit_step(w, depth, step, i, prefix, env, "walk", carry if i else "SELECTION", False)
+        cut = next((i for i, step in enumerate(op.steps) if i >= op.inputs and step.predicate in missing), None)
+        loops, bound = [], []
+        for i, step in enumerate(op.steps[:cut]):
+            if i < op.inputs:  # the selection, then the carry (bare when it is one column)
+                access, counted, walk_bare = ("walk", carry if i else "SELECTION"), False, bare and i == 1
             else:
-                depth = _emit_step(w, depth, step, i, prefix, env, *access(step), True)
-        emit(depth, _head(op, prefix, env))
+                access, counted, walk_bare = access_for(step), True, False
+            write = partial(_emit_step, step=step, i=i, prefix=prefix, env=env, access=access[0],
+                            source=access[1], counted=counted, bare=walk_bare)
+            loops.append((tuple(bound), write))
+            bound += [f"{prefix}s{slot}" for _position, slot in step.store_cols]
+        _nest(w, depth, loops, ["_mk = 1"] if cut is not None else emit(op, prefix), parts, counters)
+        if cut is not None:
+            w(depth + "_lk += _mk; _mk = 0")
 
-    def into_answers(depth: str, head: str) -> None:
-        w(depth + f"answers_add({head})")
+    def into_answers(op, prefix: str) -> List[str]:
+        return [f"answers_add({_head(op, prefix, env)})"]
 
-    def into_carry(state: int, carry: str) -> Callable[[str, str], None]:
+    def into_carry(state: int, carry: str) -> Callable[..., List[str]]:
         """``carry := f(carry) − seen; seen ∪= carry`` with the difference fused in."""
-        def emit(depth: str, head: str) -> None:
-            w(depth + f"row = {head}")
-            w(depth + f"if row not in seen{state}:")
-            w(depth + f"    seen{state}_add(row); {carry}_append(row)")
-        return emit
+        return lambda op, prefix: [
+            f"row = {_head(op, prefix, env, bare)}",
+            f"if row not in seen{state}:",
+            f"    seen{state}_add(row); {carry}_append(row)",
+        ]
 
     flush = [
+        "stats.iterations += rounds",
         "stats.lookups += _lk",
         "stats.unrestricted_lookups += _ur",
         "stats.tuples_examined += _ex",
@@ -295,7 +350,8 @@ def _emit_schema(plan) -> Tuple[str, Dict[str, object], Tuple[str, ...]]:
     ]
     body, loop = "    ", "        "
     w(body + "SELECTION = (selection,)")
-    w(body + "_lk = 0; _ur = 0; _ex = 0")
+    w(body + counters.replace(",", " =") + " = 0")
+    w(body + "deadline = DEADLINE(); rounds = 0")
     w(body + "answers = set(); answers_add = answers.add")
     for state in range(len(operators)):
         w(body + f"seen{state} = set(); seen{state}_add = seen{state}.add")
@@ -310,12 +366,11 @@ def _emit_schema(plan) -> Tuple[str, Dict[str, object], Tuple[str, ...]]:
         w(body + f"state = {states[plan.init_known]}")
     # 4-8) while carry not empty: carry := f(carry) − seen; seen ∪= carry
     w(body + "while carry:")
-    w(loop + "try:")
-    w(loop + "    stats.record_iteration()")
-    w(loop + "except QueryTimeout:")
+    w(loop + "if deadline is not None and perf_counter() >= deadline:")
     for line in flush:
         w(loop + "    " + line)
-    w(loop + "    raise")
+    w(loop + "    stats.record_iteration()  # past the deadline: raises QueryTimeout")
+    w(loop + "rounds += 1")
     w(loop + "after = []; after_append = after.append")
     for state, (_known, (step, known, _finals)) in enumerate(operators):
         depth = loop
@@ -336,7 +391,8 @@ def _emit_schema(plan) -> Tuple[str, Dict[str, object], Tuple[str, ...]]:
         w(body + line)
     w(body + "return answers")
     header = ["def _schema(rels, selection, stats):", *(body + line for line in hoists)]
-    return "\n".join(header + lines) + "\n", env, tuple(predicates)
+    header += [line for part in parts for line in part]
+    return "\n".join(header + lines) + "\n", env
 
 
 #: source → compiled code object.  The generated source encodes only the
@@ -346,8 +402,8 @@ def _emit_schema(plan) -> Tuple[str, Dict[str, object], Tuple[str, ...]]:
 #: and pay only a cheap ``exec`` to close over their own constants.
 _code_cache: Dict[str, object] = {}
 
-#: (source, environment items) → finished kernel function.  One level above
-#: the code cache: two plans with the same structure *and* the same embedded
+#: (source, environment items) → finished function.  One level above the
+#: code cache: two plans with the same structure *and* the same embedded
 #: constants (the common case for per-query recompiled plans, whose
 #: selection constants travel through ``initial`` bindings rather than the
 #: environment) share the very same function object.  Cleared wholesale at a
@@ -356,57 +412,27 @@ _function_cache: Dict[object, Callable] = {}
 _FUNCTION_CACHE_LIMIT = 4096
 
 
-def build_kernel(plan, project: bool) -> Callable:
-    """One generated kernel for ``plan`` (eval when ``project``, else join)."""
+def _define(plan, source: str, env: Dict[str, object], name: str) -> Callable:
+    """The function ``name`` that ``source`` defines, closed over ``env``, built for ``plan``."""
     profile = active_profile()
     if profile is not None:
         profile.record_kernel_built(plan)
-    source, env = _emit(plan, project)
     try:
         key = (source, tuple(sorted(env.items())))
-        kernel = _function_cache.get(key)
+        function = _function_cache.get(key)
     except TypeError:  # an unorderable/unhashable constant: skip this cache
-        key = None
-        kernel = None
-    if kernel is not None:
-        return kernel
-    kernel = _define(source, env, "_kernel", f"<kernel {'eval' if project else 'join'}>")
-    if key is not None:
-        if len(_function_cache) >= _FUNCTION_CACHE_LIMIT:
-            _function_cache.clear()
-        _function_cache[key] = kernel
-    return kernel
-
-
-def build_schema_kernel(plan) -> Tuple[Callable, Tuple[str, ...]]:
-    """The generated Figure 9 run of a :class:`~repro.core.schema.SchemaPlan`.
-
-    Returns ``(run, predicates)``: ``run(rels, selection, stats)`` answers the
-    query whose constants are the tuple ``selection``, where ``rels`` holds the
-    stored relation of each name in ``predicates``, in that order.  ``stats``
-    is required; the run records on it what the join-per-round loop would.
-    """
-    profile = active_profile()
-    if profile is not None:
-        profile.record_kernel_built(plan)
-    source, env, predicates = _emit_schema(plan)
-    return _define(source, env, "_schema", "<kernel schema>"), predicates
-
-
-def _define(source: str, env: Dict[str, object], name: str, filename: str) -> Callable:
-    """The function ``name`` that ``source`` defines, closed over ``env``."""
+        key = function = None
+    if function is not None:
+        return function
     code = _code_cache.get(source)
     if code is None:
-        code = compile(source, filename, "exec")
-        _code_cache[source] = code
+        code = _code_cache[source] = compile(source, f"<kernel {name}>", "exec")
     namespace = dict(env)
     exec(code, namespace)  # noqa: S102 - the source is generated here, not user input
     function = namespace[name]
     function.__kernel_source__ = source
+    if key is not None:
+        if len(_function_cache) >= _FUNCTION_CACHE_LIMIT:
+            _function_cache.clear()
+        _function_cache[key] = function
     return function
-
-
-def kernel_source(plan, project: bool = True) -> str:
-    """The generated source of one of ``plan``'s kernels (debugging aid)."""
-    source, _env = _emit(plan, project)
-    return source

@@ -18,7 +18,7 @@ the rung that answered, the rungs that refused and the optimizer's provenance.
 
 Whatever strategy is picked, the joins underneath run on the engine's fast
 runtime: compiled plans evaluate through generated kernels
-(:mod:`repro.engine.kernels`, ``REPRO_KERNELS=off`` to disable), and every
+(:mod:`repro.engine.kernels`), and every
 strategy joins over the database's stored values as they are, so the answers
 in a :class:`QueryResult` are the caller's own values.
 """
@@ -226,7 +226,8 @@ class Rung:
     reason: str
     #: ``run(database, selection, counting_depth) -> (answers, stats)``
     run: Callable[[Database, SelectionQuery, int], Tuple[Set[Row], EvaluationStats]] = field(repr=False)
-    #: ``plans(selection, relations)``: the joins ``run`` would execute, in execution order
+    #: ``plans(selection, relations)``: the joins ``run`` would execute, in execution order;
+    #: ``relations``, when given, gains what ``run`` adds before its first join (a magic seed)
     plans: Callable[[SelectionQuery, Optional[Dict[str, Relation]]], List[CompiledRule]] = field(repr=False)
     #: a one-sided rung's memoized :class:`repro.core.schema.SchemaPlan`
     schema: Optional[object] = field(default=None, repr=False)
@@ -295,7 +296,7 @@ def _plan(
     auto = strategy == "auto"
 
     from ..baselines.counting import counting_plans, counting_query, counting_scope_reason
-    from ..baselines.magic import magic_query, magic_rewrite
+    from ..baselines.magic import magic_query
     from ..core.classify import selection_covers_unbounded_sides
     from ..core.schema import compile_schema, one_sided_query
     from ..optimize.passes import Optimizer, UnfoldingPass, detection_passes, optimize_program
@@ -401,9 +402,7 @@ def _plan(
         rung(
             "magic-sets", "the selection constants restrict the fixpoint through magic predicates",
             lambda database, selection, _depth: _unpack(magic_query(program, database, selection)),
-            lambda selection, relations: fixpoint_plans(
-                magic_rewrite(program, selection).rewritten, relations
-            ),
+            lambda selection, relations: _magic_plans(program, selection, relations),
         )
     if auto or strategy == "seminaive":
         rung(
@@ -418,6 +417,16 @@ def _plan(
     if not rungs:
         raise EvaluationError(f"{strategy} strategy unavailable: {unavailable}")
     return QueryPlan(provenance, tuple(rungs), tuple(refused))
+
+
+def _magic_plans(program: Program, selection: SelectionQuery, relations) -> List[CompiledRule]:
+    """The magic rung's joins; ``relations`` gains the seed ``magic_query`` adds."""
+    from ..baselines.magic import magic_rewrite
+
+    rewriting = magic_rewrite(program, selection)
+    if relations is not None:
+        relations[rewriting.seed_predicate] = rewriting.seed_relation()
+    return fixpoint_plans(rewriting.rewritten, relations)
 
 
 def answer(

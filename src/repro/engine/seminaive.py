@@ -214,9 +214,9 @@ def delta_rounds(
     ``current`` maps each group predicate to its delta relation, seeded by the
     caller.  A round joins every variant whose delta is non-empty, keeps what
     the policy calls new, and at the round boundary absorbs it and hands it on
-    as the next delta.  The dispatch (kernel or interpreted join, which
-    relations) is decided here, once, and a delta relation is one object for
-    the whole loop, so a join that probes it keeps its registered index.
+    as the next delta.  Each join's relations are resolved here, once, and a
+    delta relation is one object for the whole loop, so a join that probes it
+    keeps its registered index.
     """
     fresh, absorb = policy
     profile = active_profile()

@@ -5,8 +5,8 @@ module explains *one query*:
 
 * :class:`QueryProfile` — everything one query did: its text and trace ID,
   the strategy the front door picked and the optimizer rewrites that drove
-  it, the compiled-plan shape per rule (join order plus the dispatch choice
-  among interpreted / kernel / columnar, with the adaptive
+  it, the compiled-plan shape per rule (join order plus the dispatch:
+  generated kernel or columnar batch, with the adaptive
   profitability score where one was computed), per-stratum and
   per-fixpoint-iteration timings with delta sizes, the full
   :class:`~repro.engine.instrumentation.EvaluationStats`, the cache outcome
@@ -74,9 +74,9 @@ class PlanProfile:
     #: ``p[probe 0,1]`` (index probe on those columns) or ``p[scan]``; the
     #: evaluator's own input relations read ``input p/arity[...]``
     join_order: Tuple[str, ...]
-    #: ``interpreted`` | ``kernel``
+    #: ``kernel`` (``interpreted`` on the reference step machine of a test)
     dispatch: str
-    #: free-form extra (e.g. why a fallback happened)
+    #: free-form extra (e.g. the body relation the run found missing)
     detail: str = ""
     #: how many times this (plan, dispatch) pair ran during the query
     applications: int = 1
@@ -606,7 +606,7 @@ def explain(
     (:func:`~repro.engine.query.plan_query`: the optimizer passes are analysis,
     not evaluation) **without touching a single stored tuple**: the strategy is
     the first rung's, the plans are the joins that rung would run with their
-    predicted dispatch, the remaining rungs are the ``fallbacks`` and the rungs
+    dispatch, the remaining rungs are the ``fallbacks`` and the rungs
     the analysis already refused are ``fell_through``.  The plans are the
     rung's own — the memoized Figure-9 schema (``t.exit`` / ``t.init`` /
     ``t.forward`` / ``t.backward`` / ``t.answer``, each led by its ``input
@@ -615,7 +615,12 @@ def explain(
     :func:`~repro.engine.seminaive.fixpoint_plans` of the program it evaluates:
     per stratum the base rules, then one ``delta p[...]``-led variant per
     occurrence of a recursive predicate.
-    ``database`` is optional and used only for size-based join ordering.
+
+    ``database`` is optional.  It orders joins by size, and each plan resolves
+    its body relations against it — plus what the rung derives or seeds on the
+    way — with the :meth:`~repro.engine.compile.CompiledRule.resolve` call the
+    run makes, so a body relation the run will find missing is named in the
+    plan's detail, as EXPLAIN ANALYZE names it.
 
     The returned :class:`QueryProfile` has ``outcome="plan-only"``, empty
     stats/iterations, and the strategy ``answer`` reports — unless an
@@ -623,7 +628,8 @@ def explain(
     data) makes ``answer`` fall through mid-flight, which no plan-only
     analysis can see.
     """
-    from ..engine.kernels import kernels_enabled
+    from ..engine import kernels
+    from ..engine.compile import ABSENT
     from ..engine.query import as_selection_query, plan_query
 
     selection = as_selection_query(program, query)
@@ -631,11 +637,16 @@ def explain(
     chosen, *fallbacks = plan.rungs
     relations = {r.name: r for r in database.relations()} if database is not None else None
     recorder = ProfileRecorder(str(selection))
-    for compiled in chosen.plans(selection, relations):
-        if kernels_enabled():
-            recorder.record_dispatch(compiled, "kernel")
-        else:
-            recorder.record_dispatch(compiled, "interpreted", "REPRO_KERNELS=off")
+    compiled_plans = chosen.plans(selection, relations)
+    if relations is not None:
+        # a relation the rung derives is there by the time its readers run
+        # (any relation stands in for it: ``resolve`` only asks whether one is there)
+        for compiled in compiled_plans:
+            relations.setdefault(compiled.rule.head.predicate, ABSENT)
+    dispatch = kernels.EXECUTOR.dispatch
+    for compiled in compiled_plans:
+        missing = compiled.resolve(relations)[1] if relations is not None else None
+        recorder.record_dispatch(compiled, dispatch, compiled.dispatch_detail(missing))
     profile = recorder.build(
         strategy=chosen.strategy,
         outcome="plan-only",

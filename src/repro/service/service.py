@@ -566,7 +566,6 @@ class DatalogService:
     def _status_report(self) -> Dict[str, object]:
         """The ``/statusz`` payload: the three stats dicts + epoch + flags."""
         from ..engine.columnar import COLUMNAR_FLAG
-        from ..engine.kernels import KERNELS_FLAG
 
         storage_stats = self.storage_stats
         threshold = self.tracer.slow_threshold_seconds
@@ -584,7 +583,7 @@ class DatalogService:
             "service": self.stats.as_dict(),
             "storage": storage_stats.as_dict() if storage_stats is not None else None,
             "engine": self._engine_bridge.totals.as_dict(),
-            "flags": {flag.env_var: flag.state() for flag in (KERNELS_FLAG, COLUMNAR_FLAG)},
+            "flags": {COLUMNAR_FLAG.env_var: COLUMNAR_FLAG.state()},
             "tracing": {
                 "spans_recorded": self.tracer.spans_recorded,
                 "slow_spans_recorded": self.tracer.slow_spans_recorded,

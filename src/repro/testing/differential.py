@@ -4,6 +4,9 @@ Evaluates one generated case (:mod:`repro.testing.generate`) under every
 evaluation strategy in the library and checks that they agree tuple for
 tuple:
 
+* **the model** — semi-naive evaluation's IDB relations must be the least
+  model :func:`repro.testing.oracle.fixpoint` computes, which shares no
+  planner, index or delta loop with the engine;
 * **naive vs. semi-naive** — full IDB relations must be identical;
 * **magic sets** — query answers must equal the answers selected from the
   semi-naive model;
@@ -17,8 +20,9 @@ tuple:
   unfolding, one-sided schema, counting, magic, semi-naive), runs on every
   case; whatever strategy it picks must reproduce the reference answers;
 * **interpreted / kernel / columnar** — semi-naive evaluation re-run with
-  the engine runtime pinned to each of its execution modes: the interpreted
-  step machine (``REPRO_KERNELS=off``), generated kernels (the default), and
+  the engine runtime pinned to each of its execution modes: the reference
+  step machine (:func:`repro.testing.reference.step_machine`), generated
+  kernels (the product's executor), and
   the columnar batch executor forced on (``REPRO_COLUMNAR=force``) so it
   runs even on workloads the adaptive planner would hand back to the
   kernels.  All modes must produce identical IDB relations tuple for tuple,
@@ -47,7 +51,6 @@ from ..datalog.errors import EvaluationError
 from ..datalog.relation import Row
 from ..engine.columnar import columnar_mode
 from ..engine.instrumentation import EvaluationStats, query_trace
-from ..engine.kernels import kernel_mode
 from ..engine.naive import naive_evaluate
 from ..engine.query import answer
 from ..engine.seminaive import (
@@ -57,7 +60,9 @@ from ..engine.seminaive import (
     seminaive_evaluate,
 )
 from ..obs.profile import ProfileRecorder, QueryProfile
+from . import oracle
 from .generate import DifferentialCase
+from .reference import step_machine
 
 #: depth bound handed to the counting method; generated cyclic cases trip it
 COUNTING_DEPTH_BOUND = 2_000
@@ -110,11 +115,11 @@ def _profile_mismatches(
         )
 
     # Dispatch provenance: each pinned mode can only reach a known subset of
-    # execution paths.  The interpreted mode must never claim a kernel ran;
+    # execution paths.  Each row executor must claim only itself;
     # the non-columnar modes must report the batch executor as switched off;
     # the forced-columnar mode must either run the batch executor (detail
     # "forced") or explain why the group had no batch template.
-    allowed = {"interpreted"} if engine == "interpreted" else {"kernel", "interpreted"}
+    allowed = {"interpreted"} if engine == "interpreted" else {"kernel"}
     dispatches = {plan.dispatch for plan in profile.plans}
     if not dispatches <= allowed:
         problems.append(
@@ -160,6 +165,18 @@ def run_differential(case: DifferentialCase) -> DifferentialReport:
     report.engines["naive"] = "ok"
     report.engines["seminaive"] = "ok"
 
+    model = oracle.fixpoint(program, {relation.name: relation.rows() for relation in database.relations()})
+    report.engines["oracle"] = "ok"
+    for predicate in sorted(program.idb_predicates()):
+        model_rows = model.get(predicate, set())
+        semi_rows = semi_derived[predicate].rows() if predicate in semi_derived else set()
+        if model_rows != semi_rows:
+            report.mismatches.append(
+                f"{predicate}: oracle model={len(model_rows)} vs seminaive={len(semi_rows)} tuples "
+                f"(oracle-only sample {sorted(model_rows - semi_rows, key=repr)[:5]}, "
+                f"seminaive-only sample {sorted(semi_rows - model_rows, key=repr)[:5]})"
+            )
+
     predicates = set(naive_derived) | set(semi_derived)
     for predicate in sorted(predicates):
         naive_rows = naive_derived[predicate].rows() if predicate in naive_derived else set()
@@ -187,7 +204,7 @@ def run_differential(case: DifferentialCase) -> DifferentialReport:
     ):
         stats = EvaluationStats()
         recorder = ProfileRecorder(str(query), trace_id=f"diff-{engine}-{case.name}")
-        with kernel_mode(kernels), columnar_mode(columnar):
+        with step_machine(not kernels), columnar_mode(columnar):
             # arm the EXPLAIN ANALYZE recorder around the same evaluation the
             # tuple/stats checks use: the profile must be a faithful account
             # of the run it rode along with, not a separate re-execution

@@ -1,4 +1,4 @@
-"""A naive conjunctive-query evaluator: the reference the engine is tested against.
+"""A naive Datalog evaluator: the reference the engine is tested against.
 
 Every evaluation in the library runs on :mod:`repro.engine.compile` plans,
 which read rows through :class:`~repro.datalog.relation.Relation`'s indexes;
@@ -6,8 +6,10 @@ a reference sharing the planner or those indexes would agree with a bug in
 them.  This one takes plain sets of tuples, joins the atoms in written order
 and backtracks.  Its only lookup structure is a dict per atom built here,
 keyed on the positions already fixed when the atom is reached, and every
-candidate row is matched against the whole atom again.  It imports nothing
-from :mod:`repro.engine` or the storage layer (``tests/test_oracle.py``).
+candidate row is matched against the whole atom again.  :func:`fixpoint` is
+the least model by naive iteration of :func:`apply_rule`: no strata, no
+deltas, no plans.  It imports nothing from :mod:`repro.engine` or the storage
+layer (``tests/test_oracle.py``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..datalog.atoms import Atom
-from ..datalog.rules import Rule
+from ..datalog.rules import Program, Rule
 from ..datalog.terms import Variable
 
 Facts = Mapping[str, Iterable[Tuple[object, ...]]]
@@ -98,3 +100,22 @@ def apply_rule(
         else:
             derived.add(tuple(row))
     return derived
+
+
+def fixpoint(program: Program, facts: Facts) -> Dict[str, Set[Tuple[object, ...]]]:
+    """The least model of ``program`` over ``facts``, every predicate's rows by name.
+
+    Applies every rule to the whole model, again and again, until a pass
+    derives nothing new.
+    """
+    model: Dict[str, Set[Tuple[object, ...]]] = {name: set(rows) for name, rows in facts.items()}
+    changed = True
+    while changed:
+        changed = False
+        for rule in program.rules:
+            derived = apply_rule(rule, model)
+            rows = model.setdefault(rule.head.predicate, set())
+            if not derived <= rows:
+                rows |= derived
+                changed = True
+    return model

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..datalog.relation import Row
-from ..engine.kernels import kernel_mode
 from ..engine.seminaive import seminaive_evaluate
 from ..incremental.session import Session
 from .generate import DifferentialCase, generate_case
+from .reference import step_machine
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def run_update_sequence(case: UpdateSequenceCase) -> UpdateSequenceReport:
             session.delete(step.relation, list(step.rows))
         _check_state(session, case, f"step {index} ({step})", report)
     if not report.mismatches:
-        with kernel_mode(False):
+        with step_machine():
             interpreted = seminaive_evaluate(case.base.program, session.database)
         view = session.view.derived
         for predicate in sorted(set(interpreted) | set(view)):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from repro.datalog import Database
+from repro.testing.reference import step_machine
 from repro.workloads import (
     buys_database,
     canonical_two_sided,
@@ -21,6 +22,26 @@ from repro.workloads import (
 #: ``--hypothesis-profile=ci``: five times the default example budget (the
 #: stateful machines take theirs from the active profile), no deadline
 settings.register_profile("ci", max_examples=500, deadline=None)
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--step-machine",
+        action="store_true",
+        help="run every test on the reference step machine instead of generated kernels "
+        "(a test that pins an executor itself still gets the one it asks for)",
+    )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _row_executor(request):
+    """The executor the session's plans run on: generated kernels, or with
+    ``--step-machine`` the reference step machine, for every test and fixture."""
+    if not request.config.getoption("--step-machine"):
+        yield
+        return
+    with step_machine():
+        yield
 
 
 @pytest.fixture

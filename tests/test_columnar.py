@@ -15,12 +15,12 @@ from repro.engine import (
     answer,
     columnar_enabled,
     columnar_mode,
-    kernel_mode,
     seminaive_evaluate,
 )
 from repro.engine.columnar import columnar_forced, set_columnar_enabled
 from repro.obs.profile import explain
 from repro.testing import generate_case
+from repro.testing.reference import step_machine
 from repro.workloads import (
     ALL_CANONICAL,
     appendix_a_database,
@@ -66,7 +66,7 @@ def evaluate_modes(program, database):
     outcomes = {}
     for label, columnar in (("kernel", False), ("forced", "force"), ("adaptive", True)):
         stats = EvaluationStats()
-        with kernel_mode(True), columnar_mode(columnar):
+        with step_machine(False), columnar_mode(columnar):
             derived = seminaive_evaluate(program, database, stats)
         outcomes[label] = (
             {name: relation.rows() for name, relation in derived.items()},
@@ -143,7 +143,7 @@ class TestWholeEvaluationParity:
             ("forced", True, "force"),
         ):
             stats = EvaluationStats()
-            with kernel_mode(kernels), columnar_mode(columnar):
+            with step_machine(not kernels), columnar_mode(columnar):
                 derived = seminaive_evaluate(program, database, stats)
             outcomes[label] = ({n: r.rows() for n, r in derived.items()}, counters(stats))
         assert outcomes["interpreted"] == outcomes["kernel"] == outcomes["forced"]
@@ -168,7 +168,7 @@ def evaluate_every_mode(program, database):
     outcomes = {}
     for label, kernels, columnar in MODES:
         stats = EvaluationStats()
-        with kernel_mode(kernels), columnar_mode(columnar):
+        with step_machine(not kernels), columnar_mode(columnar):
             derived = seminaive_evaluate(program, database, stats)
         outcomes[label] = ({n: r.rows() for n, r in derived.items()}, counters(stats))
     return outcomes
@@ -237,7 +237,7 @@ class TestEveryBodyHasOneAccounting:
         for label, rename in (("int", lambda node: node), ("str", as_string)):
             rows = star_rows(60, rename)
             stats = EvaluationStats()
-            with kernel_mode(kernels), columnar_mode(columnar):
+            with step_machine(not kernels), columnar_mode(columnar):
                 derived = seminaive_evaluate(
                     program, Database.from_dict({name: rows for name in "efg"}), stats
                 )

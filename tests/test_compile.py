@@ -24,12 +24,12 @@ from repro.engine import (
     EvaluationStats,
     compile_delta_variants,
     compile_rule,
-    kernel_mode,
     naive_evaluate,
     plan_order,
     seminaive_evaluate,
 )
 from repro.testing import FAMILIES, generate_case, oracle
+from repro.testing.reference import step_machine
 from repro.workloads import ALL_CANONICAL, edge_database, layered_dag
 
 KERNEL_MODES = pytest.mark.parametrize("kernels", [True, False], ids=["kernels", "interpreted"])
@@ -101,7 +101,7 @@ class TestCompiledRuleEquivalence:
     def test_probe_shapes_match_oracle(self, text, kernels):
         rule = parse_rule(text)
         x = Variable("X")
-        with kernel_mode(kernels):
+        with step_machine(not kernels):
             for seed in range(5):
                 relations = random_relations(seed)
                 facts = facts_of(relations)
@@ -116,7 +116,7 @@ class TestCompiledRuleEquivalence:
     def test_matches_oracle_on_canonical_rules(self, kernels):
         relations = sample_relations()
         facts = facts_of(relations)
-        with kernel_mode(kernels):
+        with step_machine(not kernels):
             for name, factory in ALL_CANONICAL.items():
                 program = factory()
                 for rule in program.rules:
@@ -133,7 +133,7 @@ class TestCompiledRuleEquivalence:
         relations.update(model)
         facts = facts_of(relations)
         rules = case.program.rules
-        with kernel_mode(kernels):
+        with step_machine(not kernels):
             for rule in rules:
                 compiled = compile_rule(rule, relations).evaluate(relations)
                 assert compiled == oracle.apply_rule(rule, facts), rule
@@ -155,7 +155,7 @@ class TestCompiledRuleEquivalence:
         relations = {"a": Relation("a", 2, [(i, i + 1) for i in range(30)])}
         expected = oracle.apply_rule(rule, facts_of(relations))
         assert len(expected) == 30 - length + 1
-        with kernel_mode(kernels):
+        with step_machine(not kernels):
             plan = compile_rule(rule, relations)
             assert plan.evaluate(relations) == expected
             assert len(plan.join(relations)) == len(expected)
@@ -297,7 +297,7 @@ class TestDeltaVariants:
         assert predicate == "t"
         assert occurrence == 1
         assert plan.order[0] == occurrence  # the delta leads the join order
-        with kernel_mode(kernels):
+        with step_machine(not kernels):
             compiled = plan.evaluate(relations, overrides={occurrence: delta})
         renamed, facts = with_delta(rule, occurrence, facts_of(relations), delta_rows)
         assert compiled == oracle.apply_rule(renamed, facts)
@@ -322,7 +322,7 @@ class TestDeltaVariants:
         delta = Relation("t", 2, delta_rows)
         compiled = set()
         expected = set()
-        with kernel_mode(kernels):
+        with step_machine(not kernels):
             for _predicate, occurrence, plan in compile_delta_variants(compile_rule, [rule], {"t"}):
                 compiled |= plan.evaluate(relations, overrides={occurrence: delta})
                 expected |= oracle.apply_rule(*with_delta(rule, occurrence, facts_of(relations), delta_rows))
@@ -339,7 +339,7 @@ class TestRandomisedAgainstOracle:
         relations = {"a": Relation("a", 2, a_rows), "b": Relation("b", 2, b_rows)}
         rule = parse_rule("q(X, Z, Y) :- a(X, Z), b(Z, Y).")
         for kernels in (True, False):
-            with kernel_mode(kernels):
+            with step_machine(not kernels):
                 assert evaluate(rule, relations) == oracle.apply_rule(rule, facts_of(relations))
 
 

@@ -76,6 +76,7 @@ def test_batch_covers_every_family_and_engine():
 
     reports, coverage = run_batch(cases)
     assert all(report.ok for report in reports)
+    assert coverage["oracle"] == SEED_COUNT
     assert coverage["naive"] == SEED_COUNT
     assert coverage["seminaive"] == SEED_COUNT
     assert coverage["magic"] >= SEED_COUNT * 0.9

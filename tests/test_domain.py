@@ -17,7 +17,6 @@ from repro.engine import (
     EvaluationStats,
     SelectionQuery,
     columnar_mode,
-    kernel_mode,
     naive_evaluate,
     seminaive,
     seminaive_evaluate,
@@ -25,6 +24,7 @@ from repro.engine import (
 from repro.engine.domain import Domain
 from repro.engine.flags import EngineFlag
 from repro.testing import generate_case
+from repro.testing.reference import step_machine
 from repro.workloads import chain, edge_database, layered_dag, uniform_tree
 
 PROGRAM = parse_program(
@@ -103,7 +103,7 @@ class TestEngineBoundary:
         expected = naive_evaluate(PROGRAM, database)["t"].rows()
         assert ("a", 0) in expected and ("a", 1.5) in expected
         for kernels, columnar in MODES.values():
-            with kernel_mode(kernels), columnar_mode(columnar):
+            with step_machine(not kernels), columnar_mode(columnar):
                 assert seminaive_evaluate(PROGRAM, database)["t"].rows() == expected
 
     def test_session_query_returns_original_values(self):
@@ -129,7 +129,7 @@ class TestStringIdsCostWhatIntIdsCost:
         for mode, (kernels, columnar) in MODES.items():
             int_stats, str_stats = EvaluationStats(), EvaluationStats()
             before = state_of(as_str)
-            with kernel_mode(kernels), columnar_mode(columnar):
+            with step_machine(not kernels), columnar_mode(columnar):
                 int_derived = seminaive_evaluate(program, as_int, int_stats)
                 str_derived = seminaive_evaluate(program, as_str, str_stats)
             assert counters(str_stats) == counters(int_stats), mode
@@ -181,7 +181,7 @@ class TestTouchedOnce:
         monkeypatch.setattr(Relation, "from_valid_rows", classmethod(counting_from_valid_rows))
         monkeypatch.setattr(seminaive, "_evaluate_group", watching_evaluate_group)
         kernels, columnar = MODES[mode]
-        with kernel_mode(kernels), columnar_mode(columnar):
+        with step_machine(not kernels), columnar_mode(columnar):
             derived = seminaive_evaluate(PROGRAM, Database.from_dict(self.STRING_CHAIN))
         assert len(derived["t"]) == 31
         assert adopted_since_last_round == []

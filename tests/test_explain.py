@@ -15,8 +15,8 @@ import pytest
 
 import repro
 from repro import Database, QueryProfile, answer, explain, parse_program
-from repro.engine.kernels import kernel_mode
 from repro.optimize import optimize_program
+from repro.testing.reference import step_machine
 
 TC = """
 t(X, Y) :- a(X, Z), t(Z, Y).
@@ -94,7 +94,7 @@ class TestExplain:
         """Forward and backward: EXPLAIN renders the memoized schema's own joins, and
         EXPLAIN ANALYZE records those same plans with the same dispatch."""
         program = parse_program(TC)
-        with kernel_mode(kernels):
+        with step_machine(not kernels):
             predicted = explain(program, query, tc_database())
             executed = answer(program, tc_database(), query, profile=True).profile
 
@@ -151,3 +151,80 @@ class TestExplain:
     def test_explain_is_exported_at_top_level(self):
         assert "explain" in repro.__all__
         assert repro.explain is explain
+
+
+# ----------------------------------------------------------------------
+# EXPLAIN is the plan: the dispatch a run records, read from the same call
+# ----------------------------------------------------------------------
+def _chain_program(length):
+    body = ", ".join(f"e(X{i}, X{i + 1})" for i in range(length))
+    return parse_program(f"q(X0, X{length}) :- {body}.")
+
+
+def _chain_database():
+    return Database.from_dict({"e": [(i, i + 1) for i in range(30)] + [(i, i + 2) for i in range(0, 30, 3)]})
+
+
+#: (program, database, query) → answers and nonzero EvaluationStats counters, as
+#: the step machine counted them when a missing body relation or a body longer
+#: than one generated function could nest still ran there
+PINNED = [
+    (
+        "q(X) :- t(X, Y), m(Y).", {"t": [(1, 2), (2, 3), (3, 4)]}, "q(X)?", "seminaive (auto)", set(),
+        {"lookups": 1, "iterations": 1, "plans_compiled": 1},
+    ),
+    (
+        "q(X) :- t(X, Y), m(Y).", {"t": [(1, 2), (2, 3), (3, 4)]}, "q(1)?", "magic-sets (auto)", set(),
+        {"lookups": 1, "iterations": 1, "plans_compiled": 1, "magic_rules": 1},
+    ),
+    (
+        # the missing relation is reached after a probe: that lookup counts per row
+        "p(Y) :- t(1, Y), m(Y).", {"t": [(1, 2), (1, 3), (2, 4)]}, "p(Y)?", "seminaive (auto)", set(),
+        {"tuples_examined": 2, "lookups": 2, "iterations": 1, "plans_compiled": 1},
+    ),
+    (
+        25, None, "q(X, Y)?", "seminaive (auto)",
+        {(x, y) for x in range(6) for y in range(25 + x, 31)},
+        {"tuples_examined": 19466, "tuples_produced": 42, "lookups": 18443, "unrestricted_lookups": 1,
+         "iterations": 1, "plans_compiled": 1},
+    ),
+    (
+        25, None, "q(0, Y)?", "magic-sets (auto)", {(0, y) for y in range(25, 31)},
+        {"tuples_examined": 4497, "tuples_produced": 12, "lookups": 3906, "unrestricted_lookups": 1,
+         "iterations": 1, "plans_compiled": 1, "magic_rules": 1},
+    ),
+]
+
+
+class TestExplainIsThePlan:
+    @pytest.mark.parametrize("kernels", [True, False], ids=["kernels", "step-machine"])
+    @pytest.mark.parametrize(
+        ("program", "facts", "query", "strategy", "answers", "counters"),
+        PINNED,
+        ids=["missing-unbound", "missing-magic", "missing-after-a-probe", "chain25", "chain25-magic"],
+    )
+    def test_explain_and_analyze_name_the_same_dispatch_per_plan(
+        self, program, facts, query, strategy, answers, counters, kernels
+    ):
+        program = _chain_program(program) if isinstance(program, int) else parse_program(program)
+        database = _chain_database() if facts is None else Database.from_dict(facts)
+        with step_machine(not kernels):
+            predicted = explain(program, query, database)
+            executed = answer(program, database, query, profile=True)
+
+        def dispatches(profile):
+            return {plan.rule: (plan.dispatch, plan.detail) for plan in profile.plans}
+
+        assert predicted.strategy == executed.strategy == strategy
+        assert dispatches(predicted) == dispatches(executed.profile)
+        assert {plan.dispatch for plan in executed.profile.plans} == {"kernel" if kernels else "interpreted"}
+        missing = "m" in program.edb_predicates()
+        assert {plan.detail for plan in executed.profile.plans} == {"missing body relation m" if missing else ""}
+        assert executed.answers == answers
+        totals = executed.stats.as_dict()
+        totals.pop("elapsed_seconds")
+        assert {key: value for key, value in totals.items() if value} == counters
+
+    def test_without_a_database_no_relation_is_named_missing(self):
+        predicted = explain(parse_program("q(X) :- t(X, Y), m(Y)."), "q(X)?")
+        assert [(plan.dispatch, plan.detail) for plan in predicted.plans] == [("kernel", "")]

@@ -297,7 +297,8 @@ class TestDeltaLoopPolicies:
         script = (
             "import json\n"
             "from repro import answer\n"
-            "from repro.engine import EvaluationStats, columnar_mode, kernel_mode, seminaive_evaluate\n"
+            "from repro.engine import EvaluationStats, columnar_mode, seminaive_evaluate\n"
+            "from repro.testing.reference import step_machine\n"
             "from repro.testing import generate_case\n"
             "def totals(stats):\n"
             "    counts = stats.as_dict()\n"
@@ -310,7 +311,7 @@ class TestDeltaLoopPolicies:
             "    for mode, kernels, columnar in (('interpreted', False, False), ('kernel', True, False),\n"
             "                                    ('columnar', True, 'force')):\n"
             "        stats = EvaluationStats()\n"
-            "        with kernel_mode(kernels), columnar_mode(columnar):\n"
+            "        with step_machine(not kernels), columnar_mode(columnar):\n"
             "            seminaive_evaluate(case.program, case.database, stats)\n"
             "        row[mode] = totals(stats)\n"
             "    result = answer(case.program, case.database, case.query)\n"

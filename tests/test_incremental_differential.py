@@ -22,13 +22,13 @@ import random
 import pytest
 
 from repro import Database, DatalogService, FlushPolicy, Session, seminaive_evaluate
-from repro.engine import kernel_mode
 from repro.testing import (
     generate_update_sequence,
     generate_update_sequences,
     run_update_batch,
     run_update_sequence,
 )
+from repro.testing.reference import step_machine
 
 SEED_COUNT = 28  # 4 full passes over the 7 generator families
 
@@ -121,7 +121,7 @@ COUNTERS = ("tuples_examined", "lookups", "unrestricted_lookups", "tuples_rederi
 @pytest.mark.parametrize("kernels", [True, False], ids=["kernel", "interpreted"])
 def test_delete_counters_are_pinned(kernels):
     table = {}
-    with kernel_mode(kernels):
+    with step_machine(not kernels):
         for case in generate_update_sequences(SEED_COUNT):
             session = Session(case.base.program, case.base.database.copy())
             totals = dict.fromkeys(COUNTERS, 0)

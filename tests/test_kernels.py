@@ -1,9 +1,10 @@
 """Generated join kernels must match the interpreted step machine exactly.
 
-Every assertion here runs the same compiled plan (or whole evaluation) once
-with kernels enabled and once with them disabled and demands identical
-results *and* identical instrumentation counters — the contract that lets
-the codegen path be the default runtime.
+Every assertion here runs the same compiled plan (or whole evaluation) once on
+generated kernels and once on the reference step machine
+(:func:`repro.testing.reference.step_machine`) and demands identical results
+*and* identical instrumentation counters — the contract that lets the
+generated code be the only executor in the product.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ from repro.engine import (
     EvaluationStats,
     compile_delta_variants,
     compile_rule,
-    kernel_mode,
-    kernels_enabled,
     seminaive_evaluate,
-    set_kernels_enabled,
 )
-from repro.engine.kernels import KERNELS_FLAG, kernel_source
+from repro.engine.kernels import EXECUTOR
 from repro.testing import generate_case
+from repro.testing.reference import step_machine
 from repro.workloads import ALL_CANONICAL, edge_database, layered_dag
 
 
@@ -45,9 +44,9 @@ def evaluate_both_ways(plan, relations, **kwargs):
     """(kernel result, interpreted result, kernel stats, interpreted stats)."""
     kernel_stats = EvaluationStats()
     interpreted_stats = EvaluationStats()
-    with kernel_mode(True):
+    with step_machine(False):
         kernel_result = plan.evaluate(relations, stats=kernel_stats, **kwargs)
-    with kernel_mode(False):
+    with step_machine():
         interpreted_result = plan.evaluate(relations, stats=interpreted_stats, **kwargs)
     return kernel_result, interpreted_result, kernel_stats, interpreted_stats
 
@@ -99,7 +98,7 @@ class TestKernelEquivalence:
         kernel, interpreted, ks, bs = evaluate_both_ways(plan, relations, bindings={x: 1})
         assert kernel == interpreted == {(1, 10)}
         assert counters(ks) == counters(bs)
-        with kernel_mode(True), pytest.raises(ValueError):
+        with step_machine(False), pytest.raises(ValueError):
             plan.evaluate(relations)
 
     def test_delta_override_equivalence(self):
@@ -116,12 +115,12 @@ class TestKernelEquivalence:
             assert kernel == interpreted
             assert counters(ks) == counters(bs)
 
-    def test_missing_relation_falls_back_and_records_one_lookup(self):
+    def test_missing_relation_records_one_lookup(self):
         rule = Rule(Atom.of("t", "X"), (Atom.of("missing", "X"),))
         plan = compile_rule(rule)
         for enabled in (True, False):
             stats = EvaluationStats()
-            with kernel_mode(enabled):
+            with step_machine(not enabled):
                 assert plan.evaluate({}, stats=stats) == set()
             assert stats.lookups == 1
 
@@ -131,7 +130,7 @@ class TestKernelEquivalence:
         plan = compile_rule(rule, relations)
         assert not plan.producible
         for enabled in (True, False):
-            with kernel_mode(enabled):
+            with step_machine(not enabled):
                 assert plan.evaluate(relations) == set()
 
     def test_join_multiplicities_match(self):
@@ -140,9 +139,9 @@ class TestKernelEquivalence:
         relations = {"e": Relation("e", 2, [(1, 10), (1, 20), (2, 30)])}
         rule = Rule(Atom.of("t", "X"), (Atom.of("e", "X", "Y"),))
         plan = compile_rule(rule, relations)
-        with kernel_mode(True):
+        with step_machine(False):
             kernel = sorted(plan.join(relations))
-        with kernel_mode(False):
+        with step_machine():
             interpreted = sorted(plan.join(relations))
         assert kernel == interpreted
         assert len(kernel) == 3  # multiset, not deduplicated
@@ -156,7 +155,7 @@ class TestFullEvaluationParity:
         stats_by_mode = {}
         for mode, kernels in (("interpreted", False), ("kernel", True)):
             stats = EvaluationStats()
-            with kernel_mode(kernels):
+            with step_machine(not kernels):
                 derived = seminaive_evaluate(case.program, case.database, stats)
             results[mode] = {p: r.rows() for p, r in derived.items()}
             stats_by_mode[mode] = counters(stats)
@@ -164,42 +163,12 @@ class TestFullEvaluationParity:
         assert stats_by_mode["interpreted"] == stats_by_mode["kernel"]
 
 
-class TestSwitches:
-    @pytest.fixture
-    def environment(self, monkeypatch):
-        """``monkeypatch`` for ``REPRO_KERNELS``, with the flag re-reading it after each
-        change and after the test puts the variable back."""
-        yield monkeypatch
-        monkeypatch.undo()
-        KERNELS_FLAG.refresh()
-
-    def test_environment_switch(self, environment):
-        set_kernels_enabled(None)
-        environment.delenv("REPRO_KERNELS", raising=False)
-        KERNELS_FLAG.refresh()
-        assert kernels_enabled()
-        environment.setenv("REPRO_KERNELS", "off")
-        assert kernels_enabled()  # read once per process, not per call
-        KERNELS_FLAG.refresh()
-        assert not kernels_enabled()
-        environment.setenv("REPRO_KERNELS", "on")
-        KERNELS_FLAG.refresh()
-        assert kernels_enabled()
-
-    def test_forced_override_beats_environment(self, environment):
-        environment.setenv("REPRO_KERNELS", "off")
-        KERNELS_FLAG.refresh()
-        with kernel_mode(True):
-            assert kernels_enabled()
-        assert not kernels_enabled()
-
+class TestKernelSource:
     def test_kernel_source_is_inspectable(self):
         rule = Rule(Atom.of("t", "X", "Y"), (Atom.of("a", "X", "W"), Atom.of("t", "W", "Y")))
         plan = compile_rule(rule)
-        source = kernel_source(plan, project=True)
-        assert "def _kernel(rels, initial, stats):" in source
-        assert "out_add(" in source
-        # the memoized pair is attached to the plan on first use
-        join_kernel, eval_kernel = plan.kernels()
-        assert plan.kernels()[0] is join_kernel
-        assert "def _kernel" in eval_kernel.__kernel_source__
+        # the generated kernel is memoized on the plan on first use
+        eval_kernel = EXECUTOR.kernel(plan, True)
+        assert EXECUTOR.kernel(plan, True) is eval_kernel
+        assert "def _kernel(rels, initial, stats):" in eval_kernel.__kernel_source__
+        assert "out_add(" in eval_kernel.__kernel_source__

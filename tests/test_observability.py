@@ -219,7 +219,7 @@ class TestEndpoints:
         assert payload["service"] == service.stats.as_dict()
         assert payload["storage"] is None  # in-memory service
         assert payload["engine"]["lookups"] == service._engine_bridge.totals.lookups
-        assert set(payload["flags"]) == {"REPRO_KERNELS", "REPRO_COLUMNAR"}
+        assert set(payload["flags"]) == {"REPRO_COLUMNAR"}
         assert payload["tracing"]["spans_recorded"] == service.tracer.spans_recorded
         assert payload["tracing"]["slow_threshold_seconds"] == 0.1
 

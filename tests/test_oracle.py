@@ -16,7 +16,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datalog import parse_atom, parse_rule
+from repro.datalog import parse_atom, parse_program, parse_rule
 from repro.datalog.terms import Variable
 from repro.testing import oracle
 
@@ -103,3 +103,17 @@ class TestOracle:
         facts = {"a": a_rows, "f": f_rows}
         atoms = [parse_atom("a(X, Y)"), parse_atom("f(Y, Z, X)"), parse_atom("a(Z, 1)")]
         assert as_set(oracle.solutions(atoms, facts)) == as_set(brute_force(atoms, facts))
+
+
+class TestFixpoint:
+    def test_transitive_closure_is_the_least_model(self):
+        program = parse_program("t(X, Y) :- a(X, Z), t(Z, Y).\nt(X, Y) :- b(X, Y).")
+        model = oracle.fixpoint(program, FACTS)
+        assert model["t"] == {(4, 5), (3, 5), (2, 5), (1, 5), (2, 9), (1, 9)}
+        assert model["a"] == FACTS["a"]  # the facts themselves, untouched
+
+    def test_mutual_recursion_and_stored_facts_of_a_derived_predicate(self):
+        program = parse_program("even(Y) :- odd(X), a(X, Y).\nodd(Y) :- even(X), a(X, Y).")
+        model = oracle.fixpoint(program, {**FACTS, "even": {(1,)}})
+        assert model["even"] == {(1,), (3,)}
+        assert model["odd"] == {(2,), (4,)}

@@ -28,8 +28,8 @@ from repro import (
     answer,
     parse_program,
 )
-from repro.engine.kernels import kernel_mode
 from repro.obs.profile import ProfileRecorder
+from repro.testing.reference import step_machine
 
 TC = """
 t(X, Y) :- a(X, Z), t(Z, Y).
@@ -106,7 +106,7 @@ class TestAnswerProfile:
 
     @pytest.mark.parametrize("kernels", [True, False])
     def test_one_sided_profile_records_the_schema_joins(self, kernels):
-        with kernel_mode(kernels):
+        with step_machine(not kernels):
             result = answer(tc_program(), chain_database(), "t(1, Y)?", profile=True)
         assert result.strategy == "one-sided-forward (auto)"
         plans = {plan.rule.split("(")[0]: plan for plan in result.profile.plans}
@@ -128,7 +128,7 @@ class TestAnswerProfile:
 
         edges = list(uniform_tree(2, 7))
         database = Database.from_dict({"a": edges, "b": edges})
-        with kernel_mode(kernels):
+        with step_machine(not kernels):
             result = answer(tc_program(), database, "t(0, Y)?", profile=True)
         assert len(result.answers) == 254
         rounds = result.stats.iterations

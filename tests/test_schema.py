@@ -27,11 +27,11 @@ from repro.datalog import (
 )
 from repro.engine import EvaluationStats, SelectionQuery, seminaive_query
 from repro.engine.instrumentation import evaluation_deadline, query_trace
-from repro.engine.kernels import kernel_mode
 from repro.obs.profile import ProfileRecorder
 from repro.optimize import optimize_program
 from repro.optimize import passes as passes_module
 from repro.testing import generate_case
+from repro.testing.reference import step_machine
 from repro.workloads import (
     canonical_two_sided,
     edge_database,
@@ -262,11 +262,11 @@ def _applications(profile):
 
 
 def _both_executors(program, database, query):
-    """``answer(profile=True)`` under the generated run and under ``REPRO_KERNELS=off``
+    """``answer(profile=True)`` under the generated run and on the step machine
     (each under a deadline, as in :func:`_both_runs`)."""
     results = []
     for kernels in (True, False):
-        with kernel_mode(kernels), evaluation_deadline(time.perf_counter() + 1.0):
+        with step_machine(not kernels), evaluation_deadline(time.perf_counter() + 1.0):
             results.append(answer(program, database, query, profile=True))
     return results
 
@@ -278,7 +278,7 @@ def _both_runs(schema, database):
     runs = []
     for kernels in (True, False):
         recorder = ProfileRecorder(str(schema.query))
-        with kernel_mode(kernels), query_trace(None, recorder):
+        with step_machine(not kernels), query_trace(None, recorder):
             with evaluation_deadline(time.perf_counter() + 1.0):
                 result = schema.run(database)
         runs.append((result, _applications(recorder)))
@@ -337,15 +337,52 @@ class TestExecutorParity:
                 unrestricted += result.stats.unrestricted_lookups
         assert (unrestricted > 0) == (recursion == "example 3.4")
 
-    def test_missing_relation_falls_back_to_the_join_per_round_loop(self, tc_program):
+    def test_missing_relation_reads_as_empty_on_both_executors(self, tc_program):
         database = Database.from_dict({"a": [(1, 2), (2, 3)]})  # no exit relation b
         for column in (0, 1):
             schema = OneSidedSchema(tc_program, "t", SelectionQuery.of("t", 2, {column: 1}))
             (kernel, applied), (interpreted, _applied) = _both_runs(schema, database)
             assert kernel.answers == interpreted.answers == set()
             assert _totals(kernel.stats) == _totals(interpreted.stats)
-            # the operators still ran one by one: b's missing-relation lookups are recorded
+            # b's missing-relation lookups are recorded, once per application reaching it
             assert kernel.stats.lookups > 0 and applied
+
+    #: answers and nonzero counters of a 19-atom recursive body, as the step
+    #: machine counted them while no generated run could nest that deep
+    LONG_BODY = {
+        "t(0, Y)?": (
+            {(0, 1000), (0, 1025), (0, 1035), (0, 1040), (0, 1050), (0, 1060)},
+            {"tuples_examined": 4886, "tuples_produced": 25, "lookups": 4184, "iterations": 3,
+             "peak_state_tuples": 35, "peak_state_columns": 35},
+        ),
+        "t(X, 1040)?": (
+            {(x, 1040) for x in (0, 2, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 40)},
+            {"tuples_examined": 1032, "tuples_produced": 13, "lookups": 949, "iterations": 3,
+             "peak_state_tuples": 21, "peak_state_columns": 21},
+        ),
+    }
+
+    @pytest.mark.parametrize("query", sorted(LONG_BODY))
+    def test_a_body_deeper_than_one_function_chains_its_loops(self, query):
+        """The selection, the carry and 19 atoms inside the carry loop pass CPython's
+        20 nested blocks: the generated run goes on in a second function."""
+        body = ", ".join(f"a(Z{i}, Z{i + 1})" for i in range(19))
+        program = parse_program(f"t(Z0, Y) :- {body}, t(Z19, Y).\nt(X, Y) :- b(X, Y).")
+        database = Database.from_dict({
+            "a": [(i, i + 1) for i in range(60)] + [(i, i + 3) for i in range(0, 60, 4)],
+            "b": [(i, 1000 + i) for i in range(0, 64, 5)],
+        })
+        kernel, interpreted = _both_executors(program, database, query)
+        answers, counters = self.LONG_BODY[query]
+        assert kernel.strategy.startswith("one-sided-")
+        assert kernel.answers == interpreted.answers == answers
+        assert _totals(kernel.stats) == _totals(interpreted.stats)
+        assert {key: value for key, value in _totals(kernel.stats).items() if value} == {
+            **counters, "carry_arity": 1
+        }
+        assert _applications(kernel.profile) == _applications(interpreted.profile)
+        schema = compile_schema(kernel.provenance.optimized, "t", 2, kernel.query.bound_columns())
+        assert "def _part0(" in schema._runs[()].__kernel_source__
 
     @pytest.mark.parametrize("program", [canonical_two_sided(), same_generation_distinct_parents()])
     def test_bounded_sides_route(self, program):
@@ -420,7 +457,7 @@ class TestCountsAgainstBreadthFirstSearch:
                     reached = set().union(*levels)
                     reach = len(reached)
                     buckets = sum(len(successors.get(node, ())) for node in [constant, *reached])
-                    with kernel_mode(kernels), evaluation_deadline(time.perf_counter() + 1.0):
+                    with step_machine(not kernels), evaluation_deadline(time.perf_counter() + 1.0):
                         result = one_sided_query(
                             program, database, SelectionQuery.of("t", 2, {column: constant})
                         )
@@ -560,7 +597,7 @@ class TestCompiledSchemaProperty:
         reference, _ = seminaive_query(program, database, "t", bound)
         assert len(reference) == 11
         for kernels in (True, False):
-            with kernel_mode(kernels):
+            with step_machine(not kernels):
                 result = schema.run(database)
             assert result.answers == reference
             assert result.stats.iterations == 6  # five productive rounds and the empty one
@@ -684,6 +721,16 @@ class TestPlanMemo:
         assert not failures
 
     @pytest.mark.parametrize("kernels", [True, False])
+    def test_a_passed_deadline_stops_the_first_round(self, tc_program, kernels):
+        database = Database.from_dict({"a": [(0, 1), (1, 2)], "b": [(2, 3)]})
+        stats = EvaluationStats()
+        with step_machine(not kernels), evaluation_deadline(time.perf_counter() - 1.0):
+            with pytest.raises(QueryTimeout, match="^evaluation exceeded its deadline at iteration 1$"):
+                one_sided_query(tc_program, database, SelectionQuery.of("t", 2, {0: 0}), stats=stats)
+        assert stats.iterations == 0
+        assert stats.tuples_produced == 1  # the first carry row, flushed before the raise
+
+    @pytest.mark.parametrize("kernels", [True, False])
     def test_deadline_interrupts_between_carry_rounds(self, tc_program, kernels):
         """Every round of a chain adds one carry row and probes once, so the counters
         at the raise say how many rounds completed — they must all have been recorded."""
@@ -694,7 +741,7 @@ class TestPlanMemo:
         # (column, constant, a constant reaching nothing that warms plan and indexes,
         # lookups before the first round)
         for column, constant, warm, initial in ((0, 0, length, 2), (1, length + 1, 0, 1)):
-            with kernel_mode(kernels):
+            with step_machine(not kernels):
                 one_sided_query(tc_program, database, SelectionQuery.of("t", 2, {column: warm}))
                 stats = EvaluationStats()
                 with evaluation_deadline(time.perf_counter() + 0.005):
