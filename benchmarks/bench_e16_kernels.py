@@ -32,12 +32,8 @@ from __future__ import annotations
 
 from repro import Session
 from repro.datalog import Database
-from repro.engine import (
-    SelectionQuery,
-    columnar_mode,
-    seminaive_evaluate,
-)
-from repro.testing.reference import step_machine
+from repro.engine import SelectionQuery, seminaive_evaluate
+from repro.testing.reference import batching, step_machine
 from repro.workloads import (
     bounded_swap,
     chain,
@@ -65,9 +61,9 @@ def timed_modes(function):
     subject) is pinned off in both modes — this experiment isolates the
     kernels against the interpreter.
     """
-    with step_machine(False), columnar_mode(False):
+    with step_machine(False), batching("off"):
         fast_time, fast_result = best_of(function)
-    with step_machine(), columnar_mode(False):
+    with step_machine(), batching("off"):
         interpreted_time, interpreted_result = best_of(function)
     return fast_time, interpreted_time, fast_result, interpreted_result
 
@@ -97,7 +93,7 @@ def string_id_cost(edges):
     """
     databases = (edge_database(edges), edge_database(string_ids(edges)))
     seconds, tuples = [[], []], [None, None]
-    with step_machine(False), columnar_mode(False):
+    with step_machine(False), batching("off"):
         for _ in range(7):
             for which, database in enumerate(databases):
                 elapsed, tuples[which] = best_of(
@@ -221,9 +217,9 @@ def test_e16_unfolded_evaluation_speedup(benchmark):
     def compare():
         # extra rounds: this workload has the thinnest margin of the suite,
         # so buy noise-resistance with a deeper best-of
-        with step_machine(False), columnar_mode(False):
+        with step_machine(False), batching("off"):
             fast_time, fast_answers = best_of(run_queries, rounds=5)
-        with step_machine(), columnar_mode(False):
+        with step_machine(), batching("off"):
             interpreted_time, interpreted_answers = best_of(run_queries, rounds=5)
         assert fast_answers == interpreted_answers
         return interpreted_time, fast_time

@@ -35,10 +35,10 @@ but never guarded.
 
 from __future__ import annotations
 
-from repro.engine import EvaluationStats, columnar_mode, seminaive_evaluate
+from repro.engine import EvaluationStats, seminaive_evaluate
 from repro.engine.instrumentation import query_trace
 from repro.obs.profile import ProfileRecorder
-from repro.testing.reference import step_machine
+from repro.testing.reference import batching, step_machine
 from repro.workloads import chain, edge_database, layered_dag, transitive_closure, uniform_tree
 from .helpers import attach, best_of, emit, run_once, string_ids
 
@@ -59,7 +59,7 @@ def counters(stats: EvaluationStats) -> dict:
     return values
 
 
-def timed_columnar_modes(function):
+def timed_batch_modes(function):
     """Best-of timings of ``function`` under kernel / forced-columnar modes.
 
     Both runs keep kernels on — this experiment isolates the batch executor
@@ -67,9 +67,9 @@ def timed_columnar_modes(function):
     Returns ``(kernel seconds, columnar seconds, kernel result, columnar
     result)``.
     """
-    with step_machine(False), columnar_mode(False):
+    with step_machine(False), batching("off"):
         kernel_time, kernel_result = best_of(function, rounds=5)
-    with step_machine(False), columnar_mode("force"):
+    with step_machine(False), batching("force"):
         columnar_time, columnar_result = best_of(function, rounds=5)
     return kernel_time, columnar_time, kernel_result, columnar_result
 
@@ -92,7 +92,7 @@ def test_e19_layered_fat_sweep_speedup(benchmark):
             def closure(db=database):
                 return closure_with_counters(db)
 
-            kernel_time, columnar_time, kernel_out, columnar_out = timed_columnar_modes(closure)
+            kernel_time, columnar_time, kernel_out, columnar_out = timed_batch_modes(closure)
             kernel_rows, kernel_counters = kernel_out
             columnar_rows, columnar_counters = columnar_out
             assert columnar_rows == kernel_rows  # tuple-identical answers
@@ -126,7 +126,7 @@ def test_e19_chain_adaptive_fallback(benchmark):
 
     One-tuple delta partitions give the columnar executor nothing to
     amortize, so forcing it loses (the unguarded honesty ratio below).  The
-    shipping configuration is *adaptive*: ``looks_profitable`` scores the
+    shipping configuration is *adaptive*: ``profit_score`` scores the
     initial delta and hands chains back to the kernel loop, which must cost
     essentially nothing (asserted ≥ 0.8 to allow scheduler jitter).
     """
@@ -136,9 +136,8 @@ def test_e19_chain_adaptive_fallback(benchmark):
         return closure_with_counters(database)
 
     def compare():
-        kernel_time, forced_time, kernel_out, forced_out = timed_columnar_modes(closure)
-        with step_machine(False), columnar_mode(True):
-            adaptive_time, adaptive_out = best_of(closure, rounds=5)
+        kernel_time, forced_time, kernel_out, forced_out = timed_batch_modes(closure)
+        adaptive_time, adaptive_out = best_of(closure, rounds=5)
         assert forced_out == kernel_out
         assert adaptive_out == kernel_out
         return kernel_time, forced_time, adaptive_time
@@ -173,9 +172,9 @@ def forest(out_degree: int) -> list:
 
 
 def adaptive_decision(database):
-    """``(dispatch, profit score)`` the default configuration gives the closure's stratum."""
+    """``(dispatch, profit score)`` the product's decision gives the closure's stratum."""
     recorder = ProfileRecorder("t(X, Y)?", trace_id="e19-decision")
-    with step_machine(False), columnar_mode(True), query_trace(recorder.trace_id, recorder):
+    with query_trace(recorder.trace_id, recorder):
         seminaive_evaluate(TC, database)
     decision = recorder.strata[-1]
     return decision.dispatch, decision.score
@@ -197,9 +196,8 @@ def test_e19_fanout_sweep(benchmark):
             def closure(db=database):
                 return closure_with_counters(db)
 
-            kernel_time, forced_time, kernel_out, forced_out = timed_columnar_modes(closure)
-            with step_machine(False), columnar_mode(True):
-                adaptive_time, adaptive_out = best_of(closure, rounds=5)
+            kernel_time, forced_time, kernel_out, forced_out = timed_batch_modes(closure)
+            adaptive_time, adaptive_out = best_of(closure, rounds=5)
             assert forced_out == kernel_out  # tuples and counters, on every shape
             assert adaptive_out == kernel_out
             dispatch, score = adaptive_decision(database)

@@ -88,7 +88,6 @@ def main() -> None:
               f"{status['service']['flushes']} flushes")
         print(f"  engine:  {status['engine']['tuples_examined']} tuples examined, "
               f"{status['engine']['lookups']} lookups")
-        print(f"  flags:   {status['flags']}")
 
         # 4. traces — flush spans and the JSONL export
         print("\n— tracer —")

@@ -15,11 +15,6 @@ from .instrumentation import (
     check_deadline,
     evaluation_deadline,
 )
-from .columnar import (
-    columnar_enabled,
-    columnar_mode,
-    set_columnar_enabled,
-)
 from .naive import naive_evaluate, naive_query
 from .query import QueryPlan, QueryResult, SelectionQuery, answer, as_selection_query, plan_query
 from .seminaive import (
@@ -42,8 +37,6 @@ __all__ = [
     "answer",
     "as_selection_query",
     "check_deadline",
-    "columnar_enabled",
-    "columnar_mode",
     "compile_delta_variants",
     "compile_program_rules",
     "compile_rule",
@@ -60,6 +53,5 @@ __all__ = [
     "semijoin",
     "seminaive_evaluate",
     "seminaive_query",
-    "set_columnar_enabled",
     "strongly_connected_components",
 ]

@@ -21,13 +21,12 @@ per-plan deduplicated head sets, exactly as the kernels record them.  The
 differential harness pins interpreted == kernel == columnar stats totals on
 every program family.
 
-``REPRO_COLUMNAR`` (``off``/``0``/``false``/``no``) disables everything in
-this module.  The default ``on`` is *adaptive*: the executor measures the
-initial delta's partition fan-out and the probe views' bucket fan-out and
-falls back to the kernel loop when partitions are too skinny to amortize the
-batch machinery (chains).  ``force``/``always`` bypasses the prediction —
-the differential harness uses it so the batch path is genuinely exercised on
-workloads far too small to profit from it.
+The product decides per stratum (:func:`repro.engine.seminaive.batch_decision`):
+the executor measures the initial delta's partition fan-out and the probe
+views' bucket fan-out, and the stratum falls back to the kernel loop when
+partitions are too skinny to amortize the batch machinery (chains).  Tests
+force either side with :func:`repro.testing.reference.batching`, so the batch
+path is exercised on workloads far too small to profit from it.
 """
 
 from __future__ import annotations
@@ -37,38 +36,7 @@ from time import perf_counter
 from typing import Dict, Optional, Set, Tuple
 
 from ..datalog.relation import Row
-from .flags import EngineFlag
 from .instrumentation import active_profile
-
-__all__ = [
-    "columnar_enabled",
-    "columnar_forced",
-    "columnar_mode",
-    "set_columnar_enabled",
-]
-
-#: the ``REPRO_COLUMNAR`` switch (see :mod:`repro.engine.flags`)
-COLUMNAR_FLAG = EngineFlag("REPRO_COLUMNAR")
-
-
-def columnar_enabled() -> bool:
-    """``True`` when the engines may use columnar batch execution."""
-    return COLUMNAR_FLAG.enabled()
-
-
-def columnar_forced() -> bool:
-    """``True`` when batch execution must bypass the adaptive size heuristic."""
-    return COLUMNAR_FLAG.forced()
-
-
-def set_columnar_enabled(enabled) -> None:
-    """Force columnar execution on/off (or ``"force"``); ``None`` restores env."""
-    COLUMNAR_FLAG.set(enabled)
-
-
-def columnar_mode(enabled):
-    """Temporarily force columnar execution (differential-testing hook)."""
-    return COLUMNAR_FLAG.mode(enabled)
 
 
 # ----------------------------------------------------------------------
@@ -356,12 +324,8 @@ class _GroupExecutor:
         return transposed
 
     # -- the adaptive decision -------------------------------------------
-    def looks_profitable(self) -> bool:
-        """Predict whether batching beats the kernel loop on this workload."""
-        return self.profit_score() >= self.PROFIT_THRESHOLD
-
     def profit_score(self) -> float:
-        """The adaptive profitability score driving :meth:`looks_profitable`.
+        """The profitability score the batch decision compares with :attr:`PROFIT_THRESHOLD`.
 
         Batch execution amortizes per-probe overhead across a partition ×
         bucket block; when both fan-outs are ~1 (chains) the blocks are

@@ -28,18 +28,32 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..datalog.database import Database
 from ..datalog.relation import Relation, Row
 from ..datalog.rules import Program, Rule
-from .columnar import build_group_executor, columnar_enabled, columnar_forced
+from .columnar import build_group_executor
 from .compile import CompiledRule, PlanCache, compile_delta_variants, compile_program_rules, compile_rule, prepare
 from .instrumentation import EvaluationStats, active_profile
 from .strata import cached_evaluation_strata, evaluation_strata
 
-#: stable detail strings for profile `StratumDecision` records (asserted by
-#: the differential harness's profile-consistency checks, so keep them fixed)
-DECISION_COLUMNAR_OFF = "columnar-off"
+#: stable detail strings for profile `StratumDecision` records (the
+#: end-to-end benchmark and the differential harness read them, so keep them fixed)
 DECISION_NO_TEMPLATE = "no-batch-template"
-DECISION_FORCED = "forced"
 DECISION_PROFITABLE = "score>=threshold"
 DECISION_UNPROFITABLE = "score<threshold"
+
+
+def batch_decision(executor) -> Tuple[bool, Optional[float], str]:
+    """``(run columnar?, profit score, detail)`` for a recursive stratum: columnar
+    when it has a batch template and the executor's score reaches its threshold."""
+    if executor is None:
+        return False, None, DECISION_NO_TEMPLATE
+    score = executor.profit_score()
+    if score >= executor.PROFIT_THRESHOLD:
+        return True, score, DECISION_PROFITABLE
+    return False, score, DECISION_UNPROFITABLE
+
+
+#: the decision every recursive stratum takes; nothing in the product replaces
+#: it (:func:`repro.testing.reference.batching` does, for a test's scope)
+BATCH_DECISION = batch_decision
 
 
 def seed_derived(
@@ -143,35 +157,18 @@ def _evaluate_group(
     stats.record_plans_compiled(len(delta_plans))
 
     # Columnar batch execution: when every delta variant fits a vectorizable
-    # template (and the workload looks fat enough to amortize it — or
-    # ``REPRO_COLUMNAR=force`` says to go regardless), the whole delta
-    # iteration runs set-at-a-time with identical results and identical
-    # instrumentation totals; otherwise the kernel loop below runs as before.
-    if columnar_enabled():
-        executor = build_group_executor(group, delta_plans, relations, derived, current)
-        if executor is not None:
-            score = None if columnar_forced() else executor.profit_score()
-            if score is None or score >= executor.PROFIT_THRESHOLD:
-                if profile is not None:
-                    profile.record_group(
-                        stratum,
-                        group,
-                        "columnar",
-                        score=score,
-                        detail=DECISION_FORCED if score is None else DECISION_PROFITABLE,
-                    )
-                executor.stratum_index = stratum
-                executor.run(stats)
-                return
-            if profile is not None:
-                profile.record_group(
-                    stratum, group, "kernel-loop", score=score, detail=DECISION_UNPROFITABLE
-                )
-        elif profile is not None:
-            profile.record_group(stratum, group, "kernel-loop", detail=DECISION_NO_TEMPLATE)
-    elif profile is not None:
-        profile.record_group(stratum, group, "kernel-loop", detail=DECISION_COLUMNAR_OFF)
-
+    # template and the workload looks fat enough to amortize it, the whole
+    # delta iteration runs set-at-a-time with identical results and identical
+    # instrumentation totals; otherwise the kernel loop below runs.
+    executor = build_group_executor(group, delta_plans, relations, derived, current)
+    columnar, score, detail = BATCH_DECISION(executor)
+    if profile is not None:
+        dispatch = "columnar" if columnar else "kernel-loop"
+        profile.record_group(stratum, group, dispatch, score=score, detail=detail)
+    if columnar:
+        executor.stratum_index = stratum
+        executor.run(stats)
+        return
     delta_rounds(group, delta_plans, relations, current, policy, stats, stratum)
 
 

@@ -9,7 +9,7 @@
   response is ``200 {"status": "ok", ...}`` only when all pass (otherwise
   ``503`` with the failing checks named) — the load-balancer hook;
 * ``/statusz`` — a JSON merge of the pinned stats dictionaries plus whatever
-  else the owner's status callable reports (epoch, flags, ...) — the
+  else the owner's status callable reports (epoch, health, ...) — the
   human/debugging hook;
 * ``/debug/queries`` — the owner's query flight recorder
   (:class:`repro.obs.profile.FlightRecorder`): live in-flight queries plus

@@ -106,11 +106,11 @@ class StratumDecision:
     predicates: Tuple[str, ...]
     #: ``columnar`` (batch executor) or ``kernel-loop`` (per-plan dispatch)
     dispatch: str
-    #: the adaptive ``looks_profitable`` score that drove the choice, when
-    #: one was computed (``None`` when the flag decided without scoring)
+    #: the executor's ``profit_score`` that drove the choice, when one was
+    #: computed (``None`` without a batch template, or when a test forced it)
     score: Optional[float] = None
-    #: why (``forced`` / ``score>=2.0`` / ``score<2.0`` / ``no-batch-template``
-    #: / ``columnar-off``)
+    #: why (``score>=threshold`` / ``score<threshold`` / ``no-batch-template``;
+    #: ``forced`` / ``columnar-off`` under :func:`repro.testing.reference.batching`)
     detail: str = ""
 
     def as_dict(self) -> Dict[str, object]:

@@ -564,9 +564,7 @@ class DatalogService:
         return checks
 
     def _status_report(self) -> Dict[str, object]:
-        """The ``/statusz`` payload: the three stats dicts + epoch + flags."""
-        from ..engine.columnar import COLUMNAR_FLAG
-
+        """The ``/statusz`` payload: the three stats dicts + epoch + health."""
         storage_stats = self.storage_stats
         threshold = self.tracer.slow_threshold_seconds
         failed = self._storage_failed
@@ -583,7 +581,6 @@ class DatalogService:
             "service": self.stats.as_dict(),
             "storage": storage_stats.as_dict() if storage_stats is not None else None,
             "engine": self._engine_bridge.totals.as_dict(),
-            "flags": {COLUMNAR_FLAG.env_var: COLUMNAR_FLAG.state()},
             "tracing": {
                 "spans_recorded": self.tracer.spans_recorded,
                 "slow_spans_recorded": self.tracer.slow_spans_recorded,

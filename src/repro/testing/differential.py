@@ -22,14 +22,14 @@ tuple:
 * **interpreted / kernel / columnar** — semi-naive evaluation re-run with
   the engine runtime pinned to each of its execution modes: the reference
   step machine (:func:`repro.testing.reference.step_machine`), generated
-  kernels (the product's executor), and
-  the columnar batch executor forced on (``REPRO_COLUMNAR=force``) so it
-  runs even on workloads the adaptive planner would hand back to the
-  kernels.  All modes must produce identical IDB relations tuple for tuple,
-  *and* the :class:`EvaluationStats` totals of the pinned modes must match
-  exactly — the batch executor reproduces the interpreted engine's
-  instrumentation contract, not just its model — which is what licenses
-  shipping the fast paths as the default runtime.
+  kernels (the product's executor), both with batching off, and the
+  columnar batch executor forced on (:func:`repro.testing.reference.batching`)
+  so it runs even where the product's profit score picks the kernels.  All
+  modes must produce identical IDB relations tuple for tuple, *and* the
+  :class:`EvaluationStats` totals of the pinned modes must match exactly —
+  the batch executor reproduces the interpreted engine's instrumentation
+  contract, not just its model — which is what licenses shipping the fast
+  paths as the default runtime.
   Each pinned run also rides with an armed EXPLAIN ANALYZE recorder
   (:class:`repro.obs.profile.ProfileRecorder`): the resulting profile must
   report the same stats totals, and its dispatch provenance (kernel vs.
@@ -49,20 +49,14 @@ from ..baselines.counting import counting_query, counting_scope_reason
 from ..baselines.magic import magic_query
 from ..datalog.errors import EvaluationError
 from ..datalog.relation import Row
-from ..engine.columnar import columnar_mode
 from ..engine.instrumentation import EvaluationStats, query_trace
 from ..engine.naive import naive_evaluate
 from ..engine.query import answer
-from ..engine.seminaive import (
-    DECISION_COLUMNAR_OFF,
-    DECISION_FORCED,
-    DECISION_NO_TEMPLATE,
-    seminaive_evaluate,
-)
+from ..engine.seminaive import DECISION_NO_TEMPLATE, seminaive_evaluate
 from ..obs.profile import ProfileRecorder, QueryProfile
 from . import oracle
 from .generate import DifferentialCase
-from .reference import step_machine
+from .reference import DECISION_COLUMNAR_OFF, DECISION_FORCED, batching, step_machine
 
 #: depth bound handed to the counting method; generated cyclic cases trip it
 COUNTING_DEPTH_BOUND = 2_000
@@ -197,14 +191,14 @@ def run_differential(case: DifferentialCase) -> DifferentialReport:
     # must be identical — the fast paths reproduce the interpreted engine's
     # accounting, so a drifting counter is a bug even when the model agrees.
     mode_stats: Dict[str, Dict[str, float]] = {}
-    for engine, kernels, columnar in (
-        ("interpreted", False, False),
-        ("kernel", True, False),
+    for engine, kernels, batch in (
+        ("interpreted", False, "off"),
+        ("kernel", True, "off"),
         ("columnar", True, "force"),
     ):
         stats = EvaluationStats()
         recorder = ProfileRecorder(str(query), trace_id=f"diff-{engine}-{case.name}")
-        with step_machine(not kernels), columnar_mode(columnar):
+        with step_machine(not kernels), batching(batch):
             # arm the EXPLAIN ANALYZE recorder around the same evaluation the
             # tuple/stats checks use: the profile must be a faithful account
             # of the run it rode along with, not a separate re-execution
@@ -215,7 +209,7 @@ def run_differential(case: DifferentialCase) -> DifferentialReport:
         mode_stats[engine] = totals
         report.engines[engine] = "ok"
         profile = recorder.build(strategy=f"seminaive[{engine}]", stats=stats)
-        report.mismatches.extend(_profile_mismatches(engine, bool(columnar), profile, totals))
+        report.mismatches.extend(_profile_mismatches(engine, batch == "force", profile, totals))
         for predicate in sorted(set(semi_derived) | set(mode_derived)):
             semi_rows = semi_derived[predicate].rows() if predicate in semi_derived else set()
             mode_rows = mode_derived[predicate].rows() if predicate in mode_derived else set()

@@ -12,6 +12,12 @@ test suite an unbounded supply of scenarios beyond the hand-written fixtures.
 The *bounded* family draws uniformly bounded recursions (guard, swap and
 Appendix A shapes), so the optimizer's bounded-recursion unfolding pass is
 exercised — and cross-checked against every other engine — on every batch.
+
+The *labelled* family is reached only by name (``generate_case(seed,
+"labelled")``), so the base seeds keep their ``seed % len(FAMILIES)``
+families: transitive closure with permissions over labelled arity-3 edges,
+with constants in the body, whose plans probe two columns of a relation at
+once.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..datalog.database import Database
+from ..datalog.parser import parse_program
 from ..datalog.rules import Program
 from ..engine.query import SelectionQuery
 from ..workloads.graphs import chain, cycle, edge_database, uniform_tree
@@ -97,12 +104,38 @@ def _pick_query(
     return SelectionQuery.of(predicate, 2, {column: value})
 
 
-def generate_case(seed: int) -> DifferentialCase:
-    """Deterministically generate one differential case from ``seed``."""
+def generate_case(seed: int, family: Optional[str] = None) -> DifferentialCase:
+    """Deterministically generate one differential case from ``seed``, in
+    ``family`` if given, else in ``FAMILIES[seed % len(FAMILIES)]``."""
     rng = random.Random(seed)
-    family = FAMILIES[seed % len(FAMILIES)]
+    family = family or FAMILIES[seed % len(FAMILIES)]
+    if family not in FAMILIES + ("labelled",):
+        raise ValueError(f"unknown differential family {family!r}")
 
-    if family == "chain":
+    if family == "labelled":
+        # t(X, Y, L): a delta row binds Z and L, so a(X, Z, L) is probed on
+        # two columns at once; p(X, grant, W) is probed on X and a constant.
+        grant = rng.random() < 0.5
+        guard = "p(X, grant, W)" if grant else "p(X, Y, L)"
+        program = parse_program(f"t(X, Y, L) :- a(X, Z, L), t(Z, Y, L), {guard}. t(X, Y, L) :- b(X, Y, L).")
+        length = rng.randrange(3, 12)
+        nodes = list(range(length + 1))
+        edges = chain(length) + _forward_extras(rng, nodes, rng.randrange(0, 6))
+        base = _forward_extras(rng, nodes, rng.randrange(1, 5)) or edges[:1]
+        middles = ("grant", "deny") if grant else nodes
+        labels = ("read", "write", "admin")
+        database = Database()
+        for name, pairs in (("a", edges), ("b", base), ("p", [(x, y) for x in nodes for y in middles])):
+            database.declare(name, 3)
+            for source, target in pairs:
+                for label in labels:
+                    if rng.random() < 0.5:
+                        database.add_fact(name, (source, target, label))
+        description = f"labelled closure ({guard}) over a {length}-chain"
+        column = rng.randrange(3)
+        query = SelectionQuery.of("t", 3, {column: rng.choice(labels if column == 2 else nodes)})
+
+    elif family == "chain":
         length = rng.randrange(3, 25)
         edges = chain(length)
         nodes = list(range(length + 1))
@@ -272,16 +305,10 @@ def generate_cases(count: int, base_seed: int = 0) -> List[DifferentialCase]:
     return [generate_case(base_seed + offset) for offset in range(count)]
 
 
-def _cross_program() -> Program:
-    from ..datalog.parser import parse_program
-
-    return parse_program(
-        """
-        pair(X, Y) :- c(X), d(Y).
-        t(X, Y) :- pair(X, Y).
-        t(X, Y) :- a(X, W), t(W, Y).
-        """
-    )
-
-
-_CROSS_PROGRAM = _cross_program()
+_CROSS_PROGRAM = parse_program(
+    """
+    pair(X, Y) :- c(X), d(Y).
+    t(X, Y) :- pair(X, Y).
+    t(X, Y) :- a(X, W), t(W, Y).
+    """
+)

@@ -7,6 +7,9 @@ generated kernels (:mod:`repro.engine.kernels`) are held to it answer for
 answer and counter for counter.  :func:`step_machine` installs it for a scope
 where the engine builds its runs; it memoizes nothing, so no run built by one
 executor is ever served by the other.
+
+:func:`batching` is the same kind of seam for the batch decision: it forces
+every recursive stratum in its scope columnar or onto the kernel loop.
 """
 
 from __future__ import annotations
@@ -16,11 +19,15 @@ from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..datalog.relation import Relation, Row, Value
-from ..engine import kernels
+from ..engine import kernels, seminaive
 from ..engine.compile import CompiledRule
 from ..engine.instrumentation import EvaluationStats
 
-__all__ = ["StepMachine", "step_machine"]
+__all__ = ["StepMachine", "batching", "step_machine"]
+
+#: the stratum details a forced decision records (the product records neither)
+DECISION_FORCED = "forced"
+DECISION_COLUMNAR_OFF = "columnar-off"
 
 
 def _join(
@@ -175,3 +182,27 @@ def step_machine(enabled: bool = True):
         yield
     finally:
         kernels.EXECUTOR = previous
+
+
+def _forced(executor) -> Tuple[bool, Optional[float], str]:
+    if executor is None:
+        return seminaive.batch_decision(executor)
+    return True, None, DECISION_FORCED
+
+
+def _off(_executor) -> Tuple[bool, Optional[float], str]:
+    return False, None, DECISION_COLUMNAR_OFF
+
+
+@contextmanager
+def batching(mode: Optional[str]):
+    """Decide every recursive stratum in the scope by ``mode``: ``"force"``
+    runs it columnar wherever it has a batch template, ``"off"`` on the kernel
+    loop, ``None`` by the product's own score; the previous decision comes
+    back on exit."""
+    previous = seminaive.BATCH_DECISION
+    seminaive.BATCH_DECISION = {"force": _forced, "off": _off, None: seminaive.batch_decision}[mode]
+    try:
+        yield
+    finally:
+        seminaive.BATCH_DECISION = previous

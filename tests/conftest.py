@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from repro.datalog import Database
-from repro.testing.reference import step_machine
+from repro.testing.reference import batching, step_machine
 from repro.workloads import (
     buys_database,
     canonical_two_sided,
@@ -31,6 +31,13 @@ def pytest_addoption(parser):
         help="run every test on the reference step machine instead of generated kernels "
         "(a test that pins an executor itself still gets the one it asks for)",
     )
+    parser.addoption(
+        "--batching",
+        choices=("force", "off"),
+        default=None,
+        help="decide every recursive stratum this way instead of by the product's profit score "
+        "(a test that pins a decision itself still gets the one it asks for)",
+    )
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -41,6 +48,19 @@ def _row_executor(request):
         yield
         return
     with step_machine():
+        yield
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _batch_decision(request):
+    """How the session's recursive strata pick columnar or the kernel loop: the
+    product's profit score, or with ``--batching`` forced one way for every
+    test and fixture."""
+    mode = request.config.getoption("--batching")
+    if mode is None:
+        yield
+        return
+    with batching(mode):
         yield
 
 

@@ -1,6 +1,6 @@
 """The columnar batch engine must match the row engines exactly.
 
-Whole evaluations under ``REPRO_COLUMNAR=force`` reproduce the kernel
+Whole evaluations forced columnar (``batching("force")``) reproduce the kernel
 engine's derived relations *and* its instrumentation totals, tuple for tuple
 and counter for counter — on every body, cyclic ones included.
 """
@@ -10,17 +10,10 @@ from __future__ import annotations
 import pytest
 
 from repro.datalog import Database, parse_program
-from repro.engine import (
-    EvaluationStats,
-    answer,
-    columnar_enabled,
-    columnar_mode,
-    seminaive_evaluate,
-)
-from repro.engine.columnar import columnar_forced, set_columnar_enabled
+from repro.engine import EvaluationStats, answer, seminaive_evaluate
 from repro.obs.profile import explain
 from repro.testing import generate_case
-from repro.testing.reference import step_machine
+from repro.testing.reference import batching, step_machine
 from repro.workloads import (
     ALL_CANONICAL,
     appendix_a_database,
@@ -33,28 +26,6 @@ from repro.workloads import (
 )
 
 
-class TestColumnarFlag:
-    def test_mode_states(self):
-        with columnar_mode(False):
-            assert not columnar_enabled()
-            assert not columnar_forced()
-        with columnar_mode(True):
-            assert columnar_enabled()
-            assert not columnar_forced()
-        with columnar_mode("force"):
-            assert columnar_enabled()
-            assert columnar_forced()
-
-    def test_set_override_and_restore(self):
-        baseline = columnar_enabled()
-        set_columnar_enabled(False)
-        try:
-            assert not columnar_enabled()
-        finally:
-            set_columnar_enabled(None)
-        assert columnar_enabled() == baseline
-
-
 def counters(stats: EvaluationStats) -> dict:
     values = stats.as_dict()
     values.pop("elapsed_seconds", None)
@@ -64,9 +35,9 @@ def counters(stats: EvaluationStats) -> dict:
 def evaluate_modes(program, database):
     """Derived relations + counters under kernel, forced-columnar, adaptive."""
     outcomes = {}
-    for label, columnar in (("kernel", False), ("forced", "force"), ("adaptive", True)):
+    for label, batch in (("kernel", "off"), ("forced", "force"), ("adaptive", None)):
         stats = EvaluationStats()
-        with step_machine(False), columnar_mode(columnar):
+        with step_machine(False), batching(batch):
             derived = seminaive_evaluate(program, database, stats)
         outcomes[label] = (
             {name: relation.rows() for name, relation in derived.items()},
@@ -137,13 +108,13 @@ class TestWholeEvaluationParity:
         program = program_factory()
         database = database_factory()
         outcomes = {}
-        for label, kernels, columnar in (
-            ("interpreted", False, False),
-            ("kernel", True, False),
+        for label, kernels, batch in (
+            ("interpreted", False, "off"),
+            ("kernel", True, "off"),
             ("forced", True, "force"),
         ):
             stats = EvaluationStats()
-            with step_machine(not kernels), columnar_mode(columnar):
+            with step_machine(not kernels), batching(batch):
                 derived = seminaive_evaluate(program, database, stats)
             outcomes[label] = ({n: r.rows() for n, r in derived.items()}, counters(stats))
         assert outcomes["interpreted"] == outcomes["kernel"] == outcomes["forced"]
@@ -155,10 +126,10 @@ class TestWholeEvaluationParity:
 
 
 MODES = (
-    ("interpreted", False, False),
-    ("kernel", True, False),
+    ("interpreted", False, "off"),
+    ("kernel", True, "off"),
     ("forced", True, "force"),
-    ("adaptive", True, True),
+    ("adaptive", True, None),
 )
 
 
@@ -166,9 +137,9 @@ def evaluate_every_mode(program, database):
     """``{mode: (derived rows, counters)}`` over interpreted, kernel, forced
     columnar and adaptive evaluation."""
     outcomes = {}
-    for label, kernels, columnar in MODES:
+    for label, kernels, batch in MODES:
         stats = EvaluationStats()
-        with step_machine(not kernels), columnar_mode(columnar):
+        with step_machine(not kernels), batching(batch):
             derived = seminaive_evaluate(program, database, stats)
         outcomes[label] = ({n: r.rows() for n, r in derived.items()}, counters(stats))
     return outcomes
@@ -229,15 +200,15 @@ class TestEveryBodyHasOneAccounting:
             plan.dispatch for plan in executed.plans
         }
 
-    @pytest.mark.parametrize("mode", [label for label, _kernels, _columnar in MODES])
+    @pytest.mark.parametrize("mode", [label for label, _kernels, _batch in MODES])
     def test_order_preserving_string_renaming_keeps_the_counters(self, mode):
-        kernels, columnar = {label: (k, c) for label, k, c in MODES}[mode]
+        kernels, batch = {label: (k, b) for label, k, b in MODES}[mode]
         program = parse_program(BODIES["three_relation_triangle"])
         by_type = {}
         for label, rename in (("int", lambda node: node), ("str", as_string)):
             rows = star_rows(60, rename)
             stats = EvaluationStats()
-            with step_machine(not kernels), columnar_mode(columnar):
+            with step_machine(not kernels), batching(batch):
                 derived = seminaive_evaluate(
                     program, Database.from_dict({name: rows for name in "efg"}), stats
                 )

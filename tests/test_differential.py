@@ -10,13 +10,19 @@ identical results tuple for tuple.  Any failure names its seed, so it
 reproduces with ``generate_case(seed)``.
 
 The bounded family gets extra dedicated seeds beyond the base batch so the
-unfolding pass sees a wider spread of shapes and databases.
+unfolding pass sees a wider spread of shapes and databases.  So does the
+labelled family, which only extra seeds reach: arity-3 closures whose plans
+probe two columns of a relation at once.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.engine import seminaive_evaluate
+from repro.engine.instrumentation import query_trace
+from repro.engine.seminaive import fixpoint_plans
+from repro.obs.profile import ProfileRecorder
 from repro.testing import (
     FAMILIES,
     generate_case,
@@ -24,6 +30,7 @@ from repro.testing import (
     run_batch,
     run_differential,
 )
+from repro.testing.reference import batching
 
 SEED_COUNT = 84
 
@@ -34,6 +41,8 @@ BOUNDED_EXTRA_SEEDS = [
     for seed in range(SEED_COUNT, SEED_COUNT + 20 * len(FAMILIES))
     if seed % len(FAMILIES) == BOUNDED_INDEX
 ][:16]
+#: extra seeds of the labelled family, which no base seed lands on
+LABELLED_SEEDS = range(SEED_COUNT, SEED_COUNT + 16)
 
 
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
@@ -49,6 +58,44 @@ def test_bounded_family_extra_seeds(seed):
     assert case.family == "bounded"
     report = run_differential(case)
     assert report.ok, report.summary() + "\n" + "\n".join(report.mismatches)
+
+
+@pytest.mark.parametrize("seed", LABELLED_SEEDS)
+def test_labelled_family_extra_seeds(seed):
+    """Every engine and pinned mode agrees on arity-3 closures; forcing the
+    batch executor finds no template for their stratum."""
+    case = generate_case(seed, "labelled")
+    assert case.family == "labelled"
+    report = run_differential(case)
+    assert report.ok, report.summary() + "\n" + "\n".join(report.mismatches)
+    recorder = ProfileRecorder(str(case.query), trace_id=f"forced-{case.name}")
+    with batching("force"), query_trace(recorder.trace_id, recorder):
+        seminaive_evaluate(case.program, case.database)
+    assert [(d.dispatch, d.detail) for d in recorder.strata] == [("kernel-loop", "no-batch-template")]
+
+
+def test_an_unknown_family_is_refused():
+    with pytest.raises(ValueError, match="unknown differential family"):
+        generate_case(0, "labeled")
+
+
+def test_labelled_plans_probe_two_of_three_columns():
+    """The family exists to reach multi-column index keys: every case's
+    recursive plan probes an arity-3 relation on exactly two columns, with a
+    variable pair or a variable and a constant."""
+    keys = set()
+    for seed in LABELLED_SEEDS:
+        case = generate_case(seed, "labelled")
+        relations = {relation.name: relation for relation in case.database.relations()}
+        probes = [
+            (step.predicate, step.probe_columns, tuple(is_const for is_const, _ in step.key_ops))
+            for plan in fixpoint_plans(case.program, relations)
+            for step in plan.steps
+            if len(step.probe_columns) == 2
+        ]
+        assert probes, case.name
+        keys.update(const for _predicate, _columns, const in probes)
+    assert keys == {(False, False), (False, True)}
 
 
 def test_generation_is_deterministic():

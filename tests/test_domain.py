@@ -4,7 +4,7 @@ The fixpoint engines evaluate over the database's own relations: nothing is
 re-encoded on the way in or decoded on the way out.  What the deleted codec
 guaranteed is pinned here by counts instead: string ids cost exactly what int
 ids cost, the relations handed back are the ones the fixpoint built, a round
-reads no flag, and the caller's database is left as it was.
+takes no batch decision, and the caller's database is left as it was.
 """
 
 from __future__ import annotations
@@ -16,15 +16,13 @@ from repro.datalog.relation import Relation
 from repro.engine import (
     EvaluationStats,
     SelectionQuery,
-    columnar_mode,
     naive_evaluate,
     seminaive,
     seminaive_evaluate,
 )
 from repro.engine.domain import Domain
-from repro.engine.flags import EngineFlag
 from repro.testing import generate_case
-from repro.testing.reference import step_machine
+from repro.testing.reference import batching, step_machine
 from repro.workloads import chain, edge_database, layered_dag, uniform_tree
 
 PROGRAM = parse_program(
@@ -34,8 +32,8 @@ PROGRAM = parse_program(
     """
 )
 
-#: the three execution modes: (kernels, columnar)
-MODES = {"kernel": (True, False), "columnar": (True, "force"), "interpreted": (False, False)}
+#: the three execution modes: (kernels, batching)
+MODES = {"kernel": (True, "off"), "columnar": (True, "force"), "interpreted": (False, "off")}
 
 
 def counters(stats: EvaluationStats) -> dict:
@@ -102,8 +100,8 @@ class TestEngineBoundary:
         )
         expected = naive_evaluate(PROGRAM, database)["t"].rows()
         assert ("a", 0) in expected and ("a", 1.5) in expected
-        for kernels, columnar in MODES.values():
-            with step_machine(not kernels), columnar_mode(columnar):
+        for kernels, batch in MODES.values():
+            with step_machine(not kernels), batching(batch):
                 assert seminaive_evaluate(PROGRAM, database)["t"].rows() == expected
 
     def test_session_query_returns_original_values(self):
@@ -126,10 +124,10 @@ class TestStringIdsCostWhatIntIdsCost:
         ids = {value: index for index, value in enumerate(sorted(database.active_domain(), key=repr))}
         as_int = renamed(database, ids.__getitem__)
         as_str = renamed(database, lambda value: f"v{ids[value]:06d}")
-        for mode, (kernels, columnar) in MODES.items():
+        for mode, (kernels, batch) in MODES.items():
             int_stats, str_stats = EvaluationStats(), EvaluationStats()
             before = state_of(as_str)
-            with step_machine(not kernels), columnar_mode(columnar):
+            with step_machine(not kernels), batching(batch):
                 int_derived = seminaive_evaluate(program, as_int, int_stats)
                 str_derived = seminaive_evaluate(program, as_str, str_stats)
             assert counters(str_stats) == counters(int_stats), mode
@@ -180,8 +178,8 @@ class TestTouchedOnce:
         monkeypatch.setattr(EvaluationStats, "record_iteration", counting_record_iteration)
         monkeypatch.setattr(Relation, "from_valid_rows", classmethod(counting_from_valid_rows))
         monkeypatch.setattr(seminaive, "_evaluate_group", watching_evaluate_group)
-        kernels, columnar = MODES[mode]
-        with step_machine(not kernels), columnar_mode(columnar):
+        kernels, batch = MODES[mode]
+        with step_machine(not kernels), batching(batch):
             derived = seminaive_evaluate(PROGRAM, Database.from_dict(self.STRING_CHAIN))
         assert len(derived["t"]) == 31
         assert adopted_since_last_round == []
@@ -190,48 +188,40 @@ class TestTouchedOnce:
             assert derived[predicate].rows() is rows
 
     @pytest.fixture
-    def flag_reads(self, monkeypatch):
-        """The env var of every ``EngineFlag.state()`` call, in order."""
-        reads = []
-        state = EngineFlag.state
+    def decisions(self, monkeypatch):
+        """The executor handed to every batch decision, in order."""
+        taken = []
+        decide = seminaive.BATCH_DECISION
 
-        def counting_state(flag):
-            reads.append(flag.env_var)
-            return state(flag)
+        def recording_decision(executor):
+            taken.append(executor)
+            return decide(executor)
 
-        monkeypatch.setattr(EngineFlag, "state", counting_state)
-        return reads
+        monkeypatch.setattr(seminaive, "BATCH_DECISION", recording_decision)
+        return taken
 
-    def test_flags_are_read_per_stratum_not_per_round(self, flag_reads):
-        reads = flag_reads
+    def test_the_batch_decision_is_taken_per_stratum_not_per_round(self, decisions):
         calls = []
         for length in (50, 400):
-            reads.clear()
+            decisions.clear()
             stats = EvaluationStats()
             seminaive_evaluate(PROGRAM, edge_database(chain(length)), stats)
             assert stats.iterations == length + 1
-            calls.append(len(reads))
-        assert calls[0] == calls[1] <= 8
+            calls.append(len(decisions))
+        assert calls == [1, 1]  # one recursive stratum
 
-    def test_maintenance_reads_flags_per_closure_not_per_round(self, flag_reads):
-        """Neither an insert's nor a delete's flag reads grow with the chain:
-        not with the closure's rounds, and not with the doomed rows the
-        rederive joins (one join per rule, whatever the row count)."""
-        reads = flag_reads
-        calls = []
+    def test_maintenance_takes_no_batch_decision(self, decisions):
+        """An insert's closure and a delete's over-delete and rederive run the
+        kernel loop without asking, however long the chain."""
         for length in (50, 400):
             session = Session(PROGRAM, edge_database(chain(length)))
-            reads.clear()
+            decisions.clear()
             session.insert("b", [(length, "end")])
             assert session.last_stats.iterations == length + 1
-            insert_reads = len(reads)
-            reads.clear()
             session.delete("b", [(length, "end")])
             assert session.last_stats.iterations == length + 1
             assert session.last_stats.tuples_deleted == length + 1
-            calls.append((insert_reads, len(reads)))
-        assert calls[0] == calls[1]
-        assert max(calls[0]) <= 4
+            assert decisions == []
 
     def test_stored_idb_facts_and_a_magic_seed_leave_the_database_alone(self):
         database = Database.from_dict(
@@ -250,9 +240,9 @@ class TestTouchedOnce:
 
     def test_a_second_evaluation_finds_the_probe_indexes_of_the_first(self):
         database = Database.from_dict(self.STRING_CHAIN)
-        with columnar_mode(False):
+        with batching("off"):
             seminaive_evaluate(PROGRAM, database)
         index = database.relation("a")._indexes[(1,)]
-        with columnar_mode(False):
+        with batching("off"):
             seminaive_evaluate(PROGRAM, database)
         assert database.relation("a")._indexes[(1,)] is index

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.datalog import Database, parse_program
 from repro.engine import (
+    EvaluationStats,
     evaluation_strata,
     naive_evaluate,
     naive_query,
@@ -17,9 +18,14 @@ from repro.engine import (
     seminaive_query,
     strongly_connected_components,
 )
+from repro.engine.instrumentation import query_trace
+from repro.obs.profile import ProfileRecorder
+from repro.testing.reference import batching
 from repro.workloads import (
     canonical_two_sided,
+    chain,
     edge_database,
+    layered_dag,
     random_pairs,
     same_generation,
     same_generation_database,
@@ -147,6 +153,42 @@ class TestMultiplePredicates:
         naive = naive_evaluate(two_sided_program, database)["t"].rows()
         semi = seminaive_evaluate(two_sided_program, database)["t"].rows()
         assert naive == semi
+
+
+class TestBatchDecision:
+    """The product's own choice between the columnar executor and the kernel
+    loop, taken with no seam: each benchmark shape lands on its side, and
+    either side derives and counts what forcing the other does."""
+
+    @staticmethod
+    def run(database):
+        """``(dispatch, detail, derived rows, counters)`` of one closure."""
+        stats = EvaluationStats()
+        recorder = ProfileRecorder("t(X, Y)?", trace_id="batch-decision")
+        with query_trace(recorder.trace_id, recorder):
+            derived = seminaive_evaluate(transitive_closure(), database, stats)
+        (decision,) = recorder.strata
+        counters = stats.as_dict()
+        counters.pop("elapsed_seconds")
+        return decision.dispatch, decision.detail, derived["t"].rows(), counters
+
+    @pytest.mark.parametrize(
+        "edges, dispatch, detail",
+        [
+            (chain(400), "kernel-loop", "score<threshold"),
+            (layered_dag(12, 60, 8), "columnar", "score>=threshold"),
+        ],
+        ids=["chain-400", "layered-dag-12-60-8"],
+    )
+    def test_each_shape_takes_its_side_and_matches_both_forced_runs(self, edges, dispatch, detail):
+        database = edge_database(edges)
+        product = self.run(database)
+        assert product[:2] == (dispatch, detail)
+        for mode, forced in (("off", ("kernel-loop", "columnar-off")), ("force", ("columnar", "forced"))):
+            with batching(mode):
+                pinned = self.run(database)
+            assert pinned[:2] == forced
+            assert pinned[2:] == product[2:], mode  # rows and EvaluationStats
 
 
 class TestInstrumentation:

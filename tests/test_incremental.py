@@ -297,8 +297,8 @@ class TestDeltaLoopPolicies:
         script = (
             "import json\n"
             "from repro import answer\n"
-            "from repro.engine import EvaluationStats, columnar_mode, seminaive_evaluate\n"
-            "from repro.testing.reference import step_machine\n"
+            "from repro.engine import EvaluationStats, seminaive_evaluate\n"
+            "from repro.testing.reference import batching, step_machine\n"
             "from repro.testing import generate_case\n"
             "def totals(stats):\n"
             "    counts = stats.as_dict()\n"
@@ -308,10 +308,10 @@ class TestDeltaLoopPolicies:
             "for seed in range(84):\n"
             "    case = generate_case(seed)\n"
             "    row = out[seed] = {}\n"
-            "    for mode, kernels, columnar in (('interpreted', False, False), ('kernel', True, False),\n"
-            "                                    ('columnar', True, 'force')):\n"
+            "    for mode, kernels, batch in (('interpreted', False, 'off'), ('kernel', True, 'off'),\n"
+            "                                 ('columnar', True, 'force')):\n"
             "        stats = EvaluationStats()\n"
-            "        with step_machine(not kernels), columnar_mode(columnar):\n"
+            "        with step_machine(not kernels), batching(batch):\n"
             "            seminaive_evaluate(case.program, case.database, stats)\n"
             "        row[mode] = totals(stats)\n"
             "    result = answer(case.program, case.database, case.query)\n"

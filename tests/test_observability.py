@@ -206,7 +206,7 @@ class TestEndpoints:
         assert payload["checks"]["storage"]["ok"] is True
         assert payload["checks"]["epoch_advancing"]["ok"] is True
 
-    def test_statusz_merges_stats_epoch_and_flags(self, service):
+    def test_statusz_merges_stats_and_epoch(self, service):
         service.query("t(1, Y)?")
         service.insert("b", (2, 9))
         service.barrier()
@@ -219,7 +219,7 @@ class TestEndpoints:
         assert payload["service"] == service.stats.as_dict()
         assert payload["storage"] is None  # in-memory service
         assert payload["engine"]["lookups"] == service._engine_bridge.totals.lookups
-        assert set(payload["flags"]) == {"REPRO_COLUMNAR"}
+        assert "flags" not in payload  # the engine has no user-settable switch
         assert payload["tracing"]["spans_recorded"] == service.tracer.spans_recorded
         assert payload["tracing"]["slow_threshold_seconds"] == 0.1
 
