@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..datalog.database import Database
 from ..datalog.relation import Relation, Row
 from ..datalog.rules import Program, Rule
-from .columnar import build_group_executor
+from .columnar import _GroupExecutor, build_group_executor
 from .compile import CompiledRule, PlanCache, compile_delta_variants, compile_program_rules, compile_rule, prepare
 from .instrumentation import EvaluationStats, active_profile
 from .strata import cached_evaluation_strata, evaluation_strata
@@ -39,16 +39,20 @@ DECISION_NO_TEMPLATE = "no-batch-template"
 DECISION_PROFITABLE = "score>=threshold"
 DECISION_UNPROFITABLE = "score<threshold"
 
+#: ``(executor to run, or None for the kernel loop; profit score; detail)``
+Decision = Tuple[Optional[_GroupExecutor], Optional[float], str]
 
-def batch_decision(executor) -> Tuple[bool, Optional[float], str]:
-    """``(run columnar?, profit score, detail)`` for a recursive stratum: columnar
-    when it has a batch template and the executor's score reaches its threshold."""
+
+def batch_decision(build: Callable[[], Optional[_GroupExecutor]]) -> Decision:
+    """The product's decision for a recursive stratum: run the executor ``build()``
+    makes when the stratum has a batch template and its score reaches the threshold."""
+    executor = build()
     if executor is None:
-        return False, None, DECISION_NO_TEMPLATE
+        return None, None, DECISION_NO_TEMPLATE
     score = executor.profit_score()
     if score >= executor.PROFIT_THRESHOLD:
-        return True, score, DECISION_PROFITABLE
-    return False, score, DECISION_UNPROFITABLE
+        return executor, score, DECISION_PROFITABLE
+    return None, score, DECISION_UNPROFITABLE
 
 
 #: the decision every recursive stratum takes; nothing in the product replaces
@@ -160,12 +164,12 @@ def _evaluate_group(
     # template and the workload looks fat enough to amortize it, the whole
     # delta iteration runs set-at-a-time with identical results and identical
     # instrumentation totals; otherwise the kernel loop below runs.
-    executor = build_group_executor(group, delta_plans, relations, derived, current)
-    columnar, score, detail = BATCH_DECISION(executor)
+    build = partial(build_group_executor, group, delta_plans, relations, derived, current)
+    executor, score, detail = BATCH_DECISION(build)
     if profile is not None:
-        dispatch = "columnar" if columnar else "kernel-loop"
+        dispatch = "kernel-loop" if executor is None else "columnar"
         profile.record_group(stratum, group, dispatch, score=score, detail=detail)
-    if columnar:
+    if executor is not None:
         executor.stratum_index = stratum
         executor.run(stats)
         return

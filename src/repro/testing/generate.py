@@ -13,18 +13,17 @@ The *bounded* family draws uniformly bounded recursions (guard, swap and
 Appendix A shapes), so the optimizer's bounded-recursion unfolding pass is
 exercised — and cross-checked against every other engine — on every batch.
 
-The *labelled* family is reached only by name (``generate_case(seed,
-"labelled")``), so the base seeds keep their ``seed % len(FAMILIES)``
-families: transitive closure with permissions over labelled arity-3 edges,
-with constants in the body, whose plans probe two columns of a relation at
-once.
+The *labelled* family has its own generator (:func:`generate_labelled_case`),
+so the base seeds keep their ``seed % len(FAMILIES)`` families: transitive
+closure with permissions over labelled arity-3 edges, with constants in the
+body, whose plans probe two columns of a relation at once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..datalog.database import Database
 from ..datalog.parser import parse_program
@@ -104,38 +103,12 @@ def _pick_query(
     return SelectionQuery.of(predicate, 2, {column: value})
 
 
-def generate_case(seed: int, family: Optional[str] = None) -> DifferentialCase:
-    """Deterministically generate one differential case from ``seed``, in
-    ``family`` if given, else in ``FAMILIES[seed % len(FAMILIES)]``."""
+def generate_case(seed: int) -> DifferentialCase:
+    """Deterministically generate one differential case from ``seed``."""
     rng = random.Random(seed)
-    family = family or FAMILIES[seed % len(FAMILIES)]
-    if family not in FAMILIES + ("labelled",):
-        raise ValueError(f"unknown differential family {family!r}")
+    family = FAMILIES[seed % len(FAMILIES)]
 
-    if family == "labelled":
-        # t(X, Y, L): a delta row binds Z and L, so a(X, Z, L) is probed on
-        # two columns at once; p(X, grant, W) is probed on X and a constant.
-        grant = rng.random() < 0.5
-        guard = "p(X, grant, W)" if grant else "p(X, Y, L)"
-        program = parse_program(f"t(X, Y, L) :- a(X, Z, L), t(Z, Y, L), {guard}. t(X, Y, L) :- b(X, Y, L).")
-        length = rng.randrange(3, 12)
-        nodes = list(range(length + 1))
-        edges = chain(length) + _forward_extras(rng, nodes, rng.randrange(0, 6))
-        base = _forward_extras(rng, nodes, rng.randrange(1, 5)) or edges[:1]
-        middles = ("grant", "deny") if grant else nodes
-        labels = ("read", "write", "admin")
-        database = Database()
-        for name, pairs in (("a", edges), ("b", base), ("p", [(x, y) for x in nodes for y in middles])):
-            database.declare(name, 3)
-            for source, target in pairs:
-                for label in labels:
-                    if rng.random() < 0.5:
-                        database.add_fact(name, (source, target, label))
-        description = f"labelled closure ({guard}) over a {length}-chain"
-        column = rng.randrange(3)
-        query = SelectionQuery.of("t", 3, {column: rng.choice(labels if column == 2 else nodes)})
-
-    elif family == "chain":
+    if family == "chain":
         length = rng.randrange(3, 25)
         edges = chain(length)
         nodes = list(range(length + 1))
@@ -293,6 +266,40 @@ def generate_case(seed: int, family: Optional[str] = None) -> DifferentialCase:
     return DifferentialCase(
         seed=seed,
         family=family,
+        description=description,
+        program=program,
+        database=database,
+        query=query,
+    )
+
+
+def generate_labelled_case(seed: int) -> DifferentialCase:
+    """Deterministically generate one case of the labelled family from ``seed``."""
+    rng = random.Random(seed)
+    # t(X, Y, L): a delta row binds Z and L, so a(X, Z, L) is probed on
+    # two columns at once; p(X, grant, W) is probed on X and a constant.
+    grant = rng.random() < 0.5
+    guard = "p(X, grant, W)" if grant else "p(X, Y, L)"
+    program = parse_program(f"t(X, Y, L) :- a(X, Z, L), t(Z, Y, L), {guard}. t(X, Y, L) :- b(X, Y, L).")
+    length = rng.randrange(3, 12)
+    nodes = list(range(length + 1))
+    edges = chain(length) + _forward_extras(rng, nodes, rng.randrange(0, 6))
+    base = _forward_extras(rng, nodes, rng.randrange(1, 5)) or edges[:1]
+    middles = ("grant", "deny") if grant else nodes
+    labels = ("read", "write", "admin")
+    database = Database()
+    for name, pairs in (("a", edges), ("b", base), ("p", [(x, y) for x in nodes for y in middles])):
+        database.declare(name, 3)
+        for source, target in pairs:
+            for label in labels:
+                if rng.random() < 0.5:
+                    database.add_fact(name, (source, target, label))
+    description = f"labelled closure ({guard}) over a {length}-chain"
+    column = rng.randrange(3)
+    query = SelectionQuery.of("t", 3, {column: rng.choice(labels if column == 2 else nodes)})
+    return DifferentialCase(
+        seed=seed,
+        family="labelled",
         description=description,
         program=program,
         database=database,

@@ -184,14 +184,16 @@ def step_machine(enabled: bool = True):
         kernels.EXECUTOR = previous
 
 
-def _forced(executor) -> Tuple[bool, Optional[float], str]:
+def _forced(build) -> seminaive.Decision:
+    executor = build()
     if executor is None:
-        return seminaive.batch_decision(executor)
-    return True, None, DECISION_FORCED
+        return None, None, seminaive.DECISION_NO_TEMPLATE
+    return executor, None, DECISION_FORCED
 
 
-def _off(_executor) -> Tuple[bool, Optional[float], str]:
-    return False, None, DECISION_COLUMNAR_OFF
+def _off(_build) -> seminaive.Decision:
+    """The kernel loop, without building the executor it would not run."""
+    return None, None, DECISION_COLUMNAR_OFF
 
 
 @contextmanager

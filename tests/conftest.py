@@ -32,11 +32,10 @@ def pytest_addoption(parser):
         "(a test that pins an executor itself still gets the one it asks for)",
     )
     parser.addoption(
-        "--batching",
-        choices=("force", "off"),
-        default=None,
-        help="decide every recursive stratum this way instead of by the product's profit score "
-        "(a test that pins a decision itself still gets the one it asks for)",
+        "--batching-off",
+        action="store_true",
+        help="run every recursive stratum on the kernel loop instead of deciding by the "
+        "product's profit score (a test that pins a decision itself still gets the one it asks for)",
     )
 
 
@@ -54,13 +53,12 @@ def _row_executor(request):
 @pytest.fixture(scope="session", autouse=True)
 def _batch_decision(request):
     """How the session's recursive strata pick columnar or the kernel loop: the
-    product's profit score, or with ``--batching`` forced one way for every
+    product's profit score, or with ``--batching-off`` the kernel loop for every
     test and fixture."""
-    mode = request.config.getoption("--batching")
-    if mode is None:
+    if not request.config.getoption("--batching-off"):
         yield
         return
-    with batching(mode):
+    with batching("off"):
         yield
 
 

@@ -30,6 +30,7 @@ from repro.testing import (
     run_batch,
     run_differential,
 )
+from repro.testing.generate import generate_labelled_case
 from repro.testing.reference import batching
 
 SEED_COUNT = 84
@@ -64,7 +65,7 @@ def test_bounded_family_extra_seeds(seed):
 def test_labelled_family_extra_seeds(seed):
     """Every engine and pinned mode agrees on arity-3 closures; forcing the
     batch executor finds no template for their stratum."""
-    case = generate_case(seed, "labelled")
+    case = generate_labelled_case(seed)
     assert case.family == "labelled"
     report = run_differential(case)
     assert report.ok, report.summary() + "\n" + "\n".join(report.mismatches)
@@ -74,18 +75,13 @@ def test_labelled_family_extra_seeds(seed):
     assert [(d.dispatch, d.detail) for d in recorder.strata] == [("kernel-loop", "no-batch-template")]
 
 
-def test_an_unknown_family_is_refused():
-    with pytest.raises(ValueError, match="unknown differential family"):
-        generate_case(0, "labeled")
-
-
 def test_labelled_plans_probe_two_of_three_columns():
     """The family exists to reach multi-column index keys: every case's
     recursive plan probes an arity-3 relation on exactly two columns, with a
     variable pair or a variable and a constant."""
     keys = set()
     for seed in LABELLED_SEEDS:
-        case = generate_case(seed, "labelled")
+        case = generate_labelled_case(seed)
         relations = {relation.name: relation for relation in case.database.relations()}
         probes = [
             (step.predicate, step.probe_columns, tuple(is_const for is_const, _ in step.key_ops))

@@ -189,13 +189,13 @@ class TestTouchedOnce:
 
     @pytest.fixture
     def decisions(self, monkeypatch):
-        """The executor handed to every batch decision, in order."""
+        """The executor builder handed to every batch decision, in order."""
         taken = []
         decide = seminaive.BATCH_DECISION
 
-        def recording_decision(executor):
-            taken.append(executor)
-            return decide(executor)
+        def recording_decision(build):
+            taken.append(build)
+            return decide(build)
 
         monkeypatch.setattr(seminaive, "BATCH_DECISION", recording_decision)
         return taken
