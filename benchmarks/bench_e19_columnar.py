@@ -21,12 +21,15 @@ Three experiments:
 * **fan-out sweep** — what the adaptive decision is calibrated against:
   forests and layered DAGs of out-degree 2, 3, 4 and 8 under string ids (the
   binary forest is the input the service materializes on start), kernel loop
-  vs forced vs adaptive, with the ``profit_score`` each shape gets.  Recorded
-  unguarded: trees lose under batching at *every* out-degree (every tuple is
-  derived once, so there is nothing to batch) while DAGs win from the lowest
-  score up, so no value of ``PROFIT_THRESHOLD`` separates the two and the
-  constant stays where it was; ``ratio_forest_adaptive`` is the number a
-  better score has to move to ≥ 0.95.
+  vs forced vs adaptive in ``PAIRS`` interleaved rounds, with the
+  ``profit_score`` each shape gets.  Each ratio is recorded as the median of
+  its rounds (``ratio_*``) beside its lower and upper quartile (``iqr_*``).
+  Recorded unguarded: trees lose under batching at *every* out-degree in the
+  median (every tuple is derived once, so there is nothing to batch) while
+  DAGs win from the lowest score up, so no value of ``PROFIT_THRESHOLD``
+  separates the two and the constant stays where it was;
+  ``ratio_forest_adaptive`` is the number a better score has to move to
+  ≥ 0.95.
 
 ``speedup_*`` keys in ``extra_info`` are CI-guarded ≥ 1.0 (see
 ``.github/workflows/ci.yml``); ``ratio_*`` keys are recorded for the table
@@ -34,6 +37,9 @@ but never guarded.
 """
 
 from __future__ import annotations
+
+import statistics
+import time
 
 from repro.engine import EvaluationStats, seminaive_evaluate
 from repro.engine.instrumentation import query_trace
@@ -51,6 +57,8 @@ CHAIN_LENGTH = 300
 FOREST_SHAPES = {2: (7, 64), 3: (5, 32), 4: (4, 32), 8: (3, 24)}
 #: fan-outs of the 12-layer, 60-wide DAG; 8 is the end-to-end ``materialize_fat`` shape
 DAG_FANOUTS = (2, 3, 4, 8)
+#: timed (kernel, forced, adaptive) rounds per fan-out shape, after one warm-up round
+PAIRS = 7
 
 
 def counters(stats: EvaluationStats) -> dict:
@@ -171,6 +179,36 @@ def forest(out_degree: int) -> list:
     ]
 
 
+def interleaved_ratios(function):
+    """Kernel/forced and kernel/adaptive time ratios over ``PAIRS`` interleaved rounds.
+
+    Each round runs the kernel loop, forced batching and the product's own
+    decision back to back, so drift on the box lands on all three arms of a
+    pair alike; an untimed first round warms plans, kernels and indexes.
+    Returns ``(forced ratios, adaptive ratios, kernel seconds, {mode: last
+    result})``.
+    """
+    forced, adaptive, kernel, results = [], [], [], {}
+    for round_number in range(PAIRS + 1):
+        seconds = {}
+        for mode in ("off", "force", None):
+            with step_machine(False), batching(mode):
+                started = time.perf_counter()
+                results[mode] = function()
+                seconds[mode] = time.perf_counter() - started
+        if round_number:
+            kernel.append(seconds["off"])
+            forced.append(seconds["off"] / seconds["force"])
+            adaptive.append(seconds["off"] / seconds[None])
+    return forced, adaptive, kernel, results
+
+
+def median_and_iqr(ratios):
+    """``(median, [lower quartile, upper quartile])``, rounded for the record."""
+    lower, middle, upper = statistics.quantiles(ratios, n=4)
+    return round(middle, 2), [round(lower, 2), round(upper, 2)]
+
+
 def adaptive_decision(database):
     """``(dispatch, profit score)`` the product's decision gives the closure's stratum."""
     recorder = ProfileRecorder("t(X, Y)?", trace_id="e19-decision")
@@ -196,31 +234,31 @@ def test_e19_fanout_sweep(benchmark):
             def closure(db=database):
                 return closure_with_counters(db)
 
-            kernel_time, forced_time, kernel_out, forced_out = timed_batch_modes(closure)
-            adaptive_time, adaptive_out = best_of(closure, rounds=5)
-            assert forced_out == kernel_out  # tuples and counters, on every shape
-            assert adaptive_out == kernel_out
+            forced, adaptive, kernel, results = interleaved_ratios(closure)
+            assert results["force"] == results["off"]  # tuples and counters, on every shape
+            assert results[None] == results["off"]
             dispatch, score = adaptive_decision(database)
-            measured[key] = (score, dispatch, kernel_time / forced_time, kernel_time / adaptive_time)
+            measured[key] = (score, dispatch, median_and_iqr(forced), median_and_iqr(adaptive))
             rows.append(
-                [label, len(kernel_out[0]["t"]), round(score, 2), dispatch,
-                 round(kernel_time * 1000, 1), round(forced_time * 1000, 1),
-                 round(adaptive_time * 1000, 1), round(kernel_time / forced_time, 2),
-                 round(kernel_time / adaptive_time, 2)]
+                [label, len(results["off"][0]["t"]), round(score, 2), dispatch,
+                 round(statistics.median(kernel) * 1000, 1)]
+                + [f"{median} [{lower}, {upper}]" for median, (lower, upper) in measured[key][2:]]
             )
         return rows, measured
 
     rows, measured = run_once(benchmark, sweep)
     emit(
-        "E19d: fan-out sweep under string ids — kernel loop vs forced vs adaptive",
-        ["workload", "t tuples", "score", "adaptive runs", "kernel ms", "forced ms",
-         "adaptive ms", "forced ratio", "adaptive ratio"],
+        f"E19d: fan-out sweep under string ids — kernel loop vs forced vs adaptive "
+        f"(median [quartiles] of {PAIRS} interleaved rounds)",
+        ["workload", "t tuples", "score", "adaptive runs", "kernel ms",
+         "forced ratio", "adaptive ratio"],
         rows,
     )
     # the end-to-end fat workload's shape must keep the batch executor
     assert measured["dag_f8"][1] == "columnar"
-    info = {"ratio_forest_adaptive": round(measured["forest_d2"][3], 2)}
-    for key, (score, _dispatch, forced_ratio, _adaptive_ratio) in measured.items():
+    info = {}
+    info["ratio_forest_adaptive"], info["iqr_forest_adaptive"] = measured["forest_d2"][3]
+    for key, (score, _dispatch, forced, _adaptive) in measured.items():
         info[f"score_{key}"] = round(score, 2)
-        info[f"ratio_{key}_forced"] = round(forced_ratio, 2)
+        info[f"ratio_{key}_forced"], info[f"iqr_{key}_forced"] = forced
     attach(benchmark, **info)

@@ -77,7 +77,7 @@ from .optimize import (
     optimize_program,
     unfold_bounded,
 )
-from .incremental import MaterializedView, Session, ViewProvenance, ViewRegistry
+from .incremental import MaterializedView, Session, ViewProvenance
 from .obs import (
     FlightRecorder,
     MetricsRegistry,
@@ -161,7 +161,6 @@ __all__ = [
     "UnfoldedDefinition",
     "Variable",
     "ViewProvenance",
-    "ViewRegistry",
     "__version__",
     "aho_ullman_selection",
     "answer",

@@ -5,7 +5,7 @@ that the paper's constructions are defined over (Section 2).
 """
 
 from .atoms import Atom, fact, share_variable
-from .database import Database, DatabaseListener
+from .database import Database
 from .errors import (
     EvaluationError,
     NotOneSidedError,
@@ -24,7 +24,6 @@ __all__ = [
     "Atom",
     "Constant",
     "Database",
-    "DatabaseListener",
     "EvaluationError",
     "NotOneSidedError",
     "ParseError",

@@ -6,20 +6,20 @@ paper.  Evaluation strategies receive a database plus a program and produce
 relations for the IDB predicates; they never mutate the input database unless
 explicitly asked to (``materialize``).
 
-Mutation hooks
---------------
-Downstream layers (the incremental view registry in
-:mod:`repro.incremental`) need to observe fact-level updates to keep derived
-state consistent.  A :class:`DatabaseListener` registered through
-:meth:`Database.add_listener` is called around every *effective* change made
-through the fact APIs.  They all go through :meth:`Database.mutate`, which
-takes per-relation deletes and inserts and fires each phase once, with
-``{name: rows}`` maps: the delete phases, then the insert phases.  A
-``before_*`` hook sees the database before that side is applied, an
-``after_*`` hook after it, and both receive only the rows that actually
+Mutation phases
+---------------
+Every fact-level update goes through :meth:`Database.mutate`, which takes
+per-relation deletes and inserts and applies only the rows that actually
 change (already-present insertions and absent deletions are filtered out).
-Mutating a :class:`Relation` directly bypasses the hooks; code that wants
-observers notified must go through the database.
+A caller that keeps derived state consistent — the materialized view a
+:class:`~repro.incremental.session.Session` owns — passes an object with the
+four maintenance phases, and :meth:`Database.mutate` calls each once with
+``{name: rows}`` maps: ``before_delete``, ``after_delete``,
+``before_insert``, ``after_insert``.  A ``before_*`` phase sees the database
+before that side is applied, an ``after_*`` phase after it.  Nothing is
+registered on the database: a change made without passing the phases — a
+fact API called directly, :meth:`Database.add_relation`, or a
+:class:`Relation` mutated in place — maintains nothing.
 """
 
 from __future__ import annotations
@@ -36,34 +36,6 @@ from .terms import Constant
 Changes = Mapping[str, Tuple[Row, ...]]
 
 
-class DatabaseListener:
-    """Observer interface for fact-level database mutations (all no-ops).
-
-    One effective :meth:`Database.mutate` call fires the four phases once
-    each, in this order: ``before_delete``, ``after_delete``,
-    ``before_insert``, ``after_insert``.  Each gets the effective rows of its
-    side per relation — deletions are tuples that were present, insertions
-    tuples that were absent — and a side with nothing to do gets an empty
-    map.  ``before_delete`` sees the database as it was, ``after_delete`` and
-    ``before_insert`` with the deletions applied, ``after_insert`` with both.
-    """
-
-    def before_delete(self, database: "Database", deletes: Changes) -> None:
-        """Called before ``deletes`` are removed."""
-
-    def after_delete(self, database: "Database", deletes: Changes) -> None:
-        """Called after ``deletes`` were removed."""
-
-    def before_insert(self, database: "Database", inserts: Changes) -> None:
-        """Called before ``inserts`` are added."""
-
-    def after_insert(self, database: "Database", inserts: Changes) -> None:
-        """Called after ``inserts`` were added; the mutation is complete."""
-
-    def on_relation_replaced(self, database: "Database", name: str) -> None:
-        """Called when a whole relation is registered or replaced wholesale."""
-
-
 def check_arity(name: str, arity: int, rows: Iterable[Row]) -> None:
     """Raise :class:`SchemaError` at the first of ``rows`` whose length is not ``arity``."""
     for row in rows:
@@ -76,7 +48,6 @@ class Database:
 
     def __init__(self, relations: Optional[Iterable[Relation]] = None) -> None:
         self._relations: Dict[str, Relation] = {}
-        self._listeners: List[DatabaseListener] = []
         for relation in relations or ():
             self.add_relation(relation)
 
@@ -112,8 +83,6 @@ class Database:
     def add_relation(self, relation: Relation) -> None:
         """Register a relation, replacing any previous relation of the same name."""
         self._relations[relation.name] = relation
-        for listener in self._listeners:
-            listener.on_relation_replaced(self, relation.name)
 
     def declare(self, name: str, arity: int) -> Relation:
         """Ensure a (possibly empty) relation of the given name and arity exists."""
@@ -130,8 +99,6 @@ class Database:
 
     def add_fact(self, name: str, row: Sequence[Value]) -> bool:
         """Insert one tuple, creating the relation on first use."""
-        if self._listeners:
-            return self.insert_facts(name, (row,)) == 1
         relation = self._relations.get(name)
         if relation is None:
             relation = Relation(name, len(tuple(row)))
@@ -162,18 +129,19 @@ class Database:
         self,
         deletes: Optional[Mapping[str, Iterable[Sequence[Value]]]] = None,
         inserts: Optional[Mapping[str, Iterable[Sequence[Value]]]] = None,
+        view=None,
     ) -> Tuple[Dict[str, Tuple[Row, ...]], Dict[str, Tuple[Row, ...]]]:
         """Apply per-relation deletes, then inserts, as one mutation.
 
         Every insert is validated before anything changes: a tuple whose
         length is not its relation's arity (the stored one, or for a new
         relation the first tuple's) raises :class:`SchemaError` and leaves
-        the database and its listeners untouched.  A new relation is created
-        on first use.  Deleting from an unknown relation or an absent tuple
-        is a no-op.  Listeners see each phase once (see
-        :class:`DatabaseListener`), and none when nothing changes.  Returns
-        the effective ``(deleted, inserted)`` rows per relation, duplicates
-        removed, order preserved.
+        the database untouched, no phase of ``view`` run.  A new relation is
+        created on first use.  Deleting from an unknown relation or an absent
+        tuple is a no-op.  ``view``'s four phases (see the module docstring)
+        run once each, with an empty map for an idle side, and none when
+        nothing changes.  Returns the effective ``(deleted, inserted)`` rows
+        per relation, duplicates removed, order preserved.
         """
         batches: Dict[str, List[Row]] = {}
         for name, rows in (inserts or {}).items():
@@ -202,32 +170,18 @@ class Database:
                 inserted[name] = fresh
         if not deleted and not inserted:
             return deleted, inserted
-        for listener in self._listeners:
-            listener.before_delete(self, deleted)
+        if view is not None:
+            view.before_delete(self, deleted)
         for name, rows in deleted.items():
             self._relations[name].discard_all(rows)
-        for listener in self._listeners:
-            listener.after_delete(self, deleted)
-        for listener in self._listeners:
-            listener.before_insert(self, inserted)
+        if view is not None:
+            view.after_delete(self, deleted)
+            view.before_insert(self, inserted)
         for name, rows in inserted.items():
             self._relations[name].add_all(rows)
-        for listener in self._listeners:
-            listener.after_insert(self, inserted)
+        if view is not None:
+            view.after_insert(self, inserted)
         return deleted, inserted
-
-    # ------------------------------------------------------------------
-    # mutation listeners
-    # ------------------------------------------------------------------
-    def add_listener(self, listener: DatabaseListener) -> None:
-        """Register a mutation observer (see :class:`DatabaseListener`)."""
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def remove_listener(self, listener: DatabaseListener) -> None:
-        """Deregister a mutation observer; unknown listeners are a no-op."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
 
     def add_fact_atom(self, atom: Atom) -> bool:
         """Insert a ground atom as a fact."""

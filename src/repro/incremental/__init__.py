@@ -10,13 +10,14 @@ instead of across iterations.
 * :class:`MaterializedView` — one program's IDB relations plus their
   maintenance machinery (counting for nonrecursive/unfolded programs, DRed
   for recursive ones);
-* :class:`ViewRegistry` — fans the database's mutation hooks out to views;
-* :class:`Session` — the front door: ``insert`` / ``delete`` / ``query``.
+* :class:`Session` — the front door: ``insert`` / ``delete`` / ``query``;
+  it owns one view, drives its maintenance phases through
+  :meth:`~repro.datalog.database.Database.mutate`, and counts the epochs the
+  serving layer publishes.
 """
 
 from .counting import CountingState, initialize_counts
 from ..engine.compile import PlanCache
-from .registry import ViewRegistry
 from .session import Session
 from .view import MaterializedView, ViewProvenance
 
@@ -26,6 +27,5 @@ __all__ = [
     "PlanCache",
     "Session",
     "ViewProvenance",
-    "ViewRegistry",
     "initialize_counts",
 ]

@@ -3,9 +3,9 @@
 :func:`repro.answer` optimizes one query against one frozen database.  A
 :class:`Session` is its counterpart for the serving workload the ROADMAP
 targets: the program's IDB relations are materialized once at construction,
-kept incrementally correct by the view registry as facts are inserted and
-deleted, and queries against fresh views become plain indexed lookups —
-no fixpoint, no rewrite chain, no per-query evaluation at all.
+kept incrementally correct as facts are inserted and deleted, and queries
+on them become plain indexed lookups — no fixpoint, no rewrite chain, no
+per-query evaluation at all.
 
 >>> from repro import Database, Session, parse_program
 >>> program = parse_program('''
@@ -24,10 +24,36 @@ no fixpoint, no rewrite chain, no per-query evaluation at all.
 1
 >>> sorted(session.query("t(1, Y)?").answers)
 [(1, 9)]
+
+Maintenance rounds and epochs
+-----------------------------
+Every write is one :meth:`Session.mutate`: one
+:meth:`~repro.datalog.database.Database.mutate` call that runs the view's four
+maintenance phases once, whatever relations its deletes and inserts touch.
+An effective round advances the session's monotone **epoch** by one — once
+per round, not per relation or per phase, so a published snapshot never
+shows half a round — and adds the predicates it touched to a set the serving
+layer (:mod:`repro.service`) collects with :meth:`Session.collect_touched`.
+The mutated EDB relations always count as touched (the database filtered the
+round down to an effective delta first); a derived predicate counts only
+when its relation's ``version`` moved during the round, so a write that
+maintenance proves irrelevant to one derived relation leaves its cached
+answers valid.  That is what makes "which cached answers does this write
+invalidate?" a set-membership question instead of a flush-everything guess.
+
+Only the session's own writes are maintained: changing ``session.database``
+directly (a fact API, ``add_relation``, or a :class:`Relation` in place)
+bypasses the view, its epoch and its touched set.
+
+``session.lock`` is a reentrant lock serializing maintenance rounds against
+each other, against view-routed queries and against snapshot publication, so
+one session may be driven from many threads; readers that only touch
+published frozen snapshots never need it.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..datalog.database import Database, check_arity
@@ -36,7 +62,6 @@ from ..datalog.relation import Row, Value
 from ..datalog.rules import Program
 from ..engine.instrumentation import EvaluationStats
 from ..engine.query import QueryResult, answer, as_selection_query, lookup_result
-from .registry import ViewRegistry
 from .view import MaterializedView
 
 RowsLike = Union[Sequence[Value], Iterable[Sequence[Value]]]
@@ -88,13 +113,13 @@ def _rows_of(rows: list, *, scalars_are_rows: bool) -> list:
 class Session:
     """A database plus a maintained materialized view of one program.
 
-    ``insert``/``delete`` go through the database's mutation hooks, so the
-    view registry maintains every pinned relation in place; ``query`` routes
-    selections on materialized predicates straight to indexed lookups and
-    falls back to :func:`repro.answer` for anything else.
+    ``insert``/``delete`` run the view's maintenance phases around the
+    database change, so every pinned relation is maintained in place;
+    ``query`` routes selections on materialized predicates straight to
+    indexed lookups and falls back to :func:`repro.answer` for anything else.
 
-    Mutations and view-routed queries hold the registry's reentrant lock, so
-    a Session may be shared between threads; for many concurrent readers use
+    Mutations and view-routed queries hold :attr:`lock`, so a Session may be
+    shared between threads; for many concurrent readers use
     :class:`repro.service.DatalogService`, whose published snapshots let
     readers skip the lock entirely.
     """
@@ -108,10 +133,13 @@ class Session:
     ) -> None:
         self.program = parse_program(program) if isinstance(program, str) else program
         self.database = database if database is not None else Database()
-        self.registry = ViewRegistry(self.database)
-        self.view: MaterializedView = self.registry.materialize(
-            self.program, name=name, max_unfold_depth=max_unfold_depth
-        )
+        self.view = MaterializedView(name, self.program, self.database, max_unfold_depth)
+        #: serializes maintenance rounds, view-routed queries and snapshot
+        #: publication (reentrant: the service holds it around ``mutate``)
+        self.lock = threading.RLock()
+        #: monotone maintenance-round counter (see the module docstring)
+        self.epoch = 0
+        self._touched: Set[str] = set()
 
     # ------------------------------------------------------------------
     # mutation
@@ -131,22 +159,55 @@ class Session:
     ) -> Tuple[Dict[str, Tuple[Row, ...]], Dict[str, Tuple[Row, ...]]]:
         """Delete, then insert, over any relations as one maintenance round.
 
-        :meth:`Database.mutate` under the registry lock: the views see each
+        :meth:`Database.mutate` under :attr:`lock`: the view sees each
         maintenance phase once for the whole batch and the epoch advances
         once.  Every insert must fit its relation's arity (:meth:`arity_of`),
         checked before anything changes.  Returns the effective
         ``(deleted, inserted)`` rows per relation.
         """
         inserts = {name: list(rows) for name, rows in (inserts or {}).items()}
-        with self.registry.lock:
+        with self.lock:
             for name, rows in inserts.items():
                 arity = self.arity_of(name)
                 if arity is not None:
                     check_arity(name, arity, rows)
-            # a no-op mutation fires no hooks, so clear last_stats up front lest
+            view = self.view
+            # a no-op mutation runs no phase, so clear last_stats up front lest
             # it keep reporting the previous operation's work
-            self.registry.last_stats = EvaluationStats()
-            return self.database.mutate(deletes, inserts)
+            view.last_stats = EvaluationStats()
+            versions = {predicate: relation.version for predicate, relation in view.derived.items()}
+            deleted, inserted = self.database.mutate(deletes, inserts, view)
+            if deleted or inserted:
+                self.epoch += 1
+                self._touched.update(deleted, inserted)
+                self._touched.update(
+                    predicate
+                    for predicate, relation in view.derived.items()
+                    if versions.get(predicate) != relation.version
+                )
+            return deleted, inserted
+
+    def collect_touched(self) -> Set[str]:
+        """Every predicate touched since the last collect, handed over and reset.
+
+        The serving layer calls this once per snapshot publication, so two
+        publications never invalidate the same cached result twice.
+        """
+        with self.lock:
+            touched, self._touched = self._touched, set()
+            return touched
+
+    def restore_epoch(self, epoch: int) -> None:
+        """Re-anchor the epoch counter (the crash-recovery path).
+
+        A recovered service rebuilds its view from the replayed EDB, but the
+        durable history had reached ``epoch``; re-anchoring keeps
+        post-recovery snapshots and cache keys continuous with the pre-crash
+        history.  Only valid between maintenance rounds.
+        """
+        with self.lock:
+            self.epoch = epoch
+            self._touched = set()
 
     def arity_of(self, name: str) -> Optional[int]:
         """The arity rows of relation ``name`` must have: stored, else the program's, else ``None``."""
@@ -163,24 +224,22 @@ class Session:
         """Answer a selection query, preferring the materialized view.
 
         With ``strategy="view"`` (the default), a query on a materialized
-        predicate is a single indexed lookup against the maintained relation
-        (stale views are refreshed first), a query on a stored EDB relation
-        is a lookup against the database, and anything else goes through
-        :func:`repro.answer`.  Any other ``strategy`` value bypasses the view
-        and is handed to :func:`repro.answer` verbatim — useful for
-        cross-checking the view against live evaluation.
+        predicate is a single indexed lookup against the maintained relation,
+        a query on a stored EDB relation is a lookup against the database,
+        and anything else goes through :func:`repro.answer`.  Any other
+        ``strategy`` value bypasses the view and is handed to
+        :func:`repro.answer` verbatim — useful for cross-checking the view
+        against live evaluation.
         """
         if strategy != "view":
             # evaluation reads the live database, so it must exclude writers
             # just as the view paths below do
-            with self.registry.lock:
+            with self.lock:
                 return answer(self.program, self.database, query, strategy=strategy)
         selection = as_selection_query(self.program, query)
-        with self.registry.lock:
-            view = self.registry.view_for(selection.predicate)
-            if view is not None:
-                if not view.fresh:
-                    view.refresh(self.database)
+        with self.lock:
+            view = self.view
+            if selection.predicate in view.derived:
                 return lookup_result(
                     selection,
                     view.relation(selection.predicate),
@@ -205,7 +264,7 @@ class Session:
         pass is needed).  Unknown relations return an empty set, mirroring
         how :meth:`delete` treats them as empty.
         """
-        with self.registry.lock:
+        with self.lock:
             if not self.database.has_relation(name):
                 return set()
             return set(self.database.relation(name).rows())
@@ -218,7 +277,7 @@ class Session:
     @property
     def last_stats(self) -> EvaluationStats:
         """Maintenance work of the most recent insert/delete."""
-        return self.registry.last_stats
+        return self.view.last_stats
 
     def __str__(self) -> str:
         return f"Session({self.view!s} over {self.database!s})"

@@ -74,11 +74,14 @@ class MaterializedView:
         self.plan_cache = PlanCache()
         #: cumulative maintenance work (insert/delete propagation only)
         self.stats = EvaluationStats()
-        #: cost of the last from-scratch (re)computation
-        self.refresh_stats = EvaluationStats()
+        #: maintenance work of the current round; its owner resets it before
+        #: each :meth:`~repro.datalog.database.Database.mutate` it drives
+        self.last_stats = EvaluationStats()
         self.plan_program = self._unfold(program, database, max_unfold_depth)
-        #: predicate names whose updates can change this view (immutable for
-        #: the view's lifetime; checked per mutated relation and phase, so precomputed)
+        #: predicate names whose updates can change this view: the
+        #: *maintenance* program's, so updates to an atom the unfolding
+        #: minimization dropped are skipped as provably irrelevant (immutable
+        #: for the view's lifetime; checked per relation and phase, so precomputed)
         self._relevant = frozenset(self.plan_program.predicates())
         self.strategy = DRED if self._has_recursion(self.plan_program) else COUNTING
         detail = (
@@ -88,11 +91,16 @@ class MaterializedView:
         )
         self.rewrites.append(Rewrite("maintenance-strategy", True, f"{self.strategy} — {detail}"))
         self.counting: Optional[counting.CountingState] = None
-        self.derived: Dict[str, Relation] = {}
         #: DRed's overestimate, handed from ``before_delete`` to ``after_delete``
         self._doomed: Optional[Dict[str, Set[Row]]] = None
-        self.fresh = False
-        self.refresh(database)
+        #: cost of the from-scratch computation at registration
+        self.refresh_stats = EvaluationStats()
+        if self.strategy == COUNTING:
+            self.derived, self.counting = counting.initialize_counts(
+                self.plan_program, database, self.refresh_stats, self.plan_cache
+            )
+        else:
+            self.derived = seminaive_evaluate(self.plan_program, database, self.refresh_stats)
 
     # ------------------------------------------------------------------
     # registration-time rewriting
@@ -156,56 +164,37 @@ class MaterializedView:
         Each handle is a copy-on-write :meth:`~repro.datalog.relation.Relation.freeze`:
         readers holding the snapshot keep seeing exactly this instant's tuples
         while maintenance continues mutating the live relations underneath.
-        Callers that need a consistent *epoch* must hold the registry lock
-        across :func:`ViewRegistry.collect_touched` and this call.
+        Callers that need a consistent *epoch* must hold the session lock
+        across :meth:`~repro.incremental.session.Session.collect_touched` and
+        this call.
         """
         return {predicate: relation.freeze() for predicate, relation in self.derived.items()}
 
-    def relevant_to(self, name: str) -> bool:
-        """``True`` when updates to relation ``name`` can change this view.
-
-        Uses the *maintenance* program: an atom the unfolding minimization
-        dropped is provably irrelevant, so its updates are skipped entirely.
-        """
-        return name in self._relevant
-
     def _deltas(self, changes: Changes, strategy: str) -> Dict[str, Set[Row]]:
         """The rows of ``changes`` this view's ``strategy`` phase maintains (empty: nothing to do)."""
-        if not self.fresh or self.strategy != strategy:
+        if self.strategy != strategy:
             return {}
         return {name: set(rows) for name, rows in changes.items() if name in self._relevant}
 
-    def refresh(self, database: Database) -> None:
-        """Recompute the view from scratch (used at registration and on staleness)."""
-        stats = EvaluationStats()
-        if self.strategy == COUNTING:
-            self.derived, self.counting = counting.initialize_counts(
-                self.plan_program, database, stats, self.plan_cache
-            )
-        else:
-            self.derived = seminaive_evaluate(self.plan_program, database, stats)
-        self.refresh_stats = stats
-        self.fresh = True
-
-    def invalidate(self) -> None:
-        """Mark the view stale; the next query or refresh rebuilds it."""
-        self.fresh = False
+    def _record(self, stats: EvaluationStats) -> None:
+        """Add one phase's work to the round's and the cumulative counters."""
+        self.last_stats.merge(stats)
+        self.stats.merge(stats)
 
     # ------------------------------------------------------------------
-    # maintenance phases (driven by the registry's database hooks)
+    # maintenance phases (run by ``Database.mutate(deletes, inserts, view)``)
     # ------------------------------------------------------------------
-    def before_delete(self, database: Database, deletes: Changes) -> EvaluationStats:
+    def before_delete(self, database: Database, deletes: Changes) -> None:
         """Pre-mutation deletion phase (the DRed overestimate needs old state)."""
-        stats = EvaluationStats()
         deltas = self._deltas(deletes, DRED)
         if deltas:
+            stats = EvaluationStats()
             self._doomed = dred.overestimate_deletions(
                 self.plan_program, database, self.derived, deltas, stats, self.plan_cache
             )
-            self.stats.merge(stats)
-        return stats
+            self._record(stats)
 
-    def after_delete(self, database: Database, deletes: Changes) -> EvaluationStats:
+    def after_delete(self, database: Database, deletes: Changes) -> None:
         """Post-mutation deletion phase (counting decrements / DRed remove+rederive)."""
         stats = EvaluationStats()
         deltas = self._deltas(deletes, COUNTING)
@@ -213,34 +202,31 @@ class MaterializedView:
             counting.apply_deletions(
                 self.plan_program, database, self.derived, self.counting, deltas, stats, self.plan_cache
             )
-            self.stats.merge(stats)
+            self._record(stats)
         elif self._doomed is not None:
             doomed, self._doomed = self._doomed, None
             dred.apply_deletions(self.plan_program, database, self.derived, doomed, stats, self.plan_cache)
-            self.stats.merge(stats)
-        return stats
+            self._record(stats)
 
-    def before_insert(self, database: Database, inserts: Changes) -> EvaluationStats:
+    def before_insert(self, database: Database, inserts: Changes) -> None:
         """Pre-mutation insertion phase (all counting work happens here)."""
-        stats = EvaluationStats()
         deltas = self._deltas(inserts, COUNTING)
         if deltas:
+            stats = EvaluationStats()
             counting.apply_insertions(
                 self.plan_program, database, self.derived, self.counting, deltas, stats, self.plan_cache
             )
-            self.stats.merge(stats)
-        return stats
+            self._record(stats)
 
-    def after_insert(self, database: Database, inserts: Changes) -> EvaluationStats:
+    def after_insert(self, database: Database, inserts: Changes) -> None:
         """Post-mutation insertion phase (the DRed/semi-naive delta round)."""
-        stats = EvaluationStats()
         deltas = self._deltas(inserts, DRED)
         if deltas:
+            stats = EvaluationStats()
             stats.start_timer()
             propagate_insertions(self.plan_program, database, self.derived, deltas, stats, self.plan_cache)
             stats.stop_timer()
-            self.stats.merge(stats)
-        return stats
+            self._record(stats)
 
     def __str__(self) -> str:
         sizes = ", ".join(f"{p}={len(r)}" for p, r in sorted(self.derived.items()))

@@ -3,11 +3,12 @@
 Results are cached under ``(epoch, query)`` and stay valid exactly as long
 as their epoch does.  The precision comes from :meth:`EpochCache.advance`:
 when a maintenance round publishes a new epoch it reports *which predicates
-the round touched* (collected by the view registry), entries on touched
-predicates are dropped, and every surviving entry is revalidated at the new
-epoch — a write to relation ``a`` under view ``t`` invalidates cached ``t``
-and ``a`` queries and nothing else, so unrelated query streams keep their
-hits across arbitrarily many writes.
+the round touched*
+(:meth:`~repro.incremental.session.Session.collect_touched`), entries on
+touched predicates are dropped, and every surviving entry is revalidated at
+the new epoch — a write to relation ``a`` under view ``t`` invalidates cached
+``t`` and ``a`` queries and nothing else, so unrelated query streams keep
+their hits across arbitrarily many writes.
 
 Reads from stale epochs simply miss (a reader still holding an older
 snapshot evaluates against that snapshot instead), and stale puts are

@@ -31,7 +31,7 @@ import itertools
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
@@ -138,21 +138,7 @@ class ServiceStats:
     def as_dict(self) -> Dict[str, float]:
         """A flat dictionary view, convenient for report tables and JSON."""
         return {
-            "queries_served": self.queries_served,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "snapshot_lookups": self.snapshot_lookups,
-            "fallback_evaluations": self.fallback_evaluations,
-            "writes_enqueued": self.writes_enqueued,
-            "writes_applied": self.writes_applied,
-            "flushes": self.flushes,
-            "maintenance_rounds": self.maintenance_rounds,
-            "barriers": self.barriers,
-            "epochs_published": self.epochs_published,
-            "queue_depth": self.queue_depth,
-            "cache_entries": self.cache_entries,
-            "storage_reclaims": self.storage_reclaims,
-            "storage_copies": self.storage_copies,
+            **asdict(self),
             "coalescing_factor": round(self.coalescing_factor(), 3),
             "cache_hit_rate": round(self.cache_hit_rate(), 3),
         }
@@ -164,6 +150,10 @@ class ServiceStats:
             f"rounds={self.maintenance_rounds} epochs={self.epochs_published} "
             f"queue={self.queue_depth} cache={self.cache_entries}"
         )
+
+
+#: the :class:`ServiceStats` fields that are gauges; the rest are counters
+_SERVICE_GAUGES = ("queue_depth", "cache_entries")
 
 
 @dataclass
@@ -202,19 +192,7 @@ class RobustnessStats:
 
     def as_dict(self) -> Dict[str, float]:
         """A flat dictionary view, convenient for report tables and JSON."""
-        return {
-            "retries": self.retries,
-            "retry_exhaustions": self.retry_exhaustions,
-            "degradations": self.degradations,
-            "recoveries": self.recoveries,
-            "probes": self.probes,
-            "writes_shed": self.writes_shed,
-            "writes_refused": self.writes_refused,
-            "query_timeouts": self.query_timeouts,
-            "flusher_faults": self.flusher_faults,
-            "compaction_failures": self.compaction_failures,
-            "degraded_seconds": round(self.degraded_seconds, 6),
-        }
+        return {**asdict(self), "degraded_seconds": round(self.degraded_seconds, 6)}
 
     def __str__(self) -> str:
         return (
@@ -332,15 +310,15 @@ class DatalogService:
         self._probe_wake = threading.Event()
         self._close_lock = threading.Lock()
         if recovered is not None:
-            # rebuilding views from the recovered EDB advanced the registry
-            # arbitrarily; re-anchor so published epochs continue the durable
-            # history exactly where the WAL left it
-            self.session.registry.restore_epoch(recovered.epoch)
+            # the view was built from the recovered EDB at epoch 0; re-anchor
+            # so published epochs continue the durable history exactly where
+            # the WAL left it
+            self.session.restore_epoch(recovered.epoch)
         if store is not None:
             store.attach(
                 str(self.session.program),
                 self.session.database,
-                self.session.registry.epoch,
+                self.session.epoch,
                 replayed_records=recovered.records_replayed if recovered else 0,
             )
         self._snapshot = take_snapshot(self.session)
@@ -423,28 +401,15 @@ class DatalogService:
                 f"repro_service_{key}_total",
                 f"Total {key.replace('_', ' ')} (see ServiceStats.{key}).",
             )
-            for key in (
-                "queries_served",
-                "cache_hits",
-                "cache_misses",
-                "snapshot_lookups",
-                "fallback_evaluations",
-                "writes_enqueued",
-                "writes_applied",
-                "flushes",
-                "maintenance_rounds",
-                "barriers",
-                "epochs_published",
-                "storage_reclaims",
-                "storage_copies",
-            )
+            for key in (stat.name for stat in fields(ServiceStats))
+            if key not in _SERVICE_GAUGES
         }
         self._service_gauges = {
             key: registry.gauge(
                 f"repro_service_{key}",
                 f"Current {key.replace('_', ' ')} (see ServiceStats.{key}).",
             )
-            for key in ("queue_depth", "cache_entries", "coalescing_factor", "cache_hit_rate")
+            for key in (*_SERVICE_GAUGES, "coalescing_factor", "cache_hit_rate")
         }
         self._epoch_gauge = registry.gauge(
             "repro_service_epoch", "The epoch readers are currently served from."
@@ -458,19 +423,7 @@ class DatalogService:
                 f"repro_service_{key}_total",
                 f"Total {key.replace('_', ' ')} (see RobustnessStats.{key}).",
             )
-            for key in (
-                "retries",
-                "retry_exhaustions",
-                "degradations",
-                "recoveries",
-                "probes",
-                "writes_shed",
-                "writes_refused",
-                "query_timeouts",
-                "flusher_faults",
-                "compaction_failures",
-                "degraded_seconds",
-            )
+            for key in (stat.name for stat in fields(RobustnessStats))
         }
         registry.register_collector(self._collect_service_metrics)
         if self.storage is not None:
@@ -660,16 +613,14 @@ class DatalogService:
     def _release(self) -> None:
         """Drop everything a closed service holds that is as big as its data.
 
-        Detaching the registry breaks the ``Database`` listener <-> registry
-        cycle, and then dropping the session's database and views, the
-        published snapshot and the cached answers lets reference counting
-        free them here, not at the collector's next full pass.  The program,
+        Dropping the session's database and view, the published snapshot
+        and the cached answers lets reference counting free them here, not
+        at the collector's next full pass.  The program,
         the counters (the relations' storage counters folded in) and the
         last epoch stay, so the read-only surface keeps answering.  A
         snapshot a caller took earlier stays valid through their reference.
         """
         session = self.session
-        session.registry.detach()
         published = self._snapshot
         with self._stats_lock:
             for relation in _live_relations(session):
@@ -932,27 +883,27 @@ class DatalogService:
     def _recover_storage(self) -> None:
         """One probe attempt: revive the store, re-log the backlog, publish.
 
-        Runs under the registry lock so it cannot interleave with a flush.
+        Runs under the session lock so it cannot interleave with a flush.
         The unlogged backlog is re-appended oldest-first (replay's epoch
         guard makes any duplicate of a possibly-persisted earlier attempt
         harmless), and the epochs the degraded window applied in memory but
         never published are published now — readers jump forward to the
         state the WAL once again fully covers.
         """
-        registry = self.session.registry
-        with registry.lock:
+        session = self.session
+        with session.lock:
             store = self.storage
             if store is not None:
-                store.revive(registry.epoch)
+                store.revive(session.epoch)
                 while self._unlogged:
                     epoch, applied = self._unlogged[0]
                     store.log_batch(epoch, applied)
                     self._unlogged.pop(0)
             self._storage_failed = None
-            if registry.epoch != self._snapshot.epoch:
-                _collected, touched = registry.collect_touched()
-                published = take_snapshot(self.session)
-                self.cache.advance(registry.epoch, touched)
+            if session.epoch != self._snapshot.epoch:
+                touched = session.collect_touched()
+                published = take_snapshot(session)
+                self.cache.advance(session.epoch, touched)
                 self._snapshot = published
                 with self._stats_lock:
                     self._stats.epochs_published += 1
@@ -1241,7 +1192,7 @@ class DatalogService:
         contract; reads keep serving the last published epoch.
         """
         writes = [ticket for ticket in batch if not ticket.is_barrier]
-        registry = self.session.registry
+        session = self.session
         flush_started = _now()
         publish_elapsed = None
         span = self.tracer.span("flush", tickets=len(batch), writes=len(writes))
@@ -1265,18 +1216,18 @@ class DatalogService:
                     + (f" (cause: {cause})" if cause is not None else "")
                 )
             fire_fault("service.flush")
-            with registry.lock:
+            with session.lock:
                 writes = self._admit(writes)
                 groups = coalesce(writes)
-                epoch_before = registry.epoch
-                deleted, inserted = self.session.mutate(
+                epoch_before = session.epoch
+                deleted, inserted = session.mutate(
                     {group.relation: group.deletes for group in groups if group.deletes},
                     {group.relation: group.inserts for group in groups if group.inserts},
                 )
-                epoch = registry.epoch
+                epoch = session.epoch
                 rounds = epoch - epoch_before
                 if rounds:
-                    self._engine_bridge.record("maintenance", registry.last_stats)
+                    self._engine_bridge.record("maintenance", session.last_stats)
                 if rounds and self.storage is not None:
                     self._log_applied(
                         epoch,
@@ -1287,8 +1238,8 @@ class DatalogService:
                 touched: Set[str] = set()
                 publish_started = _now()
                 if epoch != self._snapshot.epoch:
-                    _collected, touched = registry.collect_touched()
-                    published = take_snapshot(self.session)
+                    touched = session.collect_touched()
+                    published = take_snapshot(session)
             if published is not None:
                 # cache first, snapshot second: a reader racing the publication
                 # either misses (old entries were dropped) or still reads the
@@ -1347,7 +1298,7 @@ class DatalogService:
     ) -> None:
         """Durably log the ops this round applied, retrying transient failures.
 
-        Runs under the registry lock (readers never take it, so backoff
+        Runs under the session lock (readers never take it, so backoff
         sleeps here cost writers latency, not readers).  Each retry reopens
         the log in a fresh segment first (:meth:`DurableStore.revive`) — the
         old segment may hold a torn frame or a record whose fsync failed;
@@ -1404,7 +1355,7 @@ class DatalogService:
         if store is None or not store.should_compact():
             return
         try:
-            with self.session.registry.lock:
+            with self.session.lock:
                 store.compact(epoch, self.session.database.relations())
         except BaseException as exc:  # noqa: BLE001 - see docstring
             with self._stats_lock:

@@ -1,7 +1,7 @@
 """Versioned snapshots: one epoch's consistent, immutable view of the world.
 
 A :class:`ServiceSnapshot` is what the serving layer publishes to readers
-after every maintenance round: the registry epoch it corresponds to, frozen
+after every maintenance round: the session epoch it corresponds to, frozen
 handles for every materialized IDB relation, and frozen handles for every
 stored EDB relation.  Freezing is O(1) copy-on-write
 (:meth:`repro.datalog.relation.Relation.freeze`), so publication costs one
@@ -45,7 +45,7 @@ from ..incremental.session import Session
 class ServiceSnapshot:
     """An immutable, epoch-stamped view of one Session's database + views."""
 
-    #: the registry epoch this snapshot reflects (monotone across publications)
+    #: the session epoch this snapshot reflects (monotone across publications)
     epoch: int
     #: frozen materialized IDB relations, by predicate
     views: Dict[str, Relation]
@@ -91,17 +91,14 @@ class ServiceSnapshot:
 def take_snapshot(session: Session) -> ServiceSnapshot:
     """Publish the session's current state as an epoch-stamped snapshot.
 
-    Holds the registry lock, so the epoch, the view relations and the EDB
+    Holds the session lock, so the epoch, the view relations and the EDB
     relations are mutually consistent even while writer threads are between
     maintenance rounds.
     """
-    registry = session.registry
-    with registry.lock:
+    with session.lock:
         view = session.view
-        if not view.fresh:
-            view.refresh(session.database)
         return ServiceSnapshot(
-            epoch=registry.epoch,
+            epoch=session.epoch,
             views=view.snapshot(),
             edb={
                 relation.name: relation.freeze()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.datalog import Database, SchemaError
 from repro.datalog.atoms import Atom, fact
-from repro.datalog.relation import Relation
 
 
 class TestConstruction:
@@ -95,8 +94,8 @@ class TestWholeDatabaseOperations:
             left.merge(right)
 
 
-class _RecordingListener:
-    """Captures the hook protocol: phase order, effective deltas, DB state."""
+class _RecordingView:
+    """Captures the phase protocol of ``Database.mutate``: order, effective deltas, DB state."""
 
     def __init__(self):
         self.events = []
@@ -116,9 +115,6 @@ class _RecordingListener:
 
     def after_insert(self, database, inserts):
         self._record("after_insert", database, inserts)
-
-    def on_relation_replaced(self, database, name):
-        self.events.append(("replaced", name))
 
 
 class TestMutationHooksAndBulkOps:
@@ -141,11 +137,13 @@ class TestMutationHooksAndBulkOps:
 
     def test_insert_facts_validates_arity_before_hooks_fire(self):
         database = Database.from_dict({"a": [(1, 2)]})
-        listener = _RecordingListener()
-        database.add_listener(listener)
+        view = _RecordingView()
         with pytest.raises(SchemaError):
-            database.insert_facts("a", [(1, 2, 3)])
-        assert listener.events == []  # nothing fired for the rejected batch
+            database.mutate(inserts={"a": [(3, 4), (1, 2, 3)]}, view=view)
+        assert view.events == []  # no phase ran for the rejected batch
+        with pytest.raises(SchemaError):
+            database.insert_facts("a", [(3, 4), (1, 2, 3)])
+        assert database.relation("a").rows() == {(1, 2)}
 
     def test_remove_facts_ignores_absent_rows(self):
         database = Database.from_dict({"a": [(1, 2), (2, 3)]})
@@ -154,12 +152,11 @@ class TestMutationHooksAndBulkOps:
 
     def test_hooks_see_effective_deltas_around_the_mutation(self):
         database = Database.from_dict({"a": [(1, 2)]})
-        listener = _RecordingListener()
-        database.add_listener(listener)
-        database.insert_facts("a", [(1, 2), (3, 4)])
-        database.remove_facts("a", [(3, 4), (9, 9)])
-        # every effective mutation fires all four phases once; an idle side gets {}
-        assert listener.events == [
+        view = _RecordingView()
+        database.mutate(inserts={"a": [(1, 2), (3, 4)]}, view=view)
+        database.mutate(deletes={"a": [(3, 4), (9, 9)]}, view=view)
+        # every effective mutation runs all four phases once; an idle side gets {}
+        assert view.events == [
             ("before_delete", {}, {}),
             ("after_delete", {}, {}),
             ("before_insert", {"a": ((3, 4),)}, {"a": 1}),  # old state, present row filtered
@@ -172,63 +169,35 @@ class TestMutationHooksAndBulkOps:
 
     def test_one_mutation_fires_each_phase_once_for_every_relation(self):
         database = Database.from_dict({"a": [(1, 2), (3, 4)], "b": [(5,)]})
-        listener = _RecordingListener()
-        database.add_listener(listener)
+        view = _RecordingView()
         deleted, inserted = database.mutate(
             deletes={"a": [(1, 2), (9, 9)], "b": [(5,)], "ghost": [(1,)]},
             inserts={"a": [(1, 2), (3, 4), (7, 8)], "c": [(1, 1, 1)]},
+            view=view,
         )
         assert deleted == {"a": ((1, 2),), "b": ((5,),)}
         # (1, 2) is deleted and re-inserted: deletes apply first
         assert inserted == {"a": ((1, 2), (7, 8)), "c": ((1, 1, 1),)}
-        assert [event[0] for event in listener.events] == [
+        assert [event[0] for event in view.events] == [
             "before_delete", "after_delete", "before_insert", "after_insert",
         ]
-        assert listener.events[0][2] == {"a": 2, "b": 1}  # old state
-        assert listener.events[1][2] == {"a": 1, "b": 0}  # deletes applied
-        assert listener.events[3][2] == {"a": 3, "c": 1}  # both applied
+        assert view.events[0][2] == {"a": 2, "b": 1}  # old state
+        assert view.events[1][2] == {"a": 1, "b": 0}  # deletes applied
+        assert view.events[2][2] == {"a": 1, "c": 0}  # inserts not yet applied
+        assert view.events[3][2] == {"a": 3, "c": 1}  # both applied
         assert database.relation("a").rows() == {(1, 2), (3, 4), (7, 8)}
 
     def test_mutate_validates_every_insert_before_anything_changes(self):
         database = Database.from_dict({"a": [(1, 2)], "b": [(5,)]})
-        listener = _RecordingListener()
-        database.add_listener(listener)
+        view = _RecordingView()
         with pytest.raises(SchemaError, match="arity"):
-            database.mutate(deletes={"b": [(5,)]}, inserts={"fresh": [(1,)], "a": [(1, 2, 3)]})
-        assert listener.events == []
+            database.mutate(deletes={"b": [(5,)]}, inserts={"fresh": [(1,)], "a": [(1, 2, 3)]}, view=view)
+        assert view.events == []
         assert database.relation("b").rows() == {(5,)}
         assert not database.has_relation("fresh")
 
     def test_noop_mutations_fire_no_hooks(self):
         database = Database.from_dict({"a": [(1, 2)]})
-        listener = _RecordingListener()
-        database.add_listener(listener)
-        database.insert_facts("a", [(1, 2)])
-        database.remove_facts("a", [(9, 9)])
-        assert listener.events == []
-
-    def test_add_fact_routes_through_hooks_when_listening(self):
-        database = Database.from_dict({"a": [(1, 2)]})
-        listener = _RecordingListener()
-        database.add_listener(listener)
-        assert database.add_fact("a", (5, 6)) is True
-        assert [event[0] for event in listener.events] == [
-            "before_delete", "after_delete", "before_insert", "after_insert",
-        ]
-        assert listener.events[2][1] == {"a": ((5, 6),)}
-
-    def test_add_relation_fires_replacement_hook(self):
-        database = Database.from_dict({"a": [(1, 2)]})
-        listener = _RecordingListener()
-        database.add_listener(listener)
-        database.add_relation(Relation("a", 2, [(9, 9)]))
-        assert listener.events == [("replaced", "a")]
-
-    def test_remove_listener_and_copy_isolation(self):
-        database = Database.from_dict({"a": [(1, 2)]})
-        listener = _RecordingListener()
-        database.add_listener(listener)
-        database.copy().insert_facts("a", [(7, 8)])  # copies do not share listeners
-        database.remove_listener(listener)
-        database.insert_facts("a", [(5, 6)])
-        assert listener.events == []
+        view = _RecordingView()
+        assert database.mutate(inserts={"a": [(1, 2)]}, deletes={"a": [(9, 9)], "ghost": [(1,)]}, view=view) == ({}, {})
+        assert view.events == []

@@ -2,17 +2,18 @@
 
 The update-sequence differential suite checks end-to-end equivalence on
 random scripts; these tests pin the individual mechanisms — strategy
-selection, counting decrements, the DRed cycle case, mutation hooks, view
-routing, staleness — on small hand-checkable databases.
+selection, counting decrements, the DRed cycle case, maintenance rounds and
+view routing — on small hand-checkable databases.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro import Database, Session, parse_program, seminaive_evaluate
-from repro.datalog import SchemaError
-from repro.incremental import ViewRegistry
 from repro.workloads import bounded_swap, transitive_closure
 
 TC = transitive_closure()
@@ -50,6 +51,20 @@ class TestStrategySelection:
         session = Session(program, database)
         assert session.view.strategy == "counting"
         assert session.view.derived["q"].rows() == {(1, 3)}
+
+    def test_unfolded_views_ignore_provably_irrelevant_updates(self):
+        """Minimization can drop atoms; updates to them must cost nothing."""
+        program = parse_program(
+            """
+            t(X, Y) :- a(X, Y), t(Y, X).
+            t(X, Y) :- b(X, Y).
+            """
+        )
+        database = Database.from_dict({"a": [(1, 2)], "b": [(2, 1)], "z": [(0,)]})
+        session = Session(program, database)
+        before = session.view.stats.as_dict()
+        session.insert("z", (1,))  # not mentioned by the program at all
+        assert session.view.stats.as_dict() == before
 
 
 class TestInsertions:
@@ -203,8 +218,8 @@ class TestDeletions:
         session = Session(TC, tc_database())
         deleted, inserted = session.mutate(deletes={"b": [(2, 3)]}, inserts={"a": [(0, 1)], "b": [(3, 4)]})
         assert deleted == {"b": ((2, 3),)} and inserted == {"a": ((0, 1),), "b": ((3, 4),)}
-        assert session.registry.epoch == 1
-        assert session.registry.collect_touched() == (1, {"a", "b", "t"})
+        assert session.epoch == 1
+        assert session.collect_touched() == {"a", "b", "t"}
         assert_view_matches_recompute(session)
 
 
@@ -344,57 +359,6 @@ class TestQueryRouting:
         routed = session.query("t(1, Y)?", strategy="seminaive")
         assert routed.answers == session.query("t(1, Y)?").answers
 
-    def test_stale_view_is_refreshed_before_answering(self):
-        session = Session(TC, tc_database())
-        from repro.datalog import Relation
-
-        # wholesale replacement carries no delta: the view must go stale...
-        session.database.add_relation(Relation("a", 2, [(1, 5)]))
-        assert not session.view.fresh
-        # ...and the next query rebuilds it against the new state
-        result = session.query("t(1, Y)?")
-        assert session.view.fresh
-        assert result.answers == session.query("t(1, Y)?", strategy="seminaive").answers
-
-
-class TestRegistry:
-    def test_duplicate_view_names_are_rejected(self):
-        database = tc_database()
-        registry = ViewRegistry(database)
-        registry.materialize(TC)
-        with pytest.raises(SchemaError):
-            registry.materialize(TC)
-
-    def test_dropped_views_stop_being_maintained(self):
-        database = tc_database()
-        registry = ViewRegistry(database)
-        view = registry.materialize(TC)
-        registry.drop("default")
-        database.insert_facts("b", [(9, 10)])
-        assert (9, 10) not in view.derived["t"]
-
-    def test_detach_stops_observing(self):
-        database = tc_database()
-        registry = ViewRegistry(database)
-        view = registry.materialize(TC)
-        registry.detach()
-        database.insert_facts("b", [(9, 10)])
-        assert (9, 10) not in view.derived["t"]
-
-    def test_unfolded_views_ignore_provably_irrelevant_updates(self):
-        """Minimization can drop atoms; updates to them must cost nothing."""
-        program = parse_program(
-            """
-            t(X, Y) :- a(X, Y), t(Y, X).
-            t(X, Y) :- b(X, Y).
-            """
-        )
-        database = Database.from_dict({"a": [(1, 2)], "b": [(2, 1)], "z": [(0,)]})
-        session = Session(program, database)
-        before = session.view.stats.as_dict()
-        session.insert("z", (1,))  # not mentioned by the program at all
-        assert session.view.stats.as_dict() == before
-
 
 class TestSessionErgonomics:
     def test_program_accepts_source_text(self):
@@ -421,3 +385,19 @@ class TestSessionErgonomics:
         assert session.maintenance_stats.tuples_inserted == 0
         session.insert("b", (3, 4))
         assert session.maintenance_stats.tuples_inserted > 0
+
+    @pytest.mark.parametrize("program", [TC, bounded_swap()], ids=["dred", "counting"])
+    def test_a_dropped_session_frees_its_view_without_the_collector(self, program):
+        """Nothing on the database points back at the session's view, so
+        reference counting alone frees it once the session is dropped."""
+        session = Session(program, tc_database())
+        session.insert("b", (3, 1))
+        session.delete("a", (1, 2))
+        session.query("t(1, Y)?")
+        view = weakref.ref(session.view)
+        gc.disable()
+        try:
+            del session
+            assert view() is None
+        finally:
+            gc.enable()

@@ -210,7 +210,7 @@ def test_a_drained_batch_over_several_relations_is_one_exact_round(strategy, see
             label = f"seed {seed}, batch {number}"
             assert service.stats.maintenance_rounds - rounds == int(expected != previous), label
             previous = expected
-            with session.registry.lock:
+            with session.lock:
                 assert {name: session.facts(name) for name in "abc"} == expected, label
                 reference = seminaive_evaluate(session.program, session.database)
                 assert set(session.view.derived) == set(reference), label

@@ -34,41 +34,29 @@ def service():
 
 
 # ----------------------------------------------------------------------
-# registry epochs
+# session epochs
 # ----------------------------------------------------------------------
 class TestRegistryEpochs:
     def test_each_effective_mutation_round_advances_the_epoch(self):
         session = Session(TC, tc_database())
-        registry = session.registry
-        assert registry.epoch == 0
+        assert session.epoch == 0
         session.insert("b", (2, 9))
-        assert registry.epoch == 1
+        assert session.epoch == 1
         session.delete("b", (2, 9))
-        assert registry.epoch == 2
+        assert session.epoch == 2
 
     def test_noop_mutations_do_not_advance_the_epoch(self):
         session = Session(TC, tc_database())
         session.insert("b", (3, 4))  # already present
         session.delete("b", (99, 99))  # absent
-        assert session.registry.epoch == 0
+        assert session.epoch == 0
 
     def test_collect_touched_reports_and_resets(self):
         session = Session(TC, tc_database())
         session.insert("b", (2, 9))
-        epoch, touched = session.registry.collect_touched()
-        assert epoch == 1
-        assert touched == {"b", "t"}  # the EDB relation plus the affected view
-        _epoch, again = session.registry.collect_touched()
-        assert again == set()
-
-    def test_relation_replacement_advances_and_touches(self):
-        from repro.datalog.relation import Relation
-
-        session = Session(TC, tc_database())
-        session.database.add_relation(Relation("b", 2, [(1, 9)]))
-        epoch, touched = session.registry.collect_touched()
-        assert epoch == 1
-        assert touched == {"b", "t"}
+        assert session.epoch == 1
+        assert session.collect_touched() == {"b", "t"}  # the EDB relation plus the affected view
+        assert session.collect_touched() == set()
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +266,7 @@ class TestDatalogService:
 
     def test_untouched_predicate_survives_an_epoch_advance(self):
         # 's' rides only on 'c', so a write to 'b' must not evict it: the
-        # registry reports per-predicate version changes, not whole views
+        # session reports per-predicate version changes, not whole views
         program = TC + "s(X, Y) :- c(X, Y).\n"
         database = tc_database()
         database.insert_facts("c", [(10, 11)])
@@ -536,7 +524,7 @@ class TestClosedService:
 
     def test_a_stuck_flusher_releases_nothing(self):
         svc = DatalogService(TC, tc_database(), flush_policy=FlushPolicy(max_batch=1, max_delay_seconds=0.001))
-        lock = svc.session.registry.lock
+        lock = svc.session.lock
         lock.acquire()  # wedge the flusher mid-apply
         try:
             svc.insert("b", (2, 9))
@@ -557,14 +545,13 @@ class TestClosedService:
     def test_a_dropped_service_leaves_no_cyclic_garbage(self, tmp_path):
         """A fresh durable service and a recovered one, each queried, written and
         closed, are freed by reference counting alone: the collector finds none
-        of their relations, databases, registries or views, and no function
+        of their relations, databases or views, and no function
         object of ours (a nested function calling itself is a cycle per call)."""
         import gc
         import types
         import weakref
 
         from repro.datalog.relation import Relation
-        from repro.incremental.registry import ViewRegistry
         from repro.incremental.view import MaterializedView
 
         def serve(path):
@@ -586,7 +573,7 @@ class TestClosedService:
             leaked = [
                 obj
                 for obj in gc.garbage
-                if isinstance(obj, (Relation, Database, ViewRegistry, MaterializedView))
+                if isinstance(obj, (Relation, Database, MaterializedView))
                 or (isinstance(obj, types.FunctionType) and obj.__module__.startswith("repro"))
             ]
             assert leaked == []

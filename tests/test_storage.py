@@ -679,8 +679,8 @@ class TestFlushFailurePropagation:
 class TestCloseBehavior:
     def test_stuck_flusher_is_surfaced_and_all_tickets_fail(self):
         service = DatalogService(TC, flush_policy=FAST)
-        registry_lock = service.session.registry.lock
-        registry_lock.acquire()  # wedge the flusher mid-apply
+        session_lock = service.session.lock
+        session_lock.acquire()  # wedge the flusher mid-apply
         try:
             blocked = service.insert("edge", (1, 2))
             deadline = 50
@@ -702,7 +702,7 @@ class TestCloseBehavior:
             with pytest.raises(ServiceClosed, match="stuck"):
                 blocked.wait(timeout=1)
         finally:
-            registry_lock.release()
+            session_lock.release()
         service._flusher.join(timeout=10)
         assert not service._flusher.is_alive()
         # the flusher finished the batch once unwedged, but the outcome a
@@ -714,8 +714,8 @@ class TestCloseBehavior:
         service = DatalogService.open(
             tmp_path, TC, storage_config=fast_config(), flush_policy=FAST
         )
-        registry_lock = service.session.registry.lock
-        registry_lock.acquire()
+        session_lock = service.session.lock
+        session_lock.acquire()
         try:
             ticket = service.insert("edge", (1, 2))
             with pytest.raises(ServiceClosed, match="did not exit"):
@@ -726,7 +726,7 @@ class TestCloseBehavior:
             with pytest.raises(ServiceClosed):
                 ticket.wait(timeout=1)
         finally:
-            registry_lock.release()
+            session_lock.release()
         service._flusher.join(timeout=10)
         assert not service._flusher.is_alive()
 
