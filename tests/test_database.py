@@ -201,3 +201,22 @@ class TestMutationHooksAndBulkOps:
         view = _RecordingView()
         assert database.mutate(inserts={"a": [(1, 2)]}, deletes={"a": [(9, 9)], "ghost": [(1,)]}, view=view) == ({}, {})
         assert view.events == []
+
+    def test_mutate_without_a_view_applies_the_same_rows(self):
+        changes = {"deletes": {"a": [(1, 2), (9, 9)]}, "inserts": {"a": [(1, 2), (5, 6)], "c": [(1,)]}}
+        watched = Database.from_dict({"a": [(1, 2), (3, 4)]})
+        plain = watched.copy()
+        assert plain.mutate(**changes) == watched.mutate(**changes, view=_RecordingView())
+        assert plain.names() == watched.names() == {"a", "c"}
+        assert all(plain.relation(name).rows() == watched.relation(name).rows() for name in plain.names())
+
+    def test_phases_see_the_database_being_mutated_not_its_copies(self):
+        database = Database.from_dict({"a": [(1, 2)]})
+        clone = database.copy()
+        view = _RecordingView()
+        clone.mutate(inserts={"a": [(7, 8)]}, view=view)
+        assert view.events[3] == ("after_insert", {"a": ((7, 8),)}, {"a": 2})
+        assert database.relation("a").rows() == {(1, 2)}
+        database.mutate(inserts={"a": [(5, 6)]})  # no view: nothing recorded
+        assert len(view.events) == 4
+        assert clone.relation("a").rows() == {(1, 2), (7, 8)}

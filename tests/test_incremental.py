@@ -360,6 +360,31 @@ class TestQueryRouting:
         assert routed.answers == session.query("t(1, Y)?").answers
 
 
+class TestOwnership:
+    """A session's view is maintained by that session's writes and no others."""
+
+    def test_direct_database_writes_bypass_the_view(self):
+        from repro.datalog.relation import Relation
+
+        session = Session(TC, tc_database())
+        before = session.view.derived["t"].rows()
+        session.database.add_fact("b", (9, 10))
+        session.database.add_relation(Relation("a", 2, [(1, 5)]))
+        assert session.facts("b") >= {(9, 10)} and session.facts("a") == {(1, 5)}
+        assert session.view.derived["t"].rows() == before
+        assert session.epoch == 0 and session.collect_touched() == set()
+
+    def test_a_view_is_maintained_only_by_its_own_session(self):
+        database = tc_database()
+        writer, bystander = Session(TC, database), Session(TC, database)
+        writer.insert("b", (3, 9))
+        assert (1, 9) in writer.view.derived["t"]
+        assert (1, 9) not in bystander.view.derived["t"]
+        assert (writer.epoch, bystander.epoch) == (1, 0)
+        assert bystander.collect_touched() == set()
+        assert_view_matches_recompute(writer)
+
+
 class TestSessionErgonomics:
     def test_program_accepts_source_text(self):
         session = Session("t(X, Y) :- b(X, Y).", Database.from_dict({"b": [(1, 2)]}))

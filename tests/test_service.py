@@ -58,6 +58,34 @@ class TestRegistryEpochs:
         assert session.collect_touched() == {"b", "t"}  # the EDB relation plus the affected view
         assert session.collect_touched() == set()
 
+    def test_a_derived_predicate_is_touched_only_when_its_version_moves(self):
+        database = tc_database()
+        database.insert_facts("c", [(10, 11)])
+        session = Session(TC + "s(X, Y) :- c(X, Y).\n", database)
+        session.insert("c", (12, 13))
+        assert session.collect_touched() == {"c", "s"}
+        session.insert("b", (2, 9))
+        assert session.collect_touched() == {"b", "t"}  # 's' rides only on 'c'
+        session.mutate(deletes={"c": [(12, 13)]}, inserts={"b": [(2, 8)]})
+        assert session.epoch == 3  # one round, however many relations it spans
+        assert session.collect_touched() == {"b", "c", "s", "t"}
+
+    def test_restore_epoch_reanchors_and_forgets_touched(self):
+        session = Session(TC, tc_database())
+        session.insert("b", (2, 9))
+        session.restore_epoch(41)
+        assert session.epoch == 41
+        assert session.collect_touched() == set()
+        session.delete("b", (2, 9))
+        assert session.epoch == 42
+
+    def test_the_session_lock_is_reentrant(self):
+        session = Session(TC, tc_database())
+        with session.lock:  # the service holds it around mutate
+            assert session.insert("b", (2, 9)) == 1
+            assert session.query("t(2, Y)?").answers == {(2, 4), (2, 9)}
+        assert session.epoch == 1
+
 
 # ----------------------------------------------------------------------
 # the epoch-keyed cache
@@ -332,6 +360,21 @@ class TestDatalogService:
             "coalescing_factor": 3.0,
             "cache_hit_rate": 0.25,
         }
+
+    def test_stats_dicts_list_every_field_in_declaration_order(self):
+        from dataclasses import fields
+
+        from repro.service.service import RobustnessStats, ServiceStats
+
+        stats = ServiceStats(writes_applied=3, flushes=2)
+        assert list(stats.as_dict()) == [f.name for f in fields(ServiceStats)] + [
+            "coalescing_factor",
+            "cache_hit_rate",
+        ]
+        assert stats.as_dict()["coalescing_factor"] == 1.5
+        robust = RobustnessStats(degraded_seconds=0.12345678)
+        assert list(robust.as_dict()) == [f.name for f in fields(RobustnessStats)]
+        assert robust.as_dict()["degraded_seconds"] == 0.123457
 
     def test_stats_copy_samples_queue_depth_and_cache_entries(self, service):
         service.query("t(1, Y)?")  # prime one cache entry
