@@ -38,6 +38,7 @@ but never guarded.
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
 
@@ -185,13 +186,17 @@ def interleaved_ratios(function):
     Each round runs the kernel loop, forced batching and the product's own
     decision back to back, so drift on the box lands on all three arms of a
     pair alike; an untimed first round warms plans, kernels and indexes.
-    Returns ``(forced ratios, adaptive ratios, kernel seconds, {mode: last
-    result})``.
+    Before an arm's clock starts, the arm's previous result is dropped and
+    the collector runs, so no arm pays for freeing or collecting another
+    arm's garbage.  Returns ``(forced ratios, adaptive ratios, kernel
+    seconds, {mode: last result})``.
     """
     forced, adaptive, kernel, results = [], [], [], {}
     for round_number in range(PAIRS + 1):
         seconds = {}
         for mode in ("off", "force", None):
+            results.pop(mode, None)
+            gc.collect()
             with step_machine(False), batching(mode):
                 started = time.perf_counter()
                 results[mode] = function()

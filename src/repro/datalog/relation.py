@@ -10,7 +10,8 @@ Design notes
 * Tuples are stored in a plain ``set`` for O(1) membership and duplicate
   elimination (Datalog is set semantics).
 * Per-column-set hash indexes are built lazily on first probe and then
-  maintained incrementally by ``add``/``discard``/``clear``.
+  maintained incrementally by ``add``/``discard``/``clear``; a bulk
+  ``discard_all`` filters each bucket it touches once.
   A lookup with ``k`` bound columns therefore touches only the matching
   tuples, which is what makes the paper's Property 3 ("never do an
   unrestricted lookup on a nonrecursive relation") observable in the
@@ -30,7 +31,8 @@ Design notes
   pays for what it touches.  Its first *effective* mutation after the freeze
   (a no-op write leaves the publication alone) retires that storage and
   takes back an earlier one whose frozen handle is gone — nobody can read it
-  any more — replaying the few writes it missed; a bucket is copied the
+  any more — and catches it up on the few writes it missed (each index key
+  they touched shares the retired storage's bucket); a bucket is copied the
   first time a write lands on its key, and never again until the next
   freeze.  A commit that changes thirty rows of a 100k-row relation copies
   thirty-odd small lists, not 100k.  Only a cold start, or readers pinning
@@ -53,7 +55,7 @@ Design notes
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .errors import SchemaError
 
@@ -80,6 +82,29 @@ def _extend_partly_shared(
         else:
             index[key] = [row] if bucket is None else [*bucket, row]
             owned.add(key)
+
+
+def _keys(columns: Tuple[int, ...], rows: Iterable[Row]) -> Set[object]:
+    """The keys ``rows`` have in the index on ``columns`` (one column: the bare value)."""
+    if len(columns) == 1:
+        return {row[columns[0]] for row in rows}
+    return {tuple(row[c] for c in columns) for row in rows}
+
+
+def _drop_rows(columns: Tuple[int, ...], index: Dict[object, List[Row]], owned: Optional[Set[object]], gone: Set[Row]):
+    """Filter the ``gone`` rows out of ``index``, one pass per bucket they touch.
+
+    The filtered copy replaces the bucket, which a snapshot may share; the
+    copy is this relation's own (``owned``, when tracked, learns its key).
+    """
+    for key in _keys(columns, gone):
+        kept = [row for row in index[key] if row not in gone]
+        if kept:
+            index[key] = kept
+            if owned is not None:
+                owned.add(key)
+        else:
+            del index[key]
 
 
 class _RowMembership:
@@ -116,6 +141,7 @@ class _Standby(NamedTuple):
     rows: Set[Row]
     indexes: Dict[Tuple[int, ...], Dict[object, List[Row]]]
     backlog: List[Tuple[bool, Iterable[Row]]]  #: effective writes since: ``(added, rows)``
+    logged: int  #: the relation's ``_logged`` when it retired
 
 
 class Relation:
@@ -136,6 +162,8 @@ class Relation:
     #: storages published earlier (oldest first), each kept current by a
     #: backlog of the writes since; see :meth:`_detach_for_mutation`
     _standbys: Sequence[_Standby] = ()
+    #: rows written to backlogs so far (a standby's holds those since its ``logged``)
+    _logged = 0
     #: post-freeze detaches that took a standby back / that had to copy
     storage_reclaims = 0
     storage_copies = 0
@@ -198,7 +226,8 @@ class Relation:
 
         The shared storage retires as a standby.  If an earlier standby's
         handle is dead, its row set and key dicts are taken back and brought
-        up to date from its backlog: the detach costs what was written since.
+        up to date from its backlog: the detach costs the rows written since,
+        plus one dict write per index key they touched.
         Otherwise (cold start, clients pinning old epochs) the row set and
         each index's ``key -> bucket`` dict are copied — flat C-level copies
         that allocate no bucket.  Either way every bucket stays shared until
@@ -208,7 +237,8 @@ class Relation:
             raise SchemaError(
                 f"relation {self.name} is a frozen snapshot and cannot be mutated"
             )
-        standbys = [*self._standbys, _Standby(weakref.ref(self._snapshot), self._rows, self._indexes, [])]
+        standby = _Standby(weakref.ref(self._snapshot), self._rows, self._indexes, [], self._logged)
+        standbys = [*self._standbys, standby]
         self._snapshot = None
         spare = next((s for s in standbys if s.handle() is None), None)
         if spare is None:
@@ -222,23 +252,33 @@ class Relation:
         standbys.remove(spare)
         self._standbys = standbys
         self._rows, self._indexes = spare.rows, spare.indexes
-        self._owned = {columns: set() for columns in self._indexes}
         self.storage_reclaims += 1
-        # the ordinary copy-on-write path, un-logged: the other standbys'
-        # backlogs already hold these writes
+        # catch up, un-logged (the other standbys' backlogs hold these writes):
+        # the row set write by write, and each key a write touched takes the
+        # bucket of the storage just retired, which holds them all (shared)
+        touched: Set[Row] = set()
         for added, rows in spare.backlog:
-            if added:
-                self._rows.update(rows)
-                self._extend_indexes(rows)
-            else:
-                for row in rows:
-                    self._remove(row)
+            (self._rows.update if added else self._rows.difference_update)(rows)
+            touched.update(rows)
+        for columns, source in standby.indexes.items():
+            index = self._indexes.get(columns)
+            if index is None:  # registered since the spare retired
+                self._indexes[columns] = dict(source)
+                continue
+            for key in _keys(columns, touched):
+                bucket = source.get(key)
+                if bucket is None:
+                    index.pop(key, None)
+                else:
+                    index[key] = bucket
+        self._owned = {columns: set() for columns in self._indexes}
 
-    def _log(self, added: bool, rows: Iterable[Row]) -> None:
+    def _log(self, added: bool, rows: Collection[Row]) -> None:
         """Append an effective write to every standby's backlog."""
         for standby in self._standbys:
             standby.backlog.append((added, rows))
-        if len(self._standbys[0].backlog) > len(self._rows):
+        self._logged += len(rows)
+        if self._logged - self._standbys[0].logged > len(self._rows):
             # catching the oldest up would cost more than the copy it saves
             # (and a relation frozen once, then written forever, stays bounded)
             del self._standbys[0]
@@ -380,55 +420,28 @@ class Relation:
         return len(fresh)
 
     def discard(self, row: Sequence[Value]) -> bool:
-        """Remove a tuple if present (indexes are maintained in place).
-
-        Returns ``True`` when the tuple was present, mirroring :meth:`add`.
-        """
-        tupled = tuple(row)
-        if tupled not in self._rows:
-            if self._frozen:
-                self._detach_for_mutation()  # raises: frozen snapshots reject writes
-            return False
-        if self._frozen or self._snapshot is not None:
-            self._detach_for_mutation()
-        self.version += 1
-        self._remove(tupled)
-        if self._standbys:
-            self._log(False, (tupled,))
-        return True
-
-    def _remove(self, tupled: Row) -> None:
-        """Take a present row out of the row set and every registered index."""
-        self._rows.discard(tupled)
-        owned_by = self._owned
-        for columns, index in self._indexes.items():
-            if len(columns) == 1:
-                key: object = tupled[columns[0]]
-            else:
-                key = tuple(tupled[c] for c in columns)
-            bucket = index.get(key)
-            if bucket is None:
-                continue
-            if owned_by is not None:
-                owned = owned_by.get(columns)
-                if owned is not None and key not in owned:
-                    # first write to a bucket a snapshot still shares
-                    bucket = index[key] = list(bucket)
-                    owned.add(key)
-            try:
-                bucket.remove(tupled)
-            except ValueError:
-                continue
-            if not bucket:
-                del index[key]
+        """Remove a tuple if present; returns ``True`` when it was (mirrors :meth:`add`)."""
+        return self.discard_all((row,)) == 1
 
     def discard_all(self, rows: Iterable[Sequence[Value]]) -> int:
-        """Remove many tuples; returns how many were present (mirrors ``add_all``)."""
-        removed = 0
-        for row in rows:
-            if self.discard(row):
-                removed += 1
-        return removed
+        """Remove many tuples; returns how many were present (mirrors ``add_all``).
+
+        One row-set difference, one pass per index bucket touched, one backlog entry."""
+        if self._frozen:
+            self._detach_for_mutation()  # raises: frozen snapshots reject writes
+        gone = self._rows.intersection(map(tuple, rows))
+        if not gone:
+            return 0
+        if self._snapshot is not None:
+            self._detach_for_mutation()
+        self.version += 1
+        self._rows -= gone
+        owned_by = self._owned
+        for columns, index in self._indexes.items():
+            _drop_rows(columns, index, None if owned_by is None else owned_by.get(columns), gone)
+        if self._standbys:
+            self._log(False, gone)
+        return len(gone)
 
     def clear(self) -> None:
         """Remove every tuple, keeping the registered index column-sets.

@@ -36,6 +36,17 @@ class Rule:
     head: Atom
     body: Tuple[Atom, ...] = ()
 
+    def __post_init__(self) -> None:
+        # rules key the plan caches: hash once, not a walk of every atom and term per lookup
+        object.__setattr__(self, "_hash", hash((self.head, self.body)))
+
+    def __hash__(self) -> int:
+        return getattr(self, "_hash")
+
+    def __reduce__(self):
+        # rebuild from the atoms: a pickled ``_hash`` is wrong in another process
+        return (Rule, (self.head, self.body))
+
     @staticmethod
     def of(head: Atom, *body: Atom) -> "Rule":
         """Convenience constructor: ``Rule.of(head, b1, b2, ...)``."""

@@ -449,7 +449,8 @@ class PlanCache:
     compile-time bound variables and the leading inputs — never on relation
     contents — so callers that evaluate the same rule shapes repeatedly (a
     fixpoint, an incremental maintenance stream) pay the compilation cost
-    once per shape.
+    once per shape.  View maintenance also keeps here what it prepares
+    from them (:meth:`_keep`), so a view's steady commit resolves nothing.
     """
 
     def __init__(self, max_plans: Optional[int] = None) -> None:
@@ -457,6 +458,23 @@ class PlanCache:
         #: optional size cap for module-lifetime caches: the cache is cleared
         #: wholesale when full, bounding memory without per-entry bookkeeping
         self._max_plans = max_plans
+        #: ``key -> (executor, ((name, relation or None), ...), value)``
+        self._kept: Dict[object, tuple] = {}
+
+    def _keep(self, key: object, relations: RelationMap, build: Callable[[], Tuple[Iterable[str], object]]):
+        """What ``build()`` returns beside the relation names it read, kept under ``key``
+        until :data:`kernels.EXECUTOR` or one of those names' objects in ``relations``
+        changes (an absent relation since created included); under an armed
+        profile every call builds, keeping nothing, so it sees each dispatch."""
+        executor = kernels.EXECUTOR
+        if active_profile() is not None:
+            return build()[1]
+        kept = self._kept.get(key)
+        if kept is not None and kept[0] is executor and all(relations.get(n) is r for n, r in kept[1]):
+            return kept[2]
+        names, value = build()
+        self._kept[key] = (executor, tuple((name, relations.get(name)) for name in names), value)
+        return value
 
     def get(
         self,
@@ -483,9 +501,6 @@ class PlanCache:
         elif profile is not None:
             profile.record_plan_cache(True)
         return plan
-
-    def __len__(self) -> int:
-        return len(self._plans)
 
 
 def compile_delta_variants(

@@ -16,7 +16,9 @@ The delta loop over ``Relation`` deltas is written once (:func:`delta_rounds`;
 :func:`close_group` wraps it for a stratum whose inputs changed).  The fixpoint,
 insertion maintenance and DRed's over-delete (:mod:`repro.incremental.dred`)
 run it over the same :func:`compile_delta_variants` and differ only in a
-two-function policy: which produced rows are new, and where they go.
+two-function policy: which produced rows are new, and where they go.  The
+fixpoint prepares its steps per stratum; :func:`close_group` keeps them in the
+caller's :class:`PlanCache` (a view's, for the view's life).
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ def _evaluate_group(
         executor.stratum_index = stratum
         executor.run(stats)
         return
-    delta_rounds(group, delta_plans, relations, current, policy, stats, stratum)
+    delta_rounds(_delta_steps(delta_plans, relations, current), current, policy, stats, stratum)
 
 
 #: what a closure does with a delta join's output: ``fresh(head, produced)``
@@ -201,10 +203,23 @@ def _growing(
     return fresh, absorb
 
 
-def delta_rounds(
-    group: Sequence[str],
+def _delta_steps(
     delta_plans: List[Tuple[str, int, CompiledRule]],
     relations: Dict[str, Relation],
+    deltas: Dict[str, Relation],
+) -> List[Tuple[Relation, str, Callable]]:
+    """``(delta relation, head, run)`` per delta variant: prepared (:func:`prepare`) over
+    ``relations``, reading its occurrence from ``deltas``' relation for it."""
+    runs = prepare(
+        (plan for _predicate, _occurrence, plan in delta_plans),
+        relations,
+        overrides={plan: {occurrence: deltas[p]} for p, occurrence, plan in delta_plans},
+    )
+    return [(deltas[p], plan.rule.head.predicate, runs[plan]) for p, _occurrence, plan in delta_plans]
+
+
+def delta_rounds(
+    steps: List[Tuple[Relation, str, Callable]],
     current: Dict[str, Relation],
     policy: Policy,
     stats: EvaluationStats,
@@ -212,28 +227,21 @@ def delta_rounds(
 ) -> None:
     """The semi-naive delta loop: apply the delta variants until no delta holds a row.
 
-    ``current`` maps each group predicate to its delta relation, seeded by the
-    caller.  A round joins every variant whose delta is non-empty, keeps what
-    the policy calls new, and at the round boundary absorbs it and hands it on
-    as the next delta.  Each join's relations are resolved here, once, and a
-    delta relation is one object for the whole loop, so a join that probes it
-    keeps its registered index.
+    ``current`` maps each group predicate, in group order, to its delta
+    relation, seeded by the caller; ``steps`` read those relations
+    (:func:`_delta_steps`), so a join that probes a delta keeps its registered
+    index.  A round joins every variant whose delta is non-empty, keeps what
+    the policy calls new, and at the round boundary absorbs it and hands it
+    on as the next delta, counting the next round's state as it goes.
     """
     fresh, absorb = policy
     profile = active_profile()
-    runs = prepare(
-        (plan for _predicate, _occurrence, plan in delta_plans),
-        relations,
-        overrides={plan: {occurrence: current[p]} for p, occurrence, plan in delta_plans},
-    )
-    steps = [
-        (current[p], plan.rule.head.predicate, runs[plan]) for p, _occurrence, plan in delta_plans
-    ]
+    tuples = sum(map(len, current.values()))
+    columns = sum(len(relation) * relation.arity for relation in current.values())
     iteration = 0
-    while any(not current[p].is_empty() for p in group):
+    while tuples:
         stats.record_iteration()
-        delta_total = sum(len(current[p]) for p in group)
-        stats.record_state(delta_total, sum(len(current[p]) * current[p].arity for p in group))
+        stats.record_state(tuples, columns)
         if profile is not None:
             iteration += 1
             iteration_started = _perf()
@@ -248,11 +256,14 @@ def delta_rounds(
                 found[head] |= produced
             else:
                 found[head] = produced
-        for predicate in group:
-            rows = found.get(predicate) or set()
+        delta_total, tuples, columns = tuples, 0, 0
+        for predicate, relation in current.items():
+            rows = found.get(predicate)
             if rows:
                 absorb(predicate, rows)
-            current[predicate].replace_rows(rows)
+                tuples += len(rows)
+                columns += len(rows) * relation.arity
+            relation.replace_rows(rows or set())
         if profile is not None:
             profile.record_iteration(stratum, iteration, delta_total, _perf() - iteration_started)
 
@@ -271,44 +282,51 @@ def close_group(
 
     ``seeds`` are changed rows of the group's own predicates, already where
     they go; ``external`` maps changed *non-group* predicate names to their
-    changed rows.  Two phases, both riding the delta variants ``cache``
-    compiles once per rule shape for a whole update stream:
+    changed rows.  Two phases, both riding delta variants that ``cache``
+    compiles once per rule shape and keeps prepared per (stratum, changed
+    names) for a whole update stream:
 
     1. every occurrence of an externally changed predicate in a group rule is
        evaluated once, overridden by its delta (a derivation the change touches
        uses a changed tuple, so this finds them all — one possibly twice, which
        set semantics absorbs);
     2. the seeds and what phase 1 found new start :func:`delta_rounds` over
-       the group's recursive rules.
+       the group's recursive rules, whose steps are prepared the first time a
+       call has a delta for them (so each plan compiles when, and against the
+       relation sizes, a per-call compile would).
     """
     fresh, absorb = policy
     get = partial(cache.get, stats=stats)
-    rules, _base_rules, recursive_rules = stratum_rules(program, group)
-    names = {name for name, rows in external.items() if rows and name not in group}
-    variants = compile_delta_variants(get, rules, names, relations)
+    names = frozenset(name for name, rows in external.items() if rows and name not in group)
+
+    def build() -> Tuple[Set[str], list]:
+        rules, _base_rules, recursive = stratum_rules(program, group)
+        variants = compile_delta_variants(get, rules, names, relations)
+        deltas = {name: Relation(f"delta_{name}", program.arity_of(name)) for name, _i, _plan in variants}
+        current = {p: Relation(f"delta_{p}", program.arity_of(p)) for p in group}
+        # [group deltas, changed names' deltas, their steps, recursive rules, their steps]
+        kept = [current, deltas, _delta_steps(variants, relations, deltas), recursive, None]
+        return {atom.predicate for rule in rules for atom in rule.body}, kept
+
+    kept = cache._keep((program, tuple(group), names), relations, build)
+    current, deltas, variants, recursive, steps = kept
     if not variants and not any(seeds.values()):
         return
-    current = {p: Relation(f"delta_{p}", program.arity_of(p), seeds.get(p)) for p in group}
-    deltas = {
-        name: Relation(f"delta_{name}", program.arity_of(name), external[name])
-        for name in {name for name, _occurrence, _plan in variants}
-    }
-    runs = prepare(
-        (plan for _name, _occurrence, plan in variants),
-        relations,
-        overrides={plan: {occurrence: deltas[name]} for name, occurrence, plan in variants},
-    )
-    for _name, _occurrence, plan in variants:
-        head = plan.rule.head.predicate
-        produced = runs[plan]((), stats)
+    for p, relation in current.items():
+        relation.replace_rows(set(seeds.get(p, ())))
+    for name, relation in deltas.items():
+        relation.replace_rows(external[name])
+    for _delta, head, run in variants:
+        produced = run((), stats)
         stats.record_produced(len(produced))
         rows = fresh(head, produced)
         if rows:
             absorb(head, rows)
             current[head].union_update(rows)
-    if recursive_rules and any(not delta.is_empty() for delta in current.values()):
-        delta_plans = compile_delta_variants(get, recursive_rules, group, relations)
-        delta_rounds(group, delta_plans, relations, current, policy, stats)
+    if recursive and any(current.values()):
+        if steps is None:
+            kept[4] = steps = _delta_steps(compile_delta_variants(get, recursive, group, relations), relations, current)
+        delta_rounds(steps, current, policy, stats)
 
 
 def overlay_relations(database: Database, derived: Dict[str, Relation]) -> Dict[str, Relation]:

@@ -22,6 +22,9 @@ into three phases:
    reinstate what hangs off them — so the work does not depend on the order
    the rows are met in.
 
+The view's :class:`~repro.engine.compile.PlanCache` keeps the closures and each
+predicate's rederive joins prepared; the removal is one bulk ``discard_all``.
+
 Insertions don't need any of this: the fixpoint is monotone, so a single
 seeded closure (:func:`repro.engine.seminaive.propagate_insertions`) is exact.
 
@@ -32,8 +35,8 @@ rederivation run *after* (they must not resurrect anything through them).
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, Mapping, Optional, Set, Tuple
+from functools import partial
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..datalog.atoms import Atom, atoms_variables
 from ..datalog.database import Database
@@ -91,20 +94,21 @@ def overestimate_deletions(
     return {p: rows for p, rows in doomed.items() if rows}
 
 
-@lru_cache(maxsize=256)
-def _rederive_rules(program: Program, predicate: str) -> Tuple[Tuple[Rule, Tuple[tuple, ...]], ...]:
+def _rederive_joins(program: Program, predicate: str) -> Tuple[Set[str], Tuple[Relation, List[list]]]:
     """``head :- <predicate>.rederive(head args), body`` for each rule that can derive ``predicate``.
 
-    The candidate atom is the join's one input: it binds the head variables
-    from the doomed rows, as a bound-head probe would, and its name is one no
-    program can spell.  Each rule comes with the checks a row must pass to
-    match its head (``(position, True, constant)`` or ``(position, False,
-    earlier position)`` for a repeated variable).  A rule with a head variable
-    its body never binds derives nothing, so it gets no join: the candidate
-    atom would bind that variable and "derive" every candidate.
+    Returns the relation names the joins read, the candidate relation and
+    ``[rule, checks, run]`` per join.  The candidate atom is the join's one
+    input: it binds the head variables from the doomed rows, as a bound-head
+    probe would, and its name is one no program can spell.  The checks are
+    what a row must pass to match the rule's head (``(position, True,
+    constant)`` or ``(position, False, earlier position)`` for a repeated
+    variable); the run is prepared when first needed.  A rule with a head
+    variable its body never binds derives nothing, so it gets no join: the
+    candidate atom would bind that variable and "derive" every candidate.
     """
     candidate = f"{predicate}.rederive"
-    rules = []
+    joins, reads = [], set()
     for rule in program.rules_for(predicate):
         head = rule.head
         if not head.variable_set() <= atoms_variables(rule.body):
@@ -117,8 +121,9 @@ def _rederive_rules(program: Program, predicate: str) -> Tuple[Tuple[Rule, Tuple
                 checks.append((position, False, first[arg]))
             else:
                 first[arg] = position
-        rules.append((Rule(head, (Atom(candidate, head.args), *rule.body)), tuple(checks)))
-    return tuple(rules)
+        joins.append([Rule(head, (Atom(candidate, head.args), *rule.body)), tuple(checks), None])
+        reads.update(rule.body_predicates())
+    return reads, (Relation(candidate, program.arity_of(predicate)), joins)
 
 
 def _rederive(
@@ -135,16 +140,17 @@ def _rederive(
     A row stored as a base fact survives without a probe.  Then each rule runs
     one join over the rows no earlier rule has rederived, so a row meets the
     same stored probes it would meet probed alone, and every counter is the
-    same whatever order the rows are in.  A rule whose head no pending row
-    matches is skipped before its plan is looked up, so each plan compiles at
-    the moment, and against the relation sizes, a probe per row would compile it.
+    same whatever order the rows are in.  The joins and their candidate
+    relation are kept in ``cache`` for the view's life; a rule whose head no
+    pending row matches is skipped before its plan is looked up, so each plan
+    compiles at the moment, and against the relation sizes, a probe per row
+    would compile it.
     """
-    survivors = {row for row in doomed if row in base} if base is not None else set()
-    pending = Relation.from_valid_rows(
-        f"{predicate}.rederive", relations[predicate].arity, doomed - survivors
-    )
-    relations[pending.name] = pending  # the joins' input
-    for rule, checks in _rederive_rules(program, predicate):
+    survivors = base.rows().intersection(doomed) if base is not None else set()
+    pending, joins = cache._keep((program, predicate), relations, partial(_rederive_joins, program, predicate))
+    pending.replace_rows(doomed - survivors)
+    for join in joins:
+        rule, checks, run = join
         if pending.is_empty():
             break
         if checks and not any(
@@ -152,8 +158,10 @@ def _rederive(
             for row in pending
         ):
             continue
-        plan = cache.get(rule, relations, inputs=1, stats=stats)
-        found = prepare((plan,), relations)[plan]((), stats)
+        if run is None:
+            plan = cache.get(rule, relations, inputs=1, stats=stats)
+            run = join[2] = prepare((plan,), relations, {plan: {0: pending}})[plan]
+        found = run((), stats)
         if found:
             survivors |= found
             pending.replace_rows(pending.rows() - found)
@@ -205,8 +213,4 @@ def apply_deletions(
     if rederived_total:
         stats.record_rederived(rederived_total)
     stats.stop_timer()
-    return {
-        p: {row for row in rows if row not in derived[p]}
-        for p, rows in doomed.items()
-        if any(row not in derived[p] for row in rows)
-    }
+    return {p: gone for p, rows in doomed.items() if (gone := rows - derived[p].rows())}

@@ -18,6 +18,10 @@ strategy — detection first, then the cheapest sound plan:
 
 Every decision is recorded as :class:`~repro.optimize.passes.Rewrite`
 provenance, surfaced on query results through :class:`ViewProvenance`.
+
+A view's ``plan_cache`` keeps its maintenance prepared for the view's life
+(:meth:`~repro.engine.compile.PlanCache._keep`): a steady commit compiles and
+resolves nothing.
 """
 
 from __future__ import annotations
@@ -72,7 +76,8 @@ class MaterializedView:
         self.program = program
         self.rewrites: List[Rewrite] = []
         self.plan_cache = PlanCache()
-        #: cumulative maintenance work (insert/delete propagation only)
+        #: cumulative maintenance work (insert/delete propagation only): each
+        #: round's ``last_stats``, added as the round's last phase ends
         self.stats = EvaluationStats()
         #: maintenance work of the current round; its owner resets it before
         #: each :meth:`~repro.datalog.database.Database.mutate` it drives
@@ -93,14 +98,12 @@ class MaterializedView:
         self.counting: Optional[counting.CountingState] = None
         #: DRed's overestimate, handed from ``before_delete`` to ``after_delete``
         self._doomed: Optional[Dict[str, Set[Row]]] = None
-        #: cost of the from-scratch computation at registration
-        self.refresh_stats = EvaluationStats()
         if self.strategy == COUNTING:
             self.derived, self.counting = counting.initialize_counts(
-                self.plan_program, database, self.refresh_stats, self.plan_cache
+                self.plan_program, database, EvaluationStats(), self.plan_cache
             )
         else:
-            self.derived = seminaive_evaluate(self.plan_program, database, self.refresh_stats)
+            self.derived = seminaive_evaluate(self.plan_program, database)
 
     # ------------------------------------------------------------------
     # registration-time rewriting
@@ -170,63 +173,56 @@ class MaterializedView:
         """
         return {predicate: relation.freeze() for predicate, relation in self.derived.items()}
 
-    def _deltas(self, changes: Changes, strategy: str) -> Dict[str, Set[Row]]:
+    def _deltas(self, changes: Changes, strategy: str) -> Changes:
         """The rows of ``changes`` this view's ``strategy`` phase maintains (empty: nothing to do)."""
         if self.strategy != strategy:
             return {}
-        return {name: set(rows) for name, rows in changes.items() if name in self._relevant}
-
-    def _record(self, stats: EvaluationStats) -> None:
-        """Add one phase's work to the round's and the cumulative counters."""
-        self.last_stats.merge(stats)
-        self.stats.merge(stats)
+        return {name: rows for name, rows in changes.items() if name in self._relevant}
 
     # ------------------------------------------------------------------
-    # maintenance phases (run by ``Database.mutate(deletes, inserts, view)``)
+    # maintenance phases (run by ``Database.mutate(deletes, inserts, view)``);
+    # each records its work into the round's ``last_stats``
     # ------------------------------------------------------------------
     def before_delete(self, database: Database, deletes: Changes) -> None:
         """Pre-mutation deletion phase (the DRed overestimate needs old state)."""
         deltas = self._deltas(deletes, DRED)
         if deltas:
-            stats = EvaluationStats()
             self._doomed = dred.overestimate_deletions(
-                self.plan_program, database, self.derived, deltas, stats, self.plan_cache
+                self.plan_program, database, self.derived, deltas, self.last_stats, self.plan_cache
             )
-            self._record(stats)
 
     def after_delete(self, database: Database, deletes: Changes) -> None:
         """Post-mutation deletion phase (counting decrements / DRed remove+rederive)."""
-        stats = EvaluationStats()
         deltas = self._deltas(deletes, COUNTING)
         if deltas:
             counting.apply_deletions(
-                self.plan_program, database, self.derived, self.counting, deltas, stats, self.plan_cache
+                self.plan_program, database, self.derived, self.counting, deltas, self.last_stats, self.plan_cache
             )
-            self._record(stats)
         elif self._doomed is not None:
             doomed, self._doomed = self._doomed, None
-            dred.apply_deletions(self.plan_program, database, self.derived, doomed, stats, self.plan_cache)
-            self._record(stats)
+            dred.apply_deletions(self.plan_program, database, self.derived, doomed, self.last_stats, self.plan_cache)
 
     def before_insert(self, database: Database, inserts: Changes) -> None:
         """Pre-mutation insertion phase (all counting work happens here)."""
         deltas = self._deltas(inserts, COUNTING)
         if deltas:
-            stats = EvaluationStats()
             counting.apply_insertions(
-                self.plan_program, database, self.derived, self.counting, deltas, stats, self.plan_cache
+                self.plan_program, database, self.derived, self.counting, deltas, self.last_stats, self.plan_cache
             )
-            self._record(stats)
 
     def after_insert(self, database: Database, inserts: Changes) -> None:
-        """Post-mutation insertion phase (the DRed/semi-naive delta round)."""
+        """Post-mutation insertion phase (the DRed/semi-naive delta round).
+
+        The round's last phase, so it also adds the round's work to the
+        cumulative :attr:`stats`.
+        """
+        stats = self.last_stats
         deltas = self._deltas(inserts, DRED)
         if deltas:
-            stats = EvaluationStats()
             stats.start_timer()
             propagate_insertions(self.plan_program, database, self.derived, deltas, stats, self.plan_cache)
             stats.stop_timer()
-            self._record(stats)
+        self.stats.merge(stats)
 
     def __str__(self) -> str:
         sizes = ", ".join(f"{p}={len(r)}" for p, r in sorted(self.derived.items()))

@@ -338,6 +338,121 @@ class TestDeltaLoopPolicies:
         assert outputs[0] == outputs[1]
 
 
+class TestPreparedMaintenance:
+    """A view keeps its maintenance prepared: a steady commit compiles, resolves
+    and defines nothing, and what a view prepared is rebuilt when a relation it
+    resolved, the executor or the profile channel changes."""
+
+    @staticmethod
+    def commits(session, k):
+        """One commit of each shape: insert, delete, both at once, each relation alone."""
+        node = 10 + k
+        session.mutate(inserts={"a": [(node, 1)], "b": [(node, 1)]})
+        session.mutate(deletes={"a": [(node, 1)], "b": [(node, 1)]})
+        session.mutate(deletes={"a": [(2, 3)]}, inserts={"a": [(2, 3), (node, 1)]})
+        session.insert("b", (3, node))
+        session.delete("b", (3, node))
+        session.delete("a", (node, 1))
+
+    def test_a_steady_commit_compiles_resolves_and_defines_nothing(self, monkeypatch):
+        from repro.engine import compile as compile_module
+        from repro.engine import kernels, seminaive
+        from repro.incremental import dred
+
+        session = Session(TC, tc_database())
+        for k in range(2):  # the first commit of each shape prepares it
+            self.commits(session, k)
+        calls = []
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in [
+            (seminaive, "compile_delta_variants"),
+            (seminaive, "prepare"),
+            (dred, "prepare"),
+            (compile_module, "prepare"),
+            (compile_module.PlanCache, "get"),
+            (compile_module.CompiledRule, "resolve"),
+            (kernels, "_define"),
+        ]:
+            count(owner, name)
+        compiled = []
+        mutate = session.mutate
+
+        def mutate_and_note(*args, **kwargs):
+            result = mutate(*args, **kwargs)
+            compiled.append(session.last_stats.plans_compiled)
+            return result
+
+        monkeypatch.setattr(session, "mutate", mutate_and_note)
+        for k in range(2, 4):
+            self.commits(session, k)
+        assert calls == []
+        assert compiled == [0] * 12
+        assert_view_matches_recompute(session)
+
+    def test_a_relation_absent_at_registration_is_resolved_once_it_exists(self):
+        program = parse_program(
+            """
+            t(X, Y) :- b(X, Y).
+            t(X, Y) :- a(X, Z), t(Z, Y), c(Z).
+            """
+        )
+        session = Session(program, Database.from_dict({"a": [(1, 2)], "b": [(2, 3)]}))
+        assert not session.database.has_relation("c")
+        session.insert("b", (5, 6))  # prepares the recursive join with c absent
+        session.mutate(inserts={"c": [(2,), (7,)], "a": [(4, 7)]})  # c's first rows
+        assert (1, 3) in session.view.derived["t"]
+        session.insert("b", (7, 8))  # the same shape as the first insert
+        assert (4, 8) in session.view.derived["t"]
+        assert_view_matches_recompute(session)
+
+    def test_a_view_maintained_under_the_step_machine_runs_on_it(self, monkeypatch):
+        from repro.testing import reference
+        from repro.testing.reference import step_machine
+
+        session = Session(TC, tc_database())
+        session.insert("a", (0, 1))  # prepared outside the scope
+        session.delete("a", (0, 1))
+        stepped = []
+        evaluate = reference._evaluate
+
+        def noted(*args):
+            stepped.append(args[0])
+            return evaluate(*args)
+
+        monkeypatch.setattr(reference, "_evaluate", noted)
+        with step_machine():
+            session.insert("a", (-1, 1))
+            session.delete("a", (-1, 1))
+        assert stepped
+        assert_view_matches_recompute(session)
+
+    def test_an_armed_profile_records_the_views_dispatch(self):
+        from repro.engine import kernels
+        from repro.engine.instrumentation import query_trace
+        from repro.obs.profile import ProfileRecorder
+
+        session = Session(TC, tc_database())
+        session.insert("a", (0, 1))
+        session.delete("a", (0, 1))
+        profile = ProfileRecorder("commit")
+        with query_trace(None, profile=profile):
+            session.insert("a", (-1, 1))
+            session.delete("a", (-1, 1))
+        assert profile.plans
+        assert {plan.dispatch for plan in profile.plans} == {kernels.EXECUTOR.dispatch}
+        assert profile.plan_cache_hits > 0
+        assert_view_matches_recompute(session)
+
+
 class TestQueryRouting:
     def test_fresh_view_answers_by_indexed_lookup(self):
         session = Session(TC, tc_database())

@@ -21,6 +21,35 @@ class TestRule:
     def test_str_round_trip(self, tc_rule):
         assert parse_rule(str(tc_rule)) == tc_rule
 
+    def test_pickles_from_another_process_hash_as_local_ones(self):
+        """Rules and programs hash once, at construction; string hashes differ
+        between interpreters, so a pickle must rebuild the hash, not carry it."""
+        import os
+        import pickle
+        import subprocess
+        import sys
+
+        import repro
+
+        text = "t(X, Y) :- a(X, Z), t(Z, Y). t(X, Y) :- b(X, Y)."
+        script = (
+            "import pickle, sys\n"
+            "from repro.datalog import parse_program\n"
+            f"program = parse_program({text!r})\n"
+            "sys.stdout.buffer.write(pickle.dumps((program.rules[0], program)))\n"
+        )
+        source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        hash_seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source_root)
+        completed = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=120)
+        assert completed.returncode == 0, completed.stderr
+        rule, program = pickle.loads(completed.stdout)
+        local = parse_program(text)
+        assert rule == local.rules[0] and hash(rule) == hash(local.rules[0])
+        assert {local.rules[0]: "found"}.get(rule) == "found"
+        assert program == local and hash(program) == hash(local)
+        assert pickle.loads(pickle.dumps(rule)) == rule
+
     def test_is_recursive(self, tc_rule):
         assert tc_rule.is_recursive()
         assert not parse_rule("t(X, Y) :- b(X, Y).").is_recursive()
