@@ -15,9 +15,11 @@ Three experiments:
   *and* identical instrumentation counters.
 * **chain honesty check** — single chains produce one-tuple partitions, the
   batch path's worst case.  The forced-columnar ratio is recorded
-  *unguarded* (``ratio_chain_*``, expected < 1), and the adaptive planner —
-  the shipping configuration — is asserted to hand the workload back to the
-  kernels at no measurable cost.
+  *unguarded* (``ratio_chain_forced``, expected < 1), and the adaptive
+  planner — the shipping configuration — is asserted to hand the workload
+  back to the kernels at no measurable cost: the median of ``PAIRS``
+  interleaved rounds, as in the fan-out sweep, with its quartiles
+  (``iqr_chain_*``) recorded beside it.
 * **fan-out sweep** — what the adaptive decision is calibrated against:
   forests and layered DAGs of out-degree 2, 3, 4 and 8 under string ids (the
   binary forest is the input the service materializes on start), kernel loop
@@ -137,7 +139,8 @@ def test_e19_chain_adaptive_fallback(benchmark):
     amortize, so forcing it loses (the unguarded honesty ratio below).  The
     shipping configuration is *adaptive*: ``profit_score`` scores the
     initial delta and hands chains back to the kernel loop, which must cost
-    essentially nothing (asserted ≥ 0.8 to allow scheduler jitter).
+    essentially nothing: the median kernel/adaptive ratio of ``PAIRS``
+    interleaved rounds is asserted ≥ 0.8, with its quartiles recorded.
     """
     database = edge_database(chain(CHAIN_LENGTH))
 
@@ -145,29 +148,28 @@ def test_e19_chain_adaptive_fallback(benchmark):
         return closure_with_counters(database)
 
     def compare():
-        kernel_time, forced_time, kernel_out, forced_out = timed_batch_modes(closure)
-        adaptive_time, adaptive_out = best_of(closure, rounds=5)
-        assert forced_out == kernel_out
-        assert adaptive_out == kernel_out
-        return kernel_time, forced_time, adaptive_time
+        forced, adaptive, kernel, results = interleaved_ratios(closure)
+        assert results["force"] == results["off"]
+        assert results[None] == results["off"]
+        return median_and_iqr(forced), median_and_iqr(adaptive), statistics.median(kernel)
 
-    kernel_time, forced_time, adaptive_time = run_once(benchmark, compare)
-    forced_ratio = kernel_time / max(forced_time, 1e-9)
-    adaptive_ratio = kernel_time / max(adaptive_time, 1e-9)
+    forced, adaptive, kernel_time = run_once(benchmark, compare)
     emit(
-        "E19b: single chain — forced batch execution vs the adaptive planner",
-        ["workload", "kernel ms", "forced ms", "adaptive ms", "forced ratio", "adaptive ratio"],
-        [[f"chain({CHAIN_LENGTH})",
-          round(kernel_time * 1000, 1), round(forced_time * 1000, 1),
-          round(adaptive_time * 1000, 1), round(forced_ratio, 2), round(adaptive_ratio, 2)]],
+        f"E19b: single chain — forced batch execution vs the adaptive planner "
+        f"(median [quartiles] of {PAIRS} interleaved rounds)",
+        ["workload", "kernel ms", "forced ratio", "adaptive ratio"],
+        [[f"chain({CHAIN_LENGTH})", round(kernel_time * 1000, 1)]
+         + [f"{median} [{lower}, {upper}]" for median, (lower, upper) in (forced, adaptive)]],
     )
     # the planner's fallback may not cost more than timing noise; 0.8 floor
     # keeps the check meaningful without tripping on scheduler jitter
-    assert adaptive_ratio >= 0.8, f"adaptive fallback costs {adaptive_ratio:.2f}x on chains"
+    assert adaptive[0] >= 0.8, f"adaptive fallback costs {adaptive[0]:.2f}x on chains"
     attach(
         benchmark,
-        ratio_chain_adaptive=round(adaptive_ratio, 2),
-        ratio_chain_forced=round(forced_ratio, 2),
+        ratio_chain_adaptive=adaptive[0],
+        iqr_chain_adaptive=adaptive[1],
+        ratio_chain_forced=forced[0],
+        iqr_chain_forced=forced[1],
     )
 
 

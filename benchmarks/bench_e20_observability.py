@@ -112,7 +112,6 @@ def scrape_agreement_run(queries):
                 "queries_served",
                 "cache_hits",
                 "cache_misses",
-                "snapshot_lookups",
                 "writes_applied",
                 "flushes",
                 "epochs_published",

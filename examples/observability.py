@@ -100,14 +100,13 @@ def main() -> None:
 
         # 5a. EXPLAIN — predict the strategy and describe the compiled plans
         #     without touching a single stored tuple
-        plan = explain(
-            service.session.program, "reach(0, Y)?", service.snapshot().as_database()
-        )
+        with service.session.lock:
+            plan = explain(service.session.program, "reach(0, Y)?", service.session.database)
         print("\n— EXPLAIN reach(0, Y)? —")
         print("  " + plan.render().replace("\n", "\n  "))
 
-        # 5b. EXPLAIN ANALYZE — the same profile, filled in by a real run:
-        #     strategy actually taken, dispatch decisions, timings, stats,
+        # 5b. EXPLAIN ANALYZE — what the served query actually did: one
+        #     lookup on the published snapshot, with its timings, stats,
         #     cache outcome, and a trace ID shared with spans and slow-query
         #     records
         result = service.query("reach(5, Y)?", profile=True)
@@ -115,10 +114,9 @@ def main() -> None:
         print("  " + result.profile.render().replace("\n", "\n  "))
 
         # 5c. /debug/queries — the flight recorder replays recent profiles
-        #     (and lists in-flight queries, live) for any operator with curl
+        #     for any operator with curl
         debug = json.loads(fetch(server.url("/debug/queries")))
-        print(f"\n— /debug/queries — {debug['profiles_recorded']} profiles "
-              f"recorded, {len(debug['in_flight'])} in flight")
+        print(f"\n— /debug/queries — {debug['profiles_recorded']} profiles recorded")
         for profile in debug["recent_profiles"]:
             print(f"  {profile['trace_id']}  {profile['query']}  "
                   f"-> {profile['strategy']} ({profile['outcome']}, "

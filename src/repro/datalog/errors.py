@@ -51,11 +51,13 @@ class EvaluationError(ReproError):
 class QueryTimeout(ReproError, TimeoutError):
     """A query exceeded its ``timeout=`` deadline.
 
-    Raised eagerly when the deadline has already passed at dispatch, and
-    cooperatively from inside the fixpoint drivers (checked once per
-    iteration via :meth:`repro.engine.instrumentation.EvaluationStats.record_iteration`)
-    for evaluations that are already running.  Subclasses ``TimeoutError``
-    so generic deadline handling catches it too.
+    Raised eagerly when the deadline has already passed at dispatch (the
+    service's admission deadline), and cooperatively from inside the
+    fixpoint drivers (checked once per iteration via
+    :meth:`repro.engine.instrumentation.EvaluationStats.record_iteration`)
+    for evaluations already running under
+    :func:`repro.engine.instrumentation.evaluation_deadline`.  Subclasses
+    ``TimeoutError`` so generic deadline handling catches it too.
     """
 
 

@@ -324,7 +324,7 @@ class StatsBridge:
         self._lock = threading.Lock()
         self._queries = registry.counter(
             "repro_engine_queries_total",
-            "Queries evaluated, by strategy (snapshot lookups, fallbacks, maintenance).",
+            "Queries evaluated, by strategy (snapshot lookups, maintenance).",
             labels=("strategy",),
         )
         self._examined = registry.histogram(

@@ -46,7 +46,7 @@ directly (a fact API, ``add_relation``, or a :class:`Relation` in place)
 bypasses the view, its epoch and its touched set.
 
 ``session.lock`` is a reentrant lock serializing maintenance rounds against
-each other, against view-routed queries and against snapshot publication, so
+each other, against queries and against snapshot publication, so
 one session may be driven from many threads; readers that only touch
 published frozen snapshots never need it.
 """
@@ -61,7 +61,7 @@ from ..datalog.parser import parse_program
 from ..datalog.relation import Row, Value
 from ..datalog.rules import Program
 from ..engine.instrumentation import EvaluationStats
-from ..engine.query import QueryResult, answer, as_selection_query, lookup_result
+from ..engine.query import QueryResult, as_selection_query, lookup_result
 from .view import MaterializedView
 
 RowsLike = Union[Sequence[Value], Iterable[Sequence[Value]]]
@@ -115,10 +115,10 @@ class Session:
 
     ``insert``/``delete`` run the view's maintenance phases around the
     database change, so every pinned relation is maintained in place;
-    ``query`` routes selections on materialized predicates straight to
-    indexed lookups and falls back to :func:`repro.answer` for anything else.
+    ``query`` answers every selection by one indexed lookup: materialized
+    predicates against the view, the rest against the stored EDB.
 
-    Mutations and view-routed queries hold :attr:`lock`, so a Session may be
+    Mutations and queries hold :attr:`lock`, so a Session may be
     shared between threads; for many concurrent readers use
     :class:`repro.service.DatalogService`, whose published snapshots let
     readers skip the lock entirely.
@@ -134,7 +134,7 @@ class Session:
         self.program = parse_program(program) if isinstance(program, str) else program
         self.database = database if database is not None else Database()
         self.view = MaterializedView(name, self.program, self.database, max_unfold_depth)
-        #: serializes maintenance rounds, view-routed queries and snapshot
+        #: serializes maintenance rounds, queries and snapshot
         #: publication (reentrant: the service holds it around ``mutate``)
         self.lock = threading.RLock()
         #: monotone maintenance-round counter (see the module docstring)
@@ -220,22 +220,16 @@ class Session:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def query(self, query, strategy: str = "view") -> QueryResult:
-        """Answer a selection query, preferring the materialized view.
+    def query(self, query) -> QueryResult:
+        """Answer a selection query by one indexed lookup; nothing evaluates.
 
-        With ``strategy="view"`` (the default), a query on a materialized
-        predicate is a single indexed lookup against the maintained relation,
-        a query on a stored EDB relation is a lookup against the database,
-        and anything else goes through :func:`repro.answer`.  Any other
-        ``strategy`` value bypasses the view and is handed to
-        :func:`repro.answer` verbatim — useful for cross-checking the view
-        against live evaluation.
+        A query on a materialized predicate reads the maintained relation.
+        Every IDB predicate is materialized, so any other predicate is EDB: a
+        lookup against the stored relation, or against an empty one when
+        nothing is stored under that name.  To cross-check the view against
+        live evaluation, call :func:`repro.answer` on :attr:`program` and
+        :attr:`database` directly.
         """
-        if strategy != "view":
-            # evaluation reads the live database, so it must exclude writers
-            # just as the view paths below do
-            with self.lock:
-                return answer(self.program, self.database, query, strategy=strategy)
         selection = as_selection_query(self.program, query)
         with self.lock:
             view = self.view
@@ -246,11 +240,8 @@ class Session:
                     f"materialized-view ({view.strategy})",
                     view.provenance,
                 )
-            if self.database.has_relation(selection.predicate):
-                return lookup_result(
-                    selection, self.database.relation(selection.predicate), "edb-lookup"
-                )
-            return answer(self.program, self.database, query)
+            relation = self.database.relation_or_empty(selection.predicate, selection.arity)
+            return lookup_result(selection, relation, "edb-lookup")
 
     # ------------------------------------------------------------------
     # introspection

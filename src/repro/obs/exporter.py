@@ -1,7 +1,7 @@
-"""HTTP exposition: ``/metrics``, ``/healthz`` and ``/statusz`` over stdlib.
+"""HTTP exposition: ``/metrics``, ``/healthz``, ``/statusz`` and ``/debug/queries``.
 
 :class:`ObservabilityServer` wraps a daemonized
-:class:`http.server.ThreadingHTTPServer` serving three endpoints:
+:class:`http.server.ThreadingHTTPServer` serving four endpoints:
 
 * ``/metrics`` — the registry rendered in Prometheus text exposition format
   (``text/plain; version=0.0.4``), ready for a scraper;
@@ -12,8 +12,8 @@
   else the owner's status callable reports (epoch, health, ...) — the
   human/debugging hook;
 * ``/debug/queries`` — the owner's query flight recorder
-  (:class:`repro.obs.profile.FlightRecorder`): live in-flight queries plus
-  the ring of recent :class:`~repro.obs.profile.QueryProfile` records.
+  (:class:`repro.obs.profile.FlightRecorder`): the ring of recent
+  :class:`~repro.obs.profile.QueryProfile` records.
 
 The server binds ``127.0.0.1`` by default and picks an ephemeral port when
 ``port=0``; :attr:`ObservabilityServer.port` is the bound port either way.

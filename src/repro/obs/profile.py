@@ -18,21 +18,22 @@ module explains *one query*:
   :mod:`repro.engine.instrumentation` (``query_trace``); every hook is one
   ``getattr`` + ``None`` check when disarmed, so unprofiled queries pay
   nothing measurable (the E22 benchmark gates the sampled overhead);
-* :class:`FlightRecorder` — a bounded ring of recent profiles plus a live
-  table of in-flight queries (start, elapsed, deadline), served as JSON at
-  ``/debug/queries`` by the :class:`~repro.obs.exporter.ObservabilityServer`;
+* :class:`FlightRecorder` — a bounded ring of recent profiles, served as
+  JSON at ``/debug/queries`` by the
+  :class:`~repro.obs.exporter.ObservabilityServer`;
 * :func:`explain` — the plan-only half: render the
   :class:`~repro.engine.query.QueryPlan` that
   :func:`repro.engine.query.answer` executes — strategy, compiled join
   plans, fallbacks — **without executing anything**.
 
-``answer(..., profile=True)`` and ``DatalogService.query(..., profile=True)``
-are the EXPLAIN ANALYZE half: the same profile, filled in by an actual run.
+``answer(..., profile=True)`` is the EXPLAIN ANALYZE half: the same profile,
+filled in by an actual run.  ``DatalogService.query(..., profile=True)``
+profiles a served query, which is a cache hit or one snapshot lookup: its
+strategy, cache outcome, epoch, timings and stats.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 import uuid
@@ -52,8 +53,6 @@ __all__ = [
     "explain",
     "new_trace_id",
 ]
-
-_now = time.perf_counter
 
 
 def new_trace_id() -> str:
@@ -164,7 +163,7 @@ class QueryProfile:
     cache: str = "none"
     #: the epoch the query observed (``None`` outside the serving layer)
     epoch: Optional[int] = None
-    #: time spent queued (reader pool / admission) before evaluation began
+    #: time spent queued (reader pool / admission) before the query started
     queued_seconds: float = 0.0
     #: time spent answering (lookup or evaluation), excluding queueing
     execution_seconds: float = 0.0
@@ -470,16 +469,14 @@ class ProfileRecorder:
 
 
 # ----------------------------------------------------------------------
-# the flight recorder: recent profiles + live in-flight queries
+# the flight recorder: recent profiles
 # ----------------------------------------------------------------------
 class FlightRecorder:
-    """A bounded ring of recent :class:`QueryProfile` plus an in-flight table.
+    """A bounded ring of recent :class:`QueryProfile` records.
 
     The serving layer records every profile it assembles (sampled, explicit
-    and forced alike) and registers queries that go past the epoch cache —
-    the ones that can actually be slow — in the in-flight table for the
-    duration of their evaluation.  ``/debug/queries`` serves
-    :meth:`as_dict`.  All operations are O(1) under one lock.
+    and forced alike).  ``/debug/queries`` serves :meth:`as_dict`.  All
+    operations are O(1) under one lock.
     """
 
     def __init__(self, capacity: int = 128) -> None:
@@ -488,68 +485,8 @@ class FlightRecorder:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._profiles: "deque[QueryProfile]" = deque(maxlen=capacity)
-        self._inflight: Dict[int, Dict[str, object]] = {}
-        self._tokens = itertools.count(1)
         #: lifetime counter (the ring forgets; this does not)
         self.profiles_recorded = 0
-
-    # -- in-flight tracking ---------------------------------------------
-    def begin(
-        self,
-        trace_id: str,
-        query: str,
-        *,
-        deadline: Optional[float] = None,
-        epoch: Optional[int] = None,
-    ) -> int:
-        """Register an in-flight query; returns the token for :meth:`end`.
-
-        ``deadline`` is an absolute ``time.perf_counter()`` instant (the
-        serving layer's basis); the live table reports the remaining budget.
-        """
-        token = next(self._tokens)
-        entry = {
-            "trace_id": trace_id,
-            "query": query,
-            "started_at": time.time(),
-            "epoch": epoch,
-            "_tick": _now(),
-            "_deadline": deadline,
-        }
-        with self._lock:
-            self._inflight[token] = entry
-        return token
-
-    def end(self, token: int) -> None:
-        """Deregister an in-flight query (idempotent)."""
-        with self._lock:
-            self._inflight.pop(token, None)
-
-    def in_flight(self) -> List[Dict[str, object]]:
-        """The live table: one row per currently evaluating query."""
-        with self._lock:
-            entries = list(self._inflight.values())
-        now = _now()
-        rows = []
-        for entry in entries:
-            deadline = entry["_deadline"]
-            rows.append(
-                {
-                    "trace_id": entry["trace_id"],
-                    "query": entry["query"],
-                    "started_at": entry["started_at"],
-                    "epoch": entry["epoch"],
-                    "elapsed_seconds": now - entry["_tick"],
-                    "deadline_seconds": (
-                        None if deadline is None else deadline - now
-                    ),
-                }
-            )
-        return rows
-
-    def in_flight_count(self) -> int:
-        with self._lock:
-            return len(self._inflight)
 
     # -- the profile ring -----------------------------------------------
     def record(self, profile: QueryProfile) -> None:
@@ -568,12 +505,11 @@ class FlightRecorder:
             self._profiles.clear()
 
     def as_dict(self) -> Dict[str, object]:
-        """The ``/debug/queries`` payload: live table + recent profiles."""
+        """The ``/debug/queries`` payload: the recent profiles."""
         with self._lock:
             profiles = list(self._profiles)
             recorded = self.profiles_recorded
         return {
-            "in_flight": self.in_flight(),
             "recent_profiles": [profile.as_dict() for profile in profiles],
             "profiles_recorded": recorded,
             "capacity": self.capacity,
@@ -584,10 +520,7 @@ class FlightRecorder:
             return len(self._profiles)
 
     def __str__(self) -> str:
-        return (
-            f"FlightRecorder({len(self)}/{self.capacity} profiles, "
-            f"{self.in_flight_count()} in flight)"
-        )
+        return f"FlightRecorder({len(self)}/{self.capacity} profiles)"
 
 
 # ----------------------------------------------------------------------

@@ -36,16 +36,11 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from ..datalog.database import Database, check_arity
-from ..datalog.errors import QueryTimeout, ReproError, SchemaError
+from ..datalog.errors import QueryTimeout, SchemaError
 from ..datalog.relation import Relation, Row
 from ..datalog.rules import Program
-from ..engine.instrumentation import (
-    EvaluationStats,
-    evaluation_deadline,
-    query_trace,
-    stats_bridge,
-)
-from ..engine.query import QueryResult, SelectionQuery, answer, as_selection_query, lookup_result
+from ..engine.instrumentation import EvaluationStats, stats_bridge
+from ..engine.query import QueryResult, SelectionQuery, as_selection_query, lookup_result
 from ..faults import fire as fire_fault
 from ..incremental.session import RowsLike, Session, as_rows
 from ..obs import (
@@ -91,16 +86,12 @@ def _live_relations(session: Session) -> List[Relation]:
 class ServiceStats:
     """Pinned service counters, in the :class:`EvaluationStats` mold."""
 
-    #: queries answered (cache hits, snapshot lookups and fallbacks alike)
+    #: queries answered (cache hits and snapshot lookups alike)
     queries_served: int = 0
     #: queries answered straight from the epoch cache
     cache_hits: int = 0
-    #: queries that had to consult the snapshot (and then primed the cache)
+    #: queries answered by one lookup on the snapshot (which then primed the cache)
     cache_misses: int = 0
-    #: cache misses answered by one frozen-relation lookup
-    snapshot_lookups: int = 0
-    #: cache misses answered by full evaluation over the snapshot database
-    fallback_evaluations: int = 0
     #: client write requests accepted onto the queue
     writes_enqueued: int = 0
     #: write requests applied by the flusher (excludes barriers)
@@ -324,13 +315,12 @@ class DatalogService:
         self._snapshot = take_snapshot(self.session)
         self.cache.advance(self._snapshot.epoch, set())
         #: 1/N sampling rate for automatic profiling of cache-missing queries
-        #: (0 = explicit ``profile=True`` only); cache hits are never sampled
-        #: (nothing evaluates), and slow/timeout/error queries are always
-        #: profiled post hoc regardless
+        #: (0 = explicit ``profile=True`` only); cache hits are never sampled,
+        #: and slow or timed-out queries are always profiled post hoc regardless
         self.profile_sample = profile_sample
         self._profile_seq = itertools.count(1)
         self._trace_seq = itertools.count(1)
-        #: recent query profiles + live in-flight queries (``/debug/queries``)
+        #: the ring of recent query profiles (``/debug/queries``)
         self.flight = FlightRecorder(flight_capacity)
         self._closed = False
         self._obs_server: Optional[ObservabilityServer] = None
@@ -386,7 +376,7 @@ class DatalogService:
         # the hot path is one dict probe and one call
         self._query_seconds = {
             outcome: query_seconds.labels(outcome).observe
-            for outcome in ("cache_hit", "snapshot_lookup", "fallback", "timeout")
+            for outcome in ("cache_hit", "snapshot_lookup", "timeout")
         }
         self._flush_seconds = registry.histogram(
             "repro_service_flush_seconds",
@@ -542,7 +532,6 @@ class DatalogService:
                 ),
             },
             "queries": {
-                "in_flight": self.flight.in_flight_count(),
                 "profiles_recorded": self.flight.profiles_recorded,
                 "profile_sample": self.profile_sample,
                 "flight_capacity": self.flight.capacity,
@@ -689,18 +678,19 @@ class DatalogService:
     ) -> ServiceResult:
         """Answer in the calling thread against the current published epoch.
 
-        ``timeout`` is a per-query deadline in seconds: when it passes before
-        the answer is ready, the query raises
-        :class:`~repro.datalog.errors.QueryTimeout`.  Snapshot/cache answers
-        are effectively instant; the deadline matters for fallback
-        evaluations, where it is enforced cooperatively once per fixpoint
-        iteration.
+        Every answer is an epoch-cache hit or one lookup on the snapshot: a
+        materialized relation for an IDB predicate, the stored relation (or
+        none, so no rows) for an EDB one.  Nothing evaluates.
+
+        ``timeout`` is an admission deadline in seconds: a query that starts
+        past it raises :class:`~repro.datalog.errors.QueryTimeout` instead of
+        answering.
 
         ``profile=True`` is EXPLAIN ANALYZE: the returned result carries a
         :class:`~repro.obs.profile.QueryProfile` (``result.profile``) with
-        the strategy, dispatch decisions, iteration timings, cache outcome
-        and the answer's own :class:`EvaluationStats`; the profile is also
-        recorded in the service's flight recorder (``/debug/queries``).
+        the strategy, cache outcome, epoch, timings and the answer's own
+        :class:`EvaluationStats`; the profile is also recorded in the
+        service's flight recorder (``/debug/queries``).
         """
         snapshot = self.snapshot()
         selection = as_selection_query(self.session.program, query)
@@ -717,11 +707,12 @@ class DatalogService:
     ) -> "Future[ServiceResult]":
         """Dispatch to the reader pool; the epoch is pinned at submission time.
 
-        The ``timeout`` deadline starts *now* — time spent waiting for a free
-        reader thread counts against it, so a saturated pool fails queries
-        crisply instead of letting them queue past their usefulness.  With
-        ``profile=True`` the profile's queueing-vs-execution split shows
-        exactly how long the query waited for a reader.
+        Answers as :meth:`query` does.  The ``timeout`` deadline starts
+        *now* — time spent waiting for a free reader thread counts against
+        it, so a saturated pool fails queries crisply instead of letting them
+        queue past their usefulness.  With ``profile=True`` the profile's
+        queueing-vs-execution split shows exactly how long the query waited
+        for a reader.
         """
         snapshot = self.snapshot()
         selection = as_selection_query(self.session.program, query)
@@ -925,15 +916,18 @@ class DatalogService:
         if deadline is not None and started >= deadline:
             # covers time spent queued behind a saturated reader pool too:
             # submit() stamps the deadline at submission, this runs later
-            elapsed = self._record_timeout(
-                selection, started, trace_id, cache="none", strategy="admission"
+            with self._stats_lock:
+                self.robust.query_timeouts += 1
+            elapsed = self._observe_query(
+                "timeout", selection, started,
+                trace_id=trace_id, strategy="admission", cache="none",
             )
             self._finish_profile(
                 None, selection, trace_id, "timeout", "none", "admission",
                 None, snapshot.epoch, queued, elapsed,
             )
             raise QueryTimeout(
-                f"query on {selection.predicate} missed its deadline before evaluation began"
+                f"query on {selection.predicate} missed its deadline before it was answered"
             )
         cached = self.cache.get(snapshot.epoch, selection)
         if cached is not None:
@@ -960,11 +954,9 @@ class DatalogService:
                 )
             return ServiceResult(result, snapshot.epoch, snapshot, cached=True)
 
-        # 1/N sampling targets queries that actually *evaluate*: a cache hit
-        # is one dict probe with nothing to profile, and exempting it keeps
-        # the hot hit path at literally zero profiling cost (the counter does
-        # not even advance) while the ring fills with profiles that carry
-        # plans and iterations
+        # 1/N sampling targets cache misses: a cache hit is one dict probe
+        # with nothing to profile, and exempting it keeps the hot hit path at
+        # literally zero profiling cost (the counter does not even advance)
         sample = self.profile_sample
         sampled = (
             not want_profile and sample > 0 and next(self._profile_seq) % sample == 0
@@ -975,63 +967,27 @@ class DatalogService:
             else None
         )
         relation = snapshot.views.get(selection.predicate)
-        if relation is None and selection.predicate in snapshot.edb:
-            relation = snapshot.edb[selection.predicate]
-            strategy = f"snapshot-edb@{snapshot.epoch}"
-            provenance = None
-        else:
+        if relation is not None:
             strategy = f"snapshot-view@{snapshot.epoch} ({snapshot.strategy})"
             provenance = snapshot.provenance
-
-        if relation is not None:
-            result = lookup_result(selection, relation, strategy, provenance)
-            kind = "snapshot_lookups"
-            engine_strategy = "snapshot-lookup"
         else:
-            # only fallback evaluations appear in the live in-flight table:
-            # they are the queries that can actually run long enough to be
-            # caught mid-flight (cache hits and frozen-relation lookups are
-            # effectively instant)
-            token = self.flight.begin(
-                trace_id, str(selection), deadline=deadline, epoch=snapshot.epoch
-            )
-            try:
-                with evaluation_deadline(deadline), query_trace(trace_id, recorder):
-                    result = answer(self.session.program, snapshot.as_database(), selection)
-            except QueryTimeout:
-                elapsed = self._record_timeout(
-                    selection, started, trace_id, cache="miss", strategy="fallback"
-                )
-                self._finish_profile(
-                    recorder, selection, trace_id, "timeout", "miss", "fallback",
-                    None, snapshot.epoch, queued, elapsed,
-                )
-                raise
-            except ReproError:
-                self._finish_profile(
-                    recorder, selection, trace_id, "error", "miss", "fallback",
-                    None, snapshot.epoch, queued, _now() - started,
-                )
-                raise
-            finally:
-                self.flight.end(token)
-            engine_strategy = result.rung
-            result.strategy = f"{result.strategy} @snapshot {snapshot.epoch}"
-            kind = "fallback_evaluations"
+            # every IDB predicate is materialized, so anything else is EDB:
+            # stored, or a predicate with no rows at all
+            relation = snapshot.edb.get(selection.predicate)
+            if relation is None:
+                relation = Relation(selection.predicate, selection.arity)
+            strategy = f"snapshot-edb@{snapshot.epoch}"
+            provenance = None
+        result = lookup_result(selection, relation, strategy, provenance)
 
         self.cache.put(snapshot.epoch, selection, result.answers)
         with self._stats_lock:
             self._stats.queries_served += 1
             self._stats.cache_misses += 1
-            setattr(self._stats, kind, getattr(self._stats, kind) + 1)
-        self._engine_bridge.record(engine_strategy, result.stats)
+        self._engine_bridge.record("snapshot-lookup", result.stats)
         elapsed = self._observe_query(
-            "snapshot_lookup" if kind == "snapshot_lookups" else "fallback",
-            selection,
-            started,
-            trace_id=trace_id,
-            strategy=result.strategy,
-            cache="miss",
+            "snapshot_lookup", selection, started,
+            trace_id=trace_id, strategy=result.strategy, cache="miss",
         )
         if recorder is not None or elapsed >= self.tracer.slow_threshold_seconds:
             # armed profiling, or a slow query force-profiled post hoc
@@ -1059,9 +1015,8 @@ class DatalogService:
     ) -> QueryProfile:
         """Assemble one query's profile and land it in the flight recorder.
 
-        With no armed ``recorder`` this is the *forced* path — slow, timed
-        out or errored queries get a post-hoc profile (no engine hooks ran,
-        so it carries outcome/cache/timing but no plans or iterations).
+        With no armed ``recorder`` this is the *forced* path — slow or timed
+        out queries get a post-hoc profile of outcome, cache and timing.
         """
         if recorder is None:
             recorder = ProfileRecorder(str(selection), trace_id=trace_id, forced=True)
@@ -1080,23 +1035,6 @@ class DatalogService:
         if attach_to is not None:
             attach_to.profile = profile
         return profile
-
-    def _record_timeout(
-        self,
-        selection: SelectionQuery,
-        started: float,
-        trace_id: Optional[str] = None,
-        *,
-        cache: Optional[str] = None,
-        strategy: Optional[str] = None,
-    ) -> float:
-        """Count one missed query deadline (kept off the pinned ServiceStats)."""
-        with self._stats_lock:
-            self.robust.query_timeouts += 1
-        return self._observe_query(
-            "timeout", selection, started,
-            trace_id=trace_id, strategy=strategy, cache=cache,
-        )
 
     def _observe_query(
         self,

@@ -25,10 +25,12 @@ the :class:`ServiceSnapshot` — or the ``ServiceResult`` carrying it — is
 referenced.  Answers, ``lookup()`` lists and probe buckets are unaffected.
 
 Readers holding a snapshot never block writers and never observe a torn
-state: every lookup and every fallback evaluation runs against relations
-whose tuple sets are exactly those of the published epoch.  The only thing a
-reader may mutate is a frozen relation's lazy index cache, which is
-value-identical however the race resolves.
+state: every lookup runs against relations whose tuple sets are exactly
+those of the published epoch.  The only thing a reader may mutate is a
+frozen relation's lazy index cache, which is value-identical however the
+race resolves.  Every IDB predicate of the program is in ``views``, so a
+predicate in neither dict is an EDB predicate with no rows: a snapshot
+answers every selection on its program by lookup.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..datalog.database import Database
 from ..datalog.relation import Relation
 from ..incremental.session import Session
 
@@ -62,24 +63,6 @@ class ServiceSnapshot:
         if relation is not None:
             return relation
         return self.edb.get(predicate)
-
-    def as_database(self) -> Database:
-        """A fresh :class:`Database` over the snapshot's frozen EDB relations.
-
-        Built per call so strategies that register scratch relations (magic
-        seeds, subsidiary materializations) mutate only their own container;
-        the frozen relations themselves reject mutation outright, which is
-        what keeps fallback evaluation — decode-on-exit included — snapshot
-        safe.
-        """
-        database = Database()
-        for relation in self.edb.values():
-            database.add_relation(relation)
-        return database
-
-    def total_tuples(self) -> int:
-        """Total tuples across the snapshot's view relations."""
-        return sum(len(relation) for relation in self.views.values())
 
     def __str__(self) -> str:
         return (

@@ -315,14 +315,6 @@ class TestTimeoutIsNotAFallThrough:
                 answer(transitive_closure(), database, query)
         assert entered == []
 
-    def test_service_timeout_on_an_unmaterialized_predicate(self, entered):
-        database = edge_database(chain(3000))
-        with DatalogService(transitive_closure(), database) as service:
-            service._snapshot.views.pop("t")
-            with pytest.raises(QueryTimeout):
-                service.query("t(X, 3000)?", timeout=1e-4)
-        assert entered == []
-
 
 class TestQueryTextMemo:
     """A query text parses once; the arity check still runs per program and call."""

@@ -469,11 +469,6 @@ class TestQueryRouting:
         assert result.answers == {(1, 2)}
         assert result.strategy == "edb-lookup"
 
-    def test_non_view_strategy_bypasses_the_view(self):
-        session = Session(TC, tc_database())
-        routed = session.query("t(1, Y)?", strategy="seminaive")
-        assert routed.answers == session.query("t(1, Y)?").answers
-
 
 class TestOwnership:
     """A session's view is maintained by that session's writes and no others."""

@@ -222,7 +222,7 @@ class TestRecorderCaps:
 
 
 # ----------------------------------------------------------------------
-# the flight recorder ring + in-flight table
+# the flight recorder ring
 # ----------------------------------------------------------------------
 class TestFlightRecorder:
     def test_capacity_must_be_positive(self):
@@ -237,31 +237,11 @@ class TestFlightRecorder:
         assert flight.profiles_recorded == 5
         assert [p.trace_id for p in flight.profiles()] == ["t2", "t3", "t4"]
 
-    def test_in_flight_rows_report_elapsed_and_deadline_budget(self):
-        flight = FlightRecorder()
-        import time
-
-        token = flight.begin(
-            "trace-1", "t(1, Y)?", deadline=time.perf_counter() + 30.0, epoch=7
-        )
-        (row,) = flight.in_flight()
-        assert row["trace_id"] == "trace-1"
-        assert row["query"] == "t(1, Y)?"
-        assert row["epoch"] == 7
-        assert row["elapsed_seconds"] >= 0
-        assert 0 < row["deadline_seconds"] <= 30.0
-        flight.end(token)
-        flight.end(token)  # idempotent
-        assert flight.in_flight() == []
-        assert flight.in_flight_count() == 0
-
     def test_as_dict_is_the_debug_queries_payload(self):
         flight = FlightRecorder(2)
         flight.record(QueryProfile(query="q?", trace_id="t1"))
         payload = json.loads(json.dumps(flight.as_dict(), default=str))
-        assert set(payload) == {
-            "in_flight", "recent_profiles", "profiles_recorded", "capacity"
-        }
+        assert set(payload) == {"recent_profiles", "profiles_recorded", "capacity"}
         assert payload["capacity"] == 2
         assert payload["profiles_recorded"] == 1
         assert payload["recent_profiles"][0]["trace_id"] == "t1"
@@ -367,55 +347,9 @@ class TestServiceProfile:
         assert profile.strategy == "admission"
         assert profile.cache == "none"
 
-    def test_fallback_evaluation_profiles_through_the_engine_hooks(self):
-        # same-generation, unbound: the auto ladder routes it to semi-naive,
-        # which runs the compiled-plan engine and so feeds the plan hooks
-        program = """
-        sg(X, Y) :- flat(X, Y).
-        sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).
-        """
-        database = Database.from_dict(
-            {"flat": [(3, 4)], "up": [(1, 3), (2, 3)], "down": [(4, 5)]}
-        )
-        with DatalogService(
-            program, database, flush_policy=manual_flush_policy()
-        ) as svc:
-            # drop the materialized view so the query takes the fallback
-            # evaluation path (the one the in-flight table tracks)
-            svc._snapshot.views.pop("sg")
-            result = svc.query("sg(X, Y)?", profile=True)
-            profile = result.profile
-            assert profile.cache == "miss"
-            assert profile.strategy.startswith("seminaive")
-            assert "@snapshot" in profile.strategy
-            assert profile.plans, "fallback evaluation must record real plans"
-            assert profile.stats is result.result.stats
-            assert svc.stats.fallback_evaluations == 1
-            assert svc.flight.in_flight_count() == 0  # deregistered on exit
-
-    def test_timed_out_fallback_leaves_a_timeout_profile(self):
-        closure = """
-        t(X, Y) :- a(X, Y).
-        t(X, Y) :- a(X, Z), t(Z, Y).
-        """
-        database = Database.from_dict({"a": [(i, i + 1) for i in range(800)]})
-        with DatalogService(
-            closure, database, flush_policy=manual_flush_policy()
-        ) as svc:
-            svc._snapshot.views.pop("t")
-            with pytest.raises(QueryTimeout):
-                # the full unbound closure is ~320k tuples: the cooperative
-                # per-iteration deadline check fires long before it finishes
-                svc.query("t(X, Y)?", timeout=0.05)
-            (profile,) = svc.flight.profiles()
-            assert profile.outcome == "timeout"
-            assert profile.cache == "miss"
-            assert profile.strategy == "fallback"
-            assert svc.flight.in_flight_count() == 0
-
     def test_statusz_counts_agree_with_the_flight_recorder(self, service):
         service.query("t(1, Y)?", profile=True)
         report = service._status_report()
         assert report["queries"]["profiles_recorded"] == 1
-        assert report["queries"]["in_flight"] == 0
+        assert set(report["queries"]) == {"profiles_recorded", "profile_sample", "flight_capacity"}
         assert report["queries"]["flight_capacity"] == service.flight.capacity

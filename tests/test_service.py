@@ -8,7 +8,16 @@ import time
 
 import pytest
 
-from repro import Database, DatalogService, FlushPolicy, MetricsRegistry, ServiceClosed, Session, parse_program
+from repro import (
+    Database,
+    DatalogService,
+    EvaluationError,
+    FlushPolicy,
+    MetricsRegistry,
+    ServiceClosed,
+    Session,
+    parse_program,
+)
 from repro.engine.query import SelectionQuery
 from repro.service import EpochCache, WriteQueue, WriteTicket, coalesce
 
@@ -345,8 +354,6 @@ class TestDatalogService:
             "queries_served": 4,
             "cache_hits": 1,
             "cache_misses": 3,
-            "snapshot_lookups": 3,
-            "fallback_evaluations": 0,
             "writes_enqueued": 3,
             "writes_applied": 3,
             "flushes": 1,
@@ -386,6 +393,76 @@ class TestDatalogService:
         assert "queue=2" in str(stats) and "cache=1" in str(stats)
         service.barrier()
         assert service.stats.queue_depth == 0
+
+
+# ----------------------------------------------------------------------
+# a served query is one lookup: nothing evaluates
+# ----------------------------------------------------------------------
+class TestLookupOnlyReads:
+    """``c`` is an EDB predicate of the program with no stored relation."""
+
+    PROGRAM = TC + "s(X, Y) :- c(X, Y).\n"
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """Calls of ``answer`` / ``plan_query``, through any module that binds them."""
+        import repro.engine.query as query_module
+
+        calls = []
+        for name in ("answer", "plan_query"):
+            real = getattr(query_module, name)
+
+            def spy(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("repro") and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("text", ["ghost(1, Y)?", "c(X, Y)?", "c(10, Y)?"])
+    def test_an_unstored_predicate_answers_empty_by_one_lookup(self, text, evaluations):
+        results = [Session(self.PROGRAM, tc_database()).query(text)]
+        assert results[0].strategy == "edb-lookup"
+        for submit in (False, True):
+            with DatalogService(self.PROGRAM, tc_database(), flush_policy=manual_flush_policy()) as svc:
+                assert "c" not in svc.snapshot().edb and "ghost" not in svc.snapshot().edb
+                served = svc.submit(text).result(timeout=10) if submit else svc.query(text)
+                assert served.strategy == f"snapshot-edb@{svc.epoch}" and not served.cached
+                results.append(served.result)
+        for result in results:
+            assert result.answers == set()
+            assert (result.stats.lookups, result.stats.tuples_examined) == (1, 0)
+        assert evaluations == []
+
+    def test_materialized_and_stored_predicates_evaluate_nothing_either(self, evaluations):
+        session = Session(self.PROGRAM, tc_database())
+        with DatalogService(self.PROGRAM, tc_database(), flush_policy=manual_flush_policy()) as svc:
+            for text, answers in (("t(1, Y)?", {(1, 4)}), ("s(X, Y)?", set()), ("b(3, Y)?", {(3, 4)})):
+                assert session.query(text).answers == answers
+                assert svc.query(text).answers == answers  # miss
+                assert svc.query(text).answers == answers  # hit
+        assert evaluations == []
+
+    @pytest.mark.parametrize("text", ["t(1, Y, Z)?", "c(1)?", "b(3, Y, Z)?"])
+    def test_a_wrong_arity_still_raises(self, text):
+        session = Session(self.PROGRAM, tc_database())
+        with DatalogService(self.PROGRAM, tc_database(), flush_policy=manual_flush_policy()) as svc:
+            for ask in (session.query, svc.query, svc.submit):
+                with pytest.raises(EvaluationError):
+                    ask(text)
+
+    def test_a_wrong_arity_on_a_stored_relation_outside_the_program_raises(self):
+        database = tc_database()
+        database.insert_facts("extra", [(1, 2, 3)])
+        session = Session(self.PROGRAM, database.copy())
+        with DatalogService(self.PROGRAM, database, flush_policy=manual_flush_policy()) as svc:
+            for ask in (session.query, svc.query):
+                with pytest.raises(EvaluationError):
+                    ask("extra(1, Y)?")
+            with pytest.raises(EvaluationError):
+                svc.submit("extra(1, Y)?").result(timeout=10)
 
 
 # ----------------------------------------------------------------------
@@ -466,45 +543,6 @@ class TestHeldResultsSurviveStorageReclaim:
             sys.setswitchinterval(interval)
         assert not failures, failures[:1]
         assert commit > 10 and stats.storage_reclaims > 0
-
-
-# ----------------------------------------------------------------------
-# snapshot safety of fallback evaluation
-# ----------------------------------------------------------------------
-class TestSnapshotSafety:
-    MUTUAL = """
-    t(X, Y) :- a(X, Z), t(Z, Y).
-    t(X, Y) :- b(X, Y).
-    s(X, Y) :- t(Y, X).
-    """
-
-    def test_fallback_evaluation_never_mutates_the_snapshot(self):
-        # 's' is materialized too, so force the fallback by querying a
-        # predicate the program defines but the snapshot does not serve
-        program = "t(X, Y) :- a(X, Z), t(Z, Y).\nt(X, Y) :- b(X, Y).\n"
-        database = Database.from_dict(
-            {"a": [("n1", "n2"), ("n2", "n3")], "b": [("n3", "n4")]}
-        )
-        with DatalogService(program, database, flush_policy=manual_flush_policy()) as svc:
-            snapshot = svc.snapshot()
-            frozen_before = {name: set(rel.rows()) for name, rel in snapshot.edb.items()}
-            # magic-sets over the snapshot database, reading its frozen relations
-            from repro import answer
-
-            result = answer(svc.session.program, snapshot.as_database(), "t(n1, Y)?")
-            assert result.answers == {("n1", "n4")}
-            for name, rel in snapshot.edb.items():
-                assert set(rel.rows()) == frozen_before[name], name
-
-    def test_fallback_is_snapshot_safe_on_int_values(self):
-        database = Database.from_dict({"a": [(1, 2), (2, 3)], "b": [(3, 4)]})
-        with DatalogService(TC, database, flush_policy=manual_flush_policy()) as svc:
-            snapshot = svc.snapshot()
-            from repro import answer
-
-            result = answer(svc.session.program, snapshot.as_database(), "t(1, Y)?")
-            assert result.answers == {(1, 4)}
-            assert snapshot.edb["a"].rows() == {(1, 2), (2, 3)}
 
 
 # ----------------------------------------------------------------------

@@ -14,11 +14,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro import DatalogService, Session, answer
+from repro.engine.query import SelectionQuery
 from repro.testing import (
+    FAMILIES,
+    generate_case,
+    generate_cases,
     generate_concurrent_case,
     run_concurrent_batch,
     run_concurrent_case,
 )
+from repro.testing.generate import generate_labelled_case
 
 SEED_COUNT = 14  # two full passes over the 7 generator families
 
@@ -60,3 +66,66 @@ def test_batch_exercises_coalescing_and_both_strategies():
     strategies = {case.base.base.family for case in cases}
     assert "bounded" in strategies  # unfolds -> counting maintenance
     assert "cyclic" in strategies  # stays recursive -> DRed maintenance
+
+
+# ----------------------------------------------------------------------
+# a served query is a lookup, and the lookup is the answer
+# ----------------------------------------------------------------------
+#: the engine differential's seeds: the base seeds, the bounded extras (whose
+#: views are unfolded programs) and the labelled arity-3 family
+DIFFERENTIAL_SEEDS = 84
+BOUNDED_EXTRA_SEEDS = [
+    seed
+    for seed in range(DIFFERENTIAL_SEEDS, DIFFERENTIAL_SEEDS + 20 * len(FAMILIES))
+    if seed % len(FAMILIES) == FAMILIES.index("bounded")
+][:16]
+LABELLED_SEEDS = range(DIFFERENTIAL_SEEDS, DIFFERENTIAL_SEEDS + 16)
+
+
+def every_selection(case):
+    """Every predicate of the case's program plus one it does not know, each
+    unbound and with its first column bound to a constant of the database."""
+    constant = min(case.database.active_domain(), key=repr)
+    arities = {name: case.program.arity_of(name) for name in case.program.predicates()}
+    arities["zz_unknown"] = 2
+    for name, arity in sorted(arities.items()):
+        yield SelectionQuery.of(name, arity, {})
+        if arity:
+            yield SelectionQuery.of(name, arity, {0: constant})
+
+
+def reference_answers(case, selection):
+    """``repro.answer``'s answers, except on a stored EDB relation: there the
+    ladder selects from derived relations only and finds nothing, so the
+    reference is a scan of the stored rows."""
+    name = selection.predicate
+    if name in case.program.idb_predicates() or not case.database.has_relation(name):
+        return answer(case.program, case.database, selection).answers
+    bindings = selection.bindings_dict()
+    return {
+        row
+        for row in case.database.relation(name).rows()
+        if all(row[column] == value for column, value in bindings.items())
+    }
+
+
+def test_served_answers_are_the_ladders_on_every_predicate():
+    """Session and DatalogService answer every selection by lookup, and that
+    lookup is the reference answer: ``repro.answer`` on every IDB predicate
+    and on every predicate with no stored rows, which is what the evaluation
+    fallback they no longer have returned."""
+    cases = (
+        generate_cases(DIFFERENTIAL_SEEDS)
+        + [generate_case(seed) for seed in BOUNDED_EXTRA_SEEDS]
+        + [generate_labelled_case(seed) for seed in LABELLED_SEEDS]
+    )
+    checked = 0
+    for case in cases:
+        expected = {selection: reference_answers(case, selection) for selection in every_selection(case)}
+        session = Session(case.program, case.database.copy())
+        with DatalogService(case.program, case.database.copy(), readers=1) as service:
+            for selection, answers in expected.items():
+                assert session.query(selection).answers == answers, (case.name, str(selection))
+                assert service.query(selection).answers == answers, (case.name, str(selection))
+                checked += 1
+    assert checked > 1000
