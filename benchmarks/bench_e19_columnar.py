@@ -219,7 +219,7 @@ def median_and_iqr(ratios):
 def adaptive_decision(database):
     """``(dispatch, profit score)`` the product's decision gives the closure's stratum."""
     recorder = ProfileRecorder("t(X, Y)?", trace_id="e19-decision")
-    with query_trace(recorder.trace_id, recorder):
+    with query_trace(recorder):
         seminaive_evaluate(TC, database)
     decision = recorder.strata[-1]
     return decision.dispatch, decision.score

@@ -15,10 +15,10 @@ directory kept outside the tree for before/after comparisons.  Writes are
 atomic per file; the merge assumes the usual single-process pytest run.
 
 The *headline* experiments (the perf-regression gates: E16 kernels, E19
-columnar; E12, the paper's crossover with its schema-vs-counting seconds) are
-additionally mirrored to the repository root as committed baselines —
-``BENCH_e12.json`` / ``BENCH_e16.json`` / ``BENCH_e19.json`` /
-``BENCH_e20.json`` / ``BENCH_e22.json`` next to ROADMAP.md — so
+columnar, E20 observability overhead; E12, the paper's crossover with its
+schema-vs-counting seconds) are additionally mirrored to the repository root
+as committed baselines — ``BENCH_e12.json`` / ``BENCH_e16.json`` /
+``BENCH_e19.json`` / ``BENCH_e20.json`` next to ROADMAP.md — so
 every checkout carries the numbers its CI guards were last green against and
 ``git diff`` shows perf drift alongside the code that caused it.  The mirror
 honors ``BENCH_JSON_DIR``: redirected runs still update only their own
@@ -40,7 +40,7 @@ _EXPERIMENT_PATTERN = re.compile(r"e\d{2}")
 
 #: experiments whose BENCH_*.json is mirrored to the repo root as a committed
 #: baseline (the CI perf gates)
-HEADLINE_EXPERIMENTS = frozenset(("e12", "e16", "e19", "e20", "e22"))
+HEADLINE_EXPERIMENTS = frozenset(("e12", "e16", "e19", "e20"))
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 

@@ -107,8 +107,7 @@ def main() -> None:
 
         # 5b. EXPLAIN ANALYZE — what the served query actually did: one
         #     lookup on the published snapshot, with its timings, stats,
-        #     cache outcome, and a trace ID shared with spans and slow-query
-        #     records
+        #     cache outcome and the trace ID that names the profile
         result = service.query("reach(5, Y)?", profile=True)
         print("\n— EXPLAIN ANALYZE reach(5, Y)? —")
         print("  " + result.profile.render().replace("\n", "\n  "))

@@ -78,30 +78,23 @@ def evaluation_deadline(deadline: Optional[float]):
 
 
 # ----------------------------------------------------------------------
-# per-query trace context: trace ID + profile recorder
+# per-query profile channel
 # ----------------------------------------------------------------------
 # The same thread-local channel idiom as the deadline above, reused for
-# query-level observability: the serving layer (or ``answer(profile=True)``)
-# arms a trace ID and optionally a profile recorder around one query's
-# evaluation in one thread.  Engine hot paths then ask two one-attribute-read
-# questions — "is a trace armed?" for span/slow-log stamping, and "is a
-# profile armed?" before recording a dispatch decision or an iteration
-# sample — so a query that is neither traced nor profiled pays a ``None``
-# check and nothing else.  The recorder is deliberately opaque here (it is a
+# EXPLAIN ANALYZE: ``answer(profile=True)`` (and the differential harness)
+# arms a profile recorder around one query's evaluation in one thread.
+# Engine hot paths then ask one one-attribute-read question — "is a profile
+# armed?" — before recording a dispatch decision or an iteration sample, so
+# an unprofiled query pays a ``None`` check and nothing else.  The recorder
+# is deliberately opaque here (it is a
 # :class:`repro.obs.profile.ProfileRecorder`); the engine talks to it duck
 # typed, keeping ``repro.engine`` free of any import of ``repro.obs``.
 class _Trace(threading.local):
-    #: class-level defaults, as for the deadline: an unarmed read raises nothing
-    trace_id: Optional[str] = None
+    #: a class-level default, as for the deadline: an unarmed read raises nothing
     profile = None
 
 
 _trace_local = _Trace()
-
-
-def active_trace_id() -> Optional[str]:
-    """The calling thread's armed per-query trace ID, if any."""
-    return _trace_local.trace_id
 
 
 def active_profile():
@@ -110,23 +103,18 @@ def active_profile():
 
 
 @contextmanager
-def query_trace(trace_id: Optional[str], profile=None):
-    """Arm a per-query trace ID (and optional profile recorder) for this thread.
+def query_trace(profile):
+    """Arm a per-query profile recorder for this thread.
 
-    Nested arming stacks: the previous pair is always restored on exit, so a
-    reader-pool thread never leaks one query's trace context into the next.
-    Passing ``trace_id=None`` with ``profile=None`` is a no-op passthrough.
+    Nested arming stacks: the previous recorder is always restored on exit,
+    so a reader-pool thread never leaks one query's profile into the next.
     """
-    if trace_id is None and profile is None:
-        yield
-        return
-    previous = (_trace_local.trace_id, _trace_local.profile)
-    _trace_local.trace_id = trace_id if trace_id is not None else previous[0]
-    _trace_local.profile = profile if profile is not None else previous[1]
+    previous = _trace_local.profile
+    _trace_local.profile = profile
     try:
         yield
     finally:
-        _trace_local.trace_id, _trace_local.profile = previous
+        _trace_local.profile = previous
 
 
 @dataclass

@@ -273,7 +273,10 @@ def plan_query(
     :class:`~repro.datalog.errors.NotOneSidedError` for ``"one-sided"`` on a
     recursion Theorem 3.1 rejects, :class:`~repro.datalog.errors.EvaluationError`
     for an out-of-scope ``"counting"`` or an ``"unfolded"`` with no boundedness
-    witness within ``max_unfold_depth``.
+    witness within ``max_unfold_depth``.  A predicate no rule defines is
+    answered, under ``"auto"``, ``"seminaive"`` and ``"naive"``, by the one
+    **edb-lookup** rung: an indexed lookup on its stored rows (none stored:
+    no answers).
     """
     return _plan(
         program, selection.predicate, selection.arity, selection.bound_columns(), strategy, max_unfold_depth
@@ -294,6 +297,15 @@ def _plan(
     if strategy not in ("auto", "unfolded", "one-sided", "counting", "magic", "seminaive", "naive"):
         raise EvaluationError(f"unknown evaluation strategy {strategy!r}")
     auto = strategy == "auto"
+    if strategy in ("auto", "seminaive", "naive") and not program.rules_for(predicate):
+        # no rule derives the predicate, so a fixpoint would only copy the stored rows
+        return QueryPlan(None, (Rung(
+            "edb-lookup", "edb-lookup", f"no rule defines {predicate}: one lookup on its stored rows",
+            lambda database, selection, _depth: _unpack(
+                lookup_result(selection, database.relation_or_empty(predicate, arity), "edb-lookup")
+            ),
+            lambda _selection, _relations: [],
+        ),))
 
     from ..baselines.counting import counting_plans, counting_query, counting_scope_reason
     from ..baselines.magic import magic_query
@@ -459,30 +471,29 @@ def answer(
     channel, and the finished :class:`~repro.obs.profile.QueryProfile` —
     dispatch decisions, iteration timings, rewrites, fall-throughs, the
     result's own stats — is attached as ``result.profile``.  ``trace_id``
-    stamps the profile and every span the evaluation emits (one is generated
-    when profiling without an explicit ID).
+    names that profile (a fresh one is generated when it is ``None``);
+    without ``profile=True`` it is ignored.
     """
     selection = as_selection_query(program, query)
-    if not profile and trace_id is None:
+    if not profile:
         plan = plan_query(program, selection, strategy, max_unfold_depth)
         return _execute(plan, database, selection, counting_depth)
 
     from ..obs.profile import ProfileRecorder
 
-    recorder = ProfileRecorder(str(selection), trace_id=trace_id) if profile else None
+    recorder = ProfileRecorder(str(selection), trace_id=trace_id)
     started = perf_counter()
-    with query_trace(recorder.trace_id if recorder is not None else trace_id, recorder):
+    with query_trace(recorder):
         plan = plan_query(program, selection, strategy, max_unfold_depth)
         result = _execute(plan, database, selection, counting_depth)
-    if recorder is not None:
-        result.profile = recorder.build(
-            strategy=result.strategy,
-            stats=result.stats,
-            outcome="ok",
-            execution_seconds=perf_counter() - started,
-            provenance=result.provenance,
-            fell_through=result.fell_through,
-        )
+    result.profile = recorder.build(
+        strategy=result.strategy,
+        stats=result.stats,
+        outcome="ok",
+        execution_seconds=perf_counter() - started,
+        provenance=result.provenance,
+        fell_through=result.fell_through,
+    )
     return result
 
 

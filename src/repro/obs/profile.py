@@ -17,7 +17,7 @@ module explains *one query*:
   while a profile is armed on the thread-local channel of
   :mod:`repro.engine.instrumentation` (``query_trace``); every hook is one
   ``getattr`` + ``None`` check when disarmed, so unprofiled queries pay
-  nothing measurable (the E22 benchmark gates the sampled overhead);
+  nothing measurable;
 * :class:`FlightRecorder` — a bounded ring of recent profiles, served as
   JSON at ``/debug/queries`` by the
   :class:`~repro.obs.exporter.ObservabilityServer`;
@@ -29,7 +29,9 @@ module explains *one query*:
 ``answer(..., profile=True)`` is the EXPLAIN ANALYZE half: the same profile,
 filled in by an actual run.  ``DatalogService.query(..., profile=True)``
 profiles a served query, which is a cache hit or one snapshot lookup: its
-strategy, cache outcome, epoch, timings and stats.
+strategy, cache outcome, epoch, timings and stats.  Only a caller's
+``profile=True`` builds a profile; a slow served query leaves a
+``slow_query`` span in the :class:`~repro.obs.trace.Tracer` instead.
 """
 
 from __future__ import annotations
@@ -153,11 +155,11 @@ class QueryProfile:
 
     #: the query, as text (``t(1, Y)?``)
     query: str
-    #: the per-query trace ID, shared with spans and slow-query records
+    #: the per-query trace ID that names this profile
     trace_id: str
     #: the strategy the front door picked (``explain`` reports a prediction)
     strategy: str = "unspecified"
-    #: ``ok`` | ``timeout`` | ``error`` | ``shed`` | ``plan-only``
+    #: ``ok`` (an answered query) | ``plan-only`` (``explain``)
     outcome: str = "ok"
     #: EpochCache outcome: ``hit`` | ``miss`` | ``none`` (no epoch cache ran)
     cache: str = "none"
@@ -169,11 +171,6 @@ class QueryProfile:
     execution_seconds: float = 0.0
     #: wall-clock start (``time.time()``), for correlating with span exports
     started_at: float = 0.0
-    #: True when chosen by ``profile_sample`` 1/N sampling
-    sampled: bool = False
-    #: True when assembled post hoc because the query was slow / timed out /
-    #: errored (no engine hooks were armed, so plans/iterations are empty)
-    forced: bool = False
     #: one line per optimizer pass (``Rewrite`` provenance summary)
     rewrites: List[str] = field(default_factory=list)
     #: per-rule compiled-plan shapes with their dispatch decisions
@@ -205,8 +202,6 @@ class QueryProfile:
             "queued_seconds": self.queued_seconds,
             "execution_seconds": self.execution_seconds,
             "started_at": self.started_at,
-            "sampled": self.sampled,
-            "forced": self.forced,
             "rewrites": list(self.rewrites),
             "plans": [plan.as_dict() for plan in self.plans],
             "strata": [decision.as_dict() for decision in self.strata],
@@ -307,8 +302,6 @@ class ProfileRecorder:
     __slots__ = (
         "query_text",
         "trace_id",
-        "sampled",
-        "forced",
         "started_at",
         "max_plans",
         "max_iterations",
@@ -329,15 +322,11 @@ class ProfileRecorder:
         query_text: str,
         *,
         trace_id: Optional[str] = None,
-        sampled: bool = False,
-        forced: bool = False,
         max_plans: int = 64,
         max_iterations: int = 512,
     ) -> None:
         self.query_text = query_text
         self.trace_id = trace_id if trace_id is not None else new_trace_id()
-        self.sampled = sampled
-        self.forced = forced
         self.started_at = time.time()
         self.max_plans = max_plans
         self.max_iterations = max_iterations
@@ -456,8 +445,6 @@ class ProfileRecorder:
             queued_seconds=queued_seconds,
             execution_seconds=execution_seconds,
             started_at=self.started_at,
-            sampled=self.sampled,
-            forced=self.forced,
             rewrites=[str(rewrite) for rewrite in getattr(provenance, "rewrites", ())],
             plans=list(self.plans),
             strata=list(self.strata),
@@ -474,8 +461,8 @@ class ProfileRecorder:
 class FlightRecorder:
     """A bounded ring of recent :class:`QueryProfile` records.
 
-    The serving layer records every profile it assembles (sampled, explicit
-    and forced alike).  ``/debug/queries`` serves :meth:`as_dict`.  All
+    The serving layer records every profile a ``profile=True`` query
+    assembles.  ``/debug/queries`` serves :meth:`as_dict`.  All
     operations are O(1) under one lock.
     """
 

@@ -26,8 +26,6 @@ from collections import deque
 from pathlib import Path
 from typing import IO, Dict, List, Optional, Union
 
-from ..engine.instrumentation import active_trace_id
-
 __all__ = ["NullTracer", "Span", "Tracer"]
 
 _now = time.perf_counter
@@ -150,14 +148,6 @@ class Tracer:
         return span
 
     def _record(self, span: Span) -> None:
-        # stamp the calling thread's armed per-query trace ID (the
-        # ``query_trace`` channel) so every span a query emits — and every
-        # post-hoc slow-query record — links back to that query's profile;
-        # an explicit trace_id attribute always wins
-        if "trace_id" not in span.attributes:
-            trace_id = active_trace_id()
-            if trace_id is not None:
-                span.attributes["trace_id"] = trace_id
         with self._lock:
             self._spans.append(span)
             self.spans_recorded += 1

@@ -27,7 +27,6 @@ read-your-writes when they want it.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -216,8 +215,7 @@ class ServiceResult:
 
     @property
     def profile(self) -> Optional[QueryProfile]:
-        """The EXPLAIN ANALYZE record, when the query ran with ``profile=True``
-        (or was sampled / force-profiled)."""
+        """The EXPLAIN ANALYZE record, when the query ran with ``profile=True``."""
         return self.result.profile
 
     def __len__(self) -> int:
@@ -245,8 +243,6 @@ class DatalogService:
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         retry: Optional[RetryPolicy] = None,
-        profile_sample: int = 0,
-        flight_capacity: int = 128,
     ) -> None:
         registry = metrics if metrics is not None else NullRegistry()
         trace = tracer if tracer is not None else NullTracer()
@@ -314,14 +310,8 @@ class DatalogService:
             )
         self._snapshot = take_snapshot(self.session)
         self.cache.advance(self._snapshot.epoch, set())
-        #: 1/N sampling rate for automatic profiling of cache-missing queries
-        #: (0 = explicit ``profile=True`` only); cache hits are never sampled,
-        #: and slow or timed-out queries are always profiled post hoc regardless
-        self.profile_sample = profile_sample
-        self._profile_seq = itertools.count(1)
-        self._trace_seq = itertools.count(1)
-        #: the ring of recent query profiles (``/debug/queries``)
-        self.flight = FlightRecorder(flight_capacity)
+        #: the ring of recent ``profile=True`` query profiles (``/debug/queries``)
+        self.flight = FlightRecorder()
         self._closed = False
         self._obs_server: Optional[ObservabilityServer] = None
         self._install_observability(registry, trace)
@@ -533,7 +523,6 @@ class DatalogService:
             },
             "queries": {
                 "profiles_recorded": self.flight.profiles_recorded,
-                "profile_sample": self.profile_sample,
                 "flight_capacity": self.flight.capacity,
             },
             "recent_slow_queries": [
@@ -911,21 +900,12 @@ class DatalogService:
         submitted_at: Optional[float] = None,
     ) -> ServiceResult:
         started = _now()
-        queued = started - submitted_at if submitted_at is not None else 0.0
-        trace_id = f"q-{next(self._trace_seq):08x}"
         if deadline is not None and started >= deadline:
             # covers time spent queued behind a saturated reader pool too:
             # submit() stamps the deadline at submission, this runs later
             with self._stats_lock:
                 self.robust.query_timeouts += 1
-            elapsed = self._observe_query(
-                "timeout", selection, started,
-                trace_id=trace_id, strategy="admission", cache="none",
-            )
-            self._finish_profile(
-                None, selection, trace_id, "timeout", "none", "admission",
-                None, snapshot.epoch, queued, elapsed,
-            )
+            self._observe_query("timeout", selection, started, snapshot.epoch, "admission", "none")
             raise QueryTimeout(
                 f"query on {selection.predicate} missed its deadline before it was answered"
             )
@@ -938,122 +918,63 @@ class DatalogService:
                 strategy=f"epoch-cache@{snapshot.epoch}",
                 provenance=snapshot.provenance,
             )
-            with self._stats_lock:
-                self._stats.queries_served += 1
-                self._stats.cache_hits += 1
-            elapsed = self._observe_query(
-                "cache_hit", selection, started,
-                trace_id=trace_id, strategy=result.strategy, cache="hit",
-            )
-            if want_profile:
-                recorder = ProfileRecorder(str(selection), trace_id=trace_id)
-                self._finish_profile(
-                    recorder, selection, trace_id, "ok", "hit", result.strategy,
-                    result.stats, snapshot.epoch, queued, elapsed,
-                    provenance=result.provenance, attach_to=result,
-                )
-            return ServiceResult(result, snapshot.epoch, snapshot, cached=True)
-
-        # 1/N sampling targets cache misses: a cache hit is one dict probe
-        # with nothing to profile, and exempting it keeps the hot hit path at
-        # literally zero profiling cost (the counter does not even advance)
-        sample = self.profile_sample
-        sampled = (
-            not want_profile and sample > 0 and next(self._profile_seq) % sample == 0
-        )
-        recorder = (
-            ProfileRecorder(str(selection), trace_id=trace_id, sampled=sampled)
-            if (want_profile or sampled)
-            else None
-        )
-        relation = snapshot.views.get(selection.predicate)
-        if relation is not None:
-            strategy = f"snapshot-view@{snapshot.epoch} ({snapshot.strategy})"
-            provenance = snapshot.provenance
+            outcome, cache = "cache_hit", "hit"
         else:
-            # every IDB predicate is materialized, so anything else is EDB:
-            # stored, or a predicate with no rows at all
-            relation = snapshot.edb.get(selection.predicate)
-            if relation is None:
-                relation = Relation(selection.predicate, selection.arity)
-            strategy = f"snapshot-edb@{snapshot.epoch}"
-            provenance = None
-        result = lookup_result(selection, relation, strategy, provenance)
-
-        self.cache.put(snapshot.epoch, selection, result.answers)
+            relation = snapshot.views.get(selection.predicate)
+            if relation is not None:
+                strategy = f"snapshot-view@{snapshot.epoch} ({snapshot.strategy})"
+                provenance = snapshot.provenance
+            else:
+                # every IDB predicate is materialized, so anything else is EDB:
+                # stored, or a predicate with no rows at all
+                relation = snapshot.edb.get(selection.predicate)
+                if relation is None:
+                    relation = Relation(selection.predicate, selection.arity)
+                strategy = f"snapshot-edb@{snapshot.epoch}"
+                provenance = None
+            result = lookup_result(selection, relation, strategy, provenance)
+            self.cache.put(snapshot.epoch, selection, result.answers)
+            self._engine_bridge.record("snapshot-lookup", result.stats)
+            outcome, cache = "snapshot_lookup", "miss"
         with self._stats_lock:
             self._stats.queries_served += 1
-            self._stats.cache_misses += 1
-        self._engine_bridge.record("snapshot-lookup", result.stats)
+            if cached is not None:
+                self._stats.cache_hits += 1
+            else:
+                self._stats.cache_misses += 1
         elapsed = self._observe_query(
-            "snapshot_lookup", selection, started,
-            trace_id=trace_id, strategy=result.strategy, cache="miss",
+            outcome, selection, started, snapshot.epoch, result.strategy, cache
         )
-        if recorder is not None or elapsed >= self.tracer.slow_threshold_seconds:
-            # armed profiling, or a slow query force-profiled post hoc
-            self._finish_profile(
-                recorder, selection, trace_id, "ok", "miss", result.strategy,
-                result.stats, snapshot.epoch, queued, elapsed,
-                provenance=result.provenance, attach_to=result,
+        if want_profile:
+            result.profile = ProfileRecorder(str(selection)).build(
+                strategy=result.strategy,
+                stats=result.stats,
+                cache=cache,
+                epoch=snapshot.epoch,
+                queued_seconds=started - submitted_at if submitted_at is not None else 0.0,
+                execution_seconds=elapsed,
+                provenance=result.provenance,
             )
-        return ServiceResult(result, snapshot.epoch, snapshot)
-
-    def _finish_profile(
-        self,
-        recorder: Optional[ProfileRecorder],
-        selection: SelectionQuery,
-        trace_id: str,
-        outcome: str,
-        cache: str,
-        strategy: str,
-        stats: Optional[EvaluationStats],
-        epoch: int,
-        queued: float,
-        execution: float,
-        provenance=None,
-        attach_to: Optional[QueryResult] = None,
-    ) -> QueryProfile:
-        """Assemble one query's profile and land it in the flight recorder.
-
-        With no armed ``recorder`` this is the *forced* path — slow or timed
-        out queries get a post-hoc profile of outcome, cache and timing.
-        """
-        if recorder is None:
-            recorder = ProfileRecorder(str(selection), trace_id=trace_id, forced=True)
-        profile = recorder.build(
-            strategy=strategy,
-            stats=stats if stats is not None else EvaluationStats(),
-            outcome=outcome,
-            cache=cache,
-            epoch=epoch,
-            queued_seconds=queued,
-            execution_seconds=execution,
-            provenance=provenance,
-            fell_through=attach_to.fell_through if attach_to is not None else (),
-        )
-        self.flight.record(profile)
-        if attach_to is not None:
-            attach_to.profile = profile
-        return profile
+            self.flight.record(result.profile)
+        return ServiceResult(result, snapshot.epoch, snapshot, cached=cached is not None)
 
     def _observe_query(
         self,
         outcome: str,
         selection: SelectionQuery,
         started: float,
-        *,
-        trace_id: Optional[str] = None,
-        strategy: Optional[str] = None,
-        cache: Optional[str] = None,
+        epoch: int,
+        strategy: str,
+        cache: str,
     ) -> float:
-        """Record one answered query's latency (and maybe a slow-query span).
+        """Record one served query's latency (and maybe a slow-query span).
 
         With observability off both calls are no-ops; the span is only
         materialized when the latency clears the tracer's slow threshold, so
-        the fast path never allocates one.  Slow-query records carry the
-        query's trace ID, strategy, epoch and cache outcome, linking each
-        log entry to its :class:`~repro.obs.profile.QueryProfile`.  Returns
-        the elapsed seconds so callers reuse the measurement.
+        the fast path never allocates one.  A slow-query record names the
+        predicate, outcome, strategy, cache outcome and the ``epoch`` the
+        query read.  Returns the elapsed seconds so callers reuse the
+        measurement.
         """
         elapsed = _now() - started
         self._query_seconds[outcome](elapsed)
@@ -1063,8 +984,7 @@ class DatalogService:
                 elapsed,
                 predicate=selection.predicate,
                 outcome=outcome,
-                epoch=self.epoch,
-                trace_id=trace_id,
+                epoch=epoch,
                 strategy=strategy,
                 cache=cache,
             )

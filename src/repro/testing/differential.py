@@ -202,7 +202,7 @@ def run_differential(case: DifferentialCase) -> DifferentialReport:
             # arm the EXPLAIN ANALYZE recorder around the same evaluation the
             # tuple/stats checks use: the profile must be a faithful account
             # of the run it rode along with, not a separate re-execution
-            with query_trace(recorder.trace_id, recorder):
+            with query_trace(recorder):
                 mode_derived = seminaive_evaluate(program, database, stats)
         totals = stats.as_dict()
         totals.pop("elapsed_seconds", None)

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from repro import DatalogService, answer, explain, parse_program, plan_query
-from repro.datalog import Database, EvaluationError, ParseError, QueryTimeout
+from repro.datalog import Database, EvaluationError, ParseError, QueryTimeout, ReproError
 from repro.engine import SelectionQuery, as_selection_query, evaluation_deadline, seminaive_query
 from repro.testing import FAMILIES, generate_case, generate_cases
 from repro.workloads import (
@@ -147,6 +147,23 @@ class TestForcedStrategies:
     def test_undefined_predicate_returns_empty(self, tc_db):
         result = answer(transitive_closure(), tc_db, "missing(0, Y)?")
         assert result.answers == set()
+        assert result.strategy == "edb-lookup"
+        assert result.stats.iterations == 0
+
+    @pytest.mark.parametrize("strategy", ["auto", "seminaive", "naive"])
+    def test_stored_edb_predicate_answers_by_lookup(self, tc_db, strategy):
+        program = transitive_closure()
+        for text, expected in (("a(2, Y)?", {(2, 3)}), ("a(X, Y)?", tc_db.relation("a").rows())):
+            result = answer(program, tc_db, text, strategy=strategy)
+            assert result.answers == set(expected), text
+            assert result.strategy == result.rung == "edb-lookup"
+            assert result.stats.iterations == 0
+            assert result.stats.lookups == 1
+
+    def test_forced_strategies_still_refuse_an_edb_predicate(self, tc_db):
+        for strategy in ("magic", "counting", "one-sided", "unfolded"):
+            with pytest.raises(ReproError):
+                answer(transitive_closure(), tc_db, "a(2, Y)?", strategy=strategy)
 
 
 # ----------------------------------------------------------------------

@@ -70,7 +70,7 @@ def test_labelled_family_extra_seeds(seed):
     report = run_differential(case)
     assert report.ok, report.summary() + "\n" + "\n".join(report.mismatches)
     recorder = ProfileRecorder(str(case.query), trace_id=f"forced-{case.name}")
-    with batching("force"), query_trace(recorder.trace_id, recorder):
+    with batching("force"), query_trace(recorder):
         seminaive_evaluate(case.program, case.database)
     assert [(d.dispatch, d.detail) for d in recorder.strata] == [("kernel-loop", "no-batch-template")]
 

@@ -165,7 +165,7 @@ class TestBatchDecision:
         """``(dispatch, detail, derived rows, counters)`` of one closure."""
         stats = EvaluationStats()
         recorder = ProfileRecorder("t(X, Y)?", trace_id="batch-decision")
-        with query_trace(recorder.trace_id, recorder):
+        with query_trace(recorder):
             derived = seminaive_evaluate(transitive_closure(), database, stats)
         (decision,) = recorder.strata
         counters = stats.as_dict()

@@ -137,10 +137,11 @@ class TestExplain:
 
     def test_explain_of_an_undefined_predicate_still_explains(self):
         # the optimizer cannot run (the predicate has no rules), but explain
-        # degrades to the semi-naive prediction instead of raising
+        # renders the one lookup answer() makes instead of raising
         profile = explain(parse_program(TC), "nope(1, Y)?", tc_database())
         assert profile.outcome == "plan-only"
-        assert profile.strategy.startswith("seminaive")
+        assert profile.strategy == "edb-lookup"
+        assert profile.plans == [] and profile.fallbacks == []
 
     def test_profile_serializes_for_debug_queries(self):
         profile = explain(parse_program(SG), "sg(1, Y)?", sg_database())

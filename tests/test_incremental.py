@@ -444,7 +444,7 @@ class TestPreparedMaintenance:
         session.insert("a", (0, 1))
         session.delete("a", (0, 1))
         profile = ProfileRecorder("commit")
-        with query_trace(None, profile=profile):
+        with query_trace(profile):
             session.insert("a", (-1, 1))
             session.delete("a", (-1, 1))
         assert profile.plans

@@ -1,13 +1,13 @@
-"""EXPLAIN ANALYZE profiles, trace-ID propagation, and the flight recorder.
+"""EXPLAIN ANALYZE profiles and the flight recorder.
 
-Covers the ``repro.obs.profile`` tentpole at every layer it is surfaced:
+Covers ``repro.obs.profile`` at every layer it is surfaced:
 ``answer(..., profile=True)`` on the engine front door,
-``DatalogService.query(..., profile=True)`` (plus 1/N sampling and the
-forced profiles for slow / timed-out / errored queries), and the
-:class:`FlightRecorder` ring behind ``/debug/queries``.  The acceptance
-criterion throughout is agreement with the pinned instrumentation: a
-profile's stats are the *same* totals the result reports, and its trace ID
-is the one stamped on the query's spans and slow-query records.
+``DatalogService.query(..., profile=True)`` (and the one record of each kind
+an unprofiled served query leaves: its latency observation and, when slow,
+one ``slow_query`` span, but no profile), and the :class:`FlightRecorder`
+ring behind ``/debug/queries``.  The acceptance criterion throughout is
+agreement with the pinned instrumentation: a profile's stats are the *same*
+totals the result reports.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro import (
     answer,
     parse_program,
 )
+from repro.engine.query import as_selection_query
 from repro.obs.profile import ProfileRecorder
 from repro.testing.reference import step_machine
 
@@ -248,7 +249,7 @@ class TestFlightRecorder:
 
 
 # ----------------------------------------------------------------------
-# the service layer: profile=True, sampling, forced profiles
+# the service layer: profile=True, and nothing without it
 # ----------------------------------------------------------------------
 class TestServiceProfile:
     @pytest.fixture
@@ -270,7 +271,7 @@ class TestServiceProfile:
         assert profile.cache == "miss"
         assert profile.epoch == service.epoch
         assert profile.stats is result.result.stats
-        assert profile.trace_id.startswith("q-")
+        assert not profile.trace_id.startswith("q-")  # a fresh new_trace_id()
         # the profile landed in the flight recorder too
         assert [p.trace_id for p in service.flight.profiles()] == [profile.trace_id]
 
@@ -290,66 +291,92 @@ class TestServiceProfile:
         assert service.flight.profiles() == []
         assert service.flight.profiles_recorded == 0
 
-    def test_profile_sample_records_every_nth_cache_miss(self):
-        with DatalogService(
-            TC,
-            chain_database(),
-            flush_policy=manual_flush_policy(),
-            profile_sample=2,
-        ) as svc:
-            for start in range(1, 9):
-                svc.query(f"t({start}, Y)?")  # distinct keys: 8 cache misses
-            profiles = svc.flight.profiles()
-            assert len(profiles) == 4  # every 2nd miss
-            assert all(p.sampled for p in profiles)
-            assert all(not p.forced for p in profiles)
-
-    def test_cache_hits_are_never_sampled(self):
-        with DatalogService(
-            TC,
-            chain_database(),
-            flush_policy=manual_flush_policy(),
-            profile_sample=1,  # sample every miss...
-        ) as svc:
-            for _ in range(5):
-                svc.query("t(1, Y)?")
-            # ...but only the first query missed; the 4 hits evaluate nothing
-            # and cost nothing, so they are exempt from sampling
-            assert svc.flight.profiles_recorded == 1
-            (profile,) = svc.flight.profiles()
-            assert profile.cache == "miss"
-
-    def test_slow_queries_are_force_profiled_with_matching_trace_ids(self):
+    def test_an_unprofiled_slow_query_leaves_one_span_and_no_profile(self):
         with DatalogService(
             TC,
             chain_database(),
             flush_policy=manual_flush_policy(),
             tracer=Tracer(slow_threshold_seconds=0.0),
         ) as svc:
-            svc.query("t(1, Y)?")  # threshold 0: everything is "slow"
-            (profile,) = svc.flight.profiles()
-            assert profile.forced
-            assert profile.outcome == "ok"
+            result = svc.query("t(1, Y)?")  # threshold 0: everything is "slow"
+            assert result.profile is None
+            assert svc.flight.profiles() == []
+            assert svc.flight.profiles_recorded == 0
             (span,) = svc.tracer.slow_spans()
             assert span.name == "slow_query"
-            # the slow-query record, the span and the profile share a trace ID
-            assert span.attributes["trace_id"] == profile.trace_id
-            assert span.attributes["strategy"] == profile.strategy
-            assert span.attributes["cache"] == "miss"
-            assert span.attributes["epoch"] == profile.epoch
+            assert span.attributes == {
+                "predicate": "t",
+                "outcome": "snapshot_lookup",
+                "epoch": result.epoch,
+                "strategy": result.strategy,
+                "cache": "miss",
+            }
 
-    def test_admission_timeouts_leave_a_forced_timeout_profile(self, service):
+    def test_admission_timeouts_are_counted_and_record_no_profile(self, service):
         with pytest.raises(QueryTimeout):
             service.query("t(1, Y)?", timeout=0.0)
-        (profile,) = service.flight.profiles()
-        assert profile.outcome == "timeout"
-        assert profile.forced
-        assert profile.strategy == "admission"
-        assert profile.cache == "none"
+        assert service.robustness.query_timeouts == 1
+        histogram = service.metrics.get("repro_service_query_seconds")
+        assert histogram.labels("timeout").count == 1
+        assert service.flight.profiles() == []
+        assert service.flight.profiles_recorded == 0
+
+    def test_only_profile_true_builds_a_recorder(self, monkeypatch):
+        built = []
+
+        class SpyRecorder(ProfileRecorder):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr("repro.service.service.ProfileRecorder", SpyRecorder)
+        with DatalogService(
+            TC,
+            chain_database(),
+            flush_policy=manual_flush_policy(),
+            tracer=Tracer(slow_threshold_seconds=0.0),
+        ) as svc:
+            svc.query("t(1, Y)?")  # a miss, and slow
+            svc.query("t(1, Y)?")  # a hit, and slow
+            svc.submit("t(2, Y)?").result(timeout=10.0)
+            with pytest.raises(QueryTimeout):
+                svc.query("t(3, Y)?", timeout=0.0)
+            with pytest.raises(QueryTimeout):
+                svc.submit("t(3, Y)?", timeout=0.0).result(timeout=10.0)
+            assert built == []
+            assert svc.flight.profiles_recorded == 0
+            svc.submit("t(4, Y)?", profile=True).result(timeout=10.0)
+            assert built == ["t(4, C1)?"]
+            assert svc.flight.profiles_recorded == 1
+
+    def test_debug_queries_entries_carry_no_sampling_keys(self, service):
+        service.query("t(1, Y)?", profile=True)
+        (entry,) = service.flight.as_dict()["recent_profiles"]
+        assert "sampled" not in entry and "forced" not in entry
+        assert entry["cache"] == "miss"
+
+    def test_slow_query_span_names_the_epoch_the_query_read(self):
+        with DatalogService(
+            TC,
+            chain_database(),
+            flush_policy=manual_flush_policy(),
+            tracer=Tracer(slow_threshold_seconds=0.0),
+        ) as svc:
+            held = svc.snapshot()
+            svc.insert("b", [(100, 101)])
+            svc.barrier()
+            assert svc.epoch != held.epoch
+            selection = as_selection_query(svc.session.program, "t(1, Y)?")
+            svc._answer(held, selection)
+            with pytest.raises(QueryTimeout):
+                svc._answer(held, selection, deadline=0.0)
+            spans = [span for span in svc.tracer.slow_spans() if span.name == "slow_query"]
+            assert [span.attributes["outcome"] for span in spans] == ["snapshot_lookup", "timeout"]
+            assert [span.attributes["epoch"] for span in spans] == [held.epoch, held.epoch]
 
     def test_statusz_counts_agree_with_the_flight_recorder(self, service):
         service.query("t(1, Y)?", profile=True)
         report = service._status_report()
         assert report["queries"]["profiles_recorded"] == 1
-        assert set(report["queries"]) == {"profiles_recorded", "profile_sample", "flight_capacity"}
+        assert set(report["queries"]) == {"profiles_recorded", "flight_capacity"}
         assert report["queries"]["flight_capacity"] == service.flight.capacity

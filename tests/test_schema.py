@@ -278,7 +278,7 @@ def _both_runs(schema, database):
     runs = []
     for kernels in (True, False):
         recorder = ProfileRecorder(str(schema.query))
-        with step_machine(not kernels), query_trace(None, recorder):
+        with step_machine(not kernels), query_trace(recorder):
             with evaluation_deadline(time.perf_counter() + 1.0):
                 result = schema.run(database)
         runs.append((result, _applications(recorder)))

@@ -28,7 +28,7 @@ from repro import (
     ServiceOverloaded,
 )
 from repro.engine import check_deadline, evaluation_deadline
-from repro.engine.instrumentation import active_profile, active_trace_id, armed_deadline, query_trace
+from repro.engine.instrumentation import active_profile, armed_deadline, query_trace
 from repro.faults import FaultAction, FaultPlan, inject
 from repro.service import DEGRADED, HEALTHY
 from repro.storage import SimulatedCrash, StorageConfig, StorageError, is_transient
@@ -316,20 +316,21 @@ class TestQueryTimeout:
 
     def test_thread_local_channels_read_none_until_armed_in_that_thread(self):
         def unarmed():
-            return armed_deadline(), active_trace_id(), active_profile()
+            return armed_deadline(), active_profile()
 
         seen = []
         thread = threading.Thread(target=lambda: seen.append(unarmed()))
         thread.start()
         thread.join()
-        assert seen == [(None, None, None)]  # a fresh thread: nothing armed, nothing raised
-        with evaluation_deadline(time.perf_counter() + 3600.0), query_trace("t-1", object()):
-            assert armed_deadline() is not None and active_trace_id() == "t-1"
+        assert seen == [(None, None)]  # a fresh thread: nothing armed, nothing raised
+        recorder = object()
+        with evaluation_deadline(time.perf_counter() + 3600.0), query_trace(recorder):
+            assert armed_deadline() is not None and active_profile() is recorder
             thread = threading.Thread(target=lambda: seen.append(unarmed()))
             thread.start()
             thread.join()
-        assert seen[1] == (None, None, None)  # armed in this thread, invisible in another
-        assert unarmed() == (None, None, None)  # and restored on exit
+        assert seen[1] == (None, None)  # armed in this thread, invisible in another
+        assert unarmed() == (None, None)  # and restored on exit
 
     def test_nested_scopes_keep_the_tighter_deadline(self):
         soon = time.perf_counter() - 1.0
