@@ -36,15 +36,16 @@ from ..datalog.relation import Relation, Value
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Variable, is_variable
 from ..engine import algebra
-from ..engine.compile import CompiledRule, compile_rule
+from ..engine.compile import CompiledRule, compiled
 from ..engine.instrumentation import EvaluationStats
 from ..engine.query import QueryResult, SelectionQuery
 
 
 def _compile_exit_rules(
-    shape: ChainShape, relations
+    program: Program, shape: ChainShape, relations, stats: Optional[EvaluationStats] = None
 ) -> List[Tuple[object, Optional[Value], CompiledRule]]:
-    """Compile each exit rule's body once per query instead of once per value.
+    """Each exit rule's body as a plan of the program's (:func:`~repro.engine.compile.compiled`),
+    picked once per query instead of once per value; a compile is counted on ``stats``.
 
     Returns ``(first head argument, match key, compiled plan)`` triples; when
     the first head argument is a variable it is declared bound so the
@@ -53,10 +54,11 @@ def _compile_exit_rules(
     the rule fires at.
     """
     plans: List[Tuple[object, Optional[Value], CompiledRule]] = []
+    kept = compiled(program)
     for exit_rule in shape.exit_rules:
         head_first = exit_rule.head.args[0]
         bound = (head_first,) if is_variable(head_first) else ()
-        plan = compile_rule(exit_rule, relations, bound=bound)
+        plan = kept.plan(exit_rule, relations, bound=bound, stats=stats)
         match = None if is_variable(head_first) else head_first.value
         plans.append((head_first, match, plan))
     return plans
@@ -164,7 +166,7 @@ def counting_scope_reason(program: Program, predicate: str, bound_columns: Tuple
 def counting_plans(program: Program, predicate: str, relations) -> List[CompiledRule]:
     """The join plans :func:`counting_query` runs: the exit rules, probed per reached value."""
     shape = detect_chain_shape(program, predicate)
-    return [plan for _head_first, _match, plan in _compile_exit_rules(shape, relations)]
+    return [plan for _head_first, _match, plan in _compile_exit_rules(program, shape, relations)]
 
 
 def counting_query(
@@ -206,8 +208,7 @@ def counting_query(
 
     # ascend: apply the exit rules at every depth, then walk the down chain back up
     answers: Set[Tuple[Value, ...]] = set()
-    exit_plans = _compile_exit_rules(shape, relations)
-    stats.record_plans_compiled(len(exit_plans))
+    exit_plans = _compile_exit_rules(program, shape, relations, stats)
     for level, values in counting.items():
         if not values:
             continue
@@ -267,8 +268,7 @@ def counting_without_counts_query(
         stats.record_state(len(seen), len(seen))
 
     answers: Set[Tuple[Value, ...]] = set()
-    exit_plans = _compile_exit_rules(shape, relations)
-    stats.record_plans_compiled(len(exit_plans))
+    exit_plans = _compile_exit_rules(program, shape, relations, stats)
     for value in seen:
         for second in _exit_seconds(exit_plans, relations, value, stats):
             answers.add((constant, second))

@@ -40,7 +40,7 @@ from ..datalog.errors import EvaluationError
 from ..datalog.relation import Relation
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant, Variable, is_variable
-from ..engine.compile import plan_order
+from ..engine.compile import compiled, plan_order
 from ..engine.instrumentation import EvaluationStats
 from ..engine.query import QueryResult, SelectionQuery
 from ..engine.seminaive import seminaive_evaluate, seminaive_query
@@ -90,9 +90,22 @@ class MagicRewriting:
         """Number of rules in the rewritten program (rewriting overhead indicator)."""
         return len(self.rewritten.rules)
 
-    def seed_relation(self) -> Relation:
-        """The query's magic relation, holding its one seed tuple."""
-        return Relation(self.seed_predicate, len(self.seed_tuple), [self.seed_tuple])
+    def seed_relation(self, query: SelectionQuery) -> Relation:
+        """The magic relation holding ``query``'s one seed tuple (any query of this adornment)."""
+        seed = tuple(value for _column, value in sorted(query.bindings))
+        return Relation(self.seed_predicate, len(seed), [seed])
+
+
+def kept_rewrite(program: Program, query: SelectionQuery) -> MagicRewriting:
+    """:func:`magic_rewrite` for ``query``'s adornment, kept on the program: the rewritten
+    program holds no constant, so each query of the adornment runs it seeded with its own
+    :meth:`~MagicRewriting.seed_relation` (``query`` / ``seed_tuple`` are the first caller's)."""
+    kept = compiled(program).magic
+    key = (query.predicate, query.arity, query.bound_columns())
+    rewriting = kept.get(key)
+    if rewriting is None:
+        rewriting = kept[key] = magic_rewrite(program, query)
+    return rewriting
 
 
 def magic_rewrite(program: Program, query: SelectionQuery) -> MagicRewriting:
@@ -195,13 +208,13 @@ def magic_query(
         return QueryResult(query, answers, stats, strategy="seminaive (no bound columns)")
 
     stats.start_timer()
-    rewriting = magic_rewrite(program, query)
+    rewriting = kept_rewrite(program, query)
 
     # Overlay database: the EDB relations are shared (semi-naive evaluation
     # never mutates its inputs), only the magic seed relation is fresh, so a
     # query does not pay for copying the whole database.
     seeded = Database(database.relations())
-    seeded.add_relation(rewriting.seed_relation())
+    seeded.add_relation(rewriting.seed_relation(query))
     derived = seminaive_evaluate(rewriting.rewritten, seeded, stats)
 
     answer_relation = derived.get(rewriting.answer_predicate)

@@ -76,10 +76,10 @@ probe of a *stored* relation is one recorded lookup (Property 3), so the
 counters are what they were when Python drove the carry loop row by row.
 
 Nothing a plan decides depends on the selection *constants* or the database,
-so plans — or the error saying the schema is inapplicable — are memoized per
-``(program, predicate, arity, bound columns, require_one_sided)``.  Join
-orders are fixed at compile time (inputs, then bound-first, ties in textual
-order).
+so plans — or the error saying the schema is inapplicable — are kept on the
+program (:func:`~repro.engine.compile.compiled`) per ``(predicate, arity,
+bound columns, require_one_sided)``, with their generated runs.  Join orders
+are fixed at compile time (inputs, then bound-first, ties in textual order).
 
 The ``carry − seen`` step is sound here for exactly the reason Section 4
 gives: the transition depends only on the carry tuple, so a state reached
@@ -94,17 +94,16 @@ to reproduce the Section 4 cross-product discussion).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..datalog.atoms import Atom, atoms_variables
 from ..datalog.database import Database
 from ..datalog.errors import EvaluationError, NotOneSidedError, ProgramError, ReproError
-from ..datalog.relation import Relation
+from ..datalog.relation import Relation, Row
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant, Term, Variable
 from ..engine import kernels
-from ..engine.compile import CompiledRule, compile_rule
+from ..engine.compile import CompiledRule, compile_rule, compiled
 from ..engine.instrumentation import EvaluationStats, active_profile
 from ..engine.query import QueryResult, SelectionQuery
 from .classify import classify
@@ -386,23 +385,6 @@ def _build_plan(
     return plan
 
 
-@lru_cache(maxsize=256)
-def _plan_or_refusal(
-    program: Program,
-    predicate: str,
-    arity: int,
-    bound_columns: Tuple[int, ...],
-    require_one_sided: bool,
-) -> Union[SchemaPlan, Tuple[type, str]]:
-    """The compiled plan, or the (error class, message) that says the schema is
-    inapplicable.  Plans hold no relation contents and no selection constants,
-    so one entry serves every selection binding ``bound_columns``."""
-    try:
-        return _build_plan(program, predicate, arity, bound_columns, require_one_sided)
-    except ReproError as error:
-        return type(error), str(error)
-
-
 def compile_schema(
     program: Program,
     predicate: str,
@@ -410,12 +392,22 @@ def compile_schema(
     bound_columns: Tuple[int, ...],
     require_one_sided: bool = True,
 ) -> SchemaPlan:
-    """The memoized :class:`SchemaPlan` for selections binding ``bound_columns``.
+    """The :class:`SchemaPlan` for selections binding ``bound_columns``, kept on the program.
 
     Raises the :class:`~repro.datalog.errors.ReproError` subclass explaining
-    why the schema is inapplicable; that verdict is memoized like a plan.
+    why the schema is inapplicable; that verdict is kept like a plan.  Plans
+    hold no relation contents and no selection constants, so one entry serves
+    every selection binding ``bound_columns``.
     """
-    entry = _plan_or_refusal(program, predicate, arity, bound_columns, require_one_sided)
+    kept = compiled(program).schemas
+    key = (predicate, arity, bound_columns, require_one_sided)
+    entry = kept.get(key)
+    if entry is None:
+        try:
+            entry = _build_plan(program, predicate, arity, bound_columns, require_one_sided)
+        except ReproError as error:
+            entry = type(error), str(error)
+        kept[key] = entry
     if isinstance(entry, tuple):
         raise entry[0](entry[1])
     return entry
@@ -443,45 +435,48 @@ class OneSidedSchema:
         )
 
     def run(self, database: Database, stats: Optional[EvaluationStats] = None) -> QueryResult:
-        """Evaluate the query over ``database`` and return the answers + stats.
+        """Evaluate the query over ``database`` and return the answers + stats."""
+        answers, stats = run_schema(self.plan, database, self.query, stats)
+        return QueryResult(self.query, answers, stats, strategy=f"one-sided-{self.plan.direction}")
 
-        One plan serves both directions; they differ only in the operators it
-        compiled, which read the selection and the carry as uncounted
-        ``inputs`` (see the module docstring).  The executor's run for the
-        plan does all of Figure 9.
-        """
-        stats = stats if stats is not None else EvaluationStats()
-        stats.start_timer()
-        plan = self.plan
-        relations = {relation.name: relation for relation in database.relations()}
-        if plan.subsidiary_program is not None:
-            from ..engine.seminaive import seminaive_evaluate
 
-            # seminaive_evaluate drives the shared timer itself; pause the
-            # schema's window around it so no interval is counted twice.
-            stats.stop_timer()
-            relations.update(seminaive_evaluate(plan.subsidiary_program, database, stats))
-            stats.start_timer()
-        constants = tuple(value for _column, value in self.query.bindings)
-        stored = plan.stored()
-        resolved = [relations.get(name) for name in stored]
-        missing: Tuple[str, ...] = ()
-        if None in resolved:
-            missing = tuple(name for name, relation in zip(stored, resolved) if relation is None)
-        executor = kernels.EXECUTOR
-        profile = active_profile()
-        rounds, finished = stats.iterations, False
-        try:
-            answers = executor.schema(plan, missing)(resolved, constants, stats)
-            finished = True
-        finally:
-            if profile is not None:
-                _record_applications(
-                    plan, profile, stats.iterations - rounds, finished, executor.dispatch, relations
-                )
-        stats.extra["carry_arity"] = plan.carry_arity
+def run_schema(
+    plan: SchemaPlan, database: Database, query: SelectionQuery, stats: Optional[EvaluationStats] = None
+) -> Tuple[Set[Row], EvaluationStats]:
+    """The answers to ``query`` over ``database`` by ``plan``'s run, and the stats counting it.
+
+    The executor's run for the plan does all of Figure 9, over the stored
+    relations resolved once; its operators read the selection and the carry as
+    uncounted ``inputs`` (see the module docstring).
+    """
+    stats = stats if stats is not None else EvaluationStats()
+    stats.start_timer()
+    relations = {relation.name: relation for relation in database.relations()}
+    if plan.subsidiary_program is not None:
+        from ..engine.seminaive import seminaive_evaluate
+
+        # seminaive_evaluate drives the shared timer itself; pause the
+        # schema's window around it so no interval is counted twice.
         stats.stop_timer()
-        return QueryResult(self.query, answers, stats, strategy=f"one-sided-{plan.direction}")
+        relations.update(seminaive_evaluate(plan.subsidiary_program, database, stats))
+        stats.start_timer()
+    stored = plan.stored()
+    resolved = [relations.get(name) for name in stored]
+    missing: Tuple[str, ...] = ()
+    if None in resolved:
+        missing = tuple(name for name, relation in zip(stored, resolved) if relation is None)
+    executor = kernels.EXECUTOR
+    profile = active_profile()
+    rounds, finished = stats.iterations, False
+    try:
+        answers = executor.schema(plan, missing)(resolved, tuple([value for _column, value in query.bindings]), stats)
+        finished = True
+    finally:
+        if profile is not None:
+            _record_applications(plan, profile, stats.iterations - rounds, finished, executor.dispatch, relations)
+    stats.extra["carry_arity"] = plan.carry_arity
+    stats.stop_timer()
+    return answers, stats
 
 
 def _record_applications(
@@ -517,5 +512,4 @@ def one_sided_query(
     stats: Optional[EvaluationStats] = None,
 ) -> QueryResult:
     """Convenience wrapper: compile the Figure 9 schema for ``query`` and run it."""
-    schema = OneSidedSchema(program, query.predicate, query, require_one_sided=require_one_sided)
-    return schema.run(database, stats)
+    return OneSidedSchema(program, query.predicate, query, require_one_sided).run(database, stats)

@@ -5,7 +5,6 @@ from .compile import (
     CompiledRule,
     PlanCache,
     compile_delta_variants,
-    compile_program_rules,
     compile_rule,
     plan_order,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "as_selection_query",
     "check_deadline",
     "compile_delta_variants",
-    "compile_program_rules",
     "compile_rule",
     "evaluation_deadline",
     "evaluation_strata",

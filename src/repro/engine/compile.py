@@ -27,7 +27,8 @@ Semi-naive evaluation compiles one **delta variant** per occurrence of each
 recursive predicate: the variant forces that occurrence to the front of the
 join order (the delta is the most selective input by construction) and reads
 it from an *override* relation at evaluation time, so the same compiled plan
-is reused by every delta iteration of the fixpoint.
+is reused by every delta iteration of the fixpoint — and, kept on the program
+per join order (:func:`compiled`), by every later fixpoint that picks that order.
 
 Every plan runs on the executor :mod:`repro.engine.kernels` builds for it:
 a fused nested-loop closure per plan (probe keys, equality checks, slot
@@ -453,11 +454,8 @@ class PlanCache:
     from them (:meth:`_keep`), so a view's steady commit resolves nothing.
     """
 
-    def __init__(self, max_plans: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._plans: Dict[Tuple[Rule, Optional[int], Tuple[Variable, ...], int], CompiledRule] = {}
-        #: optional size cap for module-lifetime caches: the cache is cleared
-        #: wholesale when full, bounding memory without per-entry bookkeeping
-        self._max_plans = max_plans
         #: ``key -> (executor, ((name, relation or None), ...), value)``
         self._kept: Dict[object, tuple] = {}
 
@@ -486,21 +484,49 @@ class PlanCache:
         inputs: int = 0,
     ) -> CompiledRule:
         """The memoized compiled plan; compiles (and counts it) on first use."""
-        key = (rule, first, bound, inputs)
+        return self._plan((rule, first, bound, inputs), rule, relations, first, bound, stats, inputs)
+
+    def _plan(self, key, rule, relations, first, bound, stats, inputs=0) -> CompiledRule:
         plan = self._plans.get(key)
         profile = active_profile()
+        if profile is not None:
+            profile.record_plan_cache(plan is not None)
         if plan is None:
-            plan = compile_rule(rule, relations, bound=bound, first=first, inputs=inputs)
-            if self._max_plans is not None and len(self._plans) >= self._max_plans:
-                self._plans.clear()
-            self._plans[key] = plan
+            plan = self._plans[key] = compile_rule(rule, relations, bound=bound, first=first, inputs=inputs)
             if stats is not None:
                 stats.record_plans_compiled()
-            if profile is not None:
-                profile.record_plan_cache(False)
-        elif profile is not None:
-            profile.record_plan_cache(True)
         return plan
+
+
+class Compiled:
+    """What is compiled for one program, kept on the program itself (:func:`compiled`),
+    so it lives exactly as long as the program.  No relation contents, no selection
+    constants: each memo is keyed on a query *shape* by the module that fills it."""
+
+    def __init__(self) -> None:
+        #: ``(group, rules, base rules, recursive rules)`` per stratum (``program_strata``)
+        self.strata: Optional[tuple] = None
+        #: the default optimizer chain's results, query plans, schema plans (or the
+        #: refusal saying why none applies) and magic rewritings, by query shape
+        self.optimized, self.query_plans, self.schemas, self.magic = {}, {}, {}, {}
+        self._joins = PlanCache()
+
+    def plan(self, rule: Rule, relations: Optional[RelationMap] = None, first: Optional[int] = None,
+             bound: Tuple[Variable, ...] = (), stats: Optional[EvaluationStats] = None) -> CompiledRule:
+        """:func:`compile_rule` kept per join order: :func:`plan_order` over the current
+        sizes picks the order, and the plan compiled for it serves every later call that
+        picks it again (:meth:`PlanCache.get`'s accounting)."""
+        order = tuple(plan_order(rule.body, set(bound), relations, first))
+        return self._joins._plan((rule, first, bound, order), rule, relations, first, bound, stats)
+
+
+def compiled(program) -> Compiled:
+    """The :class:`Compiled` object of ``program`` (or of an unfolded definition, which
+    keeps its strings' plans), made on first use and kept on it."""
+    kept = program.__dict__.get("_compiled")
+    if kept is None:
+        kept = program.__dict__.setdefault("_compiled", Compiled())
+    return kept
 
 
 def compile_delta_variants(
@@ -525,11 +551,3 @@ def compile_delta_variants(
         for index, atom in enumerate(rule.body)
         if atom.predicate in delta_predicates
     ]
-
-
-def compile_program_rules(
-    rules: Sequence[Rule],
-    relations: Optional[RelationMap] = None,
-) -> List[CompiledRule]:
-    """Compile a batch of rules against one snapshot of relation sizes."""
-    return [compile_rule(rule, relations) for rule in rules]

@@ -131,7 +131,7 @@ class EvaluationStats:
     unrestricted_lookups: int = 0
     #: fixpoint / while-loop iterations (Property 1)
     iterations: int = 0
-    #: join plans compiled (engine v2 compiles once per fixpoint, not per iteration)
+    #: join plans compiled *by this call*: a program keeps its plans, so a warm call compiles none
     plans_compiled: int = 0
     #: peak number of tuples kept as inter-iteration state (Property 2); a delta
     #: loop's state is its deltas, in maintenance too (inserted / doomed rows)
@@ -183,9 +183,9 @@ class EvaluationStats:
             )
         self.iterations += 1
 
-    def record_plans_compiled(self, count: int = 1) -> None:
-        """Record join plans compiled for a fixpoint (engine-v2 bookkeeping)."""
-        self.plans_compiled += count
+    def record_plans_compiled(self) -> None:
+        """Record one join plan compiled by this call (a kept plan reused is not counted)."""
+        self.plans_compiled += 1
 
     def record_inserted(self, count: int = 1) -> None:
         """Record tuples a maintenance step added to a materialized view."""

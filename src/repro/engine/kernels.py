@@ -119,6 +119,7 @@ def _emit_step(
     source: str,
     counted: bool,
     bare: bool = False,
+    walk_counted: bool = False,
 ) -> str:
     """Emit the row loop of join step ``i`` at ``depth``; returns the loop body's depth.
 
@@ -126,11 +127,15 @@ def _emit_step(
     index ``.get`` named ``source`` with the probe key, ``"scan"`` walks the
     hoisted row set ``source``, and ``"walk"`` iterates the caller's own rows
     ``source`` with the probe signature checked inline (``bare``: one-column
-    rows held as their value).  A ``counted`` step records its lookup (a scan's
-    row count is hoisted as ``n<source>``).  Locals carry ``prefix``, so several
-    plans' loops can share one function.
+    rows held as their value, bound straight to their slot).  A ``counted`` step
+    records its lookup (a scan's row count is hoisted as ``n<source>``), unless
+    the caller counted its lookups once per walk (``walk_counted``) and only the
+    examined rows are left to add.  Locals carry ``prefix``, so several plans'
+    loops can share one function.
     """
-    row = f"{prefix}row{i}"
+    row, stores = f"{prefix}row{i}", step.store_cols
+    if bare and stores:  # a bare row is its one value: the loop binds that slot itself
+        row, stores = f"{prefix}s{stores[0][1]}", ()
 
     def column(position: int) -> str:
         return row if bare else f"{row}[{position}]"
@@ -146,7 +151,7 @@ def _emit_step(
         rows = f"{prefix}rows{i}"
         w(depth + f"{rows} = {source}({key[0] if len(key) == 1 else _tuple(key)}, _E)")
         if counted:
-            w(depth + f"_lk += 1; _ex += len({rows})")
+            w(depth + ("" if walk_counted else "_lk += 1; ") + f"_ex += len({rows})")
         source = rows
     elif counted:
         w(depth + f"_lk += 1; _ur += 1; _ex += n{source}")
@@ -157,7 +162,7 @@ def _emit_step(
     for position, expected in checks:
         w(depth + f"if {column(position)} != {expected}:")
         w(depth + "    continue")
-    for position, slot in step.store_cols:
+    for position, slot in stores:
         w(depth + f"{prefix}s{slot} = {column(position)}")
     return depth
 
@@ -312,6 +317,13 @@ def _emit_schema(plan, missing: Tuple[str, ...] = ()) -> Tuple[str, Dict[str, ob
             return
         prefix = f"o{numbered[id(op)]}_"
         cut = next((i for i, step in enumerate(op.steps) if i >= op.inputs and step.predicate in missing), None)
+        # a walk of the carry that checks nothing probes once per carry row: count that once
+        walk_counted = (
+            bool(carry) and op.inputs < len(op.steps[:cut]) and op.steps[op.inputs].probe_columns
+            and not any(step.probe_columns or step.check_cols for step in op.steps[:op.inputs])
+        )
+        if walk_counted:
+            w(depth + f"_lk += len({carry})")
         loops, bound = [], []
         for i, step in enumerate(op.steps[:cut]):
             if i < op.inputs:  # the selection, then the carry (bare when it is one column)
@@ -319,7 +331,7 @@ def _emit_schema(plan, missing: Tuple[str, ...] = ()) -> Tuple[str, Dict[str, ob
             else:
                 access, counted, walk_bare = access_for(step), True, False
             write = partial(_emit_step, step=step, i=i, prefix=prefix, env=env, access=access[0],
-                            source=access[1], counted=counted, bare=walk_bare)
+                            source=access[1], counted=counted, bare=walk_bare, walk_counted=walk_counted and i == op.inputs)
             loops.append((tuple(bound), write))
             bound += [f"{prefix}s{slot}" for _position, slot in step.store_cols]
         _nest(w, depth, loops, ["_mk = 1"] if cut is not None else emit(op, prefix), parts, counters)
@@ -330,12 +342,17 @@ def _emit_schema(plan, missing: Tuple[str, ...] = ()) -> Tuple[str, Dict[str, ob
         return [f"answers_add({_head(op, prefix, env)})"]
 
     def into_carry(state: int, carry: str) -> Callable[..., List[str]]:
-        """``carry := f(carry) − seen; seen ∪= carry`` with the difference fused in."""
-        return lambda op, prefix: [
-            f"row = {_head(op, prefix, env, bare)}",
-            f"if row not in seen{state}:",
-            f"    seen{state}_add(row); {carry}_append(row)",
-        ]
+        """``carry := f(carry) − seen; seen ∪= carry`` with the difference fused in
+        (a bare carry's value is one local already, so it takes no ``row`` alias)."""
+        def emit(op, prefix: str) -> List[str]:
+            head = _head(op, prefix, env, bare)
+            row = head if bare else "row"
+            return ([] if bare else [f"row = {head}"]) + [
+                f"if {row} not in seen{state}:",
+                f"    seen{state}_add({row}); {carry}_append({row})",
+            ]
+
+        return emit
 
     flush = [
         "stats.iterations += rounds",
@@ -395,21 +412,11 @@ def _emit_schema(plan, missing: Tuple[str, ...] = ()) -> Tuple[str, Dict[str, ob
     return "\n".join(header + lines) + "\n", env
 
 
-#: source → compiled code object.  The generated source encodes only the
-#: plan's *structure* (constants and column tuples live in the exec
-#: environment), so plans recompiled per query — the unfolded evaluator
-#: builds fresh plans per selection — reuse one code object per join shape
-#: and pay only a cheap ``exec`` to close over their own constants.
+#: source → compiled code object.  A plan emits its source once (its runs are
+#: kept on it); the source encodes only the plan's *structure* (constants live
+#: in the exec environment), so plans of one join shape across programs share
+#: one code object and pay only a cheap ``exec`` to close over their constants.
 _code_cache: Dict[str, object] = {}
-
-#: (source, environment items) → finished function.  One level above the
-#: code cache: two plans with the same structure *and* the same embedded
-#: constants (the common case for per-query recompiled plans, whose
-#: selection constants travel through ``initial`` bindings rather than the
-#: environment) share the very same function object.  Cleared wholesale at a
-#: size cap so pathological constant churn cannot grow it without bound.
-_function_cache: Dict[object, Callable] = {}
-_FUNCTION_CACHE_LIMIT = 4096
 
 
 def _define(plan, source: str, env: Dict[str, object], name: str) -> Callable:
@@ -417,22 +424,12 @@ def _define(plan, source: str, env: Dict[str, object], name: str) -> Callable:
     profile = active_profile()
     if profile is not None:
         profile.record_kernel_built(plan)
-    try:
-        key = (source, tuple(sorted(env.items())))
-        function = _function_cache.get(key)
-    except TypeError:  # an unorderable/unhashable constant: skip this cache
-        key = function = None
-    if function is not None:
-        return function
     code = _code_cache.get(source)
     if code is None:
         code = _code_cache[source] = compile(source, f"<kernel {name}>", "exec")
     namespace = dict(env)
     exec(code, namespace)  # noqa: S102 - the source is generated here, not user input
-    function = namespace[name]
+    # taken out of its own globals, so a dropped plan's function is freed without the collector
+    function = namespace.pop(name)
     function.__kernel_source__ = source
-    if key is not None:
-        if len(_function_cache) >= _FUNCTION_CACHE_LIMIT:
-            _function_cache.clear()
-        _function_cache[key] = function
     return function

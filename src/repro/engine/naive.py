@@ -14,10 +14,10 @@ from typing import Dict, Optional, Tuple
 from ..datalog.database import Database
 from ..datalog.relation import Relation
 from ..datalog.rules import Program
-from .compile import compile_program_rules
+from .compile import compiled
 from .instrumentation import EvaluationStats
 from .seminaive import seed_derived
-from .strata import evaluation_strata, group_is_recursive
+from .strata import program_strata
 
 
 def naive_evaluate(
@@ -37,12 +37,10 @@ def naive_evaluate(
     # pre-existing tuples (if any) are kept as seed facts.
     relations, derived = seed_derived(program, database)
 
-    for group in evaluation_strata(program):
-        rules = [rule for predicate in group for rule in program.rules_for(predicate)]
-        # Plans are compiled once per stratum and reused by every iteration.
-        plans = compile_program_rules(rules, relations)
-        stats.record_plans_compiled(len(plans))
-        recursive_group = group_is_recursive(program, group)
+    get = compiled(program).plan
+    for group, rules, _base, recursive_rules in program_strata(program):
+        # Plans are picked once per stratum, kept per join order, and reused by every iteration.
+        plans = [get(rule, relations, stats=stats) for rule in rules]
         while True:
             stats.record_iteration()
             changed = False
@@ -57,7 +55,7 @@ def naive_evaluate(
                 sum(len(derived[p]) for p in group),
                 sum(len(derived[p]) * derived[p].arity for p in group),
             )
-            if not changed or not recursive_group:
+            if not changed or not recursive_rules:
                 break
 
     stats.stop_timer()

@@ -36,7 +36,7 @@ from ..datalog.errors import EvaluationError, ProgramError, QueryTimeout, ReproE
 from ..datalog.relation import Relation, Row, Value
 from ..datalog.rules import Program
 from ..datalog.terms import Constant, Variable, is_variable
-from .compile import CompiledRule, compile_program_rules
+from .compile import CompiledRule, compiled
 from .instrumentation import EvaluationStats, query_trace
 from .naive import naive_query
 from .seminaive import fixpoint_plans, seminaive_query
@@ -229,7 +229,7 @@ class Rung:
     #: ``plans(selection, relations)``: the joins ``run`` would execute, in execution order;
     #: ``relations``, when given, gains what ``run`` adds before its first join (a magic seed)
     plans: Callable[[SelectionQuery, Optional[Dict[str, Relation]]], List[CompiledRule]] = field(repr=False)
-    #: a one-sided rung's memoized :class:`repro.core.schema.SchemaPlan`
+    #: a one-sided rung's kept :class:`repro.core.schema.SchemaPlan`
     schema: Optional[object] = field(default=None, repr=False)
 
 
@@ -259,9 +259,11 @@ def plan_query(
     """Decide how to evaluate ``selection``: the paper's advice, written once.
 
     Runs the :mod:`repro.optimize` pass chain on the query's predicate
-    (redundancy removal, boundedness, sidedness, bounded-recursion unfolding;
-    memoized per program) and returns the strategies that apply, cheapest
-    first.  With ``strategy="auto"`` the ladder is: **unfolded** (the
+    (redundancy removal, boundedness, sidedness, bounded-recursion unfolding)
+    and returns the strategies that apply, cheapest first.  The plan holds no
+    constants, so it is decided once per selection shape and kept on the
+    program (:func:`~repro.engine.compile.compiled`), as is everything its
+    rungs compile.  With ``strategy="auto"`` the ladder is: **unfolded** (the
     recursion was rewritten into a nonrecursive union — evaluated
     recursion-free with the selection pushed into each compiled join),
     **one-sided** (the Figure 9 schema, also used for many-sided selections
@@ -278,12 +280,14 @@ def plan_query(
     **edb-lookup** rung: an indexed lookup on its stored rows (none stored:
     no answers).
     """
-    return _plan(
-        program, selection.predicate, selection.arity, selection.bound_columns(), strategy, max_unfold_depth
-    )
+    kept = compiled(program).query_plans
+    key = (selection.predicate, selection.arity, selection.bound_columns(), strategy, max_unfold_depth)
+    plan = kept.get(key)
+    if plan is None:
+        plan = kept[key] = _plan(program, *key)
+    return plan
 
 
-@lru_cache(maxsize=256)
 def _plan(
     program: Program,
     predicate: str,
@@ -292,8 +296,7 @@ def _plan(
     strategy: str,
     max_unfold_depth: int,
 ) -> QueryPlan:
-    """:func:`plan_query` for one selection shape: deciding the ladder costs a
-    third of answering a narrow selection, and the plan holds no constants."""
+    """:func:`plan_query` for one selection shape; its rungs run the program's kept plans."""
     if strategy not in ("auto", "unfolded", "one-sided", "counting", "magic", "seminaive", "naive"):
         raise EvaluationError(f"unknown evaluation strategy {strategy!r}")
     auto = strategy == "auto"
@@ -310,7 +313,7 @@ def _plan(
     from ..baselines.counting import counting_plans, counting_query, counting_scope_reason
     from ..baselines.magic import magic_query
     from ..core.classify import selection_covers_unbounded_sides
-    from ..core.schema import compile_schema, one_sided_query
+    from ..core.schema import compile_schema, run_schema
     from ..optimize.passes import Optimizer, UnfoldingPass, detection_passes, optimize_program
     from ..optimize.unfold import evaluate_unfolded, unfolded_plans
 
@@ -347,14 +350,12 @@ def _plan(
             refused.append(("one-sided", type(error).__name__, str(error)))
             return
         name = f"one-sided-{schema.direction}"
-        subsidiary = schema.subsidiary_program.rules if schema.subsidiary_program is not None else ()
+        subsidiary = schema.subsidiary_program or Program()
         rung(
             name,
             reason,
-            lambda database, selection, _depth: _unpack(
-                one_sided_query(optimized, database, selection, require_one_sided)
-            ),
-            lambda _selection, relations: compile_program_rules(subsidiary, relations)
+            lambda database, selection, _depth: run_schema(schema, database, selection),
+            lambda _selection, relations: [compiled(subsidiary).plan(rule, relations) for rule in subsidiary.rules]
             + schema.compiled_plans(),
             "" if require_one_sided else f"{name} (bounded sides, auto)",
             schema,
@@ -424,7 +425,7 @@ def _plan(
     if strategy == "naive":
         rung(
             "naive", "full naive fixpoint, then the selection", fixpoint(naive_query),
-            lambda _selection, relations: compile_program_rules(program.rules, relations),
+            lambda _selection, relations: [compiled(program).plan(rule, relations) for rule in program.rules],
         )
     if not rungs:
         raise EvaluationError(f"{strategy} strategy unavailable: {unavailable}")
@@ -433,11 +434,11 @@ def _plan(
 
 def _magic_plans(program: Program, selection: SelectionQuery, relations) -> List[CompiledRule]:
     """The magic rung's joins; ``relations`` gains the seed ``magic_query`` adds."""
-    from ..baselines.magic import magic_rewrite
+    from ..baselines.magic import kept_rewrite
 
-    rewriting = magic_rewrite(program, selection)
+    rewriting = kept_rewrite(program, selection)
     if relations is not None:
-        relations[rewriting.seed_predicate] = rewriting.seed_relation()
+        relations[rewriting.seed_predicate] = rewriting.seed_relation(selection)
     return fixpoint_plans(rewriting.rewritten, relations)
 
 

@@ -29,11 +29,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..datalog.database import Database
 from ..datalog.relation import Relation, Row
-from ..datalog.rules import Program, Rule
+from ..datalog.rules import Program
 from .columnar import _GroupExecutor, build_group_executor
-from .compile import CompiledRule, PlanCache, compile_delta_variants, compile_program_rules, compile_rule, prepare
+from .compile import CompiledRule, PlanCache, compile_delta_variants, compiled, prepare
 from .instrumentation import EvaluationStats, active_profile
-from .strata import cached_evaluation_strata, evaluation_strata
+from .strata import program_strata, stratum_rules
 
 #: stable detail strings for profile `StratumDecision` records (the
 #: end-to-end benchmark and the differential harness read them, so keep them fixed)
@@ -88,41 +88,33 @@ def seminaive_evaluate(
     """Compute the minimal model's IDB relations by semi-naive iteration.
 
     Returns a map from IDB predicate name to its derived relation.  The input
-    database is not modified.
+    database is not modified.  The join plans are the program's, kept per join order.
     """
     stats = stats if stats is not None else EvaluationStats()
     stats.start_timer()
     relations, derived = seed_derived(program, database)
-    for stratum, group in enumerate(evaluation_strata(program)):
+    for stratum, (group, _rules, _base, _recursive) in enumerate(program_strata(program)):
         _evaluate_group(program, group, relations, derived, stats, stratum)
     stats.stop_timer()
     return derived
 
 
-def stratum_rules(program: Program, group: Sequence[str]) -> Tuple[List[Rule], List[Rule], List[Rule]]:
-    """``(rules, base rules, recursive rules)`` of one stratum, each in program
-    order; a recursive rule's body reads a predicate of the group."""
-    rules = [rule for predicate in group for rule in program.rules_for(predicate)]
-    group_set = set(group)
-    recursive_rules = [rule for rule in rules if not group_set.isdisjoint(rule.body_predicates())]
-    return rules, [rule for rule in rules if rule not in recursive_rules], recursive_rules
-
-
 def fixpoint_plans(program: Program, relations: Optional[Dict[str, Relation]] = None) -> List[CompiledRule]:
-    """The joins :func:`seminaive_evaluate` compiles for ``program``, stratum by stratum.
+    """The joins :func:`seminaive_evaluate` runs for ``program``, stratum by stratum.
 
     Per stratum the base rules as written, then one delta variant per
     occurrence of a group predicate in a recursive rule: what
     :func:`_evaluate_group` collects, so EXPLAIN shows the run's rules and
-    delta occurrences.  The rest of a join order may still differ — the run
-    compiles against what it has derived so far, and sizes break planner ties.
+    delta occurrences, as the program's kept plans.  The rest of a join order
+    may still differ — the run plans against what it has derived so far, and
+    sizes break planner ties.
     """
+    plan = compiled(program).plan
     plans: List[CompiledRule] = []
-    for group in evaluation_strata(program):
-        _rules, base_rules, recursive_rules = stratum_rules(program, group)
-        plans += compile_program_rules(base_rules, relations)
-        variants = compile_delta_variants(compile_rule, recursive_rules, group, relations)
-        plans += [plan for _predicate, _occurrence, plan in variants]
+    for group, _rules, base_rules, recursive_rules in program_strata(program):
+        plans += [plan(rule, relations) for rule in base_rules]
+        plans += [variant for _predicate, _occurrence, variant in compile_delta_variants(
+            plan, recursive_rules, group, relations)]
     return plans
 
 
@@ -134,13 +126,13 @@ def _evaluate_group(
     stats: EvaluationStats,
     stratum: int = 0,
 ) -> None:
-    """Evaluate one stratum (a set of mutually recursive predicates) to fixpoint."""
+    """Evaluate stratum number ``stratum`` (the mutually recursive predicates ``group``) to fixpoint."""
     profile = active_profile()
     if profile is not None:
         profile.record_stratum(stratum, group)
-    _rules, base_rules, recursive_rules = stratum_rules(program, group)
-    base_plans = compile_program_rules(base_rules, relations)
-    stats.record_plans_compiled(len(base_plans))
+    _group, _rules, base_rules, recursive_rules = program_strata(program)[stratum]
+    get = partial(compiled(program).plan, stats=stats)
+    base_plans = [get(rule, relations) for rule in base_rules]
 
     # Initialisation: pre-existing facts for the group's predicates (e.g. a
     # magic seed placed in the database) count as freshly derived, then the
@@ -159,8 +151,7 @@ def _evaluate_group(
 
     if not recursive_rules:
         return
-    delta_plans = compile_delta_variants(compile_rule, recursive_rules, group, relations)
-    stats.record_plans_compiled(len(delta_plans))
+    delta_plans = compile_delta_variants(get, recursive_rules, group, relations)
 
     # Columnar batch execution: when every delta variant fits a vectorizable
     # template and the workload looks fat enough to amortize it, the whole
@@ -393,7 +384,7 @@ def propagate_insertions(
         name: set(rows) for name, rows in deltas.items() if rows and name in known
     }
     inserted_total: Dict[str, Set[Row]] = {p: set() for p in derived}
-    for group in cached_evaluation_strata(program):
+    for group, _rules, _base, _recursive in program_strata(program):
         seeds: Dict[str, Set[Row]] = {p: set() for p in group}
         for predicate in group:
             # base facts inserted directly into a group predicate's relation

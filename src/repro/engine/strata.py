@@ -9,10 +9,10 @@ evaluation schedule both the naive and the semi-naive engines use.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from ..datalog.rules import Program
+from ..datalog.rules import Program, Rule
+from .compile import compiled
 
 
 def strongly_connected_components(graph: Dict[str, Set[str]]) -> List[List[str]]:
@@ -100,23 +100,21 @@ def evaluation_strata(program: Program) -> List[List[str]]:
     return [component for component in components if any(p in idb for p in component)]
 
 
-@lru_cache(maxsize=256)
-def cached_evaluation_strata(program: Program) -> Tuple[Tuple[str, ...], ...]:
-    """:func:`evaluation_strata` memoized on the (immutable) program.
-
-    The incremental-maintenance paths recompute the schedule on every
-    update of a fixed program; programs are frozen and hashable, so the SCC
-    work is paid once per program instead of once per mutation.  Returns
-    tuples so cached values cannot be mutated by callers.
-    """
-    return tuple(tuple(group) for group in evaluation_strata(program))
-
-
-def group_is_recursive(program: Program, group: List[str]) -> bool:
-    """``True`` when the predicates of ``group`` depend on the group itself."""
+def stratum_rules(program: Program, group: Sequence[str]) -> Tuple[List[Rule], List[Rule], List[Rule]]:
+    """``(rules, base rules, recursive rules)`` of one stratum, each in program
+    order; a recursive rule's body reads a predicate of the group."""
+    rules = [rule for predicate in group for rule in program.rules_for(predicate)]
     group_set = set(group)
-    for predicate in group:
-        for rule in program.rules_for(predicate):
-            if any(body in group_set for body in rule.body_predicates()):
-                return True
-    return False
+    recursive_rules = [rule for rule in rules if not group_set.isdisjoint(rule.body_predicates())]
+    return rules, [rule for rule in rules if rule not in recursive_rules], recursive_rules
+
+
+def program_strata(program: Program) -> Tuple[Tuple[Tuple[str, ...], List[Rule], List[Rule], List[Rule]], ...]:
+    """``(group, rules, base rules, recursive rules)`` per :func:`evaluation_strata` group
+    (recursive exactly when it has recursive rules), computed once and kept on the program."""
+    kept = compiled(program)
+    if kept.strata is None:
+        kept.strata = tuple(
+            (tuple(group), *stratum_rules(program, group)) for group in evaluation_strata(program)
+        )
+    return kept.strata

@@ -37,8 +37,7 @@ from ..datalog.rules import Program, Rule
 from ..engine.compile import CompiledRule, PlanCache, RelationMap
 from ..engine.instrumentation import EvaluationStats
 from ..engine.seminaive import overlay_relations
-from ..engine.strata import cached_evaluation_strata as _cached_strata
-from ..engine.strata import group_is_recursive
+from ..engine.strata import program_strata
 
 
 class CountingState:
@@ -127,8 +126,8 @@ def initialize_counts(
     state = CountingState()
     for predicate in derived:
         state.counts[predicate] = {}
-    for group in _cached_strata(program):
-        if group_is_recursive(program, group):
+    for group, _rules, _base, recursive in program_strata(program):
+        if recursive:
             raise EvaluationError(
                 f"counting maintenance requires a nonrecursive program; "
                 f"stratum {group} is recursive"
@@ -178,7 +177,7 @@ def apply_insertions(
         if rows and name in program.predicates() and name not in idb:
             live[name] = Relation(f"delta_{name}", program.arity_of(name), rows)
     pending: Dict[str, Set[Row]] = {}
-    for group in _cached_strata(program):
+    for group, _rules, _base, _recursive in program_strata(program):
         predicate = group[0]
         counts = state.counts[predicate]
         fresh: Set[Row] = set()
@@ -230,7 +229,7 @@ def apply_deletions(
         if rows and name in program.predicates() and name not in idb:
             live[name] = Relation(f"delta_{name}", program.arity_of(name), rows)
     removed_total: Dict[str, Set[Row]] = {}
-    for group in _cached_strata(program):
+    for group, _rules, _base, _recursive in program_strata(program):
         predicate = group[0]
         counts = state.counts[predicate]
         lost: Dict[Row, int] = {}

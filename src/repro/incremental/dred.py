@@ -46,7 +46,7 @@ from ..datalog.terms import Constant
 from ..engine.compile import PlanCache, prepare
 from ..engine.instrumentation import EvaluationStats
 from ..engine.seminaive import close_group, group_insert_closure, overlay_relations
-from ..engine.strata import cached_evaluation_strata as _cached_strata
+from ..engine.strata import program_strata
 
 
 def overestimate_deletions(
@@ -81,7 +81,7 @@ def overestimate_deletions(
     def absorb(predicate: str, rows: Set[Row]) -> None:
         doomed[predicate] |= rows
 
-    for group in _cached_strata(program):
+    for group, _rules, _base, _recursive in program_strata(program):
         # base facts stored under a group predicate's own name
         seeds = {p: fresh(p, set(external[p])) for p in group if p in external}
         for predicate, rows in seeds.items():
@@ -192,7 +192,7 @@ def apply_deletions(
     relations = overlay_relations(database, derived)
     external: Dict[str, Set[Row]] = {}
     rederived_total = 0
-    for group in _cached_strata(program):
+    for group, _rules, _base, _recursive in program_strata(program):
         # probe first, re-add after: a survivor that hangs off another survivor
         # is the closure's to reinstate, whichever of the two is met first
         seeds: Dict[str, Set[Row]] = {

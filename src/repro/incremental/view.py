@@ -35,7 +35,7 @@ from ..datalog.rules import Program
 from ..engine.compile import PlanCache
 from ..engine.instrumentation import EvaluationStats
 from ..engine.seminaive import propagate_insertions, seminaive_evaluate
-from ..engine.strata import evaluation_strata, group_is_recursive
+from ..engine.strata import program_strata
 from ..optimize.passes import Rewrite
 from ..optimize.unfold import apply_unfolding, unfold_bounded
 from . import counting, dred
@@ -140,9 +140,7 @@ class MaterializedView:
 
     @staticmethod
     def _has_recursion(program: Program) -> bool:
-        return any(
-            group_is_recursive(program, group) for group in evaluation_strata(program)
-        )
+        return any(recursive for _group, _rules, _base, recursive in program_strata(program))
 
     # ------------------------------------------------------------------
     # state

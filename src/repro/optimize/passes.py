@@ -32,7 +32,6 @@ for once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from ..cq.cache import CQCache, shared_cache
@@ -42,6 +41,7 @@ from ..expansion.generator import expand
 from ..core.boundedness import is_uniformly_bounded_structural
 from ..core.classify import SidednessReport, classify
 from ..core.redundancy import RedundancyRemoval, remove_recursively_redundant
+from ..engine.compile import compiled
 from .unfold import UnfoldedDefinition, apply_unfolding, unfold_bounded
 
 #: note attached when the definition is outside the decidable subclass
@@ -334,13 +334,6 @@ class Optimizer:
         )
 
 
-@lru_cache(maxsize=256)
-def _default_chain_result(program: Program, predicate: str, max_unfold_depth: int) -> OptimizationResult:
-    """The default chain's result.  A program is immutable and the chain reads
-    nothing else, so every query on one program shares one analysis."""
-    return Optimizer(default_passes(max_unfold_depth)).run(program, predicate)
-
-
 def optimize_program(
     program: Program,
     predicate: str,
@@ -349,9 +342,15 @@ def optimize_program(
 ) -> OptimizationResult:
     """Run the full default chain over ``predicate``, once per program.
 
-    Results are memoized on ``(program, predicate, max_unfold_depth)``;
-    passing an explicit ``cache`` bypasses the memo and runs the chain afresh.
+    A program is immutable and the chain reads nothing else, so the result is
+    kept on the program (:func:`~repro.engine.compile.compiled`) per
+    ``(predicate, max_unfold_depth)`` and every query on it shares one
+    analysis; passing an explicit ``cache`` bypasses that and runs the chain afresh.
     """
     if cache is not None:
         return Optimizer(default_passes(max_unfold_depth), cache).run(program, predicate)
-    return _default_chain_result(program, predicate, max_unfold_depth)
+    kept = compiled(program).optimized
+    result = kept.get((predicate, max_unfold_depth))
+    if result is None:
+        result = kept[predicate, max_unfold_depth] = Optimizer(default_passes(max_unfold_depth)).run(program, predicate)
+    return result

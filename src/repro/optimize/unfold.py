@@ -34,7 +34,7 @@ from ..datalog.errors import ProgramError
 from ..datalog.relation import Relation, Row, Value
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Variable
-from ..engine.compile import CompiledRule, PlanCache
+from ..engine.compile import CompiledRule, compiled
 from ..engine.instrumentation import EvaluationStats
 from ..engine.query import SelectionQuery
 from ..expansion.generator import expand
@@ -116,35 +116,28 @@ def apply_unfolding(program: Program, definition: UnfoldedDefinition) -> Program
     return Program(tuple(kept) + definition.rules)
 
 
-#: shared across calls: the same unfolded string queried with a different
-#: constant reuses its compiled plan (and the plan's generated kernels) —
-#: selection constants travel through ``bindings``, never through the plan.
-#: Capped because the cache outlives any one program; join orders are frozen
-#: at first compile, which is harmless for the short (1–3 atom) minimized
-#: strings this evaluator sees.
-_plan_cache = PlanCache(max_plans=1024)
-
-
 def unfolded_plans(
     definition: UnfoldedDefinition,
     query: Optional[SelectionQuery],
     relations: Optional[Dict[str, Relation]],
+    stats: Optional[EvaluationStats] = None,
 ) -> Iterator[Tuple[CompiledRule, Dict[Variable, Value]]]:
     """``(join plan, selection bindings)`` per minimized string ``query`` can match.
 
-    Each string compiles to one recursion-free join plan with the query's
-    ``column = constant`` bindings as compile-time bound variables, memoized
-    per (string, bound-variable signature) across calls: a stream of selections
-    compiles — and code-generates — each string once, and EXPLAIN shows the
-    very plans evaluation runs.
+    Each string is one recursion-free join plan with the query's bound columns
+    as compile-time bound variables, kept on the definition (so on the program
+    whose optimizer result holds it) per join order; the constants travel
+    through ``bindings``, so a stream of selections compiles each string once,
+    and EXPLAIN shows the very plans evaluation runs.  A compile is counted on ``stats``.
     """
+    plan = compiled(definition).plan
     for string, rule in zip(definition.strings, definition.rules):
         bindings: Dict[Variable, Value] = {}
         for column, value in query.bindings if query is not None else ():
             if bindings.setdefault(string.distinguished[column], value) != value:
                 break  # repeated head variable bound to two constants: no match
         else:
-            yield _plan_cache.get(rule, relations, bound=tuple(bindings)), bindings
+            yield plan(rule, relations, bound=tuple(bindings), stats=stats), bindings
 
 
 def evaluate_unfolded(
@@ -163,8 +156,7 @@ def evaluate_unfolded(
     stats.start_timer()
     relations: Dict[str, Relation] = {r.name: r for r in database.relations()}
     answers: Set[Row] = set()
-    for plan, bindings in unfolded_plans(definition, query, relations):
-        stats.record_plans_compiled()
+    for plan, bindings in unfolded_plans(definition, query, relations, stats):
         answers |= plan.evaluate(relations, stats=stats, bindings=bindings or None)
     if query is not None:
         answers = query.select(answers)

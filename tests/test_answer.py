@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from repro import DatalogService, answer, explain, parse_program, plan_query
-from repro.datalog import Database, EvaluationError, ParseError, QueryTimeout, ReproError
+from repro.datalog import Database, EvaluationError, ParseError, Program, QueryTimeout, ReproError
 from repro.engine import SelectionQuery, as_selection_query, evaluation_deadline, seminaive_query
 from repro.testing import FAMILIES, generate_case, generate_cases
 from repro.workloads import (
@@ -278,21 +278,18 @@ class TestLadder:
         """One plan serves every constant (it holds none), and racing cold readers agree."""
         import threading
 
-        import repro.core.schema as schema_module
-        import repro.engine.query as query_module
-        import repro.optimize.passes as passes_module
+        from repro.engine.compile import compiled
 
         program = transitive_closure()
         forward = [SelectionQuery.of("t", 2, {0: constant}) for constant in range(6)]
         assert len({id(plan_query(program, query)) for query in forward}) == 1
         assert plan_query(program, SelectionQuery.of("t", 2, {1: 100})) is not plan_query(program, forward[0])
         expected = [answer(program, tc_db, query).answers for query in forward]
-        for memo in (query_module._plan, schema_module._plan_or_refusal, passes_module._default_chain_result):
-            memo.cache_clear()
+        cold = transitive_closure()  # nothing decided for it yet: the readers race to
         seen = []
 
         def reader():
-            seen.append([answer(program, tc_db, query).answers for query in forward])
+            seen.append([answer(cold, tc_db, query).answers for query in forward])
 
         threads = [threading.Thread(target=reader) for _ in range(8)]
         for thread in threads:
@@ -300,7 +297,93 @@ class TestLadder:
         for thread in threads:
             thread.join(timeout=60)
         assert seen == [expected] * 8
-        assert query_module._plan.cache_info().currsize == 1
+        assert len(compiled(cold).query_plans) == 1
+
+
+def counters(stats) -> dict:
+    """Every counter but the compile count and the wall clock."""
+    values = stats.as_dict()
+    del values["plans_compiled"], values["elapsed_seconds"]
+    return values
+
+
+#: (rung, seed, strategy, a first selection, a second one binding the same columns)
+WARM = [
+    ("one-sided-forward", 0, "auto", "t(12, Y)?", "t(0, Y)?"),
+    ("one-sided-backward", 4, "auto", "buys(X, p0)?", "buys(X, i0)?"),
+    ("unfolded", 6, "auto", "p(0, Y)?", "p(1, Y)?"),
+    ("counting", 5, "auto", "t(3, Y)?", "t(0, Y)?"),
+    ("magic-sets", 12, "auto", "sg(4, Y)?", "sg(0, Y)?"),
+    ("seminaive", 0, "seminaive", "t(12, Y)?", "t(0, Y)?"),
+    ("edb-lookup", 0, "auto", "a(1, Y)?", "a(2, Y)?"),
+]
+
+
+class TestWarmCalls:
+    """A second selection of a shape runs what the first compiled: nothing is
+    rewritten, planned, compiled or emitted again, and it counts as a cold call."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Names of the compile-time builders, as they are called."""
+        import repro.baselines.magic as magic_module
+        import repro.core.schema as schema_module
+        import repro.engine.compile as compile_module
+        import repro.engine.kernels as kernels_module
+        import repro.engine.strata as strata_module
+        from repro.optimize.passes import Optimizer
+
+        calls = []
+        for owner, name in (
+            (magic_module, "magic_rewrite"),
+            (compile_module, "compile_rule"),
+            (schema_module, "compile_rule"),
+            (kernels_module, "_emit"),
+            (kernels_module, "_emit_schema"),
+            (Optimizer, "run"),
+            (strata_module, "evaluation_strata"),
+        ):
+            def spy(*args, _name=name, _real=getattr(owner, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    @pytest.mark.parametrize(("rung", "seed", "strategy", "first", "second"), WARM, ids=[w[0] for w in WARM])
+    def test_a_warm_call_builds_nothing_and_counts_as_a_cold_one(self, built, rung, seed, strategy, first, second):
+        case = generate_case(seed)
+        answer(case.program, case.database, first, strategy=strategy)
+        assert built or rung == "edb-lookup"  # the first call of a shape compiles it; a lookup needs nothing
+        built.clear()
+        warm = answer(case.program, case.database, second, strategy=strategy)
+        assert built == []
+        assert warm.rung == rung and warm.answers
+        assert warm.stats.plans_compiled == 0
+        cold = answer(Program(case.program.rules), case.database, second, strategy=strategy)
+        assert (warm.rung, warm.strategy, warm.answers) == (cold.rung, cold.strategy, cold.answers)
+        assert counters(warm.stats) == counters(cold.stats)
+
+
+class TestProgramLifetime:
+    def test_a_dropped_program_is_freed(self, tc_db):
+        """What is compiled for a program is kept on it, not beside it, so it goes
+        with the program."""
+        import gc
+        import weakref
+
+        from repro.engine import seminaive_evaluate
+
+        program = transitive_closure()
+        for query in ("t(0, Y)?", "t(X, 100)?", "t(X, Y)?"):
+            answer(program, tc_db, query)
+            explain(program, query, tc_db)
+        answer(program, tc_db, "t(0, Y)?", strategy="magic")
+        seminaive_evaluate(program, tc_db)
+        dropped = weakref.ref(program)
+        del program
+        gc.collect()
+        assert dropped() is None
 
 
 class TestTimeoutIsNotAFallThrough:

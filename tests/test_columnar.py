@@ -29,6 +29,8 @@ from repro.workloads import (
 def counters(stats: EvaluationStats) -> dict:
     values = stats.as_dict()
     values.pop("elapsed_seconds", None)
+    # what a call compiled: a program's later evaluations reuse its kept plans
+    values.pop("plans_compiled", None)
     return values
 
 

@@ -39,6 +39,8 @@ MODES = {"kernel": (True, "off"), "columnar": (True, "force"), "interpreted": (F
 def counters(stats: EvaluationStats) -> dict:
     values = stats.as_dict()
     values.pop("elapsed_seconds", None)
+    # what a call compiled: a program's later evaluations reuse its kept plans
+    values.pop("plans_compiled", None)
     return values
 
 

@@ -168,31 +168,32 @@ def _chain_database():
 
 #: (program, database, query) → answers and nonzero EvaluationStats counters, as
 #: the step machine counted them when a missing body relation or a body longer
-#: than one generated function could nest still ran there
+#: than one generated function could nest still ran there (``plans_compiled`` is
+#: 0: ``explain`` compiled and kept on the program the very plans ``answer`` runs)
 PINNED = [
     (
         "q(X) :- t(X, Y), m(Y).", {"t": [(1, 2), (2, 3), (3, 4)]}, "q(X)?", "seminaive (auto)", set(),
-        {"lookups": 1, "iterations": 1, "plans_compiled": 1},
+        {"lookups": 1, "iterations": 1},
     ),
     (
         "q(X) :- t(X, Y), m(Y).", {"t": [(1, 2), (2, 3), (3, 4)]}, "q(1)?", "magic-sets (auto)", set(),
-        {"lookups": 1, "iterations": 1, "plans_compiled": 1, "magic_rules": 1},
+        {"lookups": 1, "iterations": 1, "magic_rules": 1},
     ),
     (
         # the missing relation is reached after a probe: that lookup counts per row
         "p(Y) :- t(1, Y), m(Y).", {"t": [(1, 2), (1, 3), (2, 4)]}, "p(Y)?", "seminaive (auto)", set(),
-        {"tuples_examined": 2, "lookups": 2, "iterations": 1, "plans_compiled": 1},
+        {"tuples_examined": 2, "lookups": 2, "iterations": 1},
     ),
     (
         25, None, "q(X, Y)?", "seminaive (auto)",
         {(x, y) for x in range(6) for y in range(25 + x, 31)},
         {"tuples_examined": 19466, "tuples_produced": 42, "lookups": 18443, "unrestricted_lookups": 1,
-         "iterations": 1, "plans_compiled": 1},
+         "iterations": 1},
     ),
     (
         25, None, "q(0, Y)?", "magic-sets (auto)", {(0, y) for y in range(25, 31)},
         {"tuples_examined": 4497, "tuples_produced": 12, "lookups": 3906, "unrestricted_lookups": 1,
-         "iterations": 1, "plans_compiled": 1, "magic_rules": 1},
+         "iterations": 1, "magic_rules": 1},
     ),
 ]
 
