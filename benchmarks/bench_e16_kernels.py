@@ -201,7 +201,7 @@ def test_e16_unfolded_evaluation_speedup(benchmark):
         }
     )
     program = bounded_swap()
-    definition = Optimizer(default_passes(8)).run(program, "t").unfolded
+    definition = Optimizer(default_passes()).run(program, "t").unfolded
     assert definition is not None
     constants = sorted({row[0] for row in database.relation("a").rows()})[:48]
 

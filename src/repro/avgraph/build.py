@@ -84,9 +84,6 @@ class Edge:
     kind: str
     weight: int = 0
 
-    def other(self, node: Node) -> Node:
-        return self.target if node == self.source else self.source
-
 
 @dataclass
 class AVGraph:

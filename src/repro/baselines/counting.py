@@ -8,7 +8,9 @@ while ascending.  It is the textbook remedy for exactly the two difficulties
 Section 4 identifies in many-sided recursions (intermediate values must be
 reused at several depths, and every string adds new instances on both sides of
 the exit predicate) — at the cost of keeping the depth index in the state and
-of not terminating on cyclic data unless a depth bound is imposed.
+of not terminating on cyclic data: the descent refuses as soon as a non-empty
+level is as deep as the number of distinct values reached, which happens
+exactly when the data reachable from the query constant is cyclic.
 
 Scope: the implementation covers *chain recursions*, i.e. definitions whose
 single linear recursive rule has the shape
@@ -146,8 +148,8 @@ def counting_scope_reason(program: Program, predicate: str, bound_columns: Tuple
     query front door and the differential harness): the query must bind
     exactly column 0, the recursion must have the chain shape, and the exit
     rules must read only EDB predicates.  Only the selection's shape is read,
-    never its constants.  Data-dependent failures (cyclic reachable data
-    tripping the depth bound) are not predictable from the program and still
+    never its constants.  Data-dependent failures (a cycle reachable from the
+    constant) are not predictable from the program and still
     surface as :class:`EvaluationError` at run time.
     """
     if set(bound_columns) != {0}:
@@ -173,10 +175,15 @@ def counting_query(
     program: Program,
     database: Database,
     query: SelectionQuery,
-    max_depth: int = 10_000,
     stats: Optional[EvaluationStats] = None,
 ) -> QueryResult:
-    """Answer ``t(c, Y)`` on a chain recursion with the counting method."""
+    """Answer ``t(c, Y)`` on a chain recursion with the counting method.
+
+    Raises :class:`EvaluationError` when the data reachable from ``c`` is
+    cyclic: on acyclic data a non-empty level ``d`` is the end of a path of
+    ``d + 1`` distinct values, so a level at least as deep as the number of
+    values reached so far proves a cycle (within that many iterations).
+    """
     stats = stats if stats is not None else EvaluationStats()
     stats.start_timer()
     bindings = query.bindings_dict()
@@ -193,14 +200,17 @@ def counting_query(
 
     # descend: counting(i, w) = w reachable from the constant in exactly i up-steps
     counting: Dict[int, Set[Value]] = {0: {constant}}
-    depth = 0
-    while counting[depth] and depth < max_depth:
+    reached: Set[Value] = {constant}
+    depth, held = 0, 1
+    while counting[depth]:
         stats.record_iteration()
         next_values = {row[1] for row in algebra.semijoin(counting[depth], up, 0, stats)}
         depth += 1
         counting[depth] = next_values
-        stats.record_state(sum(len(v) for v in counting.values()), 2 * sum(len(v) for v in counting.values()))
-        if depth >= max_depth:
+        held += len(next_values)
+        stats.record_state(held, 2 * held)
+        reached |= next_values
+        if next_values and len(reached) <= depth:
             raise EvaluationError(
                 "the counting method did not terminate within the depth bound; "
                 "the data reachable from the query constant is cyclic"

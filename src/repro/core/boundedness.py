@@ -29,7 +29,7 @@ from typing import List, Optional
 
 from ..datalog.errors import ProgramError
 from ..datalog.rules import Program
-from ..cq.cache import CQCache, shared_cache
+from ..cq.containment import union_contains
 from ..expansion.generator import expand
 from .redundancy import is_recursively_redundant
 
@@ -57,7 +57,6 @@ def bounded_prefix_depth(
     program: Program,
     predicate: str,
     max_depth: int = 8,
-    cache: Optional[CQCache] = None,
 ) -> Optional[int]:
     """Empirical boundedness witness from the expansion.
 
@@ -66,20 +65,14 @@ def bounded_prefix_depth(
     of the strings with fewer applications, or ``None`` when no such depth
     ≤ ``max_depth`` exists.  A returned depth means the recursion is
     equivalent to the (nonrecursive) union of its first ``k`` strings.
-
-    The containment searches run through ``cache`` (the shared
-    :data:`repro.cq.cache.shared_cache` by default), so repeated checks of the
-    same recursion — the detection pipeline, the unfolding pass, a per-query
-    optimizer run — pay for each homomorphism search once.
     """
-    cache = cache if cache is not None else shared_cache
     strings = expand(program, predicate, max_depth)
     by_depth: List[List] = [[] for _ in range(max_depth + 1)]
     for string in strings:
         by_depth[string.recursion_depth()].append(string)
     covered: List = list(by_depth[0])
     for depth in range(1, max_depth + 1):
-        if by_depth[depth] and all(cache.union_contains(covered, string) for string in by_depth[depth]):
+        if by_depth[depth] and all(union_contains(covered, string) for string in by_depth[depth]):
             return depth
         covered.extend(by_depth[depth])
     return None
@@ -89,7 +82,6 @@ def is_bounded_empirical(
     program: Program,
     predicate: str,
     max_depth: int = 8,
-    cache: Optional[CQCache] = None,
 ) -> bool:
     """``True`` when :func:`bounded_prefix_depth` finds a witness within ``max_depth``.
 
@@ -97,4 +89,4 @@ def is_bounded_empirical(
     simply lie deeper); use the structural criterion for the decidable
     subclass when a definite answer is needed.
     """
-    return bounded_prefix_depth(program, predicate, max_depth, cache) is not None
+    return bounded_prefix_depth(program, predicate, max_depth) is not None

@@ -19,9 +19,8 @@ complete, not merely sound.
 apply to its verdict.  Since the optimizer layer landed, the procedure is
 literally a composition of the analysis passes of :mod:`repro.optimize` —
 redundancy removal, boundedness detection, Theorem 3.1 classification — so
-the detection pipeline and the query-time optimizer share one code path (and
-one containment cache); this module only adds the Theorem 3.4 completeness
-bookkeeping on top.
+the detection pipeline and the query-time optimizer share one code path;
+this module only adds the Theorem 3.4 completeness bookkeeping on top.
 """
 
 from __future__ import annotations

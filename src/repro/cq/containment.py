@@ -63,30 +63,29 @@ def find_containment_mapping(
     mapping: Mapping = {var: var for var in pinned}
 
     # Most-constrained-first: atoms with the fewest candidate images first.
-    order = sorted(
-        range(len(source.atoms)),
-        key=lambda i: len(_candidate_targets(source.atoms[i], target.atoms)),
-    )
+    order = sorted(source.atoms, key=lambda atom: len(_candidate_targets(atom, target.atoms)))
+    return _search(order, 0, target.atoms, pinned, mapping)
 
-    target_atoms = list(target.atoms)
 
-    def search(position: int, current: Mapping) -> Optional[Mapping]:
-        if position == len(order):
-            return current
-        source_atom = source.atoms[order[position]]
-        for target_atom in _candidate_targets(source_atom, target_atoms):
-            extended = _extend(current, source_atom, target_atom)
-            if extended is None:
-                continue
-            # pinned variables must stay mapped to themselves
-            if any(extended.get(var, var) != var for var in pinned):
-                continue
-            found = search(position + 1, extended)
-            if found is not None:
-                return found
-        return None
-
-    return search(0, mapping)
+def _search(
+    atoms: Sequence[Atom], position: int, targets: Sequence[Atom], pinned: Set[Variable], current: Mapping
+) -> Optional[Mapping]:
+    """Extend ``current`` so that ``atoms[position:]`` each map onto one of ``targets``
+    (a module function, not a closure: a closure calling itself is a reference cycle)."""
+    if position == len(atoms):
+        return current
+    source_atom = atoms[position]
+    for target_atom in _candidate_targets(source_atom, targets):
+        extended = _extend(current, source_atom, target_atom)
+        if extended is None:
+            continue
+        # pinned variables must stay mapped to themselves
+        if any(extended.get(var, var) != var for var in pinned):
+            continue
+        found = _search(atoms, position + 1, targets, pinned, extended)
+        if found is not None:
+            return found
+    return None
 
 
 def has_containment_mapping(source: ExpansionString, target: ExpansionString) -> bool:

@@ -16,10 +16,10 @@ query (so the two are equivalent).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import List, Optional, Set
 
 from ..datalog.terms import Variable
-from .containment import find_containment_mapping
+from .containment import find_containment_mapping, has_containment_mapping
 from .strings import ExpansionString
 
 
@@ -57,26 +57,14 @@ def is_minimal(string: ExpansionString) -> bool:
     return len(minimize(string).atoms) == len(string.atoms)
 
 
-def minimize_union(
-    strings: List[ExpansionString],
-    minimizer: Optional[Callable[[ExpansionString], ExpansionString]] = None,
-    has_mapping: Optional[Callable[[ExpansionString, ExpansionString], bool]] = None,
-) -> List[ExpansionString]:
+def minimize_union(strings: List[ExpansionString]) -> List[ExpansionString]:
     """Minimize a union of conjunctive queries.
 
     Each string is minimized individually, then strings subsumed by another
     string of the union are dropped (keeping the earliest witness).  This is
     the finite analogue of taking "a minimal subset of P′" in Lemma A.7.
-
-    ``minimizer`` and ``has_mapping`` override the per-string minimization and
-    the containment-mapping test; :meth:`repro.cq.cache.CQCache.minimize_union`
-    passes its memoized versions so the policy lives here exactly once.
     """
-    minimizer = minimizer if minimizer is not None else minimize
-    if has_mapping is None:
-        def has_mapping(source: ExpansionString, target: ExpansionString) -> bool:
-            return find_containment_mapping(source, target) is not None
-    minimized = [minimizer(string) for string in strings]
+    minimized = [minimize(string) for string in strings]
     kept: List[ExpansionString] = []
     for index, candidate in enumerate(minimized):
         subsumed = False
@@ -85,9 +73,9 @@ def minimize_union(
                 continue
             # candidate is subsumed if its relation is contained in other's
             # relation; prefer keeping the earlier string on mutual containment.
-            if not has_mapping(other, candidate):
+            if not has_containment_mapping(other, candidate):
                 continue
-            if has_mapping(candidate, other) and other_index > index:
+            if has_containment_mapping(candidate, other) and other_index > index:
                 continue  # equivalent; keep the earlier (this one)
             subsumed = True
             break

@@ -224,8 +224,8 @@ class Rung:
     #: the exact :attr:`QueryResult.strategy` of an answer this rung produces
     strategy: str
     reason: str
-    #: ``run(database, selection, counting_depth) -> (answers, stats)``
-    run: Callable[[Database, SelectionQuery, int], Tuple[Set[Row], EvaluationStats]] = field(repr=False)
+    #: ``run(database, selection) -> (answers, stats)``
+    run: Callable[[Database, SelectionQuery], Tuple[Set[Row], EvaluationStats]] = field(repr=False)
     #: ``plans(selection, relations)``: the joins ``run`` would execute, in execution order;
     #: ``relations``, when given, gains what ``run`` adds before its first join (a magic seed)
     plans: Callable[[SelectionQuery, Optional[Dict[str, Relation]]], List[CompiledRule]] = field(repr=False)
@@ -254,7 +254,6 @@ def plan_query(
     program: Program,
     selection: SelectionQuery,
     strategy: str = "auto",
-    max_unfold_depth: int = 8,
 ) -> QueryPlan:
     """Decide how to evaluate ``selection``: the paper's advice, written once.
 
@@ -275,13 +274,13 @@ def plan_query(
     :class:`~repro.datalog.errors.NotOneSidedError` for ``"one-sided"`` on a
     recursion Theorem 3.1 rejects, :class:`~repro.datalog.errors.EvaluationError`
     for an out-of-scope ``"counting"`` or an ``"unfolded"`` with no boundedness
-    witness within ``max_unfold_depth``.  A predicate no rule defines is
-    answered, under ``"auto"``, ``"seminaive"`` and ``"naive"``, by the one
-    **edb-lookup** rung: an indexed lookup on its stored rows (none stored:
-    no answers).
+    witness within :data:`~repro.optimize.unfold.MAX_UNFOLD_DEPTH`.  A
+    predicate no rule defines is answered, under ``"auto"``, ``"seminaive"``
+    and ``"naive"``, by the one **edb-lookup** rung: an indexed lookup on its
+    stored rows (none stored: no answers).
     """
     kept = compiled(program).query_plans
-    key = (selection.predicate, selection.arity, selection.bound_columns(), strategy, max_unfold_depth)
+    key = (selection.predicate, selection.arity, selection.bound_columns(), strategy)
     plan = kept.get(key)
     if plan is None:
         plan = kept[key] = _plan(program, *key)
@@ -294,7 +293,6 @@ def _plan(
     arity: int,
     bound: Tuple[int, ...],
     strategy: str,
-    max_unfold_depth: int,
 ) -> QueryPlan:
     """:func:`plan_query` for one selection shape; its rungs run the program's kept plans."""
     if strategy not in ("auto", "unfolded", "one-sided", "counting", "magic", "seminaive", "naive"):
@@ -304,7 +302,7 @@ def _plan(
         # no rule derives the predicate, so a fixpoint would only copy the stored rows
         return QueryPlan(None, (Rung(
             "edb-lookup", "edb-lookup", f"no rule defines {predicate}: one lookup on its stored rows",
-            lambda database, selection, _depth: _unpack(
+            lambda database, selection: _unpack(
                 lookup_result(selection, database.relation_or_empty(predicate, arity), "edb-lookup")
             ),
             lambda _selection, _relations: [],
@@ -315,19 +313,16 @@ def _plan(
     from ..core.classify import selection_covers_unbounded_sides
     from ..core.schema import compile_schema, run_schema
     from ..optimize.passes import Optimizer, UnfoldingPass, detection_passes, optimize_program
-    from ..optimize.unfold import evaluate_unfolded, unfolded_plans
+    from ..optimize.unfold import MAX_UNFOLD_DEPTH, evaluate_unfolded, unfolded_plans
 
     try:
         if strategy == "unfolded":
-            # a forced unfolding request searches the full requested depth even
+            # a forced unfolding request searches the full depth even
             # when structural boundedness is undecided (repeated predicates)
-            provenance = Optimizer(
-                detection_passes()
-                + (UnfoldingPass(max_depth=max_unfold_depth, fallback_depth=None),)
-            ).run(program, predicate)
+            provenance = Optimizer(detection_passes() + (UnfoldingPass(fallback_depth=None),)).run(program, predicate)
         else:
             # the default chain is analysed once per program, not once per query
-            provenance = optimize_program(program, predicate, max_unfold_depth=max_unfold_depth)
+            provenance = optimize_program(program, predicate)
     except ProgramError:
         provenance = None  # e.g. the predicate is not defined by the program
     #: the program the detection verdicts are about (redundancy removed, not unfolded)
@@ -354,7 +349,7 @@ def _plan(
         rung(
             name,
             reason,
-            lambda database, selection, _depth: run_schema(schema, database, selection),
+            lambda database, selection: run_schema(schema, database, selection),
             lambda _selection, relations: [compiled(subsidiary).plan(rule, relations) for rule in subsidiary.rules]
             + schema.compiled_plans(),
             "" if require_one_sided else f"{name} (bounded sides, auto)",
@@ -362,7 +357,7 @@ def _plan(
         )
 
     def fixpoint(evaluate):
-        return lambda database, selection, _depth: evaluate(
+        return lambda database, selection: evaluate(
             program, database, predicate, selection.bindings_dict()
         )
 
@@ -376,13 +371,13 @@ def _plan(
                 "unfolded",
                 f"bounded recursion: a union of {len(definition.strings)} nonrecursive "
                 f"string(s) (witness depth {definition.witness_depth})",
-                lambda database, selection, _depth: evaluate_unfolded(definition, database, selection),
+                lambda database, selection: evaluate_unfolded(definition, database, selection),
                 lambda selection, relations: [
                     plan for plan, _bindings in unfolded_plans(definition, selection, relations)
                 ],
             )
         else:
-            unavailable = f"{predicate} is not provably bounded within depth {max_unfold_depth}"
+            unavailable = f"{predicate} is not provably bounded within depth {MAX_UNFOLD_DEPTH}"
     if strategy == "one-sided" or (auto and provenance is not None and provenance.one_sided):
         schema_rung(True, "one-sided by Theorem 3.1: the Figure 9 schema carries the selection")
     elif (
@@ -400,9 +395,7 @@ def _plan(
         if not unavailable:
             rung(
                 "counting", "chain recursion with a column-0 selection",
-                lambda database, selection, depth: _unpack(
-                    counting_query(program, database, selection, max_depth=depth)
-                ),
+                lambda database, selection: _unpack(counting_query(program, database, selection)),
                 lambda _selection, relations: counting_plans(program, predicate, relations),
             )
     if strategy == "magic" and not bound:
@@ -414,7 +407,7 @@ def _plan(
     elif strategy == "magic" or (auto and bound and program.rules_for(predicate)):
         rung(
             "magic-sets", "the selection constants restrict the fixpoint through magic predicates",
-            lambda database, selection, _depth: _unpack(magic_query(program, database, selection)),
+            lambda database, selection: _unpack(magic_query(program, database, selection)),
             lambda selection, relations: _magic_plans(program, selection, relations),
         )
     if auto or strategy == "seminaive":
@@ -447,8 +440,6 @@ def answer(
     database: Database,
     query: Union[SelectionQuery, Atom, str],
     strategy: str = "auto",
-    max_unfold_depth: int = 8,
-    counting_depth: int = 2_000,
     profile: bool = False,
     trace_id: Optional[str] = None,
 ) -> QueryResult:
@@ -458,8 +449,8 @@ def answer(
     decides (the ``strategy="auto"`` ladder and the forced strategies are
     described there) and this function executes the plan — each rung in
     order, the first that answers wins.  A rung that refuses with a
-    :class:`~repro.datalog.errors.ReproError` (e.g. cyclic reachable data
-    tripping the counting bound ``counting_depth``) is recorded on
+    :class:`~repro.datalog.errors.ReproError` (e.g. the counting rung on
+    cyclic reachable data) is recorded on
     ``result.fell_through`` and the next rung runs; a
     :class:`~repro.datalog.errors.QueryTimeout` is never a fall-through, and
     the last rung's error is the caller's.  ``result.rung`` and
@@ -477,16 +468,14 @@ def answer(
     """
     selection = as_selection_query(program, query)
     if not profile:
-        plan = plan_query(program, selection, strategy, max_unfold_depth)
-        return _execute(plan, database, selection, counting_depth)
+        return _execute(plan_query(program, selection, strategy), database, selection)
 
     from ..obs.profile import ProfileRecorder
 
     recorder = ProfileRecorder(str(selection), trace_id=trace_id)
     started = perf_counter()
     with query_trace(recorder):
-        plan = plan_query(program, selection, strategy, max_unfold_depth)
-        result = _execute(plan, database, selection, counting_depth)
+        result = _execute(plan_query(program, selection, strategy), database, selection)
     result.profile = recorder.build(
         strategy=result.strategy,
         stats=result.stats,
@@ -498,14 +487,12 @@ def answer(
     return result
 
 
-def _execute(
-    plan: QueryPlan, database: Database, selection: SelectionQuery, counting_depth: int
-) -> QueryResult:
+def _execute(plan: QueryPlan, database: Database, selection: SelectionQuery) -> QueryResult:
     """Run ``plan``: the first rung that answers wins; refusals are recorded, not hidden."""
     fell_through = list(plan.fell_through)
     for rung in plan.rungs:
         try:
-            answers, stats = rung.run(database, selection, counting_depth)
+            answers, stats = rung.run(database, selection)
             break
         except ReproError as error:
             if isinstance(error, QueryTimeout) or rung is plan.rungs[-1]:

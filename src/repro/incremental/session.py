@@ -129,11 +129,10 @@ class Session:
         program: Union[Program, str],
         database: "Database | None" = None,
         name: str = "default",
-        max_unfold_depth: int = 8,
     ) -> None:
         self.program = parse_program(program) if isinstance(program, str) else program
         self.database = database if database is not None else Database()
-        self.view = MaterializedView(name, self.program, self.database, max_unfold_depth)
+        self.view = MaterializedView(name, self.program, self.database)
         #: serializes maintenance rounds, queries and snapshot
         #: publication (reentrant: the service holds it around ``mutate``)
         self.lock = threading.RLock()

@@ -70,7 +70,6 @@ class MaterializedView:
         name: str,
         program: Program,
         database: Database,
-        max_unfold_depth: int = 8,
     ) -> None:
         self.name = name
         self.program = program
@@ -82,7 +81,7 @@ class MaterializedView:
         #: maintenance work of the current round; its owner resets it before
         #: each :meth:`~repro.datalog.database.Database.mutate` it drives
         self.last_stats = EvaluationStats()
-        self.plan_program = self._unfold(program, database, max_unfold_depth)
+        self.plan_program = self._unfold(program, database)
         #: predicate names whose updates can change this view: the
         #: *maintenance* program's, so updates to an atom the unfolding
         #: minimization dropped are skipped as provably irrelevant (immutable
@@ -108,7 +107,7 @@ class MaterializedView:
     # ------------------------------------------------------------------
     # registration-time rewriting
     # ------------------------------------------------------------------
-    def _unfold(self, program: Program, database: Database, max_depth: int) -> Program:
+    def _unfold(self, program: Program, database: Database) -> Program:
         """Rewrite every provably bounded recursion away before maintaining.
 
         A predicate with base facts stored under its own name is skipped: the
@@ -124,7 +123,7 @@ class MaterializedView:
                 continue
             if database.has_relation(predicate) and len(database.relation(predicate)):
                 continue
-            definition = unfold_bounded(current, predicate, max_depth)
+            definition = unfold_bounded(current, predicate)
             if definition is None:
                 continue
             current = apply_unfolding(current, definition)

@@ -259,12 +259,6 @@ class _HistogramChild:
         with self._lock:
             return sum(self._counts)
 
-    @property
-    def sum(self) -> float:
-        self._fold()
-        with self._lock:
-            return self._sum
-
     def samples(self) -> List[Tuple[str, Tuple[Tuple[str, str], ...], float]]:
         cumulative, total, count = self.snapshot()
         out: List[Tuple[str, Tuple[Tuple[str, str], ...], float]] = []
@@ -431,10 +425,6 @@ class Histogram(_MetricFamily):
     @property
     def count(self) -> int:
         return self._default().count
-
-    @property
-    def sum(self) -> float:
-        return self._default().sum
 
 
 # ----------------------------------------------------------------------

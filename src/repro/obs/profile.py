@@ -513,13 +513,7 @@ class FlightRecorder:
 # ----------------------------------------------------------------------
 # EXPLAIN — plan only, no execution
 # ----------------------------------------------------------------------
-def explain(
-    program,
-    query,
-    database=None,
-    *,
-    max_unfold_depth: int = 8,
-) -> QueryProfile:
+def explain(program, query, database=None) -> QueryProfile:
     """Explain how :func:`repro.engine.query.answer` would evaluate ``query``.
 
     Renders the :class:`~repro.engine.query.QueryPlan` that ``answer`` executes
@@ -544,8 +538,8 @@ def explain(
 
     The returned :class:`QueryProfile` has ``outcome="plan-only"``, empty
     stats/iterations, and the strategy ``answer`` reports — unless an
-    evaluation-time failure (e.g. a counting depth bound tripping on cyclic
-    data) makes ``answer`` fall through mid-flight, which no plan-only
+    evaluation-time failure (e.g. the counting rung refusing cyclic data)
+    makes ``answer`` fall through mid-flight, which no plan-only
     analysis can see.
     """
     from ..engine import kernels
@@ -553,7 +547,7 @@ def explain(
     from ..engine.query import as_selection_query, plan_query
 
     selection = as_selection_query(program, query)
-    plan = plan_query(program, selection, max_unfold_depth=max_unfold_depth)
+    plan = plan_query(program, selection)
     chosen, *fallbacks = plan.rungs
     relations = {r.name: r for r in database.relations()} if database is not None else None
     recorder = ProfileRecorder(str(selection))

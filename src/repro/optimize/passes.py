@@ -23,10 +23,8 @@ Passes (in their default order):
 Analysis and optimization share one code path: the complete detection
 procedure of :func:`repro.core.pipeline.detect_one_sided` is the first three
 passes run through the same :class:`Optimizer`, and the query front door
-(:func:`repro.engine.query.answer`) runs the full chain.  All containment
-and minimization work goes through one :class:`~repro.cq.cache.CQCache`, so
-repeated homomorphism searches across passes (and across queries) are paid
-for once.
+(:func:`repro.engine.query.answer`) runs the full chain, once per program
+(:func:`optimize_program`).
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..cq.cache import CQCache, shared_cache
+from ..cq.containment import union_contained_in
 from ..datalog.errors import ProgramError
 from ..datalog.rules import Program
 from ..expansion.generator import expand
@@ -42,7 +40,7 @@ from ..core.boundedness import is_uniformly_bounded_structural
 from ..core.classify import SidednessReport, classify
 from ..core.redundancy import RedundancyRemoval, remove_recursively_redundant
 from ..engine.compile import compiled
-from .unfold import UnfoldedDefinition, apply_unfolding, unfold_bounded
+from .unfold import MAX_UNFOLD_DEPTH, UnfoldedDefinition, apply_unfolding, unfold_bounded
 
 #: note attached when the definition is outside the decidable subclass
 OUT_OF_SCOPE_NOTE = (
@@ -72,7 +70,6 @@ class PassContext:
     predicate: str
     program: Program
     original: Program
-    cache: CQCache
     #: ``True`` when the definition is not a single linear recursion, so the
     #: Section 3 machinery does not apply and every pass becomes a no-op
     out_of_scope: bool = False
@@ -106,7 +103,7 @@ class RedundancyRemovalPass(OptimizationPass):
 
     With ``verify=True`` the rewrite is cross-checked by comparing the
     expansion prefixes of the original and optimized programs (containment
-    both ways, through the shared cache); a failed check raises
+    both ways); a failed check raises
     :class:`~repro.datalog.errors.ProgramError` instead of silently keeping
     an unsound rewrite.
     """
@@ -137,8 +134,7 @@ class RedundancyRemovalPass(OptimizationPass):
         """Expansion prefixes of original and optimized must be equivalent."""
         before = expand(ctx.program, ctx.predicate, self.verify_depth)
         after = expand(removal.optimized, ctx.predicate, self.verify_depth)
-        cache = ctx.cache
-        if not (cache.union_contained_in(before, after) and cache.union_contained_in(after, before)):
+        if not (union_contained_in(before, after) and union_contained_in(after, before)):
             raise ProgramError(
                 f"redundancy removal for {ctx.predicate} failed its expansion cross-check"
             )
@@ -210,7 +206,7 @@ class UnfoldingPass(OptimizationPass):
 
     name = "bounded-unfolding"
 
-    def __init__(self, max_depth: int = 8, fallback_depth: Optional[int] = 3) -> None:
+    def __init__(self, max_depth: int = MAX_UNFOLD_DEPTH, fallback_depth: Optional[int] = 3) -> None:
         self.max_depth = max_depth
         self.fallback_depth = max_depth if fallback_depth is None else min(fallback_depth, max_depth)
 
@@ -222,7 +218,7 @@ class UnfoldingPass(OptimizationPass):
             ctx.record(self.name, False, "provably unbounded; unfolding cannot apply")
             return
         limit = self.max_depth if ctx.uniformly_bounded else self.fallback_depth
-        definition = unfold_bounded(ctx.program, ctx.predicate, limit, ctx.cache)
+        definition = unfold_bounded(ctx.program, ctx.predicate, limit)
         if definition is None:
             ctx.record(self.name, False, f"no boundedness witness within depth {limit}")
             return
@@ -285,32 +281,22 @@ def detection_passes(verify_redundancy: bool = False) -> Tuple[OptimizationPass,
     )
 
 
-def default_passes(max_unfold_depth: int = 8) -> Tuple[OptimizationPass, ...]:
+def default_passes() -> Tuple[OptimizationPass, ...]:
     """The full rewrite chain used by the query front door."""
-    return detection_passes() + (UnfoldingPass(max_depth=max_unfold_depth),)
+    return detection_passes() + (UnfoldingPass(),)
 
 
 class Optimizer:
     """Run a chain of passes over one predicate's definition."""
 
-    def __init__(
-        self,
-        passes: Optional[Sequence[OptimizationPass]] = None,
-        cache: Optional[CQCache] = None,
-    ) -> None:
+    def __init__(self, passes: Optional[Sequence[OptimizationPass]] = None) -> None:
         self.passes: Tuple[OptimizationPass, ...] = (
             tuple(passes) if passes is not None else default_passes()
         )
-        self.cache = cache if cache is not None else shared_cache
 
     def run(self, program: Program, predicate: str) -> OptimizationResult:
         """Apply every pass in order and collect the result."""
-        ctx = PassContext(
-            predicate=predicate,
-            program=program,
-            original=program,
-            cache=self.cache,
-        )
+        ctx = PassContext(predicate=predicate, program=program, original=program)
         if not program.is_single_linear_recursion(predicate):
             ctx.out_of_scope = True
             ctx.notes.append(OUT_OF_SCOPE_NOTE)
@@ -334,23 +320,15 @@ class Optimizer:
         )
 
 
-def optimize_program(
-    program: Program,
-    predicate: str,
-    cache: Optional[CQCache] = None,
-    max_unfold_depth: int = 8,
-) -> OptimizationResult:
+def optimize_program(program: Program, predicate: str) -> OptimizationResult:
     """Run the full default chain over ``predicate``, once per program.
 
     A program is immutable and the chain reads nothing else, so the result is
-    kept on the program (:func:`~repro.engine.compile.compiled`) per
-    ``(predicate, max_unfold_depth)`` and every query on it shares one
-    analysis; passing an explicit ``cache`` bypasses that and runs the chain afresh.
+    kept on the program (:func:`~repro.engine.compile.compiled`) per predicate
+    and every query on it shares one analysis.
     """
-    if cache is not None:
-        return Optimizer(default_passes(max_unfold_depth), cache).run(program, predicate)
     kept = compiled(program).optimized
-    result = kept.get((predicate, max_unfold_depth))
+    result = kept.get(predicate)
     if result is None:
-        result = kept[predicate, max_unfold_depth] = Optimizer(default_passes(max_unfold_depth)).run(program, predicate)
+        result = kept[predicate] = Optimizer().run(program, predicate)
     return result

@@ -6,8 +6,7 @@ of its first ``k`` expansion strings, each of which is an ordinary
 conjunctive query.  This module performs that rewrite:
 
 1. find the boundedness witness depth ``k`` from the expansion
-   (:func:`repro.core.boundedness.bounded_prefix_depth`, memoized through the
-   shared containment cache);
+   (:func:`repro.core.boundedness.bounded_prefix_depth`);
 2. take the strings with fewer than ``k`` recursive-rule applications and
    minimize the union (drop atoms foldable into the rest of their string,
    drop strings subsumed by another disjunct);
@@ -26,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Set, Tuple
 
-from ..cq.cache import CQCache, shared_cache
+from ..cq.minimize import minimize_union
 from ..cq.strings import ExpansionString
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
@@ -39,6 +38,10 @@ from ..engine.instrumentation import EvaluationStats
 from ..engine.query import SelectionQuery
 from ..expansion.generator import expand
 from ..core.boundedness import bounded_prefix_depth
+
+#: how deep the query front door and views search for a boundedness witness
+#: (recursive-rule applications)
+MAX_UNFOLD_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,7 @@ class UnfoldedDefinition:
 def unfold_bounded(
     program: Program,
     predicate: str,
-    max_depth: int = 8,
-    cache: Optional[CQCache] = None,
+    max_depth: int = MAX_UNFOLD_DEPTH,
 ) -> Optional[UnfoldedDefinition]:
     """Unfold the recursion of ``predicate`` if it is provably bounded.
 
@@ -85,15 +87,14 @@ def unfold_bounded(
     case replacing the definition by EDB-only rules would be unsound, so the
     rewrite declines to fire.
     """
-    cache = cache if cache is not None else shared_cache
     try:
-        depth = bounded_prefix_depth(program, predicate, max_depth, cache)
+        depth = bounded_prefix_depth(program, predicate, max_depth)
     except ProgramError:
         return None
     if depth is None:
         return None
     strings = expand(program, predicate, depth - 1)
-    minimized = cache.minimize_union(strings)
+    minimized = minimize_union(strings)
     edb = program.edb_predicates()
     for string in minimized:
         if any(atom.predicate not in edb for atom in string.atoms):

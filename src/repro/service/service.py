@@ -237,7 +237,6 @@ class DatalogService:
         flush_policy: Optional[FlushPolicy] = None,
         cache_entries: int = 1024,
         name: str = "default",
-        max_unfold_depth: int = 8,
         storage: Optional[Union[DurableStore, str, Path]] = None,
         storage_config: Optional[StorageConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -276,9 +275,7 @@ class DatalogService:
                 "DatalogService needs a program (none given and the storage "
                 "directory holds no recoverable state)"
             )
-        self.session = Session(
-            program, database, name=name, max_unfold_depth=max_unfold_depth
-        )
+        self.session = Session(program, database, name=name)
         self.queue = WriteQueue(flush_policy)
         self.cache = EpochCache(cache_entries)
         self._stats = ServiceStats()

@@ -10,10 +10,12 @@ from repro.baselines import (
     detect_chain_shape,
 )
 from repro.datalog import Database, EvaluationError, ProgramError, parse_program
-from repro.engine import SelectionQuery, seminaive_query
+from repro import answer
+from repro.engine import EvaluationStats, SelectionQuery, seminaive_query
 from repro.workloads import (
     canonical_two_sided,
     chain,
+    cycle,
     edge_database,
     layered_dag,
     lemma_4_2_database,
@@ -74,14 +76,31 @@ class TestCountingQuery:
         method hits its termination problem instead."""
         database, _target = lemma_4_2_database(3)
         with pytest.raises(EvaluationError):
-            counting_query(canonical_two_sided(), database, SelectionQuery.of("t", 2, {0: "v1"}), max_depth=50)
+            counting_query(canonical_two_sided(), database, SelectionQuery.of("t", 2, {0: "v1"}))
 
     def test_cyclic_data_raises(self, two_sided_program):
         database = Database.from_dict(
             {"a": [(0, 1), (1, 0)], "b": [(0, "z0")], "c": [("z0", "z1")]}
         )
         with pytest.raises(EvaluationError):
-            counting_query(two_sided_program, database, SelectionQuery.of("t", 2, {0: 0}), max_depth=20)
+            counting_query(two_sided_program, database, SelectionQuery.of("t", 2, {0: 0}))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 40])
+    def test_a_reachable_cycle_refuses_within_its_size(self, tc_program, k):
+        """The constant sits on a cycle of ``k`` values: the descent refuses once a
+        level is as deep as the values it reached, not after a fixed depth."""
+        database = edge_database(cycle(k))
+        stats = EvaluationStats()
+        with pytest.raises(EvaluationError, match="cyclic"):
+            counting_query(tc_program, database, SelectionQuery.of("t", 2, {0: 0}), stats=stats)
+        assert 1 <= stats.iterations <= k + 1
+
+    def test_deep_acyclic_data_is_answered(self, tc_program):
+        """Only a cycle refuses: a chain deeper than any fixed bound is answered."""
+        database = edge_database(chain(2_500))
+        result = answer(tc_program, database, "t(0, Y)?", strategy="counting")
+        assert result.answers == {(0, node) for node in range(1, 2_501)}
+        assert result.stats.extra["counting_levels"] == 2_502  # the last, empty level included
 
     def test_requires_first_column_binding(self, two_sided_program, two_sided_chain_db):
         with pytest.raises(EvaluationError):

@@ -227,6 +227,9 @@ class TestExplainIsThePlan:
         totals.pop("elapsed_seconds")
         assert {key: value for key, value in totals.items() if value} == counters
 
-    def test_without_a_database_no_relation_is_named_missing(self):
-        predicted = explain(parse_program("q(X) :- t(X, Y), m(Y)."), "q(X)?")
-        assert [(plan.dispatch, plan.detail) for plan in predicted.plans] == [("kernel", "")]
+    @pytest.mark.parametrize("kernels", [True, False], ids=["kernels", "step-machine"])
+    def test_without_a_database_no_relation_is_named_missing(self, kernels):
+        with step_machine(not kernels):
+            predicted = explain(parse_program("q(X) :- t(X, Y), m(Y)."), "q(X)?")
+        dispatch = "kernel" if kernels else "interpreted"
+        assert [(plan.dispatch, plan.detail) for plan in predicted.plans] == [(dispatch, "")]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cq.cache import CQCache
 from repro.datalog import EvaluationError, parse_program
 from repro.engine import SelectionQuery, seminaive_query
 from repro.optimize import (
@@ -120,74 +119,10 @@ class TestOptimizerRuns:
         lines = result.describe().splitlines()
         assert len(lines) == len(default_passes())
 
-    def test_detection_passes_share_a_private_cache(self):
-        cache = CQCache()
-        Optimizer(default_passes(), cache).run(bounded_swap(), "t")
-        stats = cache.stats()
-        assert stats["misses"] > 0
-        # a second run over the same program is answered from the cache
-        before = cache.stats()["misses"]
-        Optimizer(default_passes(), cache).run(bounded_swap(), "t")
-        assert cache.stats()["misses"] == before
-
     def test_redundancy_verification_cross_checks_the_rewrite(self):
         passes = (RedundancyRemovalPass(verify=True),) + detection_passes()[1:]
         result = Optimizer(passes).run(buys_unoptimized(), "buys")
         assert result.optimized == buys_optimized()
-
-
-class TestCQCache:
-    def test_canonical_key_is_renaming_invariant(self):
-        from repro.cq.cache import canonical_key
-        from repro.cq.strings import ExpansionString
-        from repro.datalog import parse_atom
-        from repro.datalog.terms import Variable
-
-        x, y = Variable("X"), Variable("Y")
-        first = ExpansionString((x,), (parse_atom("a(X, Y)"), parse_atom("a(Y, Z)")))
-        second = ExpansionString((x,), (parse_atom("a(X, W)"), parse_atom("a(W, U)")))
-        third = ExpansionString((x,), (parse_atom("a(X, Y)"), parse_atom("a(Z, Y)")))
-        assert canonical_key(first) == canonical_key(second)
-        assert canonical_key(first) != canonical_key(third)
-        # freezing a variable pins it by name, distinguishing the strings
-        assert canonical_key(first, {y}) != canonical_key(second, {y})
-
-    def test_cached_answers_match_uncached(self):
-        from repro.cq.cache import CQCache
-        from repro.cq.containment import is_contained_in
-        from repro.expansion import expand
-
-        strings = expand(transitive_closure(), "t", 3)
-        cache = CQCache()
-        for first in strings:
-            for second in strings:
-                assert cache.is_contained_in(first, second) == is_contained_in(first, second)
-        # every pair was asked twice by symmetry of the loop: hits occurred
-        assert cache.stats()["hits"] == 0  # distinct (source, target) pairs only
-        for first in strings:
-            for second in strings:
-                cache.is_contained_in(first, second)
-        assert cache.stats()["hits"] > 0
-
-    def test_minimize_union_matches_uncached(self):
-        from repro.cq.cache import CQCache
-        from repro.cq.minimize import minimize_union
-        from repro.expansion import expand
-
-        strings = expand(bounded_swap(), "t", 3)
-        assert CQCache().minimize_union(strings) == minimize_union(strings)
-
-    def test_lru_eviction_bounds_the_store(self):
-        from repro.cq.cache import CQCache
-        from repro.expansion import expand
-
-        cache = CQCache(maxsize=2)
-        strings = expand(transitive_closure(), "t", 4)
-        for first in strings:
-            for second in strings:
-                cache.is_contained_in(first, second)
-        assert cache.stats()["containment_entries"] <= 2
-        assert cache.stats()["evictions"] > 0
 
 
 class TestFrontDoorUnfolded:
@@ -211,7 +146,7 @@ class TestFrontDoorUnfolded:
 
     def test_forced_unfolded_searches_full_depth_when_boundedness_undecided(self):
         """Repeated nonrecursive predicates leave the structural criterion
-        undecided; a forced unfolding must still search ``max_unfold_depth``,
+        undecided; a forced unfolding must still search ``MAX_UNFOLD_DEPTH``,
         not the cheaper fallback the auto chain uses."""
         from repro import answer
         from repro.core.boundedness import bounded_prefix_depth

@@ -17,7 +17,6 @@ from repro import answer, parse_program
 from repro.core import BACKWARD, FORWARD, OneSidedSchema, compile_schema, one_sided_query
 from repro.core import schema as schema_module
 from repro.core.algorithms import aho_ullman_selection, henschen_naqvi_selection
-from repro.cq.cache import CQCache
 from repro.datalog import (
     Database,
     EvaluationError,
@@ -682,9 +681,6 @@ class TestPlanMemo:
             with pytest.raises(NotOneSidedError, match="not one-sided"):
                 OneSidedSchema(program, "t", SelectionQuery.of("t", 2, {0: constant}))
         assert len(calls) == 1
-
-    def test_explicit_optimizer_bypasses_the_memo(self, tc_program):
-        assert optimize_program(tc_program, "t", cache=CQCache()) is not optimize_program(tc_program, "t")
 
     def test_plans_live_as_long_as_their_program(self):
         """Nothing outside a program holds what was compiled for it, so a stream of
