@@ -216,23 +216,17 @@ def counting_query(
                 "the data reachable from the query constant is cyclic"
             )
 
-    # ascend: apply the exit rules at every depth, then walk the down chain back up
-    answers: Set[Tuple[Value, ...]] = set()
+    # ascend once, deepest level first (Horner's rule): one down-step per level
+    # carries every exit found below it, so an exit at level l takes exactly l
     exit_plans = _compile_exit_rules(program, shape, relations, stats)
-    for level, values in counting.items():
-        if not values:
-            continue
-        exit_seconds: Set[Value] = set()
-        for value in values:
-            exit_seconds |= _exit_seconds(exit_plans, relations, value, stats)
-        frontier = exit_seconds
-        if down is not None:
-            for _ in range(level):
-                frontier = {row[1] for row in algebra.semijoin(frontier, down, 0, stats)}
-        for value in frontier:
-            answers.add((constant, value))
+    frontier: Set[Value] = set()
+    for level in range(depth, -1, -1):
+        if frontier and down is not None:
+            frontier = {row[1] for row in algebra.semijoin(frontier, down, 0, stats)}
+        for value in counting[level]:
+            frontier |= _exit_seconds(exit_plans, relations, value, stats)
 
-    answers = query.select(answers)
+    answers = query.select({(constant, value) for value in frontier})
     stats.record_produced(len(answers))
     stats.extra["counting_levels"] = len(counting)
     stats.stop_timer()

@@ -1,13 +1,13 @@
 """Chaos differential fuzzing: graceful degradation under injected faults.
 
 The robustness layer's tier-1 foothold: seeded fault schedules
-(:mod:`repro.testing.chaos`) drive a durable ``DatalogService`` over the
+(``generate_scenario("chaos", seed)``) drive a durable ``DatalogService`` over the
 update-sequence families while the disk fails, tears frames, stalls, or
 refuses fsync at seeded injection-site ordinals.  A writer retries each step
 until acknowledged; readers issue seeded queries (some with impossible
 deadlines) throughout.  Every case asserts: no acknowledged write is lost,
-every answered query is tuple-identical to from-scratch evaluation of its
-observed epoch snapshot, the service returns to HEALTHY (verified on the
+every answered query is tuple-identical to the naive oracle over its observed
+epoch snapshot, the service returns to HEALTHY (verified on the
 object *and* through the exported health-state gauge), timeouts and refusals
 fail crisply (no hangs), and a post-fault close/reopen recovery reproduces
 the final state exactly.  Any failure names its seed.
@@ -19,29 +19,19 @@ from collections import Counter
 
 import pytest
 
-from repro.testing import generate_chaos_case, generate_chaos_cases, run_chaos_case
-from repro.testing.chaos import FAULT_KINDS
+from repro.testing import generate_scenario, run_scenario
+from repro.testing.scenario import FAULT_KINDS
 
 SEED_COUNT = 24
 
 
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
 def test_service_degrades_gracefully_and_heals(seed, tmp_path):
-    report = run_chaos_case(generate_chaos_case(seed), tmp_path)
+    report = run_scenario(generate_scenario("chaos", seed), tmp_path)
     assert report.ok, report.summary() + "\n" + "\n".join(report.mismatches)
     assert report.final_health == "healthy"
     # the recovery shadow check ran and landed on the exact final epoch
-    assert report.recovered_epoch == len(report.case.steps)
-
-
-def test_generation_is_deterministic():
-    first = generate_chaos_case(17)
-    second = generate_chaos_case(17)
-    assert first.steps == second.steps
-    assert first.schedule == second.schedule
-    assert first.barrier_after == second.barrier_after
-    assert first.snapshot_interval == second.snapshot_interval
-    assert first.expected == second.expected
+    assert report.recovered_epoch == len(report.scenario.steps)
 
 
 def test_batch_covers_every_site_and_fault_kind(tmp_path):
@@ -57,11 +47,12 @@ def test_batch_covers_every_site_and_fault_kind(tmp_path):
     families = set()
     writer_retries = 0
     timeouts = 0
-    for case in generate_chaos_cases(32):
-        families.add(case.base.base.family)
-        scratch = tmp_path / f"seed-{case.seed}"
+    for seed in range(32):
+        case = generate_scenario("chaos", seed)
+        families.add(case.base.family)
+        scratch = tmp_path / f"seed-{seed}"
         scratch.mkdir()
-        report = run_chaos_case(case, scratch)
+        report = run_scenario(case, scratch)
         assert report.ok, report.summary() + "\n" + "\n".join(report.mismatches)
         writer_retries += report.writer_retries
         timeouts += report.timeouts_observed

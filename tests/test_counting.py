@@ -102,6 +102,28 @@ class TestCountingQuery:
         assert result.answers == {(0, node) for node in range(1, 2_501)}
         assert result.stats.extra["counting_levels"] == 2_502  # the last, empty level included
 
+    def test_the_ascent_takes_one_down_step_per_level(self, monkeypatch):
+        """Every ``semijoin`` on the down relation is counted, empty ones too:
+        one ascent makes at most one per level, where a walk per level makes
+        about depth²/2."""
+        from repro.engine import algebra
+
+        depth = 200
+        database = Database.from_dict(
+            {"a": chain(depth), "b": [(depth, "z0")], "c": [(f"z{i}", f"z{i + 1}") for i in range(depth)]}
+        )
+        semijoin, down_steps = algebra.semijoin, []
+
+        def counted(keys, source, column, stats=None):
+            if getattr(source, "name", None) == "c":
+                down_steps.append(len(keys))
+            return semijoin(keys, source, column, stats)
+
+        monkeypatch.setattr(algebra, "semijoin", counted)
+        result = counting_query(canonical_two_sided(), database, SelectionQuery.of("t", 2, {0: 0}))
+        assert result.answers == {(0, f"z{depth}")}
+        assert len(down_steps) <= depth
+
     def test_requires_first_column_binding(self, two_sided_program, two_sided_chain_db):
         with pytest.raises(EvaluationError):
             counting_query(two_sided_program, two_sided_chain_db, SelectionQuery.of("t", 2, {1: "z1"}))

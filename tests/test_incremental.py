@@ -291,9 +291,10 @@ class TestDeltaLoopPolicies:
         script = (
             "import json\n"
             "from repro import Session\n"
-            "from repro.testing import generate_update_sequences\n"
+            "from repro.testing import generate_scenario\n"
             "out = {}\n"
-            "for number, case in enumerate(generate_update_sequences(8)):\n"
+            "for number in range(8):\n"
+            "    case = generate_scenario('updates', number)\n"
             "    session = Session(case.base.program, case.base.database.copy())\n"
             "    if session.view.strategy != 'dred':\n"
             "        continue\n"

@@ -1,13 +1,13 @@
-"""Update-sequence differential fuzzing: views must equal recomputation.
+"""Update-sequence differential fuzzing: views must equal the oracle.
 
 The incremental layer's tier-1 foothold: 28 deterministic seeds spanning
 every generator family replay randomized insert/delete scripts through a
 ``repro.Session`` and assert, after *every* step, that the maintained view is
-tuple-for-tuple identical to a from-scratch semi-naive evaluation of the
-original program — deletions included, so DRed's over-delete/rederive cycle
-and counting's exact decrements are both exercised against ground truth.
-Any failure names its seed, so it reproduces with
-``generate_update_sequence(seed)``.
+tuple-for-tuple identical to ``repro.testing.oracle.fixpoint`` over the
+current EDB — deletions included, so DRed's over-delete/rederive cycle and
+counting's exact decrements are both exercised against a truth that shares no
+strata, plans or delta loop with them.  Any failure names its seed, so it
+reproduces with ``generate_scenario("updates", seed)``.
 
 Two more families ride along: the per-seed maintenance counters of every
 single-relation delete, pinned (they must not move with the order rows are
@@ -18,48 +18,52 @@ delete and insert on several relations at once, checked the same way.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro import Database, DatalogService, FlushPolicy, Session, seminaive_evaluate
-from repro.testing import (
-    generate_update_sequence,
-    generate_update_sequences,
-    run_update_batch,
-    run_update_sequence,
-)
+from repro import Database, DatalogService, FlushPolicy, Program, Session, seminaive_evaluate
+from repro.engine import strata
+from repro.testing import generate_scenario, run_scenario
 from repro.testing.reference import step_machine
+from repro.testing.scenario import KINDS
 
 SEED_COUNT = 28  # 4 full passes over the 7 generator families
 
 
+def update_scenarios():
+    return [generate_scenario("updates", seed) for seed in range(SEED_COUNT)]
+
+
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
 def test_view_matches_recompute_after_every_step(seed):
-    report = run_update_sequence(generate_update_sequence(seed))
+    report = run_scenario(generate_scenario("updates", seed))
     assert report.ok, report.summary() + "\n" + "\n".join(report.mismatches)
 
 
-def test_generation_is_deterministic():
-    first = generate_update_sequence(11)
-    second = generate_update_sequence(11)
+@pytest.mark.parametrize("kind", KINDS)
+def test_generation_is_deterministic(kind):
+    first, second = generate_scenario(kind, 11), generate_scenario(kind, 11)
     assert first.base.family == second.base.family
-    assert first.steps == second.steps
+    assert replace(first, base=None) == replace(second, base=None)
+    assert first.expected == second.expected
 
 
 def test_batch_exercises_both_strategies_and_both_operations():
     """The harness must cover what it claims: counting AND DRed, inserts AND deletes."""
-    cases = generate_update_sequences(SEED_COUNT)
+    cases = update_scenarios()
     operations = {step.op for case in cases for step in case.steps}
     assert operations == {"insert", "delete"}
 
-    reports, strategies = run_update_batch(cases)
+    reports = [run_scenario(case) for case in cases]
     assert all(report.ok for report in reports)
-    assert strategies.get("counting", 0) >= 3  # the bounded family unfolds, then counts
-    assert strategies.get("dred", 0) >= SEED_COUNT // 2
+    strategies = [report.strategy for report in reports]
+    assert strategies.count("counting") >= 3  # the bounded family unfolds, then counts
+    assert strategies.count("dred") >= SEED_COUNT // 2
 
     # every check actually ran: initial state plus one per executed step
     for report in reports:
-        assert report.checks == len(report.case.steps) + 1
+        assert report.checks == len(report.scenario.steps) + 1
 
 
 def test_deletions_touch_recursive_views():
@@ -69,15 +73,26 @@ def test_deletions_touch_recursive_views():
     cycles); the batch would be toothless if deletions only ever landed on
     counting views.
     """
-    cases = generate_update_sequences(SEED_COUNT)
-    reports, _strategies = run_update_batch(cases)
+    reports = [run_scenario(case) for case in update_scenarios()]
     dred_deletes = [
         report
         for report in reports
         if report.strategy == "dred"
-        and any(step.op == "delete" for step in report.case.steps)
+        and any(step.op == "delete" for step in report.scenario.steps)
     ]
     assert len(dred_deletes) >= 5
+
+
+def test_the_oracle_sees_a_defect_the_engine_shares(monkeypatch):
+    """Strata run in reverse break the views and a semi-naive recompute alike;
+    only a truth that has no strata tells them apart.  (Strata are kept on the
+    program, so each case runs on a cold twin of it.)"""
+    evaluation_strata = strata.evaluation_strata
+    monkeypatch.setattr(strata, "evaluation_strata", lambda program: evaluation_strata(program)[::-1])
+    for kind, seed in [("updates", 3), ("updates", 10), ("updates", 17), ("updates", 24), ("concurrent", 3)]:
+        scenario = generate_scenario(kind, seed)
+        cold = replace(scenario.base, program=Program(scenario.base.program.rules))
+        assert not run_scenario(replace(scenario, base=cold)).ok, (kind, seed)
 
 
 #: per update seed with a delete step: the view's strategy, then the summed
@@ -122,7 +137,7 @@ COUNTERS = ("tuples_examined", "lookups", "unrestricted_lookups", "tuples_rederi
 def test_delete_counters_are_pinned(kernels):
     table = {}
     with step_machine(not kernels):
-        for case in generate_update_sequences(SEED_COUNT):
+        for case in update_scenarios():
             session = Session(case.base.program, case.base.database.copy())
             totals = dict.fromkeys(COUNTERS, 0)
             deletes = 0

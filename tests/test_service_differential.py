@@ -1,11 +1,11 @@
 """Concurrent differential fuzzing: every served answer matches its epoch.
 
 The serving layer's tier-1 foothold: seeded reader/writer/barrier thread
-schedules (:mod:`repro.testing.concurrent`) drive a ``DatalogService`` over
-every generator family and assert, per answered query, tuple-identity with
-from-scratch semi-naive evaluation of the exact epoch the reader observed —
-plus monotone epochs per reader, a deterministic final state equal to
-sequential replay, and agreement with a single-threaded ``Session``.  The
+schedules (``generate_scenario("concurrent", seed)``) drive a
+``DatalogService`` over every generator family and assert, per answered
+query, tuple-identity with the naive oracle over the exact epoch the reader
+observed — plus monotone epochs per reader, a deterministic final state equal
+to sequential replay, and agreement with a single-threaded ``Session``.  The
 schedules themselves are nondeterministic (that is the point); the checked
 property is schedule-independent, and any failure names its seed.
 """
@@ -16,14 +16,7 @@ import pytest
 
 from repro import DatalogService, Session, answer
 from repro.engine.query import SelectionQuery
-from repro.testing import (
-    FAMILIES,
-    generate_case,
-    generate_cases,
-    generate_concurrent_case,
-    run_concurrent_batch,
-    run_concurrent_case,
-)
+from repro.testing import FAMILIES, generate_case, generate_cases, generate_scenario, run_scenario
 from repro.testing.generate import generate_labelled_case
 
 SEED_COUNT = 14  # two full passes over the 7 generator families
@@ -31,39 +24,30 @@ SEED_COUNT = 14  # two full passes over the 7 generator families
 
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
 def test_every_answer_matches_its_observed_epoch(seed):
-    report = run_concurrent_case(generate_concurrent_case(seed))
+    report = run_scenario(generate_scenario("concurrent", seed))
     assert report.ok, report.summary() + "\n" + "\n".join(report.mismatches)
     # the harness must have verified real traffic against real epochs
     assert report.queries_checked > 0
     assert report.epochs_observed >= 1
 
 
-def test_generation_is_deterministic():
-    first = generate_concurrent_case(7)
-    second = generate_concurrent_case(7)
-    assert first.base.steps == second.base.steps
-    assert first.readers == second.readers
-    assert first.barrier_after == second.barrier_after
-    assert first.policy == second.policy
-
-
 def test_batch_exercises_coalescing_and_both_strategies():
-    cases = [generate_concurrent_case(seed) for seed in range(SEED_COUNT)]
-    reports = run_concurrent_batch(cases)
+    cases = [generate_scenario("concurrent", seed) for seed in range(SEED_COUNT)]
+    reports = [run_scenario(case) for case in cases]
     assert all(report.ok for report in reports), "\n".join(
         report.summary() for report in reports if not report.ok
     )
-    total_writes = sum(report.writes for report in reports)
-    total_flushes = sum(report.flushes for report in reports)
-    total_rounds = sum(report.maintenance_rounds for report in reports)
+    total_writes = sum(report.stats.writes_applied for report in reports)
+    total_flushes = sum(report.stats.flushes for report in reports)
+    total_rounds = sum(report.stats.maintenance_rounds for report in reports)
     # the write queue must have batched concurrent writers somewhere: strictly
     # fewer flushes AND strictly fewer maintenance rounds than raw writes
     assert 0 < total_flushes < total_writes
     assert total_rounds < total_writes
     # readers must actually have shared cached answers across the batch
-    assert sum(report.cache_hits for report in reports) > 0
+    assert sum(report.stats.cache_hits for report in reports) > 0
     # both maintenance strategies served concurrent traffic
-    strategies = {case.base.base.family for case in cases}
+    strategies = {case.base.family for case in cases}
     assert "bounded" in strategies  # unfolds -> counting maintenance
     assert "cyclic" in strategies  # stays recursive -> DRed maintenance
 
